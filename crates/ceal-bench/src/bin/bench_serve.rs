@@ -5,8 +5,7 @@
 //! handshake) plus M active clients driving requests at a target
 //! aggregate RPS, all against one server process. Records achieved
 //! throughput and p50/p99/p999 request latency to `BENCH_serve.json`
-//! (keyed by git revision) so successive PRs track the serve path the
-//! way `BENCH_ml.json` tracks the ML hot path.
+//! (keyed by git revision) so successive PRs track the serve path.
 //!
 //! ```text
 //! cargo run --release -p ceal-bench --bin bench-serve -- \

@@ -41,18 +41,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn worker_main(
-    coordinator: String,
-    name: Option<String>,
-    trace_dir: Option<std::path::PathBuf>,
-) -> ! {
-    let tracer = match &trace_dir {
-        Some(dir) => ceal_trace::Tracer::to_dir(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open trace dir {}: {e}", dir.display());
-            std::process::exit(1);
-        }),
-        None => ceal_trace::Tracer::disabled(),
-    };
+fn worker_main(coordinator: String, name: Option<String>, tracer: ceal_trace::Tracer) -> ! {
     let cfg = WorkerConfig {
         coordinator,
         name: name.unwrap_or_else(|| format!("worker-{}", std::process::id())),
@@ -84,6 +73,7 @@ fn main() {
     };
     let mut worker_addr: Option<String> = None;
     let mut worker_name: Option<String> = None;
+    let mut trace_dir: Option<std::path::PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
@@ -105,12 +95,18 @@ fn main() {
             }
             "--worker" => worker_addr = Some(val()),
             "--name" => worker_name = Some(val()),
-            "--trace-dir" => config.trace_dir = Some(val().into()),
+            "--trace-dir" => trace_dir = Some(val().into()),
             _ => usage(),
         }
     }
+    if let Some(dir) = &trace_dir {
+        config.tracer = ceal_trace::Tracer::to_dir(dir).unwrap_or_else(|e| {
+            eprintln!("cannot open trace dir {}: {e}", dir.display());
+            std::process::exit(1);
+        });
+    }
     if let Some(coordinator) = worker_addr {
-        worker_main(coordinator, worker_name, config.trace_dir);
+        worker_main(coordinator, worker_name, config.tracer);
     }
 
     let server = Server::bind(config).unwrap_or_else(|e| {

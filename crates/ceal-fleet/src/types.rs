@@ -42,12 +42,10 @@ pub struct TaskSpec {
     /// Trace identifier of the originating session's campaign; the worker
     /// parents its measurement span here so one campaign yields one
     /// correlated trace across the whole fleet. Zero when the coordinator
-    /// is untraced or predates protocol v5 (`default` keeps v4 parsing).
-    #[serde(default)]
+    /// is untraced.
     pub trace: u64,
     /// Span identifier of the scatter batch that dispatched this task,
     /// inside `trace`. Zero when untraced.
-    #[serde(default)]
     pub span: u64,
 }
 

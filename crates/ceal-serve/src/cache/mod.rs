@@ -27,7 +27,9 @@ pub mod lru;
 pub mod shard;
 pub mod transfer;
 
-use ceal_trace::{TraceContext, Tracer};
+use crate::breaker::CircuitBreaker;
+use crate::metrics::ServerMetrics;
+use ceal_trace::{FieldValue, TraceContext, Tracer};
 use lru::LruFront;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -240,6 +242,40 @@ impl AutotuneCache {
     /// result still serves from memory for this process's lifetime.
     pub fn put_memory_only(&self, entry: CacheEntry) {
         self.front.lock().insert(entry);
+    }
+
+    /// Publishes a finished campaign behind the cache-persist `breaker`.
+    /// While it is open the doomed disk write is skipped and the entry
+    /// serves from memory only: a dead disk degrades durability, not
+    /// correctness. A failed write is counted and warned about; `origin`
+    /// (`endpoint` or `session`) tells the callers' events apart.
+    pub(crate) fn publish(
+        &self,
+        entry: CacheEntry,
+        breaker: Option<&CircuitBreaker>,
+        metrics: &ServerMetrics,
+        tracer: &Tracer,
+        ctx: TraceContext,
+        origin: (&'static str, FieldValue),
+    ) {
+        if breaker.is_some_and(|b| !b.allow()) {
+            self.put_memory_only(entry);
+            tracer.instant("cache.persist-skipped", ctx, &[origin]);
+            return;
+        }
+        let result = self.put(entry);
+        match (&result, breaker) {
+            (Ok(()), Some(b)) => b.record_success(),
+            (Err(_), Some(b)) => b.record_failure(),
+            (_, None) => {}
+        }
+        if let Err(e) = result {
+            metrics
+                .cache_persist_failures
+                .fetch_add(1, Ordering::Relaxed);
+            let message = format!("cache persistence failed: {e}");
+            tracer.warn("cache.persist-failed", ctx, &message, &[origin]);
+        }
     }
 
     /// Nearest sibling campaign usable as a transfer seed: same workflow

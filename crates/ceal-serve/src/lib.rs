@@ -17,14 +17,13 @@
 //!   nearest-platform transfer seeding. Exact warm answers spend zero
 //!   oracle measurements; near-miss platforms start from a sibling's
 //!   samples as a prior.
-//! * [`server`] + [`metrics`] — the TCP server (`std::net` + `ceal-par`),
-//!   batched surrogate prediction over `parallel_map`, per-endpoint
-//!   counters and latency histograms, and graceful shutdown that drains
-//!   in-flight work.
-//! * [`reactor`] (Linux, the default serve core) — a readiness-driven
-//!   epoll event loop owning all connections with per-connection framed
-//!   state machines and a timer wheel, so tens of thousands of idle
-//!   sessions cost one fd each instead of a blocked worker thread.
+//! * [`server`] + [`reactor`] + [`metrics`] — the TCP server (Linux): a
+//!   readiness-driven epoll event loop owns all connections (framed
+//!   per-connection state machines, a timer wheel), so tens of thousands
+//!   of idle sessions cost one fd each, and hands decoded requests to a
+//!   `ceal-par` worker pool; batched surrogate prediction, per-endpoint
+//!   counters and latency histograms, overload shedding, and graceful
+//!   shutdown that drains in-flight work.
 //!
 //! ```no_run
 //! use ceal_serve::{Client, Server, ServeConfig, TuneParams};
@@ -67,9 +66,7 @@ pub use cache::{
     DEFAULT_TRANSFER_THRESHOLD,
 };
 pub use client::{Client, ClientError, TuneOutcome};
-pub use frame::{
-    read_frame, write_frame, write_frame_limited, FrameError, MAX_FRAME_LEN, MAX_MID_FRAME_STALL,
-};
+pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN, MAX_MID_FRAME_STALL};
 pub use metrics::{CountingOracle, Endpoint, OverloadStats, ServerMetrics};
 pub use protocol::{
     BreakerStatus, EndpointStats, HealthReport, MetricsReport, Request, Response, SessionStatus,

@@ -5,8 +5,8 @@
 //! counters hold at that instant. Latencies land in an HDR-style
 //! log2-bucketed histogram ([`ceal_trace::LogHistogram`], ≤3.2 % relative
 //! error) from which the report derives real server-side p50/p99/p999 per
-//! endpoint; the legacy 5-bound coarse buckets stay on the wire, collapsed
-//! from the same histogram.
+//! endpoint. [`Endpoint`] also carries the one table of per-request-class
+//! facts: metrics name, trace span name, whether overload may shed it.
 
 use crate::cache::CacheStats;
 use crate::protocol::{EndpointStats, MetricsReport};
@@ -15,59 +15,108 @@ use ceal_trace::LogHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Legacy coarse-bucket upper bounds, microseconds; the last wire bucket
-/// is unbounded. Kept for pre-v5 readers of the metrics endpoint.
-const BUCKET_BOUNDS_US: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
+/// Everything the server knows about one request class.
+struct EndpointRow {
+    endpoint: Endpoint,
+    /// [`Request`](crate::protocol::Request) variant names (serde's
+    /// external tags) accounted under this endpoint.
+    tags: &'static [&'static str],
+    /// Name on the `Metrics` endpoint.
+    name: &'static str,
+    /// Per-request trace span name, `request.<name>`.
+    span: &'static str,
+    /// Whether overload may answer this request with `Busy`.
+    sheddable: bool,
+}
 
-/// Endpoint names, indexed by [`Endpoint`]'s discriminant.
-const ENDPOINT_NAMES: [&str; 14] = [
-    "ping",
-    "tune",
-    "create-session",
-    "advance",
-    "status",
-    "predict",
-    "measure",
-    "push-history",
-    "close-session",
-    "metrics",
-    "register-worker",
-    "heartbeat",
-    "task-result",
-    "health",
-];
+/// Declares [`Endpoint`] and its fact table from one list: a request class
+/// is described once, and its row sits at the endpoint's discriminant.
+macro_rules! endpoints {
+    ($($variant:ident $tags:tt $name:literal $sheddable:literal,)+) => {
+        /// The service's endpoints, for metrics attribution.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Endpoint {
+            $(#[doc = concat!("`", $name, "`.")] $variant,)+
+        }
 
-/// The service's endpoints, for metrics attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `Ping`.
-    Ping = 0,
-    /// `Tune`.
-    Tune = 1,
-    /// `CreateSession`.
-    CreateSession = 2,
-    /// `Advance`.
-    Advance = 3,
-    /// `Status`.
-    Status = 4,
-    /// `Predict`.
-    Predict = 5,
-    /// `Measure`.
-    Measure = 6,
-    /// `PushHistory`.
-    PushHistory = 7,
-    /// `CloseSession`.
-    CloseSession = 8,
-    /// `Metrics`.
-    Metrics = 9,
-    /// `RegisterWorker`.
-    RegisterWorker = 10,
-    /// `Heartbeat`.
-    Heartbeat = 11,
-    /// `TaskResult`.
-    TaskResult = 12,
-    /// `Health`.
-    Health = 13,
+        const ENDPOINTS: &[EndpointRow] = &[$(EndpointRow {
+            endpoint: Endpoint::$variant,
+            tags: &$tags,
+            name: $name,
+            span: concat!("request.", $name),
+            sheddable: $sheddable,
+        },)+];
+    };
+}
+
+// Variant, request tags, name, sheddable. Never shed: cheap control
+// traffic whose loss would blind operators (`Health`, `Metrics`), break
+// liveness (`Ping`, `Shutdown`), leak resources (`Status`, `CloseSession`),
+// or stall the fleet's exactly-once accounting (registration, heartbeats,
+// results — shedding a `TaskResult` would force a re-measure).
+endpoints! {
+    Ping ["Ping"] "ping" false,
+    Tune ["Tune"] "tune" true,
+    CreateSession ["CreateSession"] "create-session" true,
+    Advance ["Advance"] "advance" true,
+    Status ["Status"] "status" false,
+    Predict ["Predict"] "predict" true,
+    Measure ["Measure"] "measure" true,
+    PushHistory ["PushHistory"] "push-history" true,
+    CloseSession ["CloseSession"] "close-session" false,
+    Metrics ["Metrics", "Shutdown"] "metrics" false,
+    RegisterWorker ["RegisterWorker"] "register-worker" false,
+    Heartbeat ["Heartbeat"] "heartbeat" false,
+    TaskResult ["TaskResult"] "task-result" false,
+    Health ["Health"] "health" false,
+}
+
+/// Leading JSON whitespace [`Endpoint::peek`] tolerates before giving up.
+const PEEK_MAX_PAD: usize = 16;
+
+fn skip_json_ws(bytes: &[u8]) -> &[u8] {
+    let pad = bytes
+        .iter()
+        .take(PEEK_MAX_PAD)
+        .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        .count();
+    &bytes[pad..]
+}
+
+impl Endpoint {
+    /// The per-request trace span name.
+    pub(crate) fn span_name(self) -> &'static str {
+        ENDPOINTS[self as usize].span
+    }
+
+    /// Whether overload may answer this endpoint's requests with `Busy`.
+    pub(crate) fn sheddable(self) -> bool {
+        ENDPOINTS[self as usize].sheddable
+    }
+
+    /// Classifies an undecoded request payload by its externally-tagged
+    /// variant name — `"Ping"` or `{"Status":…` — so the reactor can
+    /// decide shed exemption before spending pool time on JSON decoding.
+    /// Reads a bounded prefix whatever the frame size (leading
+    /// whitespace, an optional `{`, one quoted tag), never allocates, and
+    /// depends on no serializer's byte layout. Anything unrecognised is
+    /// `None`, which callers treat as sheddable: a malformed frame can be
+    /// shed, never wrongly admitted as exempt work.
+    pub fn peek(payload: &[u8]) -> Option<Endpoint> {
+        let mut rest = skip_json_ws(payload);
+        if let [b'{', tail @ ..] = rest {
+            rest = skip_json_ws(tail);
+        }
+        let quoted = rest.strip_prefix(b"\"")?;
+        let is_tag = |tag: &&str| {
+            let after = quoted.strip_prefix(tag.as_bytes());
+            after.is_some_and(|a| a.first() == Some(&b'"'))
+        };
+        ENDPOINTS
+            .iter()
+            .find(|row| row.tags.iter().any(is_tag))
+            .map(|row| row.endpoint)
+    }
 }
 
 #[derive(Default)]
@@ -81,7 +130,7 @@ struct EndpointCounters {
 /// All service counters; shared across workers via `Arc`.
 #[derive(Default)]
 pub struct ServerMetrics {
-    endpoints: [EndpointCounters; 14],
+    endpoints: [EndpointCounters; ENDPOINTS.len()],
     /// Oracle measurements spent (coupled + solo), across all requests.
     pub oracle_measurements: AtomicU64,
     /// Requests answered from the persistent cache.
@@ -145,8 +194,7 @@ impl ServerMetrics {
 
     /// Snapshots every counter into the wire representation. Endpoints
     /// with no traffic are omitted; traffic-bearing endpoints carry HDR
-    /// p50/p99/p999 plus the legacy coarse buckets collapsed from the same
-    /// histogram. The cache and fleet sections are required inputs —
+    /// p50/p99/p999. The cache and fleet sections are required inputs —
     /// callers cannot forget to overlay them and silently report zeros
     /// (pass `&CacheStats::default()` / `FleetReport::default()` when
     /// there genuinely is no cache or fleet).
@@ -160,14 +208,13 @@ impl ServerMetrics {
         let endpoints = self
             .endpoints
             .iter()
-            .zip(ENDPOINT_NAMES)
+            .zip(ENDPOINTS)
             .filter(|(c, _)| c.count.load(Ordering::Relaxed) > 0)
-            .map(|(c, name)| EndpointStats {
-                name: name.to_string(),
+            .map(|(c, row)| EndpointStats {
+                name: row.name.to_string(),
                 count: c.count.load(Ordering::Relaxed),
                 errors: c.errors.load(Ordering::Relaxed),
                 total_us: c.total_us.load(Ordering::Relaxed),
-                buckets: c.hist.collapse(&BUCKET_BOUNDS_US),
                 p50_us: c.hist.quantile(0.50),
                 p99_us: c.hist.quantile(0.99),
                 p999_us: c.hist.quantile(0.999),
@@ -320,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn record_fills_buckets_and_counts() {
+    fn record_counts_requests_and_errors() {
         let m = ServerMetrics::new();
         m.record(Endpoint::Ping, Duration::from_micros(50), false);
         m.record(Endpoint::Ping, Duration::from_millis(5), true);
@@ -331,7 +378,6 @@ mod tests {
         assert_eq!(ep.name, "ping");
         assert_eq!(ep.count, 3);
         assert_eq!(ep.errors, 1);
-        assert_eq!(ep.buckets, vec![1, 0, 1, 0, 0, 1]);
         assert!(ep.total_us >= 2_005_000);
     }
 
@@ -339,8 +385,7 @@ mod tests {
     fn report_carries_hdr_percentiles() {
         let m = ServerMetrics::new();
         // 50 fast requests and one slow outlier: p50 must sit near the
-        // fast mode, p99/p999 near the outlier — unobservable with the
-        // old 5-bucket histogram.
+        // fast mode, p99/p999 near the outlier.
         for _ in 0..50 {
             m.record(Endpoint::Ping, Duration::from_micros(200), false);
         }
@@ -357,6 +402,40 @@ mod tests {
             ep.p99_us
         );
         assert!(ep.p999_us >= ep.p99_us);
+    }
+
+    #[test]
+    fn peek_tolerates_padding_and_fails_safe_on_everything_else() {
+        // Any serializer's spelling of a control request is recognised…
+        for padded in [
+            &b" \"Ping\""[..],
+            b"\r\n\t \"Ping\" ",
+            b"{ \"Heartbeat\": {\"worker\":1}}",
+            b"  {\n  \"Heartbeat\" : {\"worker\": 1}\n}",
+        ] {
+            let endpoint = Endpoint::peek(padded).expect("padded control request");
+            assert!(!endpoint.sheddable(), "{padded:?} must stay exempt");
+        }
+        assert_eq!(Endpoint::peek(b"\"Shutdown\""), Some(Endpoint::Metrics));
+        // …and nothing else is: `None` means sheddable.
+        let long_tag = format!("\"Ping{}\"", "g".repeat(4096));
+        let deep_pad = format!("{}\"Ping\"", " ".repeat(PEEK_MAX_PAD + 1));
+        for hostile in [
+            &b""[..],
+            b" ",
+            b"{",
+            b"\"Pin",
+            b"{\"Heartbeat",
+            b"\x00\xFF\x13\x37",
+            b"Ping",
+            b"[\"Ping\"]",
+            b"\"LaunchMissiles\"",
+            b"{\"ping\":{}}",
+            long_tag.as_bytes(),
+            deep_pad.as_bytes(),
+        ] {
+            assert_eq!(Endpoint::peek(hostile), None, "{hostile:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Readiness-driven serve core.
+//! Readiness-driven serve core — the only one.
 //!
 //! One reactor thread owns every connection: it accepts, does nonblocking
 //! framed reads and writes through per-connection state machines
@@ -8,21 +8,26 @@
 //! single process hold tens of thousands of open tuning sessions (the
 //! `bench-serve` harness drives exactly that shape).
 //!
-//! Workers never touch sockets. A worker parses the frame, runs the
-//! existing `dispatch` under `catch_unwind`, serializes the response, and
-//! pushes it onto a completion queue, waking the reactor through an
-//! eventfd; the reactor flushes the bytes when the socket accepts them.
+//! Workers never touch sockets. A worker parses the frame, runs
+//! `dispatch` under `catch_unwind` (a panic — a bug, or an oracle hitting
+//! an unguarded path — answers one client with an `internal` error frame
+//! instead of killing a worker), serializes the response, and pushes it
+//! onto a completion queue, waking the reactor through an eventfd; the
+//! reactor flushes the bytes when the socket accepts them.
+//!
+//! Overload is decided here: over-cap connections get one `Busy` frame at
+//! accept, and past the dispatch watermark a request is shed unless
+//! [`Endpoint::peek`] classifies its raw payload as control traffic.
 //!
 //! A hashed [`TimerWheel`](timer::TimerWheel) gives the loop real
 //! deadlines: mid-frame and mid-write stalls are bounded per connection,
 //! and idle-session eviction runs at a fixed cadence even when no new
-//! connection ever arrives (the blocking path only evicted on accept —
-//! one of the lifecycle bugs this module retires).
+//! connection ever arrives.
 //!
-//! Shutdown needs no self-connection: the `Shutdown` dispatch sets the
-//! flag, its completion wakes the loop, and the reactor closes the
-//! listener, drops idle connections at their frame boundary, and waits
-//! for in-flight responses to flush before returning.
+//! Shutdown: the `Shutdown` dispatch sets the flag, its completion wakes
+//! the loop, and the reactor closes the listener, drops idle connections
+//! at their frame boundary, and waits for in-flight responses to flush
+//! before returning.
 
 pub mod conn;
 pub mod sys;
@@ -31,9 +36,9 @@ pub mod timer;
 use crate::frame::FrameError;
 use crate::metrics::Endpoint;
 use crate::protocol::{Request, Response};
-use crate::server::{dispatch, endpoint_of, exempt_payload, reject_connection, ServerInner};
+use crate::server::{dispatch, endpoint_of, ServerInner};
 use conn::{Conn, ConnState, ReadOutcome, WriteOutcome};
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,7 +73,7 @@ struct Completion {
     index: usize,
     gen: u32,
     framed: Vec<u8>,
-    /// Close once flushed (decode errors, shutdown acknowledgement).
+    /// Close once flushed (decode errors).
     close_after_write: bool,
     /// `(endpoint, frame arrival, is_error)` to record into the latency
     /// histogram once the response is fully flushed, so server-side
@@ -200,13 +205,21 @@ fn encode_frame(resp: &Response) -> Vec<u8> {
     framed
 }
 
+/// The one answer a peer we have lost sync with gets before the close.
+fn bad_request(e: &FrameError) -> Response {
+    Response::Error {
+        code: "bad-request".into(),
+        message: e.to_string(),
+    }
+}
+
 /// Runs one request on the calling worker thread and queues its framed
-/// response. Mirrors the blocking path: JSON decode errors map to one
-/// `bad-request` frame and a close, handler panics are contained to an
-/// `internal` error frame. Latency is recorded when the response write
-/// flushes — from `arrived` (frame completion) to flush — so server-side
-/// percentiles cover queueing, decode, handling, and write-back: the
-/// closest the server can get to what the client observes.
+/// response. JSON decode errors map to one `bad-request` frame and a
+/// close, handler panics are contained to an `internal` error frame.
+/// Latency is recorded when the response write flushes — from `arrived`
+/// (frame completion) to flush — so server-side percentiles cover
+/// queueing, decode, handling, and write-back: the closest the server can
+/// get to what the client observes.
 fn handle_request(
     payload: Vec<u8>,
     arrived: Instant,
@@ -216,16 +229,8 @@ fn handle_request(
     gen: u32,
 ) {
     let (resp, close, metric) = match serde_json::from_slice::<Request>(&payload) {
-        Err(e) => (
-            Response::Error {
-                code: "bad-request".into(),
-                message: FrameError::Decode(e.to_string()).to_string(),
-            },
-            true,
-            None,
-        ),
+        Err(e) => (bad_request(&FrameError::Decode(e.to_string())), true, None),
         Ok(req) => {
-            let is_shutdown = matches!(req, Request::Shutdown);
             let endpoint = endpoint_of(&req);
             let resp =
                 catch_unwind(AssertUnwindSafe(|| dispatch(req, inner))).unwrap_or_else(|p| {
@@ -240,11 +245,9 @@ fn handle_request(
                     }
                 });
             let is_error = matches!(resp, Response::Error { .. });
-            (
-                resp,
-                is_shutdown && !is_error,
-                Some((endpoint, arrived, is_error)),
-            )
+            // A `Shutdown` acknowledgement needs no close flag: the loop
+            // starts draining in the iteration that flushes it.
+            (resp, false, Some((endpoint, arrived, is_error)))
         }
     };
     // Paired with `begin_dispatch` at submission time in `pump_reading`;
@@ -323,6 +326,18 @@ impl Reactor {
         }
     }
 
+    /// Answers an over-cap connection with one best-effort `Busy` frame
+    /// and closes it, so a well-behaved client learns to back off. One
+    /// nonblocking write: a fresh socket's send buffer has room for the
+    /// frame, and the loop must never wait on a peer.
+    fn reject(&self, mut stream: TcpStream) {
+        let busy = Response::Busy {
+            retry_after_ms: self.inner.load.retry_after_ms().max(100),
+        };
+        let _ = stream.set_nonblocking(true);
+        let _ = stream.write(&encode_frame(&busy));
+    }
+
     fn accept_ready(&mut self, now: Instant) {
         loop {
             let accepted = match &self.listener {
@@ -332,10 +347,7 @@ impl Reactor {
             match accepted {
                 Ok((stream, _)) => {
                     if !self.inner.load.try_admit_conn() {
-                        // Accepted sockets don't inherit the listener's
-                        // O_NONBLOCK, so the best-effort Busy write below
-                        // runs with a short blocking timeout.
-                        reject_connection(stream, &self.inner);
+                        self.reject(stream);
                         continue;
                     }
                     if self.register(stream).is_err() {
@@ -428,7 +440,7 @@ impl Reactor {
                 let arrived = Instant::now();
                 let (shedding, transition) = self.inner.load.shed_decision();
                 self.inner.note_shed_transition(transition);
-                if shedding && !exempt_payload(&payload) {
+                if shedding && Endpoint::peek(&payload).is_none_or(Endpoint::sheddable) {
                     // Overloaded: answer with a typed Busy instead of
                     // queueing the request; the connection stays open and
                     // returns to Reading once the frame flushes.
@@ -460,14 +472,8 @@ impl Reactor {
             }
             ReadOutcome::Closed => self.close_conn(index),
             ReadOutcome::Broken(e) => {
-                // One bad-request frame, then close — same answer the
-                // blocking path gives a desynced peer.
-                let resp = Response::Error {
-                    code: "bad-request".into(),
-                    message: e.to_string(),
-                };
                 if let Some(conn) = self.conns.get(index, gen) {
-                    conn.start_write(encode_frame(&resp));
+                    conn.start_write(encode_frame(&bad_request(&e)));
                     conn.close_after_write = true;
                 }
                 self.pump_writing(index, gen, now);
@@ -591,9 +597,7 @@ impl Reactor {
         }
         for (index, state) in self.conns.snapshot() {
             match state {
-                // Nothing owed to this peer: the blocking path releases
-                // such connections at the next frame-boundary check; the
-                // reactor drops them now.
+                // Nothing owed to this peer: drop it now.
                 ConnState::Reading => self.close_conn(index),
                 // In-flight work drains: the response is computed and
                 // flushed, then the connection closes.

@@ -1,29 +1,22 @@
-//! The TCP service: connection handling, worker pool, dispatch, graceful
-//! shutdown.
+//! The TCP service: configuration, shared state, admission control,
+//! dispatch, graceful shutdown.
 //!
-//! On Linux the default serve core is the readiness-driven
-//! [`reactor`](crate::reactor): one event-loop thread owns every
-//! connection and hands decoded requests to the worker pool, so idle
-//! sessions cost a registered fd instead of a blocked thread. The
-//! blocking thread-per-connection path remains as a fallback (other
-//! platforms, or [`ServeConfig::event_loop`] set to `false`); both paths
-//! speak the identical wire protocol and share `dispatch`.
+//! Connections are owned by the readiness-driven
+//! [`reactor`](crate::reactor): one event-loop thread does all socket
+//! I/O and hands decoded requests to the worker pool, which runs
+//! `dispatch` here. The reactor is epoll-based, so the *server* is
+//! Linux-only ([`Server::run`] reports `Unsupported` elsewhere); the
+//! client, worker runtime, cache, sessions and wire format are portable.
 //!
-//! Request handling is wrapped in `catch_unwind`, so a panic (a bug, or
-//! an oracle hitting an unguarded path) answers one client with an
-//! `internal` error frame instead of killing a worker. Shutdown is
-//! graceful: the `Shutdown` request flips a flag, the serve loop is woken
-//! (reactor: completion eventfd; blocking: a loopback self-connection),
-//! and [`Server::run`] returns only after every in-flight connection
-//! drains.
+//! Shutdown is graceful: the `Shutdown` request flips a flag, its
+//! completion wakes the reactor, and [`Server::run`] returns only after
+//! every in-flight connection drains.
 
 use crate::breaker::Breakers;
 use crate::cache::{
     platform_features, AutotuneCache, CacheEntry, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD,
 };
-use crate::frame::{
-    is_idle_timeout, read_message, write_message_limited, FrameError, MAX_MID_FRAME_STALL,
-};
+use crate::frame::MAX_MID_FRAME_STALL;
 use crate::metrics::{CountingOracle, Endpoint, OverloadStats, ServerMetrics, TracingOracle};
 use crate::protocol::{HealthReport, Request, Response, TuneParams, PROTOCOL_VERSION};
 use crate::session::{
@@ -37,8 +30,7 @@ use ceal_sim::Simulator;
 use ceal_trace::{TraceContext, Tracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,7 +40,7 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address; use port 0 to let the OS pick one.
     pub addr: String,
-    /// Worker threads handling connections.
+    /// Worker threads executing requests.
     pub workers: usize,
     /// Sessions idle longer than this are evicted.
     pub idle_timeout: Duration,
@@ -76,23 +68,16 @@ pub struct ServeConfig {
     /// How long a mid-frame read or unfinished response write may go
     /// without a single byte of progress before the connection is dropped.
     pub stall_deadline: Duration,
-    /// Use the epoll reactor (Linux). Ignored elsewhere; `false` forces
-    /// the blocking thread-per-connection path everywhere.
-    pub event_loop: bool,
-    /// `SO_SNDBUF` for accepted connections on the reactor path; `None`
-    /// keeps the kernel default. Small values are mainly useful in tests
-    /// that need to fill the send buffer quickly.
+    /// `SO_SNDBUF` for accepted connections; `None` keeps the kernel
+    /// default. Small values let tests fill the send buffer quickly.
     pub send_buffer: Option<usize>,
     /// Measurement-fleet worker lease: a registered worker silent for
     /// longer than this is marked dead and its in-flight tasks are
     /// re-scattered to the survivors.
     pub worker_lease: Duration,
-    /// Directory for structured trace output (one JSONL file per server
-    /// process); `None` leaves tracing to [`ServeConfig::tracer`].
-    pub trace_dir: Option<PathBuf>,
-    /// Trace sink used when [`ServeConfig::trace_dir`] is `None`. Disabled
-    /// by default (every trace call reduces to one branch); tests inject
-    /// [`Tracer::in_memory`] here to assert on events.
+    /// Trace sink. Disabled by default (every trace call reduces to one
+    /// branch); `serve --trace-dir` passes [`Tracer::to_dir`], tests
+    /// inject [`Tracer::in_memory`] to assert on events.
     pub tracer: Tracer,
     /// Admission cap: connections beyond this are answered with one
     /// `Busy` frame and closed, instead of marching toward fd exhaustion.
@@ -120,10 +105,8 @@ impl Default for ServeConfig {
             transfer_threshold: DEFAULT_TRANSFER_THRESHOLD,
             journal_dir: None,
             stall_deadline: MAX_MID_FRAME_STALL,
-            event_loop: true,
             send_buffer: None,
             worker_lease: Duration::from_millis(1500),
-            trace_dir: None,
             tracer: Tracer::disabled(),
             max_connections: 16_384,
             dispatch_high_watermark: 0,
@@ -132,17 +115,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often an idle connection wakes up to check the shutdown flag.
-const IDLE_TICK: Duration = Duration::from_millis(200);
-
-/// Admission control and load shedding, shared by both serve cores.
+/// Admission control and load shedding.
 ///
 /// Two independent limits: a hard cap on live connections (enforced at
 /// accept, so the fd table stays bounded) and a high/low watermark pair on
 /// the dispatch queue (enforced per request, with hysteresis so shedding
-/// doesn't flap around the threshold). Exempt requests — cheap control
-/// traffic like `Ping`, `Health`, and fleet heartbeats — are never shed;
-/// see [`exempt_request`].
+/// doesn't flap around the threshold). Cheap control traffic like `Ping`,
+/// `Health`, and fleet heartbeats is never shed; see
+/// [`Endpoint::sheddable`].
 pub(crate) struct LoadControl {
     /// Hard cap on admitted connections.
     pub(crate) max_connections: usize,
@@ -245,7 +225,7 @@ impl LoadControl {
     }
 }
 
-/// Shared server state, visible to both serve cores.
+/// Shared server state.
 pub(crate) struct ServerInner {
     pub(crate) sessions: SessionManager,
     pub(crate) cache: AutotuneCache,
@@ -256,7 +236,7 @@ pub(crate) struct ServerInner {
     pub(crate) stall_deadline: Duration,
     /// How often idle-session eviction runs, independent of accepts.
     pub(crate) evict_cadence: Duration,
-    /// Optional `SO_SNDBUF` for accepted connections (reactor path).
+    /// Optional `SO_SNDBUF` for accepted connections.
     pub(crate) send_buffer: Option<usize>,
     /// Measurement-fleet coordinator: worker registry plus the
     /// scatter/gather scheduler batched `Advance` measurements go through.
@@ -315,25 +295,10 @@ impl ServerInner {
     }
 }
 
-/// The loopback address a server can reach itself at: wildcard binds
-/// (`0.0.0.0`, `::`) are listen-only — connecting *to* the wildcard is
-/// non-portable — so the wakeup connection must target localhost on the
-/// bound port. Specific addresses pass through unchanged.
-pub(crate) fn wakeup_addr(bound: SocketAddr) -> SocketAddr {
-    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-    let ip = match bound.ip() {
-        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, bound.port())
-}
-
 /// A bound-but-not-yet-serving tuning service.
 pub struct Server {
     listener: TcpListener,
     workers: usize,
-    event_loop: bool,
     inner: Arc<ServerInner>,
 }
 
@@ -343,12 +308,7 @@ impl Server {
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        // The tracer is resolved first so every later construction step
-        // (cache open, journal rebuild, fleet) reports through it.
-        let tracer = match &config.trace_dir {
-            Some(dir) => Tracer::to_dir(dir)?,
-            None => config.tracer.clone(),
-        };
+        let tracer = config.tracer;
         let cache = match &config.cache_path {
             Some(path) => AutotuneCache::at_path_traced(path, config.cache_lru_capacity, &tracer),
             None => AutotuneCache::in_memory(),
@@ -401,7 +361,6 @@ impl Server {
         Ok(Server {
             listener,
             workers: config.workers.max(1),
-            event_loop: config.event_loop,
             inner: Arc::new(ServerInner {
                 sessions,
                 cache,
@@ -436,56 +395,16 @@ impl Server {
     /// connections and returns.
     pub fn run(self) -> std::io::Result<()> {
         #[cfg(target_os = "linux")]
-        if self.event_loop {
-            return crate::reactor::run(self.listener, self.inner, self.workers);
+        {
+            crate::reactor::run(self.listener, self.inner, self.workers)
         }
-        self.run_blocking()
-    }
-
-    /// Thread-per-connection fallback serve loop.
-    fn run_blocking(self) -> std::io::Result<()> {
-        let pool = ceal_par::ThreadPool::new(self.workers);
-        let wg = ceal_par::WaitGroup::new();
-        // Idle-session eviction must not depend on fresh connections
-        // arriving, so a ticker drives it at the same cadence the reactor
-        // timer would.
-        let ticker = {
-            let inner = Arc::clone(&self.inner);
-            std::thread::Builder::new()
-                .name("ceal-serve-evict".into())
-                .spawn(move || {
-                    let mut last = Instant::now();
-                    while !inner.shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(inner.evict_cadence.min(Duration::from_millis(50)));
-                        if last.elapsed() >= inner.evict_cadence {
-                            inner.sessions.evict_idle(&inner.metrics);
-                            last = Instant::now();
-                        }
-                    }
-                })
-                .expect("failed to spawn eviction ticker")
-        };
-        for stream in self.listener.incoming() {
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            if !self.inner.load.try_admit_conn() {
-                reject_connection(stream, &self.inner);
-                continue;
-            }
-            let inner = Arc::clone(&self.inner);
-            pool.execute_tracked(&wg, move || handle_connection(stream, inner));
+        #[cfg(not(target_os = "linux"))]
+        {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "the ceal-serve server needs Linux (epoll reactor)",
+            ))
         }
-        // Drain: every accepted connection finishes its in-flight request
-        // (workers see the shutdown flag at their next frame boundary).
-        wg.wait();
-        drop(pool);
-        let _ = ticker.join();
-        Ok(())
     }
 
     /// Runs the server on a background thread, returning a handle with the
@@ -520,27 +439,6 @@ impl ServerHandle {
     }
 }
 
-/// The per-request span name for `endpoint` (static, so the hot path never
-/// formats a string).
-pub(crate) fn request_span_name(endpoint: Endpoint) -> &'static str {
-    match endpoint {
-        Endpoint::Ping => "request.ping",
-        Endpoint::Tune => "request.tune",
-        Endpoint::CreateSession => "request.create-session",
-        Endpoint::Advance => "request.advance",
-        Endpoint::Status => "request.status",
-        Endpoint::Predict => "request.predict",
-        Endpoint::Measure => "request.measure",
-        Endpoint::PushHistory => "request.push-history",
-        Endpoint::CloseSession => "request.close-session",
-        Endpoint::Metrics => "request.metrics",
-        Endpoint::RegisterWorker => "request.register-worker",
-        Endpoint::Heartbeat => "request.heartbeat",
-        Endpoint::TaskResult => "request.task-result",
-        Endpoint::Health => "request.health",
-    }
-}
-
 pub(crate) fn endpoint_of(req: &Request) -> Endpoint {
     match req {
         Request::Ping => Endpoint::Ping,
@@ -557,166 +455,6 @@ pub(crate) fn endpoint_of(req: &Request) -> Endpoint {
         Request::Heartbeat { .. } => Endpoint::Heartbeat,
         Request::TaskResult { .. } => Endpoint::TaskResult,
         Request::Health => Endpoint::Health,
-    }
-}
-
-/// Requests never shed under overload: cheap control traffic whose loss
-/// would blind operators (`Health`, `Metrics`), break liveness (`Ping`,
-/// `Shutdown`), leak resources (`Status`, `CloseSession`), or stall the
-/// fleet's exactly-once accounting (worker registration, heartbeats, and
-/// result delivery — shedding a `TaskResult` would force a re-measure).
-pub(crate) fn exempt_request(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Ping
-            | Request::Health
-            | Request::Metrics
-            | Request::Shutdown
-            | Request::Status { .. }
-            | Request::CloseSession { .. }
-            | Request::RegisterWorker { .. }
-            | Request::Heartbeat { .. }
-            | Request::TaskResult { .. }
-    )
-}
-
-/// Serialized-form prefixes of every [`exempt_request`] variant, as serde's
-/// externally-tagged layout emits them: unit variants are a bare JSON
-/// string, struct variants an object keyed by the variant name.
-const EXEMPT_PREFIXES: &[&[u8]] = &[
-    b"\"Ping\"",
-    b"\"Health\"",
-    b"\"Metrics\"",
-    b"\"Shutdown\"",
-    b"{\"Status\":",
-    b"{\"CloseSession\":",
-    b"{\"RegisterWorker\":",
-    b"{\"Heartbeat\":",
-    b"{\"TaskResult\":",
-];
-
-/// Byte-prefix shed exemption for the reactor path, which must decide
-/// before spending pool time on JSON decoding. Only canonical serde output
-/// matches; a whitespace-padded equivalent simply isn't exempt, which
-/// fails safe (it can be shed, never wrongly admitted as exempt work).
-pub(crate) fn exempt_payload(payload: &[u8]) -> bool {
-    EXEMPT_PREFIXES.iter().any(|p| payload.starts_with(p))
-}
-
-/// Answers an over-cap connection with one best-effort `Busy` frame and
-/// closes it, so a well-behaved client learns to back off instead of
-/// seeing a silent RST.
-pub(crate) fn reject_connection(mut stream: TcpStream, inner: &ServerInner) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = write_message_limited(
-        &mut stream,
-        &Response::Busy {
-            retry_after_ms: inner.load.retry_after_ms().max(100),
-        },
-        Duration::from_millis(100),
-    );
-}
-
-/// Releases a connection's admission slot on every exit path.
-struct ConnSlot<'a>(&'a LoadControl);
-
-impl Drop for ConnSlot<'_> {
-    fn drop(&mut self) {
-        self.0.release_conn();
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, inner: Arc<ServerInner>) {
-    let _slot = ConnSlot(&inner.load);
-    // Connection-lifetime span: `Begin` at accept, `End` (with duration)
-    // on any exit path below. The reactor path records the same pair.
-    let mut conn_span = inner.tracer.span("conn", TraceContext::NONE);
-    if inner.tracer.enabled() {
-        if let Ok(peer) = stream.peer_addr() {
-            conn_span.field("peer", peer.to_string());
-        }
-    }
-    let _ = stream.set_read_timeout(Some(IDLE_TICK));
-    // Writes must surface timeouts so the stall deadline can be enforced;
-    // without this a peer that stops reading pins the worker forever.
-    let _ = stream.set_write_timeout(Some(IDLE_TICK));
-    let _ = stream.set_nodelay(true);
-    if let Some(bytes) = inner.send_buffer {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::unix::io::AsRawFd;
-            let _ = crate::reactor::sys::set_send_buffer_fd(stream.as_raw_fd(), bytes);
-        }
-        #[cfg(not(target_os = "linux"))]
-        let _ = bytes;
-    }
-    loop {
-        let req: Request = match read_message(&mut stream) {
-            Ok(req) => req,
-            Err(FrameError::Closed) => return,
-            Err(ref e) if is_idle_timeout(e) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                // A malformed frame means we've lost sync with the peer:
-                // answer once, then close.
-                let _ = write_message_limited(
-                    &mut stream,
-                    &Response::Error {
-                        code: "bad-request".into(),
-                        message: e.to_string(),
-                    },
-                    inner.stall_deadline,
-                );
-                return;
-            }
-        };
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let endpoint = endpoint_of(&req);
-        let (shedding, transition) = inner.load.shed_decision();
-        inner.note_shed_transition(transition);
-        if shedding && !exempt_request(&req) {
-            inner.load.requests_shed.fetch_add(1, Ordering::Relaxed);
-            let busy = Response::Busy {
-                retry_after_ms: inner.load.retry_after_ms(),
-            };
-            if write_message_limited(&mut stream, &busy, inner.stall_deadline).is_err() {
-                return;
-            }
-            continue;
-        }
-        let start = Instant::now();
-        inner.load.begin_dispatch();
-        let resp = catch_unwind(AssertUnwindSafe(|| dispatch(req, &inner))).unwrap_or_else(|p| {
-            let detail = p
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| p.downcast_ref::<&str>().copied())
-                .unwrap_or("handler panicked");
-            Response::Error {
-                code: "internal".into(),
-                message: detail.to_string(),
-            }
-        });
-        inner.load.end_dispatch();
-        let is_error = matches!(resp, Response::Error { .. });
-        inner.metrics.record(endpoint, start.elapsed(), is_error);
-        if write_message_limited(&mut stream, &resp, inner.stall_deadline).is_err() {
-            return;
-        }
-        if is_shutdown && !is_error {
-            // Unblock the accept loop so `run` can start draining. The
-            // bind address may be a wildcard, which is listen-only —
-            // wake through loopback on the bound port.
-            let _ = TcpStream::connect(wakeup_addr(inner.addr));
-            return;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
     }
 }
 
@@ -738,7 +476,7 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner) -> Response {
     // Every request gets its own trace; campaign-scoped work (sessions,
     // tune) additionally records under its campaign trace.
     let mut req_span = inner.tracer.span(
-        request_span_name(endpoint_of(&req)),
+        endpoint_of(&req).span_name(),
         TraceContext::root(inner.tracer.new_trace()),
     );
     let resp = dispatch_inner(req, inner);
@@ -963,34 +701,14 @@ fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError>
             .collect(),
         platform_features: platform_features(&inner.platform),
     };
-    if inner.breakers.cache.allow() {
-        match inner.cache.put(entry) {
-            Ok(()) => inner.breakers.cache.record_success(),
-            Err(e) => {
-                inner.breakers.cache.record_failure();
-                inner
-                    .metrics
-                    .cache_persist_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                inner.tracer.warn(
-                    "cache.persist-failed",
-                    span.ctx(),
-                    &format!("cache persistence failed: {e}"),
-                    &[("endpoint", "tune".into())],
-                );
-            }
-        }
-    } else {
-        // Breaker open: skip the doomed disk write but keep serving the
-        // result from memory, so a dead disk degrades durability, not
-        // correctness.
-        inner.cache.put_memory_only(entry);
-        inner.tracer.instant(
-            "cache.persist-skipped",
-            span.ctx(),
-            &[("endpoint", "tune".into())],
-        );
-    }
+    inner.cache.publish(
+        entry,
+        Some(&inner.breakers.cache),
+        &inner.metrics,
+        &inner.tracer,
+        span.ctx(),
+        ("endpoint", "tune".into()),
+    );
     let runs_used = run.runs_used() as u64;
     let component_runs = run.component_runs.len() as u64;
     span.field("runs_used", runs_used);
@@ -1007,49 +725,49 @@ fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError>
 mod tests {
     use super::*;
 
-    #[test]
-    fn wakeup_addr_maps_wildcards_to_loopback() {
-        let v4: SocketAddr = "0.0.0.0:8080".parse().unwrap();
-        assert_eq!(wakeup_addr(v4), "127.0.0.1:8080".parse().unwrap());
-        let v6: SocketAddr = "[::]:9090".parse().unwrap();
-        assert_eq!(wakeup_addr(v6), "[::1]:9090".parse().unwrap());
+    fn lv_params() -> TuneParams {
+        TuneParams {
+            workflow: "LV".into(),
+            objective: "comp".into(),
+            budget: 25,
+            pool: 500,
+            seed: 7,
+            algo: "ceal".into(),
+        }
+    }
+
+    /// Exhaustive on purpose: a new `Request` variant does not compile
+    /// here until it is numbered, and the test below then fails until it
+    /// has a sample — and, through the assertion, an endpoint-table row.
+    fn variant_index(req: &Request) -> usize {
+        match req {
+            Request::Ping => 0,
+            Request::Tune(_) => 1,
+            Request::CreateSession { .. } => 2,
+            Request::Advance { .. } => 3,
+            Request::Status { .. } => 4,
+            Request::Predict { .. } => 5,
+            Request::Measure { .. } => 6,
+            Request::PushHistory { .. } => 7,
+            Request::CloseSession { .. } => 8,
+            Request::Metrics => 9,
+            Request::Health => 10,
+            Request::Shutdown => 11,
+            Request::RegisterWorker { .. } => 12,
+            Request::Heartbeat { .. } => 13,
+            Request::TaskResult { .. } => 14,
+        }
     }
 
     #[test]
-    fn payload_exemption_matches_typed_exemption() {
-        // The reactor decides exemption on raw bytes; the blocking path on
-        // the decoded enum. One sample per variant proves the byte
-        // prefixes and the typed matcher never disagree.
+    fn every_request_variant_peeks_to_its_endpoint() {
+        // The reactor classifies raw bytes (`Endpoint::peek`), dispatch the
+        // decoded enum (`endpoint_of`); they must agree on every variant.
         let samples = vec![
             Request::Ping,
-            Request::Health,
-            Request::Metrics,
-            Request::Shutdown,
-            Request::Status { session: 1 },
-            Request::CloseSession { session: 1 },
-            Request::RegisterWorker { name: "w".into() },
-            Request::Heartbeat { worker: 1 },
-            Request::TaskResult {
-                worker: 1,
-                results: vec![],
-            },
-            Request::Tune(TuneParams {
-                workflow: "LV".into(),
-                objective: "comp".into(),
-                budget: 25,
-                pool: 500,
-                seed: 7,
-                algo: "ceal".into(),
-            }),
+            Request::Tune(lv_params()),
             Request::CreateSession {
-                params: TuneParams {
-                    workflow: "LV".into(),
-                    objective: "comp".into(),
-                    budget: 25,
-                    pool: 500,
-                    seed: 7,
-                    algo: "ceal".into(),
-                },
+                params: lv_params(),
                 failure_rate: 0.0,
                 fault_seed: 0,
             },
@@ -1057,6 +775,7 @@ mod tests {
                 session: 1,
                 runs: 5,
             },
+            Request::Status { session: 1 },
             Request::Predict {
                 session: 1,
                 configs: vec![],
@@ -1069,23 +788,43 @@ mod tests {
                 session: 1,
                 samples: vec![],
             },
+            Request::CloseSession { session: 1 },
+            Request::Metrics,
+            Request::Health,
+            Request::Shutdown,
+            Request::RegisterWorker { name: "w".into() },
+            Request::Heartbeat { worker: 1 },
+            Request::TaskResult {
+                worker: 1,
+                results: vec![],
+            },
         ];
+        let covered: Vec<usize> = samples.iter().map(variant_index).collect();
+        assert_eq!(
+            covered,
+            (0..15).collect::<Vec<_>>(),
+            "one sample per variant"
+        );
         for req in samples {
             let payload = serde_json::to_vec(&req).unwrap();
             assert_eq!(
-                exempt_payload(&payload),
-                exempt_request(&req),
-                "prefix and typed exemption disagree for {req:?}"
+                Endpoint::peek(&payload),
+                Some(endpoint_of(&req)),
+                "table and typed endpoint disagree for {req:?}"
             );
+            // Pins the table's shed column: only campaign work may be
+            // shed, never control or fleet traffic.
+            let campaign_work = matches!(
+                req,
+                Request::Tune(_)
+                    | Request::CreateSession { .. }
+                    | Request::Advance { .. }
+                    | Request::Predict { .. }
+                    | Request::Measure { .. }
+                    | Request::PushHistory { .. }
+            );
+            assert_eq!(endpoint_of(&req).sheddable(), campaign_work, "{req:?}");
         }
-    }
-
-    #[test]
-    fn padded_payloads_are_not_exempt() {
-        // Non-canonical whitespace fails safe: sheddable, never wrongly
-        // admitted.
-        assert!(!exempt_payload(b" \"Ping\""));
-        assert!(!exempt_payload(b"{ \"Heartbeat\": {\"worker\":1}}"));
     }
 
     #[test]
@@ -1135,15 +874,5 @@ mod tests {
         assert!(at_watermark >= 25);
         assert!(deep > at_watermark, "deeper queue must push clients out");
         assert!(deep <= 2_000);
-    }
-
-    #[test]
-    fn wakeup_addr_keeps_specific_addresses() {
-        let v4: SocketAddr = "127.0.0.1:7000".parse().unwrap();
-        assert_eq!(wakeup_addr(v4), v4);
-        let lan: SocketAddr = "192.168.1.20:7000".parse().unwrap();
-        assert_eq!(wakeup_addr(lan), lan);
-        let v6: SocketAddr = "[::1]:7000".parse().unwrap();
-        assert_eq!(wakeup_addr(v6), v6);
     }
 }

@@ -856,42 +856,14 @@ impl Session {
             samples: self.measured.clone(),
             platform_features: platform_features(platform),
         };
-        let breaker = self.breakers.as_ref().map(|b| b.cache.as_ref());
-        if let Some(b) = breaker {
-            if !b.allow() {
-                // Breaker open: keep the result serveable from memory and
-                // skip the doomed disk write; durability degrades, the
-                // campaign's answer doesn't.
-                cache.put_memory_only(entry);
-                self.tracer.instant(
-                    "cache.persist-skipped",
-                    self.trace_ctx(),
-                    &[("session", self.id.into())],
-                );
-                return;
-            }
-        }
-        match cache.put(entry) {
-            Ok(()) => {
-                if let Some(b) = breaker {
-                    b.record_success();
-                }
-            }
-            Err(e) => {
-                if let Some(b) = breaker {
-                    b.record_failure();
-                }
-                metrics
-                    .cache_persist_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                self.tracer.warn(
-                    "cache.persist-failed",
-                    self.trace_ctx(),
-                    &format!("cache persistence failed: {e}"),
-                    &[("session", self.id.into())],
-                );
-            }
-        }
+        cache.publish(
+            entry,
+            self.breakers.as_ref().map(|b| b.cache.as_ref()),
+            metrics,
+            &self.tracer,
+            self.trace_ctx(),
+            ("session", self.id.into()),
+        );
     }
 
     /// Scores `configs` with the trained surrogate in one encoded batch

@@ -50,28 +50,18 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame: length prefix plus payload, bounded by the default
-/// [`MAX_MID_FRAME_STALL`] write-stall deadline.
+/// Writes one frame: length prefix plus payload. Errors if the writer
+/// makes no progress for [`MAX_MID_FRAME_STALL`], which only bites when the
+/// stream has a write timeout set (so `write` surfaces `WouldBlock` or
+/// `TimedOut` instead of blocking forever); client sockets do.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-    write_frame_limited(w, payload, MAX_MID_FRAME_STALL)
-}
-
-/// Writes one frame, erroring if the writer makes no progress for
-/// `stall_limit`. The deadline only bites when the underlying stream has a
-/// write timeout set (so `write` surfaces `WouldBlock`/`TimedOut` instead
-/// of blocking forever) — sockets on the serve and client paths do.
-pub fn write_frame_limited(
-    w: &mut impl Write,
-    payload: &[u8],
-    stall_limit: Duration,
-) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(payload.len()));
     }
     let mut buf = Vec::with_capacity(4 + payload.len());
     buf.put_u32(payload.len() as u32);
     buf.put_slice(payload);
-    write_all_limited(w, &buf, stall_limit)?;
+    write_all_limited(w, &buf, MAX_MID_FRAME_STALL)?;
     w.flush()?;
     Ok(())
 }
@@ -121,12 +111,6 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Whether a [`FrameError`] is a read timeout at a frame boundary — the
-/// connection is idle, not broken, and the caller may simply retry.
-pub fn is_idle_timeout(e: &FrameError) -> bool {
-    matches!(e, FrameError::Io(io) if is_timeout(io))
-}
-
 fn read_full(r: &mut impl Read, buf: &mut [u8], filled: usize) -> std::io::Result<()> {
     read_full_limited(r, buf, filled, MAX_MID_FRAME_STALL)
 }
@@ -173,7 +157,7 @@ fn read_full_limited(
 ///
 /// Returns [`FrameError::Closed`] on EOF at a frame boundary (the peer
 /// hung up cleanly); EOF mid-frame is an I/O error. A read timeout at a
-/// frame boundary surfaces as an I/O error matched by [`is_idle_timeout`];
+/// frame boundary surfaces as an I/O error (`WouldBlock`/`TimedOut`);
 /// timeouts mid-frame are waited out instead.
 pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
     let mut header = [0u8; 4];
@@ -194,17 +178,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
 
 /// Serializes `msg` as JSON and writes it as one frame.
 pub fn write_message<T: serde::Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
-    write_message_limited(w, msg, MAX_MID_FRAME_STALL)
-}
-
-/// [`write_message`] with an explicit write-stall deadline.
-pub fn write_message_limited<T: serde::Serialize>(
-    w: &mut impl Write,
-    msg: &T,
-    stall_limit: Duration,
-) -> Result<(), FrameError> {
     let json = serde_json::to_string(msg).map_err(|e| FrameError::Decode(e.to_string()))?;
-    write_frame_limited(w, json.as_bytes(), stall_limit)
+    write_frame(w, json.as_bytes())
 }
 
 /// Reads one frame and deserializes its JSON payload.
@@ -285,10 +260,5 @@ mod tests {
     fn mid_write_stall_hits_the_deadline() {
         let err = write_all_limited(&mut NeverAccepts, b"abc", Duration::ZERO).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-
-        match write_frame_limited(&mut NeverAccepts, b"abc", Duration::ZERO) {
-            Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut),
-            other => panic!("expected stalled write, got {other:?}"),
-        }
     }
 }

@@ -9,38 +9,11 @@
 use ceal_fleet::{FleetReport, TaskReport, TaskSpec};
 use serde::{Deserialize, Serialize};
 
-/// Bumped on any incompatible change to [`Request`] or [`Response`].
-///
-/// v2: [`MetricsReport`] gained `sessions_rebuilt` (journal-backed session
-/// recovery after a server restart).
-///
-/// v3: distributed fleet — [`Request::RegisterWorker`],
-/// [`Request::Heartbeat`], [`Request::TaskResult`],
-/// [`Response::WorkerRegistered`], [`Response::TaskAssign`], and the
-/// `fleet` section of [`MetricsReport`].
-///
-/// v4: tiered cache — [`SessionStatus`] gained `warm_source`
-/// (`exact`/`transfer`/`cold`); [`MetricsReport`] gained the LRU-front
-/// counters (`cache_lru_*`), `cache_persist_failures`, and
-/// `cache_transfer_seeded`. All additions are `#[serde(default)]`, so v3
-/// payloads still parse.
-///
-/// v5: observability — [`SessionStatus`] gained `trace` (the campaign's
-/// 16-hex-digit trace id), [`EndpointStats`] gained HDR-histogram
-/// percentiles (`p50_us`/`p99_us`/`p999_us`), and
-/// [`ceal_fleet::TaskSpec`] gained `trace`/`span` so a scattered
-/// measurement carries its originating session's trace context through
-/// worker execution. All additions are `#[serde(default)]`, so v4
-/// payloads still parse.
-///
-/// v6: overload protection — [`Request::Health`],
-/// [`Response::Busy`] (typed load shedding with a server-suggested
-/// retry delay), [`Response::Health`] with [`HealthReport`] /
-/// [`BreakerStatus`], and the shed/breaker counters on
-/// [`MetricsReport`] (`requests_shed`, `connections_rejected`,
-/// `oracle_breaker_opens`, `cache_breaker_opens`). All additions are
-/// `#[serde(default)]`, so v5 payloads still parse.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Bumped on any change to [`Request`] or [`Response`]. There is no
+/// cross-version compatibility: [`Client::connect`](crate::Client::connect)
+/// pings first and refuses any server whose version is not *equal* to its
+/// own, so every field below is required on the wire.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Parameters shared by one-shot tuning and session creation.
 ///
@@ -179,14 +152,11 @@ pub struct SessionStatus {
     pub best_value: Option<f64>,
     /// How the campaign was warmed from the cache: `exact` (identical
     /// campaign replayed, zero oracle spend), `transfer` (bootstrap seeded
-    /// from a near-miss sibling platform's samples), or `cold`. Empty when
-    /// talking to a pre-v4 server.
-    #[serde(default)]
+    /// from a near-miss sibling platform's samples), or `cold`.
     pub warm_source: String,
     /// The campaign's trace identifier (16 hex digits), for correlating
     /// this session's spans across the coordinator and fleet workers.
-    /// Empty when tracing is disabled or the server predates v5.
-    #[serde(default)]
+    /// Empty when tracing is disabled.
     pub trace: String,
 }
 
@@ -201,20 +171,12 @@ pub struct EndpointStats {
     pub errors: u64,
     /// Total handling time, microseconds.
     pub total_us: u64,
-    /// Legacy coarse latency histogram: `< 100µs, < 1ms, < 10ms, < 100ms,
-    /// < 1s, ≥ 1s`. Since v5 this is collapsed from the HDR histogram, so
-    /// samples within one log-bucket (≤3.2 %) of a bound may land one
-    /// bucket high; prefer the percentile fields.
-    pub buckets: Vec<u64>,
     /// Median handling latency, microseconds (HDR estimate, ≤3.2 %
-    /// relative error). Zero when talking to a pre-v5 server.
-    #[serde(default)]
+    /// relative error).
     pub p50_us: u64,
     /// 99th-percentile handling latency, microseconds.
-    #[serde(default)]
     pub p99_us: u64,
     /// 99.9th-percentile handling latency, microseconds.
-    #[serde(default)]
     pub p999_us: u64,
 }
 
@@ -237,44 +199,33 @@ pub struct MetricsReport {
     /// Sessions rebuilt from their on-disk journals at startup.
     pub sessions_rebuilt: u64,
     /// Completed campaigns the cache failed to persist to disk (still
-    /// served from memory). `default` so v3 reports still parse.
-    #[serde(default)]
+    /// served from memory).
     pub cache_persist_failures: u64,
     /// Sessions seeded from a near-miss sibling platform's cached
-    /// campaign. `default` so v3 reports still parse.
-    #[serde(default)]
+    /// campaign.
     pub cache_transfer_seeded: u64,
     /// Cache lookups answered by the in-memory LRU front.
-    #[serde(default)]
     pub cache_lru_hits: u64,
     /// Cache lookups that had to consult a shard on disk.
-    #[serde(default)]
     pub cache_lru_misses: u64,
     /// Entries evicted from the LRU front to stay under capacity.
-    #[serde(default)]
     pub cache_lru_evictions: u64,
     /// Entries currently resident in the LRU front.
-    #[serde(default)]
     pub cache_lru_len: u64,
     /// Sessions currently live.
     pub active_sessions: u64,
     /// Measurement-fleet counters (all-zero when no worker ever
-    /// registered). `default` so v2 reports still parse.
-    #[serde(default)]
+    /// registered).
     pub fleet: FleetReport,
     /// Requests answered with [`Response::Busy`] because the dispatch
-    /// queue crossed its high watermark. `default` so v5 reports parse.
-    #[serde(default)]
+    /// queue crossed its high watermark.
     pub requests_shed: u64,
     /// Connections refused at accept because the live-connection cap was
-    /// reached. `default` so v5 reports parse.
-    #[serde(default)]
+    /// reached.
     pub connections_rejected: u64,
     /// Times the oracle-measurement circuit breaker opened.
-    #[serde(default)]
     pub oracle_breaker_opens: u64,
     /// Times the cache-persist circuit breaker opened.
-    #[serde(default)]
     pub cache_breaker_opens: u64,
 }
 
@@ -546,67 +497,5 @@ mod tests {
             let back: Response = serde_json::from_str(&json).unwrap();
             assert_eq!(back, resp, "round trip failed for {json}");
         }
-    }
-
-    #[test]
-    fn v3_payloads_without_cache_fields_still_parse() {
-        // A v3 server's SessionStatus has no warm_source.
-        let status: SessionStatus = serde_json::from_str(
-            r#"{"session":1,"state":"done","budget_left":0,"measured":8,
-                "history_samples":12,"best":[1,2],"best_value":0.5}"#,
-        )
-        .unwrap();
-        assert_eq!(status.warm_source, "");
-        // And its MetricsReport has none of the cache_* v4 counters.
-        let report: MetricsReport = serde_json::from_str(
-            r#"{"endpoints":[],"oracle_measurements":9,"cache_hits":1,
-                "cache_misses":2,"sessions_created":3,"sessions_evicted":0,
-                "sessions_rebuilt":0,"active_sessions":3}"#,
-        )
-        .unwrap();
-        assert_eq!(report.cache_persist_failures, 0);
-        assert_eq!(report.cache_lru_hits, 0);
-        assert_eq!(report.cache_transfer_seeded, 0);
-    }
-
-    #[test]
-    fn v4_payloads_without_trace_fields_still_parse() {
-        // A v4 server's SessionStatus has no trace id.
-        let status: SessionStatus = serde_json::from_str(
-            r#"{"session":1,"state":"done","budget_left":0,"measured":8,
-                "history_samples":12,"best":[1,2],"best_value":0.5,
-                "warm_source":"exact"}"#,
-        )
-        .unwrap();
-        assert_eq!(status.trace, "");
-        // Its EndpointStats has no HDR percentiles.
-        let stats: EndpointStats = serde_json::from_str(
-            r#"{"name":"ping","count":3,"errors":0,"total_us":120,
-                "buckets":[3,0,0,0,0,0]}"#,
-        )
-        .unwrap();
-        assert_eq!((stats.p50_us, stats.p99_us, stats.p999_us), (0, 0, 0));
-        // And its TaskSpec carries no trace context.
-        let task: TaskSpec = serde_json::from_str(
-            r#"{"task":9,"session":1,"config_index":0,"config":[1,2],
-                "workflow":"LV","objective":"comp","oracle_seed":2021}"#,
-        )
-        .unwrap();
-        assert_eq!((task.trace, task.span), (0, 0));
-    }
-
-    #[test]
-    fn v5_payloads_without_overload_fields_still_parse() {
-        // A v5 server's MetricsReport has no shed/breaker counters.
-        let report: MetricsReport = serde_json::from_str(
-            r#"{"endpoints":[],"oracle_measurements":9,"cache_hits":1,
-                "cache_misses":2,"sessions_created":3,"sessions_evicted":0,
-                "sessions_rebuilt":0,"active_sessions":3}"#,
-        )
-        .unwrap();
-        assert_eq!(report.requests_shed, 0);
-        assert_eq!(report.connections_rejected, 0);
-        assert_eq!(report.oracle_breaker_opens, 0);
-        assert_eq!(report.cache_breaker_opens, 0);
     }
 }

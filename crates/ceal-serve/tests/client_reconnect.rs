@@ -1,10 +1,16 @@
 //! Transport resilience of [`Client::connect_with_retry`]: requests
 //! reconnect-and-resend through dropped connections under the shared
 //! [`RetryPolicy`], and exhausted retries surface as the typed
-//! [`ClientError::RetriesExhausted`] instead of a panic or a hang.
+//! [`ClientError::RetriesExhausted`] instead of a panic or a hang. Also
+//! the protocol's whole compatibility contract: strict version equality
+//! at connect.
 
 use ceal_core::RetryPolicy;
-use ceal_serve::{Client, ClientError, ServeConfig, Server, ServerHandle};
+use ceal_serve::frame::{read_message, write_message};
+use ceal_serve::{
+    Client, ClientError, FrameError, Request, Response, ServeConfig, Server, ServerHandle,
+    PROTOCOL_VERSION,
+};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 
 fn start_server() -> ServerHandle {
@@ -106,4 +112,37 @@ fn plain_clients_fail_fast_instead_of_retrying() {
     let mut direct = Client::connect(handle.addr()).expect("direct connect");
     direct.shutdown().expect("shutdown");
     handle.join().expect("join");
+}
+
+#[test]
+fn version_mismatch_fails_connect_before_any_other_request() {
+    // A stub server one protocol version behind: answers the connect-time
+    // ping, then reports what (if anything) the client sent next.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().expect("stub addr");
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let first: Request = read_message(&mut conn).expect("first frame");
+        let pong = Response::Pong {
+            version: PROTOCOL_VERSION - 1,
+        };
+        write_message(&mut conn, &pong).expect("answer ping");
+        (first, read_message::<Request>(&mut conn))
+    });
+
+    let err = Client::connect(addr).expect_err("an older server must be refused");
+    let expected = format!(
+        "server speaks protocol v{}, client v{PROTOCOL_VERSION}",
+        PROTOCOL_VERSION - 1
+    );
+    assert!(
+        matches!(&err, ClientError::UnexpectedResponse(m) if *m == expected),
+        "got: {err}"
+    );
+    let (first, second) = stub.join().expect("stub thread");
+    assert_eq!(first, Request::Ping);
+    assert!(
+        matches!(second, Err(FrameError::Closed)),
+        "client must hang up without sending anything else: {second:?}"
+    );
 }

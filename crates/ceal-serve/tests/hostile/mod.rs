@@ -22,6 +22,9 @@ pub enum Reaction {
     ErrorFrameThenClose,
     /// The connection closed with no frame (e.g. we hung up mid-frame).
     CleanClose,
+    /// One typed `Busy` frame (the frame was shed undecoded), then the
+    /// connection closed because we half-closed it.
+    ShedWithBusy,
 }
 
 /// One hostile input: name, bytes to send, whether to half-close after,
@@ -98,9 +101,27 @@ pub fn corpus() -> Vec<HostileCase> {
     ]
 }
 
+/// Well-framed payloads the pre-decode request classifier
+/// (`Endpoint::peek`) must not recognise: sent to a shedding server, each
+/// is shed undecoded — one typed `Busy` — never admitted as exempt
+/// control traffic. Sent to an unloaded server they decode to
+/// `bad-request` like any other garbage.
+pub fn unclassifiable_payloads() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        ("empty", Vec::new()),
+        ("truncated-tag", b"{\"Heartbeat".to_vec()),
+        ("non-json", vec![0x00, 0xFF, 0x13, 0x37, 0x80, 0x81]),
+        (
+            "over-long-tag",
+            format!("\"Ping{}\"", "g".repeat(4096)).into_bytes(),
+        ),
+        ("unknown-tag", br#"{"LaunchMissiles":{"count":3}}"#.to_vec()),
+    ]
+}
+
 /// Sends `bytes`, optionally half-closes, and watches how the connection
 /// ends. Panics if the server hangs past the read timeout or answers with
-/// anything other than a `bad-request` error frame.
+/// anything other than one `bad-request` error frame or one `Busy`.
 pub fn poke(addr: std::net::SocketAddr, bytes: &[u8], half_close: bool) -> Reaction {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -121,7 +142,12 @@ pub fn poke(addr: std::net::SocketAddr, bytes: &[u8], half_close: bool) -> React
                 match resp {
                     Response::Error { code, .. } => {
                         assert_eq!(code, "bad-request", "malformed input maps to bad-request");
+                        assert_eq!(reaction, Reaction::CleanClose, "one answer per frame");
                         reaction = Reaction::ErrorFrameThenClose;
+                    }
+                    Response::Busy { .. } => {
+                        assert_eq!(reaction, Reaction::CleanClose, "one answer per frame");
+                        reaction = Reaction::ShedWithBusy;
                     }
                     other => panic!("garbage must never yield a success response: {other:?}"),
                 }

@@ -111,28 +111,6 @@ impl LogHistogram {
         }
         upper_edge(BUCKETS - 1) - 1
     }
-
-    /// Collapses the histogram onto legacy fixed `bounds` (exclusive upper
-    /// bounds, ascending): returns `bounds.len() + 1` counts where bucket
-    /// `k` holds samples whose log-bucket lies below `bounds[k]`, and the
-    /// last holds the remainder. Samples in a log-bucket straddling a bound
-    /// count toward the higher side (≤3.2 % of the bound's neighborhood).
-    pub fn collapse(&self, bounds: &[u64]) -> Vec<u64> {
-        let mut out = vec![0u64; bounds.len() + 1];
-        for (i, c) in self.counts.iter().enumerate() {
-            let c = c.load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            let edge = upper_edge(i);
-            let k = bounds
-                .iter()
-                .position(|&b| edge <= b)
-                .unwrap_or(bounds.len());
-            out[k] += c;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -177,16 +155,6 @@ mod tests {
         let p99 = h.quantile(0.99);
         let err = (p99 as f64 - 5_000.0).abs() / 5_000.0;
         assert!(err <= MAX_RELATIVE_ERROR, "p99={p99}");
-    }
-
-    #[test]
-    fn collapse_matches_legacy_bounds() {
-        let h = LogHistogram::new();
-        h.record(50); // < 100
-        h.record(5_000); // < 10_000
-        h.record(2_000_000); // >= 1_000_000
-        let legacy = h.collapse(&[100, 1_000, 10_000, 100_000, 1_000_000]);
-        assert_eq!(legacy, vec![1, 0, 1, 0, 0, 1]);
     }
 
     #[test]
