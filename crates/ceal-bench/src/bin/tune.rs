@@ -23,7 +23,7 @@
 use ceal_core::{
     prepare_campaign, sample_pool, ActiveLearning, Autotuner, BanditTuner, BayesOpt, CampaignId,
     Ceal, CealParams, ComponentHistory, FaultInjector, Geist, Journal, JournalingOracle, Oracle,
-    PoolOracle, RandomSampling, RetryingCollector, SimOracle,
+    RandomSampling, RetryingCollector, SimOracle,
 };
 use ceal_sim::{Objective, Simulator};
 use rand::SeedableRng;
@@ -137,10 +137,7 @@ fn main() {
 
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed ^ 0xFACE);
     let pool = sample_pool(&spec, &sim.platform, args.pool, &mut rng);
-    let oracle = PoolOracle::precompute(
-        SimOracle::new(sim, spec.clone(), args.objective, 2021),
-        &pool,
-    );
+    let oracle = SimOracle::new(sim, spec.clone(), args.objective, 2021);
 
     let history: Option<Arc<ComponentHistory>> = args.history.as_ref().map(|path| {
         let h = ComponentHistory::load(path)
@@ -172,7 +169,8 @@ fn main() {
         _ => usage(),
     };
 
-    // Oracle stack, innermost out: the precomputed pool oracle, then an
+    // Oracle stack, innermost out: the simulator oracle (each measurement
+    // a live run — only what the tuner asks for is simulated), then an
     // optional fault-injection + retry layer, then an optional write-ahead
     // journal (outermost, so replayed measurements skip the layers below).
     let fault_seed = args.seed ^ 0xFA17;

@@ -18,6 +18,7 @@ use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
 use ceal_ml::{Dataset, GbtParams, GradientBoosting, Regressor};
 use ceal_sim::{Objective, WorkflowSpec};
+use std::ops::Range;
 
 /// How component predictions combine into a workflow score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +127,23 @@ impl ComponentModels {
         }
     }
 
+    /// Predicts component `j` for its slice `range` of every configuration
+    /// in one batch — bit-identical to [`Self::predict`] per configuration
+    /// (`predict_batch` is the same flattened-tree kernel as `predict_row`).
+    fn predict_all(&self, j: usize, configs: &[Vec<i64>], range: Range<usize>) -> Vec<f64> {
+        match &self.models[j] {
+            CompModel::Constant(c) => vec![*c; configs.len()],
+            CompModel::Learned(gbt) => {
+                let fm = &self.feature_maps[j];
+                let mut data = Dataset::new(fm.n_features());
+                for c in configs {
+                    data.push_row(&fm.encode(&c[range.clone()]), 0.0);
+                }
+                gbt.predict_batch(&data)
+            }
+        }
+    }
+
     /// Number of component models.
     pub fn len(&self) -> usize {
         self.models.len()
@@ -144,7 +162,7 @@ pub struct LowFidelityModel {
     pub components: std::sync::Arc<ComponentModels>,
     /// The combination function (Eq. 1/2).
     pub combine: CombineFn,
-    ranges: Vec<std::ops::Range<usize>>,
+    ranges: Vec<Range<usize>>,
 }
 
 impl LowFidelityModel {
@@ -172,9 +190,25 @@ impl LowFidelityModel {
         self.combine.apply(&preds)
     }
 
-    /// Scores many configurations.
+    /// Scores many configurations — bit-identical to [`Self::score`] per
+    /// configuration, but each component model predicts its slice of the
+    /// whole batch at once.
     pub fn score_all(&self, configs: &[Vec<i64>]) -> Vec<f64> {
-        configs.iter().map(|c| self.score(c)).collect()
+        let columns: Vec<Vec<f64>> = self
+            .ranges
+            .iter()
+            .enumerate()
+            .map(|(j, r)| self.components.predict_all(j, configs, r.clone()))
+            .collect();
+        let mut preds = vec![0.0; columns.len()];
+        (0..configs.len())
+            .map(|i| {
+                for (p, column) in preds.iter_mut().zip(&columns) {
+                    *p = column[i];
+                }
+                self.combine.apply(&preds)
+            })
+            .collect()
     }
 }
 
@@ -182,7 +216,8 @@ impl LowFidelityModel {
 mod tests {
     use super::*;
     use crate::oracle::{Oracle, SimOracle};
-    use ceal_apps::lv;
+    use crate::pool::sample_pool;
+    use ceal_apps::{all_workflows, lv};
     use ceal_sim::Simulator;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -255,6 +290,42 @@ mod tests {
         let tg = oracle.measure(&[561, 25, 1, 75, 14, 1]).value;
         let tb = oracle.measure(&[4, 2, 1, 4, 2, 1]).value;
         assert!(tg < tb);
+    }
+
+    #[test]
+    fn score_all_is_bitwise_equal_to_per_config_scores() {
+        // GP's plotters have a single configuration, so this also covers
+        // `CompModel::Constant` columns next to learned ones.
+        for spec in all_workflows() {
+            for objective in [Objective::ExecutionTime, Objective::ComputerTime] {
+                let oracle = SimOracle::new(Simulator::new(), spec.clone(), objective, 5);
+                let mut rng = ChaCha8Rng::seed_from_u64(31);
+                let hist = ComponentHistory::collect(&oracle, 40, &mut rng);
+                let pool = sample_pool(&spec, oracle.platform(), 257, &mut rng);
+                let ml = LowFidelityModel::new(
+                    &spec,
+                    ComponentModels::fit(&spec, &hist, 3),
+                    CombineFn::for_objective(objective),
+                );
+                let bits = |scores: Vec<f64>| -> Vec<u64> {
+                    scores.into_iter().map(f64::to_bits).collect()
+                };
+                let per_config = |configs: &[Vec<i64>]| -> Vec<f64> {
+                    configs.iter().map(|c| ml.score(c)).collect()
+                };
+                let case = format!("{} / {objective}", spec.name);
+                let models = &ml.components.models;
+                let has_constant = models.iter().any(|m| matches!(m, CompModel::Constant(_)));
+                assert_eq!(has_constant, spec.name == "GP", "{case}");
+                assert_eq!(bits(ml.score_all(&pool)), bits(per_config(&pool)), "{case}");
+                assert_eq!(
+                    bits(ml.score_all(&pool[..1])),
+                    bits(per_config(&pool[..1])),
+                    "{case}: single configuration"
+                );
+                assert!(ml.score_all(&[]).is_empty(), "{case}: empty slice");
+            }
+        }
     }
 
     #[test]

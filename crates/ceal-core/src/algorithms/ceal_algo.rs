@@ -156,6 +156,13 @@ impl Ceal {
     }
 }
 
+/// `M_L`'s score of one measured configuration during the switch test,
+/// given the model, its scores over the whole pool, and the
+/// configuration's pool index and values. A parameter of
+/// [`Ceal::run_with`] only so a test can run the per-configuration
+/// formulation next to the lookup.
+type MeasuredScore = fn(&LowFidelityModel, &[f64], usize, &[i64]) -> f64;
+
 impl Autotuner for Ceal {
     fn name(&self) -> &'static str {
         "CEAL"
@@ -167,6 +174,22 @@ impl Autotuner for Ceal {
         pool: &[Vec<i64>],
         budget: usize,
         seed: u64,
+    ) -> Result<TunerRun, MeasureError> {
+        // The pool was scored once up front; the switch test reads it back.
+        self.run_with(oracle, pool, budget, seed, |_, ml_scores, idx, _| {
+            ml_scores[idx]
+        })
+    }
+}
+
+impl Ceal {
+    fn run_with(
+        &self,
+        oracle: &dyn Oracle,
+        pool: &[Vec<i64>],
+        budget: usize,
+        seed: u64,
+        ml_score_of_measured: MeasuredScore,
     ) -> Result<TunerRun, MeasureError> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let spec = oracle.spec();
@@ -216,6 +239,8 @@ impl Autotuner for Ceal {
 
         let mut measured_idx = vec![false; pool.len()];
         let mut measured = Vec::with_capacity(coupled_budget);
+        // Pool index of every entry of `measured`, in the same order.
+        let mut measured_at: Vec<usize> = Vec::with_capacity(coupled_budget);
         let mut runs_left = coupled_budget;
 
         // The pool is fixed for the whole run: encode it once for batched
@@ -254,7 +279,7 @@ impl Autotuner for Ceal {
             let new_start = measured.len();
             measure_indices(oracle, pool, &batch, &mut measured_idx, &mut measured)?;
             runs_left -= measured.len() - new_start;
-            batch.clear();
+            measured_at.append(&mut batch);
             for mm in &measured[new_start..] {
                 enc_meas.push_row(&fm.encode(&mm.config), 0.0);
             }
@@ -267,8 +292,11 @@ impl Autotuner for Ceal {
                 if let (Some(mh), true) = (&mh, measured.len() >= 3) {
                     let truths: Vec<f64> = measured.iter().map(|mm| mm.value).collect();
                     let mh_scores = mh.predict_batch(&enc_meas);
-                    let ml_scores_meas: Vec<f64> =
-                        measured.iter().map(|mm| ml.score(&mm.config)).collect();
+                    let ml_scores_meas: Vec<f64> = measured_at
+                        .iter()
+                        .zip(&measured)
+                        .map(|(&idx, mm)| ml_score_of_measured(&ml, &ml_scores, idx, &mm.config))
+                        .collect();
                     let s_h: f64 = (1..=3).map(|n| recall_score(n, &mh_scores, &truths)).sum();
                     let s_l: f64 = (1..=3)
                         .map(|n| recall_score(n, &ml_scores_meas, &truths))
@@ -312,11 +340,13 @@ impl Autotuner for Ceal {
 
             // Lines 26–27: evaluate the remaining pool with the selected
             // model and stage the next batch.
-            let scores = if using_high {
+            let mh_scores;
+            let scores: &[f64] = if using_high {
                 let model = mh.as_ref().expect("M_H trained before any switch");
-                model.predict_batch(&enc_pool)
+                mh_scores = model.predict_batch(&enc_pool);
+                &mh_scores
             } else {
-                ml_scores.clone()
+                &ml_scores
             };
             // The final staging consumes the entire remaining budget so the
             // tuner always spends exactly its allotment.
@@ -325,7 +355,7 @@ impl Autotuner for Ceal {
             } else {
                 m_b.min(runs_left)
             };
-            batch = select_top_unmeasured(&scores, &measured_idx, take);
+            batch = select_top_unmeasured(scores, &measured_idx, take);
             if random_topup > 0 {
                 for bi in &batch {
                     measured_idx[*bi] = true;
@@ -401,6 +431,35 @@ mod tests {
         let b = ceal.run(&fix.oracle, &fix.pool, 40, 9);
         assert_eq!(a.best_predicted, b.best_predicted);
         assert_eq!(a.pool_scores, b.pool_scores);
+    }
+
+    #[test]
+    fn switch_test_lookup_matches_rescoring_measured_configs() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static RESCORED: AtomicUsize = AtomicUsize::new(0);
+        // The formulation the lookup replaced: walk M_L again for every
+        // measured configuration on every switch test.
+        fn rescore(ml: &LowFidelityModel, _: &[f64], _: usize, config: &[i64]) -> f64 {
+            RESCORED.fetch_add(1, Ordering::Relaxed);
+            ml.score(config)
+        }
+        let fix = lv_exec_fixture();
+        let ceal = Ceal::new(CealParams::without_history());
+        for seed in 0..4 {
+            let lookup = ceal.try_run(&fix.oracle, &fix.pool, 50, seed).unwrap();
+            let rescored = ceal
+                .run_with(&fix.oracle, &fix.pool, 50, seed, rescore)
+                .unwrap();
+            assert_eq!(lookup.measured, rescored.measured, "seed {seed}");
+            assert_eq!(lookup.best_predicted, rescored.best_predicted);
+            let bits =
+                |r: &TunerRun| -> Vec<u64> { r.pool_scores.iter().map(|s| s.to_bits()).collect() };
+            assert_eq!(bits(&lookup), bits(&rescored), "seed {seed}");
+        }
+        assert!(
+            RESCORED.load(Ordering::Relaxed) > 0,
+            "no run reached the switch test"
+        );
     }
 
     #[test]

@@ -8,7 +8,17 @@
 //! Every configuration is measured with a seed derived deterministically
 //! from its values, so repeated measurements of the same configuration
 //! return the same (noisy) value — exactly like reusing the paper's
-//! recorded dataset.
+//! recorded dataset. The two oracles therefore return bit-identical
+//! values (`tests/lazy_oracle_equivalence.rs`), and the choice between
+//! them is purely one of cost:
+//!
+//! * **Precompute** ([`PoolOracle`]) when the caller needs ground truth
+//!   for the whole pool anyway — experiments, recall/gap metrics, many
+//!   repetitions over one pool.
+//! * **Measure lazily** ([`SimOracle`]) when only the tuner's own
+//!   measurements matter — the serve path and the `tune` CLI. A campaign
+//!   measures a few dozen of a 2000-configuration pool; simulating the
+//!   rest up front is the very cost the paper's method exists to avoid.
 
 use ceal_sim::{Objective, Platform, SimError, Simulator, WorkflowSpec};
 use std::collections::HashMap;
@@ -223,6 +233,11 @@ impl Oracle for SimOracle {
 
 /// An oracle that serves pool configurations from a precomputed table
 /// (computed once, in parallel) and falls back to the simulator otherwise.
+///
+/// Costs one simulator run per pool configuration up front. Worth it only
+/// when [`PoolOracle::truth_for`] / [`PoolOracle::table`] are read or the
+/// pool is tuned over many times; a single campaign should measure lazily
+/// on a bare [`SimOracle`] (see the module docs).
 pub struct PoolOracle {
     inner: SimOracle,
     table: HashMap<Vec<i64>, Measurement>,

@@ -24,7 +24,7 @@ use crate::session::{
 };
 use ceal_core::{
     sample_pool, ActiveLearning, Alph, Autotuner, BanditTuner, BayesOpt, Ceal, CealParams, Geist,
-    Oracle, PoolOracle, RandomSampling, SimOracle,
+    Oracle, RandomSampling, SimOracle,
 };
 use ceal_sim::Simulator;
 use ceal_trace::{TraceContext, Tracer};
@@ -674,10 +674,9 @@ fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError>
     };
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0xFACE);
     let pool = sample_pool(&spec, &sim.platform, params.pool as usize, &mut rng);
-    let oracle = PoolOracle::precompute(
-        SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED),
-        &pool,
-    );
+    // Measured lazily: a campaign pays for the runs its tuner asks for,
+    // not for the whole pool (DESIGN.md "One-shot Tune path").
+    let oracle = SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED);
     let counting = CountingOracle::new(&oracle, &inner.metrics);
     let traced = TracingOracle::new(&counting, &inner.tracer, span.ctx());
     let algo = make_algo(&params.algo);
