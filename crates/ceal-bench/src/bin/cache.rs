@@ -11,11 +11,11 @@
 //! cache" pattern) and a fresh install can cold-start warm: exact matches
 //! serve with zero oracle spend, and near-miss platforms seed from the
 //! closest shipped sibling. `import` never overwrites — campaigns already
-//! cached locally win over imported ones. `CACHE_DIR` may also be a
-//! legacy single-file cache; it is migrated into shards on open.
+//! cached locally win over imported ones. `CACHE_DIR` may also be in an
+//! older layout (one JSON file per workflow, or a single-file cache); it
+//! is upgraded in place on open.
 
 use ceal_serve::AutotuneCache;
-use std::collections::BTreeMap;
 
 fn usage() -> ! {
     eprintln!(
@@ -56,14 +56,10 @@ fn main() {
         }
         ["stats", dir] => {
             let cache = AutotuneCache::at_path(dir);
-            let entries = cache.all_entries();
-            let mut by_workflow: BTreeMap<String, usize> = BTreeMap::new();
-            for e in &entries {
-                *by_workflow.entry(e.key.workflow.clone()).or_default() += 1;
-            }
+            let by_workflow = cache.len_by_workflow();
             println!(
                 "{} campaigns in {} shards",
-                entries.len(),
+                by_workflow.values().sum::<usize>(),
                 cache.shard_count()
             );
             for (workflow, n) in by_workflow {

@@ -14,9 +14,9 @@
 //! there, and sessions that were live when the server died are rebuilt
 //! from their journals at the next start.
 //!
-//! `--cache` names a cache *directory* (one checksummed shard file per
-//! workflow); a legacy single-file cache at that path is migrated into
-//! shards on startup. `--cache-import` seeds the cache from a portable
+//! `--cache` names a cache *directory* (one append-only record log per
+//! workflow, owned by one process at a time); an older layout at that
+//! path is upgraded in place on startup. `--cache-import` seeds the cache from a portable
 //! bundle produced by `cache export` before the first request is served —
 //! locally cached campaigns win over imported ones.
 //!

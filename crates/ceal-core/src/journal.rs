@@ -19,6 +19,9 @@
 //!                               payload
 //! ```
 //!
+//! The record framing (length prefix, checksum, torn-tail scan) is
+//! [`crate::frame`], shared with the serve cache's record logs.
+//!
 //! [`Journal::open`] scans the file, verifies every record's CRC, and
 //! truncates the first torn/corrupt record and everything after it — a
 //! crash mid-write loses at most the record being written, never a
@@ -44,6 +47,7 @@
 //! not fsynced), and `journal.after_sync` (committed, caller state not yet
 //! updated). The chaos tests arm each in turn and assert recovery.
 
+use crate::frame;
 use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
 use ceal_sim::{Objective, Platform, WorkflowSpec};
 use serde::{Deserialize, Serialize};
@@ -56,10 +60,6 @@ use std::sync::Mutex;
 /// Identifies the journal file format (and its version).
 pub const JOURNAL_MAGIC: &[u8; 8] = b"CEALWAL1";
 
-/// Upper bound on one record's encoded payload; anything larger during a
-/// scan is treated as corruption (a torn length prefix).
-const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
-
 /// Hits a named chaos crash point (no-op unless built with `chaos`).
 #[cfg(feature = "chaos")]
 #[inline]
@@ -70,36 +70,6 @@ fn crash_point(name: &str) {
 #[cfg(not(feature = "chaos"))]
 #[inline]
 fn crash_point(_name: &str) {}
-
-/// CRC32 (IEEE, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes` — the per-record checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Why a journal operation failed.
 #[derive(Debug)]
@@ -258,27 +228,12 @@ impl Journal {
         }
 
         let mut records = Vec::new();
-        let mut good = JOURNAL_MAGIC.len();
-        loop {
-            let rest = &bytes[good..];
-            if rest.len() < 8 {
-                break; // torn header (or clean end at rest.is_empty())
-            }
-            let len = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-            if len as u32 > MAX_RECORD_LEN || rest.len() < 8 + len {
-                break; // absurd length prefix, or torn payload
-            }
-            let crc = u32::from_be_bytes(rest[4..8].try_into().expect("4 bytes"));
-            let payload = &rest[8..8 + len];
-            if crc32(payload) != crc {
-                break; // bit rot or a torn overwrite
-            }
-            let Ok(record) = serde_json::from_slice::<JournalRecord>(payload) else {
-                break; // checksummed but unintelligible: treat as torn
-            };
-            records.push(record);
-            good += 8 + len;
-        }
+        let good = frame::scan(&bytes, JOURNAL_MAGIC.len(), |_, payload| {
+            // Checksummed but unintelligible: treat as torn.
+            serde_json::from_slice::<JournalRecord>(payload)
+                .map(|record| records.push(record))
+                .is_ok()
+        });
 
         let truncated = (bytes.len() - good) as u64;
         if truncated > 0 {
@@ -316,16 +271,13 @@ impl Journal {
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         let payload = serde_json::to_vec(record)
             .map_err(|e| JournalError::Corrupt(format!("cannot encode record: {e}")))?;
-        if payload.len() > MAX_RECORD_LEN as usize {
-            return Err(JournalError::Corrupt(format!(
+        let header = frame::header(&payload).ok_or_else(|| {
+            JournalError::Corrupt(format!(
                 "record of {} bytes exceeds the {} byte limit",
                 payload.len(),
-                MAX_RECORD_LEN
-            )));
-        }
-        let mut header = [0u8; 8];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        header[4..].copy_from_slice(&crc32(&payload).to_be_bytes());
+                frame::MAX_PAYLOAD_LEN
+            ))
+        })?;
 
         crash_point("journal.before_write");
         self.file.write_all(&header)?;
@@ -560,17 +512,6 @@ impl Oracle for JournalingOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
 
     #[test]
     fn fresh_journal_round_trips_records() {

@@ -23,6 +23,8 @@
 //!   `MPI_Comm_launch` enhancement, as injection + retry wrappers).
 //! * [`journal`] — crash-safe campaigns: a checksummed write-ahead journal
 //!   of every measurement, with torn-tail recovery and free replay.
+//! * [`frame`] — the length-prefixed, CRC-checked record frame the journal
+//!   and the serve cache's record logs share.
 //! * [`prior`] — transfer priors: seeding a campaign's bootstrap phase
 //!   with a sibling platform's cached samples.
 //! * [`retry`] — the shared retry/backoff policy (seeded jitter,
@@ -32,6 +34,7 @@ pub mod acm;
 pub mod algorithms;
 pub mod fault;
 pub mod features;
+pub mod frame;
 pub mod history;
 pub mod journal;
 pub mod metrics;

@@ -1,129 +1,220 @@
-//! Sharded cache persistence: one checksummed file per workflow.
+//! Sharded cache persistence: one append-only record log per workflow.
 //!
-//! The legacy cache was a single JSON blob re-serialized in full on every
-//! `put`, so persistence cost grew with everything ever cached. Shards cut
-//! that dependency: entries are grouped by workflow into
-//! `shard-<name>-<hash>.json` files under a cache directory, and a `put`
-//! rewrites only its own workflow's shard. Durability per shard is the
-//! same dance the blob used — write a generation-named temp file, fsync,
-//! rename into place, fsync the directory — and every shard carries an
-//! FNV-64 checksum so torn or tampered files fail validation and load as
-//! empty instead of being trusted.
+//! ```text
+//! shard-<name>-<hash>.log:
+//! +----------+  +-----------+-----------+--------------------+  +----- ...
+//! | CEALCSH1 |  | len (u32) | crc (u32) | compact-JSON entry |  | len ...
+//! +----------+  +-----------+-----------+--------------------+  +----- ...
+//! ```
 //!
-//! A legacy single-blob file found where the cache directory should be is
-//! migrated once: its entries are split into shards and the blob is
-//! removed. The blob's `{checksum, entries}` layout is identical to a
-//! shard file's, so migration is just "load one shard file, regroup".
+//! The framing is [`ceal_core::frame`], the journal's. A `put` appends one
+//! frame and `sync_data`s; a replaced key is simply a newer record that
+//! shadows the older one. In memory each shard keeps only an index — per
+//! live key its platform features, whether it has samples, and where its
+//! frame sits — built by one scan the first time the shard is touched, so
+//! a lookup reads and decodes exactly one entry and a nearest-sibling
+//! search decodes only its winner.
+//!
+//! That first-touch scan is also the only place a log is ever rewritten:
+//! a torn or corrupt tail is truncated (everything before it still
+//! serves), and when shadowed records outweigh live ones the live frames
+//! are compacted into a fresh file (tmp → fsync → rename → dir fsync).
+//! Offsets therefore never move while a process serves, which is what
+//! lets reads happen outside the shard lock. The lock is in-process: one
+//! process owns a cache directory at a time.
+//!
+//! Directories written before the log existed (`shard-*.json` files in
+//! the bundle layout) and the older single-blob cache file are migrated
+//! once, at [`ShardStore::open`]; files that fail their checksum are set
+//! aside as `*.invalid`, never trusted and never destroyed.
 
-use super::CacheEntry;
+use super::transfer::{self, TransferHit};
+use super::{CacheEntry, CacheKey};
+use ceal_core::frame;
+use ceal_trace::{TraceContext, Tracer};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::{File, OpenOptions};
+use std::io::Read as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// On-disk layout of one shard (and of the legacy whole-cache blob).
-#[derive(Serialize, Deserialize)]
-struct ShardFile {
-    checksum: String,
-    entries: Vec<CacheEntry>,
+/// Identifies a cache record log (and its version).
+pub(crate) const LOG_MAGIC: &[u8; 8] = b"CEALCSH1";
+
+/// What the index remembers about one live entry — enough to answer
+/// "is it cached?" and to rank transfer candidates without touching the
+/// file. Never the samples.
+struct Row {
+    platform_features: Vec<f64>,
+    has_samples: bool,
+    span: Span,
 }
 
-/// FNV-1a, the checksum the cache has always used.
-pub(crate) fn fnv64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Where one entry's frame sits in the log. Live rows ordered by
+/// `offset` are the shard's entries in the order of their latest `put`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Span {
+    offset: u64,
+    /// Payload length.
+    len: u32,
+}
+
+impl Span {
+    fn frame_len(self) -> u64 {
+        (frame::HEADER_LEN + self.len as usize) as u64
     }
-    h
 }
 
-fn checksum(entries: &[CacheEntry]) -> std::io::Result<String> {
-    let json = serde_json::to_string(entries).map_err(std::io::Error::other)?;
-    Ok(format!("{:016x}", fnv64(json.as_bytes())))
-}
-
-/// Serialization state of one workflow's shard: a per-shard lock so
-/// same-workflow writers queue while different workflows persist in
-/// parallel, plus the generation counters carried over from the blob-era
-/// lost-update fix (unique temp names; a stale snapshot never renames
-/// over a newer one).
+/// One shard's open log and index, guarded by the shard lock.
 #[derive(Default)]
-struct ShardState {
-    generation: u64,
-    persisted: u64,
+struct ShardLog {
+    /// `None` until the first `put` creates the file.
+    file: Option<Arc<File>>,
+    /// Where the next frame goes (0: the magic is still to be written).
+    end: u64,
+    rows: HashMap<CacheKey, Row>,
 }
 
 struct Shard {
     path: PathBuf,
-    state: Mutex<ShardState>,
+    /// `None` until first touch. Same-workflow writers queue here while
+    /// different workflows persist in parallel.
+    log: Mutex<Option<ShardLog>>,
 }
 
 /// The on-disk half of the tiered cache: a directory of per-workflow
-/// shard files.
+/// record logs.
 pub(crate) struct ShardStore {
     dir: PathBuf,
-    shards: Mutex<HashMap<String, Arc<Shard>>>,
+    tracer: Tracer,
+    shards: Mutex<HashMap<PathBuf, Arc<Shard>>>,
 }
 
 impl ShardStore {
-    /// Opens (creating if needed) the cache directory at `dir`, migrating
-    /// a legacy single-blob cache file occupying that path first. Stale
-    /// `*.tmp.*` leftovers from crashed puts are swept.
-    pub(crate) fn open(dir: &Path) -> std::io::Result<ShardStore> {
-        let legacy = match dir.is_file() {
-            true => Self::take_legacy_blob(dir)?,
-            false => Vec::new(),
-        };
-        std::fs::create_dir_all(dir)?;
+    /// Opens (creating if needed) the cache directory at `dir`, first
+    /// migrating a legacy single-blob cache file occupying that path and
+    /// any `shard-*.json` files inside it. Stale `*.tmp.*` leftovers from
+    /// a crashed compaction (or an older layout's crashed put) are swept.
+    pub(crate) fn open(dir: &Path, tracer: &Tracer) -> std::io::Result<ShardStore> {
         let store = ShardStore {
             dir: dir.to_path_buf(),
+            tracer: tracer.clone(),
             shards: Mutex::new(HashMap::new()),
         };
-        store.sweep_stale_tmp();
-        if !legacy.is_empty() {
-            let mut by_workflow: HashMap<String, Vec<CacheEntry>> = HashMap::new();
-            for e in legacy {
-                by_workflow
-                    .entry(e.key.workflow.clone())
-                    .or_default()
-                    .push(e);
-            }
-            for (workflow, entries) in by_workflow {
-                store.update(&workflow, |shard| {
-                    for e in entries {
-                        shard.retain(|x| x.key != e.key);
-                        shard.push(e);
-                    }
-                })?;
+        // The blob's path must become the directory, so the blob goes
+        // before its entries are durable again; every later file is
+        // removed only after its entries are.
+        let blob = match dir.is_file() {
+            true => store.load_legacy(dir)?,
+            false => None,
+        };
+        if blob.is_some() {
+            std::fs::remove_file(dir)?;
+        }
+        std::fs::create_dir_all(dir)?;
+        for tmp in store.files_named(|n| n.contains(".tmp.")) {
+            let _ = std::fs::remove_file(tmp);
+        }
+        store.adopt(blob.unwrap_or_default())?;
+        for legacy in store.files_named(|n| n.starts_with("shard-") && n.ends_with(".json")) {
+            if let Some(entries) = store.load_legacy(&legacy)? {
+                store.adopt(entries)?;
+                std::fs::remove_file(&legacy)?;
             }
         }
         Ok(store)
     }
 
-    /// Reads and removes a legacy blob file so its path can become the
-    /// cache directory. A blob that fails checksum validation is set
-    /// aside (renamed `<name>.invalid`) rather than silently destroyed.
-    fn take_legacy_blob(path: &Path) -> std::io::Result<Vec<CacheEntry>> {
-        match load_entries(path) {
-            Some(entries) => {
-                std::fs::remove_file(path)?;
-                Ok(entries)
-            }
-            None => {
-                let mut aside = path.as_os_str().to_owned();
-                aside.push(".invalid");
-                std::fs::rename(path, PathBuf::from(aside))?;
-                Ok(Vec::new())
-            }
+    /// Reads a file in the checked `{checksum, entries}` layout — the
+    /// legacy blob, or one pre-log shard. One that fails validation is
+    /// set aside (renamed `<name>.invalid`) rather than trusted or
+    /// silently destroyed, and reads as `None`.
+    fn load_legacy(&self, path: &Path) -> std::io::Result<Option<Vec<CacheEntry>>> {
+        let loaded = std::fs::read_to_string(path)
+            .ok()
+            .and_then(|text| transfer::bundle_from_json(&text));
+        if loaded.is_none() {
+            self.set_aside(path)?;
         }
+        Ok(loaded)
     }
 
-    /// The shard file holding `workflow`'s entries. The sanitized name
-    /// keeps files readable; the hash suffix keeps distinct workflows that
+    /// Renames an untrustworthy file to `<name>.invalid` and says so.
+    fn set_aside(&self, path: &Path) -> std::io::Result<()> {
+        let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
+        let mut aside = path.as_os_str().to_owned();
+        aside.push(".invalid");
+        std::fs::rename(path, PathBuf::from(aside))?;
+        self.recovered(
+            &file_name(path),
+            path,
+            bytes,
+            0,
+            "failed validation; set aside",
+        );
+        Ok(())
+    }
+
+    fn recovered(&self, workflow: &str, path: &Path, truncated: u64, kept: usize, what: &str) {
+        self.tracer.warn(
+            "cache.shard-recovered",
+            TraceContext::NONE,
+            &format!(
+                "cache file {}: {what} ({truncated} bytes dropped, {kept} entries kept)",
+                path.display()
+            ),
+            &[
+                ("workflow", workflow.into()),
+                ("truncated_bytes", truncated.into()),
+                ("entries_kept", kept.into()),
+            ],
+        );
+    }
+
+    /// Appends migrated entries to their workflows' logs, skipping keys a
+    /// log already holds (a retried migration; local records win).
+    fn adopt(&self, entries: Vec<CacheEntry>) -> std::io::Result<()> {
+        let mut by_workflow: BTreeMap<&str, Vec<&CacheEntry>> = BTreeMap::new();
+        for e in &entries {
+            by_workflow.entry(&e.key.workflow).or_default().push(e);
+        }
+        for (workflow, mut batch) in by_workflow {
+            let shard = self.shard(workflow);
+            self.with_log(&shard, |log| {
+                batch.retain(|e| !log.rows.contains_key(&e.key));
+                Ok(())
+            })?;
+            self.append(&shard, &batch)?;
+        }
+        Ok(())
+    }
+
+    /// Paths of the directory's files whose name satisfies `wanted`,
+    /// sorted so scans (and exports) have a stable order.
+    fn files_named(&self, wanted: impl Fn(&str) -> bool) -> Vec<PathBuf> {
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut paths: Vec<PathBuf> = dir
+            .flatten()
+            .filter(|e| e.file_name().to_str().is_some_and(&wanted))
+            .map(|e| e.path())
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    fn log_paths(&self) -> Vec<PathBuf> {
+        self.files_named(|n| n.starts_with("shard-") && n.ends_with(".log"))
+    }
+
+    /// The log holding `workflow`'s entries. The sanitized name keeps
+    /// files readable; the hash suffix keeps distinct workflows that
     /// sanitize identically from colliding.
-    fn shard_path(&self, workflow: &str) -> PathBuf {
+    fn shard(&self, workflow: &str) -> Arc<Shard> {
         let sanitized: String = workflow
             .chars()
             .map(|c| match c.is_ascii_alphanumeric() {
@@ -132,146 +223,363 @@ impl ShardStore {
             })
             .take(32)
             .collect();
-        let hash = fnv64(workflow.as_bytes()) as u32;
-        self.dir.join(format!("shard-{sanitized}-{hash:08x}.json"))
+        let hash = transfer::fnv64(workflow.as_bytes()) as u32;
+        self.shard_at(self.dir.join(format!("shard-{sanitized}-{hash:08x}.log")))
     }
 
-    fn shard(&self, workflow: &str) -> Arc<Shard> {
+    fn shard_at(&self, path: PathBuf) -> Arc<Shard> {
         let mut shards = self.shards.lock();
-        Arc::clone(shards.entry(workflow.to_string()).or_insert_with(|| {
-            Arc::new(Shard {
-                path: self.shard_path(workflow),
-                state: Mutex::new(ShardState::default()),
-            })
-        }))
-    }
-
-    /// Loads `workflow`'s entries from its shard file; missing or invalid
-    /// shards read as empty — serving must start regardless.
-    pub(crate) fn load(&self, workflow: &str) -> Vec<CacheEntry> {
-        load_entries(&self.shard(workflow).path).unwrap_or_default()
-    }
-
-    /// Read-modify-writes one workflow's shard durably: load under the
-    /// shard lock, apply `mutate`, then write-fsync-rename-fsync so a
-    /// crash at any point leaves either the old or the new shard, never a
-    /// torn one. Cost is proportional to this shard alone — the other
-    /// workflows' files are untouched.
-    pub(crate) fn update(
-        &self,
-        workflow: &str,
-        mutate: impl FnOnce(&mut Vec<CacheEntry>),
-    ) -> std::io::Result<()> {
-        let shard = self.shard(workflow);
-        let mut state = shard.state.lock();
-        let mut entries = load_entries(&shard.path).unwrap_or_default();
-        mutate(&mut entries);
-        state.generation += 1;
-        let gen = state.generation;
-        if state.persisted >= gen {
-            // Unreachable while the lock covers load-through-rename; kept
-            // as the blob-era guard against ever renaming a stale snapshot
-            // over a newer committed one.
-            return Ok(());
+        match shards.get(&path) {
+            Some(shard) => Arc::clone(shard),
+            None => {
+                let shard = Arc::new(Shard {
+                    path: path.clone(),
+                    log: Mutex::new(None),
+                });
+                shards.insert(path, Arc::clone(&shard));
+                shard
+            }
         }
-        let file = ShardFile {
-            checksum: checksum(&entries)?,
-            entries,
+    }
+
+    /// Runs `f` on the shard's log under its lock, indexing the file
+    /// first if this is the shard's first touch. A failed index is not
+    /// remembered: the next touch tries again.
+    fn with_log<R>(
+        &self,
+        shard: &Shard,
+        f: impl FnOnce(&mut ShardLog) -> std::io::Result<R>,
+    ) -> std::io::Result<R> {
+        let mut guard = shard.log.lock();
+        if guard.is_none() {
+            *guard = Some(self.index(&shard.path)?);
+        }
+        f(guard.as_mut().expect("indexed just above"))
+    }
+
+    /// The first-touch scan: verifies every frame, keeps the newest row
+    /// per key, truncates a torn or corrupt tail, and compacts when the
+    /// shadowed records outweigh the live ones.
+    fn index(&self, path: &Path) -> std::io::Result<ShardLog> {
+        let started = Instant::now();
+        let file = match OpenOptions::new().read(true).write(true).open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ShardLog::default()),
+            Err(e) => return Err(e),
         };
-        let json = serde_json::to_string_pretty(&file).map_err(std::io::Error::other)?;
-        let tmp = shard.path.with_extension(format!("tmp.{gen}"));
-        let result = (|| {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
+        let mut bytes = Vec::new();
+        (&file).read_to_end(&mut bytes)?;
+        if bytes.len() >= LOG_MAGIC.len() && !bytes.starts_with(LOG_MAGIC) {
+            self.set_aside(path)?;
+            return Ok(ShardLog::default());
+        }
+
+        let mut rows: HashMap<CacheKey, Row> = HashMap::new();
+        let mut dead_bytes = 0;
+        // Shorter than the magic is a crash during creation: nothing in
+        // it was ever committed, and the next put writes the magic anew.
+        let good = match bytes.len() < LOG_MAGIC.len() {
+            true => 0,
+            false => frame::scan(&bytes, LOG_MAGIC.len(), |offset, payload| {
+                // Checksummed but unintelligible: treat as torn.
+                let Ok(entry) = serde_json::from_slice::<CacheEntry>(payload) else {
+                    return false;
+                };
+                let row = Row {
+                    platform_features: entry.platform_features,
+                    has_samples: !entry.samples.is_empty(),
+                    span: Span {
+                        offset: offset as u64,
+                        len: payload.len() as u32,
+                    },
+                };
+                if let Some(shadowed) = rows.insert(entry.key, row) {
+                    dead_bytes += shadowed.span.frame_len();
+                }
+                true
+            }),
+        };
+        let workflow = match rows.keys().next() {
+            Some(key) => key.workflow.clone(),
+            None => file_name(path),
+        };
+        if good < bytes.len() {
+            file.set_len(good as u64)?;
+            file.sync_data()?;
+            let torn = (bytes.len() - good) as u64;
+            self.recovered(
+                &workflow,
+                path,
+                torn,
+                rows.len(),
+                "torn or corrupt tail cut",
+            );
+        }
+        let mut log = ShardLog {
+            file: Some(Arc::new(file)),
+            end: good as u64,
+            rows,
+        };
+        let live_bytes: u64 = log.rows.values().map(|r| r.span.frame_len()).sum();
+        if dead_bytes > live_bytes {
+            self.compact(path, &bytes, &mut log)?;
+        }
+        self.tracer.instant(
+            "cache.shard-indexed",
+            TraceContext::NONE,
+            &[
+                ("workflow", workflow.into()),
+                ("entries", log.rows.len().into()),
+                ("dead_bytes", dead_bytes.into()),
+                ("scan_us", (started.elapsed().as_micros() as u64).into()),
+            ],
+        );
+        Ok(log)
+    }
+
+    /// Rewrites the log as its live frames only, in append order, and
+    /// points `log` at the new file. `bytes` is the scanned old file. On
+    /// error `log` is half-updated and must be dropped.
+    fn compact(&self, path: &Path, bytes: &[u8], log: &mut ShardLog) -> std::io::Result<()> {
+        let mut live: Vec<&mut Span> = log.rows.values_mut().map(|r| &mut r.span).collect();
+        live.sort_unstable();
+        let mut packed = LOG_MAGIC.to_vec();
+        for span in live {
+            let frame = &bytes[span.offset as usize..][..span.frame_len() as usize];
+            span.offset = packed.len() as u64;
+            packed.extend_from_slice(frame);
+        }
+        let tmp = path.with_extension("tmp.compact");
+        let written = (|| {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
+            file.write_all_at(&packed, 0)?;
             // Durable before visible: rename must never expose a file
             // whose bytes could still be lost by a crash.
-            f.sync_all()?;
-            std::fs::rename(&tmp, &shard.path)
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            Ok(file)
         })();
-        if let Err(e) = result {
+        let file = written.inspect_err(|_: &std::io::Error| {
             let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        // Visible even if the directory fsync below fails — record it
-        // before anything else can error.
-        state.persisted = gen;
-        // The rename itself lives in the directory; fsync it so a crash
-        // can't roll the shard back to the previous generation.
-        std::fs::File::open(&self.dir)?.sync_all()?;
+        })?;
+        self.sync_dir()?;
+        log.file = Some(Arc::new(file));
+        log.end = packed.len() as u64;
         Ok(())
     }
 
-    /// Every entry across every shard (for export, counting, and scans).
-    pub(crate) fn all_entries(&self) -> Vec<CacheEntry> {
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in dir.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("shard-") && name.ends_with(".json") {
-                out.extend(load_entries(&entry.path()).unwrap_or_default());
+    /// A file's creation or rename lives in the directory; fsync it so a
+    /// crash cannot roll the directory back past it.
+    fn sync_dir(&self) -> std::io::Result<()> {
+        File::open(&self.dir)?.sync_all()
+    }
+
+    /// Appends `entries` (all of `shard`'s workflow) with one write and
+    /// one `sync_data`; when this returns `Ok` they survive a crash. The
+    /// index is updated only after the bytes are durable, and a failed
+    /// write is cut back off the file so the next append starts clean.
+    fn append(&self, shard: &Shard, entries: &[&CacheEntry]) -> std::io::Result<()> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        // Encode before taking the lock: same-shard writers then queue
+        // only for the write itself.
+        let mut frames = Vec::new();
+        let mut spans = Vec::with_capacity(entries.len());
+        for entry in entries {
+            let payload = serde_json::to_vec(entry).map_err(std::io::Error::other)?;
+            let header = frame::header(&payload).ok_or_else(|| {
+                std::io::Error::other(format!("cache entry of {} bytes", payload.len()))
+            })?;
+            spans.push(Span {
+                offset: frames.len() as u64,
+                len: payload.len() as u32,
+            });
+            frames.extend_from_slice(&header);
+            frames.extend_from_slice(&payload);
+        }
+        self.with_log(shard, |log| {
+            let created = log.file.is_none();
+            let file = match &log.file {
+                Some(file) => Arc::clone(file),
+                None => Arc::new(
+                    OpenOptions::new()
+                        .read(true)
+                        .write(true)
+                        .create(true)
+                        .truncate(false)
+                        .open(&shard.path)?,
+                ),
+            };
+            let base = log.end.max(LOG_MAGIC.len() as u64);
+            let written = (|| {
+                if log.end == 0 {
+                    file.write_all_at(LOG_MAGIC, 0)?;
+                }
+                file.write_all_at(&frames, base)?;
+                file.sync_data()?;
+                match created {
+                    true => self.sync_dir(),
+                    false => Ok(()),
+                }
+            })();
+            if let Err(e) = written {
+                let _ = match created {
+                    true => std::fs::remove_file(&shard.path),
+                    false => file.set_len(log.end),
+                };
+                return Err(e);
             }
+            log.file = Some(file);
+            log.end = base + frames.len() as u64;
+            for (entry, mut span) in entries.iter().zip(spans) {
+                span.offset += base;
+                log.rows.insert(
+                    entry.key.clone(),
+                    Row {
+                        platform_features: entry.platform_features.clone(),
+                        has_samples: !entry.samples.is_empty(),
+                        span,
+                    },
+                );
+            }
+            Ok(())
+        })
+    }
+
+    /// Persists one campaign: one frame appended to its workflow's log.
+    pub(crate) fn put(&self, entry: &CacheEntry) -> std::io::Result<()> {
+        self.append(&self.shard(&entry.key.workflow), &[entry])
+    }
+
+    /// Runs `f` on the shard's index under its lock; an unreadable shard
+    /// is a warned `None`.
+    fn indexed<T>(&self, shard: &Shard, f: impl FnOnce(&ShardLog) -> T) -> Option<T> {
+        self.with_log(shard, |log| Ok(Some(f(log))))
+            .unwrap_or_else(|e| self.unreadable(shard, &e))
+    }
+
+    /// Lets `choose` pick from the index under the shard lock; what it
+    /// picks is then read outside the lock through the returned handle
+    /// (offsets never move once a shard is indexed).
+    fn pick<T>(
+        &self,
+        shard: &Shard,
+        choose: impl FnOnce(&ShardLog) -> Option<T>,
+    ) -> Option<(Arc<File>, T)> {
+        self.indexed(shard, |log| log.file.clone().zip(choose(log)))?
+    }
+
+    /// Reads the frame at `span`, checks it, and decodes its entry.
+    fn fetch(&self, shard: &Shard, file: &File, span: Span) -> Option<CacheEntry> {
+        let read = || {
+            let mut buf = vec![0u8; span.frame_len() as usize];
+            file.read_exact_at(&mut buf, span.offset)?;
+            let payload = frame::first(&buf)
+                .filter(|p| p.len() == span.len as usize)
+                .ok_or_else(|| std::io::Error::other("frame fails its checksum"))?;
+            serde_json::from_slice(payload).map_err(std::io::Error::other)
+        };
+        read().unwrap_or_else(|e| self.unreadable(shard, &e))
+    }
+
+    /// An unreadable shard or frame is a warned miss — serving goes on.
+    fn unreadable<T>(&self, shard: &Shard, e: &std::io::Error) -> Option<T> {
+        self.tracer.warn(
+            "cache.shard-unreadable",
+            TraceContext::NONE,
+            &format!("cache log {} unreadable: {e}", shard.path.display()),
+            &[("workflow", file_name(&shard.path).into())],
+        );
+        None
+    }
+
+    /// Looks `key` up in its workflow's index and decodes that one entry.
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
+        let shard = self.shard(&key.workflow);
+        let (file, span) = self.pick(&shard, |log| log.rows.get(key).map(|row| row.span))?;
+        self.fetch(&shard, &file, span)
+    }
+
+    /// [`transfer::nearest`] over the workflow's index rows in append
+    /// order (the earliest of equally near siblings wins, as there);
+    /// only the winner is read from disk.
+    pub(crate) fn nearest(
+        &self,
+        key: &CacheKey,
+        features: &[f64],
+        threshold: f64,
+    ) -> Option<TransferHit> {
+        let shard = self.shard(&key.workflow);
+        let (file, (distance, span)) = self.pick(&shard, |log| {
+            let candidates = log.rows.iter().filter_map(|(candidate, row)| {
+                let seed = transfer::Candidate {
+                    key: candidate,
+                    platform_features: &row.platform_features,
+                    has_samples: row.has_samples,
+                };
+                Some((seed.distance(key, features, threshold)?, row.span))
+            });
+            candidates.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        })?;
+        let entry = self.fetch(&shard, &file, span)?;
+        Some(TransferHit { entry, distance })
+    }
+
+    /// Every live entry of every shard, each shard's in append order —
+    /// the one full decode of the store (export).
+    pub(crate) fn all_entries(&self) -> Vec<CacheEntry> {
+        let mut out = Vec::new();
+        for path in self.log_paths() {
+            let shard = self.shard_at(path);
+            let picked = self.pick(&shard, |log| {
+                let mut spans: Vec<Span> = log.rows.values().map(|row| row.span).collect();
+                spans.sort_unstable();
+                Some(spans)
+            });
+            let Some((file, spans)) = picked else {
+                continue;
+            };
+            out.extend(
+                spans
+                    .into_iter()
+                    .filter_map(|span| self.fetch(&shard, &file, span)),
+            );
         }
         out
     }
 
-    /// Number of shard files on disk.
-    pub(crate) fn shard_count(&self) -> usize {
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        dir.flatten()
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".json"))
-            })
-            .count()
-    }
-
-    /// Removes `*.tmp.*` leftovers from puts that died between temp-file
-    /// creation and rename.
-    fn sweep_stale_tmp(&self) {
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in dir.flatten() {
-            if entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.contains(".tmp."))
-            {
-                let _ = std::fs::remove_file(entry.path());
-            }
+    /// Live campaigns per workflow, counted from the indexes alone.
+    pub(crate) fn len_by_workflow(&self) -> BTreeMap<String, usize> {
+        let mut counts = BTreeMap::new();
+        for path in self.log_paths() {
+            let shard = self.shard_at(path);
+            self.indexed(&shard, |log| {
+                for key in log.rows.keys() {
+                    // One shard is (nearly always) one workflow: clone
+                    // its name once, not per row.
+                    match counts.get_mut(&key.workflow) {
+                        Some(n) => *n += 1,
+                        None => drop(counts.insert(key.workflow.clone(), 1)),
+                    }
+                }
+            });
         }
+        counts
+    }
+
+    /// Number of shard logs on disk.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.log_paths().len()
     }
 }
 
-/// Loads and validates one shard (or legacy blob) file. `None` when the
-/// file is missing, unparsable, or fails its checksum.
-fn load_entries(path: &Path) -> Option<Vec<CacheEntry>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let file: ShardFile = serde_json::from_str(&text).ok()?;
-    let expect = checksum(&file.entries).ok()?;
-    (expect == file.checksum).then_some(file.entries)
-}
-
-/// Serializes entries in the shard/blob layout — shared with the export
-/// bundle writer so a bundle is verifiable with the same code path.
-pub(crate) fn to_checked_json(entries: &[CacheEntry]) -> std::io::Result<String> {
-    let file = ShardFile {
-        checksum: checksum(entries)?,
-        entries: entries.to_vec(),
-    };
-    serde_json::to_string_pretty(&file).map_err(std::io::Error::other)
-}
-
-/// Parses and validates text in the shard/blob layout.
-pub(crate) fn from_checked_json(text: &str) -> Option<Vec<CacheEntry>> {
-    let file: ShardFile = serde_json::from_str(text).ok()?;
-    let expect = checksum(&file.entries).ok()?;
-    (expect == file.checksum).then_some(file.entries)
+fn file_name(path: &Path) -> String {
+    let name = path.file_name().unwrap_or(path.as_os_str());
+    name.to_string_lossy().into_owned()
 }

@@ -12,6 +12,7 @@
 
 use super::{CacheEntry, CacheKey};
 use ceal_sim::Platform;
+use serde::{Deserialize, Serialize};
 
 /// Distance threshold below which a sibling platform's campaign is close
 /// enough to seed from. Distances are root-mean-square log-ratios per
@@ -20,6 +21,16 @@ use ceal_sim::Platform;
 /// that the performance landscape still ranks similarly.
 pub const DEFAULT_TRANSFER_THRESHOLD: f64 = 0.5;
 
+/// FNV-1a, the checksum the cache has always used.
+pub(crate) fn fnv64(data: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in data {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// Stable fingerprint of a [`Platform`]: results measured on one machine
 /// model must never answer exact-match queries about another.
 pub fn platform_fingerprint(p: &Platform) -> String {
@@ -27,7 +38,7 @@ pub fn platform_fingerprint(p: &Platform) -> String {
     for f in platform_features(p) {
         repr.push_str(&format!("{f:.12e}|"));
     }
-    format!("{:016x}", super::shard::fnv64(repr.as_bytes()))
+    format!("{:016x}", fnv64(repr.as_bytes()))
 }
 
 /// The structured feature vector of a [`Platform`], each field normalized
@@ -99,54 +110,103 @@ pub struct TransferHit {
     pub distance: f64,
 }
 
+/// What makes a cached campaign a transfer candidate, without its
+/// samples — the view the disk tier's index keeps of every entry.
+pub(crate) struct Candidate<'a> {
+    pub(crate) key: &'a CacheKey,
+    pub(crate) platform_features: &'a [f64],
+    pub(crate) has_samples: bool,
+}
+
+impl Candidate<'_> {
+    /// Feature distance to the platform asking for `key`, when this
+    /// campaign may seed it.
+    ///
+    /// Eligibility: same workflow and objective (the landscape being
+    /// transferred), a *different* platform fingerprint (an exact match is
+    /// an exact hit, not a transfer), samples to seed from, and a valid
+    /// feature vector within `threshold`. Pool size, seed, budget, and
+    /// algorithm are deliberately ignored — prior samples are useful
+    /// regardless of how the sibling campaign chose them.
+    pub(crate) fn distance(&self, key: &CacheKey, features: &[f64], threshold: f64) -> Option<f64> {
+        if self.key.workflow != key.workflow
+            || self.key.objective != key.objective
+            || self.key.platform == key.platform
+            || !self.has_samples
+        {
+            return None;
+        }
+        let d = feature_distance(self.platform_features, features);
+        (d <= threshold).then_some(d)
+    }
+}
+
 /// Scans `candidates` for the nearest sibling campaign usable as a
-/// transfer seed for `key` on a platform with `features`.
-///
-/// Eligibility: same workflow and objective (the landscape being
-/// transferred), a *different* platform fingerprint (an exact match is an
-/// exact hit, not a transfer), samples to seed from, and a valid feature
-/// vector within `threshold`. Pool size, seed, budget, and algorithm are
-/// deliberately ignored — prior samples are useful regardless of how the
-/// sibling campaign chose them.
+/// transfer seed for `key` on a platform with `features` (see
+/// [`Candidate::distance`]); the first of equally near siblings wins.
 pub(crate) fn nearest<'a>(
     candidates: impl Iterator<Item = &'a CacheEntry>,
     key: &CacheKey,
     features: &[f64],
     threshold: f64,
 ) -> Option<TransferHit> {
-    let mut best: Option<TransferHit> = None;
+    let mut best: Option<(&CacheEntry, f64)> = None;
     for e in candidates {
-        if e.key.workflow != key.workflow
-            || e.key.objective != key.objective
-            || e.key.platform == key.platform
-            || e.samples.is_empty()
-        {
+        let seed = Candidate {
+            key: &e.key,
+            platform_features: &e.platform_features,
+            has_samples: !e.samples.is_empty(),
+        };
+        let Some(d) = seed.distance(key, features, threshold) else {
             continue;
-        }
-        let d = feature_distance(&e.platform_features, features);
-        if d > threshold {
-            continue;
-        }
-        if best.as_ref().is_none_or(|b| d < b.distance) {
-            best = Some(TransferHit {
-                entry: e.clone(),
-                distance: d,
-            });
+        };
+        if best.is_none_or(|(_, nearest)| d < nearest) {
+            best = Some((e, d));
         }
     }
-    best
+    best.map(|(entry, distance)| TransferHit {
+        entry: entry.clone(),
+        distance,
+    })
 }
 
-/// Serializes entries as a portable single-file bundle (the shard layout,
-/// checksum included), for `cache export`.
+/// The checked `{checksum, entries}` JSON layout of a portable bundle —
+/// also what the pre-log shard files and the legacy whole-cache blob
+/// were, which is why migration reads them through [`bundle_from_json`].
+/// The checksum is FNV-64 over the compact JSON of `entries`.
+#[derive(Serialize)]
+struct BundleView<'a> {
+    checksum: String,
+    entries: &'a [CacheEntry],
+}
+
+#[derive(Deserialize)]
+struct Bundle {
+    checksum: String,
+    entries: Vec<CacheEntry>,
+}
+
+fn checksum(entries: &[CacheEntry]) -> serde_json::Result<String> {
+    let json = serde_json::to_string(entries)?;
+    Ok(format!("{:016x}", fnv64(json.as_bytes())))
+}
+
+/// Serializes entries as a portable single-file bundle, checksum
+/// included, for `cache export`.
 pub fn bundle_to_json(entries: &[CacheEntry]) -> std::io::Result<String> {
-    super::shard::to_checked_json(entries)
+    let view = BundleView {
+        checksum: checksum(entries).map_err(std::io::Error::other)?,
+        entries,
+    };
+    serde_json::to_string_pretty(&view).map_err(std::io::Error::other)
 }
 
 /// Parses and validates a bundle produced by [`bundle_to_json`] (or a
-/// legacy whole-cache blob — same layout). `None` on checksum mismatch.
+/// pre-log shard file or legacy whole-cache blob — same layout). `None`
+/// when unparsable or on checksum mismatch.
 pub fn bundle_from_json(text: &str) -> Option<Vec<CacheEntry>> {
-    super::shard::from_checked_json(text)
+    let bundle: Bundle = serde_json::from_str(text).ok()?;
+    (checksum(&bundle.entries).ok()? == bundle.checksum).then_some(bundle.entries)
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!   in a registry with idle eviction.
 //! * [`cache`] — a tiered store of completed campaigns keyed by
 //!   (workflow, platform fingerprint, objective, pool seed, budget,
-//!   algorithm): an in-memory LRU front over per-workflow checksummed
-//!   shard files, with portable export/import bundles and
+//!   algorithm): an in-memory LRU front over per-workflow append-only
+//!   record logs, with portable export/import bundles and
 //!   nearest-platform transfer seeding. Exact warm answers spend zero
 //!   oracle measurements; near-miss platforms start from a sibling's
 //!   samples as a prior.

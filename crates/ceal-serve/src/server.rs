@@ -44,10 +44,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Sessions idle longer than this are evicted.
     pub idle_timeout: Duration,
-    /// Persistent cache directory (one checksummed shard file per
-    /// workflow); `None` keeps the cache in memory only. A legacy
-    /// single-blob cache file at this path is migrated into shards on
-    /// bind.
+    /// Persistent cache directory (one append-only record log per
+    /// workflow); `None` keeps the cache in memory only. An older layout
+    /// at this path is migrated on bind. One process owns the directory
+    /// at a time.
     pub cache_path: Option<PathBuf>,
     /// Capacity of the cache's in-memory LRU front (disk-backed caches
     /// only; the in-memory cache is its own unbounded store).

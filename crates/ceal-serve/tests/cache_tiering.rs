@@ -99,12 +99,11 @@ fn server_migrates_legacy_blob_and_serves_it_warm() {
         path.is_dir(),
         "blob path must have become a shard directory"
     );
-    let shards = std::fs::read_dir(&path)
-        .expect("read cache dir")
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-        .count();
-    assert_eq!(shards, 2, "one shard per workflow after migration");
+    assert_eq!(
+        AutotuneCache::at_path(&path).shard_count(),
+        2,
+        "one shard per workflow after migration"
+    );
     let _ = std::fs::remove_dir_all(&path);
 }
 
@@ -182,6 +181,7 @@ fn export_import_round_trip_serves_warm() {
     .spawn();
     let mut client = Client::connect(handle.addr()).expect("connect");
     let cold = client.tune(params.clone()).expect("cold tune");
+    assert!(!cold.from_cache);
     client.shutdown().expect("shutdown");
     handle.join().expect("drain");
 
@@ -202,7 +202,9 @@ fn export_import_round_trip_serves_warm() {
     assert!(warm.from_cache, "imported campaign must serve warm");
     assert_eq!(warm.best, cold.best);
     assert_eq!(warm.best_value, cold.best_value);
-    assert_eq!(client.metrics().expect("metrics").oracle_measurements, 0);
+    let m = client.metrics().expect("metrics");
+    assert_eq!(m.oracle_measurements, 0, "warm serve must spend nothing");
+    assert_eq!(m.cache_hits, 1);
     client.shutdown().expect("shutdown");
     handle.join().expect("drain");
 
