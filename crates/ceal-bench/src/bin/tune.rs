@@ -1,7 +1,7 @@
 //! `tune` — auto-tune one of the bundled workflows from the command line.
 //!
 //! ```text
-//! tune --workflow LV --objective comp --budget 50 [--algo ceal|al|rs|geist|bo|rl]
+//! tune --workflow LV --objective comp --budget 50 [--algo ceal|al|rs|geist|alph|bo|rl]
 //!      [--pool 2000] [--seed 0] [--history path.json] [--save-history path.json]
 //!      [--remote HOST:PORT [--retry N]] [--journal run.wal [--resume]]
 //!      [--failure-rate P [--max-attempts N]]
@@ -20,10 +20,10 @@
 //! faults retried up to `--max-attempts` times; exhausted retries exit with
 //! a typed error instead of panicking.
 
+use ceal_core::algorithms::by_name;
 use ceal_core::{
-    prepare_campaign, sample_pool, ActiveLearning, Autotuner, BanditTuner, BayesOpt, CampaignId,
-    Ceal, CealParams, ComponentHistory, FaultInjector, Geist, Journal, JournalingOracle, Oracle,
-    RandomSampling, RetryingCollector, SimOracle,
+    prepare_campaign, sample_pool, CampaignId, ComponentHistory, FaultInjector, Journal,
+    JournalingOracle, Oracle, RetryingCollector, SimOracle,
 };
 use ceal_sim::{Objective, Simulator};
 use rand::SeedableRng;
@@ -149,25 +149,7 @@ fn main() {
         Arc::new(h)
     });
 
-    let algo: Box<dyn Autotuner> = match args.algo.as_str() {
-        "ceal" => match &history {
-            Some(h) => Box::new(Ceal::with_history(
-                CealParams::with_history(),
-                Arc::clone(h),
-            )),
-            None => Box::new(Ceal::new(CealParams::without_history())),
-        },
-        "al" => Box::new(ActiveLearning::default()),
-        "rs" => Box::new(RandomSampling),
-        "geist" => Box::new(Geist::default()),
-        "alph" => match &history {
-            Some(h) => Box::new(ceal_core::Alph::with_history(Arc::clone(h))),
-            None => Box::new(ceal_core::Alph::new()),
-        },
-        "bo" => Box::new(BayesOpt::bootstrapped(history.clone())),
-        "rl" => Box::new(BanditTuner::bootstrapped(history.clone())),
-        _ => usage(),
-    };
+    let algo = by_name(&args.algo, history.clone()).unwrap_or_else(|| usage());
 
     // Oracle stack, innermost out: the simulator oracle (each measurement
     // a live run — only what the tuner asks for is simulated), then an

@@ -6,12 +6,12 @@
 //! subsequent batch takes the surrogate's top predictions among unmeasured
 //! pool configurations.
 
+use super::stepper::{pool_stepper, Step};
 use super::{
-    encode_pool, fit_surrogate_kind, measure_indices, random_unmeasured, select_top_unmeasured,
-    Autotuner, SurrogateKind, TunerRun,
+    encode_pool, fit_surrogate_kind, random_unmeasured, select_top_unmeasured, Autotuner, Campaign,
+    Stepper, SurrogateKind,
 };
 use crate::features::FeatureMap;
-use crate::oracle::{MeasureError, Oracle};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -38,41 +38,28 @@ impl Autotuner for ActiveLearning {
         "AL"
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let fm = FeatureMap::for_workflow(oracle.spec());
-        let iters = self.iterations.clamp(1, budget.max(1));
-        let batch = (budget / iters).max(1);
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured = Vec::with_capacity(budget);
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let mut rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let fm = FeatureMap::for_workflow(&c.spec);
+        let iters = self.iterations.clamp(1, c.budget.max(1));
+        let batch = (c.budget / iters).max(1);
+        let kind = self.surrogate;
         // Fixed pool → encode once, score batched every iteration.
-        let enc_pool = encode_pool(&fm, pool);
-
+        let enc_pool = encode_pool(&fm, &c.pool);
         // Batch 0: random seeding.
-        let first = random_unmeasured(&measured_idx, batch.min(budget), &mut rng);
-        measure_indices(oracle, pool, &first, &mut measured_idx, &mut measured)?;
-
-        let mut model = fit_surrogate_kind(self.surrogate, &fm, &measured, seed);
-        while measured.len() < budget {
-            let take = batch.min(budget - measured.len());
+        let first = random_unmeasured(&vec![false; c.pool.len()], batch.min(c.budget), &mut rng);
+        let mut refit = false;
+        pool_stepper(c.pool, Vec::new(), first, move |ledger| {
+            let n = ledger.measured.len();
+            // The first model is seeded plainly, every refit by the count.
+            let seed = c.seed ^ if refit { n as u64 } else { 0 };
+            refit = true;
+            let model = fit_surrogate_kind(kind, &fm, &ledger.measured, seed);
             let scores = model.predict_batch(&enc_pool);
-            let picks = select_top_unmeasured(&scores, &measured_idx, take);
-            if picks.is_empty() {
-                break;
-            }
-            measure_indices(oracle, pool, &picks, &mut measured_idx, &mut measured)?;
-            model =
-                fit_surrogate_kind(self.surrogate, &fm, &measured, seed ^ measured.len() as u64);
-        }
-
-        let scores = model.predict_batch(&enc_pool);
-        Ok(TunerRun::from_scores(pool, scores, measured, Vec::new()))
+            let take = batch.min(c.budget.saturating_sub(n));
+            let picks = select_top_unmeasured(&scores, &ledger.taken, take);
+            Step::pick(picks, || Step::Finish(scores, Some(model.into())))
+        })
     }
 }
 

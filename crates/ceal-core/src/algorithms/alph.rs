@@ -11,11 +11,12 @@
 //! structure, so the combination itself must be learned from expensive
 //! coupled runs.
 
-use super::{measure_indices, random_unmeasured, Autotuner, TunerRun};
+use super::stepper::{after_phase1, pool_stepper, Step};
+use super::{random_unmeasured, Autotuner, Campaign, Stepper};
 use crate::acm::ComponentModels;
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
-use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
+use crate::oracle::Measurement;
 use ceal_ml::{Dataset, GbtParams, GradientBoosting, Regressor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -89,94 +90,50 @@ impl Autotuner for Alph {
         "ALpH"
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let spec = oracle.spec();
-        let fm = FeatureMap::for_workflow(spec);
-        let ranges = spec.param_ranges();
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let iterations = self.iterations;
+        // Historical models are fixed data: fitted once per tuner.
+        let hist_models = self.history.as_ref().map(|h| {
+            let fit = || Arc::new(ComponentModels::fit(&c.spec, h, 0xC0));
+            Arc::clone(self.hist_models.get_or_init(fit))
+        });
+        let history = self.history.as_ref();
+        after_phase1(c, history, self.m_r_fraction, rng, move |c, p1, mut rng| {
+            let fm = FeatureMap::for_workflow(&c.spec);
+            let ranges = c.spec.param_ranges();
+            let models = p1.models(&c.spec, hist_models, c.seed);
+            // Pre-compute augmented rows for the whole pool.
+            let augment = |cfg: &Vec<i64>| Self::augmented_row(&fm, &models, &ranges, cfg);
+            let pool_rows: Vec<Vec<f64>> = c.pool.iter().map(augment).collect();
 
-        // Component models (historical or freshly measured).
-        // At least one component round is required without history.
-        let m_r = if self.history.is_some() {
-            0
-        } else {
-            (((budget as f64) * self.m_r_fraction).round() as usize).clamp(1, budget)
-        };
-        let mut component_runs: Vec<SoloMeasurement> = Vec::new();
-        let mut comp_data = match &self.history {
-            Some(h) => (**h).clone(),
-            None => ComponentHistory::empty(spec.components.len()),
-        };
-        for j in 0..spec.components.len() {
-            for _ in 0..m_r {
-                let values = spec.sample_component_feasible(oracle.platform(), j, &mut rng);
-                let meas = oracle.try_measure_component(j, &values)?;
-                comp_data.push(j, values, meas.value);
-                component_runs.push(meas);
-            }
-        }
-        let models = if self.history.is_some() {
-            Arc::clone(
-                self.hist_models
-                    .get_or_init(|| Arc::new(ComponentModels::fit(spec, &comp_data, 0xC0))),
-            )
-        } else {
-            Arc::new(ComponentModels::fit(spec, &comp_data, seed))
-        };
-
-        // Pre-compute augmented rows for the whole pool.
-        let pool_rows: Vec<Vec<f64>> = pool
-            .iter()
-            .map(|c| Self::augmented_row(&fm, &models, &ranges, c))
-            .collect();
-
-        let coupled_budget = budget.saturating_sub(m_r).max(1);
-        let iters = self.iterations.clamp(1, coupled_budget);
-        let batch = (coupled_budget / iters).max(1);
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured: Vec<Measurement> = Vec::with_capacity(coupled_budget);
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(coupled_budget);
-
-        let first = random_unmeasured(&measured_idx, batch.min(coupled_budget), &mut rng);
-        for &i in &first {
-            rows.push(pool_rows[i].clone());
-        }
-        measure_indices(oracle, pool, &first, &mut measured_idx, &mut measured)?;
-
-        let mut model = Self::fit_combiner(&rows, &measured, seed);
-        while measured.len() < coupled_budget {
-            let take = batch.min(coupled_budget - measured.len());
-            let mut cand: Vec<usize> = (0..pool.len()).filter(|&i| !measured_idx[i]).collect();
-            cand.sort_by(|&a, &b| {
-                model
-                    .predict_row(&pool_rows[a])
-                    .total_cmp(&model.predict_row(&pool_rows[b]))
-                    .then(a.cmp(&b))
-            });
-            cand.truncate(take);
-            if cand.is_empty() {
-                break;
-            }
-            for &i in &cand {
-                rows.push(pool_rows[i].clone());
-            }
-            measure_indices(oracle, pool, &cand, &mut measured_idx, &mut measured)?;
-            model = Self::fit_combiner(&rows, &measured, seed ^ measured.len() as u64);
-        }
-
-        let scores: Vec<f64> = pool_rows.iter().map(|r| model.predict_row(r)).collect();
-        Ok(TunerRun::from_scores(
-            pool,
-            scores,
-            measured,
-            component_runs,
-        ))
+            let coupled_budget = p1.coupled_budget(c.budget);
+            let iters = iterations.clamp(1, coupled_budget);
+            let batch = (coupled_budget / iters).max(1);
+            let free = vec![false; c.pool.len()];
+            let first = random_unmeasured(&free, batch.min(coupled_budget), &mut rng);
+            // Augmented rows of the measured configurations, in order.
+            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(coupled_budget);
+            let mut refit = false;
+            pool_stepper(c.pool, p1.component_runs, first, move |ledger| {
+                let n = ledger.measured.len();
+                // The first combiner is seeded plainly, every refit by the count.
+                let seed = c.seed ^ if refit { n as u64 } else { 0 };
+                refit = true;
+                for &i in &ledger.at[rows.len()..] {
+                    rows.push(pool_rows[i].clone());
+                }
+                let model = Self::fit_combiner(&rows, &ledger.measured, seed);
+                let score = |i: usize| model.predict_row(&pool_rows[i]);
+                let mut cand = Vec::new();
+                if n < coupled_budget {
+                    cand.extend((0..ledger.pool.len()).filter(|&i| !ledger.taken[i]));
+                    cand.sort_by(|&a, &b| score(a).total_cmp(&score(b)).then(a.cmp(&b)));
+                    cand.truncate(batch.min(coupled_budget - n));
+                }
+                Step::pick(cand, || (0..pool_rows.len()).map(score).collect::<Vec<_>>())
+            })
+        })
     }
 }
 

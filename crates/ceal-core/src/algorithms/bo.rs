@@ -12,11 +12,11 @@
 //!   technique ("we will use other black-box techniques such as RL and BO
 //!   … in the bootstrapping method", §9).
 
-use super::{measure_indices, random_unmeasured, select_top_unmeasured, Autotuner, TunerRun};
-use crate::acm::{CombineFn, ComponentModels, LowFidelityModel};
+use super::stepper::{after_phase1, pool_stepper, Phase1, Step};
+use super::{random_unmeasured, select_top_unmeasured, Autotuner, Campaign, Stepper};
+use crate::acm::{CombineFn, LowFidelityModel};
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
-use crate::oracle::{MeasureError, Oracle, SoloMeasurement};
 use ceal_ml::{expected_improvement, Dataset, GaussianProcess, GpParams, Regressor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -65,12 +65,69 @@ impl BayesOpt {
         }
     }
 
-    fn fit_gp(&self, fm: &FeatureMap, measured: &[crate::oracle::Measurement]) -> GaussianProcess {
-        let rows: Vec<Vec<f64>> = measured.iter().map(|m| fm.encode(&m.config)).collect();
-        let ys: Vec<f64> = measured.iter().map(|m| m.value).collect();
-        let mut gp = GaussianProcess::new(self.gp);
-        gp.fit(&Dataset::from_rows(&rows, &ys));
-        gp
+    /// The coupled phase: `p1` is `Some` for the bootstrapped variant.
+    fn coupled(&self, c: Campaign, p1: Option<Phase1>, mut rng: ChaCha8Rng) -> Box<dyn Stepper> {
+        let fm = FeatureMap::for_workflow(&c.spec);
+        let coupled_budget = p1.as_ref().map_or(c.budget, |p| p.coupled_budget(c.budget));
+        let iters = self.iterations.clamp(1, coupled_budget);
+        let batch = (coupled_budget / (iters + 1)).max(1);
+        let free = vec![false; c.pool.len()];
+        // Initial design: low-fidelity top picks (bootstrapped) mixed with
+        // randoms, or pure randoms (plain BO).
+        let first = match &p1 {
+            Some(p1) => {
+                let ml = LowFidelityModel::new(
+                    &c.spec,
+                    p1.models(&c.spec, None, c.seed),
+                    CombineFn::for_objective(c.objective),
+                );
+                let scores = ml.score_all(&c.pool);
+                let n_random = batch.div_ceil(2).min(coupled_budget);
+                let mut first = random_unmeasured(&free, n_random, &mut rng);
+                let mut taken = free;
+                for &i in &first {
+                    taken[i] = true;
+                }
+                let tops = batch.saturating_sub(first.len());
+                first.extend(select_top_unmeasured(&scores, &taken, tops));
+                first
+            }
+            None => random_unmeasured(&free, batch.min(coupled_budget), &mut rng),
+        };
+        let gp_params = self.gp;
+        let encoded: Vec<Vec<f64>> = c.pool.iter().map(|cfg| fm.encode(cfg)).collect();
+        let component_runs = p1.map_or_else(Vec::new, |p| p.component_runs);
+        // BO loop: fit GP, take the batch with the highest EI.
+        pool_stepper(c.pool, component_runs, first, move |ledger| {
+            let measured = &ledger.measured;
+            let rows: Vec<Vec<f64>> = measured.iter().map(|m| fm.encode(&m.config)).collect();
+            let ys: Vec<f64> = measured.iter().map(|m| m.value).collect();
+            let mut gp = GaussianProcess::new(gp_params);
+            gp.fit(&Dataset::from_rows(&rows, &ys));
+            // Final surrogate: GP posterior mean over the pool.
+            let finish = || {
+                encoded
+                    .iter()
+                    .map(|row| gp.predict_row(row))
+                    .collect::<Vec<_>>()
+            };
+            if measured.len() >= coupled_budget {
+                return finish().into();
+            }
+            let best = ys.iter().copied().fold(f64::INFINITY, f64::min);
+            let mut ei: Vec<(usize, f64)> = encoded
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !ledger.taken[*i])
+                .map(|(i, row)| {
+                    let (mean, var) = gp.predict_with_variance(row);
+                    (i, expected_improvement(mean, var, best))
+                })
+                .collect();
+            ei.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let take = (coupled_budget - measured.len()).min(batch).max(1);
+            Step::pick(ei.into_iter().take(take).map(|(i, _)| i).collect(), finish)
+        })
     }
 }
 
@@ -89,118 +146,17 @@ impl Autotuner for BayesOpt {
         }
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let spec = oracle.spec();
-        let fm = FeatureMap::for_workflow(spec);
-        let encoded: Vec<Vec<f64>> = pool.iter().map(|c| fm.encode(c)).collect();
-
-        // Optional phase 1: component models → low-fidelity seeding.
-        let mut component_runs: Vec<SoloMeasurement> = Vec::new();
-        let mut coupled_budget = budget;
-        let mut seed_scores: Option<Vec<f64>> = None;
-        if let Some(boot) = &self.bootstrap {
-            let m_r = if boot.history.is_some() {
-                0
-            } else {
-                (((budget as f64) * boot.m_r_fraction).round() as usize).clamp(1, budget)
-            };
-            let mut comp_data = match &boot.history {
-                Some(h) => (**h).clone(),
-                None => ComponentHistory::empty(spec.components.len()),
-            };
-            for j in 0..spec.components.len() {
-                for _ in 0..m_r {
-                    let values = spec.sample_component_feasible(oracle.platform(), j, &mut rng);
-                    let meas = oracle.try_measure_component(j, &values)?;
-                    comp_data.push(j, values, meas.value);
-                    component_runs.push(meas);
-                }
-            }
-            let ml = LowFidelityModel::new(
-                spec,
-                ComponentModels::fit(spec, &comp_data, seed),
-                CombineFn::for_objective(oracle.objective()),
-            );
-            seed_scores = Some(ml.score_all(pool));
-            coupled_budget = budget.saturating_sub(m_r).max(1);
-        }
-
-        let iters = self.iterations.clamp(1, coupled_budget);
-        let init = (coupled_budget / (iters + 1)).max(1);
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured = Vec::with_capacity(coupled_budget);
-
-        // Initial design: low-fidelity top picks (bootstrapped) mixed with
-        // randoms, or pure randoms (plain BO).
-        match &seed_scores {
-            Some(scores) => {
-                let n_random = init.div_ceil(2);
-                let randoms =
-                    random_unmeasured(&measured_idx, n_random.min(coupled_budget), &mut rng);
-                for &i in &randoms {
-                    measured_idx[i] = true;
-                }
-                let tops = select_top_unmeasured(
-                    scores,
-                    &measured_idx,
-                    init.saturating_sub(randoms.len()),
-                );
-                for &i in &randoms {
-                    measured_idx[i] = false;
-                }
-                let mut batch = randoms;
-                batch.extend(tops);
-                measure_indices(oracle, pool, &batch, &mut measured_idx, &mut measured)?;
-            }
-            None => {
-                let batch = random_unmeasured(&measured_idx, init.min(coupled_budget), &mut rng);
-                measure_indices(oracle, pool, &batch, &mut measured_idx, &mut measured)?;
-            }
-        }
-
-        // BO loop: fit GP, take the batch with the highest EI.
-        while measured.len() < coupled_budget {
-            let gp = self.fit_gp(&fm, &measured);
-            let best = measured
-                .iter()
-                .map(|m| m.value)
-                .fold(f64::INFINITY, f64::min);
-            let mut ei: Vec<(usize, f64)> = encoded
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !measured_idx[*i])
-                .map(|(i, row)| {
-                    let (mean, var) = gp.predict_with_variance(row);
-                    (i, expected_improvement(mean, var, best))
-                })
-                .collect();
-            ei.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            let take = ((coupled_budget - measured.len())
-                .min((coupled_budget / (iters + 1)).max(1)))
-            .max(1);
-            let batch: Vec<usize> = ei.into_iter().take(take).map(|(i, _)| i).collect();
-            if batch.is_empty() {
-                break;
-            }
-            measure_indices(oracle, pool, &batch, &mut measured_idx, &mut measured)?;
-        }
-
-        // Final surrogate: GP posterior mean over the pool.
-        let gp = self.fit_gp(&fm, &measured);
-        let scores: Vec<f64> = encoded.iter().map(|row| gp.predict_row(row)).collect();
-        Ok(TunerRun::from_scores(
-            pool,
-            scores,
-            measured,
-            component_runs,
-        ))
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let Some(boot) = &self.bootstrap else {
+            return self.coupled(c, None, rng);
+        };
+        // Phase 1: component models → low-fidelity seeding.
+        let this = self.clone();
+        let (history, m_r_fraction) = (boot.history.as_ref(), boot.m_r_fraction);
+        after_phase1(c, history, m_r_fraction, rng, move |c, p1, rng| {
+            this.coupled(c, Some(p1), rng)
+        })
     }
 }
 

@@ -15,15 +15,17 @@
 //! and convert unspent random budget into bigger batches on a switch
 //! (lines 23–24), and finally return `M_H`.
 
+use super::stepper::{after_phase1, pool_stepper, Step};
 use super::{
-    encode_pool, fit_surrogate_kind, measure_indices, random_unmeasured, select_top_unmeasured,
-    Autotuner, SurrogateKind, TunerRun,
+    encode_pool, fit_surrogate_kind, random_unmeasured, select_top_unmeasured, Autotuner, Campaign,
+    Stepper, SurrogateKind,
 };
 use crate::acm::{CombineFn, ComponentModels, LowFidelityModel};
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
 use crate::metrics::{recall_score, top_n};
-use crate::oracle::{MeasureError, Oracle, SoloMeasurement};
+use crate::oracle::Measurement;
+use crate::prior::fit_surrogate_seeded;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -156,232 +158,173 @@ impl Ceal {
     }
 }
 
-/// `M_L`'s score of one measured configuration during the switch test,
-/// given the model, its scores over the whole pool, and the
-/// configuration's pool index and values. A parameter of
-/// [`Ceal::run_with`] only so a test can run the per-configuration
-/// formulation next to the lookup.
-type MeasuredScore = fn(&LowFidelityModel, &[f64], usize, &[i64]) -> f64;
-
 impl Autotuner for Ceal {
     fn name(&self) -> &'static str {
         "CEAL"
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        // The pool was scored once up front; the switch test reads it back.
-        self.run_with(oracle, pool, budget, seed, |_, ml_scores, idx, _| {
-            ml_scores[idx]
-        })
-    }
-}
-
-impl Ceal {
-    fn run_with(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-        ml_score_of_measured: MeasuredScore,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let spec = oracle.spec();
-        let fm = FeatureMap::for_workflow(spec);
-        let m = budget;
-
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let params = self.params;
+        // Historical models are fixed data: fitted once per tuner.
+        let hist_models = self.history.as_ref().map(|h| {
+            let fit = || Arc::new(ComponentModels::fit(&c.spec, h, 0xC0));
+            Arc::clone(self.hist_models.get_or_init(fit))
+        });
         // ---- Phase 1: component models and the low-fidelity model ----
-        // Without history at least one component round is required to
-        // build the component models (degenerate budgets still work).
-        let m_r = if self.history.is_some() {
-            0
-        } else {
-            (((m as f64) * self.params.m_r_fraction).round() as usize).clamp(1, m)
-        };
-        let mut component_runs: Vec<SoloMeasurement> = Vec::new();
-        let mut comp_data = match &self.history {
-            Some(h) => (**h).clone(),
-            None => ComponentHistory::empty(spec.components.len()),
-        };
-        for j in 0..spec.components.len() {
-            for _ in 0..m_r {
-                let values = spec.sample_component_feasible(oracle.platform(), j, &mut rng);
-                let meas = oracle.try_measure_component(j, &values)?;
-                comp_data.push(j, values, meas.value);
-                component_runs.push(meas);
+        let history = self.history.as_ref();
+        let m_r_fraction = params.m_r_fraction;
+        after_phase1(c, history, m_r_fraction, rng, move |mut c, p1, mut rng| {
+            let fm = FeatureMap::for_workflow(&c.spec);
+            let ml = LowFidelityModel::new(
+                &c.spec,
+                p1.models(&c.spec, hist_models, c.seed),
+                CombineFn::for_objective(c.objective),
+            );
+
+            // ---- Phase 2: dynamic ensemble active learning ----
+            let (m, seed) = (c.budget, c.seed);
+            let coupled_budget = p1.coupled_budget(m);
+            let m0 = (((m as f64) * params.m0_fraction).round() as usize).min(coupled_budget);
+            let i_total = params.iterations.max(1);
+            // Line 7: m0'.
+            let mut m0_used = (m0 / 2).max(1).min(coupled_budget);
+            // Line 8, rounded up so integer division does not strand budget;
+            // the final staging below takes whatever remains.
+            let mut m_b = (coupled_budget.saturating_sub(m0)).div_ceil(i_total).max(1);
+            let mut runs_left = coupled_budget;
+
+            // The pool is fixed for the whole run: encode it once for
+            // batched surrogate scoring. Measured configurations are
+            // encoded as they arrive, keeping `enc_meas` aligned with the
+            // ledger.
+            let enc_pool = encode_pool(&fm, &c.pool);
+            let mut enc_meas = ceal_ml::Dataset::new(fm.n_features());
+
+            // Line 7: m0/2 random seeds.
+            let mut taken = vec![false; c.pool.len()];
+            let mut first = random_unmeasured(&taken, m0_used, &mut rng);
+            // Lines 9–10: top m_B by the low-fidelity model.
+            let ml_scores = ml.score_all(&c.pool);
+            for &i in &first {
+                taken[i] = true;
             }
-        }
-        let combine = CombineFn::for_objective(oracle.objective());
-        let comp_models = if self.history.is_some() {
-            Arc::clone(
-                self.hist_models
-                    .get_or_init(|| Arc::new(ComponentModels::fit(spec, &comp_data, 0xC0))),
-            )
-        } else {
-            Arc::new(ComponentModels::fit(spec, &comp_data, seed))
-        };
-        let ml = LowFidelityModel::new(spec, comp_models, combine);
+            let tops = m_b.min(coupled_budget.saturating_sub(first.len()));
+            first.extend(select_top_unmeasured(&ml_scores, &taken, tops));
 
-        // ---- Phase 2: dynamic ensemble active learning ----
-        let coupled_budget = m.saturating_sub(m_r).max(1);
-        let m0 = (((m as f64) * self.params.m0_fraction).round() as usize).min(coupled_budget);
-        let i_total = self.params.iterations.max(1);
-        let mut m0_used = (m0 / 2).max(1).min(coupled_budget); // m0' (line 7)
-                                                               // Line 8, rounded up so integer division does not strand budget;
-                                                               // the final staging below takes whatever remains.
-        let mut m_b = (coupled_budget.saturating_sub(m0)).div_ceil(i_total).max(1);
+            // A transfer prior is blended into every M_H fit made while
+            // the campaign owns fewer than a fifth of its budget in
+            // measurements; after that its own data carries the fit, and
+            // the final model never sees the prior.
+            let prior = c.prior.take();
+            let seeded = prior.is_some();
+            let prior_hold = m.div_ceil(5).max(2).min(coupled_budget);
+            let fit_mh = move |fm: &FeatureMap, measured: &[Measurement], seed: u64| match &prior {
+                Some(prior) if measured.len() < prior_hold => {
+                    let own = measured.iter().map(|m| (m.config.clone(), m.value));
+                    let own: Vec<_> = own.collect();
+                    fit_surrogate_seeded(params.surrogate, fm, &own, prior, seed)
+                }
+                _ => fit_surrogate_kind(params.surrogate, fm, measured, seed),
+            };
 
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured = Vec::with_capacity(coupled_budget);
-        // Pool index of every entry of `measured`, in the same order.
-        let mut measured_at: Vec<usize> = Vec::with_capacity(coupled_budget);
-        let mut runs_left = coupled_budget;
+            let mut using_high = false; // line 11: M = M_L
+                                        // Line 12: M_H = null — or, with a prior, fitted on the
+                                        // sibling's samples, so the first switch test already has an
+                                        // M_H to validate against the first measured batch.
+            let mut mh = seeded.then(|| fit_mh(&fm, &[], seed));
+            let mut i = 0;
+            pool_stepper(c.pool, p1.component_runs, first, move |ledger| {
+                // Line 14 measured C_meas.
+                i += 1;
+                let measured = &ledger.measured;
+                runs_left -= measured.len() - enc_meas.n_rows();
+                for mm in &measured[enc_meas.n_rows()..] {
+                    enc_meas.push_row(&fm.encode(&mm.config), 0.0);
+                }
 
-        // The pool is fixed for the whole run: encode it once for batched
-        // surrogate scoring. Measured configurations are encoded as they
-        // arrive, keeping `enc_meas` aligned with `measured`.
-        let enc_pool = encode_pool(&fm, pool);
-        let mut enc_meas = ceal_ml::Dataset::new(fm.n_features());
+                let mut random_topup = 0usize;
+                if !using_high && params.switch_mode != SwitchMode::NeverSwitch {
+                    // Lines 17–24: model switch detection on the data
+                    // measured so far. The *previous* M_H (before
+                    // retraining on the new batch) is validated against
+                    // the enlarged measured set.
+                    if let (Some(mh), true) = (&mh, measured.len() >= 3) {
+                        let truths: Vec<f64> = measured.iter().map(|mm| mm.value).collect();
+                        let mh_scores = mh.predict_batch(&enc_meas);
+                        // The pool was scored once up front; read it back.
+                        let ml_scores_meas: Vec<f64> =
+                            ledger.at.iter().map(|&idx| ml_scores[idx]).collect();
+                        let s_h: f64 = (1..=3).map(|n| recall_score(n, &mh_scores, &truths)).sum();
+                        let s_l: f64 = (1..=3)
+                            .map(|n| recall_score(n, &ml_scores_meas, &truths))
+                            .sum();
 
-        // Line 7: m0/2 random seeds.
-        let seeds = random_unmeasured(&measured_idx, m0_used.min(runs_left), &mut rng);
-        // Lines 9–10: top m_B by the low-fidelity model.
-        let ml_scores = ml.score_all(pool);
-        let mut batch = seeds;
-        for i in &batch {
-            measured_idx[*i] = true;
-        }
-        let top = select_top_unmeasured(
-            &ml_scores,
-            &measured_idx,
-            m_b.min(runs_left.saturating_sub(batch.len())),
-        );
-        for i in &batch {
-            measured_idx[*i] = false;
-        }
-        batch.extend(top);
-
-        let mut using_high = false; // line 11: M = M_L
-        let mut mh: Option<Box<dyn ceal_ml::Regressor>> = None; // line 12
-
-        for i in 1..=i_total {
-            if batch.is_empty() || runs_left == 0 {
-                break;
-            }
-            // Line 14: measure C_meas.
-            batch.truncate(runs_left);
-            let new_start = measured.len();
-            measure_indices(oracle, pool, &batch, &mut measured_idx, &mut measured)?;
-            runs_left -= measured.len() - new_start;
-            measured_at.append(&mut batch);
-            for mm in &measured[new_start..] {
-                enc_meas.push_row(&fm.encode(&mm.config), 0.0);
-            }
-
-            let mut random_topup = 0usize;
-            if !using_high && self.params.switch_mode != SwitchMode::NeverSwitch {
-                // Lines 17–24: model switch detection on the data measured
-                // so far. The *previous* M_H (before retraining on the new
-                // batch) is validated against the enlarged measured set.
-                if let (Some(mh), true) = (&mh, measured.len() >= 3) {
-                    let truths: Vec<f64> = measured.iter().map(|mm| mm.value).collect();
-                    let mh_scores = mh.predict_batch(&enc_meas);
-                    let ml_scores_meas: Vec<f64> = measured_at
-                        .iter()
-                        .zip(&measured)
-                        .map(|(&idx, mm)| ml_score_of_measured(&ml, &ml_scores, idx, &mm.config))
-                        .collect();
-                    let s_h: f64 = (1..=3).map(|n| recall_score(n, &mh_scores, &truths)).sum();
-                    let s_l: f64 = (1..=3)
-                        .map(|n| recall_score(n, &ml_scores_meas, &truths))
-                        .sum();
-
-                    // Line 20: is M_H's top-3 within the actual top half of
-                    // the measured set? If not, suspect bias; add randoms.
-                    let half = (measured.len() / 2).max(3);
-                    let top3_mh = top_n(&mh_scores, 3);
-                    let top_half_actual = top_n(&truths, half);
-                    let agree = top3_mh
-                        .iter()
-                        .filter(|i| top_half_actual.contains(i))
-                        .count();
-                    if self.params.random_topup && agree < 3 && m0 > m0_used {
-                        random_topup = ((m0 - m0_used) / 2).max(1);
-                        m0_used += random_topup;
-                    }
-                    // Lines 23–24: switch when M_H ranks at least as well
-                    // (or unconditionally under the Immediate ablation).
-                    if s_h >= s_l || self.params.switch_mode == SwitchMode::Immediate {
-                        using_high = true;
-                        if i < i_total {
-                            m_b += (m0.saturating_sub(m0_used)) / (i_total - i);
+                        // Line 20: is M_H's top-3 within the actual top
+                        // half of the measured set? If not, suspect bias;
+                        // add randoms.
+                        let half = (measured.len() / 2).max(3);
+                        let top3_mh = top_n(&mh_scores, 3);
+                        let top_half_actual = top_n(&truths, half);
+                        let agree = top3_mh
+                            .iter()
+                            .filter(|i| top_half_actual.contains(i))
+                            .count();
+                        if params.random_topup && agree < 3 && m0 > m0_used {
+                            random_topup = ((m0 - m0_used) / 2).max(1);
+                            m0_used += random_topup;
+                        }
+                        // Lines 23–24: switch when M_H ranks at least as
+                        // well (or unconditionally under the Immediate
+                        // ablation).
+                        if s_h >= s_l || params.switch_mode == SwitchMode::Immediate {
+                            using_high = true;
+                            if i < i_total {
+                                m_b += (m0.saturating_sub(m0_used)) / (i_total - i);
+                            }
                         }
                     }
                 }
-            }
 
-            // Line 25: train/refine M_H on all measurements.
-            mh = Some(fit_surrogate_kind(
-                self.params.surrogate,
-                &fm,
-                &measured,
-                seed ^ (i as u64) << 16,
-            ));
-
-            if i == i_total || runs_left == 0 {
-                break;
-            }
-
-            // Lines 26–27: evaluate the remaining pool with the selected
-            // model and stage the next batch.
-            let mh_scores;
-            let scores: &[f64] = if using_high {
-                let model = mh.as_ref().expect("M_H trained before any switch");
-                mh_scores = model.predict_batch(&enc_pool);
-                &mh_scores
-            } else {
-                &ml_scores
-            };
-            // The final staging consumes the entire remaining budget so the
-            // tuner always spends exactly its allotment.
-            let take = if i + 1 == i_total {
-                runs_left
-            } else {
-                m_b.min(runs_left)
-            };
-            batch = select_top_unmeasured(scores, &measured_idx, take);
-            if random_topup > 0 {
-                for bi in &batch {
-                    measured_idx[*bi] = true;
+                // Line 25: train/refine M_H on all measurements.
+                let fitted = fit_mh(&fm, measured, seed ^ (i as u64) << 16);
+                // Line 28 returns M_H; the searcher ranks the pool with it.
+                if i == i_total || runs_left == 0 {
+                    return Step::on(fitted, &enc_pool);
                 }
-                let extra = random_unmeasured(
-                    &measured_idx,
-                    random_topup.min(runs_left.saturating_sub(batch.len())),
-                    &mut rng,
-                );
-                for bi in &batch {
-                    measured_idx[*bi] = false;
-                }
-                batch.extend(extra);
-            }
-        }
 
-        // Return M_H (line 28); the searcher ranks the pool with it.
-        let mh =
-            mh.unwrap_or_else(|| fit_surrogate_kind(self.params.surrogate, &fm, &measured, seed));
-        let scores = mh.predict_batch(&enc_pool);
-        Ok(TunerRun::from_scores(
-            pool,
-            scores,
-            measured,
-            component_runs,
-        ))
+                // Lines 26–27: evaluate the remaining pool with the
+                // selected model and stage the next batch.
+                let mh_scores;
+                let scores: &[f64] = if using_high {
+                    mh_scores = fitted.predict_batch(&enc_pool);
+                    &mh_scores
+                } else {
+                    &ml_scores
+                };
+                // The final staging consumes the entire remaining budget
+                // so the tuner always spends exactly its allotment.
+                let take = if i + 1 == i_total {
+                    runs_left
+                } else {
+                    m_b.min(runs_left)
+                };
+                let mut batch = select_top_unmeasured(scores, &ledger.taken, take);
+                if random_topup > 0 {
+                    let mut taken = ledger.taken.clone();
+                    for &bi in &batch {
+                        taken[bi] = true;
+                    }
+                    let extra = random_topup.min(runs_left.saturating_sub(batch.len()));
+                    batch.extend(random_unmeasured(&taken, extra, &mut rng));
+                }
+                if batch.is_empty() {
+                    return Step::on(fitted, &enc_pool);
+                }
+                mh = Some(fitted);
+                Step::Measure(batch)
+            })
+        })
     }
 }
 
@@ -431,35 +374,6 @@ mod tests {
         let b = ceal.run(&fix.oracle, &fix.pool, 40, 9);
         assert_eq!(a.best_predicted, b.best_predicted);
         assert_eq!(a.pool_scores, b.pool_scores);
-    }
-
-    #[test]
-    fn switch_test_lookup_matches_rescoring_measured_configs() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static RESCORED: AtomicUsize = AtomicUsize::new(0);
-        // The formulation the lookup replaced: walk M_L again for every
-        // measured configuration on every switch test.
-        fn rescore(ml: &LowFidelityModel, _: &[f64], _: usize, config: &[i64]) -> f64 {
-            RESCORED.fetch_add(1, Ordering::Relaxed);
-            ml.score(config)
-        }
-        let fix = lv_exec_fixture();
-        let ceal = Ceal::new(CealParams::without_history());
-        for seed in 0..4 {
-            let lookup = ceal.try_run(&fix.oracle, &fix.pool, 50, seed).unwrap();
-            let rescored = ceal
-                .run_with(&fix.oracle, &fix.pool, 50, seed, rescore)
-                .unwrap();
-            assert_eq!(lookup.measured, rescored.measured, "seed {seed}");
-            assert_eq!(lookup.best_predicted, rescored.best_predicted);
-            let bits =
-                |r: &TunerRun| -> Vec<u64> { r.pool_scores.iter().map(|s| s.to_bits()).collect() };
-            assert_eq!(bits(&lookup), bits(&rescored), "seed {seed}");
-        }
-        assert!(
-            RESCORED.load(Ordering::Relaxed) > 0,
-            "no run reached the switch test"
-        );
     }
 
     #[test]

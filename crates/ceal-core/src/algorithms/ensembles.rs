@@ -16,11 +16,12 @@
 //! uses, driven by their own ensemble prediction, and spend part of the
 //! budget on component solo runs to build the AM (like CEAL).
 
-use super::{encode_pool, measure_indices, random_unmeasured, Autotuner, TunerRun};
-use crate::acm::{CombineFn, ComponentModels, LowFidelityModel};
+use super::stepper::{after_phase1, pool_stepper, Step};
+use super::{encode_pool, random_unmeasured, Autotuner, Campaign, Stepper};
+use crate::acm::{CombineFn, LowFidelityModel};
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
-use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
+use crate::oracle::Measurement;
 use ceal_ml::{Dataset, GbtParams, GradientBoosting, Regressor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -163,120 +164,81 @@ impl Autotuner for EnsembleTuner {
         self.kind.label()
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let spec = oracle.spec();
-        let fm = FeatureMap::for_workflow(spec);
-
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let (kind, k, probe_threshold) = (self.kind, self.k, self.probe_threshold);
+        let iterations = self.iterations;
         // Build the AM exactly as CEAL's phase 1 does.
-        // At least one component round is required without history.
-        let m_r = if self.history.is_some() {
-            0
-        } else {
-            (((budget as f64) * self.m_r_fraction).round() as usize).clamp(1, budget)
-        };
-        let mut component_runs: Vec<SoloMeasurement> = Vec::new();
-        let mut comp_data = match &self.history {
-            Some(h) => (**h).clone(),
-            None => ComponentHistory::empty(spec.components.len()),
-        };
-        for j in 0..spec.components.len() {
-            for _ in 0..m_r {
-                let values = spec.sample_component_feasible(oracle.platform(), j, &mut rng);
-                let meas = oracle.try_measure_component(j, &values)?;
-                comp_data.push(j, values, meas.value);
-                component_runs.push(meas);
-            }
-        }
-        let am = LowFidelityModel::new(
-            spec,
-            ComponentModels::fit(spec, &comp_data, seed),
-            CombineFn::for_objective(oracle.objective()),
-        );
+        let history = self.history.as_ref();
+        after_phase1(c, history, self.m_r_fraction, rng, move |c, p1, mut rng| {
+            let fm = FeatureMap::for_workflow(&c.spec);
+            let am = LowFidelityModel::new(
+                &c.spec,
+                p1.models(&c.spec, None, c.seed),
+                CombineFn::for_objective(c.objective),
+            );
+            let coupled_budget = p1.coupled_budget(c.budget);
+            let iters = iterations.clamp(1, coupled_budget);
+            let batch = (coupled_budget / iters).max(1);
 
-        let coupled_budget = budget.saturating_sub(m_r).max(1);
-        let iters = self.iterations.clamp(1, coupled_budget);
-        let batch = (coupled_budget / iters).max(1);
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured: Vec<Measurement> = Vec::with_capacity(coupled_budget);
+            // The pool and the AM are fixed for the run: encode and score
+            // them once. Measured configs accumulate, encoded/AM-scored as
+            // they come.
+            let enc_pool = encode_pool(&fm, &c.pool);
+            let am_pool = am.score_all(&c.pool);
+            let mut enc_meas = Dataset::new(fm.n_features());
+            let mut am_meas: Vec<f64> = Vec::with_capacity(coupled_budget);
 
-        // The pool and the AM are fixed for the run: encode and score them
-        // once. Measured configs accumulate, encoded/AM-scored as they come.
-        let enc_pool = encode_pool(&fm, pool);
-        let am_pool = am.score_all(pool);
-        let mut enc_meas = Dataset::new(fm.n_features());
-        let mut am_meas: Vec<f64> = Vec::with_capacity(coupled_budget);
-
-        let first = random_unmeasured(&measured_idx, batch.min(coupled_budget), &mut rng);
-        measure_indices(oracle, pool, &first, &mut measured_idx, &mut measured)?;
-
-        loop {
-            for m in &measured[enc_meas.n_rows()..] {
-                enc_meas.push_row(&fm.encode(&m.config), m.value);
-                am_meas.push(am.score(&m.config));
-            }
-            // (Re)train the ML parts on everything measured so far, then
-            // evaluate them over the pool and the measured set in one batch
-            // each.
-            let mut ml_model = GradientBoosting::new(GbtParams::small_sample(seed));
-            ml_model.fit(&enc_meas);
-            let res_pool = if self.kind == EnsembleKind::HyBoost {
-                // Same encoded rows, retargeted to the AM residuals.
-                let mut train = Dataset::new(fm.n_features());
-                for (j, (m, am)) in measured.iter().zip(&am_meas).enumerate() {
-                    train.push_row(enc_meas.row(j), m.value - am);
+            let free = vec![false; c.pool.len()];
+            let first = random_unmeasured(&free, batch.min(coupled_budget), &mut rng);
+            pool_stepper(c.pool, p1.component_runs, first, move |ledger| {
+                let measured = &ledger.measured;
+                let new = enc_meas.n_rows();
+                for (m, &i) in measured[new..].iter().zip(&ledger.at[new..]) {
+                    enc_meas.push_row(&fm.encode(&m.config), m.value);
+                    am_meas.push(am_pool[i]);
                 }
-                let mut r = GradientBoosting::new(GbtParams::small_sample(seed ^ 1));
-                r.fit(&train);
-                Some(r.predict_batch(&enc_pool))
-            } else {
-                None
-            };
-            let model = EnsembleModel {
-                kind: self.kind,
-                k: self.k,
-                probe_threshold: self.probe_threshold,
-                fm: &fm,
-                measured: &measured,
-                am_pool: &am_pool,
-                am_meas: &am_meas,
-                ml_pool: ml_model.predict_batch(&enc_pool),
-                ml_meas: ml_model.predict_batch(&enc_meas),
-                res_pool,
-            };
-
-            if measured.len() >= coupled_budget {
-                // Final scoring pass.
-                let scores: Vec<f64> = pool
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| model.predict_idx(i, c))
-                    .collect();
-                return Ok(TunerRun::from_scores(
-                    pool,
-                    scores,
+                // (Re)train the ML parts on everything measured so far,
+                // then evaluate them over the pool and the measured set in
+                // one batch each.
+                let mut ml_model = GradientBoosting::new(GbtParams::small_sample(c.seed));
+                ml_model.fit(&enc_meas);
+                let res_pool = if kind == EnsembleKind::HyBoost {
+                    // Same encoded rows, retargeted to the AM residuals.
+                    let mut train = Dataset::new(fm.n_features());
+                    for (j, (m, am)) in measured.iter().zip(&am_meas).enumerate() {
+                        train.push_row(enc_meas.row(j), m.value - am);
+                    }
+                    let mut r = GradientBoosting::new(GbtParams::small_sample(c.seed ^ 1));
+                    r.fit(&train);
+                    Some(r.predict_batch(&enc_pool))
+                } else {
+                    None
+                };
+                let model = EnsembleModel {
+                    kind,
+                    k,
+                    probe_threshold,
+                    fm: &fm,
                     measured,
-                    component_runs,
-                ));
-            }
+                    am_pool: &am_pool,
+                    am_meas: &am_meas,
+                    ml_pool: ml_model.predict_batch(&enc_pool),
+                    ml_meas: ml_model.predict_batch(&enc_meas),
+                    res_pool,
+                };
+                let pool = ledger.pool.iter().enumerate();
+                let scores: Vec<f64> = pool.map(|(i, c)| model.predict_idx(i, c)).collect();
 
-            let take = batch.min(coupled_budget - measured.len());
-            let mut cand: Vec<usize> = (0..pool.len()).filter(|&i| !measured_idx[i]).collect();
-            let scores: Vec<f64> = pool
-                .iter()
-                .enumerate()
-                .map(|(i, c)| model.predict_idx(i, c))
-                .collect();
-            cand.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-            cand.truncate(take);
-            measure_indices(oracle, pool, &cand, &mut measured_idx, &mut measured)?;
-        }
+                let mut cand = Vec::new();
+                if measured.len() < coupled_budget {
+                    cand.extend((0..scores.len()).filter(|&i| !ledger.taken[i]));
+                    cand.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+                    cand.truncate(batch.min(coupled_budget - measured.len()));
+                }
+                Step::pick(cand, || scores)
+            })
+        })
     }
 }
 

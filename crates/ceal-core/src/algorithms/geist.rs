@@ -12,10 +12,10 @@
 //! ~10¹⁰, so — like the other tuners — GEIST operates on the sampled pool,
 //! connected as a k-nearest-neighbor graph in normalized parameter space.
 
-use super::{fit_surrogate, measure_indices, random_unmeasured, score_pool, Autotuner, TunerRun};
+use super::stepper::{pool_stepper, Step};
+use super::{encode_pool, fit_surrogate, random_unmeasured, Autotuner, Campaign, Stepper};
 use crate::features::FeatureMap;
 use crate::metrics::top_n;
-use crate::oracle::{MeasureError, Oracle};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -101,68 +101,52 @@ impl Autotuner for Geist {
         "GEIST"
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let fm = FeatureMap::for_workflow(oracle.spec());
-        let graph = knn_graph(&fm, pool, self.k_neighbors);
-        let iters = self.iterations.clamp(1, budget.max(1));
-        let batch = (budget / iters).max(1);
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured = Vec::with_capacity(budget);
-        let mut pool_pos: Vec<usize> = Vec::with_capacity(budget); // pool index per measurement
-
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let mut rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let geist = *self;
+        let fm = FeatureMap::for_workflow(&c.spec);
+        let graph = knn_graph(&fm, &c.pool, self.k_neighbors);
+        let iters = self.iterations.clamp(1, c.budget.max(1));
+        let batch = (c.budget / iters).max(1);
         // Initial random batch.
-        let first = random_unmeasured(&measured_idx, batch.min(budget), &mut rng);
-        pool_pos.extend(&first);
-        measure_indices(oracle, pool, &first, &mut measured_idx, &mut measured)?;
-
-        while measured.len() < budget {
+        let first = random_unmeasured(&vec![false; c.pool.len()], batch.min(c.budget), &mut rng);
+        pool_stepper(c.pool, Vec::new(), first, move |ledger| {
+            // Final surrogate for searching/reporting: the standard boosted
+            // trees trained on GEIST's sample selection.
+            let finish = || {
+                let model = fit_surrogate(&fm, &ledger.measured, c.seed);
+                Step::on(model, &encode_pool(&fm, &ledger.pool))
+            };
+            if ledger.measured.len() >= c.budget {
+                return finish();
+            }
             // Label measured nodes: top `optimal_fraction` of observed
             // values are "optimal".
-            let values: Vec<f64> = measured.iter().map(|m| m.value).collect();
-            let n_opt = ((values.len() as f64 * self.optimal_fraction).ceil() as usize)
+            let values: Vec<f64> = ledger.measured.iter().map(|m| m.value).collect();
+            let n_opt = ((values.len() as f64 * geist.optimal_fraction).ceil() as usize)
                 .clamp(1, values.len());
             let best = top_n(&values, n_opt);
-            let mut labels: Vec<Option<f64>> = vec![None; pool.len()];
-            for (mi, &pi) in pool_pos.iter().enumerate() {
+            let mut labels: Vec<Option<f64>> = vec![None; ledger.pool.len()];
+            for (mi, &pi) in ledger.at.iter().enumerate() {
                 labels[pi] = Some(if best.contains(&mi) { 1.0 } else { 0.0 });
             }
-            let goodness = self.propagate(&graph, &labels);
+            let goodness = geist.propagate(&graph, &labels);
 
-            let take = batch.min(budget - measured.len());
-            let n_explore = ((take as f64) * self.explore_fraction).round() as usize;
+            let take = batch.min(c.budget - values.len());
+            let n_explore = ((take as f64) * geist.explore_fraction).round() as usize;
             let n_exploit = take - n_explore;
 
             // Exploit: highest propagated goodness first.
-            let mut cand: Vec<usize> = (0..pool.len()).filter(|&i| !measured_idx[i]).collect();
+            let mut taken = ledger.taken.clone();
+            let mut cand: Vec<usize> = (0..taken.len()).filter(|&i| !taken[i]).collect();
             cand.sort_by(|&a, &b| goodness[b].total_cmp(&goodness[a]).then(a.cmp(&b)));
             let mut picks: Vec<usize> = cand.into_iter().take(n_exploit).collect();
-            for i in &picks {
-                measured_idx[*i] = true; // reserve before drawing randoms
+            for &i in &picks {
+                taken[i] = true; // reserve before drawing randoms
             }
-            let explore = random_unmeasured(&measured_idx, n_explore, &mut rng);
-            for i in &picks {
-                measured_idx[*i] = false; // measure_indices re-marks
-            }
-            picks.extend(explore);
-            if picks.is_empty() {
-                break;
-            }
-            pool_pos.extend(&picks);
-            measure_indices(oracle, pool, &picks, &mut measured_idx, &mut measured)?;
-        }
-
-        // Final surrogate for searching/reporting: the standard boosted
-        // trees trained on GEIST's sample selection.
-        let model = fit_surrogate(&fm, &measured, seed);
-        let scores = score_pool(&fm, model.as_ref(), pool);
-        Ok(TunerRun::from_scores(pool, scores, measured, Vec::new()))
+            picks.extend(random_unmeasured(&taken, n_explore, &mut rng));
+            Step::pick(picks, finish)
+        })
     }
 }
 
@@ -170,6 +154,7 @@ impl Autotuner for Geist {
 mod tests {
     use super::super::test_support::lv_exec_fixture;
     use super::*;
+    use crate::oracle::Oracle;
 
     #[test]
     fn consumes_budget() {

@@ -14,6 +14,7 @@ mod ensembles;
 mod geist;
 mod rl;
 mod rs;
+mod stepper;
 
 pub use al::ActiveLearning;
 pub use alph::Alph;
@@ -23,14 +24,17 @@ pub use ensembles::{EnsembleKind, EnsembleTuner};
 pub use geist::Geist;
 pub use rl::{BanditBootstrap, BanditTuner};
 pub use rs::RandomSampling;
+pub use stepper::{Ask, Campaign, Stepper, Told};
 
 use crate::features::FeatureMap;
+use crate::history::ComponentHistory;
 use crate::metrics::top_n;
 use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
 use ceal_ml::{
     Dataset, GbtParams, GradientBoosting, KnnRegressor, RandomForest, RandomForestParams, Regressor,
 };
 use ceal_sim::Objective;
+use std::sync::Arc;
 
 /// Which ML model family the tuner uses as its workflow surrogate.
 ///
@@ -49,7 +53,7 @@ pub enum SurrogateKind {
 }
 
 /// The outcome of one auto-tuning run.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TunerRun {
     /// Coupled workflow measurements, in collection order.
     pub measured: Vec<Measurement>,
@@ -62,6 +66,10 @@ pub struct TunerRun {
     /// The searcher's recommendation: the pool configuration with the best
     /// predicted performance.
     pub best_predicted: Vec<i64>,
+    /// The final surrogate itself, from the algorithms whose surrogate is
+    /// a model over workflow-feature rows (CEAL's `M_H`, and the boosted
+    /// trees AL, RS, GEIST and RL report); `pool_scores` are its predictions.
+    pub surrogate: Option<Arc<dyn Regressor>>,
 }
 
 impl TunerRun {
@@ -71,6 +79,7 @@ impl TunerRun {
         pool_scores: Vec<f64>,
         measured: Vec<Measurement>,
         component_runs: Vec<SoloMeasurement>,
+        surrogate: Option<Arc<dyn Regressor>>,
     ) -> Self {
         assert_eq!(pool.len(), pool_scores.len(), "score/pool length mismatch");
         let best = top_n(&pool_scores, 1)[0];
@@ -79,6 +88,7 @@ impl TunerRun {
             component_runs,
             pool_scores,
             best_predicted: pool[best].clone(),
+            surrogate,
         }
     }
 
@@ -116,9 +126,13 @@ pub trait Autotuner: Sync {
     /// Algorithm name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
+    /// Starts `campaign` as a resumable [`Stepper`]. `campaign.seed`
+    /// controls every random choice; equal seeds reproduce the run exactly.
+    fn stepper(&self, campaign: Campaign) -> Box<dyn Stepper>;
+
     /// Runs the tuner with `budget` workflow-run equivalents against
-    /// `oracle`, selecting measurements from `pool`. `seed` controls every
-    /// random choice; equal seeds reproduce the run exactly.
+    /// `oracle`, selecting measurements from `pool`: its stepper, driven to
+    /// completion in one sitting.
     ///
     /// A measurement failure (infeasible configuration, exhausted retries,
     /// journal I/O error) aborts the run and surfaces as the typed
@@ -130,7 +144,10 @@ pub trait Autotuner: Sync {
         pool: &[Vec<i64>],
         budget: usize,
         seed: u64,
-    ) -> Result<TunerRun, MeasureError>;
+    ) -> Result<TunerRun, MeasureError> {
+        let mut stepper = self.stepper(Campaign::of(oracle, pool, budget, seed));
+        stepper::drive(stepper.as_mut(), oracle, pool)
+    }
 
     /// Convenience wrapper over [`Autotuner::try_run`] for callers that
     /// treat a measurement failure as a programming error (benchmarks,
@@ -142,6 +159,29 @@ pub trait Autotuner: Sync {
         self.try_run(oracle, pool, budget, seed)
             .unwrap_or_else(|e| panic!("{} tuning run failed: {e}", self.name()))
     }
+}
+
+/// The tuner a campaign names on the wire or the command line. `history`
+/// (`D_hist`) goes to the algorithms with a component-model phase — CEAL,
+/// ALpH and the bootstrapped BO and RL — and replaces their solo runs; the
+/// others have no use for it.
+pub fn by_name(name: &str, history: Option<Arc<ComponentHistory>>) -> Option<Box<dyn Autotuner>> {
+    Some(match name {
+        "ceal" => match history {
+            Some(h) => Box::new(Ceal::with_history(CealParams::with_history(), h)),
+            None => Box::new(Ceal::new(CealParams::without_history())),
+        },
+        "al" => Box::new(ActiveLearning::default()),
+        "rs" => Box::new(RandomSampling),
+        "geist" => Box::new(Geist::default()),
+        "alph" => match history {
+            Some(h) => Box::new(Alph::with_history(h)),
+            None => Box::new(Alph::new()),
+        },
+        "bo" => Box::new(BayesOpt::bootstrapped(history)),
+        "rl" => Box::new(BanditTuner::bootstrapped(history)),
+        _ => return None,
+    })
 }
 
 /// Fits the standard workflow surrogate (boosted trees by default, paper
@@ -217,39 +257,12 @@ pub fn encode_pool(fm: &FeatureMap, pool: &[Vec<i64>]) -> Dataset {
     Dataset::from_rows(&rows, &vec![0.0; rows.len()])
 }
 
-/// Predicts a surrogate over every pool configuration.
-///
-/// Encodes the pool on each call; loops that score a fixed pool repeatedly
-/// should hoist [`encode_pool`] and call `predict_batch` themselves.
-pub(crate) fn score_pool(fm: &FeatureMap, model: &dyn Regressor, pool: &[Vec<i64>]) -> Vec<f64> {
-    model.predict_batch(&encode_pool(fm, pool))
-}
-
 /// Picks the `k` best-scoring pool indices among those not yet measured.
 pub(crate) fn select_top_unmeasured(scores: &[f64], measured_idx: &[bool], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).filter(|&i| !measured_idx[i]).collect();
     idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
     idx.truncate(k);
     idx
-}
-
-/// Measures pool configurations by index, marking them measured. A
-/// failure leaves the earlier measurements in `out` (they are paid for and
-/// journaled) and propagates the error.
-pub(crate) fn measure_indices(
-    oracle: &dyn Oracle,
-    pool: &[Vec<i64>],
-    indices: &[usize],
-    measured_idx: &mut [bool],
-    out: &mut Vec<Measurement>,
-) -> Result<(), MeasureError> {
-    for &i in indices {
-        debug_assert!(!measured_idx[i], "pool index {i} measured twice");
-        let m = oracle.try_measure(&pool[i])?;
-        measured_idx[i] = true;
-        out.push(m);
-    }
-    Ok(())
 }
 
 /// Draws `k` distinct unmeasured pool indices uniformly at random.
@@ -344,6 +357,7 @@ mod tests {
             }],
             pool_scores: vec![],
             best_predicted: vec![1],
+            surrogate: None,
         };
         assert_eq!(run.collection_cost(Objective::ExecutionTime), 7.0);
         assert!((run.collection_cost(Objective::ComputerTime) - 0.6).abs() < 1e-12);

@@ -12,11 +12,11 @@
 //! model before enough data exists. The final surrogate is the same
 //! boosted-tree model the other tuners report.
 
-use super::{fit_surrogate, measure_indices, random_unmeasured, score_pool, Autotuner, TunerRun};
-use crate::acm::{CombineFn, ComponentModels, LowFidelityModel};
+use super::stepper::{after_phase1, pool_stepper, Phase1, Step};
+use super::{encode_pool, fit_surrogate, random_unmeasured, Autotuner, Campaign, Stepper};
+use crate::acm::{CombineFn, LowFidelityModel};
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
-use crate::oracle::{MeasureError, Oracle, SoloMeasurement};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -127,50 +127,35 @@ impl Autotuner for BanditTuner {
         }
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let spec = oracle.spec();
-        let fm = FeatureMap::for_workflow(spec);
-        let encoded: Vec<Vec<f64>> = pool.iter().map(|c| fm.encode(c)).collect();
-        let arms = kmeans(&encoded, self.arms, seed ^ 0xA7A7, 12);
-        let n_arms = self.arms.min(pool.len());
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let Some(boot) = &self.bootstrap else {
+            return self.coupled(c, None, rng);
+        };
+        let this = self.clone();
+        let (history, m_r_fraction) = (boot.history.as_ref(), boot.m_r_fraction);
+        after_phase1(c, history, m_r_fraction, rng, move |c, p1, rng| {
+            this.coupled(c, Some(p1), rng)
+        })
+    }
+}
 
-        // Optional phase 1.
-        let mut component_runs: Vec<SoloMeasurement> = Vec::new();
-        let mut coupled_budget = budget;
-        let mut ml_scores: Option<Vec<f64>> = None;
-        if let Some(boot) = &self.bootstrap {
-            let m_r = if boot.history.is_some() {
-                0
-            } else {
-                (((budget as f64) * boot.m_r_fraction).round() as usize).clamp(1, budget)
-            };
-            let mut comp_data = match &boot.history {
-                Some(h) => (**h).clone(),
-                None => ComponentHistory::empty(spec.components.len()),
-            };
-            for j in 0..spec.components.len() {
-                for _ in 0..m_r {
-                    let values = spec.sample_component_feasible(oracle.platform(), j, &mut rng);
-                    let meas = oracle.try_measure_component(j, &values)?;
-                    comp_data.push(j, values, meas.value);
-                    component_runs.push(meas);
-                }
-            }
+impl BanditTuner {
+    /// The coupled phase: `p1` is `Some` for the bootstrapped variant.
+    fn coupled(&self, c: Campaign, p1: Option<Phase1>, mut rng: ChaCha8Rng) -> Box<dyn Stepper> {
+        let fm = FeatureMap::for_workflow(&c.spec);
+        let encoded: Vec<Vec<f64>> = c.pool.iter().map(|cfg| fm.encode(cfg)).collect();
+        let arms = kmeans(&encoded, self.arms, c.seed ^ 0xA7A7, 12);
+        let n_arms = self.arms.min(c.pool.len());
+        let ml_scores = p1.as_ref().map(|p1| {
             let ml = LowFidelityModel::new(
-                spec,
-                ComponentModels::fit(spec, &comp_data, seed),
-                CombineFn::for_objective(oracle.objective()),
+                &c.spec,
+                p1.models(&c.spec, None, c.seed),
+                CombineFn::for_objective(c.objective),
             );
-            ml_scores = Some(ml.score_all(pool));
-            coupled_budget = budget.saturating_sub(m_r).max(1);
-        }
+            ml.score_all(&c.pool)
+        });
+        let coupled_budget = p1.as_ref().map_or(c.budget, |p| p.coupled_budget(c.budget));
 
         // Arm priors: with a low-fidelity model, the agent starts from the
         // predicted mean rank of each arm; cold otherwise.
@@ -183,7 +168,7 @@ impl Autotuner for BanditTuner {
             let hi = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let span = (hi - lo).max(1e-12);
             for a in 0..n_arms {
-                let best = (0..pool.len())
+                let best = (0..c.pool.len())
                     .filter(|&i| arms[i] == a)
                     .map(|i| scores[i])
                     .fold(f64::INFINITY, f64::min);
@@ -194,18 +179,35 @@ impl Autotuner for BanditTuner {
             }
         }
 
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured = Vec::with_capacity(coupled_budget);
+        let exploration = self.exploration;
         let mut observed_lo = f64::INFINITY;
         let mut observed_hi = f64::NEG_INFINITY;
-
-        while measured.len() < coupled_budget {
+        // The arm the pending pick was drawn from.
+        let mut arm = 0;
+        let component_runs = p1.map_or_else(Vec::new, |p| p.component_runs);
+        // One measurement per batch, rewarded before the next is picked.
+        pool_stepper(c.pool, component_runs, Vec::new(), move |ledger| {
+            let (taken, measured) = (&ledger.taken, &ledger.measured);
+            if let Some(m) = measured.last() {
+                observed_lo = observed_lo.min(m.value);
+                observed_hi = observed_hi.max(m.value);
+                let span = (observed_hi - observed_lo).max(1e-12);
+                pulls[arm] += 1;
+                reward_sum[arm] += 1.0 - (m.value - observed_lo) / span;
+            }
+            let finish = || {
+                let model = fit_surrogate(&fm, measured, c.seed);
+                Step::on(model, &encode_pool(&fm, &ledger.pool))
+            };
+            if measured.len() >= coupled_budget {
+                return finish();
+            }
             // UCB1 arm choice among arms with free configurations.
             let total: usize = pulls.iter().sum::<usize>().max(1);
             let mut best_arm = None;
             let mut best_score = f64::NEG_INFINITY;
             for a in 0..n_arms {
-                let free = (0..pool.len()).any(|i| arms[i] == a && !measured_idx[i]);
+                let free = (0..taken.len()).any(|i| arms[i] == a && !taken[i]);
                 if !free {
                     continue;
                 }
@@ -213,23 +215,26 @@ impl Autotuner for BanditTuner {
                     f64::INFINITY
                 } else {
                     reward_sum[a] / pulls[a] as f64
-                        + self.exploration * ((total as f64).ln() / pulls[a] as f64).sqrt()
+                        + exploration * ((total as f64).ln() / pulls[a] as f64).sqrt()
                 };
                 if ucb > best_score {
                     best_score = ucb;
                     best_arm = Some(a);
                 }
             }
-            let Some(arm) = best_arm else { break };
+            let Some(chosen) = best_arm else {
+                return finish();
+            };
+            arm = chosen;
 
             // Inside the arm: the critic's best unmeasured pick (boosted
             // trees once ≥ 5 samples exist; the low-fidelity prior or a
             // random member before that).
-            let members: Vec<usize> = (0..pool.len())
-                .filter(|&i| arms[i] == arm && !measured_idx[i])
+            let members: Vec<usize> = (0..taken.len())
+                .filter(|&i| arms[i] == arm && !taken[i])
                 .collect();
             let pick = if measured.len() >= 5 {
-                let critic = fit_surrogate(&fm, &measured, seed ^ measured.len() as u64);
+                let critic = fit_surrogate(&fm, measured, c.seed ^ measured.len() as u64);
                 *members
                     .iter()
                     .min_by(|&&a, &&b| {
@@ -244,30 +249,14 @@ impl Autotuner for BanditTuner {
                     .min_by(|&&a, &&b| scores[a].total_cmp(&scores[b]))
                     .expect("nonempty arm")
             } else {
-                members[random_unmeasured(&measured_idx, 1, &mut rng)
+                members[random_unmeasured(taken, 1, &mut rng)
                     .first()
                     .map(|_| 0)
                     .unwrap_or(0)
                     .min(members.len() - 1)]
             };
-
-            measure_indices(oracle, pool, &[pick], &mut measured_idx, &mut measured)?;
-            let value = measured.last().expect("just measured").value;
-            observed_lo = observed_lo.min(value);
-            observed_hi = observed_hi.max(value);
-            let span = (observed_hi - observed_lo).max(1e-12);
-            pulls[arm] += 1;
-            reward_sum[arm] += 1.0 - (value - observed_lo) / span;
-        }
-
-        let model = fit_surrogate(&fm, &measured, seed);
-        let scores = score_pool(&fm, model.as_ref(), pool);
-        Ok(TunerRun::from_scores(
-            pool,
-            scores,
-            measured,
-            component_runs,
-        ))
+            Step::Measure(vec![pick])
+        })
     }
 }
 

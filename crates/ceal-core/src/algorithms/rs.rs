@@ -5,9 +5,9 @@
 //! pool with it. The canonical "no intelligence in sample selection"
 //! baseline.
 
-use super::{fit_surrogate, measure_indices, random_unmeasured, score_pool, Autotuner, TunerRun};
+use super::stepper::{pool_stepper, Step};
+use super::{encode_pool, fit_surrogate, random_unmeasured, Autotuner, Campaign, Stepper};
 use crate::features::FeatureMap;
-use crate::oracle::{MeasureError, Oracle};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -20,22 +20,15 @@ impl Autotuner for RandomSampling {
         "RS"
     }
 
-    fn try_run(
-        &self,
-        oracle: &dyn Oracle,
-        pool: &[Vec<i64>],
-        budget: usize,
-        seed: u64,
-    ) -> Result<TunerRun, MeasureError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let fm = FeatureMap::for_workflow(oracle.spec());
-        let mut measured_idx = vec![false; pool.len()];
-        let mut measured = Vec::with_capacity(budget);
-        let picks = random_unmeasured(&measured_idx, budget, &mut rng);
-        measure_indices(oracle, pool, &picks, &mut measured_idx, &mut measured)?;
-        let model = fit_surrogate(&fm, &measured, seed);
-        let scores = score_pool(&fm, model.as_ref(), pool);
-        Ok(TunerRun::from_scores(pool, scores, measured, Vec::new()))
+    fn stepper(&self, c: Campaign) -> Box<dyn Stepper> {
+        let mut rng = ChaCha8Rng::seed_from_u64(c.seed);
+        let fm = FeatureMap::for_workflow(&c.spec);
+        // The whole budget is the first batch; nothing follows it.
+        let picks = random_unmeasured(&vec![false; c.pool.len()], c.budget, &mut rng);
+        pool_stepper(c.pool, Vec::new(), picks, move |ledger| {
+            let model = fit_surrogate(&fm, &ledger.measured, c.seed);
+            Step::on(model, &encode_pool(&fm, &ledger.pool))
+        })
     }
 }
 

@@ -164,6 +164,19 @@ pub enum JournalRecord {
     Marker(String),
 }
 
+impl JournalRecord {
+    /// The record of one paid-for coupled run.
+    pub fn coupled(m: &Measurement, attempt: u64) -> Self {
+        Self::Coupled {
+            config: m.config.clone(),
+            value: m.value,
+            exec_time: m.exec_time,
+            computer_time: m.computer_time,
+            attempt,
+        }
+    }
+}
+
 /// What [`Journal::open`] found on disk.
 #[derive(Debug)]
 pub struct OpenReport {
@@ -468,13 +481,7 @@ impl Oracle for JournalingOracle<'_> {
         let m = self.inner.try_measure(config)?;
         // Write-ahead: the measurement is not reported until it is durable.
         st.journal
-            .append(&JournalRecord::Coupled {
-                config: m.config.clone(),
-                value: m.value,
-                exec_time: m.exec_time,
-                computer_time: m.computer_time,
-                attempt: 0,
-            })
+            .append(&JournalRecord::coupled(&m, 0))
             .map_err(|e| MeasureError::Failed(format!("journal append failed: {e}")))?;
         st.stats.fresh_coupled += 1;
         st.coupled.insert(m.config.clone(), m.clone());

@@ -6,25 +6,17 @@
 //! pure function of `(base_seed, configuration)`, so the two must produce
 //! bit-identical campaigns for every algorithm a `Tune` request can name.
 
-use ceal_core::{
-    sample_pool, ActiveLearning, Alph, Autotuner, BanditTuner, BayesOpt, Ceal, CealParams, Geist,
-    PoolOracle, RandomSampling, SimOracle, TunerRun,
-};
+use ceal_core::algorithms::by_name;
+use ceal_core::{sample_pool, Autotuner, PoolOracle, SimOracle, TunerRun};
 use ceal_sim::{Objective, Simulator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The algorithms `ceal-serve`'s `make_algo` builds, by wire name.
+/// The algorithms a `Tune` request can name, as `Tune` builds them.
 fn servable_algorithms() -> Vec<(&'static str, Box<dyn Autotuner>)> {
-    vec![
-        ("ceal", Box::new(Ceal::new(CealParams::without_history()))),
-        ("al", Box::new(ActiveLearning::default())),
-        ("rs", Box::new(RandomSampling)),
-        ("geist", Box::new(Geist::default())),
-        ("alph", Box::new(Alph::new())),
-        ("bo", Box::new(BayesOpt::bootstrapped(None))),
-        ("rl", Box::new(BanditTuner::bootstrapped(None))),
-    ]
+    ["ceal", "al", "rs", "geist", "alph", "bo", "rl"]
+        .map(|name| (name, by_name(name, None).expect("servable algorithm")))
+        .into()
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {

@@ -251,10 +251,11 @@ impl ShardStore {
         f: impl FnOnce(&mut ShardLog) -> std::io::Result<R>,
     ) -> std::io::Result<R> {
         let mut guard = shard.log.lock();
-        if guard.is_none() {
-            *guard = Some(self.index(&shard.path)?);
-        }
-        f(guard.as_mut().expect("indexed just above"))
+        let log = match guard.take() {
+            Some(log) => log,
+            None => self.index(&shard.path)?,
+        };
+        f(guard.insert(log))
     }
 
     /// The first-touch scan: verifies every frame, keeps the newest row

@@ -7,9 +7,9 @@
 //!
 //! * [`protocol`] + [`frame`] + [`client`] — request/response enums on a
 //!   length-prefixed JSON frame protocol, plus a blocking [`Client`].
-//! * [`session`] — incremental tuning campaigns as state machines
-//!   (`Created → CollectingHistory → Bootstrapping → Refining → Done`)
-//!   in a registry with idle eviction.
+//! * [`session`] — incremental tuning campaigns: the I/O shell (journal,
+//!   fleet, cache) around `ceal-core`'s ask/tell steppers, in a registry
+//!   with idle eviction.
 //! * [`cache`] — a tiered store of completed campaigns keyed by
 //!   (workflow, platform fingerprint, objective, pool seed, budget,
 //!   algorithm): an in-memory LRU front over per-workflow append-only
@@ -45,9 +45,14 @@
 //! handle.join().unwrap();
 //! ```
 
+// No peer input may panic the process: outside tests a fallible step
+// returns an error instead.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod breaker;
 pub mod cache;
 pub mod client;
+pub mod error;
 pub mod metrics;
 #[cfg(target_os = "linux")]
 pub mod reactor;
@@ -66,6 +71,7 @@ pub use cache::{
     DEFAULT_TRANSFER_THRESHOLD,
 };
 pub use client::{Client, ClientError, TuneOutcome};
+pub use error::ServeError;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN, MAX_MID_FRAME_STALL};
 pub use metrics::{CountingOracle, Endpoint, OverloadStats, ServerMetrics};
 pub use protocol::{
@@ -75,5 +81,5 @@ pub use protocol::{
 #[cfg(target_os = "linux")]
 pub use reactor::sys::{raise_nofile_limit, set_recv_buffer_fd, set_send_buffer_fd};
 pub use server::{ServeConfig, Server, ServerHandle};
-pub use session::{ServeError, Session, SessionManager};
+pub use session::{Session, SessionManager};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};

@@ -16,16 +16,13 @@ use crate::breaker::Breakers;
 use crate::cache::{
     platform_features, AutotuneCache, CacheEntry, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD,
 };
+use crate::error::ServeError;
 use crate::frame::MAX_MID_FRAME_STALL;
 use crate::metrics::{CountingOracle, Endpoint, OverloadStats, ServerMetrics, TracingOracle};
 use crate::protocol::{HealthReport, Request, Response, TuneParams, PROTOCOL_VERSION};
-use crate::session::{
-    cache_key, parse_params, ServeError, Session, SessionManager, ORACLE_BASE_SEED,
-};
-use ceal_core::{
-    sample_pool, ActiveLearning, Alph, Autotuner, BanditTuner, BayesOpt, Ceal, CealParams, Geist,
-    Oracle, RandomSampling, SimOracle,
-};
+use crate::session::{cache_key, parse_params, Session, SessionManager, ORACLE_BASE_SEED};
+use ceal_core::algorithms::by_name;
+use ceal_core::{sample_pool, Oracle, SimOracle};
 use ceal_sim::Simulator;
 use ceal_trace::{TraceContext, Tracer};
 use rand::SeedableRng;
@@ -413,8 +410,7 @@ impl Server {
         let addr = self.local_addr();
         let thread = std::thread::Builder::new()
             .name("ceal-serve-accept".into())
-            .spawn(move || self.run())
-            .expect("failed to spawn server thread");
+            .spawn(move || self.run());
         ServerHandle { addr, thread }
     }
 }
@@ -422,7 +418,8 @@ impl Server {
 /// A running background server.
 pub struct ServerHandle {
     addr: SocketAddr,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
+    /// The serve thread, or why it could not be spawned.
+    thread: std::io::Result<std::thread::JoinHandle<std::io::Result<()>>>,
 }
 
 impl ServerHandle {
@@ -433,7 +430,7 @@ impl ServerHandle {
 
     /// Waits for the serve loop to exit (after a `Shutdown` request).
     pub fn join(self) -> std::io::Result<()> {
-        self.thread
+        self.thread?
             .join()
             .map_err(|_| std::io::Error::other("server thread panicked"))?
     }
@@ -613,29 +610,6 @@ fn with_session<T>(
     f(&mut session)
 }
 
-/// Builds the comparison-algorithm dispatch used by the `tune` CLI, minus
-/// the history variants (remote campaigns carry no history file).
-fn make_algo(name: &str) -> Box<dyn Autotuner> {
-    match name {
-        "ceal" => Box::new(Ceal::new(CealParams::without_history())),
-        "al" => Box::new(ActiveLearning::default()),
-        "rs" => Box::new(RandomSampling),
-        "geist" => Box::new(Geist::default()),
-        "alph" => Box::new(Alph::new()),
-        "bo" => Box::new(BayesOpt::bootstrapped(None)),
-        "rl" => Box::new(BanditTuner::bootstrapped(None)),
-        other => unreachable!("algorithm '{other}' validated by parse_params"),
-    }
-}
-
-/// Maps a tuner-level measurement error onto the wire vocabulary.
-fn measure_error(e: ceal_core::MeasureError) -> ServeError {
-    match e {
-        ceal_core::MeasureError::Sim(e) => ServeError::Infeasible(e.to_string()),
-        other => ServeError::MeasurementFailed(other.to_string()),
-    }
-}
-
 /// One-shot tuning, replicating the `tune` CLI's construction exactly so a
 /// remote campaign returns the same recommendation as a local one with the
 /// same seed.
@@ -679,13 +653,12 @@ fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError>
     let oracle = SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED);
     let counting = CountingOracle::new(&oracle, &inner.metrics);
     let traced = TracingOracle::new(&counting, &inner.tracer, span.ctx());
-    let algo = make_algo(&params.algo);
-    let run = algo
-        .try_run(&traced, &pool, params.budget as usize, params.seed)
-        .map_err(measure_error)?;
-    let tuned = traced
-        .try_measure(&run.best_predicted)
-        .map_err(measure_error)?;
+    // Remote campaigns carry no history file: the tuner pays for its solo
+    // runs out of the budget, as the `tune` CLI does without `--history`.
+    let algo = by_name(&params.algo, None)
+        .ok_or_else(|| ServeError::BadRequest(format!("unknown algorithm '{}'", params.algo)))?;
+    let run = algo.try_run(&traced, &pool, params.budget as usize, params.seed)?;
+    let tuned = traced.try_measure(&run.best_predicted)?;
 
     let entry = CacheEntry {
         key,

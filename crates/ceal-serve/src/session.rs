@@ -2,39 +2,55 @@
 //!
 //! A session is one tuning campaign driven by explicit client steps, so
 //! budget is spent a few measurements at a time instead of in one blocking
-//! request. Each session is a state machine:
+//! request. The search itself is not here: a session is the I/O shell
+//! around an ask/tell [`Stepper`] — the code
+//! [`Autotuner::try_run`](ceal_core::Autotuner::try_run) drives — chosen
+//! by `TuneParams.algo` through [`by_name`]. The shell measures what the
+//! stepper asks for (locally or across the fleet), bills and journals each
+//! result write-ahead, and hands it over. The states a client sees are
+//! read off that exchange:
 //!
 //! ```text
-//! Created → CollectingHistory → Bootstrapping → Refining → Done
+//! created → collecting-history → bootstrapping → refining → done
 //! ```
 //!
-//! *CollectingHistory* gathers free solo component samples (`D_hist`,
-//! §7.5); *Bootstrapping* measures an initial batch of coupled
-//! configurations; *Refining* alternates surrogate fits with measurements
-//! of the most promising unmeasured pool configurations until the budget
-//! is spent; *Done* exposes the final surrogate for batched prediction.
+//! The first `Advance` gathers free solo component samples (`D_hist`,
+//! §7.5; clients may push more until the search starts). The next builds
+//! the stepper over that history: its first coupled ask is
+//! *bootstrapping*, every later ask *refining*, its finished run *done* —
+//! published to the cache and served for batched prediction.
 //!
-//! Sessions live in a [`SessionManager`] registry guarded by `parking_lot`
-//! locks, carry per-session IDs, and are evicted after an idle timeout.
+//! Restart recovery folds the journal through the same transitions: the
+//! records rebuild the history, start the stepper and answer its asks in
+//! order, so a rebuilt session stands where the live one stood, and a
+//! journal the stepper would not have produced is rejected, not trusted.
+//!
+//! A session seeded from a sibling platform's cached campaign
+//! (`warm_source = transfer`) differs in one thing: the sibling's samples
+//! are the campaign's [`TransferPrior`], which CEAL blends into its `M_H`
+//! fits until the session owns a fifth of its budget in measurements.
+//!
+//! Sessions live in a [`SessionManager`] registry, evicted when idle.
 
 use crate::breaker::Breakers;
 use crate::cache::{
-    platform_features, platform_fingerprint, AutotuneCache, CacheEntry, CacheKey, TransferHit,
+    platform_features, platform_fingerprint, AutotuneCache, CacheEntry, CacheKey,
     DEFAULT_TRANSFER_THRESHOLD,
 };
+use crate::error::ServeError;
 use crate::metrics::{CountingOracle, ServerMetrics};
 use crate::protocol::{SessionStatus, TuneParams};
-use ceal_core::algorithms::SurrogateKind;
+use ceal_core::algorithms::{by_name, Ask, Campaign, Stepper, SurrogateKind, Told};
 use ceal_core::{
-    encode_pool, fit_surrogate_samples, fit_surrogate_seeded, prepare_campaign, sample_pool,
-    CampaignId, ComponentHistory, FaultInjector, FeatureMap, Journal, JournalRecord, MeasureError,
+    encode_pool, fit_surrogate_samples, prepare_campaign, sample_pool, CampaignId,
+    ComponentHistory, FaultInjector, FeatureMap, Journal, JournalRecord, MeasureError, Measurement,
     Oracle, SimOracle, TransferPrior,
 };
-use ceal_ml::{Dataset, Regressor};
+use ceal_ml::Regressor;
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
 use ceal_trace::{Span, TraceContext, Tracer};
 use parking_lot::{Mutex, RwLock};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -51,139 +67,47 @@ const MAX_POOL: u64 = 100_000;
 const MAX_BUDGET: u64 = 10_000;
 
 /// Solo samples collected per configurable component in the
-/// history-collection phase.
+/// history-collection phase, and the [`cache_key`] mode that says so.
 const HISTORY_PER_COMPONENT: usize = 4;
+const SESSION_MODE: &str = "session-h4";
 
-/// A request-level failure the server reports as an error frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeError {
-    /// Malformed or out-of-range request parameters.
-    BadRequest(String),
-    /// No session with that ID (never created, closed, or evicted).
-    UnknownSession(u64),
-    /// No fleet worker with that ID (coordinator restarted or the lease
-    /// aged out); the worker should re-register.
-    UnknownWorker(u64),
-    /// The session cannot serve this request in its current phase.
-    NotReady(String),
-    /// The configuration cannot run on this platform.
-    Infeasible(String),
-    /// A measurement attempt crashed (injected fault or backend failure);
-    /// the session is intact and the step can be retried.
-    MeasurementFailed(String),
-    /// Client-supplied history has the wrong shape.
-    HistoryMismatch(String),
-    /// The server is draining and accepts no new work.
-    ShuttingDown,
-    /// A handler panicked; the failure was contained to this request.
-    Internal(String),
-}
-
-impl ServeError {
-    /// Stable machine-readable code for the wire.
-    pub fn code(&self) -> &'static str {
-        match self {
-            Self::BadRequest(_) => "bad-request",
-            Self::UnknownSession(_) => "unknown-session",
-            Self::UnknownWorker(_) => "unknown-worker",
-            Self::NotReady(_) => "not-ready",
-            Self::Infeasible(_) => "infeasible",
-            Self::MeasurementFailed(_) => "measurement-failed",
-            Self::HistoryMismatch(_) => "history-mismatch",
-            Self::ShuttingDown => "shutting-down",
-            Self::Internal(_) => "internal",
-        }
-    }
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadRequest(m) => write!(f, "bad request: {m}"),
-            Self::UnknownSession(id) => write!(f, "unknown session {id}"),
-            Self::UnknownWorker(id) => write!(f, "unknown worker {id} (re-register)"),
-            Self::NotReady(m) => write!(f, "not ready: {m}"),
-            Self::Infeasible(m) => write!(f, "infeasible configuration: {m}"),
-            Self::MeasurementFailed(m) => write!(f, "measurement failed: {m}"),
-            Self::HistoryMismatch(m) => write!(f, "history mismatch: {m}"),
-            Self::ShuttingDown => write!(f, "server is shutting down"),
-            Self::Internal(m) => write!(f, "internal error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<ceal_fleet::FleetError> for ServeError {
-    fn from(e: ceal_fleet::FleetError) -> Self {
-        match e {
-            ceal_fleet::FleetError::UnknownWorker(id) => ServeError::UnknownWorker(id),
-        }
-    }
-}
+/// Journal markers closing a solo batch: collected history, pushed samples.
+const HISTORY_MARKER: &str = "collecting-history";
+const PUSHED_MARKER: &str = "pushed-history";
+/// Prefix of the marker carrying a transfer-seeded session's prior: the
+/// stepper's asks depend on it, so it is journaled with the campaign.
+const PRIOR_MARKER: &str = "transfer-prior ";
 
 /// Parses and validates the shared campaign parameters.
 pub(crate) fn parse_params(p: &TuneParams) -> Result<(WorkflowSpec, Objective), ServeError> {
-    let spec = ceal_apps::workflow_by_name(&p.workflow)
-        .ok_or_else(|| ServeError::BadRequest(format!("unknown workflow '{}'", p.workflow)))?;
+    let bad = |message: String| Err(ServeError::BadRequest(message));
+    let Some(spec) = ceal_apps::workflow_by_name(&p.workflow) else {
+        return bad(format!("unknown workflow '{}'", p.workflow));
+    };
     let objective = match p.objective.as_str() {
         "exec" => Objective::ExecutionTime,
         "comp" => Objective::ComputerTime,
-        other => {
-            return Err(ServeError::BadRequest(format!(
-                "unknown objective '{other}' (want exec|comp)"
-            )))
-        }
+        other => return bad(format!("unknown objective '{other}' (want exec|comp)")),
     };
-    const ALGOS: [&str; 7] = ["ceal", "al", "rs", "geist", "alph", "bo", "rl"];
-    if !ALGOS.contains(&p.algo.as_str()) {
-        return Err(ServeError::BadRequest(format!(
-            "unknown algorithm '{}'",
-            p.algo
-        )));
+    if by_name(&p.algo, None).is_none() {
+        return bad(format!("unknown algorithm '{}'", p.algo));
     }
     if p.budget == 0 || p.budget > MAX_BUDGET {
-        return Err(ServeError::BadRequest(format!(
-            "budget {} out of range 1..={MAX_BUDGET}",
-            p.budget
-        )));
+        return bad(format!("budget {} out of range 1..={MAX_BUDGET}", p.budget));
     }
     if p.pool < 10 || p.pool > MAX_POOL {
-        return Err(ServeError::BadRequest(format!(
-            "pool size {} out of range 10..={MAX_POOL}",
-            p.pool
-        )));
+        return bad(format!("pool size {} out of range 10..={MAX_POOL}", p.pool));
     }
     Ok((spec, objective))
 }
 
-/// The campaign header written as a session journal's first record; the
-/// `session:` algo prefix keeps session journals distinguishable from the
-/// `tune` CLI's.
-pub(crate) fn session_campaign_id(
-    params: &TuneParams,
-    failure_rate: f64,
-    fault_seed: u64,
-) -> CampaignId {
-    CampaignId {
-        workflow: params.workflow.clone(),
-        objective: params.objective.clone(),
-        algo: format!("session:{}", params.algo),
-        budget: params.budget,
-        pool: params.pool,
-        seed: params.seed,
-        failure_rate,
-        fault_seed,
-    }
-}
-
-/// Cache key for a campaign; `mode` separates the one-shot `Tune` path
-/// from incremental sessions, which use different search code.
-pub(crate) fn cache_key(
-    params: &TuneParams,
-    platform: &ceal_sim::Platform,
-    mode: &str,
-) -> CacheKey {
+/// Cache key for a campaign. `mode` names where the campaign's component
+/// data comes from, which the other fields do not carry: one-shot `Tune`
+/// (`tune`) pays for its solo runs out of the budget, a session brings
+/// [`HISTORY_PER_COMPONENT`] free historical samples per component
+/// (`session-h4`). Same algorithm, different campaigns, different answers —
+/// so different keys.
+pub(crate) fn cache_key(params: &TuneParams, platform: &Platform, mode: &str) -> CacheKey {
     CacheKey {
         workflow: params.workflow.to_ascii_uppercase(),
         platform: platform_fingerprint(platform),
@@ -205,26 +129,29 @@ enum Phase {
 }
 
 impl Phase {
-    fn name(self) -> &'static str {
+    /// The state name on the wire, and the trace-span name for the time
+    /// spent *in* this phase.
+    fn names(self) -> (&'static str, &'static str) {
         match self {
-            Self::Created => "created",
-            Self::CollectingHistory => "collecting-history",
-            Self::Bootstrapping => "bootstrapping",
-            Self::Refining => "refining",
-            Self::Done => "done",
+            Self::Created => ("created", "phase.created"),
+            Self::CollectingHistory => ("collecting-history", "phase.collecting-history"),
+            Self::Bootstrapping => ("bootstrapping", "phase.bootstrapping"),
+            Self::Refining => ("refining", "phase.refining"),
+            Self::Done => ("done", "phase.done"),
         }
     }
 
-    /// Trace-span name for the time spent *in* this phase.
-    fn span_name(self) -> &'static str {
-        match self {
-            Self::Created => "phase.created",
-            Self::CollectingHistory => "phase.collecting-history",
-            Self::Bootstrapping => "phase.bootstrapping",
-            Self::Refining => "phase.refining",
-            Self::Done => "phase.done",
-        }
+    fn name(self) -> &'static str {
+        self.names().0
     }
+}
+
+/// The search in progress: the stepper and the batch it waits for. `got`
+/// answers the head of `ask`; a complete batch is told at once.
+struct Search {
+    stepper: Box<dyn Stepper>,
+    ask: Vec<usize>,
+    got: Vec<Measurement>,
 }
 
 /// One live tuning campaign.
@@ -232,108 +159,89 @@ pub struct Session {
     id: u64,
     params: TuneParams,
     oracle: SimOracle,
-    pool: Vec<Vec<i64>>,
-    /// The pool encoded once at session creation; every surrogate scoring
-    /// pass runs batched over this instead of re-encoding per config.
-    encoded_pool: Dataset,
-    fm: FeatureMap,
+    pool: Arc<[Vec<i64>]>,
     phase: Phase,
-    budget_left: u64,
-    /// Initial coupled batch size before surrogate-guided refinement.
-    /// Zero for transfer-seeded sessions — the prior replaces the random
-    /// bootstrap batch entirely.
-    n0: u64,
-    /// How many *own* measurements it takes before the transfer prior is
-    /// dropped from surrogate fits — the cold campaign's bootstrap size,
-    /// so a seeded session's final model is never less grounded than a
-    /// cold one's.
-    prior_hold: u64,
-    /// Sibling-platform samples seeding the bootstrap phase; `None` on
-    /// cold and exact-hit sessions.
+    /// `Some` from leaving `collecting-history` until the stepper is done.
+    search: Option<Search>,
+    /// Sibling-platform samples the stepper gets when the search starts.
     prior: Option<TransferPrior>,
     /// How this session was warmed: `exact`, `transfer`, or `cold`.
     warm_source: &'static str,
-    measured: Vec<(Vec<i64>, f64)>,
-    measured_idx: Vec<bool>,
+    /// `D_hist`: what the stepper's component models are fitted on.
     history: ComponentHistory,
-    surrogate: Option<Box<dyn Regressor>>,
+    /// Whether `history` holds client-pushed samples — data the cache key
+    /// does not carry, so the result is not published as an exact answer.
+    pushed_history: bool,
+    /// Coupled runs committed so far.
+    measured: u64,
+    /// A finished campaign's `(config, value)` measurements, in order.
+    samples: Vec<(Vec<i64>, f64)>,
+    /// What `Predict` scores with: the tuner's final surrogate when it
+    /// handed one over, else boosted trees fitted on `samples` on demand.
+    surrogate: Option<Arc<dyn Regressor>>,
     best: Option<(Vec<i64>, f64)>,
     failure_rate: f64,
     fault_seed: u64,
-    /// Monotonic measurement-attempt counter feeding the fault injector:
-    /// retrying a failed step uses a fresh attempt number, so injected
-    /// faults are transient exactly like the crashes they model.
+    /// Monotonic measurement-attempt counter feeding the fault injector: a
+    /// retry uses a fresh number, so injected faults are transient.
     attempt: u64,
-    /// Write-ahead journal of this campaign's paid-for measurements;
-    /// `None` when the server runs without a journal directory.
+    /// Write-ahead journal; `None` without a journal directory.
     journal: Option<Journal>,
-    /// Campaign trace identifier (0 when the server is untraced). Exposed
-    /// on the wire via [`SessionStatus::trace`] so clients and fleet
-    /// workers can correlate their own events with this campaign.
+    /// Campaign trace identifier (0 when the server is untraced), exposed
+    /// on the wire via [`SessionStatus::trace`].
     trace: u64,
-    /// Root `session` span; its `End` (emitted when the session is closed,
-    /// evicted, or the server drops it) carries the campaign's lifetime.
+    /// Root `session` span; its `End` carries the campaign's lifetime.
     root_span: Option<Span>,
-    /// Span of the phase the campaign is currently in; replaced at every
-    /// transition, so each phase's `End` carries that phase's duration.
+    /// Span of the current phase; its `End` carries the phase's duration.
     phase_span: Option<Span>,
     tracer: Tracer,
-    /// Circuit breakers shared with the server; `None` in unit tests that
-    /// build sessions directly.
+    /// Circuit breakers shared with the server; `None` without one.
     breakers: Option<Breakers>,
     last_touch: Instant,
 }
 
 impl Session {
+    /// A fresh campaign in `home`; `parsed` is [`parse_params`] of `params`.
     fn new(
         id: u64,
         params: TuneParams,
+        parsed: (WorkflowSpec, Objective),
         failure_rate: f64,
         fault_seed: u64,
-        platform: Platform,
-        tracer: Tracer,
+        home: &SessionManager,
     ) -> Session {
-        let (spec, objective) = parse_params(&params).expect("params validated by caller");
+        let (spec, objective) = parsed;
+        let tracer = home.tracer.clone();
         let sim = Simulator {
-            platform,
+            platform: home.platform.clone(),
             ..Simulator::new()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0xFACE);
         let pool = sample_pool(&spec, &sim.platform, params.pool as usize, &mut rng);
-        let fm = FeatureMap::for_workflow(&spec);
-        let n_components = spec.components.len();
-        let oracle = SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED);
-        let n0 = params.budget.div_ceil(5).max(2).min(params.budget);
-        let budget = params.budget;
         let trace = tracer.new_trace();
-        let root_span = if tracer.enabled() {
+        let root_span = tracer.enabled().then(|| {
             let mut span = tracer.span("session", TraceContext::root(trace));
             span.field("session", id);
             span.field("workflow", params.workflow.as_str());
             span.field("algo", params.algo.as_str());
-            span.field("budget", budget);
-            Some(span)
-        } else {
-            None
-        };
+            span.field("budget", params.budget);
+            span
+        });
         let mut s = Session {
             id,
             params,
-            oracle,
-            measured_idx: vec![false; pool.len()],
-            encoded_pool: encode_pool(&fm, &pool),
-            pool,
-            fm,
+            pool: pool.into(),
             phase: Phase::Created,
-            budget_left: budget,
-            n0,
-            prior_hold: n0,
+            search: None,
             prior: None,
             warm_source: "cold",
-            measured: Vec::new(),
-            history: ComponentHistory::empty(n_components),
+            history: ComponentHistory::empty(spec.components.len()),
+            pushed_history: false,
+            measured: 0,
+            samples: Vec::new(),
             surrogate: None,
             best: None,
+            oracle: SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED),
             failure_rate: failure_rate.clamp(0.0, 0.999),
             fault_seed,
             attempt: 0,
@@ -342,7 +250,7 @@ impl Session {
             root_span,
             phase_span: None,
             tracer,
-            breakers: None,
+            breakers: home.breakers.clone(),
             last_touch: Instant::now(),
         };
         s.enter_phase(Phase::Created);
@@ -356,14 +264,12 @@ impl Session {
         self.phase = phase;
         self.phase_span = None;
         if self.tracer.enabled() {
-            let parent = self.root_span.as_ref().map(|s| s.id()).unwrap_or(0);
-            let mut span = self.tracer.span(
-                phase.span_name(),
-                TraceContext {
-                    trace: self.trace,
-                    span: parent,
-                },
-            );
+            let span = self.root_span.as_ref().map_or(0, |s| s.id());
+            let ctx = TraceContext {
+                trace: self.trace,
+                span,
+            };
+            let mut span = self.tracer.span(phase.names().1, ctx);
             span.field("session", self.id);
             self.phase_span = Some(span);
         }
@@ -372,72 +278,20 @@ impl Session {
     /// Trace position for this campaign's child events: the current phase
     /// span when one is open, else the session root.
     fn trace_ctx(&self) -> TraceContext {
+        let span = self.phase_span.as_ref().or(self.root_span.as_ref());
         TraceContext {
             trace: self.trace,
-            span: self
-                .phase_span
-                .as_ref()
-                .or(self.root_span.as_ref())
-                .map(|s| s.id())
-                .unwrap_or(0),
+            span: span.map_or(0, |s| s.id()),
         }
     }
 
-    /// Rebuilds a completed campaign from a cache entry: surrogate refitted
-    /// from the cached samples, no oracle spend.
-    fn from_cache(
-        id: u64,
-        params: TuneParams,
-        entry: &CacheEntry,
-        platform: Platform,
-        tracer: Tracer,
-    ) -> Session {
-        let mut s = Session::new(id, params, 0.0, 0, platform, tracer);
-        s.warm_source = "exact";
-        s.measured = entry.samples.clone();
-        for (cfg, _) in &s.measured {
-            if let Some(i) = s.pool.iter().position(|c| c == cfg) {
-                s.measured_idx[i] = true;
-            }
-        }
-        if !s.measured.is_empty() {
-            s.surrogate = Some(fit_surrogate_samples(
-                SurrogateKind::BoostedTrees,
-                &s.fm,
-                &s.measured,
-                s.params.seed,
-            ));
-        }
-        s.best = Some((entry.best.clone(), entry.best_value));
-        s.enter_phase(Phase::Done);
-        s
-    }
-
-    /// Starts a campaign seeded by a *near-miss* cache hit: a sibling
-    /// platform's samples become a low-fidelity prior standing in for the
-    /// random bootstrap batch (`n0 = 0`), so every coupled run this
-    /// session pays for goes to surrogate-guided refinement. The prior
-    /// only ever shapes intermediate fits — it is dropped once the session
-    /// owns as many measurements as a cold bootstrap would have taken, and
-    /// the final answer comes from this platform's measurements alone.
-    fn from_transfer(
-        id: u64,
-        params: TuneParams,
-        failure_rate: f64,
-        fault_seed: u64,
-        platform: Platform,
-        hit: &TransferHit,
-        tracer: Tracer,
-    ) -> Session {
-        let mut s = Session::new(id, params, failure_rate, fault_seed, platform, tracer);
-        s.warm_source = "transfer";
-        s.n0 = 0;
-        s.prior = Some(TransferPrior::new(
-            hit.entry.samples.clone(),
-            hit.entry.key.platform.clone(),
-            hit.distance,
-        ));
-        s
+    /// Completes a fresh session from a cache entry: no stepper, no spend.
+    fn finish_from(&mut self, entry: &CacheEntry) {
+        self.warm_source = "exact";
+        self.measured = entry.samples.len() as u64;
+        self.samples = entry.samples.clone();
+        self.best = Some((entry.best.clone(), entry.best_value));
+        self.enter_phase(Phase::Done);
     }
 
     /// The externally visible state.
@@ -445,27 +299,26 @@ impl Session {
         SessionStatus {
             session: self.id,
             state: self.phase.name().to_string(),
-            budget_left: self.budget_left,
-            measured: self.measured.len() as u64,
+            budget_left: self.params.budget.saturating_sub(self.measured),
+            measured: self.measured,
             history_samples: self.history.total_samples() as u64,
             best: self.best.as_ref().map(|(c, _)| c.clone()),
             best_value: self.best.as_ref().map(|&(_, v)| v),
             warm_source: self.warm_source.to_string(),
-            trace: if self.trace == 0 {
-                String::new()
-            } else {
-                format!("{:016x}", self.trace)
+            trace: match self.trace {
+                0 => String::new(),
+                trace => format!("{trace:016x}"),
             },
         }
     }
 
     fn arity_check(&self, config: &[i64]) -> Result<(), ServeError> {
-        if config.len() != self.fm.n_features() {
+        let arity = self.oracle.spec().n_params();
+        if config.len() != arity {
             return Err(ServeError::BadRequest(format!(
-                "configuration has {} values, workflow {} takes {}",
+                "configuration has {} values, workflow {} takes {arity}",
                 config.len(),
                 self.params.workflow,
-                self.fm.n_features()
             )));
         }
         Ok(())
@@ -476,25 +329,41 @@ impl Session {
     /// trace event.
     fn journal_append(&mut self, record: &JournalRecord) -> Result<(), ServeError> {
         let ctx = self.trace_ctx();
-        match &mut self.journal {
-            Some(j) => {
-                let start = Instant::now();
-                let result = j
-                    .append(record)
-                    .map_err(|e| ServeError::Internal(format!("journal append failed: {e}")));
-                self.tracer.instant(
-                    "journal.commit",
-                    ctx,
-                    &[
-                        ("session", self.id.into()),
-                        ("us", (start.elapsed().as_micros() as u64).into()),
-                        ("ok", u64::from(result.is_ok()).into()),
-                    ],
-                );
-                result
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
+        let start = Instant::now();
+        let result = journal.append(record);
+        let at = [
+            ("session", self.id.into()),
+            ("us", (start.elapsed().as_micros() as u64).into()),
+            ("ok", u64::from(result.is_ok()).into()),
+        ];
+        self.tracer.instant("journal.commit", ctx, &at);
+        result.map_err(|e| ServeError::Internal(format!("journal append failed: {e}")))
+    }
+
+    /// Journals a batch of solo samples, closed by `marker`. The batch
+    /// commits atomically: replay applies it only once the marker is on
+    /// disk, so a crash mid-batch replays as if it never started.
+    fn journal_history(
+        &mut self,
+        batch: &ComponentHistory,
+        marker: &str,
+    ) -> Result<(), ServeError> {
+        for (component, samples) in batch.samples.iter().enumerate() {
+            for (values, value) in samples {
+                self.journal_append(&JournalRecord::Solo {
+                    component,
+                    values: values.clone(),
+                    value: *value,
+                    // `D_hist` keeps the objective value only.
+                    exec_time: 0.0,
+                    computer_time: 0.0,
+                })?;
             }
-            None => Ok(()),
         }
+        self.journal_append(&JournalRecord::Marker(marker.into()))
     }
 
     /// Drops the journal and deletes its file — called when the campaign
@@ -508,126 +377,64 @@ impl Session {
         }
     }
 
-    /// Measures pool configuration `idx`, routing through the fault
-    /// injector when this session was created with a failure rate.
-    fn measure_pool_config(
-        &mut self,
-        idx: usize,
-        metrics: &ServerMetrics,
-    ) -> Result<f64, ServeError> {
-        self.attempt += 1;
-        let attempt = self.attempt;
-        let cfg = self.pool[idx].clone();
+    /// Measures pool configuration `idx` in this process, routing through
+    /// the fault injector when this session was created with a failure
+    /// rate.
+    fn measure_locally(&self, idx: usize) -> Result<Measurement, ServeError> {
+        let cfg = &self.pool[idx];
         let mut span = self.tracer.span("oracle.measure", self.trace_ctx());
         span.field("source", "local");
         span.field("mode", "coupled");
         span.field("session", self.id);
         span.field("idx", idx as u64);
+        let failed = |e: MeasureError| ServeError::MeasurementFailed(e.to_string());
         let m = if self.failure_rate > 0.0 {
             // Injected faults are a local-retry test fixture, not a sick
             // backend — they bypass the breaker entirely so a
             // fault-injection session can't blackhole real measurements.
-            let injector = FaultInjector::new(&self.oracle, self.failure_rate, self.fault_seed);
-            let m = injector
-                .try_measure(&cfg, attempt)
-                .map_err(|e| ServeError::MeasurementFailed(e.to_string()))?;
-            metrics.add_oracle_measurements(1);
-            m
+            FaultInjector::new(&self.oracle, self.failure_rate, self.fault_seed)
+                .try_measure(cfg, self.attempt)
+                .map_err(failed)?
         } else {
             let breaker = self.breakers.as_ref().map(|b| b.oracle.as_ref());
+            if breaker.is_some_and(|b| !b.allow()) {
+                return Err(ServeError::MeasurementFailed(
+                    "oracle circuit breaker open; measurement refused".into(),
+                ));
+            }
+            let result = Oracle::try_measure(&self.oracle, cfg);
             if let Some(b) = breaker {
-                if !b.allow() {
-                    return Err(ServeError::MeasurementFailed(
-                        "oracle circuit breaker open; measurement refused".into(),
-                    ));
+                match result {
+                    Ok(_) => b.record_success(),
+                    Err(_) => b.record_failure(),
                 }
             }
-            match CountingOracle::new(&self.oracle, metrics).try_measure(&cfg) {
-                Ok(m) => {
-                    if let Some(b) = breaker {
-                        b.record_success();
-                    }
-                    m
-                }
-                Err(e) => {
-                    if let Some(b) = breaker {
-                        b.record_failure();
-                    }
-                    return Err(ServeError::MeasurementFailed(e.to_string()));
-                }
-            }
+            result.map_err(failed)?
         };
         span.field("value", m.value);
-        drop(span);
-        // Write-ahead: the measurement is durable before the campaign
-        // state advances, so a crash after this point re-bills nothing.
-        self.journal_append(&JournalRecord::Coupled {
-            config: cfg.clone(),
-            value: m.value,
-            exec_time: m.exec_time,
-            computer_time: m.computer_time,
-            attempt,
-        })?;
-        self.measured_idx[idx] = true;
-        self.measured.push((cfg, m.value));
-        self.budget_left -= 1;
-        Ok(m.value)
+        Ok(m)
     }
 
-    /// Applies one fleet-measured result exactly as
-    /// [`Session::measure_pool_config`] would have: billed, journaled
-    /// write-ahead, then committed to campaign state. The values are
-    /// bit-identical to a local measurement because workers rebuild the
-    /// same deterministic oracle from the same seed.
-    fn apply_remote_measurement(
-        &mut self,
-        idx: usize,
-        value: f64,
-        exec_time: f64,
-        computer_time: f64,
-        metrics: &ServerMetrics,
-    ) -> Result<(), ServeError> {
-        self.attempt += 1;
-        let attempt = self.attempt;
-        let cfg = self.pool[idx].clone();
-        metrics.add_oracle_measurements(1);
-        self.tracer.instant(
-            "oracle.remote-applied",
-            self.trace_ctx(),
-            &[
-                ("session", self.id.into()),
-                ("idx", (idx as u64).into()),
-                ("value", value.into()),
-            ],
-        );
-        self.journal_append(&JournalRecord::Coupled {
-            config: cfg.clone(),
-            value,
-            exec_time,
-            computer_time,
-            attempt,
-        })?;
-        self.measured_idx[idx] = true;
-        self.measured.push((cfg, value));
-        self.budget_left -= 1;
-        Ok(())
-    }
-
-    /// Measures a batch of pool configurations, scattering across the
-    /// fleet when one is available and has live workers.
+    /// Measures the next `idxs` of the pending ask, in ask order.
     ///
-    /// The fleet path is taken only for fault-free sessions (injected
-    /// faults are a local-retry fixture that must stay on the sequential
-    /// path) and batches worth a scatter round. Whatever the fleet hands
-    /// back unmeasured — worker died, attempts exhausted, gather deadline —
-    /// is measured locally, which yields the very same values, so the
-    /// campaign's trajectory never depends on fleet membership or timing.
-    fn measure_pool_batch(
+    /// Fault-free sessions scatter a batch worth a round across the fleet
+    /// (injected faults are a local-retry fixture that stays sequential).
+    /// Whatever the fleet hands back unmeasured — worker died, attempts
+    /// exhausted, gather deadline — is measured locally, which yields the
+    /// same values (workers rebuild the same deterministic oracle), so the
+    /// trajectory never depends on fleet membership or timing.
+    ///
+    /// Wherever it ran, a measurement commits one way: billed once,
+    /// journaled write-ahead — durable before the campaign state advances,
+    /// so a crash after that point re-bills nothing — then handed to the
+    /// stepper. A failure leaves the rest of the ask pending. Returns
+    /// whether the call waited on a fleet round.
+    fn measure_batch(
         &mut self,
         idxs: &[usize],
         metrics: &ServerMetrics,
         fleet: Option<&ceal_fleet::Coordinator>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<bool, ServeError> {
         // Fleet workers rebuild their oracles on the *default* platform,
         // so a session tuning any other platform must measure locally.
         let fleet = fleet.filter(|f| {
@@ -636,7 +443,7 @@ impl Session {
                 && f.live_workers() > 0
                 && self.oracle.simulator().platform == Platform::default()
         });
-        let mut remote: HashMap<usize, (f64, f64, f64)> = HashMap::new();
+        let mut remote = HashMap::new();
         if let Some(fleet) = fleet {
             let configs: Vec<(u64, Vec<i64>)> = idxs
                 .iter()
@@ -650,97 +457,112 @@ impl Session {
                 ORACLE_BASE_SEED,
                 self.trace_ctx(),
             );
-            let outcome = fleet.gather(batch);
-            for (pool_idx, result) in outcome.results {
-                if let ceal_fleet::TaskOutcome::Measured {
+            remote.extend(fleet.gather(batch).results);
+        }
+        for &idx in idxs {
+            self.attempt += 1;
+            let m = match remote.remove(&(idx as u64)) {
+                Some(ceal_fleet::TaskOutcome::Measured {
                     value,
                     exec_time,
                     computer_time,
-                } = result
-                {
-                    remote.insert(pool_idx as usize, (value, exec_time, computer_time));
+                }) => {
+                    let at = [("session", self.id.into()), ("idx", (idx as u64).into())];
+                    self.tracer
+                        .instant("oracle.remote-applied", self.trace_ctx(), &at);
+                    Measurement {
+                        config: self.pool[idx].clone(),
+                        value,
+                        exec_time,
+                        computer_time,
+                    }
                 }
-            }
+                _ => self.measure_locally(idx)?,
+            };
+            metrics.add_oracle_measurements(1);
+            self.journal_append(&JournalRecord::coupled(&m, self.attempt))?;
+            self.commit(m)?;
         }
-        // Apply in selection order regardless of fleet completion order:
-        // the journal and the `measured` vector come out byte-for-byte the
-        // same as a purely local run.
-        for &idx in idxs {
-            match remote.get(&idx) {
-                Some(&(value, exec_time, computer_time)) => {
-                    self.apply_remote_measurement(idx, value, exec_time, computer_time, metrics)?;
+        Ok(fleet.is_some())
+    }
+
+    /// Leaves `collecting-history`: builds the stepper of `params.algo`
+    /// over the session's history and fetches its first ask.
+    fn start_search(&mut self) -> Result<(), ServeError> {
+        let history = Arc::new(self.history.clone());
+        let tuner = by_name(&self.params.algo, Some(history)).ok_or_else(|| {
+            ServeError::Internal(format!("no tuner named '{}'", self.params.algo))
+        })?;
+        let (budget, seed) = (self.params.budget as usize, self.params.seed);
+        let mut campaign = Campaign::of(&self.oracle, Arc::clone(&self.pool), budget, seed);
+        campaign.prior = self.prior.take();
+        self.enter_phase(Phase::Bootstrapping);
+        self.ask_next(tuner.stepper(campaign))
+    }
+
+    /// Fetches `stepper`'s next ask. The first coupled ask is
+    /// `bootstrapping`, every later one `refining`, the finished run `done`.
+    fn ask_next(&mut self, mut stepper: Box<dyn Stepper>) -> Result<(), ServeError> {
+        match stepper.next() {
+            Ask::Coupled(ask) => {
+                if self.measured > 0 && self.phase == Phase::Bootstrapping {
+                    self.enter_phase(Phase::Refining);
                 }
-                None => {
-                    self.measure_pool_config(idx, metrics)?;
-                }
+                let got = Vec::new();
+                self.search = Some(Search { stepper, ask, got });
+            }
+            Ask::Done(run) => {
+                let best_value = run
+                    .pool_scores
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                self.best = Some((run.best_predicted, best_value));
+                self.surrogate = run.surrogate;
+                let measured = run.measured.into_iter();
+                self.samples = measured.map(|m| (m.config, m.value)).collect();
+                self.enter_phase(Phase::Done);
+            }
+            // Every tuner with a solo phase was handed the history.
+            Ask::Solo(_) => {
+                return Err(ServeError::Internal(format!(
+                    "tuner '{}' asked for solo runs despite its history",
+                    self.params.algo
+                )))
             }
         }
         Ok(())
     }
 
-    fn fit_and_score(&mut self) {
-        // A transfer prior carries the fit while this session has fewer
-        // own measurements than a cold bootstrap would have banked; once
-        // it does, the sibling's samples have nothing left to add and the
-        // model is fitted from local measurements only.
-        let model = match &self.prior {
-            Some(prior) if (self.measured.len() as u64) < self.prior_hold => fit_surrogate_seeded(
-                SurrogateKind::BoostedTrees,
-                &self.fm,
-                &self.measured,
-                prior,
-                self.params.seed,
-            ),
-            _ => fit_surrogate_samples(
-                SurrogateKind::BoostedTrees,
-                &self.fm,
-                &self.measured,
-                self.params.seed,
-            ),
+    /// Takes the answer to the next configuration of the pending ask; a
+    /// completed batch is told to the stepper and the next ask fetched.
+    /// Live measurements and replayed journal records both come through
+    /// here, which is what makes replay a fold of the journal.
+    fn commit(&mut self, m: Measurement) -> Result<(), ServeError> {
+        let Some(mut search) = self.search.take() else {
+            return Err(ServeError::Internal(format!(
+                "coupled run outside the search (state {})",
+                self.phase.name()
+            )));
         };
-        let scores = model.predict_batch(&self.encoded_pool);
-        let mut best_i = 0;
-        for (i, s) in scores.iter().enumerate() {
-            if s < &scores[best_i] {
-                best_i = i;
-            }
+        let asked = &self.pool[search.ask[search.got.len()]];
+        if &m.config != asked {
+            return Err(ServeError::Internal(format!(
+                "run of {:?} where the tuner asked for {asked:?}",
+                m.config
+            )));
         }
-        self.best = Some((self.pool[best_i].clone(), scores[best_i]));
-        self.surrogate = Some(model);
-    }
-
-    /// Indices of the `k` best-scoring unmeasured pool configurations
-    /// under the current surrogate.
-    fn top_unmeasured(&self, k: usize) -> Vec<usize> {
-        let model = self.surrogate.as_ref().expect("surrogate fitted");
-        let scores = model.predict_batch(&self.encoded_pool);
-        let mut idx: Vec<usize> = (0..self.pool.len())
-            .filter(|&i| !self.measured_idx[i])
-            .collect();
-        idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-        idx.truncate(k);
-        idx
-    }
-
-    /// One random pool index not marked in `taken`, deterministic in
-    /// `count` — the number of measurements that will exist when this pick
-    /// is measured. Seeding by count alone (never by measured values) is
-    /// what lets a batch be pre-selected up front: pick `k` of a batch
-    /// sees exactly the seed the sequential loop's iteration `k` would,
-    /// and a retry after an injected fault picks the same configuration
-    /// again.
-    fn random_unmeasured_at(&self, taken: &[bool], count: u64) -> Option<usize> {
-        let free: Vec<usize> = (0..self.pool.len()).filter(|&i| !taken[i]).collect();
-        if free.is_empty() {
-            return None;
+        search.got.push(m);
+        self.measured += 1;
+        if search.got.len() < search.ask.len() {
+            self.search = Some(search);
+            return Ok(());
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0xB007 ^ (count << 8));
-        Some(free[rng.gen_range(0..free.len())])
+        search.stepper.tell(Told::Coupled(search.got));
+        self.ask_next(search.stepper)
     }
 
-    /// Advances the campaign, spending at most `runs` coupled
-    /// measurements locally. Identical to [`Session::advance_with`]
-    /// without a fleet.
+    /// [`Session::advance_with`] without a fleet.
     pub fn advance(
         &mut self,
         runs: u64,
@@ -751,9 +573,14 @@ impl Session {
     }
 
     /// Advances the campaign, spending at most `runs` coupled
-    /// measurements, scattering each phase's measurement batch across
-    /// `fleet` when one is supplied and has live workers. Each call
-    /// executes at most one phase so clients observe every state.
+    /// measurements of the stepper's pending ask, in ask order, scattered
+    /// across `fleet` when one is supplied and has live workers.
+    ///
+    /// The first call collects the history and stops there. Later calls
+    /// measure; one call's measurements straddle at most one batch
+    /// boundary (the rest of the pending ask, then the start of the next)
+    /// and wait on at most one fleet round, so a client sees a bounded
+    /// step whatever `runs` it passes.
     pub fn advance_with(
         &mut self,
         runs: u64,
@@ -765,95 +592,67 @@ impl Session {
             return Err(ServeError::BadRequest("advance of 0 runs".into()));
         }
         match self.phase {
-            Phase::Created => {
-                // Historical solo samples are free (§7.5): they model data
-                // the components' owners already had.
-                let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0xD157);
-                let (collected, solos) = ComponentHistory::try_collect(
-                    &CountingOracle::new(&self.oracle, metrics),
-                    HISTORY_PER_COMPONENT,
-                    &mut rng,
-                )
-                .map_err(|e| ServeError::MeasurementFailed(e.to_string()))?;
-                // The solo batch commits atomically: replay applies it only
-                // once the closing marker is on disk.
-                for s in &solos {
-                    self.journal_append(&JournalRecord::Solo {
-                        component: s.component,
-                        values: s.values.clone(),
-                        value: s.value,
-                        exec_time: s.exec_time,
-                        computer_time: s.computer_time,
-                    })?;
+            Phase::Created => self.collect_history(metrics)?,
+            Phase::Done => {}
+            _ => {
+                if self.phase == Phase::CollectingHistory {
+                    self.start_search()?;
                 }
-                self.journal_append(&JournalRecord::Marker("collecting-history".into()))?;
-                self.history
-                    .merge(&collected)
-                    .map_err(|e| ServeError::Internal(e.to_string()))?;
-                self.enter_phase(Phase::CollectingHistory);
-            }
-            Phase::CollectingHistory => {
-                self.journal_append(&JournalRecord::Marker("phase:bootstrapping".into()))?;
-                self.enter_phase(Phase::Bootstrapping);
-                return self.advance_with(runs, cache, metrics, fleet);
-            }
-            Phase::Bootstrapping => {
-                let target = self.n0.saturating_sub(self.measured.len() as u64);
-                let spend = runs.min(target).min(self.budget_left);
-                // Pre-select the whole batch. The pick seed depends only
-                // on the measurement count, so choosing `spend` configs up
-                // front reproduces the sequential loop's choice sequence
-                // exactly — which is what makes scattering them safe.
-                let mut taken = self.measured_idx.clone();
-                let mut idxs = Vec::with_capacity(spend as usize);
-                for k in 0..spend {
-                    let count = self.measured.len() as u64 + k;
-                    let Some(idx) = self.random_unmeasured_at(&taken, count) else {
+                let mut left = usize::try_from(runs).unwrap_or(usize::MAX);
+                for _ in 0..2 {
+                    let Some(search) = &self.search else { break };
+                    let pending = &search.ask[search.got.len()..];
+                    let todo = pending[..left.min(pending.len())].to_vec();
+                    left -= todo.len();
+                    if self.measure_batch(&todo, metrics, fleet)? {
                         break;
-                    };
-                    taken[idx] = true;
-                    idxs.push(idx);
+                    }
                 }
-                self.measure_pool_batch(&idxs, metrics, fleet)?;
-                if self.measured.len() as u64 >= self.n0 || self.budget_left == 0 {
-                    self.fit_and_score();
-                    self.journal_append(&JournalRecord::Marker("phase:refining".into()))?;
-                    self.enter_phase(Phase::Refining);
-                }
-            }
-            Phase::Refining => {
-                let spend = runs.min(self.budget_left) as usize;
-                let idxs = self.top_unmeasured(spend);
-                self.measure_pool_batch(&idxs, metrics, fleet)?;
-                self.fit_and_score();
-                if self.budget_left == 0 {
-                    self.journal_append(&JournalRecord::Marker("phase:done".into()))?;
-                    self.enter_phase(Phase::Done);
+                if self.phase == Phase::Done {
                     self.finish(cache, metrics);
                 }
             }
-            Phase::Done => {}
         }
         Ok(self.status())
     }
 
+    /// Gathers the free solo samples (§7.5): they model data the
+    /// components' owners already had.
+    fn collect_history(&mut self, metrics: &ServerMetrics) -> Result<(), ServeError> {
+        let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0xD157);
+        let (collected, _) = ComponentHistory::try_collect(
+            &CountingOracle::new(&self.oracle, metrics),
+            HISTORY_PER_COMPONENT,
+            &mut rng,
+        )
+        .map_err(|e| ServeError::MeasurementFailed(e.to_string()))?;
+        self.journal_history(&collected, HISTORY_MARKER)?;
+        self.history
+            .merge(&collected)
+            .map_err(|e| ServeError::Internal(e.to_string()))?;
+        self.enter_phase(Phase::CollectingHistory);
+        Ok(())
+    }
+
     /// Publishes the completed campaign to the shared cache and retires
     /// the journal — the cache is now the durable record. A persistence
-    /// failure is counted on the Metrics endpoint (the entry still serves
-    /// from memory for this process's lifetime).
+    /// failure is counted on the Metrics endpoint.
     fn finish(&mut self, cache: &AutotuneCache, metrics: &ServerMetrics) {
         self.delete_journal();
         let Some((best, best_value)) = self.best.clone() else {
             return;
         };
+        if self.pushed_history {
+            return;
+        }
         let platform = &self.oracle.simulator().platform;
         let entry = CacheEntry {
-            key: cache_key(&self.params, platform, "session"),
+            key: cache_key(&self.params, platform, SESSION_MODE),
             best,
             best_value,
-            runs_used: self.measured.len() as u64,
+            runs_used: self.measured,
             component_runs: self.history.total_samples() as u64,
-            samples: self.measured.clone(),
+            samples: self.samples.clone(),
             platform_features: platform_features(platform),
         };
         cache.publish(
@@ -866,20 +665,24 @@ impl Session {
         );
     }
 
-    /// Scores `configs` with the trained surrogate in one encoded batch
-    /// (the ensemble's batched SoA path fans large batches out over the
-    /// worker pool itself).
-    pub fn predict(&self, configs: &[Vec<i64>]) -> Result<Vec<f64>, ServeError> {
-        let Some(model) = self.surrogate.as_ref() else {
+    /// Scores `configs` in one encoded batch with the finished campaign's
+    /// surrogate.
+    pub fn predict(&mut self, configs: &[Vec<i64>]) -> Result<Vec<f64>, ServeError> {
+        if self.phase != Phase::Done || self.samples.is_empty() {
             return Err(ServeError::NotReady(format!(
-                "no surrogate fitted yet (state {})",
+                "no surrogate before the campaign is done (state {})",
                 self.phase.name()
             )));
-        };
+        }
         for cfg in configs {
             self.arity_check(cfg)?;
         }
-        Ok(model.predict_batch(&encode_pool(&self.fm, configs)))
+        let fm = FeatureMap::for_workflow(self.oracle.spec());
+        let model = self.surrogate.get_or_insert_with(|| {
+            let kind = SurrogateKind::BoostedTrees;
+            fit_surrogate_samples(kind, &fm, &self.samples, self.params.seed).into()
+        });
+        Ok(model.predict_batch(&encode_pool(&fm, configs)))
     }
 
     /// Measures one ad-hoc configuration. Infeasible configurations come
@@ -888,102 +691,112 @@ impl Session {
         &mut self,
         config: &[i64],
         metrics: &ServerMetrics,
-    ) -> Result<ceal_core::Measurement, ServeError> {
+    ) -> Result<Measurement, ServeError> {
         self.arity_check(config)?;
-        CountingOracle::new(&self.oracle, metrics)
-            .try_measure(config)
-            .map_err(|e| match e {
-                MeasureError::Sim(e) => ServeError::Infeasible(e.to_string()),
-                other => ServeError::MeasurementFailed(other.to_string()),
-            })
+        Ok(CountingOracle::new(&self.oracle, metrics).try_measure(config)?)
     }
 
-    /// Merges client-supplied historical component samples.
+    /// Adds `incoming` to `D_hist`, refusing samples the component models
+    /// could not be fitted on.
+    fn merge_history(&mut self, incoming: &ComponentHistory) -> Result<(), String> {
+        let components = &self.oracle.spec().components;
+        for (comp, samples) in components.iter().zip(&incoming.samples) {
+            let arity = comp.params().len();
+            let misfit = |(v, y): &&(Vec<i64>, f64)| v.len() != arity || !y.is_finite();
+            if let Some((values, value)) = samples.iter().find(misfit) {
+                return Err(format!(
+                    "sample {values:?} = {value} does not fit {} ({arity} parameters)",
+                    comp.name()
+                ));
+            }
+        }
+        self.history.merge(incoming).map_err(|e| e.to_string())
+    }
+
+    /// Merges client-supplied historical component samples into `D_hist`.
+    /// Once the search has started its component models are fitted and the
+    /// history is closed.
     pub fn push_history(
         &mut self,
         samples: Vec<Vec<(Vec<i64>, f64)>>,
     ) -> Result<SessionStatus, ServeError> {
+        if !matches!(self.phase, Phase::Created | Phase::CollectingHistory) {
+            return Err(ServeError::NotReady(format!(
+                "history is closed once the search has started (state {})",
+                self.phase.name()
+            )));
+        }
         let incoming = ComponentHistory { samples };
-        self.history
-            .merge(&incoming)
-            .map_err(|e| ServeError::HistoryMismatch(e.to_string()))?;
+        self.merge_history(&incoming)
+            .map_err(ServeError::HistoryMismatch)?;
+        self.pushed_history = true;
+        self.journal_history(&incoming, PUSHED_MARKER)?;
         Ok(self.status())
     }
 
-    /// Restores campaign state from journaled records (everything after
-    /// the `Start` header), spending zero oracle budget, then derives the
-    /// phase from what was recovered.
-    ///
-    /// Solo history records commit as a batch: they apply only when their
-    /// closing `collecting-history` marker made it to disk, so a crash
-    /// mid-collection replays as "not started" and the free solos are
-    /// simply re-collected.
+    /// Restores campaign state by folding the journaled records
+    /// (everything after the `Start` header) through the transitions a
+    /// live campaign takes, spending zero oracle budget: solo batches
+    /// rebuild the history, the first coupled record starts the search,
+    /// every coupled record answers the stepper's pending ask. A record
+    /// the stepper did not ask for — another build's journal, a tampered
+    /// file, more runs than the budget — fails the rebuild.
     fn replay(&mut self, records: Vec<JournalRecord>) -> Result<(), ServeError> {
-        let mut solos: Vec<(usize, Vec<i64>, f64)> = Vec::new();
-        let mut history_committed = false;
+        let corrupt = |m: String| ServeError::Internal(format!("journal does not replay: {m}"));
+        let mut batch = ComponentHistory::empty(self.history.n_components());
         for rec in records {
             match rec {
-                JournalRecord::Start(_) => {
-                    return Err(ServeError::Internal("duplicate campaign header".into()));
-                }
+                JournalRecord::Start(_) => return Err(corrupt("duplicate header".into())),
                 JournalRecord::Solo {
                     component,
                     values,
                     value,
                     ..
-                } => solos.push((component, values, value)),
-                JournalRecord::Marker(m) if m == "collecting-history" => {
-                    for (c, v, val) in solos.drain(..) {
-                        if c >= self.history.n_components() {
-                            return Err(ServeError::Internal(format!(
-                                "journaled solo for component {c} out of range"
-                            )));
-                        }
-                        self.history.push(c, v, val);
+                } => match batch.samples.get_mut(component) {
+                    Some(samples) => samples.push((values, value)),
+                    None => return Err(corrupt(format!("solo for component {component}"))),
+                },
+                JournalRecord::Marker(m) if m == HISTORY_MARKER || m == PUSHED_MARKER => {
+                    if self.search.is_some() || self.phase == Phase::Done {
+                        return Err(corrupt("history after the search started".into()));
                     }
-                    history_committed = true;
+                    self.merge_history(&batch).map_err(corrupt)?;
+                    batch = ComponentHistory::empty(self.history.n_components());
+                    if m == HISTORY_MARKER {
+                        self.enter_phase(Phase::CollectingHistory);
+                    } else {
+                        self.pushed_history = true;
+                    }
+                }
+                JournalRecord::Marker(m) if m.starts_with(PRIOR_MARKER) => {
+                    let (samples, source, distance): (_, String, _) =
+                        serde_json::from_str(&m[PRIOR_MARKER.len()..])
+                            .map_err(|e| corrupt(format!("transfer prior: {e}")))?;
+                    self.prior = Some(TransferPrior::new(samples, source, distance));
+                    self.warm_source = "transfer";
                 }
                 JournalRecord::Marker(_) => {}
                 JournalRecord::Coupled {
                     config,
                     value,
+                    exec_time,
+                    computer_time,
                     attempt,
-                    ..
                 } => {
-                    if self.budget_left == 0 {
-                        return Err(ServeError::Internal(
-                            "journal holds more coupled runs than the budget".into(),
-                        ));
+                    if self.phase == Phase::CollectingHistory {
+                        self.start_search()?;
                     }
-                    if let Some(i) = self.pool.iter().position(|c| c == &config) {
-                        self.measured_idx[i] = true;
-                    }
-                    self.measured.push((config, value));
-                    self.budget_left -= 1;
                     self.attempt = self.attempt.max(attempt);
+                    self.commit(Measurement {
+                        config,
+                        value,
+                        exec_time,
+                        computer_time,
+                    })?;
                 }
             }
         }
-        let phase = if !history_committed && self.measured.is_empty() {
-            Phase::Created
-        } else if self.measured.is_empty() {
-            Phase::CollectingHistory
-        } else if (self.measured.len() as u64) < self.n0 && self.budget_left > 0 {
-            Phase::Bootstrapping
-        } else {
-            self.fit_and_score();
-            if self.budget_left > 0 {
-                Phase::Refining
-            } else {
-                Phase::Done
-            }
-        };
-        self.enter_phase(phase);
         Ok(())
-    }
-
-    fn touch(&mut self) {
-        self.last_touch = Instant::now();
     }
 }
 
@@ -1104,17 +917,13 @@ impl SessionManager {
     fn rebuild_one(&self, path: &Path, id: u64) -> Result<Session, ServeError> {
         let (journal, report) = Journal::open(path)
             .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
+        let bad = |message: String| Err(ServeError::Internal(message));
         let mut records = report.records.into_iter();
         let Some(JournalRecord::Start(cid)) = records.next() else {
-            return Err(ServeError::Internal(
-                "journal has no campaign header".into(),
-            ));
+            return bad("journal has no campaign header".into());
         };
         let Some(algo) = cid.algo.strip_prefix("session:") else {
-            return Err(ServeError::Internal(format!(
-                "not a session journal (campaign algo '{}')",
-                cid.algo
-            )));
+            return bad(format!("not a session journal (algo '{}')", cid.algo));
         };
         let params = TuneParams {
             workflow: cid.workflow.clone(),
@@ -1124,16 +933,9 @@ impl SessionManager {
             seed: cid.seed,
             algo: algo.to_string(),
         };
-        parse_params(&params)?;
-        let mut session = Session::new(
-            id,
-            params,
-            cid.failure_rate,
-            cid.fault_seed,
-            self.platform.clone(),
-            self.tracer.clone(),
-        );
-        session.breakers = self.breakers.clone();
+        let parsed = parse_params(&params)?;
+        let (failure_rate, fault_seed) = (cid.failure_rate, cid.fault_seed);
+        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self);
         session.journal = Some(journal);
         session.replay(records.collect())?;
         Ok(session)
@@ -1150,13 +952,12 @@ impl SessionManager {
     }
 
     /// Opens a session, consulting the cache tier by tier: an **exact**
-    /// hit starts the session in `done` with its surrogate refitted from
-    /// cached samples and zero oracle spend; failing that, the nearest
-    /// cached sibling platform within the transfer threshold seeds a
-    /// **transfer** campaign (prior samples instead of a random
-    /// bootstrap); otherwise the campaign starts **cold**. Returns the
-    /// status (whose `warm_source` names the tier) and whether an exact
-    /// hit supplied it.
+    /// hit starts the session in `done` with zero oracle spend; failing
+    /// that, the nearest cached sibling platform within the transfer
+    /// threshold seeds a **transfer** campaign (its samples become the
+    /// stepper's prior); otherwise the campaign starts **cold**. Returns
+    /// the status (whose `warm_source` names the tier) and whether an
+    /// exact hit supplied it.
     pub fn create(
         &self,
         params: TuneParams,
@@ -1165,68 +966,38 @@ impl SessionManager {
         cache: &AutotuneCache,
         metrics: &ServerMetrics,
     ) -> Result<(SessionStatus, bool), ServeError> {
-        parse_params(&params)?;
+        let parsed = parse_params(&params)?;
         if !(0.0..1.0).contains(&failure_rate) {
             return Err(ServeError::BadRequest(format!(
                 "failure rate {failure_rate} outside [0, 1)"
             )));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let key = cache_key(&params, &self.platform, "session");
+        let key = cache_key(&params, &self.platform, SESSION_MODE);
         let lookup_start = Instant::now();
         let (hit, tier) = cache.get_with_tier(&key);
-        let (mut session, from_cache) = match hit {
+        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self);
+        match &hit {
             Some(entry) => {
                 metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                (
-                    Session::from_cache(
-                        id,
-                        params,
-                        &entry,
-                        self.platform.clone(),
-                        self.tracer.clone(),
-                    ),
-                    true,
-                )
+                session.finish_from(entry);
             }
             None => {
                 metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let transfer = match self.transfer_threshold > 0.0 {
-                    true => cache.nearest_transfer(
-                        &key,
-                        &platform_features(&self.platform),
-                        self.transfer_threshold,
-                    ),
-                    false => None,
-                };
-                let session = match &transfer {
-                    Some(hit) => {
-                        metrics
-                            .cache_transfer_seeded
-                            .fetch_add(1, Ordering::Relaxed);
-                        Session::from_transfer(
-                            id,
-                            params,
-                            failure_rate,
-                            fault_seed,
-                            self.platform.clone(),
-                            hit,
-                            self.tracer.clone(),
-                        )
-                    }
-                    None => Session::new(
-                        id,
-                        params,
-                        failure_rate,
-                        fault_seed,
-                        self.platform.clone(),
-                        self.tracer.clone(),
-                    ),
-                };
-                (session, false)
+                let features = platform_features(&self.platform);
+                let near = (self.transfer_threshold > 0.0)
+                    .then(|| cache.nearest_transfer(&key, &features, self.transfer_threshold));
+                if let Some(near) = near.flatten() {
+                    metrics
+                        .cache_transfer_seeded
+                        .fetch_add(1, Ordering::Relaxed);
+                    session.warm_source = "transfer";
+                    let (samples, from) = (near.entry.samples, near.entry.key.platform);
+                    session.prior = Some(TransferPrior::new(samples, from, near.distance));
+                }
             }
-        };
-        session.breakers = self.breakers.clone();
+        }
+        let from_cache = hit.is_some();
         // One lookup event per created session, naming both the store tier
         // that answered (`front`/`disk`/`miss`) and the campaign tier the
         // session starts in (`exact`/`transfer`/`cold`).
@@ -1242,16 +1013,30 @@ impl SessionManager {
         );
         // Warm-cache sessions spend nothing, so there is nothing worth
         // journaling; fresh campaigns get a write-ahead journal.
-        if !from_cache {
-            if let Some(dir) = &self.journal_dir {
-                let path = Self::journal_path(dir, id);
-                let _ = std::fs::remove_file(&path); // stale leftover, new campaign
-                let (mut journal, report) = Journal::open(&path)
-                    .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
-                let cid = session_campaign_id(&session.params, failure_rate, fault_seed);
-                prepare_campaign(&mut journal, report.records, &cid, false)
-                    .map_err(|e| ServeError::Internal(format!("journal header failed: {e}")))?;
-                session.journal = Some(journal);
+        if let (false, Some(dir)) = (from_cache, &self.journal_dir) {
+            let path = Self::journal_path(dir, id);
+            let _ = std::fs::remove_file(&path); // stale leftover, new campaign
+            let (mut journal, report) = Journal::open(&path)
+                .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
+            // The `session:` prefix tells session journals from the CLI's.
+            let cid = CampaignId {
+                workflow: session.params.workflow.clone(),
+                objective: session.params.objective.clone(),
+                algo: format!("session:{}", session.params.algo),
+                budget: session.params.budget,
+                pool: session.params.pool,
+                seed: session.params.seed,
+                failure_rate,
+                fault_seed,
+            };
+            prepare_campaign(&mut journal, report.records, &cid, false)
+                .map_err(|e| ServeError::Internal(format!("journal header failed: {e}")))?;
+            session.journal = Some(journal);
+            if let Some(prior) = &session.prior {
+                let prior = (&prior.samples, &prior.source, prior.distance);
+                let json = serde_json::to_string(&prior)
+                    .map_err(|e| ServeError::Internal(format!("prior does not serialize: {e}")))?;
+                session.journal_append(&JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")))?;
             }
         }
         let status = session.status();
@@ -1270,7 +1055,7 @@ impl SessionManager {
             .get(&id)
             .cloned()
             .ok_or(ServeError::UnknownSession(id))?;
-        handle.lock().touch();
+        handle.lock().last_touch = Instant::now();
         Ok(handle)
     }
 
@@ -1333,6 +1118,11 @@ mod tests {
             AutotuneCache::in_memory(),
             ServerMetrics::new(),
         )
+    }
+
+    #[test]
+    fn session_cache_mode_names_the_history_size() {
+        assert_eq!(SESSION_MODE, format!("session-h{HISTORY_PER_COMPONENT}"));
     }
 
     #[test]
@@ -1437,10 +1227,32 @@ mod tests {
         let mut s = handle.lock();
         let err = s.push_history(vec![vec![]]).unwrap_err();
         assert_eq!(err.code(), "history-mismatch");
+        // A sample the component model could not be fitted on.
+        let err = s
+            .push_history(vec![vec![(vec![100, 20], 2.0)], vec![]])
+            .unwrap_err();
+        assert_eq!(err.code(), "history-mismatch");
         let ok = s
             .push_history(vec![vec![(vec![100, 20, 1], 2.0)], vec![]])
             .unwrap();
         assert_eq!(ok.history_samples, 1);
+    }
+
+    #[test]
+    fn pushed_history_keeps_the_result_out_of_the_exact_tier() {
+        let (mgr, cache, metrics) = ctx();
+        for push in [true, false] {
+            let (st, from_cache) = mgr.create(params(6), 0.0, 0, &cache, &metrics).unwrap();
+            assert!(!from_cache, "a pushed-history result must not be served");
+            let handle = mgr.get(st.session).unwrap();
+            let mut s = handle.lock();
+            if push {
+                s.push_history(vec![vec![(vec![100, 20, 1], 2.0)], vec![]])
+                    .unwrap();
+            }
+            while s.advance(6, &cache, &metrics).unwrap().state != "done" {}
+            assert_eq!(cache.len(), usize::from(!push));
+        }
     }
 
     #[test]

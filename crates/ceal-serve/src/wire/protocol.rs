@@ -9,11 +9,13 @@
 use ceal_fleet::{FleetReport, TaskReport, TaskSpec};
 use serde::{Deserialize, Serialize};
 
-/// Bumped on any change to [`Request`] or [`Response`]. There is no
-/// cross-version compatibility: [`Client::connect`](crate::Client::connect)
-/// pings first and refuses any server whose version is not *equal* to its
-/// own, so every field below is required on the wire.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// Bumped on any change to [`Request`] or [`Response`], or to what a
+/// request means (8: a session runs the algorithm `TuneParams.algo` names;
+/// the shapes are those of 7). There is no cross-version compatibility:
+/// [`Client::connect`](crate::Client::connect) pings first and refuses any
+/// server whose version is not *equal* to its own, so every field below is
+/// required on the wire.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Parameters shared by one-shot tuning and session creation.
 ///
