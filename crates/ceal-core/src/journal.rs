@@ -448,14 +448,6 @@ impl<'a> JournalingOracle<'a> {
     pub fn stats(&self) -> ReplayStats {
         self.lock().stats
     }
-
-    /// Journals an algorithm round marker.
-    pub fn mark(&self, label: &str) -> Result<(), MeasureError> {
-        self.lock()
-            .journal
-            .append(&JournalRecord::Marker(label.to_string()))
-            .map_err(|e| MeasureError::Failed(format!("journal append failed: {e}")))
-    }
 }
 
 impl Oracle for JournalingOracle<'_> {

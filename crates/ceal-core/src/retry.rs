@@ -67,12 +67,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Returns the policy with an overall deadline installed.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Deterministic jitter factor in `[1 − jitter, 1 + jitter]` for
     /// `attempt` (splitmix64 over the seed/attempt pair).
     fn jitter_factor(&self, attempt: u32) -> f64 {

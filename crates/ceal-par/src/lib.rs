@@ -7,22 +7,15 @@
 //!
 //! * [`ThreadPool`] — a fixed-size work-sharing pool built on crossbeam
 //!   channels, for long-lived background execution.
-//! * [`parallel_map`] / [`parallel_for_each`] — scoped fork-join over slices
-//!   (no `'static` bound on the closure or data), chunked to amortize spawn
-//!   cost.
-//! * [`SpinLock`] — a minimal test-and-set spin lock used where critical
-//!   sections are a few instructions long (following *Rust Atomics and
-//!   Locks*, ch. 4).
+//! * [`parallel_map`] / [`parallel_map_indexed`] — scoped fork-join over
+//!   slices (no `'static` bound on the closure or data), chunked to amortize
+//!   spawn cost.
 //!
 //! Everything here is deterministic in *results*: `parallel_map` returns
 //! outputs in input order regardless of scheduling.
 
 mod pool;
 mod scope;
-mod spin;
 
 pub use pool::{ThreadPool, WaitGroup};
-pub use scope::{
-    available_threads, chunk_count, parallel_for_each, parallel_map, parallel_map_indexed,
-};
-pub use spin::SpinLock;
+pub use scope::{available_threads, chunk_count, parallel_map, parallel_map_indexed};

@@ -46,11 +46,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        Self::new(crate::available_threads())
-    }
-
     /// Number of worker threads.
     pub fn size(&self) -> usize {
         self.size

@@ -82,15 +82,9 @@ pub fn parallel_map_indexed<T: Sync, R: Send, F: Fn(usize, &T) -> R + Sync>(
         .collect()
 }
 
-/// Runs `f` on every element in parallel for its side effects.
-pub fn parallel_for_each<T: Sync, F: Fn(&T) + Sync>(items: &[T], f: F) {
-    let _ = parallel_map(items, |t| f(t));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_order() {
@@ -111,16 +105,6 @@ mod tests {
         let input = vec!["a"; 257];
         let out = parallel_map_indexed(&input, |i, _| i);
         assert_eq!(out, (0..257).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_each_visits_everything_once() {
-        let input: Vec<usize> = (0..500).collect();
-        let count = AtomicUsize::new(0);
-        parallel_for_each(&input, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 500);
     }
 
     #[test]

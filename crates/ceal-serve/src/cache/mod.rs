@@ -263,8 +263,8 @@ impl AutotuneCache {
     /// Publishes a finished campaign behind the cache-persist `breaker`.
     /// While it is open the doomed disk write is skipped and the entry
     /// serves from memory only: a dead disk degrades durability, not
-    /// correctness. A failed write is counted and warned about; `origin`
-    /// (`endpoint` or `session`) tells the callers' events apart.
+    /// correctness. A failed write is counted and warned about, naming the
+    /// publishing `session` (0 for a one-shot `Tune`).
     pub(crate) fn publish(
         &self,
         entry: CacheEntry,
@@ -272,8 +272,9 @@ impl AutotuneCache {
         metrics: &ServerMetrics,
         tracer: &Tracer,
         ctx: TraceContext,
-        origin: (&'static str, FieldValue),
+        session: u64,
     ) {
+        let origin: (&str, FieldValue) = ("session", session.into());
         if breaker.is_some_and(|b| !b.allow()) {
             self.put_memory_only(entry);
             tracer.instant("cache.persist-skipped", ctx, &[origin]);

@@ -8,10 +8,12 @@
 //! endpoint. [`Endpoint`] also carries the one table of per-request-class
 //! facts: metrics name, trace span name, whether overload may shed it.
 
+use crate::breaker::CircuitBreaker;
 use crate::cache::CacheStats;
 use crate::protocol::{EndpointStats, MetricsReport};
+use ceal_core::{MeasureError, Measurement, Oracle, SoloMeasurement};
 use ceal_fleet::FleetReport;
-use ceal_trace::LogHistogram;
+use ceal_trace::{LogHistogram, TraceContext, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -244,112 +246,96 @@ impl ServerMetrics {
     }
 }
 
-/// An [`Oracle`](ceal_core::Oracle) wrapper that counts every measurement
-/// against [`ServerMetrics::oracle_measurements`] — the counter the
-/// warm-cache acceptance test watches to prove a cached answer spent
-/// nothing.
+/// Measurements as the server pays for them — the one way it does, whether
+/// for a stepper's coupled or solo ask, a session's free history, an
+/// ad-hoc `Measure` or a one-shot's re-measure. As an [`Oracle`] it
+/// measures on `inner`, billing [`ServerMetrics::oracle_measurements`].
 pub struct CountingOracle<'a> {
-    inner: &'a dyn ceal_core::Oracle,
+    inner: &'a dyn Oracle,
     metrics: &'a ServerMetrics,
+    /// Tracer, parent and session id of the `oracle.measure` spans.
+    pub(crate) trace: Option<(&'a Tracer, TraceContext, u64)>,
+    /// Refuses runs while open.
+    pub(crate) breaker: Option<&'a CircuitBreaker>,
 }
 
 impl<'a> CountingOracle<'a> {
-    /// Wraps `inner`, billing measurements to `metrics`.
-    pub fn new(inner: &'a dyn ceal_core::Oracle, metrics: &'a ServerMetrics) -> Self {
-        Self { inner, metrics }
-    }
-}
-
-impl ceal_core::Oracle for CountingOracle<'_> {
-    fn spec(&self) -> &ceal_sim::WorkflowSpec {
-        self.inner.spec()
-    }
-
-    fn platform(&self) -> &ceal_sim::Platform {
-        self.inner.platform()
+    /// Wraps `inner`, billing measurements to `metrics`; untraced and
+    /// unguarded until those fields are set.
+    pub fn new(inner: &'a dyn Oracle, metrics: &'a ServerMetrics) -> Self {
+        Self {
+            inner,
+            metrics,
+            trace: None,
+            breaker: None,
+        }
     }
 
-    fn objective(&self) -> ceal_sim::Objective {
-        self.inner.objective()
-    }
-
-    fn try_measure(
+    /// One measurement: the answer a fleet worker `worked` out (it traced
+    /// the run itself), else `run` against `inner` — the only place the
+    /// server runs its simulator — inside an `oracle.measure` span and
+    /// behind the breaker. Billed once, when it succeeded.
+    pub(crate) fn run<T>(
         &self,
-        config: &[i64],
-    ) -> Result<ceal_core::Measurement, ceal_core::MeasureError> {
-        self.metrics.add_oracle_measurements(1);
-        self.inner.try_measure(config)
-    }
-
-    fn try_measure_component(
-        &self,
-        component: usize,
-        values: &[i64],
-    ) -> Result<ceal_core::SoloMeasurement, ceal_core::MeasureError> {
-        self.metrics.add_oracle_measurements(1);
-        self.inner.try_measure_component(component, values)
-    }
-}
-
-/// An [`Oracle`](ceal_core::Oracle) wrapper that emits one
-/// `oracle.measure` span per measurement (field `mode` distinguishes
-/// coupled from solo runs, `source` is always `local` — fleet-executed
-/// measurements get their spans worker-side). Stacks on top of
-/// [`CountingOracle`] so a measurement is both billed and traced.
-pub struct TracingOracle<'a> {
-    inner: &'a dyn ceal_core::Oracle,
-    tracer: &'a ceal_trace::Tracer,
-    ctx: ceal_trace::TraceContext,
-}
-
-impl<'a> TracingOracle<'a> {
-    /// Wraps `inner`, parenting every measurement span on `ctx`.
-    pub fn new(
-        inner: &'a dyn ceal_core::Oracle,
-        tracer: &'a ceal_trace::Tracer,
-        ctx: ceal_trace::TraceContext,
-    ) -> Self {
-        Self { inner, tracer, ctx }
-    }
-}
-
-impl ceal_core::Oracle for TracingOracle<'_> {
-    fn spec(&self) -> &ceal_sim::WorkflowSpec {
-        self.inner.spec()
-    }
-
-    fn platform(&self) -> &ceal_sim::Platform {
-        self.inner.platform()
-    }
-
-    fn objective(&self) -> ceal_sim::Objective {
-        self.inner.objective()
-    }
-
-    fn try_measure(
-        &self,
-        config: &[i64],
-    ) -> Result<ceal_core::Measurement, ceal_core::MeasureError> {
-        let mut span = self.tracer.span("oracle.measure", self.ctx);
-        span.field("source", "local");
-        span.field("mode", "coupled");
-        let result = self.inner.try_measure(config);
-        if let Ok(m) = &result {
-            span.field("value", m.value);
+        mode: &'static str,
+        worked: Option<T>,
+        run: impl FnOnce(&dyn Oracle) -> Result<T, MeasureError>,
+    ) -> Result<T, MeasureError> {
+        let result = match worked {
+            Some(answer) => Ok(answer),
+            None => {
+                let _span = self.trace.map(|(tracer, ctx, session)| {
+                    let mut span = tracer.span("oracle.measure", ctx);
+                    span.field("source", "local");
+                    span.field("mode", mode);
+                    span.field("session", session);
+                    span
+                });
+                if self.breaker.is_some_and(|b| !b.allow()) {
+                    return Err(MeasureError::Failed(
+                        "oracle circuit breaker open; measurement refused".into(),
+                    ));
+                }
+                let result = run(self.inner);
+                match (&result, self.breaker) {
+                    // A rejected configuration is an answer, not an outage.
+                    (Ok(_) | Err(MeasureError::Sim(_)), Some(b)) => b.record_success(),
+                    (Err(_), Some(b)) => b.record_failure(),
+                    (_, None) => {}
+                }
+                result
+            }
+        };
+        if result.is_ok() {
+            self.metrics.add_oracle_measurements(1);
         }
         result
     }
+}
+
+impl Oracle for CountingOracle<'_> {
+    fn spec(&self) -> &ceal_sim::WorkflowSpec {
+        self.inner.spec()
+    }
+
+    fn platform(&self) -> &ceal_sim::Platform {
+        self.inner.platform()
+    }
+
+    fn objective(&self) -> ceal_sim::Objective {
+        self.inner.objective()
+    }
+
+    fn try_measure(&self, config: &[i64]) -> Result<Measurement, MeasureError> {
+        self.run("coupled", None, |o| o.try_measure(config))
+    }
 
     fn try_measure_component(
         &self,
         component: usize,
         values: &[i64],
-    ) -> Result<ceal_core::SoloMeasurement, ceal_core::MeasureError> {
-        let mut span = self.tracer.span("oracle.measure", self.ctx);
-        span.field("source", "local");
-        span.field("mode", "solo");
-        span.field("component", component as u64);
-        self.inner.try_measure_component(component, values)
+    ) -> Result<SoloMeasurement, MeasureError> {
+        self.run("solo", None, |o| o.try_measure_component(component, values))
     }
 }
 

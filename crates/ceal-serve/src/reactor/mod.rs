@@ -5,8 +5,8 @@
 //! ([`conn`]), and hands only *ready, decoded* request frames to the
 //! worker pool. A mostly-idle session therefore costs one registered
 //! file descriptor instead of one blocked thread, which is what lets a
-//! single process hold tens of thousands of open tuning sessions (the
-//! `bench-serve` harness drives exactly that shape).
+//! single process hold tens of thousands of open tuning sessions
+//! (`tests/idle_connections.rs` pins the shape at a test's scale).
 //!
 //! Workers never touch sockets. A worker parses the frame, runs
 //! `dispatch` under `catch_unwind` (a panic — a bug, or an oracle hitting

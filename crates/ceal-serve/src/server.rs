@@ -13,20 +13,13 @@
 //! every in-flight connection drains.
 
 use crate::breaker::Breakers;
-use crate::cache::{
-    platform_features, AutotuneCache, CacheEntry, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD,
-};
+use crate::cache::{AutotuneCache, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD};
 use crate::error::ServeError;
 use crate::frame::MAX_MID_FRAME_STALL;
-use crate::metrics::{CountingOracle, Endpoint, OverloadStats, ServerMetrics, TracingOracle};
+use crate::metrics::{Endpoint, OverloadStats, ServerMetrics};
 use crate::protocol::{HealthReport, Request, Response, TuneParams, PROTOCOL_VERSION};
-use crate::session::{cache_key, parse_params, Session, SessionManager, ORACLE_BASE_SEED};
-use ceal_core::algorithms::by_name;
-use ceal_core::{sample_pool, Oracle, SimOracle};
-use ceal_sim::Simulator;
+use crate::session::{cache_key, parse_params, Session, SessionManager, TUNE_MODE};
 use ceal_trace::{TraceContext, Tracer};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -236,10 +229,10 @@ pub(crate) struct ServerInner {
     /// Optional `SO_SNDBUF` for accepted connections.
     pub(crate) send_buffer: Option<usize>,
     /// Measurement-fleet coordinator: worker registry plus the
-    /// scatter/gather scheduler batched `Advance` measurements go through.
+    /// scatter/gather scheduler every campaign's batches go through.
     pub(crate) fleet: ceal_fleet::Coordinator,
-    /// Platform one-shot `Tune` campaigns measure on (sessions get theirs
-    /// through the [`SessionManager`]).
+    /// Platform of the `Tune` cache key (campaigns get theirs to measure
+    /// on through the [`SessionManager`]).
     pub(crate) platform: ceal_sim::Platform,
     /// Structured trace sink shared by every layer of the server.
     pub(crate) tracer: Tracer,
@@ -610,11 +603,13 @@ fn with_session<T>(
     f(&mut session)
 }
 
-/// One-shot tuning, replicating the `tune` CLI's construction exactly so a
-/// remote campaign returns the same recommendation as a local one with the
-/// same seed.
+/// One-shot tuning: a cache lookup, then a campaign on the session shell —
+/// unregistered, unjournaled, paying for its own component runs — driven
+/// to `done` inside the request. The shell builds what the `tune` CLI
+/// builds, so a remote campaign returns the same recommendation as a local
+/// one with the same seed, with or without fleet workers.
 fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError> {
-    let (spec, objective) = parse_params(&params)?;
+    let parsed = parse_params(&params)?;
     let mut span = inner.tracer.span(
         "campaign.tune",
         TraceContext::root(inner.tracer.new_trace()),
@@ -622,7 +617,7 @@ fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError>
     span.field("workflow", params.workflow.as_str());
     span.field("algo", params.algo.as_str());
     span.field("budget", params.budget);
-    let key = cache_key(&params, &inner.platform, "tune");
+    let key = cache_key(&params, &inner.platform, TUNE_MODE);
     let (hit, tier) = inner.cache.get_with_tier(&key);
     inner.tracer.instant(
         "cache.lookup",
@@ -642,53 +637,26 @@ fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError>
     }
     inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    let sim = Simulator {
-        platform: inner.platform.clone(),
-        ..Simulator::new()
+    // The shell samples the pool, so it is built only past the lookup.
+    let mut shell = inner.sessions.one_shot(params, parsed, span.ctx());
+    let done = loop {
+        let status =
+            shell.advance_with(u64::MAX, &inner.cache, &inner.metrics, Some(&inner.fleet))?;
+        if status.state == "done" {
+            break status;
+        }
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0xFACE);
-    let pool = sample_pool(&spec, &sim.platform, params.pool as usize, &mut rng);
-    // Measured lazily: a campaign pays for the runs its tuner asks for,
-    // not for the whole pool (DESIGN.md "One-shot Tune path").
-    let oracle = SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED);
-    let counting = CountingOracle::new(&oracle, &inner.metrics);
-    let traced = TracingOracle::new(&counting, &inner.tracer, span.ctx());
-    // Remote campaigns carry no history file: the tuner pays for its solo
-    // runs out of the budget, as the `tune` CLI does without `--history`.
-    let algo = by_name(&params.algo, None)
-        .ok_or_else(|| ServeError::BadRequest(format!("unknown algorithm '{}'", params.algo)))?;
-    let run = algo.try_run(&traced, &pool, params.budget as usize, params.seed)?;
-    let tuned = traced.try_measure(&run.best_predicted)?;
-
-    let entry = CacheEntry {
-        key,
-        best: run.best_predicted.clone(),
-        best_value: tuned.value,
-        runs_used: run.runs_used() as u64,
-        component_runs: run.component_runs.len() as u64,
-        samples: run
-            .measured
-            .iter()
-            .map(|m| (m.config.clone(), m.value))
-            .collect(),
-        platform_features: platform_features(&inner.platform),
+    let (Some(best), Some(best_value)) = (done.best, done.best_value) else {
+        return Err(ServeError::Internal(
+            "campaign finished without a recommendation".into(),
+        ));
     };
-    inner.cache.publish(
-        entry,
-        Some(&inner.breakers.cache),
-        &inner.metrics,
-        &inner.tracer,
-        span.ctx(),
-        ("endpoint", "tune".into()),
-    );
-    let runs_used = run.runs_used() as u64;
-    let component_runs = run.component_runs.len() as u64;
-    span.field("runs_used", runs_used);
+    span.field("runs_used", done.measured);
     Ok(Response::TuneResult {
-        best: run.best_predicted,
-        best_value: tuned.value,
-        runs_used,
-        component_runs,
+        best,
+        best_value,
+        runs_used: done.measured,
+        component_runs: done.history_samples,
         from_cache: false,
     })
 }

@@ -30,6 +30,14 @@
 //! are the campaign's [`TransferPrior`], which CEAL blends into its `M_H`
 //! fits until the session owns a fifth of its budget in measurements.
 //!
+//! One-shot `Tune` runs on the same shell. Its campaign omits what only a
+//! client-stepped one needs — the registry entry, the journal, the free
+//! history: the stepper asks for its solo runs and the budget pays — and
+//! is driven to `done` inside the request ([`SessionManager::one_shot`]).
+//!
+//! Every simulator run this process makes, for either kind of campaign,
+//! goes through [`CountingOracle::run`]: one span, one breaker rule, one bill.
+//!
 //! Sessions live in a [`SessionManager`] registry, evicted when idle.
 
 use crate::breaker::Breakers;
@@ -43,8 +51,8 @@ use crate::protocol::{SessionStatus, TuneParams};
 use ceal_core::algorithms::{by_name, Ask, Campaign, Stepper, SurrogateKind, Told};
 use ceal_core::{
     encode_pool, fit_surrogate_samples, prepare_campaign, sample_pool, CampaignId,
-    ComponentHistory, FaultInjector, FeatureMap, Journal, JournalRecord, MeasureError, Measurement,
-    Oracle, SimOracle, TransferPrior,
+    ComponentHistory, FaultInjector, FeatureMap, Journal, JournalRecord, Measurement, Oracle,
+    SimOracle, SoloMeasurement, TransferPrior,
 };
 use ceal_ml::Regressor;
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
@@ -70,6 +78,8 @@ const MAX_BUDGET: u64 = 10_000;
 /// history-collection phase, and the [`cache_key`] mode that says so.
 const HISTORY_PER_COMPONENT: usize = 4;
 const SESSION_MODE: &str = "session-h4";
+/// The [`cache_key`] mode of a one-shot `Tune` campaign.
+pub(crate) const TUNE_MODE: &str = "tune";
 
 /// Journal markers closing a solo batch: collected history, pushed samples.
 const HISTORY_MARKER: &str = "collecting-history";
@@ -146,6 +156,9 @@ impl Phase {
     }
 }
 
+/// A solo ask, and the stepper waiting on its answer.
+struct SoloAsk(Box<dyn Stepper>, Vec<(usize, Vec<i64>)>);
+
 /// The search in progress: the stepper and the batch it waits for. `got`
 /// answers the head of `ask`; a complete batch is told at once.
 struct Search {
@@ -156,18 +169,27 @@ struct Search {
 
 /// One live tuning campaign.
 pub struct Session {
+    /// Registry id; 0 for a one-shot campaign, which has no registry entry.
     id: u64,
     params: TuneParams,
+    /// A one-shot `Tune` campaign: no free history (the stepper's solo asks
+    /// are paid out of the budget) and the recommendation is measured once
+    /// more for the reply — which is why its cache key differs.
+    one_shot: bool,
     oracle: SimOracle,
     pool: Arc<[Vec<i64>]>,
     phase: Phase,
-    /// `Some` from leaving `collecting-history` until the stepper is done.
+    /// `Some` while the stepper waits on a coupled ask.
     search: Option<Search>,
+    /// A solo ask, waiting for an `Advance` to answer it whole (the replay
+    /// fold fetches asks too, and cannot measure).
+    solo: Option<SoloAsk>,
     /// Sibling-platform samples the stepper gets when the search starts.
     prior: Option<TransferPrior>,
     /// How this session was warmed: `exact`, `transfer`, or `cold`.
     warm_source: &'static str,
-    /// `D_hist`: what the stepper's component models are fitted on.
+    /// The solo samples the stepper's component models are fitted on:
+    /// `D_hist`, or the answers to a one-shot campaign's solo asks.
     history: ComponentHistory,
     /// Whether `history` holds client-pushed samples — data the cache key
     /// does not carry, so the result is not published as an exact answer.
@@ -187,10 +209,13 @@ pub struct Session {
     attempt: u64,
     /// Write-ahead journal; `None` without a journal directory.
     journal: Option<Journal>,
-    /// Campaign trace identifier (0 when the server is untraced), exposed
-    /// on the wire via [`SessionStatus::trace`].
-    trace: u64,
+    /// Where the campaign's events hang while no phase span is open: the
+    /// root `session` span, or a one-shot's `campaign.tune` span. Its trace
+    /// id (0 when the server is untraced) is exposed on the wire via
+    /// [`SessionStatus::trace`].
+    ctx: TraceContext,
     /// Root `session` span; its `End` carries the campaign's lifetime.
+    /// `None` untraced, and for a one-shot (its request owns the root).
     root_span: Option<Span>,
     /// Span of the current phase; its `End` carries the phase's duration.
     phase_span: Option<Span>,
@@ -202,6 +227,7 @@ pub struct Session {
 
 impl Session {
     /// A fresh campaign in `home`; `parsed` is [`parse_params`] of `params`.
+    /// With `one_shot`, a one-shot campaign recording under that span.
     fn new(
         id: u64,
         params: TuneParams,
@@ -209,6 +235,7 @@ impl Session {
         failure_rate: f64,
         fault_seed: u64,
         home: &SessionManager,
+        one_shot: Option<TraceContext>,
     ) -> Session {
         let (spec, objective) = parsed;
         let tracer = home.tracer.clone();
@@ -218,21 +245,23 @@ impl Session {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0xFACE);
         let pool = sample_pool(&spec, &sim.platform, params.pool as usize, &mut rng);
-        let trace = tracer.new_trace();
-        let root_span = tracer.enabled().then(|| {
-            let mut span = tracer.span("session", TraceContext::root(trace));
+        let root_span = (one_shot.is_none() && tracer.enabled()).then(|| {
+            let mut span = tracer.root_span("session");
             span.field("session", id);
             span.field("workflow", params.workflow.as_str());
             span.field("algo", params.algo.as_str());
             span.field("budget", params.budget);
             span
         });
+        let ctx = root_span.as_ref().map(Span::ctx).or(one_shot);
         let mut s = Session {
             id,
             params,
+            one_shot: one_shot.is_some(),
             pool: pool.into(),
             phase: Phase::Created,
             search: None,
+            solo: None,
             prior: None,
             warm_source: "cold",
             history: ComponentHistory::empty(spec.components.len()),
@@ -246,7 +275,7 @@ impl Session {
             fault_seed,
             attempt: 0,
             journal: None,
-            trace,
+            ctx: ctx.unwrap_or_default(),
             root_span,
             phase_span: None,
             tracer,
@@ -263,26 +292,19 @@ impl Session {
     fn enter_phase(&mut self, phase: Phase) {
         self.phase = phase;
         self.phase_span = None;
-        if self.tracer.enabled() {
-            let span = self.root_span.as_ref().map_or(0, |s| s.id());
-            let ctx = TraceContext {
-                trace: self.trace,
-                span,
-            };
-            let mut span = self.tracer.span(phase.names().1, ctx);
+        // A one-shot's phases are not client-visible; its whole campaign
+        // is the request's `campaign.tune` span.
+        if self.root_span.is_some() {
+            let mut span = self.tracer.span(phase.names().1, self.ctx);
             span.field("session", self.id);
             self.phase_span = Some(span);
         }
     }
 
     /// Trace position for this campaign's child events: the current phase
-    /// span when one is open, else the session root.
+    /// span when one is open, else the campaign's root.
     fn trace_ctx(&self) -> TraceContext {
-        let span = self.phase_span.as_ref().or(self.root_span.as_ref());
-        TraceContext {
-            trace: self.trace,
-            span: span.map_or(0, |s| s.id()),
-        }
+        self.phase_span.as_ref().map_or(self.ctx, Span::ctx)
     }
 
     /// Completes a fresh session from a cache entry: no stepper, no spend.
@@ -305,7 +327,7 @@ impl Session {
             best: self.best.as_ref().map(|(c, _)| c.clone()),
             best_value: self.best.as_ref().map(|&(_, v)| v),
             warm_source: self.warm_source.to_string(),
-            trace: match self.trace {
+            trace: match self.ctx.trace {
                 0 => String::new(),
                 trace => format!("{trace:016x}"),
             },
@@ -377,42 +399,16 @@ impl Session {
         }
     }
 
-    /// Measures pool configuration `idx` in this process, routing through
-    /// the fault injector when this session was created with a failure
-    /// rate.
-    fn measure_locally(&self, idx: usize) -> Result<Measurement, ServeError> {
-        let cfg = &self.pool[idx];
-        let mut span = self.tracer.span("oracle.measure", self.trace_ctx());
-        span.field("source", "local");
-        span.field("mode", "coupled");
-        span.field("session", self.id);
-        span.field("idx", idx as u64);
-        let failed = |e: MeasureError| ServeError::MeasurementFailed(e.to_string());
-        let m = if self.failure_rate > 0.0 {
-            // Injected faults are a local-retry test fixture, not a sick
-            // backend — they bypass the breaker entirely so a
-            // fault-injection session can't blackhole real measurements.
-            FaultInjector::new(&self.oracle, self.failure_rate, self.fault_seed)
-                .try_measure(cfg, self.attempt)
-                .map_err(failed)?
-        } else {
-            let breaker = self.breakers.as_ref().map(|b| b.oracle.as_ref());
-            if breaker.is_some_and(|b| !b.allow()) {
-                return Err(ServeError::MeasurementFailed(
-                    "oracle circuit breaker open; measurement refused".into(),
-                ));
-            }
-            let result = Oracle::try_measure(&self.oracle, cfg);
-            if let Some(b) = breaker {
-                match result {
-                    Ok(_) => b.record_success(),
-                    Err(_) => b.record_failure(),
-                }
-            }
-            result.map_err(failed)?
-        };
-        span.field("value", m.value);
-        Ok(m)
+    /// This campaign's measurements, billed to `metrics`.
+    fn metered<'a>(&'a self, metrics: &'a ServerMetrics) -> CountingOracle<'a> {
+        // Injected faults are a local-retry test fixture, not a sick
+        // backend: a session created with a failure rate bypasses the
+        // breaker, so it can't blackhole real measurements.
+        let breakers = self.breakers.as_ref().filter(|_| self.failure_rate == 0.0);
+        let mut metered = CountingOracle::new(&self.oracle, metrics);
+        metered.trace = Some((&self.tracer, self.trace_ctx(), self.id));
+        metered.breaker = breakers.map(|b| b.oracle.as_ref());
+        metered
     }
 
     /// Measures the next `idxs` of the pending ask, in ask order.
@@ -461,7 +457,8 @@ impl Session {
         }
         for &idx in idxs {
             self.attempt += 1;
-            let m = match remote.remove(&(idx as u64)) {
+            let config = &self.pool[idx];
+            let worked = match remote.remove(&(idx as u64)) {
                 Some(ceal_fleet::TaskOutcome::Measured {
                     value,
                     exec_time,
@@ -470,40 +467,51 @@ impl Session {
                     let at = [("session", self.id.into()), ("idx", (idx as u64).into())];
                     self.tracer
                         .instant("oracle.remote-applied", self.trace_ctx(), &at);
-                    Measurement {
-                        config: self.pool[idx].clone(),
+                    Some(Measurement {
+                        config: config.clone(),
                         value,
                         exec_time,
                         computer_time,
-                    }
+                    })
                 }
-                _ => self.measure_locally(idx)?,
+                _ => None,
             };
-            metrics.add_oracle_measurements(1);
+            // A session created with a failure rate numbers its attempts
+            // through the fault injector: a retry rolls afresh.
+            let m = self.metered(metrics).run("coupled", worked, |oracle| {
+                match self.failure_rate > 0.0 {
+                    true => FaultInjector::new(oracle, self.failure_rate, self.fault_seed)
+                        .try_measure(config, self.attempt),
+                    false => oracle.try_measure(config),
+                }
+            })?;
             self.journal_append(&JournalRecord::coupled(&m, self.attempt))?;
             self.commit(m)?;
         }
         Ok(fleet.is_some())
     }
 
-    /// Leaves `collecting-history`: builds the stepper of `params.algo`
-    /// over the session's history and fetches its first ask.
+    /// Builds the stepper of `params.algo` and fetches its first ask. A
+    /// session's stepper gets the history collected so far; a one-shot's
+    /// gets none and asks for its solo runs instead.
     fn start_search(&mut self) -> Result<(), ServeError> {
-        let history = Arc::new(self.history.clone());
-        let tuner = by_name(&self.params.algo, Some(history)).ok_or_else(|| {
+        let history = (!self.one_shot).then(|| Arc::new(self.history.clone()));
+        let tuner = by_name(&self.params.algo, history).ok_or_else(|| {
             ServeError::Internal(format!("no tuner named '{}'", self.params.algo))
         })?;
         let (budget, seed) = (self.params.budget as usize, self.params.seed);
         let mut campaign = Campaign::of(&self.oracle, Arc::clone(&self.pool), budget, seed);
         campaign.prior = self.prior.take();
         self.enter_phase(Phase::Bootstrapping);
-        self.ask_next(tuner.stepper(campaign))
+        self.ask_next(tuner.stepper(campaign));
+        Ok(())
     }
 
     /// Fetches `stepper`'s next ask. The first coupled ask is
     /// `bootstrapping`, every later one `refining`, the finished run `done`.
-    fn ask_next(&mut self, mut stepper: Box<dyn Stepper>) -> Result<(), ServeError> {
+    fn ask_next(&mut self, mut stepper: Box<dyn Stepper>) {
         match stepper.next() {
+            Ask::Solo(ask) => self.solo = Some(SoloAsk(stepper, ask)),
             Ask::Coupled(ask) => {
                 if self.measured > 0 && self.phase == Phase::Bootstrapping {
                     self.enter_phase(Phase::Refining);
@@ -523,15 +531,7 @@ impl Session {
                 self.samples = measured.map(|m| (m.config, m.value)).collect();
                 self.enter_phase(Phase::Done);
             }
-            // Every tuner with a solo phase was handed the history.
-            Ask::Solo(_) => {
-                return Err(ServeError::Internal(format!(
-                    "tuner '{}' asked for solo runs despite its history",
-                    self.params.algo
-                )))
-            }
         }
-        Ok(())
     }
 
     /// Takes the answer to the next configuration of the pending ask; a
@@ -559,7 +559,8 @@ impl Session {
             return Ok(());
         }
         search.stepper.tell(Told::Coupled(search.got));
-        self.ask_next(search.stepper)
+        self.ask_next(search.stepper);
+        Ok(())
     }
 
     /// [`Session::advance_with`] without a fleet.
@@ -576,8 +577,8 @@ impl Session {
     /// measurements of the stepper's pending ask, in ask order, scattered
     /// across `fleet` when one is supplied and has live workers.
     ///
-    /// The first call collects the history and stops there. Later calls
-    /// measure; one call's measurements straddle at most one batch
+    /// A session's first call collects the history and stops there. Later
+    /// calls measure; one call's measurements straddle at most one batch
     /// boundary (the rest of the pending ask, then the start of the next)
     /// and wait on at most one fleet round, so a client sees a bounded
     /// step whatever `runs` it passes.
@@ -592,11 +593,27 @@ impl Session {
             return Err(ServeError::BadRequest("advance of 0 runs".into()));
         }
         match self.phase {
-            Phase::Created => self.collect_history(metrics)?,
+            Phase::Created if !self.one_shot => self.collect_history(metrics)?,
             Phase::Done => {}
             _ => {
-                if self.phase == Phase::CollectingHistory {
+                if matches!(self.phase, Phase::Created | Phase::CollectingHistory) {
                     self.start_search()?;
+                }
+                // A campaign without free history pays for its component
+                // data; the runs join `history`.
+                while let Some(SoloAsk(_, ask)) = &self.solo {
+                    let metered = self.metered(metrics);
+                    let runs = ask
+                        .iter()
+                        .map(|(j, v)| metered.try_measure_component(*j, v));
+                    let runs: Vec<SoloMeasurement> = runs.collect::<Result<_, _>>()?;
+                    for m in &runs {
+                        self.history.push(m.component, m.values.clone(), m.value);
+                    }
+                    if let Some(SoloAsk(mut stepper, _)) = self.solo.take() {
+                        stepper.tell(Told::Solo(runs));
+                        self.ask_next(stepper);
+                    }
                 }
                 let mut left = usize::try_from(runs).unwrap_or(usize::MAX);
                 for _ in 0..2 {
@@ -609,7 +626,7 @@ impl Session {
                     }
                 }
                 if self.phase == Phase::Done {
-                    self.finish(cache, metrics);
+                    self.finish(cache, metrics)?;
                 }
             }
         }
@@ -620,12 +637,9 @@ impl Session {
     /// components' owners already had.
     fn collect_history(&mut self, metrics: &ServerMetrics) -> Result<(), ServeError> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0xD157);
-        let (collected, _) = ComponentHistory::try_collect(
-            &CountingOracle::new(&self.oracle, metrics),
-            HISTORY_PER_COMPONENT,
-            &mut rng,
-        )
-        .map_err(|e| ServeError::MeasurementFailed(e.to_string()))?;
+        let metered = self.metered(metrics);
+        let (collected, _) =
+            ComponentHistory::try_collect(&metered, HISTORY_PER_COMPONENT, &mut rng)?;
         self.journal_history(&collected, HISTORY_MARKER)?;
         self.history
             .merge(&collected)
@@ -637,17 +651,25 @@ impl Session {
     /// Publishes the completed campaign to the shared cache and retires
     /// the journal — the cache is now the durable record. A persistence
     /// failure is counted on the Metrics endpoint.
-    fn finish(&mut self, cache: &AutotuneCache, metrics: &ServerMetrics) {
+    fn finish(&mut self, cache: &AutotuneCache, metrics: &ServerMetrics) -> Result<(), ServeError> {
         self.delete_journal();
-        let Some((best, best_value)) = self.best.clone() else {
-            return;
+        let Some((best, mut best_value)) = self.best.clone() else {
+            return Ok(());
         };
+        let mut mode = SESSION_MODE;
+        if self.one_shot {
+            // `Tune` answers with a measurement of its recommendation,
+            // where a session reports the surrogate's score of it.
+            best_value = self.metered(metrics).try_measure(&best)?.value;
+            self.best = Some((best.clone(), best_value));
+            mode = TUNE_MODE;
+        }
         if self.pushed_history {
-            return;
+            return Ok(());
         }
         let platform = &self.oracle.simulator().platform;
         let entry = CacheEntry {
-            key: cache_key(&self.params, platform, SESSION_MODE),
+            key: cache_key(&self.params, platform, mode),
             best,
             best_value,
             runs_used: self.measured,
@@ -661,8 +683,9 @@ impl Session {
             metrics,
             &self.tracer,
             self.trace_ctx(),
-            ("session", self.id.into()),
+            self.id,
         );
+        Ok(())
     }
 
     /// Scores `configs` in one encoded batch with the finished campaign's
@@ -693,7 +716,7 @@ impl Session {
         metrics: &ServerMetrics,
     ) -> Result<Measurement, ServeError> {
         self.arity_check(config)?;
-        Ok(CountingOracle::new(&self.oracle, metrics).try_measure(config)?)
+        Ok(self.metered(metrics).try_measure(config)?)
     }
 
     /// Adds `incoming` to `D_hist`, refusing samples the component models
@@ -935,7 +958,7 @@ impl SessionManager {
         };
         let parsed = parse_params(&params)?;
         let (failure_rate, fault_seed) = (cid.failure_rate, cid.fault_seed);
-        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self);
+        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
         session.journal = Some(journal);
         session.replay(records.collect())?;
         Ok(session)
@@ -976,7 +999,7 @@ impl SessionManager {
         let key = cache_key(&params, &self.platform, SESSION_MODE);
         let lookup_start = Instant::now();
         let (hit, tier) = cache.get_with_tier(&key);
-        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self);
+        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
         match &hit {
             Some(entry) => {
                 metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1003,7 +1026,7 @@ impl SessionManager {
         // session starts in (`exact`/`transfer`/`cold`).
         self.tracer.instant(
             "cache.lookup",
-            TraceContext::root(session.trace),
+            TraceContext::root(session.ctx.trace),
             &[
                 ("endpoint", "create-session".into()),
                 ("tier", tier.into()),
@@ -1045,6 +1068,19 @@ impl SessionManager {
             .insert(id, Arc::new(Mutex::new(session)));
         metrics.sessions_created.fetch_add(1, Ordering::Relaxed);
         Ok((status, from_cache))
+    }
+
+    /// A one-shot `Tune` campaign on this registry's platform, tracer and
+    /// breakers, but not in it: the caller drives the returned shell to
+    /// `done` and drops it. Its events record under `ctx`, the request's
+    /// `campaign.tune` span. `parsed` is [`parse_params`] of `params`.
+    pub(crate) fn one_shot(
+        &self,
+        params: TuneParams,
+        parsed: (WorkflowSpec, Objective),
+        ctx: TraceContext,
+    ) -> Session {
+        Session::new(0, params, parsed, 0.0, 0, self, Some(ctx))
     }
 
     /// Fetches a session, refreshing its idle clock.

@@ -4,27 +4,19 @@
 //! acceptance property of transfer seeding — a near-miss platform reaches
 //! the cold campaign's best value with fewer coupled oracle runs.
 
+mod common;
+
 use ceal_serve::{
     bundle_to_json, platform_fingerprint, AutotuneCache, Client, ServeConfig, Server,
     ServerMetrics, SessionManager, TuneParams, DEFAULT_TRANSFER_THRESHOLD,
 };
 use ceal_sim::Platform;
+use common::{drive_session_to_done, drive_to_done, params};
 use std::path::PathBuf;
 use std::time::Duration;
 
 fn temp_path(tag: &str) -> PathBuf {
     ceal_testutil::unique_temp_path(&format!("ceal-tiering-{tag}"), "d")
-}
-
-fn lv_params(seed: u64, budget: u64) -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "comp".into(),
-        budget,
-        pool: 200,
-        seed,
-        algo: "ceal".into(),
-    }
 }
 
 /// A platform one hardware refresh away from the default testbed: within
@@ -35,15 +27,6 @@ fn near_miss_platform() -> Platform {
     p.fabric_bandwidth *= 0.8;
     p.cores_per_node = 20;
     p
-}
-
-fn drive_to_done(client: &mut Client, session: u64) {
-    loop {
-        let st = client.advance(session, 4).expect("advance");
-        if st.state == "done" {
-            return;
-        }
-    }
 }
 
 /// A legacy single-blob cache file named by `--cache` must be split into
@@ -57,10 +40,10 @@ fn server_migrates_legacy_blob_and_serves_it_warm() {
     // Produce two completed campaigns the old way: tune into a cache,
     // then flatten the whole thing into one legacy blob file.
     let staging = temp_path("migrate-staging");
-    let params_lv = lv_params(5, 8);
+    let params_lv = params("comp", 8, 200, 5);
     let params_hs = TuneParams {
         workflow: "HS".into(),
-        ..lv_params(5, 8)
+        ..params_lv.clone()
     };
     let handle = Server::bind(ServeConfig {
         cache_path: Some(staging.clone()),
@@ -114,7 +97,7 @@ fn server_migrates_legacy_blob_and_serves_it_warm() {
 fn warm_source_reports_cold_exact_and_transfer_tiers() {
     let dir = temp_path("tiers");
     let _ = std::fs::remove_dir_all(&dir);
-    let params = lv_params(9, 6);
+    let params = params("comp", 6, 200, 9);
 
     // Cold, then exact, on the default platform.
     let handle = Server::bind(ServeConfig {
@@ -127,7 +110,7 @@ fn warm_source_reports_cold_exact_and_transfer_tiers() {
     let (st, from_cache) = client.create_session(params.clone(), 0.0, 0).expect("cold");
     assert!(!from_cache);
     assert_eq!(st.warm_source, "cold");
-    drive_to_done(&mut client, st.session);
+    drive_to_done(&mut client, st.session, 4);
     let (st, from_cache) = client
         .create_session(params.clone(), 0.0, 0)
         .expect("exact");
@@ -150,7 +133,7 @@ fn warm_source_reports_cold_exact_and_transfer_tiers() {
     assert!(!from_cache, "a transfer seed is not an exact answer");
     assert_eq!(st.warm_source, "transfer");
     assert_eq!(st.state, "created", "a seeded campaign still measures");
-    drive_to_done(&mut client, st.session);
+    drive_to_done(&mut client, st.session, 4);
     let m = client.metrics().expect("metrics");
     assert_eq!(m.cache_transfer_seeded, 1);
     assert!(
@@ -171,7 +154,7 @@ fn export_import_round_trip_serves_warm() {
     let dir_a = temp_path("ship-a");
     let dir_b = temp_path("ship-b");
     let bundle = temp_path("ship-bundle");
-    let params = lv_params(13, 6);
+    let params = params("comp", 6, 200, 13);
 
     let handle = Server::bind(ServeConfig {
         cache_path: Some(dir_a.clone()),
@@ -227,15 +210,11 @@ fn run_campaign(
         .with_platform(platform.clone())
         .with_transfer_threshold(transfer_threshold);
     let metrics = ServerMetrics::new();
-    let (mut st, _) = mgr
-        .create(lv_params(7, budget), 0.0, 0, cache, &metrics)
+    let (st, _) = mgr
+        .create(params("comp", budget, 200, 7), 0.0, 0, cache, &metrics)
         .expect("create");
     assert_eq!(st.warm_source, expect_source);
-    let handle = mgr.get(st.session).expect("session");
-    let mut session = handle.lock();
-    while st.state != "done" {
-        st = session.advance(4, cache, &metrics).expect("advance");
-    }
+    drive_session_to_done(&mgr, st.session, cache, &metrics);
     let fingerprint = platform_fingerprint(&platform);
     cache
         .all_entries()

@@ -8,44 +8,19 @@
 //! `cargo test -p ceal-serve --features chaos --test chaos_fleet`.
 #![cfg(feature = "chaos")]
 
-use ceal_core::{Journal, JournalRecord, RetryPolicy};
-use ceal_serve::{run_worker, Client, ServeConfig, Server, TuneParams, WorkerConfig};
+mod common;
+
+use ceal_core::{Journal, JournalRecord};
+use ceal_serve::{Client, ServeConfig};
 use ceal_testutil::{chaos, unique_temp_path};
-use std::net::SocketAddr;
+use common::{
+    drive_to_done, params, spawn_worker, start_server, wait_for_live_workers, worker_config,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const BUDGET: u64 = 14;
-
-fn params() -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "exec".into(),
-        budget: BUDGET,
-        pool: 120,
-        seed: 41,
-        algo: "ceal".into(),
-    }
-}
-
-fn spawn_worker(addr: SocketAddr, name: &str, stop: Arc<AtomicBool>) -> JoinHandle<()> {
-    let cfg = WorkerConfig {
-        coordinator: addr.to_string(),
-        name: name.to_string(),
-        poll_interval: Duration::from_millis(5),
-        retry: RetryPolicy::no_delay(3),
-        stop: Some(stop),
-        tracer: ceal_trace::Tracer::disabled(),
-    };
-    std::thread::spawn(move || {
-        // A crashed worker (armed chaos point) panics out of this closure;
-        // a stopped or drained worker returns normally. Transport errors
-        // after the coordinator is gone are part of normal teardown.
-        let _ = run_worker(cfg);
-    })
-}
 
 fn wait_for<F: FnMut() -> bool>(what: &str, mut cond: F) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -71,23 +46,20 @@ fn worker_and_coordinator_crashes_cause_no_duplicate_charges() {
     chaos::disarm_all();
     let dir = unique_temp_path("ceal-fleet-chaos", "");
 
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         journal_dir: Some(dir.clone()),
         worker_lease: Duration::from_millis(200),
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
     let addr = srv.addr();
     let stop = Arc::new(AtomicBool::new(false));
-    let w1 = spawn_worker(addr, "w1", Arc::clone(&stop));
-    let w2 = spawn_worker(addr, "w2", Arc::clone(&stop));
+    let w1 = spawn_worker(worker_config(addr, "w1", Arc::clone(&stop)));
+    let w2 = spawn_worker(worker_config(addr, "w2", Arc::clone(&stop)));
     let mut c = Client::connect(addr).unwrap();
-    wait_for("two live workers", || {
-        c.metrics().unwrap().fleet.live_workers == 2
-    });
+    wait_for_live_workers(&mut c, 2);
 
-    let (st, _) = c.create_session(params(), 0.0, 0).unwrap();
+    let campaign = params("exec", BUDGET, 120, 41);
+    let (st, _) = c.create_session(campaign, 0.0, 0).unwrap();
     let session = st.session;
     assert_eq!(c.advance(session, 4).unwrap().state, "collecting-history");
 
@@ -116,6 +88,9 @@ fn worker_and_coordinator_crashes_cause_no_duplicate_charges() {
         "crash surfaces as one error frame"
     );
 
+    // The crashed worker panicked out of its thread; the other one may
+    // meet a transport error once the coordinator is gone. Both are part
+    // of this teardown.
     stop.store(true, Ordering::Release);
     let _ = w1.join();
     let _ = w2.join();
@@ -145,16 +120,14 @@ fn worker_and_coordinator_crashes_cause_no_duplicate_charges() {
     // Restart: a fresh coordinator rebuilds the session from its journal
     // and fresh workers finish the campaign, paying exactly the lost
     // budget.
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         journal_dir: Some(dir.clone()),
         worker_lease: Duration::from_millis(200),
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
     let stop = Arc::new(AtomicBool::new(false));
-    let w3 = spawn_worker(srv.addr(), "w3", Arc::clone(&stop));
-    let w4 = spawn_worker(srv.addr(), "w4", Arc::clone(&stop));
+    let w3 = spawn_worker(worker_config(srv.addr(), "w3", Arc::clone(&stop)));
+    let w4 = spawn_worker(worker_config(srv.addr(), "w4", Arc::clone(&stop)));
     let mut c = Client::connect(srv.addr()).unwrap();
     let m = c.metrics().unwrap();
     assert_eq!(m.sessions_rebuilt, 1);
@@ -163,18 +136,9 @@ fn worker_and_coordinator_crashes_cause_no_duplicate_charges() {
         "rebuilding must not touch the oracle"
     );
     assert_eq!(c.status(session).unwrap().measured, committed);
-    wait_for("two live workers on the restarted server", || {
-        c.metrics().unwrap().fleet.live_workers == 2
-    });
+    wait_for_live_workers(&mut c, 2);
 
-    let mut done = c.advance(session, 4).unwrap();
-    for _ in 0..100 {
-        if done.state == "done" {
-            break;
-        }
-        done = c.advance(session, 4).unwrap();
-    }
-    assert_eq!(done.state, "done");
+    let done = drive_to_done(&mut c, session, 4);
     assert_eq!(
         done.measured, BUDGET,
         "total spend matches a crash-free run"

@@ -3,54 +3,25 @@
 //! from disk the way a restarted server does, and assert the
 //! crash-recovery invariant — the recovered journal is a prefix of the
 //! crash-free record sequence, no committed measurement is re-billed, and
-//! the resumed campaign spends exactly its remaining budget to finish.
-//!
-//! (The *recommendation* may differ from an uninterrupted run: refinement
-//! picks measurement batches per `advance` call, and a mid-batch crash
-//! changes the refit boundaries. The journal guarantees the spend, not the
-//! chunking.)
+//! the resumed campaign spends exactly its remaining budget to finish on
+//! the recommendation of a crash-free run: the stepper decides what is
+//! measured, the shell only measures, so a crash cannot move the search.
 //!
 //! Requires the `chaos` feature:
 //! `cargo test -p ceal-serve --features chaos --test chaos_session`.
 #![cfg(feature = "chaos")]
 
+mod common;
+
 use ceal_core::{Journal, JournalRecord};
 use ceal_fleet::FleetReport;
-use ceal_serve::{
-    AutotuneCache, CacheStats, ServerMetrics, SessionManager, SessionStatus, TuneParams,
-};
+use ceal_serve::{AutotuneCache, CacheStats, ServerMetrics, SessionManager};
 use ceal_testutil::{chaos, unique_temp_path};
+use common::{drive_session_to_done, params};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 const BUDGET: u64 = 10;
-
-fn params() -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "exec".into(),
-        budget: BUDGET,
-        pool: 120,
-        seed: 97,
-        algo: "ceal".into(),
-    }
-}
-
-fn drive_to_done(
-    mgr: &SessionManager,
-    id: u64,
-    cache: &AutotuneCache,
-    metrics: &ServerMetrics,
-) -> SessionStatus {
-    for _ in 0..100 {
-        let handle = mgr.get(id).expect("session exists");
-        let status = handle.lock().advance(4, cache, metrics).expect("advance");
-        if status.state == "done" {
-            return status;
-        }
-    }
-    panic!("session {id} never reached done");
-}
 
 fn coupled_count(records: &[JournalRecord]) -> u64 {
     records
@@ -74,7 +45,7 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
             .with_journal_dir(&ref_dir)
             .expect("journal dir");
         let (st, _) = mgr
-            .create(params(), 0.0, 0, &cache, &metrics)
+            .create(params("exec", BUDGET, 120, 97), 0.0, 0, &cache, &metrics)
             .expect("create");
         let handle = mgr.get(st.session).expect("session");
         for _ in 0..3 {
@@ -91,6 +62,16 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
     };
     std::fs::remove_dir_all(&ref_dir).ok();
 
+    // The crash-free answer: the same campaign, uninterrupted.
+    let crash_free = {
+        let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
+        let mgr = SessionManager::new(Duration::from_secs(3600));
+        let (st, _) = mgr
+            .create(params("exec", BUDGET, 120, 97), 0.0, 0, &cache, &metrics)
+            .expect("create");
+        drive_session_to_done(&mgr, st.session, &cache, &metrics)
+    };
+
     // The victim: same campaign, killed in the middle of committing its
     // second measurement record of the third advance.
     let dir = unique_temp_path("ceal-serve-chaos", "");
@@ -100,7 +81,7 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
         .with_journal_dir(&dir)
         .expect("journal dir");
     let (st, _) = mgr
-        .create(params(), 0.0, 0, &cache, &metrics)
+        .create(params("exec", BUDGET, 120, 97), 0.0, 0, &cache, &metrics)
         .expect("create");
     let id = st.session;
     let handle = mgr.get(id).expect("session");
@@ -172,10 +153,15 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
 
     // ...and finishes by paying for exactly the budget the crash lost:
     // replayed measurements are never re-billed.
-    let done = drive_to_done(&mgr2, id, &cache, &metrics2);
+    let done = drive_session_to_done(&mgr2, id, &cache, &metrics2);
     assert_eq!(done.measured, BUDGET, "total runs match a crash-free run");
     assert_eq!(done.budget_left, 0);
     assert!(done.best.is_some() && done.best_value.is_some());
+    assert_eq!(
+        done.best, crash_free.best,
+        "a crash must not move the search"
+    );
+    assert_eq!(done.best_value, crash_free.best_value);
     assert_eq!(
         metrics2
             .report(

@@ -5,21 +5,20 @@
 //! the protocol's whole compatibility contract: strict version equality
 //! at connect.
 
+mod common;
+
 use ceal_core::RetryPolicy;
 use ceal_serve::frame::{read_message, write_message};
 use ceal_serve::{
-    Client, ClientError, FrameError, Request, Response, ServeConfig, Server, ServerHandle,
-    PROTOCOL_VERSION,
+    Client, ClientError, FrameError, Request, Response, ServeConfig, ServerHandle, PROTOCOL_VERSION,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 
 fn start_server() -> ServerHandle {
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
+    common::start_server(ServeConfig {
         workers: 2,
         ..ServeConfig::default()
-    };
-    Server::bind(config).expect("bind loopback").spawn()
+    })
 }
 
 /// A front door that slams the first `drop_first` connections shut and

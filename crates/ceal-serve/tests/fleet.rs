@@ -2,72 +2,22 @@
 //! be indistinguishable — bit for bit, and in oracle spend — from the
 //! same campaign measured in-process.
 
-use ceal_core::RetryPolicy;
-use ceal_serve::protocol::SessionStatus;
-use ceal_serve::{
-    run_worker, Client, ServeConfig, Server, TuneParams, WorkerConfig, WorkerSummary,
+mod common;
+
+use ceal_serve::{Client, ServeConfig};
+use common::{
+    drive_to_done, params, spawn_worker, start_server, wait_for_live_workers, worker_config,
 };
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-fn params(seed: u64, budget: u64) -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "comp".into(),
-        budget,
-        pool: 60,
-        seed,
-        algo: "ceal".into(),
-    }
-}
-
-fn spawn_worker(
-    addr: SocketAddr,
-    name: &str,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<Result<WorkerSummary, ceal_serve::ClientError>> {
-    let cfg = WorkerConfig {
-        coordinator: addr.to_string(),
-        name: name.to_string(),
-        poll_interval: Duration::from_millis(5),
-        retry: RetryPolicy::no_delay(3),
-        stop: Some(stop),
-        tracer: ceal_trace::Tracer::disabled(),
-    };
-    std::thread::spawn(move || run_worker(cfg))
-}
-
-fn wait_for_live_workers(client: &mut Client, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if client.metrics().unwrap().fleet.live_workers >= n {
-            return;
-        }
-        assert!(Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn drive_to_done(client: &mut Client, session: u64, chunk: u64) -> SessionStatus {
-    let mut st = client.advance(session, chunk).unwrap();
-    for _ in 0..200 {
-        if st.state == "done" {
-            return st;
-        }
-        st = client.advance(session, chunk).unwrap();
-    }
-    panic!("campaign did not finish, stuck at {}", st.state);
-}
+use std::time::Duration;
 
 #[test]
 fn two_worker_campaign_is_bit_identical_to_single_process() {
-    let p = params(9, 12);
+    let p = params("comp", 12, 60, 9);
 
     // Reference: the same campaign with no fleet attached.
-    let solo = Server::bind(ServeConfig::default()).unwrap().spawn();
+    let solo = start_server(ServeConfig::default());
     let mut c = Client::connect(solo.addr()).unwrap();
     let (st, from_cache) = c.create_session(p.clone(), 0.0, 0).unwrap();
     assert!(!from_cache);
@@ -77,10 +27,10 @@ fn two_worker_campaign_is_bit_identical_to_single_process() {
     solo.join().unwrap();
 
     // Fleet: two workers registered before the campaign starts.
-    let srv = Server::bind(ServeConfig::default()).unwrap().spawn();
+    let srv = start_server(ServeConfig::default());
     let stop = Arc::new(AtomicBool::new(false));
-    let w1 = spawn_worker(srv.addr(), "w1", Arc::clone(&stop));
-    let w2 = spawn_worker(srv.addr(), "w2", Arc::clone(&stop));
+    let w1 = spawn_worker(worker_config(srv.addr(), "w1", Arc::clone(&stop)));
+    let w2 = spawn_worker(worker_config(srv.addr(), "w2", Arc::clone(&stop)));
     let mut c = Client::connect(srv.addr()).unwrap();
     wait_for_live_workers(&mut c, 2);
 
@@ -115,20 +65,22 @@ fn two_worker_campaign_is_bit_identical_to_single_process() {
 #[test]
 fn losing_a_worker_mid_campaign_still_completes_with_exact_spend() {
     // Short lease so the killed worker ages out within the test.
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         worker_lease: Duration::from_millis(200),
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
     let stop_doomed = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
-    let doomed = spawn_worker(srv.addr(), "doomed", Arc::clone(&stop_doomed));
-    let survivor = spawn_worker(srv.addr(), "survivor", Arc::clone(&stop));
+    let doomed = spawn_worker(worker_config(
+        srv.addr(),
+        "doomed",
+        Arc::clone(&stop_doomed),
+    ));
+    let survivor = spawn_worker(worker_config(srv.addr(), "survivor", Arc::clone(&stop)));
     let mut c = Client::connect(srv.addr()).unwrap();
     wait_for_live_workers(&mut c, 2);
 
-    let (st, _) = c.create_session(params(4, 14), 0.0, 0).unwrap();
+    let (st, _) = c.create_session(params("comp", 14, 60, 4), 0.0, 0).unwrap();
     let session = st.session;
     // History, then the first measuring step with both workers up.
     let st = c.advance(session, 4).unwrap();
@@ -140,11 +92,7 @@ fn losing_a_worker_mid_campaign_still_completes_with_exact_spend() {
     // rounds re-scatter to the survivor (or run locally).
     stop_doomed.store(true, Ordering::Release);
     doomed.join().unwrap().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while c.metrics().unwrap().fleet.live_workers != 1 {
-        assert!(Instant::now() < deadline, "dead worker was never reaped");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_for_live_workers(&mut c, 1);
 
     let done = drive_to_done(&mut c, session, 4);
     assert_eq!(done.measured, 14);

@@ -14,10 +14,13 @@
 //!    arriving, expired sessions were never evicted and `active_sessions`
 //!    lied.
 
+mod common;
+
 use ceal_serve::{
     AutotuneCache, CacheEntry, CacheKey, Client, ServeConfig, Server, ServerMetrics,
     SessionManager, TuneParams,
 };
+use common::drive_session_to_done;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,17 +45,6 @@ fn cache_entry(tag: u64) -> CacheEntry {
         component_runs: 12,
         samples: vec![(vec![18, 18, 2, 18, 18, 2], tag as f64)],
         platform_features: Vec::new(),
-    }
-}
-
-fn lv_params(seed: u64) -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "exec".into(),
-        budget: 10,
-        pool: 120,
-        seed,
-        algo: "ceal".into(),
     }
 }
 
@@ -125,15 +117,11 @@ fn simultaneous_finishes_across_workflows_leave_one_valid_shard_each() {
                         seed,
                         algo: "ceal".into(),
                     };
-                    let (mut st, from_cache) = mgr
+                    let (st, from_cache) = mgr
                         .create(params, 0.0, 0, &cache, &metrics)
                         .expect("create");
                     assert!(!from_cache);
-                    let handle = mgr.get(st.session).expect("session");
-                    let mut session = handle.lock();
-                    while st.state != "done" {
-                        st = session.advance(4, &cache, &metrics).expect("advance");
-                    }
+                    drive_session_to_done(&mgr, st.session, &cache, &metrics);
                 })
             })
             .collect();
@@ -311,7 +299,7 @@ fn idle_sessions_evicted_with_zero_incoming_connections() {
     .spawn();
     let mut client = Client::connect(handle.addr()).expect("connect");
     client
-        .create_session(lv_params(5), 0.0, 0)
+        .create_session(common::params("exec", 10, 120, 5), 0.0, 0)
         .expect("create session");
     let m = client.metrics().expect("metrics");
     assert_eq!(m.active_sessions, 1, "session live");

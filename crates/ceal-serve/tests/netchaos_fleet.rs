@@ -5,40 +5,23 @@
 //! Plus overload-protection integration: connection caps answer with a
 //! typed `Busy` and heal once load drains.
 
+mod common;
+
 use ceal_chaos::{ChaosProxy, FaultPlan};
 use ceal_core::RetryPolicy;
-use ceal_serve::protocol::SessionStatus;
-use ceal_serve::{
-    run_worker, Client, ClientError, ServeConfig, Server, TuneParams, WorkerConfig, WorkerSummary,
+use ceal_serve::{Client, ClientError, ServeConfig, WorkerConfig};
+use common::{
+    drive_to_done, params, spawn_worker, start_server, wait_for_live_workers, worker_config, Worker,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-fn params(seed: u64, budget: u64) -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "comp".into(),
-        budget,
-        pool: 60,
-        seed,
-        algo: "ceal".into(),
-    }
-}
 
 /// A worker that can ride out a multi-second partition: fixed short
 /// backoff, enough attempts to outlast the outage, no deadline.
-fn patient_worker(
-    addr: SocketAddr,
-    name: &str,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<Result<WorkerSummary, ClientError>> {
-    let cfg = WorkerConfig {
-        coordinator: addr.to_string(),
-        name: name.to_string(),
-        poll_interval: Duration::from_millis(5),
+fn patient_worker(addr: SocketAddr, name: &str, stop: Arc<AtomicBool>) -> Worker {
+    spawn_worker(WorkerConfig {
         retry: RetryPolicy {
             max_attempts: 400,
             base_delay: Duration::from_millis(25),
@@ -47,43 +30,16 @@ fn patient_worker(
             seed: 11,
             deadline: None,
         },
-        stop: Some(stop),
-        tracer: ceal_trace::Tracer::disabled(),
-    };
-    std::thread::spawn(move || run_worker(cfg))
-}
-
-fn wait_for_live_workers(client: &mut Client, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        if client.metrics().unwrap().fleet.live_workers == n {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "fleet never reached {n} live workers"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn drive_to_done(client: &mut Client, session: u64, chunk: u64) -> SessionStatus {
-    let mut st = client.advance(session, chunk).unwrap();
-    for _ in 0..200 {
-        if st.state == "done" {
-            return st;
-        }
-        st = client.advance(session, chunk).unwrap();
-    }
-    panic!("campaign did not finish, stuck at {}", st.state);
+        ..worker_config(addr, name, stop)
+    })
 }
 
 #[test]
 fn partitioned_and_healed_fleet_campaign_is_bit_identical() {
-    let p = params(9, 12);
+    let p = params("comp", 12, 60, 9);
 
     // Reference: the same campaign with no fleet and no network between.
-    let solo = Server::bind(ServeConfig::default()).unwrap().spawn();
+    let solo = start_server(ServeConfig::default());
     let mut c = Client::connect(solo.addr()).unwrap();
     let (st, from_cache) = c.create_session(p.clone(), 0.0, 0).unwrap();
     assert!(!from_cache);
@@ -94,12 +50,10 @@ fn partitioned_and_healed_fleet_campaign_is_bit_identical() {
     // Fleet: workers reach the coordinator only through a chaos proxy
     // that adds latency and, mid-campaign, a full partition longer than
     // the worker lease.
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         worker_lease: Duration::from_millis(200),
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
     let proxy = ChaosProxy::spawn(
         srv.addr(),
         FaultPlan {
@@ -178,12 +132,10 @@ fn partitioned_and_healed_fleet_campaign_is_bit_identical() {
 
 #[test]
 fn connection_cap_sheds_with_typed_busy_and_heals() {
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         max_connections: 2,
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
 
     let mut c1 = Client::connect(srv.addr()).unwrap();
     let c2 = Client::connect(srv.addr()).unwrap();
@@ -232,13 +184,11 @@ fn dispatch_overload_sheds_but_retrying_clients_finish() {
     // Watermarks far below the offered concurrency: with eight clients
     // hammering real work through a high watermark of 1, some requests
     // must be shed; retrying clients absorb the Busy answers and finish.
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         dispatch_high_watermark: 1,
         dispatch_low_watermark: 1,
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
     let addr = srv.addr().to_string();
 
     let threads: Vec<_> = (0..8u64)
@@ -256,7 +206,7 @@ fn dispatch_overload_sheds_but_retrying_clients_finish() {
                 let mut c = Client::connect_with_retry(&addr, policy).unwrap();
                 for i in 0..25 {
                     let outcome = c
-                        .tune(params(1000 + t * 100 + i, 6))
+                        .tune(params("comp", 6, 60, 1000 + t * 100 + i))
                         .expect("retrying client must eventually get an answer");
                     assert!(!outcome.best.is_empty());
                     assert!(outcome.best_value.is_finite());

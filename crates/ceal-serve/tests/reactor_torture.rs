@@ -6,18 +6,16 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
 mod hostile;
 
 use ceal_serve::frame::read_frame;
-use ceal_serve::{Client, FrameError, ServeConfig, Server, ServerHandle};
+use ceal_serve::{Client, FrameError, ServeConfig};
+use common::start_server;
 use hostile::{corpus, poke};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-fn start_server(config: ServeConfig) -> ServerHandle {
-    Server::bind(config).expect("bind loopback").spawn()
-}
 
 #[test]
 fn hostile_storm_does_not_starve_honest_clients() {

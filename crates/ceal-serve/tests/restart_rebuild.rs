@@ -3,46 +3,27 @@
 //! next bind, continue where they left off, and finish with the exact
 //! result a crash-free session would have produced.
 
+mod common;
+
 use ceal_core::algorithms::by_name;
 use ceal_core::{sample_pool, ComponentHistory, Journal, JournalRecord, SimOracle};
-use ceal_serve::{Client, ServeConfig, Server, ServerHandle, SessionStatus, TuneParams};
+use ceal_serve::{Client, ServeConfig, Server, ServerHandle, TuneParams};
 use ceal_sim::{Objective, Simulator};
 use ceal_testutil::unique_temp_path;
 use ceal_trace::Tracer;
+use common::{drive_to_done, params};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// A two-worker server journaling sessions under `journal_dir`.
 fn start(journal_dir: Option<PathBuf>) -> ServerHandle {
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
+    common::start_server(ServeConfig {
         workers: 2,
         journal_dir,
         ..ServeConfig::default()
-    };
-    Server::bind(config).expect("bind loopback").spawn()
-}
-
-fn params(seed: u64) -> TuneParams {
-    TuneParams {
-        workflow: "LV".into(),
-        objective: "exec".into(),
-        budget: 10,
-        pool: 120,
-        seed,
-        algo: "ceal".into(),
-    }
-}
-
-fn drive_to_done(client: &mut Client, session: u64) -> SessionStatus {
-    for _ in 0..100 {
-        let status = client.advance(session, 4).expect("advance");
-        if status.state == "done" {
-            return status;
-        }
-    }
-    panic!("session {session} never reached done");
+    })
 }
 
 #[test]
@@ -51,8 +32,10 @@ fn restarted_server_rebuilds_sessions_and_finishes_identically() {
     // server that never restarts.
     let free = start(None);
     let mut c = Client::connect(free.addr()).expect("connect");
-    let (st, _) = c.create_session(params(42), 0.0, 0).expect("create");
-    let free_done = drive_to_done(&mut c, st.session);
+    let (st, _) = c
+        .create_session(params("exec", 10, 120, 42), 0.0, 0)
+        .expect("create");
+    let free_done = drive_to_done(&mut c, st.session, 4);
     c.shutdown().expect("shutdown");
     free.join().expect("join");
 
@@ -62,7 +45,9 @@ fn restarted_server_rebuilds_sessions_and_finishes_identically() {
     let dir = unique_temp_path("ceal-serve-rebuild", "");
     let h1 = start(Some(dir.clone()));
     let mut c1 = Client::connect(h1.addr()).expect("connect");
-    let (st1, from_cache) = c1.create_session(params(42), 0.0, 0).expect("create");
+    let (st1, from_cache) = c1
+        .create_session(params("exec", 10, 120, 42), 0.0, 0)
+        .expect("create");
     assert!(!from_cache);
     c1.advance(st1.session, 3).expect("history phase");
     let mid = c1.advance(st1.session, 3).expect("bootstrap phase");
@@ -99,7 +84,7 @@ fn restarted_server_rebuilds_sessions_and_finishes_identically() {
 
     // Continuing lands on the crash-free recommendation, spending only
     // what the interruption lost.
-    let done = drive_to_done(&mut c2, st1.session);
+    let done = drive_to_done(&mut c2, st1.session, 4);
     assert_eq!(done.best, free_done.best);
     assert_eq!(done.best_value, free_done.best_value);
     assert_eq!(done.measured, free_done.measured);
@@ -130,8 +115,10 @@ fn unreadable_journals_are_skipped_at_startup() {
     assert_eq!(client.metrics().expect("metrics").sessions_rebuilt, 0);
 
     // The server still creates and runs sessions normally.
-    let (st, _) = client.create_session(params(7), 0.0, 0).expect("create");
-    let done = drive_to_done(&mut client, st.session);
+    let (st, _) = client
+        .create_session(params("exec", 10, 120, 7), 0.0, 0)
+        .expect("create");
+    let done = drive_to_done(&mut client, st.session, 4);
     assert!(done.best.is_some());
     client.close_session(st.session).expect("close");
     client.shutdown().expect("shutdown");
@@ -157,7 +144,9 @@ fn journals_that_disagree_with_the_stepper_are_skipped_at_startup() {
     let dir = unique_temp_path("ceal-serve-foldwal", "");
     let h = start(Some(dir.clone()));
     let mut c = Client::connect(h.addr()).expect("connect");
-    let (st, _) = c.create_session(params(5), 0.0, 0).expect("create");
+    let (st, _) = c
+        .create_session(params("exec", 10, 120, 5), 0.0, 0)
+        .expect("create");
     c.advance(st.session, 4).expect("history");
     let mid = c.advance(st.session, 4).expect("first coupled runs");
     assert!(mid.measured >= 2 && mid.state != "done");
@@ -252,16 +241,20 @@ fn pushed_history_survives_a_restart() {
     ];
     let free = start(None);
     let mut c = Client::connect(free.addr()).expect("connect");
-    let (st, _) = c.create_session(params(42), 0.0, 0).expect("create");
+    let (st, _) = c
+        .create_session(params("exec", 10, 120, 42), 0.0, 0)
+        .expect("create");
     c.push_history(st.session, pushed.clone()).expect("push");
-    let free_done = drive_to_done(&mut c, st.session);
+    let free_done = drive_to_done(&mut c, st.session, 4);
     c.shutdown().expect("shutdown");
     free.join().expect("join");
 
     let dir = unique_temp_path("ceal-serve-pushwal", "");
     let h1 = start(Some(dir.clone()));
     let mut c1 = Client::connect(h1.addr()).expect("connect");
-    let (st, _) = c1.create_session(params(42), 0.0, 0).expect("create");
+    let (st, _) = c1
+        .create_session(params("exec", 10, 120, 42), 0.0, 0)
+        .expect("create");
     c1.push_history(st.session, pushed).expect("push");
     c1.advance(st.session, 3).expect("history phase");
     let mid = c1.advance(st.session, 3).expect("first coupled runs");
@@ -275,7 +268,7 @@ fn pushed_history_survives_a_restart() {
     let rebuilt = c2.status(st.session).expect("rebuilt");
     assert_eq!(rebuilt.history_samples, mid.history_samples);
     assert_eq!(rebuilt.measured, mid.measured);
-    let done = drive_to_done(&mut c2, st.session);
+    let done = drive_to_done(&mut c2, st.session, 4);
     assert_eq!(done.best, free_done.best);
     assert_eq!(done.best_value, free_done.best_value);
     c2.shutdown().expect("shutdown");
@@ -318,7 +311,7 @@ fn transfer_seeded_session_survives_a_restart() {
     let h = on(&cache_a, None, ceal_sim::Platform::default());
     let mut c = Client::connect(h.addr()).expect("connect");
     let (st, _) = c.create_session(p.clone(), 0.0, 0).expect("sibling");
-    drive_to_done(&mut c, st.session);
+    drive_to_done(&mut c, st.session, 4);
     c.shutdown().expect("shutdown");
     h.join().expect("join");
     std::fs::create_dir_all(&cache_b).expect("mkdir");
@@ -330,7 +323,7 @@ fn transfer_seeded_session_survives_a_restart() {
     let mut c = Client::connect(h.addr()).expect("connect");
     let (st, _) = c.create_session(p.clone(), 0.0, 0).expect("uninterrupted");
     assert_eq!(st.warm_source, "transfer");
-    let free_done = drive_to_done(&mut c, st.session);
+    let free_done = drive_to_done(&mut c, st.session, 4);
     c.shutdown().expect("shutdown");
     h.join().expect("join");
 
@@ -349,7 +342,7 @@ fn transfer_seeded_session_survives_a_restart() {
     assert_eq!(c2.metrics().expect("metrics").sessions_rebuilt, 1);
     let rebuilt = c2.status(st.session).expect("rebuilt");
     assert_eq!(rebuilt.warm_source, "transfer");
-    let done = drive_to_done(&mut c2, st.session);
+    let done = drive_to_done(&mut c2, st.session, 4);
     assert_eq!(done.best, free_done.best);
     assert_eq!(done.best_value, free_done.best_value);
     c2.shutdown().expect("shutdown");

@@ -5,25 +5,16 @@
 //! parents on a coordinator-side `fleet.scatter` span, so a summarizer
 //! can attribute remote work to the originating session without joins.
 
-use ceal_core::RetryPolicy;
-use ceal_serve::protocol::SessionStatus;
-use ceal_serve::{run_worker, Client, ServeConfig, Server, TuneParams, WorkerConfig};
+mod common;
+
+use ceal_serve::{Client, ServeConfig, WorkerConfig};
 use ceal_trace::{EventKind, Tracer};
+use common::{
+    drive_to_done, params, spawn_worker, start_server, wait_for_live_workers, worker_config,
+};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn drive_to_done(client: &mut Client, session: u64, chunk: u64) -> SessionStatus {
-    let mut st = client.advance(session, chunk).unwrap();
-    for _ in 0..200 {
-        if st.state == "done" {
-            return st;
-        }
-        st = client.advance(session, chunk).unwrap();
-    }
-    panic!("campaign did not finish, stuck at {}", st.state);
-}
 
 #[test]
 fn fleet_campaign_yields_one_correlated_trace() {
@@ -31,48 +22,24 @@ fn fleet_campaign_yields_one_correlated_trace() {
     // in-memory tracer — exactly what a single trace directory holds
     // when the processes each write their own file into it.
     let tracer = Tracer::in_memory();
-    let srv = Server::bind(ServeConfig {
+    let srv = start_server(ServeConfig {
         tracer: tracer.clone(),
         ..ServeConfig::default()
-    })
-    .unwrap()
-    .spawn();
+    });
     let stop = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = ["tw1", "tw2"]
         .iter()
         .map(|name| {
-            let cfg = WorkerConfig {
-                coordinator: srv.addr().to_string(),
-                name: name.to_string(),
-                poll_interval: Duration::from_millis(5),
-                retry: RetryPolicy::no_delay(3),
-                stop: Some(Arc::clone(&stop)),
+            spawn_worker(WorkerConfig {
                 tracer: tracer.clone(),
-            };
-            std::thread::spawn(move || run_worker(cfg))
+                ..worker_config(srv.addr(), name, Arc::clone(&stop))
+            })
         })
         .collect();
     let mut c = Client::connect(srv.addr()).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while c.metrics().unwrap().fleet.live_workers < 2 {
-        assert!(Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for_live_workers(&mut c, 2);
 
-    let (st, _) = c
-        .create_session(
-            TuneParams {
-                workflow: "LV".into(),
-                objective: "comp".into(),
-                budget: 12,
-                pool: 60,
-                seed: 9,
-                algo: "ceal".into(),
-            },
-            0.0,
-            0,
-        )
-        .unwrap();
+    let (st, _) = c.create_session(params("comp", 12, 60, 9), 0.0, 0).unwrap();
     assert_eq!(
         st.trace.len(),
         16,

@@ -52,7 +52,6 @@ fn upper_edge(i: usize) -> u64 {
 pub struct LogHistogram {
     counts: Box<[AtomicU64]>,
     total: AtomicU64,
-    sum: AtomicU64,
 }
 
 impl Default for LogHistogram {
@@ -71,7 +70,6 @@ impl LogHistogram {
         Self {
             counts,
             total: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
         }
     }
 
@@ -79,17 +77,11 @@ impl LogHistogram {
     pub fn record(&self, us: u64) {
         self.counts[index_of(us)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(us, Ordering::Relaxed);
     }
 
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded values, microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
     }
 
     /// Estimates the `q`-quantile (`0.0 < q <= 1.0`) as the highest value
