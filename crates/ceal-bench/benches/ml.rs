@@ -25,9 +25,10 @@ fn tuning_dataset(rows: usize, features: usize) -> Dataset {
 }
 
 fn bench_ml(c: &mut Criterion) {
-    // Training at auto-tuner scale: 50 samples, 6 configuration params.
+    // Training at auto-tuner scale: 50 samples, 6 configuration params —
+    // 200 trees grown on one workspace.
     let small = tuning_dataset(50, 6);
-    c.bench_function("gbt_fit_50x6", |b| {
+    c.bench_function("fit_50x6", |b| {
         b.iter_batched(
             || GradientBoosting::new(GbtParams::small_sample(0)),
             |mut m| {
@@ -50,12 +51,28 @@ fn bench_ml(c: &mut Criterion) {
         )
     });
 
-    // Pool scoring: predict 2000 configurations.
+    // Pool scoring: predict 2000 configurations, on both sides of the
+    // shape selection. The tuner's ensembles (at most 3 levels per tree)
+    // are scored by the bin-space kernel; one deeper tree sends the batch
+    // down the flattened-tree walk.
     let mut fitted = GradientBoosting::new(GbtParams::small_sample(0));
     fitted.fit(&small);
+    assert!(fitted.trees().iter().all(|t| t.depth() <= 3));
+    let mut deeper = GradientBoosting::new(GbtParams {
+        tree: TreeParams {
+            max_depth: 4,
+            ..GbtParams::small_sample(0).tree
+        },
+        ..GbtParams::small_sample(0)
+    });
+    deeper.fit(&small);
+    assert!(deeper.trees().iter().any(|t| t.depth() == 4));
     let pool = tuning_dataset(2000, 6);
-    c.bench_function("gbt_predict_pool_2000", |b| {
+    c.bench_function("pool_score_2000/kernel", |b| {
         b.iter(|| black_box(fitted.predict_batch(black_box(&pool))))
+    });
+    c.bench_function("pool_score_2000/walk", |b| {
+        b.iter(|| black_box(deeper.predict_batch(black_box(&pool))))
     });
 
     c.bench_function("rf_fit_200x6", |b| {

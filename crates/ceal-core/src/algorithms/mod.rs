@@ -257,11 +257,17 @@ pub fn encode_pool(fm: &FeatureMap, pool: &[Vec<i64>]) -> Dataset {
     Dataset::from_rows(&rows, &vec![0.0; rows.len()])
 }
 
-/// Picks the `k` best-scoring pool indices among those not yet measured.
+/// Picks the `k` best-scoring pool indices among those not yet measured,
+/// best first. `(score, index)` is a strict total order, so selecting the
+/// `k` smallest and sorting only those is the sorted pool's prefix.
 pub(crate) fn select_top_unmeasured(scores: &[f64], measured_idx: &[bool], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).filter(|&i| !measured_idx[i]).collect();
-    idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-    idx.truncate(k);
+    let by_score = |a: &usize, b: &usize| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b));
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k, by_score);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(by_score);
     idx
 }
 
@@ -369,6 +375,23 @@ mod tests {
         let scores = [3.0, 1.0, 2.0, 0.5];
         let measured = [false, true, false, false];
         assert_eq!(select_top_unmeasured(&scores, &measured, 2), vec![3, 2]);
+    }
+
+    #[test]
+    fn select_top_unmeasured_is_the_prefix_of_a_full_sort() {
+        // Few distinct scores, so ties (broken by index) are everywhere.
+        let scores: Vec<f64> = (0..200).map(|i| ((i * 37) % 11) as f64).collect();
+        let measured: Vec<bool> = (0..200).map(|i| i % 7 == 0).collect();
+        let mut sorted: Vec<usize> = (0..200).filter(|&i| !measured[i]).collect();
+        sorted.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        for k in [0, 1, 10, sorted.len() - 1, sorted.len(), 500] {
+            let want = &sorted[..k.min(sorted.len())];
+            assert_eq!(
+                select_top_unmeasured(&scores, &measured, k),
+                want,
+                "k = {k}"
+            );
+        }
     }
 
     #[test]

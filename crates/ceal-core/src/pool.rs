@@ -31,6 +31,9 @@ pub fn sample_pool<R: Rng>(
 ) -> Vec<Vec<i64>> {
     let params = spec.all_params();
     let mut pool = Vec::with_capacity(size);
+    // Most attempts are rejected: sample into one buffer and copy out only
+    // the configurations that are kept.
+    let mut cfg = Vec::with_capacity(params.len());
     let max_attempts = (size as u64).saturating_mul(10_000).max(1_000_000);
     let mut attempts = 0u64;
     while pool.len() < size {
@@ -41,9 +44,9 @@ pub fn sample_pool<R: Rng>(
             spec.name,
             pool.len()
         );
-        let cfg = ceal_sim::config::sample_values(&params, rng);
+        ceal_sim::config::sample_values_into(&params, rng, &mut cfg);
         if spec.feasible(platform, &cfg) {
-            pool.push(cfg);
+            pool.push(cfg.clone());
         }
     }
     pool

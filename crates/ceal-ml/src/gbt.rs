@@ -6,7 +6,7 @@
 //! per-tree column subsampling provide stochastic regularization, matching
 //! the `xgboost.XGBRegressor` defaults the paper tunes with.
 
-use crate::binned::{BinnedDataset, DEFAULT_MAX_BINS};
+use crate::binned::{BinKernel, BinnedDataset, TreeWorkspace, DEFAULT_MAX_BINS};
 use crate::dataset::Dataset;
 use crate::flat::FlatTrees;
 use crate::tree::{RegressionTree, TreeParams};
@@ -73,9 +73,12 @@ pub struct GradientBoosting {
     params: GbtParams,
     base_score: f64,
     trees: Vec<RegressionTree>,
-    /// SoA mirror of `trees`, rebuilt at the end of `fit`; prediction
-    /// walks this, never the enum nodes.
+    /// SoA mirror of `trees`, rebuilt at the end of `fit`; row-at-a-time
+    /// prediction walks this, never the enum nodes.
     flat: FlatTrees,
+    /// Bin-space layout of `trees` for batch prediction, when they are
+    /// all shallow enough for it; deeper ensembles batch over `flat`.
+    kernel: Option<BinKernel>,
 }
 
 impl GradientBoosting {
@@ -86,6 +89,7 @@ impl GradientBoosting {
             base_score: 0.0,
             trees: Vec::new(),
             flat: FlatTrees::default(),
+            kernel: None,
         }
     }
 
@@ -142,39 +146,45 @@ impl Regressor for GradientBoosting {
         let mut pred = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
         let hess = vec![1.0; n];
-        let all_rows: Vec<usize> = (0..n).collect();
-        let all_feats: Vec<usize> = (0..p).collect();
         let n_sub = ((n as f64 * self.params.subsample).round() as usize).clamp(1, n);
         let p_sub = ((p as f64 * self.params.colsample).round() as usize).clamp(1, p.max(1));
+        // One workspace and one feature buffer for every round: refilled,
+        // never reallocated.
+        let mut ws = TreeWorkspace::default();
+        let mut feats: Vec<usize> = Vec::with_capacity(p);
 
         for _ in 0..self.params.n_rounds {
             for ((g, p), y) in grad.iter_mut().zip(&pred).zip(data.targets()) {
                 *g = p - y;
             }
-            let rows: Vec<usize> = if n_sub < n {
-                let mut idx = all_rows.clone();
-                idx.shuffle(&mut rng);
-                idx.truncate(n_sub);
-                idx
-            } else {
-                all_rows.clone()
-            };
-            let feats: Vec<usize> = if p_sub < p {
-                let mut idx = all_feats.clone();
-                idx.shuffle(&mut rng);
-                idx.truncate(p_sub);
-                idx
-            } else {
-                all_feats.clone()
-            };
-            let tree =
-                RegressionTree::fit_binned(&binned, &grad, &hess, &rows, &feats, self.params.tree);
+            let rows = ws.rows_mut();
+            rows.clear();
+            rows.extend(0..n as u32);
+            if n_sub < n {
+                rows.shuffle(&mut rng);
+                rows.truncate(n_sub);
+            }
+            feats.clear();
+            feats.extend(0..p);
+            if p_sub < p {
+                feats.shuffle(&mut rng);
+                feats.truncate(p_sub);
+            }
+            let tree = RegressionTree::grow_binned(
+                &mut ws,
+                &binned,
+                &grad,
+                &hess,
+                &feats,
+                self.params.tree,
+            );
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += self.params.learning_rate * tree.predict_row(data.row(i));
             }
             self.trees.push(tree);
         }
         self.flat = FlatTrees::from_trees(&self.trees);
+        self.kernel = BinKernel::new(&self.trees, binned);
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
@@ -182,7 +192,10 @@ impl Regressor for GradientBoosting {
     }
 
     fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
-        let mut out = self.flat.predict_batch_sum(data);
+        let mut out = match &self.kernel {
+            Some(kernel) => kernel.predict_batch_sum(data),
+            None => self.flat.predict_batch_sum(data),
+        };
         for y in &mut out {
             *y = self.base_score + self.params.learning_rate * *y;
         }
@@ -322,5 +335,30 @@ mod tests {
         model.fit(&data1);
         model.fit(&data2);
         assert!(model.predict_row(&[0.5]) > 50.0);
+    }
+
+    #[test]
+    fn batch_path_follows_the_fitted_shape() {
+        let data = synthetic(200);
+        let mut shallow = GradientBoosting::new(GbtParams::small_sample(0));
+        shallow.fit(&data);
+        assert!(shallow.trees().iter().all(|t| t.depth() <= 3));
+        assert!(
+            shallow.kernel.is_some(),
+            "shallow ensembles batch in bin space"
+        );
+
+        let mut deeper = GradientBoosting::new(GbtParams::default());
+        deeper.fit(&data);
+        assert!(deeper.trees().iter().any(|t| t.depth() == 4));
+        assert!(
+            deeper.kernel.is_none(),
+            "a depth-4 tree batches over the walk"
+        );
+
+        // A refit re-decides: the same model object, now shallow.
+        deeper.params.tree.max_depth = 2;
+        deeper.fit(&data);
+        assert!(deeper.kernel.is_some());
     }
 }

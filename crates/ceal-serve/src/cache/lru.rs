@@ -2,33 +2,87 @@
 //!
 //! Hot lookups must never touch disk, but the cache directory can hold
 //! far more campaigns than are worth pinning in memory, so the front is
-//! capacity-bounded with least-recently-used eviction. The implementation
-//! is the classic lazy-deletion LRU: a `HashMap` holds the live entries
-//! tagged with the tick of their last touch, and a `VecDeque` records
-//! `(key, tick)` touch events in order. Eviction pops queue heads until
-//! one matches its entry's current tick — stale heads (the entry was
-//! touched again later, or already evicted) are discarded for free. Every
-//! operation is O(1) amortized and the queue length stays bounded by the
-//! touch count between evictions.
+//! capacity-bounded with least-recently-used eviction: a `HashMap` holds
+//! the residents, each tagged with the tick of its last touch, and a
+//! `BTreeMap` orders them by that tick — exactly one record per resident,
+//! moved on every touch, so the eviction victim is its first record and
+//! the order never outgrows the map.
+//!
+//! A long-lived server pins up to its full capacity of campaigns here, so
+//! a resident is held once and packed ([`Resident`]): one shared copy of
+//! the key, and the samples' configurations in one flat buffer instead of
+//! a `Vec` each. `get` rebuilds the [`CacheEntry`] it hands out.
 
+use super::transfer::{self, Candidate, TransferHit};
 use super::{CacheEntry, CacheKey};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 pub(crate) struct LruFront {
-    /// Maximum resident entries; `usize::MAX` makes the front unbounded
-    /// (the pure in-memory cache, which has no disk tier behind it).
+    /// Maximum resident entries.
     capacity: usize,
-    entries: HashMap<CacheKey, Resident>,
-    /// Touch log, oldest first; lazily pruned.
-    order: VecDeque<(CacheKey, u64)>,
+    entries: HashMap<Arc<CacheKey>, Resident>,
+    /// Residents by the tick of their last touch, least recent first.
+    order: BTreeMap<u64, Arc<CacheKey>>,
     tick: u64,
     /// Evictions performed since creation.
     pub(crate) evictions: u64,
 }
 
+/// A [`CacheEntry`] without its key, samples packed.
 struct Resident {
-    entry: CacheEntry,
+    best: Vec<i64>,
+    best_value: f64,
+    runs_used: u64,
+    component_runs: u64,
+    /// Every sample's configuration, back to back.
+    configs: Vec<i64>,
+    /// Per sample: how many of `configs` are its configuration (entries
+    /// from an imported bundle may be ragged), and its value.
+    samples: Vec<(usize, f64)>,
+    platform_features: Vec<f64>,
     last_touch: u64,
+}
+
+impl Resident {
+    fn pack(entry: CacheEntry, last_touch: u64) -> (CacheKey, Self) {
+        let mut configs = Vec::with_capacity(entry.samples.iter().map(|(c, _)| c.len()).sum());
+        let mut samples = Vec::with_capacity(entry.samples.len());
+        for (config, value) in entry.samples {
+            configs.extend_from_slice(&config);
+            samples.push((config.len(), value));
+        }
+        let resident = Self {
+            best: entry.best,
+            best_value: entry.best_value,
+            runs_used: entry.runs_used,
+            component_runs: entry.component_runs,
+            configs,
+            samples,
+            platform_features: entry.platform_features,
+            last_touch,
+        };
+        (entry.key, resident)
+    }
+
+    fn unpack(&self, key: &CacheKey) -> CacheEntry {
+        let mut configs = &self.configs[..];
+        let mut samples = Vec::with_capacity(self.samples.len());
+        for &(len, value) in &self.samples {
+            let (config, rest) = configs.split_at(len);
+            samples.push((config.to_vec(), value));
+            configs = rest;
+        }
+        CacheEntry {
+            key: key.clone(),
+            best: self.best.clone(),
+            best_value: self.best_value,
+            runs_used: self.runs_used,
+            component_runs: self.component_runs,
+            samples,
+            platform_features: self.platform_features.clone(),
+        }
+    }
 }
 
 impl LruFront {
@@ -36,7 +90,7 @@ impl LruFront {
         Self {
             capacity: capacity.max(1),
             entries: HashMap::new(),
-            order: VecDeque::new(),
+            order: BTreeMap::new(),
             tick: 0,
             evictions: 0,
         }
@@ -46,57 +100,73 @@ impl LruFront {
         self.entries.len()
     }
 
-    fn touch(&mut self, key: &CacheKey) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(r) = self.entries.get_mut(key) {
-            r.last_touch = tick;
-        }
-        self.order.push_back((key.clone(), tick));
-    }
-
     /// Fetches and freshens an entry.
     pub(crate) fn get(&mut self, key: &CacheKey) -> Option<CacheEntry> {
-        let hit = self.entries.get(key)?.entry.clone();
-        self.touch(key);
+        let resident = self.entries.get_mut(key)?;
+        // Every resident has its order record; one without would read as
+        // a miss here and be replaced by the caller's next insert.
+        let shared = self.order.remove(&resident.last_touch)?;
+        self.tick += 1;
+        resident.last_touch = self.tick;
+        let hit = resident.unpack(&shared);
+        self.order.insert(self.tick, shared);
         Some(hit)
     }
 
     /// Inserts (or replaces) an entry, evicting the least recently used
     /// residents while over capacity.
     pub(crate) fn insert(&mut self, entry: CacheEntry) {
-        let key = entry.key.clone();
         self.tick += 1;
-        let tick = self.tick;
-        self.entries.insert(
-            key.clone(),
-            Resident {
-                entry,
-                last_touch: tick,
-            },
-        );
-        self.order.push_back((key, tick));
-        while self.entries.len() > self.capacity {
-            let Some((victim, tick)) = self.order.pop_front() else {
-                break; // unreachable: entries ⊆ touch log
-            };
-            // Stale log record: the entry was touched again later (or is
-            // already gone). Only a head matching the entry's latest touch
-            // identifies the true LRU.
-            let is_current = self
-                .entries
-                .get(&victim)
-                .is_some_and(|r| r.last_touch == tick);
-            if is_current {
-                self.entries.remove(&victim);
-                self.evictions += 1;
+        let (key, resident) = Resident::pack(entry, self.tick);
+        let shared = match self.entries.remove_entry(&key) {
+            Some((shared, replaced)) => {
+                self.order.remove(&replaced.last_touch);
+                shared
             }
+            None => Arc::new(key),
+        };
+        self.order.insert(self.tick, Arc::clone(&shared));
+        self.entries.insert(shared, resident);
+        while self.entries.len() > self.capacity {
+            let Some((_, victim)) = self.order.pop_first() else {
+                break; // unreachable: every resident has an order record
+            };
+            self.entries.remove(&*victim);
+            self.evictions += 1;
         }
     }
 
-    /// Iterates the resident entries (no freshening).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.entries.values().map(|r| &r.entry)
+    /// The resident campaigns' keys (no freshening).
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &CacheKey> {
+        self.entries.keys().map(|k| &**k)
+    }
+
+    /// Every resident campaign, unpacked (no freshening).
+    pub(crate) fn entries(&self) -> Vec<CacheEntry> {
+        self.entries.iter().map(|(k, r)| r.unpack(k)).collect()
+    }
+
+    /// [`transfer::nearest`] over the residents; only the winner is
+    /// unpacked.
+    pub(crate) fn nearest(
+        &self,
+        key: &CacheKey,
+        features: &[f64],
+        threshold: f64,
+    ) -> Option<TransferHit> {
+        let candidates = self.entries.iter().map(|(k, r)| {
+            let seed = Candidate {
+                key: k,
+                platform_features: &r.platform_features,
+                has_samples: !r.samples.is_empty(),
+            };
+            (seed, (k, r))
+        });
+        let ((k, r), distance) = transfer::nearest(candidates, key, features, threshold)?;
+        Some(TransferHit {
+            entry: r.unpack(k),
+            distance,
+        })
     }
 }
 
@@ -164,5 +234,67 @@ mod tests {
         }
         // The 8 residents must be the 8 most recently touched keys.
         assert_eq!(lru.len(), 8);
+    }
+
+    #[test]
+    fn get_returns_what_insert_was_given() {
+        let mut lru = LruFront::new(4);
+        let full = CacheEntry {
+            samples: vec![
+                (vec![1, 2, 3], 0.5),
+                (vec![], -1.0),
+                (vec![i64::MIN, i64::MAX], f64::INFINITY),
+                (vec![7], 0.0),
+            ],
+            platform_features: vec![1.0, 0.25],
+            ..entry(1)
+        };
+        let empty = entry(2);
+        lru.insert(full.clone());
+        lru.insert(empty.clone());
+        assert_eq!(lru.get(&key(1)), Some(full.clone()));
+        assert_eq!(lru.get(&key(2)), Some(empty.clone()));
+        let mut all = lru.entries();
+        all.sort_by_key(|e| e.key.seed);
+        assert_eq!(all, vec![full, empty]);
+    }
+
+    #[test]
+    fn order_holds_one_record_per_resident_however_often_touched() {
+        // A front below its capacity never evicts, so nothing else would
+        // ever prune the order.
+        let mut lru = LruFront::new(usize::MAX);
+        for seed in 0..3 {
+            lru.insert(entry(seed));
+        }
+        for round in 0..10_000u64 {
+            assert!(lru.get(&key(round % 3)).is_some());
+            lru.insert(entry(round % 3));
+        }
+        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.order.len(), 3);
+    }
+
+    #[test]
+    fn nearest_ranks_residents_and_unpacks_the_winner() {
+        let on = |platform: &str, features: Vec<f64>, seed: u64| CacheEntry {
+            key: CacheKey {
+                platform: platform.into(),
+                ..key(seed)
+            },
+            samples: vec![(vec![seed as i64], 1.0)],
+            platform_features: features,
+            ..entry(seed)
+        };
+        let mut lru = LruFront::new(8);
+        lru.insert(on("far", vec![1.3], 1));
+        lru.insert(on("near", vec![1.1], 2));
+        lru.insert(CacheEntry {
+            samples: vec![],
+            ..on("nearest-but-empty", vec![1.0], 3)
+        });
+        let hit = lru.nearest(&key(9), &[1.0], 0.5).expect("a sibling");
+        assert_eq!(hit.entry, on("near", vec![1.1], 2));
+        assert!(lru.nearest(&key(9), &[1.0], 0.01).is_none());
     }
 }

@@ -45,7 +45,7 @@ pub use transfer::{
     TransferHit, DEFAULT_TRANSFER_THRESHOLD,
 };
 
-/// Default capacity of the in-memory LRU front for disk-backed caches.
+/// Default capacity of the in-memory LRU front, in campaigns.
 pub const DEFAULT_LRU_CAPACITY: usize = 4096;
 
 /// Everything that determines a campaign's outcome.
@@ -116,11 +116,16 @@ pub struct AutotuneCache {
 }
 
 impl AutotuneCache {
-    /// An in-memory cache (nothing persisted; the front is unbounded
-    /// because it is the only tier).
+    /// An in-memory cache with the default LRU capacity (nothing
+    /// persisted: a campaign evicted from the front is gone).
     pub fn in_memory() -> Self {
+        Self::in_memory_with_capacity(DEFAULT_LRU_CAPACITY)
+    }
+
+    /// [`AutotuneCache::in_memory`] with an explicit LRU capacity.
+    pub fn in_memory_with_capacity(capacity: usize) -> Self {
         Self {
-            front: Mutex::new(LruFront::new(usize::MAX)),
+            front: Mutex::new(LruFront::new(capacity)),
             store: None,
             lru_hits: AtomicU64::new(0),
             lru_misses: AtomicU64::new(0),
@@ -189,8 +194,8 @@ impl AutotuneCache {
             Some(store) => store.len_by_workflow(),
             None => {
                 let mut counts = BTreeMap::new();
-                for e in self.front.lock().iter() {
-                    *counts.entry(e.key.workflow.clone()).or_default() += 1;
+                for key in self.front.lock().keys() {
+                    *counts.entry(key.workflow.clone()).or_default() += 1;
                 }
                 counts
             }
@@ -310,7 +315,7 @@ impl AutotuneCache {
             .store
             .as_ref()
             .and_then(|store| store.nearest(key, features, threshold));
-        let front = transfer::nearest(self.front.lock().iter(), key, features, threshold);
+        let front = self.front.lock().nearest(key, features, threshold);
         match (disk, front) {
             (Some(disk), Some(front)) if front.distance < disk.distance => Some(front),
             (Some(disk), _) => Some(disk),
@@ -323,7 +328,7 @@ impl AutotuneCache {
     pub fn all_entries(&self) -> Vec<CacheEntry> {
         match &self.store {
             Some(store) => store.all_entries(),
-            None => self.front.lock().iter().cloned().collect(),
+            None => self.front.lock().entries(),
         }
     }
 

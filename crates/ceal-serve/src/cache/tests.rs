@@ -544,11 +544,19 @@ fn index_nearest_matches_a_full_scan_in_append_order() {
             .collect();
         assert_eq!(decoded, puts[1..], "live entries in append order");
         for threshold in [DEFAULT_TRANSFER_THRESHOLD, 0.25, 1e-6] {
-            let expect = transfer::nearest(decoded.iter(), &key(4), &features, threshold);
+            let scan = decoded.iter().map(|e| {
+                let seed = transfer::Candidate {
+                    key: &e.key,
+                    platform_features: &e.platform_features,
+                    has_samples: !e.samples.is_empty(),
+                };
+                (seed, e)
+            });
+            let expect = transfer::nearest(scan, &key(4), &features, threshold);
             let got = cache.nearest_transfer(&key(4), &features, threshold);
             assert_eq!(
                 got.as_ref().map(|h| (&h.entry, h.distance.to_bits())),
-                expect.as_ref().map(|h| (&h.entry, h.distance.to_bits())),
+                expect.map(|(e, d)| (e, d.to_bits())),
                 "threshold {threshold}"
             );
         }

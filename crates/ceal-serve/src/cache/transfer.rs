@@ -141,33 +141,27 @@ impl Candidate<'_> {
     }
 }
 
-/// Scans `candidates` for the nearest sibling campaign usable as a
+/// Scans `candidates` — each a view of one cached campaign and whatever
+/// the caller needs to fetch it — for the nearest sibling usable as a
 /// transfer seed for `key` on a platform with `features` (see
 /// [`Candidate::distance`]); the first of equally near siblings wins.
-pub(crate) fn nearest<'a>(
-    candidates: impl Iterator<Item = &'a CacheEntry>,
+/// Returns the winner's handle and its distance.
+pub(crate) fn nearest<'a, T>(
+    candidates: impl Iterator<Item = (Candidate<'a>, T)>,
     key: &CacheKey,
     features: &[f64],
     threshold: f64,
-) -> Option<TransferHit> {
-    let mut best: Option<(&CacheEntry, f64)> = None;
-    for e in candidates {
-        let seed = Candidate {
-            key: &e.key,
-            platform_features: &e.platform_features,
-            has_samples: !e.samples.is_empty(),
-        };
+) -> Option<(T, f64)> {
+    let mut best: Option<(T, f64)> = None;
+    for (seed, handle) in candidates {
         let Some(d) = seed.distance(key, features, threshold) else {
             continue;
         };
-        if best.is_none_or(|(_, nearest)| d < nearest) {
-            best = Some((e, d));
+        if best.as_ref().is_none_or(|&(_, nearest)| d < nearest) {
+            best = Some((handle, d));
         }
     }
-    best.map(|(entry, distance)| TransferHit {
-        entry: entry.clone(),
-        distance,
-    })
+    best
 }
 
 /// The checked `{checksum, entries}` JSON layout of a portable bundle —

@@ -39,8 +39,9 @@ pub struct ServeConfig {
     /// at this path is migrated on bind. One process owns the directory
     /// at a time.
     pub cache_path: Option<PathBuf>,
-    /// Capacity of the cache's in-memory LRU front (disk-backed caches
-    /// only; the in-memory cache is its own unbounded store).
+    /// Capacity of the cache's in-memory LRU front, in campaigns. With a
+    /// `cache_path` an evicted campaign is still served from disk; without
+    /// one it is gone and a repeat of it is tuned again.
     pub cache_lru_capacity: usize,
     /// A cache bundle (from `ceal-bench cache export`) imported at bind,
     /// seeding the cache before the first request. Entries already cached
@@ -301,7 +302,7 @@ impl Server {
         let tracer = config.tracer;
         let cache = match &config.cache_path {
             Some(path) => AutotuneCache::at_path_traced(path, config.cache_lru_capacity, &tracer),
-            None => AutotuneCache::in_memory(),
+            None => AutotuneCache::in_memory_with_capacity(config.cache_lru_capacity),
         };
         if let Some(bundle) = &config.cache_import {
             let text = std::fs::read_to_string(bundle)?;

@@ -98,7 +98,16 @@ pub fn space_size(params: &[ParamDef]) -> f64 {
 
 /// Uniformly samples one value per parameter.
 pub fn sample_values<R: Rng>(params: &[ParamDef], rng: &mut R) -> Vec<i64> {
-    params.iter().map(|p| p.sample(rng)).collect()
+    let mut values = Vec::with_capacity(params.len());
+    sample_values_into(params, rng, &mut values);
+    values
+}
+
+/// [`sample_values`] into a buffer the caller reuses: `values` is
+/// overwritten, and the draws are the same.
+pub fn sample_values_into<R: Rng>(params: &[ParamDef], rng: &mut R, values: &mut Vec<i64>) {
+    values.clear();
+    values.extend(params.iter().map(|p| p.sample(rng)));
 }
 
 /// True when `values` selects a valid option for every parameter.

@@ -145,23 +145,37 @@ impl WorkflowSpec {
             .collect()
     }
 
+    /// Each component with its slice of the full configuration (which
+    /// must have [`WorkflowSpec::n_params`] values), allocating nothing.
+    fn parts<'a>(
+        &'a self,
+        config: &'a [i64],
+    ) -> impl Iterator<Item = (&'a dyn ComponentModel, &'a [i64])> {
+        let mut start = 0;
+        self.components.iter().map(move |c| {
+            let values = &config[start..start + c.params().len()];
+            start += values.len();
+            (&**c, values)
+        })
+    }
+
     /// True when every value is on its parameter grid.
     pub fn valid(&self, config: &[i64]) -> bool {
-        if config.len() != self.n_params() {
-            return false;
-        }
-        self.split(config)
-            .iter()
-            .zip(&self.components)
-            .all(|(vals, c)| values_valid(c.params(), vals))
+        config.len() == self.n_params()
+            && self
+                .parts(config)
+                .all(|(c, values)| values_valid(c.params(), values))
     }
 
     /// Resolves every component under `config`.
     pub fn resolve_all(&self, platform: &Platform, config: &[i64]) -> Vec<Resolved> {
-        self.split(config)
-            .iter()
-            .zip(&self.components)
-            .map(|(vals, c)| c.resolve(platform, vals))
+        assert_eq!(
+            config.len(),
+            self.n_params(),
+            "configuration arity mismatch"
+        );
+        self.parts(config)
+            .map(|(c, values)| c.resolve(platform, values))
             .collect()
     }
 
@@ -175,8 +189,16 @@ impl WorkflowSpec {
     }
 
     /// True when the configuration is on-grid and fits the allocation cap.
+    /// Rejection sampling asks this of mostly infeasible configurations,
+    /// so nodes are summed component by component and the rest are not
+    /// resolved once the cap is passed.
     pub fn feasible(&self, platform: &Platform, config: &[i64]) -> bool {
-        self.valid(config) && self.total_nodes(platform, config) <= self.max_nodes
+        let mut nodes = 0;
+        self.valid(config)
+            && self.parts(config).all(|(c, values)| {
+                nodes += c.resolve(platform, values).nodes();
+                nodes <= self.max_nodes
+            })
     }
 
     /// Size of the full cartesian configuration space.
@@ -377,6 +399,32 @@ mod tests {
             wf.feasible(&Platform::default(), &[1, 1])
                 || wf.total_nodes(&Platform::default(), &[1, 1]) > 1
         );
+    }
+
+    #[test]
+    fn feasible_is_valid_and_within_the_cap_at_every_cap() {
+        let platform = Platform::default();
+        let mut wf = pipeline(10, 2, 1.0, 1024, 0.1);
+        for cap in [1, 2, 3, 4] {
+            wf.max_nodes = cap;
+            for config in [
+                [1, 1],
+                [36, 36],
+                [37, 1],
+                [1, 64],
+                [64, 64],
+                [0, 1],
+                [64, 65],
+            ] {
+                let want = wf.valid(&config) && wf.total_nodes(&platform, &config) <= cap;
+                assert_eq!(
+                    wf.feasible(&platform, &config),
+                    want,
+                    "{config:?} cap {cap}"
+                );
+            }
+        }
+        assert!(!wf.feasible(&platform, &[1]), "wrong arity is not feasible");
     }
 
     #[test]
