@@ -14,7 +14,7 @@
 //! the largest configuration space of the three workflows.
 
 use crate::scaling::ScalingModel;
-use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role};
+use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
 /// Heat Transfer cost model (see `kernels::stencil` for the real kernel).
 #[derive(Debug, Clone)]
@@ -73,11 +73,18 @@ impl ComponentModel for Heat {
         &self.params
     }
 
+    fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
+        Placement {
+            procs: values[0] as u64 * values[1] as u64,
+            ppn: values[2] as u64,
+        }
+    }
+
     fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
-        let (px, py, ppn) = (values[0] as u64, values[1] as u64, values[2] as u64);
+        let Placement { procs, ppn } = self.placement(platform, values);
+        let (px, py) = (values[0] as u64, values[1] as u64);
         let outputs = values[3] as u64;
         let buffer = (values[4] as u64) << 20;
-        let procs = px * py;
         let t_iter = self.scaling.step_time(platform, procs, ppn, 1)
             + self.halo_aspect_seconds * (1.0 / px as f64 + 1.0 / py as f64);
         // One macro-step per output: iters/outputs solver iterations, then

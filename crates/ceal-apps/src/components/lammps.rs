@@ -6,7 +6,7 @@
 //! `# threads per process ∈ {1..4}`.
 
 use crate::scaling::ScalingModel;
-use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role};
+use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
 /// LAMMPS cost model (see `kernels::md` for the real miniature kernel).
 #[derive(Debug, Clone)]
@@ -61,8 +61,16 @@ impl ComponentModel for Lammps {
         &self.params
     }
 
+    fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
+        Placement {
+            procs: values[0] as u64,
+            ppn: values[1] as u64,
+        }
+    }
+
     fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
-        let (procs, ppn, threads) = (values[0] as u64, values[1] as u64, values[2] as u64);
+        let Placement { procs, ppn } = self.placement(platform, values);
+        let threads = values[2] as u64;
         Resolved {
             role: Role::Source {
                 steps: self.steps,

@@ -5,7 +5,7 @@
 //! (Table 1): `# processes ∈ {1..512}`, `# processes per node ∈ {1..35}`.
 
 use crate::scaling::ScalingModel;
-use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role};
+use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
 /// PDF calculator cost model (see `kernels::histogram` for the real
 /// kernel).
@@ -60,8 +60,15 @@ impl ComponentModel for PdfCalc {
         &self.params
     }
 
+    fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
+        Placement {
+            procs: values[0] as u64,
+            ppn: values[1] as u64,
+        }
+    }
+
     fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
-        let (procs, ppn) = (values[0] as u64, values[1] as u64);
+        let Placement { procs, ppn } = self.placement(platform, values);
         Resolved {
             role: Role::Transform,
             procs,

@@ -6,7 +6,7 @@
 //! have execution times close to G-Plot alone, 97.0 s (50 frames × 1.94 s
 //! here). P-Plot renders each PDF result and is much cheaper.
 
-use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role};
+use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
 /// A fixed single-process plotter consuming one stream.
 #[derive(Debug, Clone)]
@@ -50,11 +50,16 @@ impl ComponentModel for Plotter {
         &self.params
     }
 
-    fn resolve(&self, _platform: &Platform, _values: &[i64]) -> Resolved {
+    fn placement(&self, _platform: &Platform, _values: &[i64]) -> Placement {
+        Placement { procs: 1, ppn: 1 }
+    }
+
+    fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
+        let Placement { procs, ppn } = self.placement(platform, values);
         Resolved {
             role: Role::Sink,
-            procs: 1,
-            ppn: 1,
+            procs,
+            ppn,
             threads: 1,
             compute_per_step: self.seconds_per_frame,
             emit_bytes: 0,

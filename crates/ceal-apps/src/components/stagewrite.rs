@@ -11,7 +11,7 @@
 //! count (matching the well-known "too many writers" collapse of parallel
 //! filesystems).
 
-use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role};
+use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
 /// Stage Write cost model.
 #[derive(Debug, Clone)]
@@ -60,8 +60,15 @@ impl ComponentModel for StageWrite {
         &self.params
     }
 
+    fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
+        Placement {
+            procs: values[0] as u64,
+            ppn: values[1] as u64,
+        }
+    }
+
     fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
-        let (procs, ppn) = (values[0] as u64, values[1] as u64);
+        let Placement { procs, ppn } = self.placement(platform, values);
         Resolved {
             role: Role::Sink,
             procs,

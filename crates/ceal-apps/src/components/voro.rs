@@ -5,7 +5,7 @@
 //! `# processes per node ∈ {1..35}`, `# threads per process ∈ {1..4}`.
 
 use crate::scaling::ScalingModel;
-use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role};
+use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
 /// Voro++ cost model (see `kernels::voronoi` for the real miniature
 /// kernel).
@@ -48,8 +48,16 @@ impl ComponentModel for Voro {
         &self.params
     }
 
+    fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
+        Placement {
+            procs: values[0] as u64,
+            ppn: values[1] as u64,
+        }
+    }
+
     fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
-        let (procs, ppn, threads) = (values[0] as u64, values[1] as u64, values[2] as u64);
+        let Placement { procs, ppn } = self.placement(platform, values);
+        let threads = values[2] as u64;
         Resolved {
             role: Role::Sink,
             procs,

@@ -275,6 +275,7 @@ fn summarize_one(trace: u64, evs: &[&ParsedEvent]) -> CampaignSummary {
         count: 0,
         total_us: 0,
     };
+    let mut journal_records = 0u64;
     let mut cache_tiers: BTreeMap<String, u64> = BTreeMap::new();
     let mut warns = 0u64;
 
@@ -308,6 +309,7 @@ fn summarize_one(trace: u64, evs: &[&ParsedEvent]) -> CampaignSummary {
             ('I', "journal.commit") => {
                 journal.count += 1;
                 journal.total_us += ev.u64_field("us").unwrap_or(0);
+                journal_records += ev.u64_field("records").unwrap_or(0);
             }
             ('I', "cache.lookup") => {
                 let tier = ev.str_field("tier").unwrap_or("?").to_string();
@@ -322,6 +324,8 @@ fn summarize_one(trace: u64, evs: &[&ParsedEvent]) -> CampaignSummary {
         .iter()
         .map(|name| phases[name].clone())
         .collect();
+    // `count` is commits; records ÷ commits is how well batching works.
+    journal.label = format!("journal.commit ({journal_records} records)");
     for row in [oracle_local, oracle_worker, scatter, journal] {
         if row.count > 0 {
             rows.push(row);
@@ -487,7 +491,20 @@ mod tests {
                 60,
                 &[("source", Value::String("worker".into()))],
             ),
-            ev('I', "journal.commit", t, 0, &[("us", Value::from(7u64))]),
+            ev(
+                'I',
+                "journal.commit",
+                t,
+                0,
+                &[("us", Value::from(7u64)), ("records", Value::from(3u64))],
+            ),
+            ev(
+                'I',
+                "journal.commit",
+                t,
+                0,
+                &[("us", Value::from(5u64)), ("records", Value::from(2u64))],
+            ),
             ev(
                 'I',
                 "cache.lookup",
@@ -514,9 +531,11 @@ mod tests {
                 "phase.bootstrapping",
                 "oracle.measure (local)",
                 "oracle.measure (worker)",
-                "journal.commit"
+                "journal.commit (5 records)"
             ]
         );
+        let journal = s.rows.last().unwrap();
+        assert_eq!((journal.count, journal.total_us), (2, 12));
         let worker = s
             .rows
             .iter()

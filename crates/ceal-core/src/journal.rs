@@ -24,10 +24,25 @@
 //!
 //! [`Journal::open`] scans the file, verifies every record's CRC, and
 //! truncates the first torn/corrupt record and everything after it — a
-//! crash mid-write loses at most the record being written, never a
-//! committed one. [`Journal::append`] writes header + payload and then
-//! `fsync`s (`sync_data`), so a record is committed exactly when the
-//! append returns.
+//! crash mid-write loses at most the commit being written, never an
+//! earlier one.
+//!
+//! ## Commits
+//!
+//! The unit that becomes durable is the *commit*, not the record.
+//! [`Journal::stage`] frames a record into an in-memory buffer and touches
+//! no file; [`Journal::commit`] puts the whole buffer on disk with one
+//! `write_all` and one `fsync` (`sync_data`), so every staged record is
+//! committed exactly when the commit returns — and a commit with nothing
+//! staged performs no I/O at all. [`Journal::append`] is `stage` +
+//! `commit`: per-record durability for a caller whose measurements are
+//! expensive enough to be worth an fsync each ([`JournalingOracle`]). A
+//! caller that consumes measurements a batch at a time (a serve session)
+//! stages the batch and commits once, before it acts on any of it; what a
+//! crash can then lose is the batch in flight, never one it had acted on.
+//! A fresh journal's magic rides along with its first commit. Batching
+//! changes when bytes reach the disk, never which bytes: a journal is
+//! byte-identical however its records were grouped into commits.
 //!
 //! ## Replay
 //!
@@ -41,11 +56,14 @@
 //!
 //! ## Crash points (`chaos` feature)
 //!
-//! Under `--features chaos` the append path exposes four crash points to
-//! [`ceal_testutil::chaos`]: `journal.before_write`, `journal.mid_write`
-//! (header on disk, payload not), `journal.after_write` (record on disk,
-//! not fsynced), and `journal.after_sync` (committed, caller state not yet
-//! updated). The chaos tests arm each in turn and assert recovery.
+//! Under `--features chaos` every commit exposes four crash points to
+//! [`ceal_testutil::chaos`]: `journal.before_write` (nothing of the commit
+//! on disk), `journal.mid_write` (the buffer cut a byte short: every
+//! earlier record of the commit whole on disk, the last one torn),
+//! `journal.after_write` (commit on disk, not fsynced), and
+//! `journal.after_sync` (committed, caller state not yet updated). The
+//! chaos tests arm each in turn, on every commit of a campaign, and assert
+//! recovery.
 
 use crate::frame;
 use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
@@ -192,9 +210,17 @@ pub struct OpenReport {
 pub struct Journal {
     file: File,
     path: PathBuf,
-    /// Whether `append` fsyncs before returning (on by default; tests that
+    /// Whether `commit` fsyncs before returning (on by default; tests that
     /// hammer thousands of appends may turn it off).
     sync_on_commit: bool,
+    /// Bytes of the file that are committed (0: not even the magic); a
+    /// failed commit rolls the file back to here.
+    len: u64,
+    /// What the next commit writes: the framed records staged since the
+    /// last one, behind the magic when the file has none yet.
+    staged: Vec<u8>,
+    /// Records in `staged`.
+    staged_records: usize,
 }
 
 impl Journal {
@@ -213,20 +239,17 @@ impl Journal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        // A file shorter than the magic is a crash during creation: reset
-        // it to a fresh journal.
+        // A file shorter than the magic is new, or a crash during its
+        // first commit: reset it to a fresh journal, whose magic goes to
+        // disk with that commit.
         if bytes.len() < JOURNAL_MAGIC.len() {
             let torn = bytes.len() as u64;
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(JOURNAL_MAGIC)?;
-            file.sync_data()?;
+            if torn > 0 {
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+            }
             return Ok((
-                Self {
-                    file,
-                    path,
-                    sync_on_commit: true,
-                },
+                Self::at(file, path, 0),
                 OpenReport {
                     records: Vec::new(),
                     truncated_bytes: torn,
@@ -255,11 +278,7 @@ impl Journal {
         }
         file.seek(SeekFrom::Start(good as u64))?;
         Ok((
-            Self {
-                file,
-                path,
-                sync_on_commit: true,
-            },
+            Self::at(file, path, good as u64),
             OpenReport {
                 records,
                 truncated_bytes: truncated,
@@ -267,21 +286,35 @@ impl Journal {
         ))
     }
 
+    /// A journal whose `file` holds `len` committed bytes and is positioned
+    /// behind them.
+    fn at(file: File, path: PathBuf, len: u64) -> Self {
+        Self {
+            file,
+            path,
+            sync_on_commit: true,
+            len,
+            staged: Vec::new(),
+            staged_records: 0,
+        }
+    }
+
     /// The journal's file path.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Enables or disables the fsync on every append. Leave on outside
-    /// tests: without it a record is not crash-durable when `append`
+    /// Enables or disables the fsync on every commit. Leave on outside
+    /// tests: without it a record is not crash-durable when `commit`
     /// returns.
     pub fn set_sync_on_commit(&mut self, on: bool) {
         self.sync_on_commit = on;
     }
 
-    /// Appends and commits one record; when this returns `Ok`, the record
-    /// survives a crash.
-    pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
+    /// Frames `record` behind whatever is already staged for the next
+    /// [`Journal::commit`]. No I/O: a staged record is not durable, and a
+    /// caller must not act on it, until that commit returns.
+    pub fn stage(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         let payload = serde_json::to_vec(record)
             .map_err(|e| JournalError::Corrupt(format!("cannot encode record: {e}")))?;
         let header = frame::header(&payload).ok_or_else(|| {
@@ -291,17 +324,68 @@ impl Journal {
                 frame::MAX_PAYLOAD_LEN
             ))
         })?;
+        if self.len == 0 && self.staged.is_empty() {
+            self.staged.extend_from_slice(JOURNAL_MAGIC);
+        }
+        self.staged.extend_from_slice(&header);
+        self.staged.extend_from_slice(&payload);
+        self.staged_records += 1;
+        Ok(())
+    }
 
+    /// Commits every staged record with one write and one fsync; when this
+    /// returns `Ok` they all survive a crash. Returns how many records the
+    /// commit carried — with none staged, 0 and no I/O.
+    ///
+    /// A failed commit drops what was staged, so the caller must treat
+    /// those records as never journaled, and takes back whatever part of
+    /// them reached the file, so a later commit does not land behind a torn
+    /// frame.
+    pub fn commit(&mut self) -> Result<usize, JournalError> {
+        let records = std::mem::take(&mut self.staged_records);
+        if records == 0 {
+            return Ok(0);
+        }
+        let written = self.write();
+        match written {
+            Ok(()) => self.len += self.staged.len() as u64,
+            Err(_) => {
+                let _ = self.file.set_len(self.len);
+                let _ = self.file.seek(SeekFrom::Start(self.len));
+            }
+        }
+        self.staged.clear();
+        written?;
+        Ok(records)
+    }
+
+    /// Puts the staged bytes on disk, through the crash points.
+    fn write(&mut self) -> std::io::Result<()> {
+        let staged = &self.staged[..];
         crash_point("journal.before_write");
-        self.file.write_all(&header)?;
-        crash_point("journal.mid_write");
-        self.file.write_all(&payload)?;
+        // Only the crash-point build splits the one write, to die between
+        // the halves: the commit's last frame is a byte short.
+        #[cfg(feature = "chaos")]
+        let staged = {
+            let (head, tail) = staged.split_at(staged.len() - 1);
+            self.file.write_all(head)?;
+            crash_point("journal.mid_write");
+            tail
+        };
+        self.file.write_all(staged)?;
         crash_point("journal.after_write");
         if self.sync_on_commit {
             self.file.sync_data()?;
         }
         crash_point("journal.after_sync");
         Ok(())
+    }
+
+    /// Stages and commits one record; when this returns `Ok`, the record
+    /// survives a crash.
+    pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
+        self.stage(record)?;
+        self.commit().map(drop)
     }
 }
 
@@ -544,6 +628,26 @@ mod tests {
         let (_j, report) = Journal::open(&path).expect("reopen");
         assert_eq!(report.records, recs);
         assert_eq!(report.truncated_bytes, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn commit_with_nothing_staged_performs_no_io() {
+        let path = ceal_testutil::unique_temp_path("ceal-journal-empty", "wal");
+        let on_disk = || std::fs::metadata(&path).expect("stat").len();
+        let (mut j, _) = Journal::open(&path).expect("open fresh");
+        assert_eq!(j.commit().expect("empty commit"), 0);
+        assert_eq!(on_disk(), 0, "not even the magic");
+        j.stage(&JournalRecord::Marker("a".into())).expect("stage");
+        j.stage(&JournalRecord::Marker("b".into())).expect("stage");
+        assert_eq!(on_disk(), 0, "staging is not I/O");
+        assert_eq!(j.commit().expect("commit"), 2);
+        let len = on_disk();
+        assert!(len > JOURNAL_MAGIC.len() as u64);
+        assert_eq!(j.commit().expect("empty commit"), 0);
+        assert_eq!(on_disk(), len);
+        drop(j);
+        assert_eq!(Journal::open(&path).expect("reopen").1.records.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 

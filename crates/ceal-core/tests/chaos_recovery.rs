@@ -1,8 +1,10 @@
 //! Chaos tests: kill a journaled campaign at every crash point in the
-//! journal's append path, at several depths into the run, then resume and
+//! journal's commit path, at several depths into the run, then resume and
 //! assert the crash-recovery invariant — the recovered journal is a prefix
 //! of the crash-free sequence, durable measurements are never re-billed,
-//! and the resumed campaign finishes exactly like a crash-free one.
+//! and the resumed campaign finishes exactly like a crash-free one. The
+//! campaign is the CLI's, which commits every record on its own; a
+//! multi-record commit is killed at each point too.
 //!
 //! Requires the `chaos` feature (compiled crash points):
 //! `cargo test -p ceal-core --features chaos --test chaos_recovery`.
@@ -25,7 +27,7 @@ static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
 const BUDGET: usize = 10;
 const SEED: u64 = 5;
 
-/// Every crash point compiled into `Journal::append`, in program order.
+/// Every crash point compiled into `Journal::commit`, in program order.
 const CRASH_POINTS: &[&str] = &[
     "journal.before_write",
     "journal.mid_write",
@@ -90,8 +92,9 @@ fn crash_at_every_point_and_depth_recovers_to_the_crash_free_run() {
     // One Start header plus BUDGET coupled measurements.
     assert_eq!(free_records.len(), 1 + BUDGET);
 
-    // Append #1 is the Start header, #2..=#11 the measurements: crash on
-    // the header, the first, a middle, and the final append.
+    // Commit #1 is the magic and the Start header, #2..=#11 one
+    // measurement each: crash on the header, the first, a middle, and the
+    // final commit.
     for &point in CRASH_POINTS {
         for nth in [1u64, 2, 6, 1 + BUDGET as u64] {
             let path = unique_temp_path("ceal-chaos-run", "wal");
@@ -151,6 +154,37 @@ fn crash_at_every_point_and_depth_recovers_to_the_crash_free_run() {
             assert_eq!(healed, free_records, "{point}@{nth}");
             std::fs::remove_file(&path).ok();
         }
+    }
+}
+
+/// A commit of several records dies whole-record by whole-record: nothing
+/// of it before the write, all but its last record mid-write, all of it
+/// once written — and the commit before it is intact every time.
+#[test]
+fn multi_record_commit_recovers_to_whole_records_at_every_point() {
+    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    chaos::silence_crash_panics();
+    let marker = |i: usize| JournalRecord::Marker(format!("m{i}"));
+    let recs: Vec<JournalRecord> = (0..5).map(marker).collect();
+    for (&point, survive) in CRASH_POINTS.iter().zip([2, 4, 5, 5]) {
+        let path = unique_temp_path("ceal-chaos-batch", "wal");
+        let (mut j, _) = Journal::open(&path).expect("open");
+        for r in &recs[..2] {
+            j.stage(r).expect("stage");
+        }
+        assert_eq!(j.commit().expect("first commit"), 2);
+        for r in &recs[2..] {
+            j.stage(r).expect("stage");
+        }
+        chaos::arm(point);
+        let crashed = catch_unwind(AssertUnwindSafe(|| j.commit()));
+        chaos::disarm_all();
+        let payload = crashed.expect_err(&format!("{point} must crash"));
+        assert!(chaos::is_crash(payload.as_ref()).is_some());
+        drop(j);
+        let report = Journal::open(&path).expect("reopen after crash").1;
+        assert_eq!(report.records, recs[..survive], "{point}");
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -89,8 +89,10 @@ fn campaign_id(algo: &str, budget: u64, seed: u64) -> CampaignId {
 }
 
 /// Truncate a journal at *every* byte offset and reopen: recovery must
-/// always yield the longest valid record prefix, report the torn bytes,
-/// and leave the file appendable.
+/// always yield the longest valid record prefix — whole records only,
+/// every earlier commit intact, whether the cut fell between two commits
+/// or inside a multi-record one — report the torn bytes, and leave the
+/// file appendable.
 #[test]
 fn truncation_at_every_offset_recovers_longest_valid_prefix() {
     // Build a reference journal, tracking the byte boundary after each
@@ -131,6 +133,31 @@ fn truncation_at_every_offset_recovers_longest_valid_prefix() {
     }
     let bytes = std::fs::read(&base).expect("read base");
     assert_eq!(*boundaries.last().unwrap(), bytes.len() as u64);
+
+    // The same records in multi-record commits: the file grows a whole
+    // commit at a time, to the same bytes — so every cut below lands in a
+    // journal that group commits wrote, inside a commit as well as between
+    // two.
+    let grouped = unique_temp_path("ceal-torn-grouped", "wal");
+    {
+        let (mut j, _) = Journal::open(&grouped).expect("open grouped");
+        let on_disk = || std::fs::metadata(&grouped).expect("stat").len();
+        for commit in [0..1, 1..4, 4..5] {
+            // Staging touches no file; the magic goes out with commit one.
+            let committed = match commit.start {
+                0 => 0,
+                n => boundaries[n],
+            };
+            for r in &recs[commit.clone()] {
+                j.stage(r).expect("stage");
+            }
+            assert_eq!(on_disk(), committed);
+            assert_eq!(j.commit().expect("commit"), commit.len());
+            assert_eq!(on_disk(), boundaries[commit.end]);
+        }
+    }
+    assert_eq!(std::fs::read(&grouped).expect("read grouped"), bytes);
+    std::fs::remove_file(&grouped).ok();
 
     let torn = unique_temp_path("ceal-torn-cut", "wal");
     for cut in 0..=bytes.len() {

@@ -6,9 +6,11 @@
 //! around an ask/tell [`Stepper`] — the code
 //! [`Autotuner::try_run`](ceal_core::Autotuner::try_run) drives — chosen
 //! by `TuneParams.algo` through [`by_name`]. The shell measures what the
-//! stepper asks for (locally or across the fleet), bills and journals each
-//! result write-ahead, and hands it over. The states a client sees are
-//! read off that exchange:
+//! stepper asks for (locally or across the fleet), bills each result,
+//! journals the measured batch write-ahead — one commit, before any of it
+//! is handed over and before the reply leaves, so what a client was told
+//! is durable and a crash loses at most the batch in flight — and hands
+//! it over. The states a client sees are read off that exchange:
 //!
 //! ```text
 //! created → collecting-history → bootstrapping → refining → done
@@ -50,9 +52,9 @@ use crate::metrics::{CountingOracle, ServerMetrics};
 use crate::protocol::{SessionStatus, TuneParams};
 use ceal_core::algorithms::{by_name, Ask, Campaign, Stepper, SurrogateKind, Told};
 use ceal_core::{
-    encode_pool, fit_surrogate_samples, prepare_campaign, sample_pool, CampaignId,
-    ComponentHistory, FaultInjector, FeatureMap, Journal, JournalRecord, Measurement, Oracle,
-    SimOracle, SoloMeasurement, TransferPrior,
+    encode_pool, fit_surrogate_samples, sample_pool, CampaignId, ComponentHistory, FaultInjector,
+    FeatureMap, Journal, JournalRecord, Measurement, Oracle, SimOracle, SoloMeasurement,
+    TransferPrior,
 };
 use ceal_ml::Regressor;
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
@@ -177,6 +179,7 @@ pub struct Session {
     /// more for the reply — which is why its cache key differs.
     one_shot: bool,
     oracle: SimOracle,
+    /// `C_pool`; empty in a session the cache answered, which never searches.
     pool: Arc<[Vec<i64>]>,
     phase: Phase,
     /// `Some` while the stepper waits on a coupled ask.
@@ -226,8 +229,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// A fresh campaign in `home`; `parsed` is [`parse_params`] of `params`.
-    /// With `one_shot`, a one-shot campaign recording under that span.
+    /// A fresh campaign in `home`, its pool not sampled yet; `parsed` is
+    /// [`parse_params`] of `params`. With `one_shot`, a one-shot campaign
+    /// recording under that span.
     fn new(
         id: u64,
         params: TuneParams,
@@ -243,8 +247,6 @@ impl Session {
             platform: home.platform.clone(),
             ..Simulator::new()
         };
-        let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0xFACE);
-        let pool = sample_pool(&spec, &sim.platform, params.pool as usize, &mut rng);
         let root_span = (one_shot.is_none() && tracer.enabled()).then(|| {
             let mut span = tracer.root_span("session");
             span.field("session", id);
@@ -258,7 +260,7 @@ impl Session {
             id,
             params,
             one_shot: one_shot.is_some(),
-            pool: pool.into(),
+            pool: Vec::new().into(),
             phase: Phase::Created,
             search: None,
             solo: None,
@@ -284,6 +286,14 @@ impl Session {
         };
         s.enter_phase(Phase::Created);
         s
+    }
+
+    /// Rejection-samples `C_pool`. Only a campaign that will search reads
+    /// it: one answered from the cache never pays for it.
+    fn sample_pool(&mut self) {
+        let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0xFACE);
+        let (spec, platform) = (self.oracle.spec(), &self.oracle.simulator().platform);
+        self.pool = sample_pool(spec, platform, self.params.pool as usize, &mut rng).into();
     }
 
     /// Moves the campaign into `phase`, rolling the phase span: the old
@@ -346,28 +356,47 @@ impl Session {
         Ok(())
     }
 
-    /// Appends one record to the session journal (no-op without one),
-    /// recording the commit (including its fsync) as a `journal.commit`
-    /// trace event.
-    fn journal_append(&mut self, record: &JournalRecord) -> Result<(), ServeError> {
+    /// Stages one record for the session journal's next commit (no-op
+    /// without a journal). Nothing staged may be acted on before
+    /// [`Session::journal_commit`] returns.
+    fn journal_stage(&mut self, record: &JournalRecord) -> Result<(), ServeError> {
+        match &mut self.journal {
+            Some(journal) => journal
+                .stage(record)
+                .map_err(|e| ServeError::Internal(format!("journal stage failed: {e}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// Makes every staged record durable with one write and one fsync,
+    /// recorded as one `journal.commit` trace event carrying the cost and
+    /// the record count. With nothing staged: no I/O, no event.
+    fn journal_commit(&mut self) -> Result<(), ServeError> {
         let ctx = self.trace_ctx();
         let Some(journal) = &mut self.journal else {
             return Ok(());
         };
         let start = Instant::now();
-        let result = journal.append(record);
+        let result = journal.commit();
+        if let Ok(0) = result {
+            return Ok(());
+        }
         let at = [
             ("session", self.id.into()),
             ("us", (start.elapsed().as_micros() as u64).into()),
+            ("records", result.as_ref().map_or(0, |&n| n).into()),
             ("ok", u64::from(result.is_ok()).into()),
         ];
         self.tracer.instant("journal.commit", ctx, &at);
-        result.map_err(|e| ServeError::Internal(format!("journal append failed: {e}")))
+        match result {
+            Ok(_) => Ok(()),
+            Err(e) => Err(ServeError::Internal(format!("journal commit failed: {e}"))),
+        }
     }
 
-    /// Journals a batch of solo samples, closed by `marker`. The batch
-    /// commits atomically: replay applies it only once the marker is on
-    /// disk, so a crash mid-batch replays as if it never started.
+    /// Journals a batch of solo samples, closed by `marker`, in one commit.
+    /// Replay applies the batch only once the marker is on disk, so a
+    /// commit torn by a crash replays as if the batch never started.
     fn journal_history(
         &mut self,
         batch: &ComponentHistory,
@@ -375,7 +404,7 @@ impl Session {
     ) -> Result<(), ServeError> {
         for (component, samples) in batch.samples.iter().enumerate() {
             for (values, value) in samples {
-                self.journal_append(&JournalRecord::Solo {
+                self.journal_stage(&JournalRecord::Solo {
                     component,
                     values: values.clone(),
                     value: *value,
@@ -385,7 +414,8 @@ impl Session {
                 })?;
             }
         }
-        self.journal_append(&JournalRecord::Marker(marker.into()))
+        self.journal_stage(&JournalRecord::Marker(marker.into()))?;
+        self.journal_commit()
     }
 
     /// Drops the journal and deletes its file — called when the campaign
@@ -420,10 +450,12 @@ impl Session {
     /// same values (workers rebuild the same deterministic oracle), so the
     /// trajectory never depends on fleet membership or timing.
     ///
-    /// Wherever it ran, a measurement commits one way: billed once,
-    /// journaled write-ahead — durable before the campaign state advances,
-    /// so a crash after that point re-bills nothing — then handed to the
-    /// stepper. A failure leaves the rest of the ask pending. Returns
+    /// Wherever it ran, a measurement is billed once and its record staged;
+    /// the batch is then journaled write-ahead — one commit, durable before
+    /// the campaign state advances, so a crash after that point re-bills
+    /// nothing and one before it loses only runs no reply had reported —
+    /// and handed to the stepper. A failure commits and applies what was
+    /// measured before it and leaves the rest of the ask pending. Returns
     /// whether the call waited on a fleet round.
     fn measure_batch(
         &mut self,
@@ -455,40 +487,64 @@ impl Session {
             );
             remote.extend(fleet.gather(batch).results);
         }
+        let mut measured = Vec::with_capacity(idxs.len());
+        let mut outcome = Ok(fleet.is_some());
         for &idx in idxs {
-            self.attempt += 1;
-            let config = &self.pool[idx];
-            let worked = match remote.remove(&(idx as u64)) {
-                Some(ceal_fleet::TaskOutcome::Measured {
+            match self.measure_one(idx, remote.remove(&(idx as u64)), metrics) {
+                Ok(m) => measured.push(m),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        self.journal_commit()?;
+        for m in measured {
+            self.apply(m)?;
+        }
+        outcome
+    }
+
+    /// Measures pool configuration `idx` — `remote` is what the fleet made
+    /// of it, anything but a measurement meaning "run it here" — bills it
+    /// and stages its journal record.
+    fn measure_one(
+        &mut self,
+        idx: usize,
+        remote: Option<ceal_fleet::TaskOutcome>,
+        metrics: &ServerMetrics,
+    ) -> Result<Measurement, ServeError> {
+        self.attempt += 1;
+        let config = &self.pool[idx];
+        let worked = match remote {
+            Some(ceal_fleet::TaskOutcome::Measured {
+                value,
+                exec_time,
+                computer_time,
+            }) => {
+                let at = [("session", self.id.into()), ("idx", (idx as u64).into())];
+                self.tracer
+                    .instant("oracle.remote-applied", self.trace_ctx(), &at);
+                Some(Measurement {
+                    config: config.clone(),
                     value,
                     exec_time,
                     computer_time,
-                }) => {
-                    let at = [("session", self.id.into()), ("idx", (idx as u64).into())];
-                    self.tracer
-                        .instant("oracle.remote-applied", self.trace_ctx(), &at);
-                    Some(Measurement {
-                        config: config.clone(),
-                        value,
-                        exec_time,
-                        computer_time,
-                    })
-                }
-                _ => None,
-            };
-            // A session created with a failure rate numbers its attempts
-            // through the fault injector: a retry rolls afresh.
-            let m = self.metered(metrics).run("coupled", worked, |oracle| {
-                match self.failure_rate > 0.0 {
-                    true => FaultInjector::new(oracle, self.failure_rate, self.fault_seed)
-                        .try_measure(config, self.attempt),
-                    false => oracle.try_measure(config),
-                }
-            })?;
-            self.journal_append(&JournalRecord::coupled(&m, self.attempt))?;
-            self.commit(m)?;
-        }
-        Ok(fleet.is_some())
+                })
+            }
+            _ => None,
+        };
+        // A session created with a failure rate numbers its attempts
+        // through the fault injector: a retry rolls afresh.
+        let m = self.metered(metrics).run("coupled", worked, |oracle| {
+            match self.failure_rate > 0.0 {
+                true => FaultInjector::new(oracle, self.failure_rate, self.fault_seed)
+                    .try_measure(config, self.attempt),
+                false => oracle.try_measure(config),
+            }
+        })?;
+        self.journal_stage(&JournalRecord::coupled(&m, self.attempt))?;
+        Ok(m)
     }
 
     /// Builds the stepper of `params.algo` and fetches its first ask. A
@@ -538,7 +594,7 @@ impl Session {
     /// completed batch is told to the stepper and the next ask fetched.
     /// Live measurements and replayed journal records both come through
     /// here, which is what makes replay a fold of the journal.
-    fn commit(&mut self, m: Measurement) -> Result<(), ServeError> {
+    fn apply(&mut self, m: Measurement) -> Result<(), ServeError> {
         let Some(mut search) = self.search.take() else {
             return Err(ServeError::Internal(format!(
                 "coupled run outside the search (state {})",
@@ -810,7 +866,7 @@ impl Session {
                         self.start_search()?;
                     }
                     self.attempt = self.attempt.max(attempt);
-                    self.commit(Measurement {
+                    self.apply(Measurement {
                         config,
                         value,
                         exec_time,
@@ -959,6 +1015,7 @@ impl SessionManager {
         let parsed = parse_params(&params)?;
         let (failure_rate, fault_seed) = (cid.failure_rate, cid.fault_seed);
         let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
+        session.sample_pool();
         session.journal = Some(journal);
         session.replay(records.collect())?;
         Ok(session)
@@ -1007,6 +1064,7 @@ impl SessionManager {
             }
             None => {
                 metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                session.sample_pool();
                 let features = platform_features(&self.platform);
                 let near = (self.transfer_threshold > 0.0)
                     .then(|| cache.nearest_transfer(&key, &features, self.transfer_threshold));
@@ -1035,14 +1093,16 @@ impl SessionManager {
             ],
         );
         // Warm-cache sessions spend nothing, so there is nothing worth
-        // journaling; fresh campaigns get a write-ahead journal.
+        // journaling; fresh campaigns get a write-ahead journal, whose
+        // header (and transfer prior) is one commit.
         if let (false, Some(dir)) = (from_cache, &self.journal_dir) {
             let path = Self::journal_path(dir, id);
             let _ = std::fs::remove_file(&path); // stale leftover, new campaign
-            let (mut journal, report) = Journal::open(&path)
+            let (journal, _) = Journal::open(&path)
                 .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
+            session.journal = Some(journal);
             // The `session:` prefix tells session journals from the CLI's.
-            let cid = CampaignId {
+            session.journal_stage(&JournalRecord::Start(CampaignId {
                 workflow: session.params.workflow.clone(),
                 objective: session.params.objective.clone(),
                 algo: format!("session:{}", session.params.algo),
@@ -1051,16 +1111,14 @@ impl SessionManager {
                 seed: session.params.seed,
                 failure_rate,
                 fault_seed,
-            };
-            prepare_campaign(&mut journal, report.records, &cid, false)
-                .map_err(|e| ServeError::Internal(format!("journal header failed: {e}")))?;
-            session.journal = Some(journal);
+            }))?;
             if let Some(prior) = &session.prior {
                 let prior = (&prior.samples, &prior.source, prior.distance);
                 let json = serde_json::to_string(&prior)
                     .map_err(|e| ServeError::Internal(format!("prior does not serialize: {e}")))?;
-                session.journal_append(&JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")))?;
+                session.journal_stage(&JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")))?;
             }
+            session.journal_commit()?;
         }
         let status = session.status();
         self.sessions
@@ -1080,7 +1138,9 @@ impl SessionManager {
         parsed: (WorkflowSpec, Objective),
         ctx: TraceContext,
     ) -> Session {
-        Session::new(0, params, parsed, 0.0, 0, self, Some(ctx))
+        let mut shell = Session::new(0, params, parsed, 0.0, 0, self, Some(ctx));
+        shell.sample_pool();
+        shell
     }
 
     /// Fetches a session, refreshing its idle clock.
@@ -1210,12 +1270,13 @@ mod tests {
             cold_spend,
             "warm session must not touch the oracle"
         );
-        // And its surrogate serves predictions.
+        // It never searches, so it sampled no pool — and still answers
+        // `Status`, and `Predict` from a surrogate fitted on the entry.
         let handle = mgr.get(warm.session).unwrap();
-        let preds = handle
-            .lock()
-            .predict(&[warm.best.clone().unwrap()])
-            .unwrap();
+        let mut s = handle.lock();
+        assert!(s.pool.is_empty(), "a cache-answered create samples nothing");
+        assert_eq!(s.status(), warm);
+        let preds = s.predict(&[warm.best.clone().unwrap()]).unwrap();
         assert_eq!(preds.len(), 1);
     }
 

@@ -1,10 +1,11 @@
-//! Chaos test of the session layer: kill an advancing session at a crash
-//! point inside its journal's append path, rebuild the session registry
-//! from disk the way a restarted server does, and assert the
-//! crash-recovery invariant — the recovered journal is a prefix of the
-//! crash-free record sequence, no committed measurement is re-billed, and
-//! the resumed campaign spends exactly its remaining budget to finish on
-//! the recommendation of a crash-free run: the stepper decides what is
+//! Chaos test of the session layer: kill a campaign at every crash point
+//! of every commit its journal makes, rebuild the session registry from
+//! disk the way a restarted server does, and assert the crash-recovery
+//! invariant — the recovered journal is exactly the crash-free record
+//! sequence up to the crash (whole commits before it, whole records of the
+//! torn one), no recovered measurement is re-billed, and the resumed
+//! campaign spends exactly its remaining budget to finish on the
+//! recommendation of a crash-free run: the stepper decides what is
 //! measured, the shell only measures, so a crash cannot move the search.
 //!
 //! Requires the `chaos` feature:
@@ -13,166 +14,131 @@
 
 mod common;
 
-use ceal_core::{Journal, JournalRecord};
-use ceal_fleet::FleetReport;
-use ceal_serve::{AutotuneCache, CacheStats, ServerMetrics, SessionManager};
+use ceal_core::Journal;
+use ceal_serve::{AutotuneCache, ServerMetrics, SessionManager, SessionStatus};
 use ceal_testutil::{chaos, unique_temp_path};
-use common::{drive_session_to_done, params};
+use ceal_trace::Tracer;
+use common::{
+    coupled_runs, drive_session_to_done, journal_commits, journaled_manager as manager, params,
+    records_surviving, JOURNAL_CRASH_POINTS,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::sync::atomic::Ordering;
 
 const BUDGET: u64 = 10;
 
-fn coupled_count(records: &[JournalRecord]) -> u64 {
-    records
-        .iter()
-        .filter(|r| matches!(r, JournalRecord::Coupled { .. }))
-        .count() as u64
+/// Records per commit of the campaign below, in commit order — what
+/// `arm_after(point, n)` lands on:
+///
+/// 1. create: the `Start` header (magic in the same write);
+/// 2. history: 4 solo samples for each of LV's two components, and the
+///    marker that closes the batch;
+/// 3. the bootstrap batch, two runs;
+/// 4. to 9. refining batches of one run each — commit 4 in the `Advance`
+///    that made commit 3, then two to an `Advance`, which stops at the
+///    second batch boundary it meets;
+/// 10. the last batch, two runs, which finishes the campaign.
+const COMMITS: &[usize] = &[1, 9, 2, 1, 1, 1, 1, 1, 1, 2];
+
+/// The campaign under test, created on `mgr` (as session 1) and advanced
+/// four runs at a time until done.
+fn campaign(mgr: &SessionManager, cache: &AutotuneCache, metrics: &ServerMetrics) -> SessionStatus {
+    let (st, _) = mgr
+        .create(params("exec", BUDGET, 120, 97), 0.0, 0, cache, metrics)
+        .expect("create");
+    assert_eq!(st.session, 1);
+    drive_session_to_done(mgr, st.session, cache, metrics)
 }
 
 #[test]
-fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
+fn crash_at_every_point_of_every_commit_rebuilds_and_spends_only_the_lost_budget() {
     chaos::silence_crash_panics();
 
-    // Reference trajectory: an identical journaled session advanced with
-    // the same chunking that never crashes — stopped short of done so its
-    // journal survives for comparison.
+    // The crash-free answer, and the commits its journal took.
     let ref_dir = unique_temp_path("ceal-serve-chaos-ref", "");
-    let ref_records = {
-        let cache = AutotuneCache::in_memory();
-        let metrics = ServerMetrics::new();
-        let mgr = SessionManager::new(Duration::from_secs(3600))
-            .with_journal_dir(&ref_dir)
-            .expect("journal dir");
-        let (st, _) = mgr
-            .create(params("exec", BUDGET, 120, 97), 0.0, 0, &cache, &metrics)
-            .expect("create");
-        let handle = mgr.get(st.session).expect("session");
-        for _ in 0..3 {
-            let status = handle.lock().advance(4, &cache, &metrics).expect("advance");
-            assert_ne!(status.state, "done", "reference must stop short of done");
-        }
-        drop(handle);
-        drop(mgr);
-        let wal = ref_dir.join(format!("session-{}.wal", st.session));
-        Journal::open(&wal)
-            .expect("reopen reference journal")
-            .1
-            .records
-    };
+    let tracer = Tracer::in_memory();
+    let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
+    let crash_free = campaign(
+        &manager(&ref_dir).with_tracer(tracer.clone()),
+        &cache,
+        &metrics,
+    );
+    assert_eq!(journal_commits(&tracer), COMMITS);
     std::fs::remove_dir_all(&ref_dir).ok();
 
-    // The crash-free answer: the same campaign, uninterrupted.
-    let crash_free = {
+    // Kills the campaign at the `nth` hit of `point`; returns the records
+    // recovery finds and where the journal lives.
+    let crash = |point: &str, nth: usize| {
+        let dir = unique_temp_path("ceal-serve-chaos", "");
         let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
-        let mgr = SessionManager::new(Duration::from_secs(3600));
-        let (st, _) = mgr
-            .create(params("exec", BUDGET, 120, 97), 0.0, 0, &cache, &metrics)
-            .expect("create");
-        drive_session_to_done(&mgr, st.session, &cache, &metrics)
+        let mgr = manager(&dir);
+        chaos::arm_after(point, nth as u64);
+        let crashed = catch_unwind(AssertUnwindSafe(|| campaign(&mgr, &cache, &metrics)));
+        chaos::disarm_all();
+        let payload = crashed.expect_err(&format!("{point}@{nth} must crash"));
+        assert_eq!(chaos::is_crash(payload.as_ref()).expect("a crash").0, point);
+        drop(mgr);
+        let wal = dir.join("session-1.wal");
+        let recovered = Journal::open(&wal).expect("reopen journal").1.records;
+        (recovered, dir)
     };
 
-    // The victim: same campaign, killed in the middle of committing its
-    // second measurement record of the third advance.
-    let dir = unique_temp_path("ceal-serve-chaos", "");
-    let cache = AutotuneCache::in_memory();
-    let metrics = ServerMetrics::new();
-    let mgr = SessionManager::new(Duration::from_secs(3600))
-        .with_journal_dir(&dir)
-        .expect("journal dir");
-    let (st, _) = mgr
-        .create(params("exec", BUDGET, 120, 97), 0.0, 0, &cache, &metrics)
-        .expect("create");
-    let id = st.session;
-    let handle = mgr.get(id).expect("session");
-    handle.lock().advance(4, &cache, &metrics).expect("history");
-    let mid = handle
-        .lock()
-        .advance(4, &cache, &metrics)
-        .expect("bootstrap");
-    assert_ne!(mid.state, "done");
-    assert!(mid.measured > 0);
-
-    chaos::arm_after("journal.mid_write", 2);
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        handle.lock().advance(4, &cache, &metrics)
-    }));
-    chaos::disarm_all();
-    let payload = crashed.expect_err("the armed crash point must fire");
-    assert!(chaos::is_crash(payload.as_ref()).is_some());
-    drop(handle);
-    drop(mgr);
-
-    // The torn journal recovers to a strict prefix of the crash-free
-    // record sequence.
-    let wal = dir.join(format!("session-{id}.wal"));
-    let recovered = Journal::open(&wal)
-        .expect("reopen victim journal")
-        .1
-        .records;
-    assert!(
-        recovered.len() < ref_records.len(),
-        "the mid-write crash must lose the in-flight record"
-    );
-    assert_eq!(
-        recovered,
-        ref_records[..recovered.len()],
-        "recovery must be a prefix of the crash-free sequence"
-    );
-    let committed = coupled_count(&recovered);
-    assert!(
-        committed > mid.measured,
-        "the crashed advance committed work before dying \
-         (committed {committed}, pre-advance {})",
-        mid.measured
-    );
-
-    // "Restart": a fresh registry rebuilt from the journals resumes the
-    // session with every committed measurement intact...
-    let metrics2 = ServerMetrics::new();
-    let mgr2 = SessionManager::new(Duration::from_secs(3600))
-        .with_journal_dir(&dir)
-        .expect("journal dir");
-    assert_eq!(mgr2.rebuild_from_disk(&metrics2), 1);
-    assert_eq!(
-        metrics2
-            .report(
-                0,
-                &CacheStats::default(),
-                FleetReport::default(),
-                ceal_serve::OverloadStats::default(),
-            )
-            .oracle_measurements,
-        0,
-        "rebuilding must not touch the oracle"
-    );
-    let rebuilt = mgr2.get(id).expect("rebuilt session").lock().status();
-    assert_eq!(rebuilt.measured, committed);
-    assert_eq!(rebuilt.budget_left, BUDGET - committed);
-    assert_eq!(rebuilt.history_samples, mid.history_samples);
-
-    // ...and finishes by paying for exactly the budget the crash lost:
-    // replayed measurements are never re-billed.
-    let done = drive_session_to_done(&mgr2, id, &cache, &metrics2);
-    assert_eq!(done.measured, BUDGET, "total runs match a crash-free run");
-    assert_eq!(done.budget_left, 0);
-    assert!(done.best.is_some() && done.best_value.is_some());
-    assert_eq!(
-        done.best, crash_free.best,
-        "a crash must not move the search"
-    );
-    assert_eq!(done.best_value, crash_free.best_value);
-    assert_eq!(
-        metrics2
-            .report(
-                0,
-                &CacheStats::default(),
-                FleetReport::default(),
-                ceal_serve::OverloadStats::default(),
-            )
-            .oracle_measurements,
-        BUDGET - committed,
-        "the resumed run pays only for what the crash lost"
-    );
+    // A crash-free run retires its journal with its last commit; dying
+    // just behind that commit's fsync leaves the whole sequence on disk.
+    let (full, dir) = crash("journal.after_sync", COMMITS.len());
     std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(full.len(), COMMITS.iter().sum::<usize>());
+    assert_eq!(coupled_runs(&full).len() as u64, BUDGET);
+
+    for &point in JOURNAL_CRASH_POINTS {
+        for nth in 1..=COMMITS.len() {
+            let at = format!("{point}@{nth}");
+            let (recovered, dir) = crash(point, nth);
+
+            let survived = records_surviving(COMMITS, point, nth);
+            assert_eq!(recovered, full[..survived], "{at}");
+            let committed = coupled_runs(&recovered).len() as u64;
+            // Replay takes a history batch only with its closing marker.
+            let history_held = survived >= COMMITS[..2].iter().sum();
+
+            // "Restart": a fresh registry rebuilt from the journals. A
+            // create that died before its header was durable was never
+            // acknowledged, and leaves nothing to resume.
+            let metrics2 = ServerMetrics::new();
+            let mgr2 = manager(&dir);
+            let rebuilt = mgr2.rebuild_from_disk(&metrics2);
+            assert_eq!(rebuilt, usize::from(survived > 0), "{at}");
+            if rebuilt == 0 {
+                std::fs::remove_dir_all(&dir).ok();
+                continue;
+            }
+            let billed = || metrics2.oracle_measurements.load(Ordering::Relaxed);
+            assert_eq!(billed(), 0, "{at}: rebuilding must not touch the oracle");
+            let status = mgr2.get(1).expect("rebuilt session").lock().status();
+            assert_eq!(status.measured, committed, "{at}");
+            assert_eq!(status.budget_left, BUDGET - committed, "{at}");
+            let history = match history_held {
+                true => crash_free.history_samples,
+                false => 0,
+            };
+            assert_eq!(status.history_samples, history, "{at}");
+
+            // The resumed campaign pays for exactly what the crash lost —
+            // replayed measurements are never re-billed — and lands where
+            // the crash-free one did.
+            let done = drive_session_to_done(&mgr2, 1, &AutotuneCache::in_memory(), &metrics2);
+            assert_eq!(done.measured, BUDGET, "{at}");
+            assert_eq!(
+                done.best, crash_free.best,
+                "{at}: a crash must not move the search"
+            );
+            assert_eq!(done.best_value, crash_free.best_value, "{at}");
+            assert_eq!(
+                billed(),
+                (BUDGET - committed) + (crash_free.history_samples - history),
+                "{at}: the resumed run pays only for what the crash lost"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

@@ -2,12 +2,14 @@
 //! own crate and pulls this in with `mod common;`, using a subset.
 #![allow(dead_code)]
 
-use ceal_core::RetryPolicy;
+use ceal_core::{JournalRecord, RetryPolicy};
 use ceal_serve::{
     run_worker, AutotuneCache, Client, ClientError, ServeConfig, Server, ServerHandle,
     ServerMetrics, SessionManager, SessionStatus, TuneParams, WorkerConfig, WorkerSummary,
 };
+use ceal_trace::{FieldValue, Tracer};
 use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,7 +41,7 @@ pub fn worker_config(addr: SocketAddr, name: &str, stop: Arc<AtomicBool>) -> Wor
         poll_interval: Duration::from_millis(5),
         retry: RetryPolicy::no_delay(3),
         stop: Some(stop),
-        tracer: ceal_trace::Tracer::disabled(),
+        tracer: Tracer::disabled(),
     }
 }
 
@@ -89,4 +91,57 @@ pub fn drive_session_to_done(
         }
     }
     panic!("session {session} never reached done");
+}
+
+/// A registry that journals its sessions under `dir`.
+pub fn journaled_manager(dir: &Path) -> SessionManager {
+    SessionManager::new(Duration::from_secs(3600))
+        .with_journal_dir(dir)
+        .expect("journal dir")
+}
+
+/// `(config, attempt)` of the coupled runs among `records`, in order.
+pub fn coupled_runs(records: &[JournalRecord]) -> Vec<(&Vec<i64>, u64)> {
+    let coupled = records.iter().filter_map(|r| match r {
+        JournalRecord::Coupled {
+            config, attempt, ..
+        } => Some((config, *attempt)),
+        _ => None,
+    });
+    coupled.collect()
+}
+
+/// Record counts of the `journal.commit` events `tracer` has collected
+/// since the last call, in commit order.
+pub fn journal_commits(tracer: &Tracer) -> Vec<usize> {
+    let events = tracer.drain_events();
+    let commits = events.iter().filter(|e| e.name == "journal.commit");
+    commits
+        .map(|e| match e.fields.iter().find(|(k, _)| *k == "records") {
+            Some((_, FieldValue::U64(n))) => *n as usize,
+            other => panic!("journal.commit without a record count: {other:?}"),
+        })
+        .collect()
+}
+
+/// Every crash point of `Journal::commit` (`chaos` feature), in program
+/// order.
+pub const JOURNAL_CRASH_POINTS: &[&str] = &[
+    "journal.before_write",
+    "journal.mid_write",
+    "journal.after_write",
+    "journal.after_sync",
+];
+
+/// How many records recovery finds after a crash at `point` of commit
+/// `nth` (1-based) of a journal whose commits carry `commits` records:
+/// every earlier commit whole; of the one in flight, nothing that never
+/// reached the file, all but the torn last record, or all.
+pub fn records_surviving(commits: &[usize], point: &str, nth: usize) -> usize {
+    let in_flight = match point {
+        "journal.before_write" => 0,
+        "journal.mid_write" => commits[nth - 1] - 1,
+        _ => commits[nth - 1],
+    };
+    commits[..nth - 1].iter().sum::<usize>() + in_flight
 }

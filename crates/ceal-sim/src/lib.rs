@@ -35,13 +35,21 @@ pub(crate) use engine::emit_cost as engine_emit_cost;
 pub use engine::SimError;
 pub use platform::Platform;
 pub use result::{ComponentStats, Objective, RunResult, SoloResult};
-pub use spec::{ComponentModel, Resolved, Role, WorkflowSpec};
+pub use spec::{ComponentModel, Placement, Resolved, Role, WorkflowSpec};
 
 /// Facade over the coupled and solo simulation paths.
 ///
 /// ```
-/// use ceal_sim::{ComponentModel, ParamDef, Platform, Resolved, Role, Simulator, WorkflowSpec};
+/// use ceal_sim::{
+///     ComponentModel, ParamDef, Placement, Platform, Resolved, Role, Simulator, WorkflowSpec,
+/// };
 /// use std::sync::Arc;
+///
+/// // Both components fill nodes of 36 cores.
+/// fn packed(values: &[i64]) -> Placement {
+///     let procs = values[0] as u64;
+///     Placement { procs, ppn: procs.min(36) }
+/// }
 ///
 /// // A one-parameter source emitting ten 1 MiB snapshots.
 /// struct Sim;
@@ -51,11 +59,12 @@ pub use spec::{ComponentModel, Resolved, Role, WorkflowSpec};
 ///         const P: [ParamDef; 1] = [ParamDef::range("procs", 1, 64)];
 ///         &P
 ///     }
-///     fn resolve(&self, _p: &Platform, values: &[i64]) -> Resolved {
-///         let procs = values[0] as u64;
+///     fn placement(&self, _p: &Platform, values: &[i64]) -> Placement { packed(values) }
+///     fn resolve(&self, p: &Platform, values: &[i64]) -> Resolved {
+///         let Placement { procs, ppn } = self.placement(p, values);
 ///         Resolved {
 ///             role: Role::Source { steps: 100, emit_interval: 10 },
-///             procs, ppn: procs.min(36), threads: 1,
+///             procs, ppn, threads: 1,
 ///             compute_per_step: 1.0 / procs as f64,
 ///             emit_bytes: 1 << 20, staging_buffer: None, solo_steps: 10,
 ///         }
@@ -68,10 +77,11 @@ pub use spec::{ComponentModel, Resolved, Role, WorkflowSpec};
 ///         const P: [ParamDef; 1] = [ParamDef::range("procs", 1, 64)];
 ///         &P
 ///     }
-///     fn resolve(&self, _p: &Platform, values: &[i64]) -> Resolved {
-///         let procs = values[0] as u64;
+///     fn placement(&self, _p: &Platform, values: &[i64]) -> Placement { packed(values) }
+///     fn resolve(&self, p: &Platform, values: &[i64]) -> Resolved {
+///         let Placement { procs, ppn } = self.placement(p, values);
 ///         Resolved {
-///             role: Role::Sink, procs, ppn: procs.min(36), threads: 1,
+///             role: Role::Sink, procs, ppn, threads: 1,
 ///             compute_per_step: 0.5 / procs as f64,
 ///             emit_bytes: 0, staging_buffer: None, solo_steps: 10,
 ///         }

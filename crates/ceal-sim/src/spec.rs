@@ -31,6 +31,23 @@ pub enum Role {
     Sink,
 }
 
+/// Where a component's processes go under a given configuration: the part
+/// of its behaviour that decides how many nodes it occupies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// MPI processes.
+    pub procs: u64,
+    /// Processes per node.
+    pub ppn: u64,
+}
+
+impl Placement {
+    /// Nodes the processes occupy.
+    pub fn nodes(&self) -> u64 {
+        self.procs.div_ceil(self.ppn.max(1))
+    }
+}
+
 /// Concrete runtime behaviour of a component under a given configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Resolved {
@@ -60,7 +77,8 @@ pub struct Resolved {
 impl Resolved {
     /// Nodes this component occupies.
     pub fn nodes(&self) -> u64 {
-        self.procs.div_ceil(self.ppn.max(1))
+        let (procs, ppn) = (self.procs, self.ppn);
+        Placement { procs, ppn }.nodes()
     }
 
     /// Emissions produced by a source over its full run; 0 otherwise.
@@ -81,6 +99,13 @@ pub trait ComponentModel: Send + Sync {
     fn name(&self) -> &str;
     /// The component's tunable parameters, in configuration order.
     fn params(&self) -> &[ParamDef];
+    /// The placement `values` ask for — all a feasibility check needs, at
+    /// none of the cost model's expense. [`ComponentModel::resolve`] takes
+    /// its `procs` and `ppn` from here, so node counts have one source.
+    ///
+    /// # Panics
+    /// As [`ComponentModel::resolve`].
+    fn placement(&self, platform: &Platform, values: &[i64]) -> Placement;
     /// Resolves parameter values to runtime behaviour.
     ///
     /// # Panics
@@ -190,13 +215,13 @@ impl WorkflowSpec {
 
     /// True when the configuration is on-grid and fits the allocation cap.
     /// Rejection sampling asks this of mostly infeasible configurations,
-    /// so nodes are summed component by component and the rest are not
-    /// resolved once the cap is passed.
+    /// so only placements are worked out, component by component, and the
+    /// rest are skipped once the cap is passed.
     pub fn feasible(&self, platform: &Platform, config: &[i64]) -> bool {
         let mut nodes = 0;
         self.valid(config)
             && self.parts(config).all(|(c, values)| {
-                nodes += c.resolve(platform, values).nodes();
+                nodes += c.placement(platform, values).nodes();
                 nodes <= self.max_nodes
             })
     }
@@ -221,7 +246,7 @@ impl WorkflowSpec {
         let comp = &self.components[comp_idx];
         for _ in 0..1_000_000 {
             let values = crate::config::sample_values(comp.params(), rng);
-            if comp.resolve(platform, &values).nodes() <= self.max_nodes {
+            if comp.placement(platform, &values).nodes() <= self.max_nodes {
                 return values;
             }
         }
@@ -287,15 +312,22 @@ pub(crate) mod test_support {
         fn params(&self) -> &[ParamDef] {
             &self.params
         }
-        fn resolve(&self, _platform: &Platform, values: &[i64]) -> Resolved {
+        fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
             let procs = values[0] as u64;
+            Placement {
+                procs,
+                ppn: procs.min(36),
+            }
+        }
+        fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
+            let Placement { procs, ppn } = self.placement(platform, values);
             Resolved {
                 role: Role::Source {
                     steps: self.steps,
                     emit_interval: self.interval,
                 },
                 procs,
-                ppn: procs.min(36),
+                ppn,
                 threads: 1,
                 compute_per_step: self.step_seconds / procs as f64,
                 emit_bytes: self.emit_bytes,
@@ -319,12 +351,19 @@ pub(crate) mod test_support {
         fn params(&self) -> &[ParamDef] {
             &self.params
         }
-        fn resolve(&self, _platform: &Platform, values: &[i64]) -> Resolved {
+        fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
             let procs = values[0] as u64;
+            Placement {
+                procs,
+                ppn: procs.min(36),
+            }
+        }
+        fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
+            let Placement { procs, ppn } = self.placement(platform, values);
             Resolved {
                 role: Role::Sink,
                 procs,
-                ppn: procs.min(36),
+                ppn,
                 threads: 1,
                 compute_per_step: self.analysis_seconds / procs as f64,
                 emit_bytes: 0,

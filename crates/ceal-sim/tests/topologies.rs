@@ -2,7 +2,8 @@
 //! pipeline: fan-out, transform chains, and invalid shapes.
 
 use ceal_sim::{
-    ComponentModel, ParamDef, Platform, Resolved, Role, SimError, Simulator, WorkflowSpec,
+    ComponentModel, ParamDef, Placement, Platform, Resolved, Role, SimError, Simulator,
+    WorkflowSpec,
 };
 use std::sync::Arc;
 
@@ -61,12 +62,19 @@ impl ComponentModel for Synth {
     fn params(&self) -> &[ParamDef] {
         &self.params
     }
-    fn resolve(&self, _platform: &Platform, values: &[i64]) -> Resolved {
+    fn placement(&self, _platform: &Platform, values: &[i64]) -> Placement {
         let procs = values[0] as u64;
+        Placement {
+            procs,
+            ppn: procs.min(36),
+        }
+    }
+    fn resolve(&self, platform: &Platform, values: &[i64]) -> Resolved {
+        let Placement { procs, ppn } = self.placement(platform, values);
         Resolved {
             role: self.role,
             procs,
-            ppn: procs.min(36),
+            ppn,
             threads: 1,
             compute_per_step: self.step_seconds / procs as f64,
             emit_bytes: self.emit_bytes,
