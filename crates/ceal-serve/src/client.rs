@@ -21,6 +21,7 @@ use crate::protocol::{
     HealthReport, MetricsReport, Request, Response, SessionStatus, TuneParams, PROTOCOL_VERSION,
 };
 use ceal_core::RetryPolicy;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -133,7 +134,11 @@ pub struct TuneOutcome {
 /// A blocking connection to a tuning server.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Read through the buffer — a response's header and payload arrive in
+    /// one `read` — and written through `get_mut`. The protocol is strict
+    /// request/response, so nothing is ever buffered across a request; a
+    /// reconnect replaces buffer and socket together.
+    stream: BufReader<TcpStream>,
     /// Reconnect target and policy; `None` for plain [`Client::connect`]
     /// clients, which fail fast on the first transport error.
     reconnect: Option<(String, RetryPolicy)>,
@@ -146,7 +151,7 @@ impl Client {
         let stream = TcpStream::connect(addr).map_err(FrameError::Io)?;
         Self::configure_stream(&stream)?;
         let mut client = Client {
-            stream,
+            stream: BufReader::new(stream),
             reconnect: None,
             timeout: None,
         };
@@ -163,7 +168,7 @@ impl Client {
             .run(|_| Self::open_stream(addr))
             .map_err(retries_exhausted)?;
         let mut client = Client {
-            stream,
+            stream: BufReader::new(stream),
             reconnect: Some((addr.to_string(), policy)),
             timeout: None,
         };
@@ -201,6 +206,7 @@ impl Client {
     /// Sets the per-response wait limit.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.stream
+            .get_ref()
             .set_read_timeout(timeout)
             .map_err(FrameError::Io)?;
         self.timeout = timeout;
@@ -226,7 +232,7 @@ impl Client {
                 fresh
                     .set_read_timeout(self.timeout)
                     .map_err(FrameError::Io)?;
-                self.stream = fresh;
+                self.stream = BufReader::new(fresh);
             }
             need_reconnect = false;
             match self.request_once(req) {
@@ -264,7 +270,7 @@ impl Client {
     }
 
     fn request_once(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_message(&mut self.stream, req)?;
+        write_message(self.stream.get_mut(), req)?;
         let resp: Response = read_message(&mut self.stream)?;
         match resp {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),

@@ -19,6 +19,11 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
+/// How much a read asks for while the frame's length is still unknown.
+/// Covers every control and `Predict` frame in one syscall; longer
+/// frames take a second read sized from their prefix.
+const READ_CHUNK: usize = 4096;
+
 /// What a connection is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
@@ -72,10 +77,11 @@ pub struct Conn {
     /// `(endpoint, frame arrival, is_error)` of the in-flight response;
     /// recorded into the latency histogram when the write flushes.
     pub pending_metric: Option<(crate::metrics::Endpoint, Instant, bool)>,
-    header: [u8; 4],
-    header_filled: usize,
-    payload: Vec<u8>,
-    payload_filled: usize,
+    /// Bytes read off the socket and not yet handed out as a frame:
+    /// `buf[..filled]`, always starting at a frame's length prefix. The
+    /// rest of `buf` is room for the next `read`.
+    buf: Vec<u8>,
+    filled: usize,
     out: Vec<u8>,
     out_written: usize,
 }
@@ -91,35 +97,59 @@ impl Conn {
             stall_deadline: None,
             span: None,
             pending_metric: None,
-            header: [0; 4],
-            header_filled: 0,
-            payload: Vec::new(),
-            payload_filled: 0,
+            buf: Vec::new(),
+            filled: 0,
             out: Vec::new(),
             out_written: 0,
         }
     }
 
-    /// Whether a frame has started arriving but is not complete.
+    /// Whether bytes of a frame not yet handed out are buffered: one that
+    /// is still arriving, or a pipelined one waiting for its `Reading`
+    /// turn.
     pub fn mid_frame(&self) -> bool {
-        self.header_filled > 0 || !self.payload.is_empty()
+        self.filled > 0
     }
 
     fn reset_read(&mut self) {
-        self.header_filled = 0;
-        self.payload = Vec::new();
-        self.payload_filled = 0;
+        self.buf = Vec::new();
+        self.filled = 0;
     }
 
     /// Consumes available bytes until one frame completes or the socket
     /// runs dry. Call only in [`ConnState::Reading`].
+    ///
+    /// Header and payload come through one buffered `read`, so a frame
+    /// that arrived whole costs one syscall; bytes of a pipelined next
+    /// frame stay buffered for the next `Reading` turn.
     pub fn pump_read(&mut self) -> ReadOutcome {
-        // Header first.
-        while self.header_filled < 4 {
-            match self.stream.read(&mut self.header[self.header_filled..4]) {
+        loop {
+            // How far the buffer must be filled before anything can be
+            // handed out: to the end of the frame once its prefix is in.
+            let mut want = READ_CHUNK;
+            if let Some(prefix) = self.buf[..self.filled].first_chunk::<4>() {
+                let len = u32::from_be_bytes(*prefix) as usize;
+                if len > MAX_FRAME_LEN {
+                    self.reset_read();
+                    return ReadOutcome::Broken(FrameError::TooLarge(len));
+                }
+                let end = 4 + len;
+                if self.filled >= end {
+                    let frame = self.buf[4..end].to_vec();
+                    self.buf = self.buf[end..self.filled].to_vec();
+                    self.filled = self.buf.len();
+                    return ReadOutcome::Frame(frame);
+                }
+                want = end;
+            }
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            match self.stream.read(&mut self.buf[self.filled..]) {
                 Ok(0) => {
-                    return if self.mid_frame() {
-                        self.reset_read();
+                    let mid_frame = self.mid_frame();
+                    self.reset_read();
+                    return if mid_frame {
                         ReadOutcome::Broken(FrameError::Io(std::io::Error::new(
                             ErrorKind::UnexpectedEof,
                             "eof inside frame",
@@ -128,43 +158,18 @@ impl Conn {
                         ReadOutcome::Closed
                     };
                 }
-                Ok(n) => self.header_filled += n,
+                Ok(n) => self.filled += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return ReadOutcome::NeedMore,
-                Err(e) => return ReadOutcome::Broken(FrameError::Io(e)),
-            }
-        }
-        if self.payload.is_empty() {
-            let len = u32::from_be_bytes(self.header) as usize;
-            if len > MAX_FRAME_LEN {
-                self.reset_read();
-                return ReadOutcome::Broken(FrameError::TooLarge(len));
-            }
-            if len == 0 {
-                self.reset_read();
-                return ReadOutcome::Frame(Vec::new());
-            }
-            self.payload = vec![0u8; len];
-            self.payload_filled = 0;
-        }
-        while self.payload_filled < self.payload.len() {
-            match self.stream.read(&mut self.payload[self.payload_filled..]) {
-                Ok(0) => {
-                    self.reset_read();
-                    return ReadOutcome::Broken(FrameError::Io(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "eof inside frame",
-                    )));
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if self.filled == 0 {
+                        // Idle at a frame boundary: hold no buffer.
+                        self.reset_read();
+                    }
+                    return ReadOutcome::NeedMore;
                 }
-                Ok(n) => self.payload_filled += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return ReadOutcome::NeedMore,
                 Err(e) => return ReadOutcome::Broken(FrameError::Io(e)),
             }
         }
-        let frame = std::mem::take(&mut self.payload);
-        self.reset_read();
-        ReadOutcome::Frame(frame)
     }
 
     /// Queues an already-framed response (length prefix + payload) and
@@ -239,6 +244,56 @@ mod tests {
             _ => panic!("expected frame"),
         }
         assert!(!conn.mid_frame());
+    }
+
+    /// Two frames and the start of a third land in one segment: the first
+    /// `pump_read` takes one frame and keeps the rest, and the rest comes
+    /// out of the buffer — the socket has nothing more to say.
+    #[test]
+    fn pipelined_frames_wait_in_the_buffer_for_their_turn() {
+        let (mut conn, mut peer) = pair();
+        let mut bytes = framed(b"first");
+        bytes.extend_from_slice(&framed(b""));
+        bytes.extend_from_slice(&framed(b"second"));
+        bytes.extend_from_slice(&[0, 0]);
+        peer.write_all(&bytes).unwrap();
+        for expected in [&b"first"[..], b"", b"second"] {
+            match pump_until(&mut conn) {
+                ReadOutcome::Frame(p) => assert_eq!(p, expected),
+                _ => panic!("expected frame"),
+            }
+            assert!(conn.mid_frame(), "the tail is still buffered");
+        }
+        assert!(matches!(conn.pump_read(), ReadOutcome::NeedMore));
+        peer.write_all(&[0, 3, b'e', b'n', b'd']).unwrap();
+        match pump_until(&mut conn) {
+            ReadOutcome::Frame(p) => assert_eq!(p, b"end"),
+            _ => panic!("expected frame"),
+        }
+        assert!(!conn.mid_frame());
+    }
+
+    /// A frame longer than one read chunk is sized from its prefix and
+    /// arrives intact, with a pipelined successor behind it.
+    #[test]
+    fn long_frame_spans_reads() {
+        let (mut conn, mut peer) = pair();
+        let long: Vec<u8> = (0..3 * READ_CHUNK + 17).map(|i| i as u8).collect();
+        let mut bytes = framed(&long);
+        bytes.extend_from_slice(&framed(b"next"));
+        let writer = std::thread::spawn(move || {
+            peer.write_all(&bytes).unwrap();
+            peer
+        });
+        match pump_until(&mut conn) {
+            ReadOutcome::Frame(p) => assert_eq!(p, long),
+            _ => panic!("expected frame"),
+        }
+        match pump_until(&mut conn) {
+            ReadOutcome::Frame(p) => assert_eq!(p, b"next"),
+            _ => panic!("expected frame"),
+        }
+        drop(writer.join().unwrap());
     }
 
     #[test]

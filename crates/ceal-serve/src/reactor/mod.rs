@@ -277,6 +277,8 @@ struct Reactor {
     pool: ceal_par::ThreadPool,
     wg: ceal_par::WaitGroup,
     draining: bool,
+    /// Connections back in `Reading` whose buffer already holds input.
+    buffered: Vec<(usize, u32)>,
 }
 
 impl Reactor {
@@ -510,9 +512,14 @@ impl Reactor {
                 } else {
                     if let Some(conn) = self.conns.get(index, gen) {
                         conn.state = ConnState::Reading;
+                        // A pipelined next request still in the socket is
+                        // reported by level-triggered EPOLLIN on the next
+                        // wait; one already in the connection's buffer has
+                        // no event coming and is queued for this turn.
+                        if conn.mid_frame() {
+                            self.buffered.push((index, gen));
+                        }
                     }
-                    // A pipelined next request may already be buffered;
-                    // level-triggered EPOLLIN reports it on the next wait.
                     self.refresh_interest(index, gen);
                 }
             }
@@ -521,6 +528,16 @@ impl Reactor {
                 self.arm_stall(index, gen, now);
             }
             WriteOutcome::Broken(_) => self.close_conn(index),
+        }
+    }
+
+    /// Gives every connection that returned to `Reading` with input
+    /// already buffered its read turn. A turn can end in a write (shed,
+    /// bad frame) that flushes at once and queues the connection again, so
+    /// this runs until the queue is dry.
+    fn pump_buffered(&mut self, now: Instant) {
+        while let Some((index, gen)) = self.buffered.pop() {
+            self.pump_reading(index, gen, now);
         }
     }
 
@@ -638,6 +655,7 @@ pub(crate) fn run(
         pool: ceal_par::ThreadPool::new(workers),
         wg: ceal_par::WaitGroup::new(),
         draining: false,
+        buffered: Vec::new(),
     };
     r.timers
         .schedule(Instant::now() + r.inner.evict_cadence, TimerKey::Evict);
@@ -653,11 +671,12 @@ pub(crate) fn run(
         };
         let n = r.epoll.wait(&mut events, timeout_ms)?;
         let now = Instant::now();
+        let mut notified = false;
         for ev in &events[..n] {
             let (data, flags) = (ev.data, ev.events);
             match data {
                 TOKEN_LISTENER => r.accept_ready(now),
-                TOKEN_NOTIFY => {} // completions drained below
+                TOKEN_NOTIFY => notified = true,
                 _ => {
                     let index = (data & 0xFFFF_FFFF) as usize;
                     let gen = (data >> 32) as u32;
@@ -665,7 +684,12 @@ pub(crate) fn run(
                 }
             }
         }
-        r.apply_completions(now);
+        // Every push wakes the eventfd after it queues, and the eventfd is
+        // level-triggered: a turn without its token has nothing to drain.
+        if notified {
+            r.apply_completions(now);
+        }
+        r.pump_buffered(now);
         r.fire_timers(now);
         if r.inner.shutdown.load(Ordering::Acquire) && !r.draining {
             r.begin_drain();

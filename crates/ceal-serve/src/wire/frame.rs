@@ -5,7 +5,7 @@
 //! reader trivial (no streaming JSON parser needed) and lets the server
 //! reject oversized payloads before allocating for them.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
@@ -167,7 +167,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => read_full(r, &mut header, 0)?,
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let len = Bytes::copy_from_slice(&header).get_u32() as usize;
+    let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(len));
     }

@@ -119,6 +119,40 @@ pub fn unclassifiable_payloads() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// Payloads that nest arrays and objects far deeper than a recursive
+/// parser's stack holds (the tree parser these replaced overflowed
+/// `ceal-pool-0` at 10 000 levels and took the process with it). Every
+/// decoder — request frames, journal records, shard-log records — must
+/// answer each with a decode error.
+pub fn deep_nesting_payloads() -> Vec<(&'static str, Vec<u8>)> {
+    let nested_configs = format!(
+        r#"{{"Predict":{{"session":1,"configs":{}1{}}}}}"#,
+        "[".repeat(200),
+        "]".repeat(200)
+    );
+    vec![
+        ("brackets-10k", "[".repeat(10_000).into_bytes()),
+        ("brackets-1m", "[".repeat(1_000_000).into_bytes()),
+        ("objects-100k", "{\"a\":".repeat(100_000).into_bytes()),
+        ("predict-configs-200-deep", nested_configs.into_bytes()),
+        // Reached as a value to skip rather than one to build: an unknown
+        // field of a struct, of a request's and of a journal record's
+        // payload.
+        (
+            "unknown-field-10k",
+            format!(r#"{{"zzz":{}"#, "[".repeat(10_000)).into_bytes(),
+        ),
+        (
+            "unknown-request-field-10k",
+            format!(r#"{{"Status":{{"zzz":{}"#, "[".repeat(10_000)).into_bytes(),
+        ),
+        (
+            "unknown-record-field-10k",
+            format!(r#"{{"Coupled":{{"zzz":{}"#, "[".repeat(10_000)).into_bytes(),
+        ),
+    ]
+}
+
 /// Sends `bytes`, optionally half-closes, and watches how the connection
 /// ends. Panics if the server hangs past the read timeout or answers with
 /// anything other than one `bad-request` error frame or one `Busy`.
