@@ -21,8 +21,12 @@
 //! locally cached campaigns win over imported ones.
 //!
 //! With `--worker ADDR` the process is a fleet measurement worker instead:
-//! it registers with the coordinator at `ADDR`, heartbeats, and executes
-//! scattered measurement tasks until the coordinator drains.
+//! it registers with the coordinator at `ADDR`, long-polls it for work —
+//! a poll with nothing to hand out is held by the coordinator until a
+//! campaign scatters a round — and executes the measurement tasks it is
+//! handed until the coordinator drains. `--workers` (dispatch threads)
+//! need not grow with the fleet or the number of campaigns using it: a
+//! request waiting on a fleet round holds no thread.
 //!
 //! `--trace-dir` turns on structured tracing: every span and warning is
 //! flushed as JSON lines into that directory (one file per process).

@@ -2,19 +2,28 @@
 //! scatter/gather measurement scheduler.
 //!
 //! One [`Coordinator`] lives inside the serve process. Request handlers
-//! call [`Coordinator::register`] and [`Coordinator::poll`] on behalf of
-//! worker connections; session code calls [`Coordinator::scatter`] /
-//! [`Coordinator::gather`] to fan a measurement batch out and block until
-//! it is answered. All state sits behind one mutex with a condvar for
-//! gather waiters — scheduling work is tiny compared to measurements, so
-//! contention is not a concern, and a single lock makes the
-//! re-scatter/dedup invariants easy to audit.
+//! call [`Coordinator::register`] and [`Coordinator::poll_or_hold`] on
+//! behalf of worker connections; session code calls
+//! [`Coordinator::scatter`] to fan a measurement batch out and
+//! [`Coordinator::gather`] to take what came back. Nothing here blocks: a
+//! poll that finds no work is *held*, a scattered batch is *waited on* by
+//! whoever scattered it, and the coordinator tells its host when either
+//! wait is over through the [`Wake`]s it posts to [`Coordinator::on_wake`]
+//! — an answer for a held poll, a batch with nothing left to wait for.
+//! What bounds the waits in time (half a lease for a hold, the gather
+//! deadline for a batch) is the host's clock, not a thread parked here.
+//!
+//! All state sits behind one mutex — scheduling work is tiny compared to
+//! measurements, so contention is not a concern, and a single lock makes
+//! the re-scatter/dedup invariants easy to audit. Wakes are posted after
+//! the lock is released.
 
 use crate::types::{FleetReport, TaskId, TaskOutcome, TaskReport, TaskSpec, WorkerId, WorkerStats};
 use ceal_core::RetryPolicy;
-use ceal_trace::{TraceContext, Tracer};
-use parking_lot::{Condvar, Mutex};
+use ceal_trace::{Span, TraceContext, Tracer};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the fleet.
@@ -31,8 +40,8 @@ pub struct FleetConfig {
     /// scattered `max_attempts` times and still has no result is handed
     /// back to the caller as unmeasured instead of looping forever.
     pub rescatter: RetryPolicy,
-    /// How long [`Coordinator::gather`] waits for a batch before handing
-    /// the stragglers back for local fallback.
+    /// How long the host waits on a scattered batch before it calls
+    /// [`Coordinator::gather`] anyway and measures the stragglers itself.
     pub gather_deadline: Duration,
 }
 
@@ -67,15 +76,30 @@ impl std::fmt::Display for FleetError {
 impl std::error::Error for FleetError {}
 
 /// What a gather produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GatherOutcome {
     /// Applied results, keyed by the batch's config index. At most one
     /// entry per index, whatever the workers raced to.
     pub results: Vec<(u64, TaskOutcome)>,
     /// `(config_index, config)` pairs the fleet could not answer — no
-    /// live workers, attempts exhausted, or the deadline passed. The
-    /// caller measures these locally.
+    /// live workers, attempts exhausted, or the caller stopped waiting.
+    /// The caller measures these locally.
     pub unmeasured: Vec<(u64, Vec<i64>)>,
+}
+
+/// A wait that is over, posted to the host ([`Coordinator::on_wake`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Wake {
+    /// The poll held under `key` has work: answer it with `tasks`.
+    Poll {
+        /// The key [`Coordinator::poll_or_hold`] was given.
+        key: u64,
+        /// The tasks now in flight at that worker.
+        tasks: Vec<TaskSpec>,
+    },
+    /// This batch has nothing left to wait for — every task answered or
+    /// given up on, or no live worker left to answer: gather it.
+    Batch(u64),
 }
 
 #[derive(Debug, Default)]
@@ -112,9 +136,9 @@ struct Batch {
     results: HashMap<u64, TaskOutcome>,
     /// Tasks given up on, for the caller's local fallback.
     unmeasured: Vec<(u64, Vec<i64>)>,
-    /// Trace context the batch was scattered under (the scatter span), so
-    /// the matching gather parents itself on the same campaign trace.
-    ctx: TraceContext,
+    /// The `fleet.gather` span: opened when the batch was scattered, on
+    /// the scatter span, and ended by the gather that takes the batch.
+    span: Span,
 }
 
 #[derive(Default)]
@@ -136,10 +160,31 @@ struct State {
     in_flight: HashMap<TaskId, InFlight>,
     batches: HashMap<u64, Batch>,
     task_batch: HashMap<TaskId, u64>,
+    /// Polls that found the queue empty, oldest first, as `(worker, key)`.
+    /// A held worker is alive by construction: its lease does not run.
+    held: VecDeque<(WorkerId, u64)>,
+    /// Wakes raised under the lock, posted once it is released.
+    wakes: Vec<Wake>,
     next_worker: WorkerId,
     next_task: TaskId,
     next_batch: u64,
     counters: Counters,
+}
+
+impl State {
+    fn any_live(&self) -> bool {
+        self.workers.values().any(|w| w.live)
+    }
+
+    /// One task of `batch_id` is resolved; the last one wakes the waiter.
+    fn resolve_one(&mut self, batch_id: u64) {
+        if let Some(b) = self.batches.get_mut(&batch_id) {
+            b.pending = b.pending.saturating_sub(1);
+            if b.pending == 0 {
+                self.wakes.push(Wake::Batch(batch_id));
+            }
+        }
+    }
 }
 
 /// The fleet coordinator. See the [module docs](self).
@@ -147,9 +192,8 @@ pub struct Coordinator {
     cfg: FleetConfig,
     tracer: Tracer,
     state: Mutex<State>,
-    /// Signalled whenever a batch makes progress (result applied, task
-    /// abandoned, worker reaped) so gathers re-check their batch.
-    progress: Condvar,
+    /// Where wakes go; without a host nobody waits and they are dropped.
+    waker: OnceLock<Box<dyn Fn(Wake) + Send + Sync>>,
 }
 
 impl Coordinator {
@@ -171,18 +215,36 @@ impl Coordinator {
                 in_flight: HashMap::new(),
                 batches: HashMap::new(),
                 task_batch: HashMap::new(),
+                held: VecDeque::new(),
+                wakes: Vec::new(),
                 next_worker: 1,
                 next_task: 1,
                 next_batch: 1,
                 counters: Counters::default(),
             }),
-            progress: Condvar::new(),
+            waker: OnceLock::new(),
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.cfg
+    }
+
+    /// Installs the host's wake sink, once; later calls are ignored. It is
+    /// called with no coordinator lock held, from whichever thread's call
+    /// ended the wait.
+    pub fn on_wake(&self, sink: impl Fn(Wake) + Send + Sync + 'static) {
+        let _ = self.waker.set(Box::new(sink));
+    }
+
+    /// Releases the lock, then posts what was raised under it.
+    fn unlock(&self, mut s: MutexGuard<'_, State>) {
+        let wakes = std::mem::take(&mut s.wakes);
+        drop(s);
+        if let Some(sink) = self.waker.get() {
+            wakes.into_iter().for_each(sink);
+        }
     }
 
     /// Registers a worker; returns its id and the heartbeat lease in
@@ -213,26 +275,79 @@ impl Coordinator {
         reports: Vec<TaskReport>,
     ) -> Result<Vec<TaskSpec>, FleetError> {
         let mut s = self.state.lock();
-        self.reap_dead(&mut s);
-        let now = Instant::now();
-        {
-            let w = s
-                .workers
-                .get_mut(&worker)
-                .ok_or(FleetError::UnknownWorker(worker))?;
-            w.last_seen = now;
-            // A worker back from a lease expiry (a long GC pause, a
-            // network blip) resumes where it was; its re-scattered tasks
-            // resolve through dedup.
-            w.live = true;
+        let polled = self.poll_locked(&mut s, worker, reports);
+        self.unlock(s);
+        polled
+    }
+
+    /// [`Coordinator::poll`] for a host that can answer later: a poll that
+    /// finds the queue empty is held under `key` and comes back `None`. It
+    /// ends with a [`Wake::Poll`] once a scatter (or a re-scatter) has
+    /// tasks for it, or with the host's [`Coordinator::release`]. The
+    /// worker's lease does not run while it is held.
+    pub fn poll_or_hold(
+        &self,
+        worker: WorkerId,
+        reports: Vec<TaskReport>,
+        key: u64,
+    ) -> Result<Option<Vec<TaskSpec>>, FleetError> {
+        let mut s = self.state.lock();
+        let polled = self.poll_locked(&mut s, worker, reports).map(|tasks| {
+            if !tasks.is_empty() {
+                return Some(tasks);
+            }
+            // One outstanding poll per worker: an earlier hold is a
+            // connection the worker has abandoned.
+            s.held.retain(|&(w, _)| w != worker);
+            s.held.push_back((worker, key));
+            None
+        });
+        self.unlock(s);
+        polled
+    }
+
+    /// Ends the hold under `key` without work — it timed out, or its
+    /// connection died. `false` when nothing is held under `key`: it was
+    /// never held, or a [`Wake::Poll`] for it is already posted.
+    pub fn release(&self, key: u64) -> bool {
+        let mut s = self.state.lock();
+        let Some(pos) = s.held.iter().position(|&(_, k)| k == key) else {
+            return false;
+        };
+        if let Some((worker, _)) = s.held.remove(pos) {
+            if let Some(w) = s.workers.get_mut(&worker) {
+                w.last_seen = Instant::now();
+            }
         }
-        let mut progressed = false;
+        true
+    }
+
+    fn poll_locked(
+        &self,
+        s: &mut State,
+        worker: WorkerId,
+        reports: Vec<TaskReport>,
+    ) -> Result<Vec<TaskSpec>, FleetError> {
+        self.reap_dead(s);
+        let w = s
+            .workers
+            .get_mut(&worker)
+            .ok_or(FleetError::UnknownWorker(worker))?;
+        w.last_seen = Instant::now();
+        // A worker back from a lease expiry (a long GC pause, a network
+        // blip) resumes where it was; its re-scattered tasks resolve
+        // through dedup.
+        w.live = true;
         for report in reports {
-            progressed |= self.apply_report(&mut s, worker, report);
+            Self::apply_report(s, worker, report);
         }
-        // Hand out work.
+        Ok(Self::assign(s, worker, self.cfg.tasks_per_poll))
+    }
+
+    /// Moves up to `limit` queued tasks in flight at `worker`.
+    fn assign(s: &mut State, worker: WorkerId, limit: usize) -> Vec<TaskSpec> {
         let mut assigned = Vec::new();
-        while assigned.len() < self.cfg.tasks_per_poll {
+        while assigned.len() < limit {
             let Some(mut task) = s.queue.pop_front() else {
                 break;
             };
@@ -251,15 +366,29 @@ impl Coordinator {
             );
             assigned.push(task.spec);
         }
-        drop(s);
-        if progressed {
-            self.progress.notify_all();
-        }
-        Ok(assigned)
+        assigned
     }
 
-    /// Applies one task report; returns whether a batch progressed.
-    fn apply_report(&self, s: &mut State, worker: WorkerId, report: TaskReport) -> bool {
+    /// Answers held polls from the queue, oldest hold first. Each gets an
+    /// even share of what is queued — ⌈queued / held⌉, at most
+    /// [`FleetConfig::tasks_per_poll`] — so a batch that finds the whole
+    /// fleet waiting is spread over it instead of filling the first poll.
+    fn hand_to_held(&self, s: &mut State) {
+        while !s.queue.is_empty() {
+            let share = s.queue.len().div_ceil(s.held.len().max(1));
+            let Some((worker, key)) = s.held.pop_front() else {
+                return;
+            };
+            if let Some(w) = s.workers.get_mut(&worker) {
+                w.last_seen = Instant::now();
+            }
+            let tasks = Self::assign(s, worker, share.min(self.cfg.tasks_per_poll).max(1));
+            s.wakes.push(Wake::Poll { key, tasks });
+        }
+    }
+
+    /// Applies one task report.
+    fn apply_report(s: &mut State, worker: WorkerId, report: TaskReport) {
         // Resolve the task wherever it currently lives: in flight (the
         // common case — possibly at a *different* worker if this one's
         // lease briefly expired and the task was re-scattered), or back
@@ -276,10 +405,10 @@ impl Coordinator {
             .and_then(|_| s.task_batch.remove(&report.task));
         let (Some(spec), Some(batch_id)) = (spec, batch_id) else {
             // Already resolved (a re-scatter raced us) or the batch is
-            // gone (gather gave up) — either way, drop it. This is the
+            // gone (its gather gave up) — either way, drop it. This is the
             // dedup that keeps a measurement from ever landing twice.
             s.counters.duplicate_results += 1;
-            return false;
+            return;
         };
         let failed = matches!(report.outcome, TaskOutcome::Failed { .. });
         s.counters.tasks_completed += 1;
@@ -294,15 +423,16 @@ impl Coordinator {
         }
         let Some(batch) = s.batches.get_mut(&batch_id) else {
             s.counters.duplicate_results += 1;
-            return false;
+            return;
         };
         batch.results.insert(spec.config_index, report.outcome);
-        batch.pending = batch.pending.saturating_sub(1);
-        true
+        s.resolve_one(batch_id);
     }
 
     /// Scatters one batch of `(config_index, config)` tasks for
     /// `session`; returns the batch handle for [`Coordinator::gather`].
+    /// Held polls are answered from it at once; a [`Wake::Batch`] follows
+    /// when nothing of it is left to wait for.
     ///
     /// `ctx` is the caller's trace position (usually the session's current
     /// phase span). Every [`TaskSpec`] in the batch is stamped with
@@ -332,15 +462,6 @@ impl Coordinator {
         let batch_id = s.next_batch;
         s.next_batch += 1;
         span.field("batch", batch_id);
-        s.batches.insert(
-            batch_id,
-            Batch {
-                pending: configs.len() as u64,
-                results: HashMap::new(),
-                unmeasured: Vec::new(),
-                ctx: batch_ctx,
-            },
-        );
         for (config_index, config) in configs {
             let task = s.next_task;
             s.next_task += 1;
@@ -360,58 +481,62 @@ impl Coordinator {
                 attempts: 0,
             });
         }
+        drop(span);
+        // The wait for the batch starts where the scatter ends.
+        let mut span = self.tracer.span("fleet.gather", batch_ctx);
+        span.field("batch", batch_id);
+        s.batches.insert(
+            batch_id,
+            Batch {
+                pending: configs.len() as u64,
+                results: HashMap::new(),
+                unmeasured: Vec::new(),
+                span,
+            },
+        );
+        self.hand_to_held(&mut s);
+        self.unlock(s);
         batch_id
     }
 
-    /// Blocks until every task of `batch` is resolved (answered or given
-    /// up on), the fleet goes empty with the batch unplaceable, or the
-    /// configured gather deadline passes. Always consumes the batch.
-    pub fn gather(&self, batch: u64) -> GatherOutcome {
-        let deadline = Instant::now() + self.cfg.gather_deadline;
+    /// Whether `batch` has nothing left to wait for: every task resolved,
+    /// no live worker to resolve the rest, or already gathered. A waiter
+    /// asks once after it is ready to be woken; from then on the
+    /// [`Wake::Batch`] tells it.
+    pub fn resolved(&self, batch: u64) -> bool {
         let mut s = self.state.lock();
-        let mut span = self.tracer.span(
-            "fleet.gather",
-            s.batches.get(&batch).map(|b| b.ctx).unwrap_or_default(),
-        );
-        span.field("batch", batch);
-        loop {
-            self.reap_dead(&mut s);
-            let done = s
-                .batches
-                .get(&batch)
-                .map(|b| b.pending == 0)
-                .unwrap_or(true);
-            let no_workers = !s.workers.values().any(|w| w.live);
-            if done || no_workers || Instant::now() >= deadline {
-                // Pull whatever is still unresolved back out of the
-                // scheduler: those configs are the caller's to measure.
-                let mut b = s.batches.remove(&batch).unwrap_or(Batch {
-                    pending: 0,
-                    results: HashMap::new(),
-                    unmeasured: Vec::new(),
-                    ctx: TraceContext::NONE,
-                });
+        self.reap_dead(&mut s);
+        let resolved = s.batches.get(&batch).is_none_or(|b| b.pending == 0) || !s.any_live();
+        self.unlock(s);
+        resolved
+    }
+
+    /// Takes `batch` as it stands, without waiting: its results, and
+    /// whatever is still unresolved pulled back out of the scheduler as
+    /// unmeasured — those configs are the caller's to measure. Always
+    /// consumes the batch; a late report for it resolves as a duplicate.
+    pub fn gather(&self, batch: u64) -> GatherOutcome {
+        let mut s = self.state.lock();
+        self.reap_dead(&mut s);
+        let outcome = match s.batches.remove(&batch) {
+            None => GatherOutcome::default(),
+            Some(mut b) => {
                 if b.pending > 0 {
                     Self::abandon_batch(&mut s, batch, &mut b);
                 }
                 let mut results: Vec<(u64, TaskOutcome)> = b.results.into_iter().collect();
                 results.sort_by_key(|&(i, _)| i);
                 b.unmeasured.sort_by_key(|&(i, _)| i);
-                span.field("results", results.len() as u64);
-                span.field("unmeasured", b.unmeasured.len() as u64);
-                return GatherOutcome {
+                b.span.field("results", results.len() as u64);
+                b.span.field("unmeasured", b.unmeasured.len() as u64);
+                GatherOutcome {
                     results,
                     unmeasured: b.unmeasured,
-                };
+                }
             }
-            // Wake on progress, or after a slice to re-check leases.
-            let slice = self
-                .cfg
-                .lease
-                .min(Duration::from_millis(50))
-                .max(Duration::from_millis(5));
-            self.progress.wait_for(&mut s, slice);
-        }
+        };
+        self.unlock(s);
+        outcome
     }
 
     /// Moves every unresolved task of `batch` into its unmeasured list.
@@ -427,22 +552,32 @@ impl Coordinator {
             if let Some(t) = s.in_flight.remove(&task) {
                 b.unmeasured.push((t.spec.config_index, t.spec.config));
             } else if let Some(pos) = s.queue.iter().position(|q| q.spec.task == task) {
-                let q = s.queue.remove(pos).expect("position just found");
-                b.unmeasured.push((q.spec.config_index, q.spec.config));
+                if let Some(q) = s.queue.remove(pos) {
+                    b.unmeasured.push((q.spec.config_index, q.spec.config));
+                }
             }
-            // A task in neither place is mid-report on another thread; it
-            // resolves as a duplicate once we return.
             b.pending = b.pending.saturating_sub(1);
         }
     }
 
+    /// Expires leases now. Every other call does this on its way in; a
+    /// host with batches waited on calls it on a timer, since a fleet that
+    /// has gone silent makes no calls.
+    pub fn reap(&self) {
+        let mut s = self.state.lock();
+        self.reap_dead(&mut s);
+        self.unlock(s);
+    }
+
     /// Expires leases: dead workers' in-flight tasks go back on the queue
-    /// (or to their batch's unmeasured list once out of attempts).
+    /// (or to their batch's unmeasured list once out of attempts). With
+    /// the last live worker gone no batch has anyone to wait for.
     fn reap_dead(&self, s: &mut State) {
         let lease = self.cfg.lease;
         let mut dead: Vec<WorkerId> = Vec::new();
         for (id, w) in s.workers.iter_mut() {
-            if w.live && w.last_seen.elapsed() > lease {
+            let held = s.held.iter().any(|(h, _)| h == id);
+            if w.live && !held && w.last_seen.elapsed() > lease {
                 w.live = false;
                 dead.push(*id);
             }
@@ -474,7 +609,9 @@ impl Coordinator {
             .map(|(id, _)| *id)
             .collect();
         for task in orphaned {
-            let t = s.in_flight.remove(&task).expect("id just listed");
+            let Some(t) = s.in_flight.remove(&task) else {
+                continue;
+            };
             if let Some(w) = s.workers.get_mut(&t.worker) {
                 w.stats.rescattered += 1;
             }
@@ -487,18 +624,24 @@ impl Coordinator {
             } else if let Some(batch_id) = s.task_batch.remove(&task) {
                 if let Some(b) = s.batches.get_mut(&batch_id) {
                     b.unmeasured.push((t.spec.config_index, t.spec.config));
-                    b.pending = b.pending.saturating_sub(1);
                 }
+                s.resolve_one(batch_id);
             }
         }
-        self.progress.notify_all();
+        self.hand_to_held(s);
+        if !s.any_live() {
+            let stranded: Vec<Wake> = s.batches.keys().map(|&b| Wake::Batch(b)).collect();
+            s.wakes.extend(stranded);
+        }
     }
 
     /// Workers with a current lease.
     pub fn live_workers(&self) -> usize {
         let mut s = self.state.lock();
         self.reap_dead(&mut s);
-        s.workers.values().filter(|w| w.live).count()
+        let live = s.workers.values().filter(|w| w.live).count();
+        self.unlock(s);
+        live
     }
 
     /// Snapshot for the metrics endpoint.
@@ -521,7 +664,7 @@ impl Coordinator {
                 })
             })
             .collect();
-        FleetReport {
+        let report = FleetReport {
             live_workers: workers.iter().filter(|w| w.live).count() as u64,
             workers_registered: s.counters.workers_registered,
             workers_lost: s.counters.workers_lost,
@@ -531,7 +674,9 @@ impl Coordinator {
             tasks_rescattered: s.counters.tasks_rescattered,
             duplicate_results: s.counters.duplicate_results,
             workers,
-        }
+        };
+        self.unlock(s);
+        report
     }
 }
 
@@ -676,23 +821,116 @@ mod tests {
 
     #[test]
     fn gather_deadline_returns_stragglers_for_local_fallback() {
-        let c = Coordinator::new(FleetConfig {
-            gather_deadline: Duration::from_millis(40),
-            ..cfg(60_000)
-        });
+        // The deadline itself is the host's timer (`parked_requests.rs`
+        // drives it from the reactor's wheel); what it calls is this: a
+        // gather that does not wait for the worker still holding a task.
+        let c = Coordinator::new(cfg(60_000));
         let (a, _) = c.register("hoarder");
         let batch = c.scatter(1, &configs(2), "LV", "exec", 2021, TraceContext::NONE);
         let ta = c.poll(a, vec![]).unwrap();
         // Reporting the first result picks up the second task, which the
-        // live-but-stuck worker then holds past the gather deadline.
+        // live-but-stuck worker then holds past the caller's patience.
         let held = c.poll(a, vec![measured(ta[0].task, 1.0)]).unwrap();
         assert_eq!(held.len(), 1);
+        assert!(!c.resolved(batch), "a task is still out");
+        let start = Instant::now();
         let out = c.gather(batch);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "gather never waits"
+        );
         assert_eq!(out.results.len(), 1);
         assert_eq!(out.unmeasured.len(), 1);
         // The stuck worker's eventual report resolves as a duplicate.
         c.poll(a, vec![measured(held[0].task, 2.0)]).unwrap();
         assert_eq!(c.report().duplicate_results, 1);
+        assert_eq!(c.gather(batch), GatherOutcome::default(), "taken once");
+    }
+
+    /// A coordinator whose wakes land in the returned list.
+    fn woken(cfg: FleetConfig) -> (Coordinator, std::sync::Arc<Mutex<Vec<Wake>>>) {
+        let c = Coordinator::new(cfg);
+        let wakes = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let sink = std::sync::Arc::clone(&wakes);
+        c.on_wake(move |w| sink.lock().push(w));
+        (c, wakes)
+    }
+
+    #[test]
+    fn held_polls_split_a_scatter_and_the_last_report_wakes_the_batch() {
+        let (c, wakes) = woken(FleetConfig {
+            tasks_per_poll: 4,
+            ..cfg(60_000)
+        });
+        let (a, _) = c.register("a");
+        let (b, _) = c.register("b");
+        assert_eq!(c.poll_or_hold(a, vec![], 10).unwrap(), None);
+        assert_eq!(c.poll_or_hold(b, vec![], 20).unwrap(), None);
+        assert!(wakes.lock().is_empty());
+
+        // Three tasks over two held polls: 2 + 1, not 3 + 0.
+        let batch = c.scatter(1, &configs(3), "LV", "exec", 2021, TraceContext::NONE);
+        let posted = std::mem::take(&mut *wakes.lock());
+        let [Wake::Poll { key: 10, tasks: ta }, Wake::Poll { key: 20, tasks: tb }] = &posted[..]
+        else {
+            panic!("expected one answer per held poll, oldest first: {posted:?}");
+        };
+        assert_eq!((ta.len(), tb.len()), (2, 1));
+        assert!(!c.release(10), "an answered hold is over");
+        assert!(!c.resolved(batch));
+
+        // Reports ride on polls that are held in turn; the last one
+        // resolves the batch.
+        let reports = |tasks: &[TaskSpec]| tasks.iter().map(|t| measured(t.task, 1.0)).collect();
+        assert_eq!(c.poll_or_hold(a, reports(ta), 11).unwrap(), None);
+        assert!(wakes.lock().is_empty());
+        assert_eq!(c.poll_or_hold(b, reports(tb), 21).unwrap(), None);
+        assert_eq!(*wakes.lock(), [Wake::Batch(batch)]);
+        assert!(c.resolved(batch));
+        assert_eq!(c.gather(batch).results.len(), 3);
+        assert_eq!(c.report().tasks_dispatched, 3);
+    }
+
+    #[test]
+    fn a_released_hold_gets_no_work_and_a_held_worker_outlives_its_lease() {
+        let (c, wakes) = woken(cfg(30));
+        let (gone, _) = c.register("gone");
+        let (idle, _) = c.register("idle");
+        assert_eq!(c.poll_or_hold(gone, vec![], 1).unwrap(), None);
+        assert_eq!(c.poll_or_hold(idle, vec![], 2).unwrap(), None);
+        // Held well past the lease: waiting on the coordinator is not
+        // silence.
+        std::thread::sleep(Duration::from_millis(70));
+        assert_eq!(c.live_workers(), 2);
+        assert_eq!(c.report().workers_lost, 0);
+
+        // `gone`'s connection died: the next scatter goes to `idle` alone.
+        assert!(c.release(1));
+        assert!(!c.release(1));
+        c.scatter(1, &configs(1), "LV", "exec", 2021, TraceContext::NONE);
+        let posted = std::mem::take(&mut *wakes.lock());
+        let [Wake::Poll { key: 2, tasks }] = &posted[..] else {
+            panic!("expected the one task at the one held poll: {posted:?}");
+        };
+        let report = vec![measured(tasks[0].task, 1.0)];
+        assert_eq!(c.poll_or_hold(idle, report, 3).unwrap(), None);
+        // Released, `gone` is on the lease clock again.
+        std::thread::sleep(Duration::from_millis(70));
+        assert_eq!(c.live_workers(), 1);
+    }
+
+    #[test]
+    fn losing_the_last_worker_wakes_every_batch() {
+        let (c, wakes) = woken(cfg(30));
+        let (a, _) = c.register("doomed");
+        let batch = c.scatter(1, &configs(2), "LV", "exec", 2021, TraceContext::NONE);
+        assert_eq!(c.poll(a, vec![]).unwrap().len(), 1);
+        std::thread::sleep(Duration::from_millis(60));
+        c.reap();
+        assert_eq!(*wakes.lock(), [Wake::Batch(batch)]);
+        assert!(c.resolved(batch));
+        let out = c.gather(batch);
+        assert_eq!((out.results.len(), out.unmeasured.len()), (0, 2));
     }
 
     #[test]

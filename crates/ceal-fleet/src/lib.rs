@@ -17,11 +17,13 @@
 //!
 //! ## Model
 //!
-//! * **Workers pull.** A worker registers, then polls on a heartbeat
-//!   cadence; each poll delivers finished results and picks up new tasks.
-//!   Pulling keeps the wire protocol strictly request/response (the serve
-//!   core never pushes unsolicited frames) and makes a slow worker
-//!   self-limiting — it simply fetches less.
+//! * **Workers pull.** A worker registers, then polls; each poll delivers
+//!   finished results and picks up new tasks, and one that finds no work
+//!   is held by the coordinator's host until a scatter has some (a long
+//!   poll — [`Coordinator::poll_or_hold`]). Pulling keeps the wire
+//!   protocol strictly request/response (the serve core never pushes
+//!   unsolicited frames) and makes a slow worker self-limiting — it
+//!   simply fetches less.
 //! * **Leases, not connections, define liveness.** A worker that misses
 //!   its heartbeat lease is marked dead and its in-flight tasks go back on
 //!   the queue (a *re-scatter*), bounded per task by the unified
@@ -31,13 +33,17 @@
 //!   and its replacement lands once and is counted as a duplicate, never
 //!   applied twice — the caller's journal sees exactly one record per
 //!   measurement.
-//! * **The caller always has a fallback.** [`Coordinator::gather`] returns
-//!   the tasks it could not place (no live workers, attempts exhausted,
-//!   deadline) as *unmeasured* so the session can measure them locally;
-//!   the oracle is deterministic, so the fallback is bit-identical.
+//! * **Nothing waits here.** The coordinator owns no thread and blocks
+//!   none: whoever scattered a batch is told by a [`Wake`] when nothing of
+//!   it is left to wait for, and bounds that wait with its own clock.
+//! * **The caller always has a fallback.** [`Coordinator::gather`] takes
+//!   the batch as it stands and returns the tasks it could not place (no
+//!   live workers, attempts exhausted, the caller's deadline) as
+//!   *unmeasured* so the session can measure them locally; the oracle is
+//!   deterministic, so the fallback is bit-identical.
 
 pub mod coordinator;
 pub mod types;
 
-pub use coordinator::{Coordinator, FleetConfig, FleetError, GatherOutcome};
+pub use coordinator::{Coordinator, FleetConfig, FleetError, GatherOutcome, Wake};
 pub use types::{FleetReport, TaskId, TaskOutcome, TaskReport, TaskSpec, WorkerId, WorkerStats};

@@ -10,9 +10,14 @@
 //! bootstrap phase with the sibling's samples as a low-fidelity prior —
 //! never as the final answer.
 
-use super::{CacheEntry, CacheKey};
+use super::{AutotuneCache, CacheEntry, CacheKey};
+use crate::metrics::ServerMetrics;
+use ceal_core::TransferPrior;
 use ceal_sim::Platform;
+use ceal_trace::{TraceContext, Tracer};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// Distance threshold below which a sibling platform's campaign is close
 /// enough to seed from. Distances are root-mean-square log-ratios per
@@ -162,6 +167,79 @@ pub(crate) fn nearest<'a, T>(
         }
     }
     best
+}
+
+/// How a new campaign starts, given what the cache holds for its key.
+pub(crate) enum WarmStart {
+    /// An exact hit: the campaign is already finished, at zero oracle spend.
+    Exact(CacheEntry),
+    /// The nearest cached sibling platform within the transfer threshold:
+    /// its samples are the stepper's prior.
+    Transfer(TransferPrior),
+    /// Nothing usable cached.
+    Cold,
+}
+
+impl WarmStart {
+    /// The tier's name on the wire (`SessionStatus::warm_source`).
+    pub(crate) fn source(&self) -> &'static str {
+        match self {
+            Self::Exact(_) => "exact",
+            Self::Transfer(_) => "transfer",
+            Self::Cold => "cold",
+        }
+    }
+}
+
+/// Consults `cache` tier by tier for a session campaign keyed `key` on
+/// `platform`: **exact**, failing that the nearest sibling within
+/// `threshold` (`0.0` disables transfer), otherwise **cold**. Counts the
+/// hit, miss and transfer-seeded metrics and records one `cache.lookup`
+/// event in `trace`, naming both the store tier that answered
+/// (`front`/`disk`/`miss`) and the campaign tier the session starts in.
+pub(crate) fn warm_start(
+    cache: &AutotuneCache,
+    key: &CacheKey,
+    platform: &Platform,
+    threshold: f64,
+    metrics: &ServerMetrics,
+    tracer: &Tracer,
+    trace: u64,
+) -> WarmStart {
+    let start = Instant::now();
+    let (hit, tier) = cache.get_with_tier(key);
+    let warm = match hit {
+        Some(entry) => {
+            metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            WarmStart::Exact(entry)
+        }
+        None => {
+            metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+            let near = (threshold > 0.0)
+                .then(|| cache.nearest_transfer(key, &platform_features(platform), threshold));
+            match near.flatten() {
+                Some(near) => {
+                    metrics
+                        .cache_transfer_seeded
+                        .fetch_add(1, Ordering::Relaxed);
+                    let (samples, from) = (near.entry.samples, near.entry.key.platform);
+                    WarmStart::Transfer(TransferPrior::new(samples, from, near.distance))
+                }
+                None => WarmStart::Cold,
+            }
+        }
+    };
+    tracer.instant(
+        "cache.lookup",
+        TraceContext::root(trace),
+        &[
+            ("endpoint", "create-session".into()),
+            ("tier", tier.into()),
+            ("warm", warm.source().into()),
+            ("us", (start.elapsed().as_micros() as u64).into()),
+        ],
+    );
+    warm
 }
 
 /// The checked `{checksum, entries}` JSON layout of a portable bundle —

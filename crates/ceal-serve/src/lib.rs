@@ -20,8 +20,11 @@
 //! * [`server`] + [`reactor`] + [`metrics`] — the TCP server (Linux): a
 //!   readiness-driven epoll event loop owns all connections (framed
 //!   per-connection state machines, a timer wheel), so tens of thousands
-//!   of idle sessions cost one fd each, and hands decoded requests to a
-//!   `ceal-par` worker pool; batched surrogate prediction, per-endpoint
+//!   of idle sessions cost one fd each. It answers what cannot wait
+//!   (`Ping`, `Status`, a small `Predict`, worker polls) where it arrives,
+//!   hands the rest to a `ceal-par` worker pool, and parks what must wait
+//!   — a worker poll with no work, a campaign step across its fleet round
+//!   — without a thread; batched surrogate prediction, per-endpoint
 //!   counters and latency histograms, overload shedding, and graceful
 //!   shutdown that drains in-flight work.
 //!
@@ -54,6 +57,7 @@ pub mod cache;
 pub mod client;
 pub mod error;
 pub mod metrics;
+mod parked;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;

@@ -6,7 +6,8 @@
 //! log2-bucketed histogram ([`ceal_trace::LogHistogram`], ≤3.2 % relative
 //! error) from which the report derives real server-side p50/p99/p999 per
 //! endpoint. [`Endpoint`] also carries the one table of per-request-class
-//! facts: metrics name, trace span name, whether overload may shed it.
+//! facts: metrics name, trace span name, whether overload may shed it,
+//! whether the reactor thread may run it where it arrives.
 
 use crate::breaker::CircuitBreaker;
 use crate::cache::CacheStats;
@@ -29,12 +30,14 @@ struct EndpointRow {
     span: &'static str,
     /// Whether overload may answer this request with `Busy`.
     sheddable: bool,
+    /// Whether a small frame of it is run on the reactor thread.
+    inline: bool,
 }
 
 /// Declares [`Endpoint`] and its fact table from one list: a request class
 /// is described once, and its row sits at the endpoint's discriminant.
 macro_rules! endpoints {
-    ($($variant:ident $tags:tt $name:literal $sheddable:literal,)+) => {
+    ($($variant:ident $tags:tt $name:literal $sheddable:literal $inline:literal,)+) => {
         /// The service's endpoints, for metrics attribution.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Endpoint {
@@ -47,30 +50,34 @@ macro_rules! endpoints {
             name: $name,
             span: concat!("request.", $name),
             sheddable: $sheddable,
+            inline: $inline,
         },)+];
     };
 }
 
-// Variant, request tags, name, sheddable. Never shed: cheap control
+// Variant, request tags, name, sheddable, inline. Never shed: cheap control
 // traffic whose loss would blind operators (`Health`, `Metrics`), break
 // liveness (`Ping`, `Shutdown`), leak resources (`Status`, `CloseSession`),
 // or stall the fleet's exactly-once accounting (registration, heartbeats,
-// results — shedding a `TaskResult` would force a re-measure).
+// results — shedding a `TaskResult` would force a re-measure). Inline:
+// the requests whose work is microseconds and whose only wait — a session
+// lock, a surrogate fit — can be seen coming and handed to the pool
+// instead; the fleet's polls among them so that one can be held.
 endpoints! {
-    Ping ["Ping"] "ping" false,
-    Tune ["Tune"] "tune" true,
-    CreateSession ["CreateSession"] "create-session" true,
-    Advance ["Advance"] "advance" true,
-    Status ["Status"] "status" false,
-    Predict ["Predict"] "predict" true,
-    Measure ["Measure"] "measure" true,
-    PushHistory ["PushHistory"] "push-history" true,
-    CloseSession ["CloseSession"] "close-session" false,
-    Metrics ["Metrics", "Shutdown"] "metrics" false,
-    RegisterWorker ["RegisterWorker"] "register-worker" false,
-    Heartbeat ["Heartbeat"] "heartbeat" false,
-    TaskResult ["TaskResult"] "task-result" false,
-    Health ["Health"] "health" false,
+    Ping ["Ping"] "ping" false true,
+    Tune ["Tune"] "tune" true false,
+    CreateSession ["CreateSession"] "create-session" true false,
+    Advance ["Advance"] "advance" true false,
+    Status ["Status"] "status" false true,
+    Predict ["Predict"] "predict" true true,
+    Measure ["Measure"] "measure" true false,
+    PushHistory ["PushHistory"] "push-history" true false,
+    CloseSession ["CloseSession"] "close-session" false false,
+    Metrics ["Metrics", "Shutdown"] "metrics" false false,
+    RegisterWorker ["RegisterWorker"] "register-worker" false true,
+    Heartbeat ["Heartbeat"] "heartbeat" false true,
+    TaskResult ["TaskResult"] "task-result" false true,
+    Health ["Health"] "health" false false,
 }
 
 /// Leading JSON whitespace [`Endpoint::peek`] tolerates before giving up.
@@ -94,6 +101,12 @@ impl Endpoint {
     /// Whether overload may answer this endpoint's requests with `Busy`.
     pub(crate) fn sheddable(self) -> bool {
         ENDPOINTS[self as usize].sheddable
+    }
+
+    /// Whether a small frame of this endpoint is run where it arrives, on
+    /// the reactor thread.
+    pub(crate) fn runs_inline(self) -> bool {
+        ENDPOINTS[self as usize].inline
     }
 
     /// Classifies an undecoded request payload by its externally-tagged

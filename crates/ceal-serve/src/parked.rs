@@ -1,0 +1,418 @@
+//! Requests that finish later than the call that started them.
+//!
+//! A handler has three ways to end, and [`Outcome`] names them: a reply
+//! (the common one), a hand-back to the pool when it was tried on the
+//! reactor thread and would have had to wait, or a *park* — the request
+//! keeps its [`Ticket`] (where the reply goes, when the frame arrived, its
+//! open `request.*` span) and holds no thread until something wakes it.
+//!
+//! Two things park. A worker poll that finds no work is **held** on its
+//! connection by the reactor. A campaign step that scattered a fleet round
+//! parks here: its [`Parked`] continuation — ticket, shell, how to shape
+//! the answer — sits in `ServerInner::rounds` under the round's batch id,
+//! the session lock is released, and [`resume_round`] runs on the pool
+//! when the coordinator reports the batch resolved, the reactor's wheel
+//! finds its gather deadline passed, or the server drains. Whichever of
+//! those comes first takes the round out of the shell under the session
+//! lock; the others find it gone and do nothing, so a round completes
+//! exactly once.
+//!
+//! Everything that leaves here for a connection goes through
+//! [`ServerInner::post`] onto the reactor's one completion queue.
+
+use crate::error::ServeError;
+use crate::metrics::Endpoint;
+use crate::protocol::{Request, Response, SessionStatus, TuneParams};
+use crate::server::{error_frame, ServerInner};
+use crate::session::{cache_key, parse_params, Advanced, Session, TUNE_MODE};
+use ceal_trace::{Span, TraceContext};
+use parking_lot::Mutex;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Where a request's reply goes and how it is accounted: the reactor's
+/// connection token, the frame's arrival, the endpoint.
+#[derive(Clone, Copy)]
+pub(crate) struct ReplyTo {
+    pub(crate) conn: u64,
+    pub(crate) arrived: Instant,
+    pub(crate) endpoint: Endpoint,
+}
+
+impl ReplyTo {
+    /// Frames `resp` as this request's answer.
+    pub(crate) fn completion(self, resp: &Response) -> Completion {
+        let is_error = matches!(resp, Response::Error { .. });
+        Completion {
+            conn: self.conn,
+            framed: encode_frame(resp),
+            close_after_write: false,
+            metric: Some((self.endpoint, self.arrived, is_error)),
+        }
+    }
+}
+
+/// A request in progress: its reply address and its open `request.*`
+/// span, which ends with the reply however long that takes.
+pub(crate) struct Ticket {
+    pub(crate) to: ReplyTo,
+    span: Span,
+}
+
+impl Ticket {
+    /// Opens the request's own trace; campaign-scoped work additionally
+    /// records under its campaign trace.
+    pub(crate) fn open(inner: &ServerInner, to: ReplyTo) -> Ticket {
+        let ctx = TraceContext::root(inner.tracer.new_trace());
+        let span = inner.tracer.span(to.endpoint.span_name(), ctx);
+        Ticket { to, span }
+    }
+
+    /// Ends the request span and frames its answer.
+    pub(crate) fn finish(mut self, resp: &Response) -> Completion {
+        if let Response::Error { code, .. } = resp {
+            self.span.field("error", code.clone());
+        }
+        drop(self.span);
+        self.to.completion(resp)
+    }
+}
+
+/// A finished request: the framed response bytes for one connection.
+pub(crate) struct Completion {
+    pub(crate) conn: u64,
+    pub(crate) framed: Vec<u8>,
+    /// Close once flushed (decode errors).
+    pub(crate) close_after_write: bool,
+    /// `(endpoint, frame arrival, is_error)` to record into the latency
+    /// histogram once the response is fully flushed, so server-side
+    /// percentiles cover queueing, handling, parking *and* write-back.
+    pub(crate) metric: Option<(Endpoint, Instant, bool)>,
+}
+
+/// What reaches the reactor through its completion queue.
+pub(crate) enum Event {
+    /// A request is answered.
+    Reply(Completion),
+    /// A request parked on this fleet batch: keep an eye on the clock.
+    RoundParked(u64),
+    /// The coordinator ended a wait.
+    Wake(ceal_fleet::Wake),
+}
+
+/// How a handler ended.
+pub(crate) enum Outcome {
+    /// With its answer.
+    Done(Completion),
+    /// Tried on the reactor thread, it would have had to wait (a taken
+    /// session lock, a surrogate to fit): run it on the pool.
+    Defer(Request, Ticket),
+    /// A worker poll with nothing to hand out, accepted by the coordinator
+    /// under the ticket's connection token: the reactor holds it.
+    Held(Ticket),
+    /// Parked on a fleet round; the continuation is in
+    /// `ServerInner::rounds`.
+    Parked,
+}
+
+/// Serializes `resp` as one ready-to-send frame (length prefix + JSON).
+pub(crate) fn encode_frame(resp: &Response) -> Vec<u8> {
+    let json = serde_json::to_vec(resp).unwrap_or_else(|_| {
+        // Fall back to a pre-baked error body rather than panicking the
+        // worker: even if serde somehow fails on the fallback too, the
+        // peer still gets a well-formed frame.
+        serde_json::to_vec(&Response::Error {
+            code: "internal".into(),
+            message: "response serialization failed".into(),
+        })
+        .unwrap_or_else(|_| {
+            br#"{"Error":{"code":"internal","message":"response serialization failed"}}"#.to_vec()
+        })
+    });
+    let mut framed = Vec::with_capacity(4 + json.len());
+    framed.extend_from_slice(&(json.len() as u32).to_be_bytes());
+    framed.extend_from_slice(&json);
+    framed
+}
+
+/// The answer to a request whose handler panicked: the failure is
+/// contained to that one request.
+pub(crate) fn panic_frame(payload: Box<dyn Any + Send>) -> Response {
+    let detail = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("handler panicked");
+    Response::Error {
+        code: "internal".into(),
+        message: detail.to_string(),
+    }
+}
+
+/// A campaign shell as requests share it.
+type Shell = Arc<Mutex<Session>>;
+
+/// How a campaign request is answered once its shell has stepped.
+enum Kind {
+    /// `Advance`: one step, answered with the status.
+    Advance,
+    /// One-shot `Tune`: stepped until `done`, answered with the
+    /// recommendation. Carries the `campaign.tune` span across the rounds.
+    Tune(Span),
+}
+
+/// The continuation of a request parked on a fleet round.
+pub(crate) struct Parked {
+    shell: Shell,
+    ticket: Ticket,
+    kind: Kind,
+    /// When to stop waiting for the fleet and measure the stragglers here.
+    deadline: Instant,
+    /// `Advance`s that reached the session mid-round, `(ticket, runs)` in
+    /// arrival order: they take their turn when the round completes.
+    queued: VecDeque<(Ticket, u64)>,
+}
+
+/// Runs one shell call, turning its error — or its panic (a bug, or a
+/// chaos crash point inside a journal commit) — into the frame that
+/// answers the request. Tickets stay outside: unwinding never drops one.
+fn contain<T>(call: impl FnOnce() -> Result<T, ServeError>) -> Result<T, Box<Response>> {
+    match catch_unwind(AssertUnwindSafe(call)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(Box::new(error_frame(e))),
+        Err(payload) => Err(Box::new(panic_frame(payload))),
+    }
+}
+
+/// Where a shell call left a campaign request: how far it advanced, or
+/// the error frame that answers it.
+type Step = Result<Advanced, Box<Response>>;
+
+fn begin(inner: &ServerInner, s: &mut Session, runs: u64) -> Step {
+    contain(|| s.advance_begin(runs, &inner.cache, &inner.metrics, Some(&inner.fleet)))
+}
+
+fn complete(inner: &ServerInner, s: &mut Session, batch: u64) -> Step {
+    contain(|| s.complete_round(inner.fleet.gather(batch), &inner.cache, &inner.metrics))
+}
+
+fn tune_result(done: SessionStatus, span: &mut Span) -> Response {
+    let (Some(best), Some(best_value)) = (done.best, done.best_value) else {
+        let e = "campaign finished without a recommendation";
+        return error_frame(ServeError::Internal(e.into()));
+    };
+    span.field("runs_used", done.measured);
+    Response::TuneResult {
+        best,
+        best_value,
+        runs_used: done.measured,
+        component_runs: done.history_samples,
+        from_cache: false,
+    }
+}
+
+/// Takes the request of `ticket` from `step` — where its shell `s` (locked
+/// by the caller, `shell`'s guard) just got to — to its answer or to a
+/// round to wait on, whichever comes first. Parking moves `queued` into
+/// the continuation with it.
+fn drive(
+    inner: &ServerInner,
+    shell: &Shell,
+    s: &mut Session,
+    mut ticket: Ticket,
+    mut kind: Kind,
+    mut step: Step,
+    queued: &mut VecDeque<(Ticket, u64)>,
+) -> Outcome {
+    loop {
+        step = match step {
+            Err(resp) => return Outcome::Done(ticket.finish(&resp)),
+            Ok(Advanced::Status(status)) => match &mut kind {
+                Kind::Advance => return Outcome::Done(ticket.finish(&Response::Session(status))),
+                Kind::Tune(span) if status.state == "done" => {
+                    return Outcome::Done(ticket.finish(&tune_result(status, span)));
+                }
+                Kind::Tune(_) => begin(inner, s, u64::MAX),
+            },
+            Ok(Advanced::Scattered(batch)) => {
+                let parked = Parked {
+                    shell: Arc::clone(shell),
+                    ticket,
+                    kind,
+                    deadline: Instant::now() + inner.fleet.config().gather_deadline,
+                    queued: std::mem::take(queued),
+                };
+                inner.rounds.lock().insert(batch, parked);
+                // Asked only now that a wake can find the continuation: a
+                // batch that resolved before this line posted its wake to
+                // nobody. A draining server waits for no fleet.
+                if !inner.shutdown.load(Ordering::Acquire) && !inner.fleet.resolved(batch) {
+                    inner.post(Event::RoundParked(batch));
+                    return Outcome::Parked;
+                }
+                // Nothing to wait for; the session lock is still ours, so
+                // the continuation is too.
+                let Some(p) = inner.rounds.lock().remove(&batch) else {
+                    return Outcome::Parked;
+                };
+                (ticket, kind, *queued) = (p.ticket, p.kind, p.queued);
+                complete(inner, s, batch)
+            }
+        };
+    }
+}
+
+/// `Advance`: one step of a registered session. One that finds a round in
+/// flight queues behind it.
+pub(crate) fn advance(inner: &ServerInner, id: u64, runs: u64, ticket: Ticket) -> Outcome {
+    let shell = match inner.sessions.get(id) {
+        Ok(shell) => shell,
+        Err(e) => return Outcome::Done(ticket.finish(&error_frame(e))),
+    };
+    let mut s = shell.lock();
+    if let Some(batch) = s.round_in_flight() {
+        // The shell's round and its continuation change together, under
+        // the session lock this call holds.
+        return match inner.rounds.lock().get_mut(&batch) {
+            Some(parked) => {
+                parked.queued.push_back((ticket, runs));
+                Outcome::Parked
+            }
+            None => {
+                let e = ServeError::Internal(format!("round {batch} has no continuation"));
+                Outcome::Done(ticket.finish(&error_frame(e)))
+            }
+        };
+    }
+    let step = begin(inner, &mut s, runs);
+    let mut none = VecDeque::new();
+    drive(
+        inner,
+        &shell,
+        &mut s,
+        ticket,
+        Kind::Advance,
+        step,
+        &mut none,
+    )
+}
+
+/// One-shot tuning: a cache lookup, then a campaign on the session shell —
+/// unregistered, unjournaled, paying for its own component runs — driven
+/// to `done` inside the request, parking across its fleet rounds. The
+/// shell builds what the `tune` CLI builds, so a remote campaign returns
+/// the same recommendation as a local one with the same seed, with or
+/// without fleet workers.
+pub(crate) fn tune(inner: &ServerInner, params: TuneParams, ticket: Ticket) -> Outcome {
+    let parsed = match parse_params(&params) {
+        Ok(parsed) => parsed,
+        Err(e) => return Outcome::Done(ticket.finish(&error_frame(e))),
+    };
+    let mut span = inner.tracer.span(
+        "campaign.tune",
+        TraceContext::root(inner.tracer.new_trace()),
+    );
+    span.field("workflow", params.workflow.as_str());
+    span.field("algo", params.algo.as_str());
+    span.field("budget", params.budget);
+    let key = cache_key(&params, &inner.platform, TUNE_MODE);
+    let (hit, tier) = inner.cache.get_with_tier(&key);
+    inner.tracer.instant(
+        "cache.lookup",
+        span.ctx(),
+        &[("tier", tier.into()), ("endpoint", "tune".into())],
+    );
+    if let Some(entry) = hit {
+        inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        span.field("from_cache", 1u64);
+        drop(span);
+        return Outcome::Done(ticket.finish(&Response::TuneResult {
+            best: entry.best,
+            best_value: entry.best_value,
+            runs_used: entry.runs_used,
+            component_runs: entry.component_runs,
+            from_cache: true,
+        }));
+    }
+    inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+
+    // The shell samples the pool, so it is built only past the lookup.
+    let shell = inner.sessions.one_shot(params, parsed, span.ctx());
+    let shell = Arc::new(Mutex::new(shell));
+    let mut s = shell.lock();
+    let step = begin(inner, &mut s, u64::MAX);
+    let mut none = VecDeque::new();
+    drive(
+        inner,
+        &shell,
+        &mut s,
+        ticket,
+        Kind::Tune(span),
+        step,
+        &mut none,
+    )
+}
+
+/// The batches whose rounds have waited past their gather deadline, or —
+/// for a draining server, which waits for no fleet — all of them.
+pub(crate) fn overdue(inner: &ServerInner, now: Instant, all: bool) -> Vec<u64> {
+    let rounds = inner.rounds.lock();
+    let due = rounds.iter().filter(|(_, p)| all || p.deadline <= now);
+    due.map(|(&batch, _)| batch).collect()
+}
+
+/// Completes the round waiting on `batch` — if it still is; a wake, the
+/// deadline and the drain may all get here — answers its request, and
+/// gives the `Advance`s queued behind it their turn.
+pub(crate) fn resume_round(inner: &ServerInner, batch: u64) {
+    let shell = inner
+        .rounds
+        .lock()
+        .get(&batch)
+        .map(|p| Arc::clone(&p.shell));
+    let Some(shell) = shell else { return };
+    let mut s = shell.lock();
+    if s.round_in_flight() != Some(batch) {
+        return;
+    }
+    let Some(parked) = inner.rounds.lock().remove(&batch) else {
+        return;
+    };
+    let (mut ticket, mut kind, mut queued) = (parked.ticket, parked.kind, parked.queued);
+    let mut step = complete(inner, &mut s, batch);
+    loop {
+        match drive(inner, &shell, &mut s, ticket, kind, step, &mut queued) {
+            Outcome::Done(reply) => inner.post(Event::Reply(reply)),
+            // Parked again, and the rest of the queue with it.
+            _ => return,
+        }
+        let Some((next, runs)) = queued.pop_front() else {
+            return;
+        };
+        (ticket, kind) = (next, Kind::Advance);
+        step = begin(inner, &mut s, runs);
+    }
+}
+
+/// `CloseSession` reached a session mid-round: the batch is dropped — its
+/// tasks' late reports resolve as duplicates — and the requests parked on
+/// it learn the session is gone.
+pub(crate) fn abandon_round(inner: &ServerInner, shell: &Shell, id: u64) {
+    let mut s = shell.lock();
+    let Some(batch) = s.abandon_round() else {
+        return;
+    };
+    inner.fleet.gather(batch);
+    let parked = inner.rounds.lock().remove(&batch);
+    drop(s);
+    let Some(parked) = parked else { return };
+    let gone = error_frame(ServeError::UnknownSession(id));
+    let waiting = parked.queued.into_iter().map(|(ticket, _)| ticket);
+    for ticket in std::iter::once(parked.ticket).chain(waiting) {
+        inner.post(Event::Reply(ticket.finish(&gone)));
+    }
+}

@@ -7,14 +7,18 @@
 //! ```
 //!
 //! *Reading* accumulates one length-prefixed frame across however many
-//! readiness events it takes; *Dispatching* means a decoded request is on
-//! the worker pool and reads are paused (built-in backpressure: a peer
-//! cannot queue a second request until its first is answered, matching the
-//! strictly request/response protocol); *Writing* flushes the serialized
-//! response. The state machine itself never blocks — it only consumes
-//! what the socket already has and reports what it needs next.
+//! readiness events it takes; *Dispatching* means a request is owed its
+//! answer — on the worker pool, or parked with no thread attached (a held
+//! worker poll, a campaign step waiting on its fleet round) — and reads
+//! are paused (built-in backpressure: a peer cannot queue a second request
+//! until its first is answered, matching the strictly request/response
+//! protocol); *Writing* flushes the serialized response. A small request
+//! that cannot wait is answered where it arrived and goes from *Reading*
+//! straight to *Writing*. The state machine itself never blocks — it only
+//! consumes what the socket already has and reports what it needs next.
 
 use crate::frame::{FrameError, MAX_FRAME_LEN};
+use crate::parked::Ticket;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -24,12 +28,21 @@ use std::time::Instant;
 /// frames take a second read sized from their prefix.
 const READ_CHUNK: usize = 4096;
 
+/// Largest request frame the reactor thread decodes and runs itself. The
+/// bound is what keeps "cannot wait" true of the work as well as of the
+/// locks: a `Ping`, a `Status`, a worker poll or a 32-configuration
+/// `Predict` fits and costs microseconds, a 1 024-configuration `Predict`
+/// (milliseconds of scoring that every other connection would queue
+/// behind) does not and goes to the pool.
+pub const INLINE_MAX: usize = 2048;
+
 /// What a connection is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
     /// Accumulating one request frame.
     Reading,
-    /// A decoded request is being handled by a worker; reads are paused.
+    /// A request is owed its answer — a worker is handling it, or it is
+    /// parked; reads are paused.
     Dispatching,
     /// Flushing a response frame.
     Writing,
@@ -69,8 +82,14 @@ pub struct Conn {
     /// one per connection; firings re-arm against `stall_deadline`.
     pub timer_armed: bool,
     /// When the current mid-frame read or unfinished write must have made
-    /// progress by; `None` at frame boundaries.
+    /// progress by — or, with a poll `held`, when it is answered empty;
+    /// `None` at frame boundaries.
     pub stall_deadline: Option<Instant>,
+    /// The epoll interest mask currently registered for the socket.
+    pub registered: u32,
+    /// A worker poll the coordinator holds under this connection's token,
+    /// waiting (in `Dispatching`) for tasks to answer it with.
+    pub(crate) held: Option<Ticket>,
     /// Connection-lifetime trace span (`conn`): opened at registration,
     /// ended — wherever the connection dies — by this struct's drop.
     pub span: Option<ceal_trace::Span>,
@@ -95,6 +114,8 @@ impl Conn {
             close_after_write: false,
             timer_armed: false,
             stall_deadline: None,
+            registered: 0,
+            held: None,
             span: None,
             pending_metric: None,
             buf: Vec::new(),

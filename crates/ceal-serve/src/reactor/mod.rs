@@ -1,43 +1,66 @@
 //! Readiness-driven serve core — the only one.
 //!
-//! One reactor thread owns every connection: it accepts, does nonblocking
-//! framed reads and writes through per-connection state machines
-//! ([`conn`]), and hands only *ready, decoded* request frames to the
-//! worker pool. A mostly-idle session therefore costs one registered
-//! file descriptor instead of one blocked thread, which is what lets a
-//! single process hold tens of thousands of open tuning sessions
-//! (`tests/idle_connections.rs` pins the shape at a test's scale).
+//! One reactor thread owns every connection: it accepts and does
+//! nonblocking framed reads and writes through per-connection state
+//! machines ([`conn`]). A mostly-idle session therefore costs one
+//! registered file descriptor instead of one blocked thread, which is
+//! what lets a single process hold tens of thousands of open tuning
+//! sessions (`tests/idle_connections.rs` pins the shape at a test's
+//! scale).
 //!
-//! Workers never touch sockets. A worker parses the frame, runs
-//! `dispatch` under `catch_unwind` (a panic — a bug, or an oracle hitting
-//! an unguarded path — answers one client with an `internal` error frame
-//! instead of killing a worker), serializes the response, and pushes it
-//! onto a completion queue, waking the reactor through an eventfd; the
-//! reactor flushes the bytes when the socket accepts them.
+//! A request finishes one of three ways, all through `dispatch` under
+//! `catch_unwind` (a panic — a bug, or an oracle hitting an unguarded
+//! path — answers one client with an `internal` error frame instead of
+//! killing a thread) and all answered from the one completion queue:
+//!
+//! * **inline** — a frame of at most [`conn::INLINE_MAX`] bytes that
+//!   [`Endpoint::peek`] classifies as unable to wait (`Ping`, `Status`,
+//!   `Predict`, the fleet's registration and polls) is decoded and run
+//!   right here, and its answer written before the next readiness event
+//!   is looked at: no pool hop, no eventfd, no `epoll_ctl`. Whenever it
+//!   *could* wait — the session's lock is taken, a surrogate is not
+//!   fitted yet, the frame does not decode — it goes to the pool instead;
+//! * **pooled** — everything else is run by a worker thread, which never
+//!   touches a socket: it pushes the framed response onto the completion
+//!   queue, waking the loop through an eventfd, and the reactor flushes
+//!   the bytes when the socket accepts them;
+//! * **parked** — a worker poll with nothing to hand out is held on its
+//!   connection until the coordinator has tasks for it or half its lease
+//!   has passed, and a campaign step that scattered a fleet round waits
+//!   in [`parked`](crate::parked) until the coordinator resolves the
+//!   batch or the gather deadline fires from the wheel. Neither holds a
+//!   thread, and the second holds no session lock.
 //!
 //! Overload is decided here: over-cap connections get one `Busy` frame at
 //! accept, and past the dispatch watermark a request is shed unless
 //! [`Endpoint::peek`] classifies its raw payload as control traffic.
 //!
 //! A hashed [`TimerWheel`](timer::TimerWheel) gives the loop real
-//! deadlines: mid-frame and mid-write stalls are bounded per connection,
-//! and idle-session eviction runs at a fixed cadence even when no new
-//! connection ever arrives.
+//! deadlines: mid-frame and mid-write stalls and held polls are bounded
+//! per connection, and idle-session eviction and — while a round is
+//! parked — lease expiry and the rounds' gather deadlines are checked at a
+//! fixed cadence even when no request ever arrives.
 //!
 //! Shutdown: the `Shutdown` dispatch sets the flag, its completion wakes
 //! the loop, and the reactor closes the listener, drops idle connections
-//! at their frame boundary, and waits for in-flight responses to flush
-//! before returning.
+//! at their frame boundary, tells held polls `shutting-down`, resumes
+//! parked rounds to measure locally, and waits for in-flight responses to
+//! flush before returning.
 
 pub mod conn;
 pub mod sys;
 pub mod timer;
 
+use crate::error::ServeError;
 use crate::frame::FrameError;
 use crate::metrics::Endpoint;
+use crate::parked::{
+    encode_frame, overdue, panic_frame, resume_round, Completion, Event, Outcome, ReplyTo, Ticket,
+};
 use crate::protocol::{Request, Response};
-use crate::server::{dispatch, endpoint_of, ServerInner};
-use conn::{Conn, ConnState, ReadOutcome, WriteOutcome};
+use crate::server::{dispatch, endpoint_of, error_frame, ServerInner};
+use ceal_fleet::Wake;
+use conn::{Conn, ConnState, ReadOutcome, WriteOutcome, INLINE_MAX};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -68,38 +91,30 @@ fn token_of(index: usize, gen: u32) -> u64 {
     ((gen as u64) << 32) | index as u64
 }
 
-/// A finished request: the framed response bytes for one connection.
-struct Completion {
-    index: usize,
-    gen: u32,
-    framed: Vec<u8>,
-    /// Close once flushed (decode errors).
-    close_after_write: bool,
-    /// `(endpoint, frame arrival, is_error)` to record into the latency
-    /// histogram once the response is fully flushed, so server-side
-    /// percentiles cover queueing, handling, *and* write-back.
-    metric: Option<(Endpoint, Instant, bool)>,
+fn slot_of(token: u64) -> (usize, u32) {
+    ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
 }
 
-/// Worker → reactor channel; pushes wake the loop through the eventfd.
+/// Pool and coordinator → reactor channel; pushes wake the loop through
+/// the eventfd.
 struct Completions {
-    queue: Mutex<Vec<Completion>>,
+    queue: Mutex<Vec<Event>>,
     notify: EventFd,
 }
 
 impl Completions {
-    fn push(&self, c: Completion) {
+    fn push(&self, event: Event) {
         // A poisoned queue means some worker panicked while holding the
         // lock; the Vec inside is still structurally sound, and dropping
-        // this completion would wedge its connection forever — recover.
+        // this event would wedge its connection forever — recover.
         self.queue
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(c);
+            .push(event);
         self.notify.wake();
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    fn drain(&self) -> Vec<Event> {
         self.notify.drain();
         std::mem::take(
             &mut *self
@@ -113,12 +128,16 @@ impl Completions {
 /// Wheel entries. Connection entries carry the slot generation so a
 /// firing for a since-recycled slot is recognized as stale and dropped.
 enum TimerKey {
-    /// Check one connection's stall deadline.
-    Stall { index: usize, gen: u32 },
+    /// Check one connection's deadline: a stalled frame or write, or a
+    /// held poll that has waited long enough.
+    Conn { index: usize, gen: u32 },
     /// Run idle-session eviction and re-arm.
     Evict,
     /// Re-enable the listener after an accept failure.
     ResumeAccept,
+    /// While rounds are parked: expire worker leases, resume the rounds
+    /// past their gather deadline, and re-arm.
+    FleetTick,
 }
 
 /// Connection slots with generation counters; freed slots are recycled
@@ -160,49 +179,25 @@ impl Slab {
         }
     }
 
-    /// Fetches a live slot without a generation check (for indices taken
-    /// from [`Slab::snapshot`] in the same loop iteration).
-    fn get_at(&mut self, index: usize) -> Option<&mut Conn> {
-        self.slots.get_mut(index).and_then(|(_, s)| s.as_mut())
-    }
-
-    fn remove(&mut self, index: usize) -> Option<Conn> {
+    /// Removes a live slot's connection; returns it with the token it had.
+    fn remove(&mut self, index: usize) -> Option<(u64, Conn)> {
         let (gen, slot) = self.slots.get_mut(index)?;
         let conn = slot.take()?;
+        let token = token_of(index, *gen);
         *gen = gen.wrapping_add(1);
         self.free.push(index);
         self.live -= 1;
-        Some(conn)
+        Some((token, conn))
     }
 
-    /// `(index, state)` of every live connection.
-    fn snapshot(&self) -> Vec<(usize, ConnState)> {
+    /// `(index, generation)` of every live connection.
+    fn snapshot(&self) -> Vec<(usize, u32)> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, (_, s))| s.as_ref().map(|c| (i, c.state)))
+            .filter_map(|(i, (gen, s))| s.as_ref().map(|_| (i, *gen)))
             .collect()
     }
-}
-
-/// Serializes `resp` as one ready-to-send frame (length prefix + JSON).
-fn encode_frame(resp: &Response) -> Vec<u8> {
-    let json = serde_json::to_vec(resp).unwrap_or_else(|_| {
-        // Fall back to a pre-baked error body rather than panicking the
-        // worker: even if serde somehow fails on the fallback too, the
-        // peer still gets a well-formed frame.
-        serde_json::to_vec(&Response::Error {
-            code: "internal".into(),
-            message: "response serialization failed".into(),
-        })
-        .unwrap_or_else(|_| {
-            br#"{"Error":{"code":"internal","message":"response serialization failed"}}"#.to_vec()
-        })
-    });
-    let mut framed = Vec::with_capacity(4 + json.len());
-    framed.extend_from_slice(&(json.len() as u32).to_be_bytes());
-    framed.extend_from_slice(&json);
-    framed
 }
 
 /// The one answer a peer we have lost sync with gets before the close.
@@ -213,57 +208,74 @@ fn bad_request(e: &FrameError) -> Response {
     }
 }
 
+/// Runs one decoded request through `dispatch`, a handler panic contained
+/// to an `internal` error frame — on the reactor thread (`inline`) and on
+/// the pool alike.
+fn run_request(req: Request, inner: &ServerInner, ticket: Ticket, inline: bool) -> Outcome {
+    let to = ticket.to;
+    catch_unwind(AssertUnwindSafe(|| dispatch(req, inner, ticket, inline)))
+        .unwrap_or_else(|payload| Outcome::Done(to.completion(&panic_frame(payload))))
+}
+
+/// What the pool is handed for a connection: a raw frame, or a request
+/// the reactor decoded, tried inline and found it would have to wait on.
+enum Work {
+    Frame(Vec<u8>),
+    Request(Box<(Request, Ticket)>),
+}
+
 /// Runs one request on the calling worker thread and queues its framed
-/// response. JSON decode errors map to one `bad-request` frame and a
-/// close, handler panics are contained to an `internal` error frame.
-/// Latency is recorded when the response write flushes — from `arrived`
-/// (frame completion) to flush — so server-side percentiles cover
-/// queueing, decode, handling, and write-back: the closest the server can
-/// get to what the client observes.
+/// response, unless it parked. JSON decode errors map to one
+/// `bad-request` frame and a close. Latency is recorded when the response
+/// write flushes — from `arrived` (frame completion) to flush — so
+/// server-side percentiles cover queueing, decode, handling, parking and
+/// write-back: the closest the server can get to what the client observes.
 fn handle_request(
-    payload: Vec<u8>,
+    work: Work,
+    conn: u64,
     arrived: Instant,
     inner: &ServerInner,
     completions: &Completions,
-    index: usize,
-    gen: u32,
 ) {
-    let (resp, close, metric) = match serde_json::from_slice::<Request>(&payload) {
-        Err(e) => (bad_request(&FrameError::Decode(e.to_string())), true, None),
-        Ok(req) => {
+    let decoded = match work {
+        Work::Request(tried) => Ok(*tried),
+        Work::Frame(payload) => serde_json::from_slice::<Request>(&payload).map(|req| {
             let endpoint = endpoint_of(&req);
-            let resp =
-                catch_unwind(AssertUnwindSafe(|| dispatch(req, inner))).unwrap_or_else(|p| {
-                    let detail = p
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| p.downcast_ref::<&str>().copied())
-                        .unwrap_or("handler panicked");
-                    Response::Error {
-                        code: "internal".into(),
-                        message: detail.to_string(),
-                    }
-                });
-            let is_error = matches!(resp, Response::Error { .. });
-            // A `Shutdown` acknowledgement needs no close flag: the loop
-            // starts draining in the iteration that flushes it.
-            (resp, false, Some((endpoint, arrived, is_error)))
-        }
+            let to = ReplyTo {
+                conn,
+                arrived,
+                endpoint,
+            };
+            (req, Ticket::open(inner, to))
+        }),
     };
-    // Paired with `begin_dispatch` at submission time in `pump_reading`;
-    // runs unconditionally so decode errors and panics also drain the
-    // in-flight gauge. Must precede the push: once the completion is
-    // visible the reactor may answer and take this connection's next
-    // request, and that request's shed decision has to see the gauge
-    // already drained.
+    let outcome = match decoded {
+        Ok((req, ticket)) => run_request(req, inner, ticket, false),
+        Err(e) => Outcome::Done(Completion {
+            conn,
+            framed: encode_frame(&bad_request(&FrameError::Decode(e.to_string()))),
+            close_after_write: true,
+            metric: None,
+        }),
+    };
+    // Paired with `begin_dispatch` at submission time; runs unconditionally
+    // so decode errors, panics and parked requests also drain the in-flight
+    // gauge — a parked request holds no thread. Must precede the push: once
+    // the completion is visible the reactor may answer and take this
+    // connection's next request, and that request's shed decision has to
+    // see the gauge already drained.
     inner.load.end_dispatch();
-    completions.push(Completion {
-        index,
-        gen,
-        framed: encode_frame(&resp),
-        close_after_write: close,
-        metric,
-    });
+    match outcome {
+        // A `Shutdown` acknowledgement needs no close flag: the loop
+        // starts draining in the iteration that flushes it.
+        Outcome::Done(reply) => completions.push(Event::Reply(reply)),
+        Outcome::Parked => {}
+        // Only a handler told it runs inline ends these ways.
+        Outcome::Held(ticket) | Outcome::Defer(_, ticket) => {
+            let e = ServeError::Internal("pooled request asked to wait inline".into());
+            completions.push(Event::Reply(ticket.finish(&error_frame(e))));
+        }
+    }
 }
 
 /// The event loop's owned state.
@@ -279,49 +291,103 @@ struct Reactor {
     draining: bool,
     /// Connections back in `Reading` whose buffer already holds input.
     buffered: Vec<(usize, u32)>,
+    /// Whether a [`TimerKey::FleetTick`] is in the wheel.
+    fleet_tick_armed: bool,
 }
 
 impl Reactor {
-    fn interest_of(state: ConnState) -> u32 {
-        match state {
+    fn new(listener: TcpListener, inner: Arc<ServerInner>, workers: usize) -> io::Result<Reactor> {
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        let notify = EventFd::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        epoll.add(notify.fd(), EPOLLIN, TOKEN_NOTIFY)?;
+        let completions = Arc::new(Completions {
+            queue: Mutex::new(Vec::new()),
+            notify,
+        });
+        // Everything that ends a wait — a pooled reply, a resumed round,
+        // the coordinator's wakes — arrives through the one queue.
+        let sink = Arc::clone(&completions);
+        let _ = inner.sink.set(Box::new(move |event| sink.push(event)));
+        let sink = Arc::clone(&completions);
+        inner
+            .fleet
+            .on_wake(move |wake| sink.push(Event::Wake(wake)));
+        let mut timers = TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS);
+        timers.schedule(Instant::now() + inner.evict_cadence, TimerKey::Evict);
+        Ok(Reactor {
+            epoll,
+            listener: Some(listener),
+            conns: Slab::new(),
+            timers,
+            completions,
+            inner,
+            pool: ceal_par::ThreadPool::new(workers),
+            wg: ceal_par::WaitGroup::new(),
+            draining: false,
+            buffered: Vec::new(),
+            fleet_tick_armed: false,
+        })
+    }
+
+    fn interest_of(conn: &Conn) -> u32 {
+        match conn.state {
             ConnState::Reading => EPOLLIN | EPOLLRDHUP,
+            // A held poll's peer hanging up must be noticed, or the next
+            // scatter assigns tasks to nobody.
+            ConnState::Dispatching if conn.held.is_some() => EPOLLRDHUP,
             ConnState::Dispatching => 0,
             ConnState::Writing => EPOLLOUT,
         }
     }
 
-    /// Re-registers a connection's interest set from its current state.
+    /// Re-registers a connection's interest set from its current state,
+    /// unless it is the set already registered (an inline reply ends where
+    /// it began, in `Reading`; so does a write that never saw `EPOLLOUT`).
     fn refresh_interest(&mut self, index: usize, gen: u32) {
         let Some(conn) = self.conns.get(index, gen) else {
             return;
         };
+        let interest = Self::interest_of(conn);
+        if interest == conn.registered {
+            return;
+        }
+        conn.registered = interest;
         let fd = conn.stream.as_raw_fd();
-        let interest = Self::interest_of(conn.state);
         let _ = self.epoll.modify(fd, interest, token_of(index, gen));
     }
 
     fn close_conn(&mut self, index: usize) {
-        if let Some(conn) = self.conns.remove(index) {
+        if let Some((token, conn)) = self.conns.remove(index) {
+            if conn.held.is_some() {
+                self.inner.fleet.release(token);
+            }
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             self.inner.load.release_conn();
         }
     }
 
-    /// Arms (or refreshes) a connection's stall deadline at `now + stall`.
-    fn arm_stall(&mut self, index: usize, gen: u32, now: Instant) {
-        let deadline = now + self.inner.stall_deadline;
+    /// Sets (or moves) a connection's deadline; its one wheel entry, if
+    /// not outstanding already, is armed for it.
+    fn arm_deadline(&mut self, index: usize, gen: u32, deadline: Instant) {
         if let Some(conn) = self.conns.get(index, gen) {
             conn.stall_deadline = Some(deadline);
             if !conn.timer_armed {
                 conn.timer_armed = true;
                 self.timers
-                    .schedule(deadline, TimerKey::Stall { index, gen });
+                    .schedule(deadline, TimerKey::Conn { index, gen });
             }
         }
     }
 
-    /// Clears a connection's stall deadline; any wheel entry left behind
-    /// fires into `None` and reads as "no longer stalled" (lazy cancel).
+    /// Arms (or refreshes) a connection's stall deadline at `now + stall`.
+    fn arm_stall(&mut self, index: usize, gen: u32, now: Instant) {
+        self.arm_deadline(index, gen, now + self.inner.stall_deadline);
+    }
+
+    /// Clears a connection's deadline; any wheel entry left behind fires
+    /// into `None` and reads as "no longer stalled" (lazy cancel).
     fn disarm_stall(&mut self, index: usize, gen: u32) {
         if let Some(conn) = self.conns.get(index, gen) {
             conn.stall_deadline = None;
@@ -380,8 +446,10 @@ impl Reactor {
             let _ = sys::set_send_buffer_fd(stream.as_raw_fd(), bytes);
         }
         let fd = stream.as_raw_fd();
-        let (index, gen) = self.conns.insert(Conn::new(stream));
-        let interest = Self::interest_of(ConnState::Reading);
+        let mut conn = Conn::new(stream);
+        conn.registered = Self::interest_of(&conn);
+        let interest = conn.registered;
+        let (index, gen) = self.conns.insert(conn);
         if let Err(e) = self.epoll.add(fd, interest, token_of(index, gen)) {
             self.conns.remove(index);
             return Err(e);
@@ -402,8 +470,8 @@ impl Reactor {
     }
 
     fn conn_event(&mut self, index: usize, gen: u32, flags: u32, now: Instant) {
-        let state = match self.conns.get(index, gen) {
-            Some(conn) => conn.state,
+        let (state, held) = match self.conns.get(index, gen) {
+            Some(conn) => (conn.state, conn.held.is_some()),
             None => return, // stale record for a recycled slot
         };
         if flags & (EPOLLERR | EPOLLHUP) != 0 {
@@ -415,9 +483,78 @@ impl Reactor {
                 self.pump_reading(index, gen, now)
             }
             ConnState::Writing if flags & EPOLLOUT != 0 => self.pump_writing(index, gen, now),
-            // Dispatching has interest 0; anything else is spurious.
+            // The worker behind a held poll hung up.
+            ConnState::Dispatching if held && flags & EPOLLRDHUP != 0 => self.close_conn(index),
+            // Dispatching otherwise has interest 0; anything else is
+            // spurious.
             _ => {}
         }
+    }
+
+    /// Queues `reply` on its connection and starts flushing it.
+    fn write_reply(&mut self, reply: Completion, now: Instant) {
+        let (index, gen) = slot_of(reply.conn);
+        // A connection that died while its request was out, or a recycled
+        // slot: the response has no recipient.
+        let Some(conn) = self.conns.get(index, gen) else {
+            return;
+        };
+        conn.stall_deadline = None;
+        conn.start_write(reply.framed);
+        conn.close_after_write |= reply.close_after_write;
+        conn.pending_metric = reply.metric;
+        self.pump_writing(index, gen, now);
+    }
+
+    /// Tries a small frame of a can't-wait endpoint right here. `None`
+    /// when the connection is taken care of — answered, or its poll held;
+    /// otherwise what the pool should run instead.
+    fn try_inline(
+        &mut self,
+        index: usize,
+        gen: u32,
+        payload: Vec<u8>,
+        arrived: Instant,
+        now: Instant,
+    ) -> Option<Work> {
+        let inline = payload.len() <= INLINE_MAX
+            && Endpoint::peek(&payload).is_some_and(Endpoint::runs_inline);
+        if !inline {
+            return Some(Work::Frame(payload));
+        }
+        // What does not decode is the pool's to refuse, as it always was.
+        let Ok(req) = serde_json::from_slice::<Request>(&payload) else {
+            return Some(Work::Frame(payload));
+        };
+        let to = ReplyTo {
+            conn: token_of(index, gen),
+            arrived,
+            endpoint: endpoint_of(&req),
+        };
+        match run_request(req, &self.inner, Ticket::open(&self.inner, to), true) {
+            Outcome::Done(reply) => self.write_reply(reply, now),
+            Outcome::Defer(req, ticket) => return Some(Work::Request(Box::new((req, ticket)))),
+            Outcome::Held(ticket) => {
+                // Held for half a lease at most: the worker's next poll
+                // renews the lease with time to spare.
+                let until = now + self.inner.fleet.config().lease / 2;
+                if let Some(conn) = self.conns.get(index, gen) {
+                    conn.state = ConnState::Dispatching;
+                    conn.held = Some(ticket);
+                }
+                self.refresh_interest(index, gen);
+                self.arm_deadline(index, gen, until);
+            }
+            // No inline endpoint scatters; were one to, its continuation
+            // answers the connection like any other parked request's.
+            Outcome::Parked => {
+                if let Some(conn) = self.conns.get(index, gen) {
+                    conn.state = ConnState::Dispatching;
+                }
+                self.refresh_interest(index, gen);
+            }
+        }
+        None
     }
 
     fn pump_reading(&mut self, index: usize, gen: u32, now: Instant) {
@@ -440,6 +577,7 @@ impl Reactor {
             }
             ReadOutcome::Frame(payload) => {
                 let arrived = Instant::now();
+                self.disarm_stall(index, gen);
                 let (shedding, transition) = self.inner.load.shed_decision();
                 self.inner.note_shed_transition(transition);
                 if shedding && Endpoint::peek(&payload).is_none_or(Endpoint::sheddable) {
@@ -454,22 +592,24 @@ impl Reactor {
                         retry_after_ms: self.inner.load.retry_after_ms(),
                     };
                     if let Some(conn) = self.conns.get(index, gen) {
-                        conn.stall_deadline = None;
                         conn.start_write(encode_frame(&busy));
                     }
                     self.pump_writing(index, gen, now);
                     return;
                 }
+                let Some(work) = self.try_inline(index, gen, payload, arrived, now) else {
+                    return;
+                };
                 if let Some(conn) = self.conns.get(index, gen) {
-                    conn.stall_deadline = None;
                     conn.state = ConnState::Dispatching;
                 }
                 self.refresh_interest(index, gen);
                 self.inner.load.begin_dispatch();
                 let inner = Arc::clone(&self.inner);
                 let completions = Arc::clone(&self.completions);
+                let token = token_of(index, gen);
                 self.pool.execute_tracked(&self.wg, move || {
-                    handle_request(payload, arrived, &inner, &completions, index, gen)
+                    handle_request(work, token, arrived, &inner, &completions)
                 });
             }
             ReadOutcome::Closed => self.close_conn(index),
@@ -532,33 +672,81 @@ impl Reactor {
     }
 
     /// Gives every connection that returned to `Reading` with input
-    /// already buffered its read turn. A turn can end in a write (shed,
-    /// bad frame) that flushes at once and queues the connection again, so
-    /// this runs until the queue is dry.
+    /// already buffered its read turn. A turn can end in a write (an
+    /// inline answer, a shed, a bad frame) that flushes at once and queues
+    /// the connection again, so this runs until the queue is dry.
     fn pump_buffered(&mut self, now: Instant) {
         while let Some((index, gen)) = self.buffered.pop() {
             self.pump_reading(index, gen, now);
         }
     }
 
-    fn apply_completions(&mut self, now: Instant) {
-        for c in self.completions.drain() {
-            let ready = match self.conns.get(c.index, c.gen) {
-                // A connection died mid-dispatch, or the slot was
-                // recycled: the response has no recipient.
-                None => false,
-                Some(conn) if conn.state != ConnState::Dispatching => false,
-                Some(conn) => {
-                    conn.start_write(c.framed);
-                    conn.close_after_write |= c.close_after_write;
-                    conn.pending_metric = c.metric;
-                    true
+    /// Ends the hold on a connection's poll, if it still has one, with
+    /// `resp`.
+    fn answer_held(&mut self, token: u64, resp: &Response, now: Instant) {
+        let (index, gen) = slot_of(token);
+        let held = self.conns.get(index, gen).and_then(|c| c.held.take());
+        if let Some(ticket) = held {
+            self.write_reply(ticket.finish(resp), now);
+        }
+    }
+
+    /// Puts the round parked on `batch`, if one still is, back on the
+    /// pool: whatever the fleet made of it so far is what it gets.
+    fn resume(&mut self, batch: u64) {
+        if !self.inner.rounds.lock().contains_key(&batch) {
+            return;
+        }
+        self.inner.load.begin_dispatch();
+        let inner = Arc::clone(&self.inner);
+        self.pool.execute_tracked(&self.wg, move || {
+            // Shell calls contain their own panics; this one guards the
+            // gauge.
+            let _ = catch_unwind(AssertUnwindSafe(|| resume_round(&inner, batch)));
+            inner.load.end_dispatch();
+        });
+    }
+
+    fn apply_events(&mut self, now: Instant) {
+        for event in self.completions.drain() {
+            match event {
+                Event::Reply(reply) => {
+                    let (index, gen) = slot_of(reply.conn);
+                    let owed = self
+                        .conns
+                        .get(index, gen)
+                        .is_some_and(|c| c.state == ConnState::Dispatching);
+                    if owed {
+                        self.write_reply(reply, now);
+                    }
                 }
-            };
-            if ready {
-                self.pump_writing(c.index, c.gen, now);
+                Event::RoundParked(batch) if self.draining => self.resume(batch),
+                // One tick watches every parked round — a wheel entry per
+                // round would outlive it by the whole gather deadline.
+                Event::RoundParked(_) if !self.fleet_tick_armed => {
+                    self.fleet_tick_armed = true;
+                    self.timers
+                        .schedule(now + self.fleet_tick(), TimerKey::FleetTick);
+                }
+                Event::RoundParked(_) => {}
+                Event::Wake(Wake::Batch(batch)) => self.resume(batch),
+                // A hold that is gone — its connection died with the wake
+                // on its way — leaves these tasks in flight at a worker
+                // that never heard of them: stragglers, like any answer
+                // lost on the wire, for the lease or the gather deadline.
+                Event::Wake(Wake::Poll { key, tasks }) => {
+                    self.answer_held(key, &Response::TaskAssign { tasks }, now)
+                }
             }
         }
+    }
+
+    /// How often leases and gather deadlines are checked while a round is
+    /// parked: a worker that took tasks and went silent is the one event
+    /// no request reports.
+    fn fleet_tick(&self) -> Duration {
+        let lease = self.inner.fleet.config().lease;
+        lease.min(Duration::from_millis(50)).max(WHEEL_TICK)
     }
 
     fn fire_timers(&mut self, now: Instant) {
@@ -578,53 +766,123 @@ impl Reactor {
                         self.accept_ready(now);
                     }
                 }
-                TimerKey::Stall { index, gen } => {
-                    let deadline = match self.conns.get(index, gen) {
+                TimerKey::FleetTick => {
+                    self.inner.fleet.reap();
+                    for batch in overdue(&self.inner, now, false) {
+                        self.resume(batch);
+                    }
+                    self.fleet_tick_armed = !self.inner.rounds.lock().is_empty();
+                    if self.fleet_tick_armed {
+                        self.timers
+                            .schedule(now + self.fleet_tick(), TimerKey::FleetTick);
+                    }
+                }
+                TimerKey::Conn { index, gen } => {
+                    let (deadline, held) = match self.conns.get(index, gen) {
                         None => continue,
                         Some(conn) => {
                             conn.timer_armed = false;
-                            conn.stall_deadline
+                            (conn.stall_deadline, conn.held.is_some())
                         }
                     };
                     match deadline {
                         // Progress was made and the boundary reached; the
                         // entry is stale.
                         None => {}
-                        Some(d) if d <= now => {
-                            // No progress within the stall budget: the
-                            // peer is stalled or hostile either way.
-                            self.close_conn(index);
-                        }
-                        Some(d) => {
+                        Some(d) if d > now => {
                             if let Some(conn) = self.conns.get(index, gen) {
                                 conn.timer_armed = true;
                             }
-                            self.timers.schedule(d, TimerKey::Stall { index, gen });
+                            self.timers.schedule(d, TimerKey::Conn { index, gen });
                         }
+                        // Held long enough: an empty answer, and the
+                        // worker's next poll renews its lease. A hold the
+                        // coordinator no longer has is being answered —
+                        // its wake is in the queue.
+                        Some(_) if held => {
+                            let token = token_of(index, gen);
+                            self.disarm_stall(index, gen);
+                            if self.inner.fleet.release(token) {
+                                let idle = Response::TaskAssign { tasks: Vec::new() };
+                                self.answer_held(token, &idle, now);
+                            }
+                        }
+                        // No progress within the stall budget: the peer is
+                        // stalled or hostile either way.
+                        Some(_) => self.close_conn(index),
                     }
                 }
             }
         }
     }
 
-    fn begin_drain(&mut self) {
+    fn begin_drain(&mut self, now: Instant) {
         self.draining = true;
         if let Some(listener) = self.listener.take() {
             let _ = self.epoll.delete(listener.as_raw_fd());
         }
-        for (index, state) in self.conns.snapshot() {
-            match state {
+        for (index, gen) in self.conns.snapshot() {
+            let Some(conn) = self.conns.get(index, gen) else {
+                continue;
+            };
+            match conn.state {
                 // Nothing owed to this peer: drop it now.
                 ConnState::Reading => self.close_conn(index),
                 // In-flight work drains: the response is computed and
-                // flushed, then the connection closes.
+                // flushed, then the connection closes. A held poll's
+                // response is that the server is going away.
                 ConnState::Dispatching | ConnState::Writing => {
-                    if let Some(conn) = self.conns.get_at(index) {
-                        conn.close_after_write = true;
+                    conn.close_after_write = true;
+                    if conn.held.is_some() {
+                        let token = token_of(index, gen);
+                        self.inner.fleet.release(token);
+                        let going = error_frame(ServeError::ShuttingDown);
+                        self.answer_held(token, &going, now);
                     }
                 }
             }
         }
+        // No round waits for a fleet that was just told to stop.
+        for batch in overdue(&self.inner, now, true) {
+            self.resume(batch);
+        }
+    }
+
+    /// One turn of the loop: wait for readiness or the next deadline, then
+    /// handle what came. `false` once a drain has emptied the server.
+    fn turn(&mut self, events: &mut [sys::EpollEvent]) -> io::Result<bool> {
+        let now = Instant::now();
+        // +1 ms so a just-under-due timer is not spun on; the wheel's
+        // 25 ms ticks dwarf the rounding either way.
+        let timeout_ms = match self.timers.next_timeout(now) {
+            Some(t) => t.as_millis().min(60_000) as i32 + 1,
+            None => 1_000,
+        };
+        let n = self.epoll.wait(events, timeout_ms)?;
+        let now = Instant::now();
+        let mut notified = false;
+        for ev in &events[..n] {
+            let (data, flags) = (ev.data, ev.events);
+            match data {
+                TOKEN_LISTENER => self.accept_ready(now),
+                TOKEN_NOTIFY => notified = true,
+                _ => {
+                    let (index, gen) = slot_of(data);
+                    self.conn_event(index, gen, flags, now);
+                }
+            }
+        }
+        // Every push wakes the eventfd after it queues, and the eventfd is
+        // level-triggered: a turn without its token has nothing to drain.
+        if notified {
+            self.apply_events(now);
+        }
+        self.pump_buffered(now);
+        self.fire_timers(now);
+        if self.inner.shutdown.load(Ordering::Acquire) && !self.draining {
+            self.begin_drain(now);
+        }
+        Ok(!(self.draining && self.conns.live == 0))
     }
 }
 
@@ -636,70 +894,200 @@ pub(crate) fn run(
     inner: Arc<ServerInner>,
     workers: usize,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let epoll = Epoll::new()?;
-    let notify = EventFd::new()?;
-    epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-    epoll.add(notify.fd(), EPOLLIN, TOKEN_NOTIFY)?;
-    let completions = Arc::new(Completions {
-        queue: Mutex::new(Vec::new()),
-        notify,
-    });
-    let mut r = Reactor {
-        epoll,
-        listener: Some(listener),
-        conns: Slab::new(),
-        timers: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
-        completions,
-        inner,
-        pool: ceal_par::ThreadPool::new(workers),
-        wg: ceal_par::WaitGroup::new(),
-        draining: false,
-        buffered: Vec::new(),
-    };
-    r.timers
-        .schedule(Instant::now() + r.inner.evict_cadence, TimerKey::Evict);
-
+    let mut r = Reactor::new(listener, inner, workers)?;
     let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
-    loop {
-        let now = Instant::now();
-        // +1 ms so a just-under-due timer is not spun on; the wheel's
-        // 25 ms ticks dwarf the rounding either way.
-        let timeout_ms = match r.timers.next_timeout(now) {
-            Some(t) => t.as_millis().min(60_000) as i32 + 1,
-            None => 1_000,
-        };
-        let n = r.epoll.wait(&mut events, timeout_ms)?;
-        let now = Instant::now();
-        let mut notified = false;
-        for ev in &events[..n] {
-            let (data, flags) = (ev.data, ev.events);
-            match data {
-                TOKEN_LISTENER => r.accept_ready(now),
-                TOKEN_NOTIFY => notified = true,
-                _ => {
-                    let index = (data & 0xFFFF_FFFF) as usize;
-                    let gen = (data >> 32) as u32;
-                    r.conn_event(index, gen, flags, now);
-                }
-            }
-        }
-        // Every push wakes the eventfd after it queues, and the eventfd is
-        // level-triggered: a turn without its token has nothing to drain.
-        if notified {
-            r.apply_completions(now);
-        }
-        r.pump_buffered(now);
-        r.fire_timers(now);
-        if r.inner.shutdown.load(Ordering::Acquire) && !r.draining {
-            r.begin_drain();
-        }
-        if r.draining && r.conns.live == 0 {
-            break;
-        }
-    }
+    while r.turn(&mut events)? {}
     // Workers still finishing requests for connections that died mid-
     // dispatch must complete before the pool (and eventfd) are dropped.
     r.wg.wait();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use crate::protocol::TuneParams;
+    use crate::server::{ServeConfig, Server};
+
+    fn lv(budget: u64, pool: u64, seed: u64) -> TuneParams {
+        TuneParams {
+            workflow: "LV".into(),
+            objective: "exec".into(),
+            budget,
+            pool,
+            seed,
+            algo: "ceal".into(),
+        }
+    }
+
+    /// Turns the loop until `endpoint` has recorded `count` flushed
+    /// requests.
+    fn turn_until(r: &mut Reactor, events: &mut [sys::EpollEvent], endpoint: &str, count: u64) {
+        for _ in 0..200 {
+            r.turn(events).unwrap();
+            let inner = &r.inner;
+            let report = inner.metrics.report(
+                0,
+                &inner.cache.stats(),
+                inner.fleet.report(),
+                inner.overload_stats(),
+            );
+            let seen = report.endpoints.iter().find(|e| e.name == endpoint);
+            if seen.is_some_and(|e| e.count >= count) {
+                return;
+            }
+        }
+        panic!("{endpoint} never answered");
+    }
+
+    #[test]
+    fn an_inline_request_costs_no_epoll_ctl_and_a_pooled_one_two() {
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut r = Reactor::new(server.listener, server.inner, 1).unwrap();
+        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 16];
+        let mut peer = TcpStream::connect(addr).unwrap();
+        r.turn(&mut events).unwrap();
+        assert_eq!(r.conns.live, 1, "accepted");
+
+        // Inline: read, run, written, back in `Reading` — the interest set
+        // registered at accept never changed.
+        write_frame(&mut peer, br#""Ping""#).unwrap();
+        turn_until(&mut r, &mut events, "ping", 1);
+        assert!(read_frame(&mut peer).unwrap().starts_with(br#"{"Pong""#));
+        assert_eq!(r.epoll.modifies.get(), 0, "an inline request");
+
+        // Pooled: reads off while the worker has it, on again once the
+        // answer has flushed (without ever waiting for `EPOLLOUT`).
+        write_frame(&mut peer, br#""Health""#).unwrap();
+        turn_until(&mut r, &mut events, "health", 1);
+        assert!(read_frame(&mut peer).unwrap().starts_with(br#"{"Health""#));
+        assert_eq!(r.epoll.modifies.get(), 2, "a pooled request");
+
+        write_frame(&mut peer, br#""Ping""#).unwrap();
+        turn_until(&mut r, &mut events, "ping", 2);
+        assert_eq!(r.epoll.modifies.get(), 2, "inline again");
+        r.wg.wait();
+    }
+
+    /// The same count tells which way a request went: the ones that could
+    /// wait take the pool (two `epoll_ctl`s), and stop taking it once they
+    /// no longer could.
+    #[test]
+    fn a_request_that_could_wait_takes_the_pool() {
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let (addr, inner) = (server.local_addr(), Arc::clone(&server.inner));
+        // A finished campaign, and a second session the cache answers:
+        // done, but with its surrogate still to fit.
+        let params = lv(8, 60, 3);
+        let mut warm = 0;
+        for _ in 0..2 {
+            let (cache, metrics) = (&inner.cache, &inner.metrics);
+            let created = inner
+                .sessions
+                .create(params.clone(), 0.0, 0, cache, metrics);
+            warm = created.unwrap().0.session;
+            let shell = inner.sessions.get(warm).unwrap();
+            while shell.lock().advance(8, cache, metrics).unwrap().state != "done" {}
+        }
+        let mut r = Reactor::new(server.listener, server.inner, 1).unwrap();
+        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 16];
+        let mut peer = TcpStream::connect(addr).unwrap();
+        r.turn(&mut events).unwrap();
+
+        // `nth` request of its endpoint; answered over how many `epoll_ctl`s.
+        let mut ask = |r: &mut Reactor, req: &Request, endpoint: &str, nth: u64, pooled: bool| {
+            let before = r.epoll.modifies.get();
+            write_frame(&mut peer, &serde_json::to_vec(req).unwrap()).unwrap();
+            turn_until(r, &mut events, endpoint, nth);
+            let answer = read_frame(&mut peer).unwrap();
+            let ctls = r.epoll.modifies.get() - before;
+            assert_eq!(ctls, if pooled { 2 } else { 0 }, "{req:?}");
+            serde_json::from_slice::<Response>(&answer).unwrap()
+        };
+        let config = vec![100, 20, 1, 50, 10, 1];
+        let small = Request::Predict {
+            session: warm,
+            configs: vec![config.clone(); 8],
+        };
+        // The surrogate is fitted by the first `Predict`, on the pool.
+        let fitted = ask(&mut r, &small, "predict", 1, true);
+        assert!(matches!(&fitted, Response::Predictions { values } if values.len() == 8));
+        assert_eq!(ask(&mut r, &small, "predict", 2, false), fitted);
+        // Past the inline bound it is the pool's whatever the session's
+        // state (8 configurations are ~150 bytes, 200 well over 2 KiB).
+        let large = Request::Predict {
+            session: warm,
+            configs: vec![config; 200],
+        };
+        let scored = ask(&mut r, &large, "predict", 3, true);
+        assert!(matches!(scored, Response::Predictions { values } if values.len() == 200));
+
+        // A `Status` that meets a taken session lock waits for it on the
+        // pool, not here.
+        let status = Request::Status { session: warm };
+        let free = ask(&mut r, &status, "status", 1, false);
+        let shell = inner.sessions.get(warm).unwrap();
+        let busy = shell.lock();
+        write_frame(&mut peer, &serde_json::to_vec(&status).unwrap()).unwrap();
+        let before = r.epoll.modifies.get();
+        r.turn(&mut events).unwrap();
+        assert_eq!(r.epoll.modifies.get() - before, 1, "handed to the pool");
+        drop(busy);
+        turn_until(&mut r, &mut events, "status", 2);
+        let answer = read_frame(&mut peer).unwrap();
+        assert_eq!(serde_json::from_slice::<Response>(&answer).unwrap(), free);
+        r.wg.wait();
+    }
+
+    /// A worker that takes a round's tasks and keeps its lease alive
+    /// without ever reporting: only the gather deadline, checked from the
+    /// wheel, ends the wait — with the stragglers measured here.
+    #[test]
+    fn a_parked_round_is_resumed_by_its_gather_deadline() {
+        use crate::client::Client;
+        let mut server = Server::bind(ServeConfig::default()).unwrap();
+        let fleet = ceal_fleet::FleetConfig {
+            gather_deadline: Duration::from_millis(150),
+            ..ceal_fleet::FleetConfig::default()
+        };
+        let inner = Arc::get_mut(&mut server.inner).expect("not serving yet");
+        inner.fleet = ceal_fleet::Coordinator::new(fleet);
+        let srv = server.spawn();
+
+        let mut hoarder = Client::connect(srv.addr()).unwrap();
+        let (worker, _) = hoarder.register_worker("hoarder").unwrap();
+        let mut c = Client::connect(srv.addr()).unwrap();
+        let (st, _) = c.create_session(lv(14, 120, 41), 0.0, 0).unwrap();
+        c.advance(st.session, 5).expect("history");
+        let session = st.session;
+        let advancing = std::thread::spawn(move || {
+            let asked = Instant::now();
+            let advanced = c.advance(session, 5).expect("advance");
+            (c, advanced, asked.elapsed())
+        });
+        let mut taken = Vec::new();
+        while taken.is_empty() {
+            taken = hoarder.heartbeat(worker).unwrap();
+        }
+        assert_eq!(taken.len(), 3);
+        // Its next poll is held — alive, silent about the tasks — until
+        // the drain below tells it to stop.
+        let holding = std::thread::spawn(move || hoarder.heartbeat(worker));
+        let (mut c, advanced, took) = advancing.join().unwrap();
+        assert_eq!(advanced.measured, 3);
+        assert!(
+            took >= Duration::from_millis(150),
+            "answered after {took:?}"
+        );
+        assert!(took < Duration::from_secs(2), "answered after {took:?}");
+        let m = c.metrics().unwrap();
+        assert_eq!((m.fleet.tasks_completed, m.fleet.workers_lost), (0, 0));
+        assert_eq!(m.oracle_measurements, advanced.history_samples + 3);
+        c.shutdown().unwrap();
+        srv.join().unwrap();
+        let told = holding.join().unwrap().unwrap_err();
+        assert_eq!(told.code(), Some("shutting-down"));
+    }
 }

@@ -92,13 +92,20 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 /// An epoll instance; closed on drop.
 pub struct Epoll {
     fd: RawFd,
+    /// `EPOLL_CTL_MOD` calls made, for tests that pin their number.
+    #[cfg(test)]
+    pub(crate) modifies: std::cell::Cell<u64>,
 }
 
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd })
+        Ok(Epoll {
+            fd,
+            #[cfg(test)]
+            modifies: std::cell::Cell::new(0),
+        })
     }
 
     /// Registers `fd` with interest `events` and cookie `data`.
@@ -109,6 +116,8 @@ impl Epoll {
 
     /// Changes `fd`'s interest set.
     pub fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+        #[cfg(test)]
+        self.modifies.set(self.modifies.get() + 1);
         let mut ev = EpollEvent { events, data };
         cvt(unsafe { epoll_ctl(self.fd, EPOLL_CTL_MOD, fd, &mut ev) }).map(|_| ())
     }

@@ -3,10 +3,12 @@
 //!
 //! Connections are owned by the readiness-driven
 //! [`reactor`](crate::reactor): one event-loop thread does all socket
-//! I/O and hands decoded requests to the worker pool, which runs
-//! `dispatch` here. The reactor is epoll-based, so the *server* is
-//! Linux-only ([`Server::run`] reports `Unsupported` elsewhere); the
-//! client, worker runtime, cache, sessions and wire format are portable.
+//! I/O and runs `dispatch` — the one handler table, here — itself for the
+//! requests that cannot wait, and on the worker pool for the rest; a
+//! request that must wait parks ([`parked`](crate::parked)) and holds no
+//! thread. The reactor is epoll-based, so the *server* is Linux-only
+//! ([`Server::run`] reports `Unsupported` elsewhere); the client, worker
+//! runtime, cache, sessions and wire format are portable.
 //!
 //! Shutdown is graceful: the `Shutdown` request flips a flag, its
 //! completion wakes the reactor, and [`Server::run`] returns only after
@@ -17,13 +19,17 @@ use crate::cache::{AutotuneCache, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHO
 use crate::error::ServeError;
 use crate::frame::MAX_MID_FRAME_STALL;
 use crate::metrics::{Endpoint, OverloadStats, ServerMetrics};
-use crate::protocol::{HealthReport, Request, Response, TuneParams, PROTOCOL_VERSION};
-use crate::session::{cache_key, parse_params, Session, SessionManager, TUNE_MODE};
+use crate::parked::{self, Event, Outcome, Parked, Ticket};
+use crate::protocol::{HealthReport, Request, Response, PROTOCOL_VERSION};
+use crate::session::{Session, SessionManager};
+use ceal_fleet::TaskReport;
 use ceal_trace::{TraceContext, Tracer};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -243,9 +249,22 @@ pub(crate) struct ServerInner {
     pub(crate) breakers: Breakers,
     /// Process start, for `Health`'s uptime.
     pub(crate) started: Instant,
+    /// Requests parked on a fleet round, by the round's batch id. An entry
+    /// and its shell's round come and go together, under the session lock.
+    pub(crate) rounds: Mutex<HashMap<u64, Parked>>,
+    /// The reactor's completion queue, once it runs.
+    pub(crate) sink: OnceLock<Box<dyn Fn(Event) + Send + Sync>>,
 }
 
 impl ServerInner {
+    /// Queues `event` for the reactor and wakes it. Before the reactor
+    /// runs there are no connections, so nothing to tell.
+    pub(crate) fn post(&self, event: Event) {
+        if let Some(sink) = self.sink.get() {
+            sink(event);
+        }
+    }
+
     /// Snapshot of the overload counters for the metrics overlay.
     pub(crate) fn overload_stats(&self) -> OverloadStats {
         OverloadStats {
@@ -288,9 +307,9 @@ impl ServerInner {
 
 /// A bound-but-not-yet-serving tuning service.
 pub struct Server {
-    listener: TcpListener,
-    workers: usize,
-    inner: Arc<ServerInner>,
+    pub(crate) listener: TcpListener,
+    pub(crate) workers: usize,
+    pub(crate) inner: Arc<ServerInner>,
 }
 
 impl Server {
@@ -373,6 +392,8 @@ impl Server {
                 load,
                 breakers,
                 started: Instant::now(),
+                rounds: Mutex::new(HashMap::new()),
+                sink: OnceLock::new(),
             }),
         })
     }
@@ -449,7 +470,7 @@ pub(crate) fn endpoint_of(req: &Request) -> Endpoint {
     }
 }
 
-fn error_frame(e: ServeError) -> Response {
+pub(crate) fn error_frame(e: ServeError) -> Response {
     Response::Error {
         code: e.code().into(),
         message: e.to_string(),
@@ -463,21 +484,13 @@ fn ok_or_error<T>(result: Result<T, ServeError>, into: impl FnOnce(T) -> Respons
     }
 }
 
-pub(crate) fn dispatch(req: Request, inner: &ServerInner) -> Response {
-    // Every request gets its own trace; campaign-scoped work (sessions,
-    // tune) additionally records under its campaign trace.
-    let mut req_span = inner.tracer.span(
-        endpoint_of(&req).span_name(),
-        TraceContext::root(inner.tracer.new_trace()),
-    );
-    let resp = dispatch_inner(req, inner);
-    if let Response::Error { code, .. } = &resp {
-        req_span.field("error", code.clone());
-    }
-    resp
-}
-
-fn dispatch_inner(req: Request, inner: &ServerInner) -> Response {
+/// The one handler table. `inline` says the caller is the reactor thread
+/// and must not wait: a handler that would have to hands the request back
+/// ([`Outcome::Defer`]), and only then may a worker poll be held.
+pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline: bool) -> Outcome {
+    #[cfg(feature = "chaos")]
+    ceal_testutil::chaos::hit("serve.dispatch");
+    let reply = |ticket: Ticket, resp: Response| Outcome::Done(ticket.finish(&resp));
     let draining = inner.shutdown.load(Ordering::Acquire);
     if draining
         && matches!(
@@ -491,15 +504,15 @@ fn dispatch_inner(req: Request, inner: &ServerInner) -> Response {
     {
         // Workers polling a draining server get the same answer as new
         // campaigns: a clean `shutting-down` frame, which the worker
-        // runtime treats as "stop". In-flight gathers finish via their
-        // deadline plus local fallback.
-        return error_frame(ServeError::ShuttingDown);
+        // runtime treats as "stop". Rounds in flight stop waiting for
+        // them and fall back to measuring locally.
+        return reply(ticket, error_frame(ServeError::ShuttingDown));
     }
-    match req {
+    let resp = match req {
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
         },
-        Request::Tune(params) => ok_or_error(tune(params, inner), |r| r),
+        Request::Tune(params) => return parked::tune(inner, params, ticket),
         Request::CreateSession {
             params,
             failure_rate,
@@ -514,20 +527,28 @@ fn dispatch_inner(req: Request, inner: &ServerInner) -> Response {
             ),
             |(status, from_cache)| Response::SessionCreated { status, from_cache },
         ),
-        Request::Advance { session, runs } => ok_or_error(
-            with_session(inner, session, |s| {
-                s.advance_with(runs, &inner.cache, &inner.metrics, Some(&inner.fleet))
-            }),
-            Response::Session,
-        ),
-        Request::Status { session } => ok_or_error(
-            with_session(inner, session, |s| Ok(s.status())),
-            Response::Session,
-        ),
-        Request::Predict { session, configs } => ok_or_error(
-            with_session(inner, session, |s| s.predict(&configs)),
-            |values| Response::Predictions { values },
-        ),
+        Request::Advance { session, runs } => return parked::advance(inner, session, runs, ticket),
+        Request::Status { session } => {
+            match try_session(inner, session, inline, |s| Ok(s.status())) {
+                Some(status) => ok_or_error(status, Response::Session),
+                None => return Outcome::Defer(Request::Status { session }, ticket),
+            }
+        }
+        Request::Predict { session, configs } => {
+            let scored = try_session(inner, session, inline, |s| {
+                if inline && s.predict_must_fit() {
+                    return Ok(None);
+                }
+                s.predict(&configs).map(Some)
+            });
+            match scored {
+                Some(Ok(Some(values))) => Response::Predictions { values },
+                Some(Err(e)) => error_frame(e),
+                Some(Ok(None)) | None => {
+                    return Outcome::Defer(Request::Predict { session, configs }, ticket)
+                }
+            }
+        }
         Request::Measure { session, config } => ok_or_error(
             with_session(inner, session, |s| s.measure(&config, &inner.metrics)),
             |m| Response::Measured {
@@ -541,7 +562,12 @@ fn dispatch_inner(req: Request, inner: &ServerInner) -> Response {
             Response::Session,
         ),
         Request::CloseSession { session } => {
-            ok_or_error(inner.sessions.close(session), |()| Response::Ok)
+            let closed = inner.sessions.get(session).and_then(|shell| {
+                inner.sessions.close(session)?;
+                parked::abandon_round(inner, &shell, session);
+                Ok(())
+            });
+            ok_or_error(closed, |()| Response::Ok)
         }
         Request::Metrics => Response::Metrics(inner.metrics.report(
             inner.sessions.len() as u64,
@@ -561,17 +587,32 @@ fn dispatch_inner(req: Request, inner: &ServerInner) -> Response {
             let (worker, lease_ms) = inner.fleet.register(&name);
             Response::WorkerRegistered { worker, lease_ms }
         }
-        Request::Heartbeat { worker } => ok_or_error(
-            inner
-                .fleet
-                .poll(worker, Vec::new())
-                .map_err(ServeError::from),
-            |tasks| Response::TaskAssign { tasks },
-        ),
-        Request::TaskResult { worker, results } => ok_or_error(
-            inner.fleet.poll(worker, results).map_err(ServeError::from),
-            |tasks| Response::TaskAssign { tasks },
-        ),
+        Request::Heartbeat { worker } => return poll(inner, worker, Vec::new(), ticket, inline),
+        Request::TaskResult { worker, results } => {
+            return poll(inner, worker, results, ticket, inline)
+        }
+    };
+    reply(ticket, resp)
+}
+
+/// A worker's poll. Tried on the reactor thread, one that finds no work is
+/// held under its connection token until a scatter has some; from the pool
+/// it is answered at once, as it always was.
+fn poll(
+    inner: &ServerInner,
+    worker: u64,
+    reports: Vec<TaskReport>,
+    ticket: Ticket,
+    inline: bool,
+) -> Outcome {
+    let polled = match inline {
+        true => inner.fleet.poll_or_hold(worker, reports, ticket.to.conn),
+        false => inner.fleet.poll(worker, reports).map(Some),
+    };
+    match polled {
+        Ok(None) => Outcome::Held(ticket),
+        Ok(Some(tasks)) => Outcome::Done(ticket.finish(&Response::TaskAssign { tasks })),
+        Err(e) => Outcome::Done(ticket.finish(&error_frame(e.into()))),
     }
 }
 
@@ -594,6 +635,26 @@ pub(crate) fn health_report(inner: &ServerInner) -> HealthReport {
     }
 }
 
+/// [`with_session`] for a caller that may be the reactor thread: with
+/// `try_only` a taken lock is not waited for, and the answer is `None`.
+fn try_session<T>(
+    inner: &ServerInner,
+    id: u64,
+    try_only: bool,
+    f: impl FnOnce(&mut Session) -> Result<T, ServeError>,
+) -> Option<Result<T, ServeError>> {
+    let handle = match inner.sessions.get(id) {
+        Ok(handle) => handle,
+        Err(e) => return Some(Err(e)),
+    };
+    let mut session = match try_only {
+        true => handle.try_lock()?,
+        false => handle.lock(),
+    };
+    Some(f(&mut session))
+}
+
+/// Runs `f` on session `id` under its lock.
 fn with_session<T>(
     inner: &ServerInner,
     id: u64,
@@ -604,67 +665,10 @@ fn with_session<T>(
     f(&mut session)
 }
 
-/// One-shot tuning: a cache lookup, then a campaign on the session shell —
-/// unregistered, unjournaled, paying for its own component runs — driven
-/// to `done` inside the request. The shell builds what the `tune` CLI
-/// builds, so a remote campaign returns the same recommendation as a local
-/// one with the same seed, with or without fleet workers.
-fn tune(params: TuneParams, inner: &ServerInner) -> Result<Response, ServeError> {
-    let parsed = parse_params(&params)?;
-    let mut span = inner.tracer.span(
-        "campaign.tune",
-        TraceContext::root(inner.tracer.new_trace()),
-    );
-    span.field("workflow", params.workflow.as_str());
-    span.field("algo", params.algo.as_str());
-    span.field("budget", params.budget);
-    let key = cache_key(&params, &inner.platform, TUNE_MODE);
-    let (hit, tier) = inner.cache.get_with_tier(&key);
-    inner.tracer.instant(
-        "cache.lookup",
-        span.ctx(),
-        &[("tier", tier.into()), ("endpoint", "tune".into())],
-    );
-    if let Some(entry) = hit {
-        inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        span.field("from_cache", 1u64);
-        return Ok(Response::TuneResult {
-            best: entry.best,
-            best_value: entry.best_value,
-            runs_used: entry.runs_used,
-            component_runs: entry.component_runs,
-            from_cache: true,
-        });
-    }
-    inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-
-    // The shell samples the pool, so it is built only past the lookup.
-    let mut shell = inner.sessions.one_shot(params, parsed, span.ctx());
-    let done = loop {
-        let status =
-            shell.advance_with(u64::MAX, &inner.cache, &inner.metrics, Some(&inner.fleet))?;
-        if status.state == "done" {
-            break status;
-        }
-    };
-    let (Some(best), Some(best_value)) = (done.best, done.best_value) else {
-        return Err(ServeError::Internal(
-            "campaign finished without a recommendation".into(),
-        ));
-    };
-    span.field("runs_used", done.measured);
-    Ok(Response::TuneResult {
-        best,
-        best_value,
-        runs_used: done.measured,
-        component_runs: done.history_samples,
-        from_cache: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::TuneParams;
 
     fn lv_params() -> TuneParams {
         TuneParams {
@@ -765,6 +769,18 @@ mod tests {
                     | Request::PushHistory { .. }
             );
             assert_eq!(endpoint_of(&req).sheddable(), campaign_work, "{req:?}");
+            // And its inline column: only what never measures, fits a
+            // journal or touches a disk may run on the reactor thread.
+            let cannot_wait = matches!(
+                req,
+                Request::Ping
+                    | Request::Status { .. }
+                    | Request::Predict { .. }
+                    | Request::RegisterWorker { .. }
+                    | Request::Heartbeat { .. }
+                    | Request::TaskResult { .. }
+            );
+            assert_eq!(endpoint_of(&req).runs_inline(), cannot_wait, "{req:?}");
         }
     }
 

@@ -40,6 +40,12 @@
 //! Every simulator run this process makes, for either kind of campaign,
 //! goes through [`CountingOracle::run`]: one span, one breaker rule, one bill.
 //!
+//! A batch worth a fleet round cuts the step in two. [`Session::advance_begin`]
+//! scatters it and returns with the [`Round`] stored in the shell — nothing
+//! measured, nothing told, the session lock free for `Status` — and
+//! [`Session::complete_round`] takes up what the fleet made of it. Between
+//! the two the request is the server's to park (`parked::Parked`).
+//!
 //! Sessions live in a [`SessionManager`] registry, evicted when idle.
 
 use crate::breaker::Breakers;
@@ -59,14 +65,16 @@ use ceal_core::{
 use ceal_ml::Regressor;
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
 use ceal_trace::{Span, TraceContext, Tracer};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+mod registry;
+pub use registry::SessionManager;
 
 /// Base seed of every server-side oracle — matches the `tune` CLI so a
 /// remote campaign reproduces the local one exactly.
@@ -169,6 +177,22 @@ struct Search {
     got: Vec<Measurement>,
 }
 
+/// A scattered fleet round the shell waits on: the pool indices it asked
+/// the fleet to measure, in ask order, and the batch that answers them.
+struct Round {
+    batch: u64,
+    idxs: Vec<usize>,
+}
+
+/// How far [`Session::advance_begin`] got.
+pub(crate) enum Advanced {
+    /// The step is over.
+    Status(SessionStatus),
+    /// A round was scattered as this fleet batch; the step ends with
+    /// [`Session::complete_round`].
+    Scattered(u64),
+}
+
 /// One live tuning campaign.
 pub struct Session {
     /// Registry id; 0 for a one-shot campaign, which has no registry entry.
@@ -187,6 +211,8 @@ pub struct Session {
     /// A solo ask, waiting for an `Advance` to answer it whole (the replay
     /// fold fetches asks too, and cannot measure).
     solo: Option<SoloAsk>,
+    /// The fleet round in flight, between the two halves of a step.
+    round: Option<Round>,
     /// Sibling-platform samples the stepper gets when the search starts.
     prior: Option<TransferPrior>,
     /// How this session was warmed: `exact`, `transfer`, or `cold`.
@@ -225,7 +251,6 @@ pub struct Session {
     tracer: Tracer,
     /// Circuit breakers shared with the server; `None` without one.
     breakers: Option<Breakers>,
-    last_touch: Instant,
 }
 
 impl Session {
@@ -264,6 +289,7 @@ impl Session {
             phase: Phase::Created,
             search: None,
             solo: None,
+            round: None,
             prior: None,
             warm_source: "cold",
             history: ComponentHistory::empty(spec.components.len()),
@@ -282,7 +308,6 @@ impl Session {
             phase_span: None,
             tracer,
             breakers: home.breakers.clone(),
-            last_touch: Instant::now(),
         };
         s.enter_phase(Phase::Created);
         s
@@ -441,11 +466,45 @@ impl Session {
         metered
     }
 
-    /// Measures the next `idxs` of the pending ask, in ask order.
-    ///
-    /// Fault-free sessions scatter a batch worth a round across the fleet
+    /// The fleet, when the next `idxs` of the pending ask are worth a round
+    /// on it: fault-free sessions scatter a batch of more than one run
     /// (injected faults are a local-retry fixture that stays sequential).
-    /// Whatever the fleet hands back unmeasured — worker died, attempts
+    /// Fleet workers rebuild their oracles on the *default* platform, so a
+    /// session tuning any other platform measures locally.
+    fn fleet_for<'a>(
+        &self,
+        idxs: &[usize],
+        fleet: Option<&'a ceal_fleet::Coordinator>,
+    ) -> Option<&'a ceal_fleet::Coordinator> {
+        fleet.filter(|f| {
+            self.failure_rate == 0.0
+                && idxs.len() > 1
+                && f.live_workers() > 0
+                && self.oracle.simulator().platform == Platform::default()
+        })
+    }
+
+    /// Scatters `idxs` across `fleet` as one round and remembers it.
+    fn scatter_round(&mut self, idxs: Vec<usize>, fleet: &ceal_fleet::Coordinator) -> u64 {
+        let configs: Vec<(u64, Vec<i64>)> = idxs
+            .iter()
+            .map(|&i| (i as u64, self.pool[i].clone()))
+            .collect();
+        let batch = fleet.scatter(
+            self.id,
+            &configs,
+            &self.params.workflow,
+            &self.params.objective,
+            ORACLE_BASE_SEED,
+            self.trace_ctx(),
+        );
+        self.round = Some(Round { batch, idxs });
+        batch
+    }
+
+    /// Measures the next `idxs` of the pending ask, in ask order. `remote`
+    /// is what a fleet round made of them, by pool index; whatever it
+    /// holds no measurement for — never scattered, worker died, attempts
     /// exhausted, gather deadline — is measured locally, which yields the
     /// same values (workers rebuild the same deterministic oracle), so the
     /// trajectory never depends on fleet membership or timing.
@@ -455,40 +514,15 @@ impl Session {
     /// the campaign state advances, so a crash after that point re-bills
     /// nothing and one before it loses only runs no reply had reported —
     /// and handed to the stepper. A failure commits and applies what was
-    /// measured before it and leaves the rest of the ask pending. Returns
-    /// whether the call waited on a fleet round.
+    /// measured before it and leaves the rest of the ask pending.
     fn measure_batch(
         &mut self,
         idxs: &[usize],
+        mut remote: HashMap<u64, ceal_fleet::TaskOutcome>,
         metrics: &ServerMetrics,
-        fleet: Option<&ceal_fleet::Coordinator>,
-    ) -> Result<bool, ServeError> {
-        // Fleet workers rebuild their oracles on the *default* platform,
-        // so a session tuning any other platform must measure locally.
-        let fleet = fleet.filter(|f| {
-            self.failure_rate == 0.0
-                && idxs.len() > 1
-                && f.live_workers() > 0
-                && self.oracle.simulator().platform == Platform::default()
-        });
-        let mut remote = HashMap::new();
-        if let Some(fleet) = fleet {
-            let configs: Vec<(u64, Vec<i64>)> = idxs
-                .iter()
-                .map(|&i| (i as u64, self.pool[i].clone()))
-                .collect();
-            let batch = fleet.scatter(
-                self.id,
-                &configs,
-                &self.params.workflow,
-                &self.params.objective,
-                ORACLE_BASE_SEED,
-                self.trace_ctx(),
-            );
-            remote.extend(fleet.gather(batch).results);
-        }
+    ) -> Result<(), ServeError> {
         let mut measured = Vec::with_capacity(idxs.len());
-        let mut outcome = Ok(fleet.is_some());
+        let mut outcome = Ok(());
         for &idx in idxs {
             match self.measure_one(idx, remote.remove(&(idx as u64)), metrics) {
                 Ok(m) => measured.push(m),
@@ -619,34 +653,44 @@ impl Session {
         Ok(())
     }
 
-    /// [`Session::advance_with`] without a fleet.
+    /// Advances the campaign, spending at most `runs` coupled
+    /// measurements of the stepper's pending ask, in ask order, all
+    /// measured here.
+    ///
+    /// A session's first call collects the history and stops there. Later
+    /// calls measure; one call's measurements straddle at most one batch
+    /// boundary (the rest of the pending ask, then the start of the next),
+    /// so a client sees a bounded step whatever `runs` it passes.
     pub fn advance(
         &mut self,
         runs: u64,
         cache: &AutotuneCache,
         metrics: &ServerMetrics,
     ) -> Result<SessionStatus, ServeError> {
-        self.advance_with(runs, cache, metrics, None)
+        match self.advance_begin(runs, cache, metrics, None)? {
+            Advanced::Status(status) => Ok(status),
+            Advanced::Scattered(_) => Err(ServeError::Internal("round without a fleet".into())),
+        }
     }
 
-    /// Advances the campaign, spending at most `runs` coupled
-    /// measurements of the stepper's pending ask, in ask order, scattered
-    /// across `fleet` when one is supplied and has live workers.
-    ///
-    /// A session's first call collects the history and stops there. Later
-    /// calls measure; one call's measurements straddle at most one batch
-    /// boundary (the rest of the pending ask, then the start of the next)
-    /// and wait on at most one fleet round, so a client sees a bounded
-    /// step whatever `runs` it passes.
-    pub fn advance_with(
+    /// [`Session::advance`] with a fleet to scatter across, when one is
+    /// supplied and has live workers. The first batch worth a round ends
+    /// this half of the step: it is scattered, nothing of it is measured
+    /// or told yet, and [`Session::complete_round`] is the other half — so
+    /// a step waits on at most one fleet round, and holds nothing while it
+    /// waits.
+    pub(crate) fn advance_begin(
         &mut self,
         runs: u64,
         cache: &AutotuneCache,
         metrics: &ServerMetrics,
         fleet: Option<&ceal_fleet::Coordinator>,
-    ) -> Result<SessionStatus, ServeError> {
+    ) -> Result<Advanced, ServeError> {
         if runs == 0 {
             return Err(ServeError::BadRequest("advance of 0 runs".into()));
+        }
+        if self.round.is_some() {
+            return Err(ServeError::NotReady("a fleet round is in flight".into()));
         }
         match self.phase {
             Phase::Created if !self.one_shot => self.collect_history(metrics)?,
@@ -677,16 +721,55 @@ impl Session {
                     let pending = &search.ask[search.got.len()..];
                     let todo = pending[..left.min(pending.len())].to_vec();
                     left -= todo.len();
-                    if self.measure_batch(&todo, metrics, fleet)? {
-                        break;
+                    if let Some(fleet) = self.fleet_for(&todo, fleet) {
+                        return Ok(Advanced::Scattered(self.scatter_round(todo, fleet)));
                     }
+                    self.measure_batch(&todo, HashMap::new(), metrics)?;
                 }
-                if self.phase == Phase::Done {
-                    self.finish(cache, metrics)?;
-                }
+                return self.settle(cache, metrics);
             }
         }
-        Ok(self.status())
+        Ok(Advanced::Status(self.status()))
+    }
+
+    /// The second half of a step that scattered a round: `gathered` is the
+    /// fleet's [`gather`](ceal_fleet::Coordinator::gather) of it, taken
+    /// whenever the caller stopped waiting.
+    pub(crate) fn complete_round(
+        &mut self,
+        gathered: ceal_fleet::GatherOutcome,
+        cache: &AutotuneCache,
+        metrics: &ServerMetrics,
+    ) -> Result<Advanced, ServeError> {
+        let Some(round) = self.round.take() else {
+            return Err(ServeError::Internal("no fleet round in flight".into()));
+        };
+        let remote = gathered.results.into_iter().collect();
+        self.measure_batch(&round.idxs, remote, metrics)?;
+        self.settle(cache, metrics)
+    }
+
+    /// Ends a measuring step: a campaign that just finished is published.
+    fn settle(
+        &mut self,
+        cache: &AutotuneCache,
+        metrics: &ServerMetrics,
+    ) -> Result<Advanced, ServeError> {
+        if self.phase == Phase::Done {
+            self.finish(cache, metrics)?;
+        }
+        Ok(Advanced::Status(self.status()))
+    }
+
+    /// The fleet batch this session waits on, if a round is in flight.
+    pub(crate) fn round_in_flight(&self) -> Option<u64> {
+        self.round.as_ref().map(|r| r.batch)
+    }
+
+    /// Forgets the round in flight — its asks stay pending, as after a
+    /// failed measurement — and names its batch for the caller to drop.
+    pub(crate) fn abandon_round(&mut self) -> Option<u64> {
+        self.round.take().map(|r| r.batch)
     }
 
     /// Gathers the free solo samples (§7.5): they model data the
@@ -742,6 +825,12 @@ impl Session {
             self.id,
         );
         Ok(())
+    }
+
+    /// Whether [`Session::predict`] would have to fit its surrogate first —
+    /// milliseconds of work a caller that must not wait hands to the pool.
+    pub(crate) fn predict_must_fit(&self) -> bool {
+        self.phase == Phase::Done && !self.samples.is_empty() && self.surrogate.is_none()
     }
 
     /// Scores `configs` in one encoded batch with the finished campaign's
@@ -879,323 +968,10 @@ impl Session {
     }
 }
 
-/// The registry of live sessions.
-pub struct SessionManager {
-    sessions: RwLock<HashMap<u64, Arc<Mutex<Session>>>>,
-    next_id: AtomicU64,
-    idle_timeout: Duration,
-    journal_dir: Option<PathBuf>,
-    /// Platform every session on this server measures on.
-    platform: Platform,
-    /// Feature-distance bound for transfer-seeding near-miss lookups.
-    transfer_threshold: f64,
-    /// Trace sink handed to every session this registry creates.
-    tracer: Tracer,
-    /// Circuit breakers handed to every session this registry creates.
-    breakers: Option<Breakers>,
-}
-
-impl SessionManager {
-    /// Creates an empty registry evicting sessions idle longer than
-    /// `idle_timeout`, tuning the paper-testbed default platform.
-    pub fn new(idle_timeout: Duration) -> Self {
-        Self {
-            sessions: RwLock::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            idle_timeout,
-            journal_dir: None,
-            platform: Platform::default(),
-            transfer_threshold: DEFAULT_TRANSFER_THRESHOLD,
-            tracer: Tracer::disabled(),
-            breakers: None,
-        }
-    }
-
-    /// Sets the trace sink sessions record their campaign spans through.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Sets the circuit breakers sessions route their oracle and
-    /// cache-persist calls through.
-    pub fn with_breakers(mut self, breakers: Breakers) -> Self {
-        self.breakers = Some(breakers);
-        self
-    }
-
-    /// Sets the platform sessions measure on (fingerprinted into their
-    /// cache keys and matched against cached siblings for transfer).
-    pub fn with_platform(mut self, platform: Platform) -> Self {
-        self.platform = platform;
-        self
-    }
-
-    /// Sets the feature-distance threshold for transfer seeding; `0.0`
-    /// disables transfer entirely.
-    pub fn with_transfer_threshold(mut self, threshold: f64) -> Self {
-        self.transfer_threshold = threshold.max(0.0);
-        self
-    }
-
-    /// Enables per-session write-ahead journals under `dir` (created if
-    /// missing): every live campaign gets a `session-<id>.wal` that
-    /// [`SessionManager::rebuild_from_disk`] can restore after a restart.
-    pub fn with_journal_dir(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        self.journal_dir = Some(dir);
-        Ok(self)
-    }
-
-    fn journal_path(dir: &Path, id: u64) -> PathBuf {
-        dir.join(format!("session-{id}.wal"))
-    }
-
-    /// Restores every recoverable `session-*.wal` campaign in the journal
-    /// directory, spending zero oracle budget; returns how many came back.
-    /// Unreadable or foreign journals are skipped with a warning — a bad
-    /// file must not stop the server from starting.
-    pub fn rebuild_from_disk(&self, metrics: &ServerMetrics) -> usize {
-        let Some(dir) = self.journal_dir.clone() else {
-            return 0;
-        };
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            return 0;
-        };
-        let mut rebuilt = 0;
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(id) = name
-                .strip_prefix("session-")
-                .and_then(|s| s.strip_suffix(".wal"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            match self.rebuild_one(&entry.path(), id) {
-                Ok(session) => {
-                    self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                    self.sessions
-                        .write()
-                        .insert(id, Arc::new(Mutex::new(session)));
-                    metrics.sessions_rebuilt.fetch_add(1, Ordering::Relaxed);
-                    rebuilt += 1;
-                }
-                Err(e) => self.tracer.warn(
-                    "session.rebuild-failed",
-                    TraceContext::NONE,
-                    &format!("cannot rebuild session from {name}: {e}"),
-                    &[("session", id.into())],
-                ),
-            }
-        }
-        rebuilt
-    }
-
-    fn rebuild_one(&self, path: &Path, id: u64) -> Result<Session, ServeError> {
-        let (journal, report) = Journal::open(path)
-            .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
-        let bad = |message: String| Err(ServeError::Internal(message));
-        let mut records = report.records.into_iter();
-        let Some(JournalRecord::Start(cid)) = records.next() else {
-            return bad("journal has no campaign header".into());
-        };
-        let Some(algo) = cid.algo.strip_prefix("session:") else {
-            return bad(format!("not a session journal (algo '{}')", cid.algo));
-        };
-        let params = TuneParams {
-            workflow: cid.workflow.clone(),
-            objective: cid.objective.clone(),
-            budget: cid.budget,
-            pool: cid.pool,
-            seed: cid.seed,
-            algo: algo.to_string(),
-        };
-        let parsed = parse_params(&params)?;
-        let (failure_rate, fault_seed) = (cid.failure_rate, cid.fault_seed);
-        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
-        session.sample_pool();
-        session.journal = Some(journal);
-        session.replay(records.collect())?;
-        Ok(session)
-    }
-
-    /// Live session count.
-    pub fn len(&self) -> usize {
-        self.sessions.read().len()
-    }
-
-    /// Whether no sessions are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Opens a session, consulting the cache tier by tier: an **exact**
-    /// hit starts the session in `done` with zero oracle spend; failing
-    /// that, the nearest cached sibling platform within the transfer
-    /// threshold seeds a **transfer** campaign (its samples become the
-    /// stepper's prior); otherwise the campaign starts **cold**. Returns
-    /// the status (whose `warm_source` names the tier) and whether an
-    /// exact hit supplied it.
-    pub fn create(
-        &self,
-        params: TuneParams,
-        failure_rate: f64,
-        fault_seed: u64,
-        cache: &AutotuneCache,
-        metrics: &ServerMetrics,
-    ) -> Result<(SessionStatus, bool), ServeError> {
-        let parsed = parse_params(&params)?;
-        if !(0.0..1.0).contains(&failure_rate) {
-            return Err(ServeError::BadRequest(format!(
-                "failure rate {failure_rate} outside [0, 1)"
-            )));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let key = cache_key(&params, &self.platform, SESSION_MODE);
-        let lookup_start = Instant::now();
-        let (hit, tier) = cache.get_with_tier(&key);
-        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
-        match &hit {
-            Some(entry) => {
-                metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                session.finish_from(entry);
-            }
-            None => {
-                metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                session.sample_pool();
-                let features = platform_features(&self.platform);
-                let near = (self.transfer_threshold > 0.0)
-                    .then(|| cache.nearest_transfer(&key, &features, self.transfer_threshold));
-                if let Some(near) = near.flatten() {
-                    metrics
-                        .cache_transfer_seeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    session.warm_source = "transfer";
-                    let (samples, from) = (near.entry.samples, near.entry.key.platform);
-                    session.prior = Some(TransferPrior::new(samples, from, near.distance));
-                }
-            }
-        }
-        let from_cache = hit.is_some();
-        // One lookup event per created session, naming both the store tier
-        // that answered (`front`/`disk`/`miss`) and the campaign tier the
-        // session starts in (`exact`/`transfer`/`cold`).
-        self.tracer.instant(
-            "cache.lookup",
-            TraceContext::root(session.ctx.trace),
-            &[
-                ("endpoint", "create-session".into()),
-                ("tier", tier.into()),
-                ("warm", session.warm_source.into()),
-                ("us", (lookup_start.elapsed().as_micros() as u64).into()),
-            ],
-        );
-        // Warm-cache sessions spend nothing, so there is nothing worth
-        // journaling; fresh campaigns get a write-ahead journal, whose
-        // header (and transfer prior) is one commit.
-        if let (false, Some(dir)) = (from_cache, &self.journal_dir) {
-            let path = Self::journal_path(dir, id);
-            let _ = std::fs::remove_file(&path); // stale leftover, new campaign
-            let (journal, _) = Journal::open(&path)
-                .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
-            session.journal = Some(journal);
-            // The `session:` prefix tells session journals from the CLI's.
-            session.journal_stage(&JournalRecord::Start(CampaignId {
-                workflow: session.params.workflow.clone(),
-                objective: session.params.objective.clone(),
-                algo: format!("session:{}", session.params.algo),
-                budget: session.params.budget,
-                pool: session.params.pool,
-                seed: session.params.seed,
-                failure_rate,
-                fault_seed,
-            }))?;
-            if let Some(prior) = &session.prior {
-                let prior = (&prior.samples, &prior.source, prior.distance);
-                let json = serde_json::to_string(&prior)
-                    .map_err(|e| ServeError::Internal(format!("prior does not serialize: {e}")))?;
-                session.journal_stage(&JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")))?;
-            }
-            session.journal_commit()?;
-        }
-        let status = session.status();
-        self.sessions
-            .write()
-            .insert(id, Arc::new(Mutex::new(session)));
-        metrics.sessions_created.fetch_add(1, Ordering::Relaxed);
-        Ok((status, from_cache))
-    }
-
-    /// A one-shot `Tune` campaign on this registry's platform, tracer and
-    /// breakers, but not in it: the caller drives the returned shell to
-    /// `done` and drops it. Its events record under `ctx`, the request's
-    /// `campaign.tune` span. `parsed` is [`parse_params`] of `params`.
-    pub(crate) fn one_shot(
-        &self,
-        params: TuneParams,
-        parsed: (WorkflowSpec, Objective),
-        ctx: TraceContext,
-    ) -> Session {
-        let mut shell = Session::new(0, params, parsed, 0.0, 0, self, Some(ctx));
-        shell.sample_pool();
-        shell
-    }
-
-    /// Fetches a session, refreshing its idle clock.
-    pub fn get(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServeError> {
-        let handle = self
-            .sessions
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or(ServeError::UnknownSession(id))?;
-        handle.lock().last_touch = Instant::now();
-        Ok(handle)
-    }
-
-    /// Closes a session, deleting its journal — an explicit close is the
-    /// client saying the campaign no longer needs recovering.
-    pub fn close(&self, id: u64) -> Result<(), ServeError> {
-        let handle = self
-            .sessions
-            .write()
-            .remove(&id)
-            .ok_or(ServeError::UnknownSession(id))?;
-        handle.lock().delete_journal();
-        Ok(())
-    }
-
-    /// Drops sessions idle longer than the timeout; returns how many.
-    /// Eviction keeps journals on disk: an evicted campaign is still
-    /// recoverable at the next server start, unlike a closed one.
-    pub fn evict_idle(&self, metrics: &ServerMetrics) -> usize {
-        let mut sessions = self.sessions.write();
-        let before = sessions.len();
-        sessions.retain(|_, s| match s.try_lock() {
-            // A locked session is in use — by definition not idle.
-            None => true,
-            Some(guard) => guard.last_touch.elapsed() <= self.idle_timeout,
-        });
-        let evicted = before - sessions.len();
-        metrics
-            .sessions_evicted
-            .fetch_add(evicted as u64, Ordering::Relaxed);
-        if evicted > 0 {
-            self.tracer.instant(
-                "session.evicted",
-                TraceContext::NONE,
-                &[("count", (evicted as u64).into())],
-            );
-        }
-        evicted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn params(budget: u64) -> TuneParams {
         TuneParams {

@@ -4,7 +4,10 @@
 //! the coordinator, then polls: a [`heartbeat`](Client::heartbeat) when it
 //! has nothing to report, a [`task_result`](Client::task_result) carrying
 //! finished measurements otherwise — both renew the lease and both come
-//! back with newly assigned tasks. Tasks are executed against a locally
+//! back with newly assigned tasks. A poll that finds no work is a long
+//! poll: the coordinator holds it until a scatter has tasks for it (or
+//! half the lease has passed), so the worker learns of a task when there
+//! is one, not at its next tick. Tasks are executed against a locally
 //! rebuilt [`SimOracle`] keyed by `(workflow, objective, seed)`; because
 //! the oracle is deterministic in that key, a worker's measurement is
 //! bit-identical to what the coordinator would have measured itself, which
@@ -29,7 +32,7 @@ use ceal_trace::{TraceContext, Tracer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Worker runtime knobs.
 pub struct WorkerConfig {
@@ -37,8 +40,11 @@ pub struct WorkerConfig {
     pub coordinator: String,
     /// Self-reported name, shown in per-worker metrics.
     pub name: String,
-    /// Idle poll cadence. Clamped to a third of the coordinator's lease so
-    /// a healthy worker can never miss its lease by just being idle.
+    /// Shortest spacing of idle polls: an empty answer that came back
+    /// sooner than this (a coordinator that does not hold polls) is
+    /// followed by a sleep for the remainder, so the worker never spins.
+    /// Clamped to a third of the coordinator's lease so a healthy worker
+    /// can never miss its lease by just being idle.
     pub poll_interval: Duration,
     /// Transport retry policy: connects, reconnects, and resends.
     pub retry: RetryPolicy,
@@ -141,6 +147,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<WorkerSummary, ClientError> {
         if should_stop(&cfg) {
             return Ok(summary);
         }
+        let asked = Instant::now();
         let polled = if pending.is_empty() {
             client.heartbeat(worker)
         } else {
@@ -171,7 +178,8 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<WorkerSummary, ClientError> {
             Err(e) => return Err(e),
         };
         if tasks.is_empty() {
-            std::thread::sleep(idle_tick);
+            // A held poll took its time already.
+            std::thread::sleep(idle_tick.saturating_sub(asked.elapsed()));
             continue;
         }
         for task in &tasks {

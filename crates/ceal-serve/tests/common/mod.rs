@@ -2,14 +2,15 @@
 //! own crate and pulls this in with `mod common;`, using a subset.
 #![allow(dead_code)]
 
-use ceal_core::{JournalRecord, RetryPolicy};
+use ceal_core::{Journal, JournalRecord, RetryPolicy};
 use ceal_serve::{
     run_worker, AutotuneCache, Client, ClientError, ServeConfig, Server, ServerHandle,
     ServerMetrics, SessionManager, SessionStatus, TuneParams, WorkerConfig, WorkerSummary,
 };
+use ceal_testutil::unique_temp_path;
 use ceal_trace::{FieldValue, Tracer};
 use std::net::SocketAddr;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -122,6 +123,61 @@ pub fn journal_commits(tracer: &Tracer) -> Vec<usize> {
             other => panic!("journal.commit without a record count: {other:?}"),
         })
         .collect()
+}
+
+/// Where `dir` keeps the journal of session 1, the only one the byte-level
+/// tests create per directory.
+pub fn wal(dir: &Path) -> PathBuf {
+    dir.join("session-1.wal")
+}
+
+/// Drives session 1 with `advance` until done, reading its journal's raw
+/// bytes after the create and after every reply that left it on disk.
+pub fn journal_after_each_reply(
+    dir: &Path,
+    mut advance: impl FnMut() -> SessionStatus,
+) -> Vec<Vec<u8>> {
+    let mut seen = vec![std::fs::read(wal(dir)).expect("journal after create")];
+    while advance().state != "done" {
+        seen.push(std::fs::read(wal(dir)).expect("journal of a live campaign"));
+    }
+    assert!(!wal(dir).exists(), "finishing retires the journal");
+    seen
+}
+
+/// `(config, attempt)` of the coupled records in a journal's `bytes`, which
+/// are what a reply left on disk: no torn tail.
+pub fn coupled_on_disk(bytes: &[u8]) -> Vec<(Vec<i64>, u64)> {
+    let copy = unique_temp_path("ceal-journal-copy", "wal");
+    std::fs::write(&copy, bytes).unwrap();
+    let report = Journal::open(&copy).unwrap().1;
+    std::fs::remove_file(&copy).ok();
+    assert_eq!(report.truncated_bytes, 0);
+    let runs = coupled_runs(&report.records).into_iter();
+    runs.map(|(config, attempt)| (config.clone(), attempt))
+        .collect()
+}
+
+/// The campaign of the byte-level tests, run as session 1 of a fresh
+/// journaled registry. Its bootstrap batch is three runs.
+pub fn byte_campaign() -> TuneParams {
+    params("exec", 14, 120, 41)
+}
+
+/// Journal snapshots of [`byte_campaign`] advanced in-process, `runs` at a
+/// time: what any other way of driving it must write a prefix of.
+pub fn advanced_by(runs: u64) -> Vec<Vec<u8>> {
+    let dir = unique_temp_path("ceal-journal-bytes", "");
+    let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
+    let mgr = journaled_manager(&dir);
+    let (st, _) = mgr
+        .create(byte_campaign(), 0.0, 0, &cache, &metrics)
+        .unwrap();
+    let handle = mgr.get(st.session).unwrap();
+    let advance = || handle.lock().advance(runs, &cache, &metrics).unwrap();
+    let seen = journal_after_each_reply(&dir, advance);
+    std::fs::remove_dir_all(&dir).ok();
+    seen
 }
 
 /// Every crash point of `Journal::commit` (`chaos` feature), in program

@@ -5,69 +5,16 @@
 
 mod common;
 
-use ceal_core::Journal;
-use ceal_serve::{AutotuneCache, Client, ServeConfig, ServerMetrics, SessionStatus, TuneParams};
+use ceal_serve::{AutotuneCache, Client, ServeConfig, ServerMetrics, TuneParams};
 use ceal_testutil::unique_temp_path;
 use ceal_trace::Tracer;
 use common::{
-    coupled_runs, journal_commits as commits, journaled_manager as manager, params, spawn_worker,
-    start_server, wait_for_live_workers, worker_config,
+    advanced_by, byte_campaign as campaign, coupled_on_disk as coupled, journal_after_each_reply,
+    journal_commits as commits, journaled_manager as manager, params, spawn_worker, start_server,
+    wait_for_live_workers, wal, worker_config,
 };
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Where `dir` keeps the journal of session 1, the only one these tests
-/// create per directory.
-fn wal(dir: &Path) -> std::path::PathBuf {
-    dir.join("session-1.wal")
-}
-
-/// Drives session 1 with `advance` until done, reading its journal's raw
-/// bytes after the create and after every reply that left it on disk.
-fn journal_after_each_reply(
-    dir: &Path,
-    mut advance: impl FnMut() -> SessionStatus,
-) -> Vec<Vec<u8>> {
-    let mut seen = vec![std::fs::read(wal(dir)).expect("journal after create")];
-    while advance().state != "done" {
-        seen.push(std::fs::read(wal(dir)).expect("journal of a live campaign"));
-    }
-    assert!(!wal(dir).exists(), "finishing retires the journal");
-    seen
-}
-
-/// `(config, attempt)` of the coupled records in a journal's `bytes`, which
-/// are what a reply left on disk: no torn tail.
-fn coupled(bytes: &[u8]) -> Vec<(Vec<i64>, u64)> {
-    let copy = unique_temp_path("ceal-journal-copy", "wal");
-    std::fs::write(&copy, bytes).unwrap();
-    let report = Journal::open(&copy).unwrap().1;
-    std::fs::remove_file(&copy).ok();
-    assert_eq!(report.truncated_bytes, 0);
-    let runs = coupled_runs(&report.records).into_iter();
-    runs.map(|(config, attempt)| (config.clone(), attempt))
-        .collect()
-}
-
-/// The campaign of the byte-level tests, and session 1 running it on a
-/// fresh journaled registry. Its bootstrap batch is three runs.
-fn campaign() -> TuneParams {
-    params("exec", 14, 120, 41)
-}
-
-/// Journal snapshots of the campaign advanced in-process, `runs` at a time.
-fn advanced_by(runs: u64) -> Vec<Vec<u8>> {
-    let dir = unique_temp_path("ceal-journal-bytes", "");
-    let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
-    let mgr = manager(&dir);
-    let (st, _) = mgr.create(campaign(), 0.0, 0, &cache, &metrics).unwrap();
-    let handle = mgr.get(st.session).unwrap();
-    let advance = || handle.lock().advance(runs, &cache, &metrics).unwrap();
-    let seen = journal_after_each_reply(&dir, advance);
-    std::fs::remove_dir_all(&dir).ok();
-    seen
-}
 
 #[test]
 fn journal_bytes_do_not_depend_on_advance_chunking_or_fleet_size() {
