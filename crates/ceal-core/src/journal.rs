@@ -54,16 +54,14 @@
 //! original decisions for free until it reaches the crash frontier, then
 //! continues measuring.
 //!
-//! ## Crash points (`chaos` feature)
+//! ## Crashes
 //!
-//! Under `--features chaos` every commit exposes four crash points to
-//! [`ceal_testutil::chaos`]: `journal.before_write` (nothing of the commit
-//! on disk), `journal.mid_write` (the buffer cut a byte short: every
-//! earlier record of the commit whole on disk, the last one torn),
-//! `journal.after_write` (commit on disk, not fsynced), and
-//! `journal.after_sync` (committed, caller state not yet updated). The
-//! chaos tests arm each in turn, on every commit of a campaign, and assert
-//! recovery.
+//! The file is append-only, so whatever instant a process dies at, it
+//! leaves a prefix of the bytes a crash-free run writes: of the commit in
+//! flight nothing, some whole records and a torn one, or all of it. The
+//! crash tests therefore need no hooks in this module: they cut the
+//! crash-free journal at the start of each commit, inside it, a byte short
+//! of its end and at its end, and resume from each cut.
 
 use crate::frame;
 use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
@@ -77,17 +75,6 @@ use std::sync::Mutex;
 
 /// Identifies the journal file format (and its version).
 pub const JOURNAL_MAGIC: &[u8; 8] = b"CEALWAL1";
-
-/// Hits a named chaos crash point (no-op unless built with `chaos`).
-#[cfg(feature = "chaos")]
-#[inline]
-fn crash_point(name: &str) {
-    ceal_testutil::chaos::hit(name);
-}
-
-#[cfg(not(feature = "chaos"))]
-#[inline]
-fn crash_point(_name: &str) {}
 
 /// Why a journal operation failed.
 #[derive(Debug)]
@@ -359,25 +346,12 @@ impl Journal {
         Ok(records)
     }
 
-    /// Puts the staged bytes on disk, through the crash points.
+    /// Puts the staged bytes on disk.
     fn write(&mut self) -> std::io::Result<()> {
-        let staged = &self.staged[..];
-        crash_point("journal.before_write");
-        // Only the crash-point build splits the one write, to die between
-        // the halves: the commit's last frame is a byte short.
-        #[cfg(feature = "chaos")]
-        let staged = {
-            let (head, tail) = staged.split_at(staged.len() - 1);
-            self.file.write_all(head)?;
-            crash_point("journal.mid_write");
-            tail
-        };
-        self.file.write_all(staged)?;
-        crash_point("journal.after_write");
+        self.file.write_all(&self.staged)?;
         if self.sync_on_commit {
             self.file.sync_data()?;
         }
-        crash_point("journal.after_sync");
         Ok(())
     }
 
@@ -522,9 +496,10 @@ impl<'a> JournalingOracle<'a> {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, JournalState> {
-        // A chaos crash point can unwind while the lock is held; the
-        // journal/maps are always mutated after the fallible step, so the
-        // state is consistent — recover instead of propagating the poison.
+        // A panic inside the wrapped oracle can unwind while the lock is
+        // held; the journal/maps are always mutated after the fallible
+        // step, so the state is consistent — recover instead of
+        // propagating the poison.
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 

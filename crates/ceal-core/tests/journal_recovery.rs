@@ -6,10 +6,11 @@
 //! the recovered measurements for free while paying only for what the
 //! crash lost — finishing with the same result as a crash-free run.
 
+use ceal_core::journal::JOURNAL_MAGIC;
 use ceal_core::{
-    prepare_campaign, sample_pool, Autotuner, CampaignId, Ceal, CealParams, Journal, JournalRecord,
-    JournalingOracle, MeasureError, Measurement, Oracle, PoolOracle, RandomSampling, SimOracle,
-    SoloMeasurement,
+    frame, prepare_campaign, sample_pool, Autotuner, CampaignId, Ceal, CealParams, Journal,
+    JournalRecord, JournalingOracle, MeasureError, Measurement, Oracle, PoolOracle, RandomSampling,
+    SimOracle, SoloMeasurement,
 };
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
 use ceal_testutil::unique_temp_path;
@@ -241,9 +242,12 @@ fn completed_campaign_replays_for_free() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Kill a campaign by tearing its journal mid-file, resume, and check the
+/// Kill a campaign at every commit — the journal cut where a commit ends
+/// and a byte short of that, the last record torn — resume, and check the
 /// crash-recovery invariant: the resumed campaign pays only for what the
-/// crash lost and finishes exactly like a crash-free run.
+/// crash lost and finishes exactly like a crash-free run. The CLI's
+/// campaign commits every record on its own, so every record boundary is
+/// a commit boundary.
 #[test]
 fn torn_journal_resume_is_prefix_consistent_with_crash_free_run() {
     let (pool, oracle) = fixture();
@@ -267,53 +271,61 @@ fn torn_journal_resume_is_prefix_consistent_with_crash_free_run() {
     }
     let full = std::fs::read(&path).expect("read journal");
     let full_records = Journal::open(&path).expect("reopen full").1.records;
+    assert_eq!(full_records.len(), 1 + budget);
 
-    // Tear it at 60% — mid-record with overwhelming probability.
-    let cut = full.len() * 6 / 10;
-    std::fs::write(&path, &full[..cut]).expect("tear");
+    // Where each commit ends; the first, the header's, starts at byte 0
+    // (the magic goes out with it).
+    let mut ends = vec![0];
+    let end = frame::scan(&full, JOURNAL_MAGIC.len(), |at, payload| {
+        ends.push(at + frame::HEADER_LEN + payload.len());
+        true
+    });
+    assert_eq!(end, full.len());
+    let cuts = ends.iter().flat_map(|&end| [end.checked_sub(1), Some(end)]);
 
-    let (mut journal, report) = Journal::open(&path).expect("reopen torn");
-    assert!(
-        report.records.len() < full_records.len(),
-        "tear lost records"
-    );
-    assert_eq!(
-        report.records,
-        full_records[..report.records.len()],
-        "recovery must be a prefix of the crash-free sequence"
-    );
-    let survived = report
-        .records
-        .iter()
-        .filter(|r| matches!(r, JournalRecord::Coupled { .. }))
-        .count() as u64;
+    for cut in cuts.flatten() {
+        std::fs::write(&path, &full[..cut]).expect("tear");
+        let (mut journal, report) = Journal::open(&path).expect("reopen torn");
+        let survivors = ends[1..].iter().filter(|&&end| end <= cut).count();
+        assert_eq!(
+            report.records,
+            full_records[..survivors],
+            "cut at byte {cut}: recovery must be the crash-free prefix"
+        );
+        let survived = report
+            .records
+            .iter()
+            .filter(|r| matches!(r, JournalRecord::Coupled { .. }))
+            .count() as u64;
 
-    let records = prepare_campaign(&mut journal, report.records, &id, true).expect("resume");
-    let counting = CountingOracle::new(oracle);
-    let journaling = JournalingOracle::new(&counting, journal, &records);
-    let resumed = RandomSampling
-        .try_run(&journaling, pool, budget, seed)
-        .expect("resumed run");
+        let records = prepare_campaign(&mut journal, report.records, &id, true).expect("resume");
+        let counting = CountingOracle::new(oracle);
+        let journaling = JournalingOracle::new(&counting, journal, &records);
+        let resumed = RandomSampling
+            .try_run(&journaling, pool, budget, seed)
+            .expect("resumed run");
 
-    let stats = journaling.stats();
-    assert_eq!(
-        stats.replayed_coupled, survived,
-        "survivors replay for free"
-    );
-    assert_eq!(
-        stats.fresh_coupled,
-        budget as u64 - survived,
-        "only the lost measurements are re-paid"
-    );
-    assert_eq!(
-        counting.coupled.load(Ordering::Relaxed),
-        budget as u64 - survived
-    );
-    assert_eq!(resumed.best_predicted, crash_free.best_predicted);
-    assert_eq!(resumed.runs_used(), crash_free.runs_used());
+        let stats = journaling.stats();
+        assert_eq!(
+            stats.replayed_coupled, survived,
+            "cut at byte {cut}: survivors replay for free"
+        );
+        assert_eq!(
+            stats.fresh_coupled,
+            budget as u64 - survived,
+            "cut at byte {cut}: only the lost measurements are re-paid"
+        );
+        assert_eq!(
+            counting.coupled.load(Ordering::Relaxed),
+            budget as u64 - survived
+        );
+        assert_eq!(resumed.best_predicted, crash_free.best_predicted);
+        assert_eq!(resumed.runs_used(), crash_free.runs_used());
+        drop(journaling);
 
-    // After the resumed run the journal holds the full sequence again.
-    let healed = Journal::open(&path).expect("reopen healed").1.records;
-    assert_eq!(healed, full_records);
+        // After the resumed run the journal holds the full sequence again.
+        let healed = Journal::open(&path).expect("reopen healed").1.records;
+        assert_eq!(healed, full_records, "cut at byte {cut}");
+    }
     std::fs::remove_file(&path).ok();
 }

@@ -42,6 +42,10 @@
 //!   *unmeasured* so the session can measure them locally; the oracle is
 //!   deterministic, so the fallback is bit-identical.
 
+// No peer input may panic the coordinator: outside tests a fallible step
+// returns an error instead.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod coordinator;
 pub mod types;
 

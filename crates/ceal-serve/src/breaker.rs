@@ -1,8 +1,8 @@
-//! Circuit breakers for the server's two fallible backends.
+//! The circuit breaker in front of the server's one backend that can fail
+//! repeatedly: cache persistence to disk.
 //!
-//! A breaker wraps a dependency that can fail repeatedly — the oracle
-//! measurement path and the cache-persist path — and converts "keep
-//! hammering a dead backend" into "fail fast, probe occasionally":
+//! A breaker converts "keep hammering a dead backend" into "fail fast,
+//! probe occasionally":
 //!
 //! - **Closed** (healthy): every call is allowed; `threshold` consecutive
 //!   failures trip the breaker.
@@ -20,7 +20,7 @@
 //! the `Metrics` and `Health` endpoints.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ceal_core::retry::RetryPolicy;
 use ceal_trace::{TraceContext, Tracer};
@@ -70,6 +70,20 @@ impl CircuitBreaker {
             opens: AtomicU64::new(0),
             tracer,
         }
+    }
+
+    /// The server's breaker in front of cache persistence: it trips fast,
+    /// because a full disk rarely heals in milliseconds.
+    pub(crate) fn cache_persist(tracer: &Tracer) -> CircuitBreaker {
+        let cooldowns = RetryPolicy {
+            max_attempts: u32::MAX,
+            base_delay: Duration::from_millis(1000),
+            multiplier: 2.0,
+            jitter: 0.2,
+            seed: 0xB2EB,
+            deadline: None,
+        };
+        CircuitBreaker::new("cache-persist", 3, cooldowns, tracer.clone())
     }
 
     /// Whether a call may proceed. An open breaker whose cooldown has
@@ -162,58 +176,9 @@ impl CircuitBreaker {
     }
 }
 
-/// The server's breakers, shared between the dispatch path and sessions.
-#[derive(Clone)]
-pub struct Breakers {
-    /// Guards oracle (coupled-measurement) execution.
-    pub oracle: std::sync::Arc<CircuitBreaker>,
-    /// Guards cache persistence to disk.
-    pub cache: std::sync::Arc<CircuitBreaker>,
-}
-
-impl Breakers {
-    /// Production wiring: the oracle breaker tolerates a long streak (a
-    /// shared simulator hiccup shouldn't blackhole measurements), the
-    /// cache breaker trips fast (disk-full rarely heals in milliseconds).
-    pub fn new(tracer: &Tracer) -> Breakers {
-        use std::time::Duration;
-        let oracle_cooldowns = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_delay: Duration::from_millis(250),
-            multiplier: 2.0,
-            jitter: 0.2,
-            seed: 0xB2EA,
-            deadline: None,
-        };
-        let cache_cooldowns = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_delay: Duration::from_millis(1000),
-            multiplier: 2.0,
-            jitter: 0.2,
-            seed: 0xB2EB,
-            deadline: None,
-        };
-        Breakers {
-            oracle: std::sync::Arc::new(CircuitBreaker::new(
-                "oracle",
-                32,
-                oracle_cooldowns,
-                tracer.clone(),
-            )),
-            cache: std::sync::Arc::new(CircuitBreaker::new(
-                "cache-persist",
-                3,
-                cache_cooldowns,
-                tracer.clone(),
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn fast_breaker(threshold: u64, cooldown_ms: u64) -> CircuitBreaker {
         let cooldowns = RetryPolicy {

@@ -68,7 +68,7 @@ pub mod worker;
 pub use wire::frame;
 pub use wire::protocol;
 
-pub use breaker::{Breakers, CircuitBreaker};
+pub use breaker::CircuitBreaker;
 pub use cache::{
     bundle_from_json, bundle_to_json, feature_distance, platform_features, platform_fingerprint,
     AutotuneCache, CacheEntry, CacheKey, CacheStats, TransferHit, DEFAULT_LRU_CAPACITY,

@@ -9,7 +9,6 @@
 //! facts: metrics name, trace span name, whether overload may shed it,
 //! whether the reactor thread may run it where it arrives.
 
-use crate::breaker::CircuitBreaker;
 use crate::cache::CacheStats;
 use crate::protocol::{EndpointStats, MetricsReport};
 use ceal_core::{MeasureError, Measurement, Oracle, SoloMeasurement};
@@ -178,8 +177,6 @@ pub struct OverloadStats {
     /// Connections refused at accept because the live-connection cap was
     /// reached.
     pub connections_rejected: u64,
-    /// Times the oracle-measurement breaker opened.
-    pub oracle_breaker_opens: u64,
     /// Times the cache-persist breaker opened.
     pub cache_breaker_opens: u64,
 }
@@ -253,7 +250,6 @@ impl ServerMetrics {
             fleet,
             requests_shed: overload.requests_shed,
             connections_rejected: overload.connections_rejected,
-            oracle_breaker_opens: overload.oracle_breaker_opens,
             cache_breaker_opens: overload.cache_breaker_opens,
         }
     }
@@ -268,26 +264,23 @@ pub struct CountingOracle<'a> {
     metrics: &'a ServerMetrics,
     /// Tracer, parent and session id of the `oracle.measure` spans.
     pub(crate) trace: Option<(&'a Tracer, TraceContext, u64)>,
-    /// Refuses runs while open.
-    pub(crate) breaker: Option<&'a CircuitBreaker>,
 }
 
 impl<'a> CountingOracle<'a> {
-    /// Wraps `inner`, billing measurements to `metrics`; untraced and
-    /// unguarded until those fields are set.
+    /// Wraps `inner`, billing measurements to `metrics`; untraced until
+    /// `trace` is set.
     pub fn new(inner: &'a dyn Oracle, metrics: &'a ServerMetrics) -> Self {
         Self {
             inner,
             metrics,
             trace: None,
-            breaker: None,
         }
     }
 
     /// One measurement: the answer a fleet worker `worked` out (it traced
     /// the run itself), else `run` against `inner` — the only place the
-    /// server runs its simulator — inside an `oracle.measure` span and
-    /// behind the breaker. Billed once, when it succeeded.
+    /// server runs its simulator — inside an `oracle.measure` span. Billed
+    /// once, when it succeeded.
     pub(crate) fn run<T>(
         &self,
         mode: &'static str,
@@ -304,19 +297,7 @@ impl<'a> CountingOracle<'a> {
                     span.field("session", session);
                     span
                 });
-                if self.breaker.is_some_and(|b| !b.allow()) {
-                    return Err(MeasureError::Failed(
-                        "oracle circuit breaker open; measurement refused".into(),
-                    ));
-                }
-                let result = run(self.inner);
-                match (&result, self.breaker) {
-                    // A rejected configuration is an answer, not an outage.
-                    (Ok(_) | Err(MeasureError::Sim(_)), Some(b)) => b.record_success(),
-                    (Err(_), Some(b)) => b.record_failure(),
-                    (_, None) => {}
-                }
-                result
+                run(self.inner)
             }
         };
         if result.is_ok() {
@@ -468,7 +449,6 @@ mod tests {
         let overload = OverloadStats {
             requests_shed: 11,
             connections_rejected: 4,
-            oracle_breaker_opens: 1,
             cache_breaker_opens: 2,
         };
         let report = m.report(1, &cache, fleet, overload);
@@ -480,7 +460,6 @@ mod tests {
         assert_eq!(report.fleet.tasks_dispatched, 9);
         assert_eq!(report.requests_shed, 11);
         assert_eq!(report.connections_rejected, 4);
-        assert_eq!(report.oracle_breaker_opens, 1);
         assert_eq!(report.cache_breaker_opens, 2);
     }
 }

@@ -177,9 +177,9 @@ pub(crate) struct Parked {
     queued: VecDeque<(Ticket, u64)>,
 }
 
-/// Runs one shell call, turning its error — or its panic (a bug, or a
-/// chaos crash point inside a journal commit) — into the frame that
-/// answers the request. Tickets stay outside: unwinding never drops one.
+/// Runs one shell call, turning its error — or its panic, a bug — into the
+/// frame that answers the request. Tickets stay outside: unwinding never
+/// drops one.
 fn contain<T>(call: impl FnOnce() -> Result<T, ServeError>) -> Result<T, Box<Response>> {
     match catch_unwind(AssertUnwindSafe(call)) {
         Ok(Ok(value)) => Ok(value),
@@ -414,5 +414,46 @@ pub(crate) fn abandon_round(inner: &ServerInner, shell: &Shell, id: u64) {
     let waiting = parked.queued.into_iter().map(|(ticket, _)| ticket);
     for ticket in std::iter::once(parked.ticket).chain(waiting) {
         inner.post(Event::Reply(ticket.finish(&gone)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::AutotuneCache;
+    use crate::metrics::ServerMetrics;
+    use crate::session::SessionManager;
+    use std::time::Duration;
+
+    #[test]
+    fn a_panicking_shell_call_answers_internal_and_leaves_the_session_usable() {
+        let mgr = SessionManager::new(Duration::from_secs(3600));
+        let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
+        let params = TuneParams {
+            workflow: "LV".into(),
+            objective: "exec".into(),
+            budget: 6,
+            pool: 60,
+            seed: 3,
+            algo: "ceal".into(),
+        };
+        let (st, _) = mgr.create(params, 0.0, 0, &cache, &metrics).unwrap();
+        let shell = mgr.get(st.session).unwrap();
+        let mut s = shell.lock();
+        let answer = contain(|| -> Result<(), ServeError> {
+            s.advance(1, &cache, &metrics)?;
+            panic!("the shell call died");
+        });
+        match answer.map_err(|frame| *frame) {
+            Err(Response::Error { code, message }) => {
+                assert_eq!(code, "internal");
+                assert_eq!(message, "the shell call died");
+            }
+            other => panic!("the panicking call came back {other:?}"),
+        }
+        // The campaign goes on from where the call left it.
+        assert_eq!(s.status().state, "collecting-history");
+        while s.advance(6, &cache, &metrics).unwrap().state != "done" {}
+        assert_eq!(s.status().measured, 6);
     }
 }

@@ -971,6 +971,42 @@ mod tests {
         r.wg.wait();
     }
 
+    /// A handler that panics on the reactor thread costs its request an
+    /// `internal` answer, and nothing else: the connection and the loop
+    /// serve on.
+    #[test]
+    fn an_inline_handler_that_panics_answers_internal_and_the_reactor_keeps_serving() {
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let addr = server.local_addr();
+        server
+            .inner
+            .panic_next_dispatch
+            .store(true, Ordering::Release);
+        let mut r = Reactor::new(server.listener, server.inner, 1).unwrap();
+        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 16];
+        let mut ping = |r: &mut Reactor, peer: &mut TcpStream, nth: u64| {
+            write_frame(peer, br#""Ping""#).unwrap();
+            turn_until(r, &mut events, "ping", nth);
+            serde_json::from_slice::<Response>(&read_frame(peer).unwrap()).unwrap()
+        };
+        let mut peer = TcpStream::connect(addr).unwrap();
+        match ping(&mut r, &mut peer, 1) {
+            Response::Error { code, message } => {
+                assert_eq!(code, "internal");
+                assert_eq!(message, "dispatch panicked on purpose");
+            }
+            other => panic!("the panicking Ping answered {other:?}"),
+        }
+        assert_eq!(r.epoll.modifies.get(), 0, "it ran on the reactor thread");
+        let pong = Response::Pong {
+            version: crate::protocol::PROTOCOL_VERSION,
+        };
+        assert_eq!(ping(&mut r, &mut peer, 2), pong, "the same connection");
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        assert_eq!(ping(&mut r, &mut fresh, 3), pong, "and a new one");
+        r.wg.wait();
+    }
+
     /// The same count tells which way a request went: the ones that could
     /// wait take the pool (two `epoll_ctl`s), and stop taking it once they
     /// no longer could.

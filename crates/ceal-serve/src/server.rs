@@ -14,7 +14,7 @@
 //! completion wakes the reactor, and [`Server::run`] returns only after
 //! every in-flight connection drains.
 
-use crate::breaker::Breakers;
+use crate::breaker::CircuitBreaker;
 use crate::cache::{AutotuneCache, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD};
 use crate::error::ServeError;
 use crate::frame::MAX_MID_FRAME_STALL;
@@ -245,8 +245,12 @@ pub(crate) struct ServerInner {
     pub(crate) tracer: Tracer,
     /// Admission control and load shedding.
     pub(crate) load: LoadControl,
-    /// Circuit breakers guarding the oracle and cache-persist backends.
-    pub(crate) breakers: Breakers,
+    /// Circuit breaker guarding cache persistence.
+    pub(crate) cache_breaker: Arc<CircuitBreaker>,
+    /// Makes the next `dispatch` panic, for the test that checks a
+    /// handler's panic stays contained to its request.
+    #[cfg(test)]
+    pub(crate) panic_next_dispatch: AtomicBool,
     /// Process start, for `Health`'s uptime.
     pub(crate) started: Instant,
     /// Requests parked on a fleet round, by the round's batch id. An entry
@@ -270,8 +274,7 @@ impl ServerInner {
         OverloadStats {
             requests_shed: self.load.requests_shed.load(Ordering::Relaxed),
             connections_rejected: self.load.connections_rejected.load(Ordering::Relaxed),
-            oracle_breaker_opens: self.breakers.oracle.opens(),
-            cache_breaker_opens: self.breakers.cache.opens(),
+            cache_breaker_opens: self.cache_breaker.opens(),
         }
     }
 
@@ -339,12 +342,12 @@ impl Server {
                 ],
             );
         }
-        let breakers = Breakers::new(&tracer);
+        let cache_breaker = Arc::new(CircuitBreaker::cache_persist(&tracer));
         let mut sessions = SessionManager::new(config.idle_timeout)
             .with_platform(config.platform.clone())
             .with_transfer_threshold(config.transfer_threshold)
             .with_tracer(tracer.clone())
-            .with_breakers(breakers.clone());
+            .with_cache_breaker(Arc::clone(&cache_breaker));
         if let Some(dir) = &config.journal_dir {
             sessions = sessions.with_journal_dir(dir.clone())?;
         }
@@ -390,7 +393,9 @@ impl Server {
                 platform: config.platform,
                 tracer,
                 load,
-                breakers,
+                cache_breaker,
+                #[cfg(test)]
+                panic_next_dispatch: AtomicBool::new(false),
                 started: Instant::now(),
                 rounds: Mutex::new(HashMap::new()),
                 sink: OnceLock::new(),
@@ -488,8 +493,10 @@ fn ok_or_error<T>(result: Result<T, ServeError>, into: impl FnOnce(T) -> Respons
 /// and must not wait: a handler that would have to hands the request back
 /// ([`Outcome::Defer`]), and only then may a worker poll be held.
 pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline: bool) -> Outcome {
-    #[cfg(feature = "chaos")]
-    ceal_testutil::chaos::hit("serve.dispatch");
+    #[cfg(test)]
+    if inner.panic_next_dispatch.swap(false, Ordering::AcqRel) {
+        panic!("dispatch panicked on purpose");
+    }
     let reply = |ticket: Ticket, resp: Response| Outcome::Done(ticket.finish(&resp));
     let draining = inner.shutdown.load(Ordering::Acquire);
     if draining
@@ -630,8 +637,7 @@ pub(crate) fn health_report(inner: &ServerInner) -> HealthReport {
         requests_shed: overload.requests_shed,
         connections_rejected: overload.connections_rejected,
         active_sessions: inner.sessions.len() as u64,
-        oracle_breaker: inner.breakers.oracle.status(),
-        cache_breaker: inner.breakers.cache.status(),
+        cache_breaker: inner.cache_breaker.status(),
     }
 }
 

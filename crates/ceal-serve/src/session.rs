@@ -38,7 +38,7 @@
 //! is driven to `done` inside the request ([`SessionManager::one_shot`]).
 //!
 //! Every simulator run this process makes, for either kind of campaign,
-//! goes through [`CountingOracle::run`]: one span, one breaker rule, one bill.
+//! goes through [`CountingOracle::run`]: one span, one bill.
 //!
 //! A batch worth a fleet round cuts the step in two. [`Session::advance_begin`]
 //! scatters it and returns with the [`Round`] stored in the shell — nothing
@@ -48,7 +48,7 @@
 //!
 //! Sessions live in a [`SessionManager`] registry, evicted when idle.
 
-use crate::breaker::Breakers;
+use crate::breaker::CircuitBreaker;
 use crate::cache::{
     platform_features, platform_fingerprint, AutotuneCache, CacheEntry, CacheKey,
     DEFAULT_TRANSFER_THRESHOLD,
@@ -249,8 +249,8 @@ pub struct Session {
     /// Span of the current phase; its `End` carries the phase's duration.
     phase_span: Option<Span>,
     tracer: Tracer,
-    /// Circuit breakers shared with the server; `None` without one.
-    breakers: Option<Breakers>,
+    /// Cache-persist breaker shared with the server; `None` without one.
+    cache_breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl Session {
@@ -307,7 +307,7 @@ impl Session {
             root_span,
             phase_span: None,
             tracer,
-            breakers: home.breakers.clone(),
+            cache_breaker: home.cache_breaker.clone(),
         };
         s.enter_phase(Phase::Created);
         s
@@ -456,13 +456,8 @@ impl Session {
 
     /// This campaign's measurements, billed to `metrics`.
     fn metered<'a>(&'a self, metrics: &'a ServerMetrics) -> CountingOracle<'a> {
-        // Injected faults are a local-retry test fixture, not a sick
-        // backend: a session created with a failure rate bypasses the
-        // breaker, so it can't blackhole real measurements.
-        let breakers = self.breakers.as_ref().filter(|_| self.failure_rate == 0.0);
         let mut metered = CountingOracle::new(&self.oracle, metrics);
         metered.trace = Some((&self.tracer, self.trace_ctx(), self.id));
-        metered.breaker = breakers.map(|b| b.oracle.as_ref());
         metered
     }
 
@@ -818,7 +813,7 @@ impl Session {
         };
         cache.publish(
             entry,
-            self.breakers.as_ref().map(|b| b.cache.as_ref()),
+            self.cache_breaker.as_deref(),
             metrics,
             &self.tracer,
             self.trace_ctx(),

@@ -33,8 +33,9 @@ pub struct SessionManager {
     transfer_threshold: f64,
     /// Trace sink handed to every session this registry creates.
     pub(super) tracer: Tracer,
-    /// Circuit breakers handed to every session this registry creates.
-    pub(super) breakers: Option<Breakers>,
+    /// Cache-persist breaker handed to every session this registry
+    /// creates.
+    pub(super) cache_breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl SessionManager {
@@ -50,7 +51,7 @@ impl SessionManager {
             platform: Platform::default(),
             transfer_threshold: DEFAULT_TRANSFER_THRESHOLD,
             tracer: Tracer::disabled(),
-            breakers: None,
+            cache_breaker: None,
         }
     }
 
@@ -60,10 +61,10 @@ impl SessionManager {
         self
     }
 
-    /// Sets the circuit breakers sessions route their oracle and
-    /// cache-persist calls through.
-    pub fn with_breakers(mut self, breakers: Breakers) -> Self {
-        self.breakers = Some(breakers);
+    /// Sets the circuit breaker sessions publish finished campaigns to
+    /// the cache through.
+    pub(crate) fn with_cache_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
+        self.cache_breaker = Some(breaker);
         self
     }
 
@@ -263,7 +264,7 @@ impl SessionManager {
     }
 
     /// A one-shot `Tune` campaign on this registry's platform, tracer and
-    /// breakers, but not in it: the caller drives the returned shell to
+    /// cache breaker, but not in it: the caller drives the returned shell to
     /// `done` and drops it. Its events record under `ctx`, the request's
     /// `campaign.tune` span. `parsed` is [`parse_params`] of `params`.
     pub(crate) fn one_shot(

@@ -10,12 +10,12 @@ use ceal_fleet::{FleetReport, TaskReport, TaskSpec};
 use serde::{Deserialize, Serialize};
 
 /// Bumped on any change to [`Request`] or [`Response`], or to what a
-/// request means (8: a session runs the algorithm `TuneParams.algo` names;
-/// the shapes are those of 7). There is no cross-version compatibility:
+/// request means (9: `Metrics` and `Health` lose the oracle breaker's
+/// fields; 8: a session runs the algorithm `TuneParams.algo` names). There is no cross-version compatibility:
 /// [`Client::connect`](crate::Client::connect) pings first and refuses any
 /// server whose version is not *equal* to its own, so every field below is
 /// required on the wire.
-pub const PROTOCOL_VERSION: u32 = 8;
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Parameters shared by one-shot tuning and session creation.
 ///
@@ -225,8 +225,6 @@ pub struct MetricsReport {
     /// Connections refused at accept because the live-connection cap was
     /// reached.
     pub connections_rejected: u64,
-    /// Times the oracle-measurement circuit breaker opened.
-    pub oracle_breaker_opens: u64,
     /// Times the cache-persist circuit breaker opened.
     pub cache_breaker_opens: u64,
 }
@@ -266,8 +264,6 @@ pub struct HealthReport {
     pub connections_rejected: u64,
     /// Sessions currently live.
     pub active_sessions: u64,
-    /// Oracle-measurement breaker state.
-    pub oracle_breaker: BreakerStatus,
     /// Cache-persist breaker state.
     pub cache_breaker: BreakerStatus,
 }
@@ -482,11 +478,6 @@ mod tests {
                 requests_shed: 41,
                 connections_rejected: 2,
                 active_sessions: 1,
-                oracle_breaker: BreakerStatus {
-                    state: "closed".into(),
-                    consecutive_failures: 0,
-                    opens: 0,
-                },
                 cache_breaker: BreakerStatus {
                     state: "open".into(),
                     consecutive_failures: 3,

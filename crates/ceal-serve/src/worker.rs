@@ -86,8 +86,6 @@ pub struct WorkerSummary {
 type OracleCache = HashMap<(String, String, u64), SimOracle>;
 
 fn execute(cache: &mut OracleCache, task: &TaskSpec) -> TaskOutcome {
-    #[cfg(feature = "chaos")]
-    ceal_testutil::chaos::hit("fleet.worker_exec");
     let key = (
         task.workflow.clone(),
         task.objective.clone(),

@@ -3,13 +3,15 @@
 #![allow(dead_code)]
 
 use ceal_core::{Journal, JournalRecord, RetryPolicy};
+use ceal_fleet::{TaskOutcome, TaskReport, TaskSpec};
 use ceal_serve::{
-    run_worker, AutotuneCache, Client, ClientError, ServeConfig, Server, ServerHandle,
-    ServerMetrics, SessionManager, SessionStatus, TuneParams, WorkerConfig, WorkerSummary,
+    read_frame, run_worker, write_frame, AutotuneCache, Client, ClientError, Request, Response,
+    ServeConfig, Server, ServerHandle, ServerMetrics, SessionManager, SessionStatus, TuneParams,
+    WorkerConfig, WorkerSummary,
 };
 use ceal_testutil::unique_temp_path;
 use ceal_trace::{FieldValue, Tracer};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -180,24 +182,70 @@ pub fn advanced_by(runs: u64) -> Vec<Vec<u8>> {
     seen
 }
 
-/// Every crash point of `Journal::commit` (`chaos` feature), in program
-/// order.
-pub const JOURNAL_CRASH_POINTS: &[&str] = &[
-    "journal.before_write",
-    "journal.mid_write",
-    "journal.after_write",
-    "journal.after_sync",
-];
+/// A fleet worker played by hand, one frame at a time.
+pub struct RawWorker {
+    stream: TcpStream,
+    id: u64,
+}
 
-/// How many records recovery finds after a crash at `point` of commit
-/// `nth` (1-based) of a journal whose commits carry `commits` records:
-/// every earlier commit whole; of the one in flight, nothing that never
-/// reached the file, all but the torn last record, or all.
-pub fn records_surviving(commits: &[usize], point: &str, nth: usize) -> usize {
-    let in_flight = match point {
-        "journal.before_write" => 0,
-        "journal.mid_write" => commits[nth - 1] - 1,
-        _ => commits[nth - 1],
-    };
-    commits[..nth - 1].iter().sum::<usize>() + in_flight
+impl RawWorker {
+    pub fn register(addr: SocketAddr, name: &str) -> RawWorker {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut worker = RawWorker { stream, id: 0 };
+        worker.send(&Request::RegisterWorker { name: name.into() });
+        match worker.recv() {
+            Response::WorkerRegistered { worker: id, .. } => worker.id = id,
+            other => panic!("registration answered {other:?}"),
+        }
+        worker
+    }
+
+    fn send(&mut self, req: &Request) {
+        write_frame(&mut self.stream, &serde_json::to_vec(req).unwrap()).expect("send");
+    }
+
+    pub fn recv(&mut self) -> Response {
+        let frame = read_frame(&mut self.stream).expect("answer");
+        serde_json::from_slice(&frame).expect("a response")
+    }
+
+    /// Sends a heartbeat and leaves its answer unread.
+    pub fn poll(&mut self) {
+        self.send(&Request::Heartbeat { worker: self.id });
+    }
+
+    pub fn assigned(&mut self) -> Vec<TaskSpec> {
+        match self.recv() {
+            Response::TaskAssign { tasks } => tasks,
+            other => panic!("poll answered {other:?}"),
+        }
+    }
+
+    /// Polls until it is handed tasks — which it then sits on.
+    pub fn take_tasks(&mut self) -> Vec<TaskSpec> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            self.poll();
+            let tasks = self.assigned();
+            if !tasks.is_empty() {
+                return tasks;
+            }
+            assert!(Instant::now() < deadline, "never handed a task");
+        }
+    }
+
+    /// Reports `tasks` as failed (the coordinator then measures them
+    /// itself) and leaves the answer unread.
+    pub fn give_up(&mut self, tasks: &[TaskSpec]) {
+        let failed = |t: &TaskSpec| TaskReport {
+            task: t.task,
+            outcome: TaskOutcome::Failed {
+                error: "played by hand".into(),
+            },
+        };
+        self.send(&Request::TaskResult {
+            worker: self.id,
+            results: tasks.iter().map(failed).collect(),
+        });
+    }
 }

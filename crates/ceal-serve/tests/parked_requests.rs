@@ -15,9 +15,8 @@
 
 mod common;
 
-use ceal_fleet::{TaskOutcome, TaskReport, TaskSpec};
 use ceal_serve::{
-    read_frame, write_frame, AutotuneCache, Client, Request, Response, ServeConfig, ServerMetrics,
+    write_frame, AutotuneCache, Client, Request, Response, ServeConfig, ServerMetrics,
     SessionManager, WorkerConfig,
 };
 use ceal_testutil::unique_temp_path;
@@ -25,6 +24,7 @@ use ceal_trace::Tracer;
 use common::{
     advanced_by, byte_campaign, coupled_on_disk, drive_session_to_done, drive_to_done,
     journal_commits, params, spawn_worker, start_server, wait_for_live_workers, wal, worker_config,
+    RawWorker,
 };
 use rand::SeedableRng;
 use std::net::{SocketAddr, TcpStream};
@@ -37,74 +37,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A fleet worker played by hand, one frame at a time.
-struct RawWorker {
-    stream: TcpStream,
-    id: u64,
-}
-
-impl RawWorker {
-    fn register(addr: SocketAddr, name: &str) -> RawWorker {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut worker = RawWorker { stream, id: 0 };
-        worker.send(&Request::RegisterWorker { name: name.into() });
-        match worker.recv() {
-            Response::WorkerRegistered { worker: id, .. } => worker.id = id,
-            other => panic!("registration answered {other:?}"),
-        }
-        worker
-    }
-
-    fn send(&mut self, req: &Request) {
-        write_frame(&mut self.stream, &serde_json::to_vec(req).unwrap()).expect("send");
-    }
-
-    fn recv(&mut self) -> Response {
-        let frame = read_frame(&mut self.stream).expect("answer");
-        serde_json::from_slice(&frame).expect("a response")
-    }
-
-    /// Sends a heartbeat and leaves its answer unread.
-    fn poll(&mut self) {
-        self.send(&Request::Heartbeat { worker: self.id });
-    }
-
-    fn assigned(&mut self) -> Vec<TaskSpec> {
-        match self.recv() {
-            Response::TaskAssign { tasks } => tasks,
-            other => panic!("poll answered {other:?}"),
-        }
-    }
-
-    /// Polls until it is handed tasks — which it then sits on.
-    fn take_tasks(&mut self) -> Vec<TaskSpec> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            self.poll();
-            let tasks = self.assigned();
-            if !tasks.is_empty() {
-                return tasks;
-            }
-            assert!(Instant::now() < deadline, "never handed a task");
-        }
-    }
-
-    /// Reports `tasks` as failed (the coordinator then measures them
-    /// itself) and leaves the answer unread.
-    fn give_up(&mut self, tasks: &[TaskSpec]) {
-        let failed = |t: &TaskSpec| TaskReport {
-            task: t.task,
-            outcome: TaskOutcome::Failed {
-                error: "played by hand".into(),
-            },
-        };
-        self.send(&Request::TaskResult {
-            worker: self.id,
-            results: tasks.iter().map(failed).collect(),
-        });
-    }
 }
 
 /// A client whose session 1 is [`byte_campaign`] with its history
@@ -493,30 +425,6 @@ fn requests_that_could_wait_answer_what_they_always_answered() {
         fitted
     );
 
-    c.shutdown().unwrap();
-    srv.join().unwrap();
-}
-
-/// (f, continued) Needs a crash point on the reactor thread:
-/// `cargo test -p ceal-serve --features chaos --test parked_requests`.
-#[cfg(feature = "chaos")]
-#[test]
-fn an_inline_handler_that_panics_answers_internal_and_the_reactor_keeps_serving() {
-    use ceal_testutil::chaos;
-    let _turn = serial();
-    chaos::silence_crash_panics();
-    let srv = start_server(ServeConfig::default());
-    let mut c = Client::connect(srv.addr()).unwrap();
-    chaos::arm("serve.dispatch");
-    let err = c.ping().unwrap_err();
-    chaos::disarm_all();
-    assert_eq!(err.code(), Some("internal"), "{err}");
-    c.ping()
-        .expect("the same connection, the same reactor thread");
-    Client::connect(srv.addr())
-        .expect("and new ones")
-        .ping()
-        .unwrap();
     c.shutdown().unwrap();
     srv.join().unwrap();
 }

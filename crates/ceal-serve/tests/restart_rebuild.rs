@@ -41,7 +41,7 @@ fn restarted_server_rebuilds_sessions_and_finishes_identically() {
 
     // Run the campaign partway on a journaled server, then kill the server
     // (graceful here, but the journal only ever reflects committed work —
-    // the chaos tests cover dying mid-write).
+    // `crash_cuts.rs` covers dying mid-write).
     let dir = unique_temp_path("ceal-serve-rebuild", "");
     let h1 = start(Some(dir.clone()));
     let mut c1 = Client::connect(h1.addr()).expect("connect");

@@ -5,7 +5,8 @@
 //! semantics on toy types; this file pins them where a regression would
 //! cost something — a reply, a journal, a cache directory.
 
-use ceal_core::{CampaignId, JournalRecord};
+use ceal_core::journal::JOURNAL_MAGIC;
+use ceal_core::{frame, CampaignId, Journal, JournalError, JournalRecord};
 use ceal_fleet::{FleetReport, TaskOutcome, TaskReport, TaskSpec, WorkerStats};
 use ceal_serve::protocol::{
     BreakerStatus, EndpointStats, HealthReport, MetricsReport, Request, Response, SessionStatus,
@@ -13,6 +14,7 @@ use ceal_serve::protocol::{
 use ceal_serve::{
     bundle_from_json, bundle_to_json, CacheEntry, CacheKey, TuneParams, PROTOCOL_VERSION,
 };
+use ceal_testutil::unique_temp_path;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -163,7 +165,6 @@ impl Gen {
             requests_shed: self.u64(),
             connections_rejected: self.u64(),
             active_sessions: self.u64(),
-            oracle_breaker: self.breaker(),
             cache_breaker: self.breaker(),
         }
     }
@@ -214,7 +215,6 @@ impl Gen {
             },
             requests_shed: self.u64(),
             connections_rejected: self.u64(),
-            oracle_breaker_opens: self.u64(),
             cache_breaker_opens: self.u64(),
         }
     }
@@ -606,7 +606,7 @@ fn decode_semantics_on_service_documents() {
 
 /// Whole documents as the parent commit wrote them (pasted from its
 /// output): wire frames, journals and shard logs stay byte-identical, so
-/// `PROTOCOL_VERSION` stays 8 and no file on disk needs migrating.
+/// no file on disk needs migrating.
 #[test]
 fn encoded_documents_match_the_parent_commit() {
     let status = Response::Session(SessionStatus {
@@ -661,4 +661,97 @@ fn encoded_documents_match_the_parent_commit() {
         serde_json::to_string(&entry).unwrap(),
         r#"{"key":{"workflow":"LV","platform":"f29733581efc8245","objective":"comp","pool":60,"seed":1,"budget":6,"algo":"tune:ceal"},"best":[388,28,2,213,28,4],"best_value":8.669386756064057,"runs_used":4,"component_runs":4,"samples":[[[57,21,3,703,35,4],1.5e300],[[-1,-9223372036854775808],-0.0]],"platform_features":[0.5,123456.789]}"#
     );
+}
+
+/// `doc` with one byte flipped, inserted or deleted at `at`. Half the
+/// inserted bytes are ones JSON gives meaning to.
+fn mutate(doc: &[u8], at: usize, rng: &mut SmallRng) -> Vec<u8> {
+    const JSON: &[u8] = b"[]{}\",:\\-0.e9tn \xff";
+    let mut out = doc.to_vec();
+    let byte = match rng.gen_bool(0.5) {
+        true => JSON[rng.gen_range(0..JSON.len())],
+        false => rng.gen::<u32>() as u8,
+    };
+    match rng.gen_range(0..3) {
+        0 if at < out.len() => out[at] ^= rng.gen_range(1..256u32) as u8,
+        1 if at < out.len() => drop(out.remove(at)),
+        _ => out.insert(at, byte),
+    }
+    out
+}
+
+/// Every decoder on bytes a peer or a disk could hand it — the documents
+/// above and a journal of several commits, each with one byte flipped,
+/// inserted or deleted — answers `Ok` or `Err` and never panics: a
+/// mutated journal opens to a prefix of its records, or is refused when
+/// the magic was hit, and the frame scan never reaches past its input.
+#[test]
+fn mutated_documents_and_journals_are_answered_never_panicked_on() {
+    let mut rng = SmallRng::seed_from_u64(0xB17E);
+    for seed in 0..1000u64 {
+        let mut g = Gen(SmallRng::seed_from_u64(seed));
+        let docs = [
+            serde_json::to_vec(&g.request(seed as usize % 15)).unwrap(),
+            serde_json::to_vec(&g.response(seed as usize % 13)).unwrap(),
+            serde_json::to_vec(&g.journal_record(seed as usize % 4)).unwrap(),
+            serde_json::to_vec(&g.cache_entry()).unwrap(),
+        ];
+        for doc in &docs {
+            for _ in 0..4 {
+                let bytes = mutate(doc, rng.gen_range(0..=doc.len()), &mut rng);
+                let _ = serde_json::from_slice::<Request>(&bytes);
+                let _ = serde_json::from_slice::<Response>(&bytes);
+                let _ = serde_json::from_slice::<JournalRecord>(&bytes);
+                let _ = serde_json::from_slice::<CacheEntry>(&bytes);
+                let _ = serde_json::from_slice::<serde_json::Value>(&bytes);
+            }
+        }
+    }
+
+    // A journal of 12 generated records in commits of 1, 2, 3 and 6.
+    let path = unique_temp_path("ceal-mutated-journal", "wal");
+    let mut g = Gen(SmallRng::seed_from_u64(7));
+    let records: Vec<JournalRecord> = (0..12).map(|i| g.journal_record(i % 4)).collect();
+    {
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        journal.set_sync_on_commit(false);
+        for commit in [0..1, 1..3, 3..6, 6..12] {
+            for record in &records[commit] {
+                journal.stage(record).unwrap();
+            }
+            journal.commit().unwrap();
+        }
+    }
+    let journal = std::fs::read(&path).unwrap();
+    let mut refused = 0;
+    for i in 0..500 {
+        // The first few hit the magic, a byte at a time.
+        let at = match i < 24 {
+            true => i % JOURNAL_MAGIC.len(),
+            false => rng.gen_range(0..=journal.len()),
+        };
+        let bytes = mutate(&journal, at, &mut rng);
+        let from = rng.gen_range(0..=bytes.len() + 1);
+        for start in [JOURNAL_MAGIC.len(), from] {
+            let end = frame::scan(&bytes, start, |at, payload| {
+                assert!(at + frame::HEADER_LEN + payload.len() <= bytes.len());
+                true
+            });
+            assert!(end <= bytes.len().max(start));
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        match Journal::open(&path) {
+            Ok((_, report)) => {
+                assert_eq!(&bytes[..JOURNAL_MAGIC.len()], JOURNAL_MAGIC);
+                assert_eq!(report.records, records[..report.records.len()]);
+            }
+            Err(JournalError::Corrupt(_)) => {
+                assert_ne!(&bytes[..JOURNAL_MAGIC.len()], JOURNAL_MAGIC);
+                refused += 1;
+            }
+            Err(e) => panic!("a mutated journal failed to open: {e}"),
+        }
+    }
+    assert!((1..500).contains(&refused), "{refused} of 500 refused");
+    std::fs::remove_file(&path).ok();
 }

@@ -1,18 +1,15 @@
-//! Test-support utilities shared across the workspace.
+//! Test-support utilities shared across the workspace; a dev-dependency
+//! only, so nothing here reaches a shipped build.
 //!
-//! * [`chaos`] — named crash points for crash-recovery testing (armed by
-//!   tests, compiled into production crates behind their `chaos` feature).
-//! * [`unique_temp_path`] — collision-free temporary paths for save/load
-//!   round-trip tests. Cargo runs test binaries concurrently (and a test
-//!   can rerun within one binary), so a fixed path under
-//!   [`std::env::temp_dir`] races between writers. Paths from
-//!   [`unique_temp_path`] embed the process id *and* a process-global
-//!   counter, so every call yields a distinct path.
+//! [`unique_temp_path`] gives collision-free temporary paths for save/load
+//! round-trip tests. Cargo runs test binaries concurrently (and a test can
+//! rerun within one binary), so a fixed path under
+//! [`std::env::temp_dir`] races between writers. Paths from
+//! [`unique_temp_path`] embed the process id *and* a process-global
+//! counter, so every call yields a distinct path.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-pub mod chaos;
 
 /// Returns `temp_dir()/{prefix}-{pid}-{n}[.ext]`, where `n` increments on
 /// every call within the process.
