@@ -11,9 +11,9 @@
 //! cache" pattern) and a fresh install can cold-start warm: exact matches
 //! serve with zero oracle spend, and near-miss platforms seed from the
 //! closest shipped sibling. `import` never overwrites — campaigns already
-//! cached locally win over imported ones. `CACHE_DIR` may also be in an
-//! older layout (one JSON file per workflow, or a single-file cache); it
-//! is upgraded in place on open.
+//! cached locally win over imported ones. A cache of an older layout — one
+//! `shard-*.json` file per workflow, or a single-file cache — is not read
+//! in place; each of its files is a bundle, so `import` converts it.
 
 use ceal_serve::AutotuneCache;
 

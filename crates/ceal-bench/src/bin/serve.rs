@@ -15,8 +15,9 @@
 //! from their journals at the next start.
 //!
 //! `--cache` names a cache *directory* (one append-only record log per
-//! workflow, owned by one process at a time); an older layout at that
-//! path is upgraded in place on startup. `--cache-import` seeds the cache from a portable
+//! workflow, owned by one process at a time); a cache of an older layout
+//! at that path is left untouched with a warning, and `cache import`
+//! converts it. `--cache-import` seeds the cache from a portable
 //! bundle produced by `cache export` before the first request is served —
 //! locally cached campaigns win over imported ones.
 //!

@@ -18,9 +18,9 @@
 //!   checksummed log per workflow under a cache directory, with a small
 //!   in-memory index of where each campaign's record sits — a `put`
 //!   appends one record and a disk-tier `get` reads and decodes one, so
-//!   neither depends on how many campaigns are cached. Directories in
-//!   the older one-JSON-file-per-workflow layout, and the still older
-//!   single-blob cache file, are migrated once, on open;
+//!   neither depends on how many campaigns are cached. A cache of an older
+//!   layout is not migrated in place: `cache import` converts it. The
+//!   cache owns the circuit breaker in front of its disk writes;
 //! * **portable bundles** ([`transfer`]): `export`/`import` move the
 //!   whole cache as one checksummed file, so a deployment can ship its
 //!   tuning results with the program and cold-start warm.
@@ -111,6 +111,10 @@ pub struct CacheStats {
 pub struct AutotuneCache {
     front: Mutex<LruFront>,
     store: Option<ShardStore>,
+    /// The cache-persist breaker in front of `store`, read by `Health` and
+    /// `Metrics`; an in-memory cache cannot fail to persist, so its
+    /// breaker never trips.
+    pub(crate) breaker: CircuitBreaker,
     lru_hits: AtomicU64,
     lru_misses: AtomicU64,
 }
@@ -127,17 +131,17 @@ impl AutotuneCache {
         Self {
             front: Mutex::new(LruFront::new(capacity)),
             store: None,
+            breaker: CircuitBreaker::cache_persist(&Tracer::disabled()),
             lru_hits: AtomicU64::new(0),
             lru_misses: AtomicU64::new(0),
         }
     }
 
     /// A cache persisted as per-workflow record logs in the directory at
-    /// `path`, with the default LRU-front capacity. Older layouts at
-    /// `path` are migrated first. A shard with a torn or corrupt tail
-    /// serves everything before it and an unreadable one serves nothing;
-    /// neither is an error — serving must start regardless. One process
-    /// owns a cache directory at a time.
+    /// `path`, with the default LRU-front capacity. A shard with a torn or
+    /// corrupt tail serves everything before it and an unreadable one
+    /// serves nothing; neither is an error — serving must start
+    /// regardless. One process owns a cache directory at a time.
     pub fn at_path(path: impl AsRef<Path>) -> Self {
         Self::at_path_with_capacity(path, DEFAULT_LRU_CAPACITY)
     }
@@ -151,7 +155,9 @@ impl AutotuneCache {
     /// `tracer`: an unusable cache directory as a `cache.unusable`
     /// warning, every dropped tail or set-aside file as
     /// `cache.shard-recovered`, and each shard's first-touch scan as a
-    /// `cache.shard-indexed` instant (warnings reach stderr either way).
+    /// `cache.shard-indexed` instant, a cache of an older layout as a
+    /// `cache.older-layout` warning, and the persist breaker's transitions
+    /// as `breaker.*` warnings (warnings reach stderr either way).
     pub fn at_path_traced(path: impl AsRef<Path>, capacity: usize, tracer: &Tracer) -> Self {
         let store = match ShardStore::open(path.as_ref(), tracer) {
             Ok(store) => Some(store),
@@ -171,10 +177,9 @@ impl AutotuneCache {
             }
         };
         Self {
-            front: Mutex::new(LruFront::new(capacity)),
             store,
-            lru_hits: AtomicU64::new(0),
-            lru_misses: AtomicU64::new(0),
+            breaker: CircuitBreaker::cache_persist(tracer),
+            ..Self::in_memory_with_capacity(capacity)
         }
     }
 
@@ -257,15 +262,7 @@ impl AutotuneCache {
         persisted
     }
 
-    /// Inserts (or replaces) a campaign in the in-memory front only,
-    /// skipping disk entirely. The cache-persist circuit breaker uses this
-    /// while open: a known-bad disk isn't retried per campaign, but the
-    /// result still serves from memory for this process's lifetime.
-    pub fn put_memory_only(&self, entry: CacheEntry) {
-        self.front.lock().insert(entry);
-    }
-
-    /// Publishes a finished campaign behind the cache-persist `breaker`.
+    /// Publishes a finished campaign behind the cache-persist breaker.
     /// While it is open the doomed disk write is skipped and the entry
     /// serves from memory only: a dead disk degrades durability, not
     /// correctness. A failed write is counted and warned about, naming the
@@ -273,30 +270,27 @@ impl AutotuneCache {
     pub(crate) fn publish(
         &self,
         entry: CacheEntry,
-        breaker: Option<&CircuitBreaker>,
         metrics: &ServerMetrics,
         tracer: &Tracer,
         ctx: TraceContext,
         session: u64,
     ) {
         let origin: (&str, FieldValue) = ("session", session.into());
-        if breaker.is_some_and(|b| !b.allow()) {
-            self.put_memory_only(entry);
+        if !self.breaker.allow() {
+            self.front.lock().insert(entry);
             tracer.instant("cache.persist-skipped", ctx, &[origin]);
             return;
         }
-        let result = self.put(entry);
-        match (&result, breaker) {
-            (Ok(()), Some(b)) => b.record_success(),
-            (Err(_), Some(b)) => b.record_failure(),
-            (_, None) => {}
-        }
-        if let Err(e) = result {
-            metrics
-                .cache_persist_failures
-                .fetch_add(1, Ordering::Relaxed);
-            let message = format!("cache persistence failed: {e}");
-            tracer.warn("cache.persist-failed", ctx, &message, &[origin]);
+        match self.put(entry) {
+            Ok(()) => self.breaker.record_success(),
+            Err(e) => {
+                self.breaker.record_failure();
+                metrics
+                    .cache_persist_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                let message = format!("cache persistence failed: {e}");
+                tracer.warn("cache.persist-failed", ctx, &message, &[origin]);
+            }
         }
     }
 

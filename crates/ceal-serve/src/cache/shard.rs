@@ -23,10 +23,10 @@
 //! lets reads happen outside the shard lock. The lock is in-process: one
 //! process owns a cache directory at a time.
 //!
-//! Directories written before the log existed (`shard-*.json` files in
-//! the bundle layout) and the older single-blob cache file are migrated
-//! once, at [`ShardStore::open`]; files that fail their checksum are set
-//! aside as `*.invalid`, never trusted and never destroyed.
+//! A log whose magic is wrong is set aside as `*.invalid`, never trusted
+//! and never destroyed. Caches of the layouts before the log (a directory
+//! of `shard-*.json` files in the bundle layout, or a single file) are not
+//! read here at all: `cache import` converts them.
 
 use super::transfer::{self, TransferHit};
 use super::{CacheEntry, CacheKey};
@@ -94,52 +94,37 @@ pub(crate) struct ShardStore {
 }
 
 impl ShardStore {
-    /// Opens (creating if needed) the cache directory at `dir`, first
-    /// migrating a legacy single-blob cache file occupying that path and
-    /// any `shard-*.json` files inside it. Stale `*.tmp.*` leftovers from
-    /// a crashed compaction (or an older layout's crashed put) are swept.
+    /// Opens (creating if needed) the cache directory at `dir`, sweeping
+    /// stale `*.tmp.*` leftovers of a crashed compaction. A cache of an
+    /// older layout — a single file at `dir`, or `shard-*.json` files in
+    /// it — is left untouched: the first is an error, the second a
+    /// warning, both naming `cache import`, which converts either.
     pub(crate) fn open(dir: &Path, tracer: &Tracer) -> std::io::Result<ShardStore> {
+        if dir.is_file() {
+            let dir = dir.display();
+            return Err(std::io::Error::other(format!(
+                "a cache file of an older layout; `cache import <dir> {dir}` converts it"
+            )));
+        }
+        std::fs::create_dir_all(dir)?;
         let store = ShardStore {
             dir: dir.to_path_buf(),
             tracer: tracer.clone(),
             shards: Mutex::new(HashMap::new()),
         };
-        // The blob's path must become the directory, so the blob goes
-        // before its entries are durable again; every later file is
-        // removed only after its entries are.
-        let blob = match dir.is_file() {
-            true => store.load_legacy(dir)?,
-            false => None,
-        };
-        if blob.is_some() {
-            std::fs::remove_file(dir)?;
-        }
-        std::fs::create_dir_all(dir)?;
         for tmp in store.files_named(|n| n.contains(".tmp.")) {
             let _ = std::fs::remove_file(tmp);
         }
-        store.adopt(blob.unwrap_or_default())?;
-        for legacy in store.files_named(|n| n.starts_with("shard-") && n.ends_with(".json")) {
-            if let Some(entries) = store.load_legacy(&legacy)? {
-                store.adopt(entries)?;
-                std::fs::remove_file(&legacy)?;
-            }
+        let older = store.files_named(|n| n.starts_with("shard-") && n.ends_with(".json"));
+        if let Some(file) = older.first() {
+            let (dir, file) = (dir.display(), file.display());
+            let message = format!(
+                "cache {dir} holds files of an older layout, such as {file}, left \
+                 untouched; `cache import {dir} <file>` converts each"
+            );
+            tracer.warn("cache.older-layout", TraceContext::NONE, &message, &[]);
         }
         Ok(store)
-    }
-
-    /// Reads a file in the checked `{checksum, entries}` layout — the
-    /// legacy blob, or one pre-log shard. One that fails validation is
-    /// set aside (renamed `<name>.invalid`) rather than trusted or
-    /// silently destroyed, and reads as `None`.
-    fn load_legacy(&self, path: &Path) -> std::io::Result<Option<Vec<CacheEntry>>> {
-        let loaded = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| transfer::bundle_from_json(&text));
-        if loaded.is_none() {
-            self.set_aside(path)?;
-        }
-        Ok(loaded)
     }
 
     /// Renames an untrustworthy file to `<name>.invalid` and says so.
@@ -172,24 +157,6 @@ impl ShardStore {
                 ("entries_kept", kept.into()),
             ],
         );
-    }
-
-    /// Appends migrated entries to their workflows' logs, skipping keys a
-    /// log already holds (a retried migration; local records win).
-    fn adopt(&self, entries: Vec<CacheEntry>) -> std::io::Result<()> {
-        let mut by_workflow: BTreeMap<&str, Vec<&CacheEntry>> = BTreeMap::new();
-        for e in &entries {
-            by_workflow.entry(&e.key.workflow).or_default().push(e);
-        }
-        for (workflow, mut batch) in by_workflow {
-            let shard = self.shard(workflow);
-            self.with_log(&shard, |log| {
-                batch.retain(|e| !log.rows.contains_key(&e.key));
-                Ok(())
-            })?;
-            self.append(&shard, &batch)?;
-        }
-        Ok(())
     }
 
     /// Paths of the directory's files whose name satisfies `wanted`,

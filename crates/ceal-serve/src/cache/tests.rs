@@ -181,78 +181,111 @@ fn torn_tail_at_every_byte_keeps_every_earlier_entry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The bytes of the file at `path`, or of each file in the directory at it.
+fn snapshot(path: &Path) -> Vec<(String, Vec<u8>)> {
+    match path.is_dir() {
+        true => file_names(path)
+            .iter()
+            .map(|name| (name.clone(), std::fs::read(path.join(name)).unwrap()))
+            .collect(),
+        false => vec![(String::new(), std::fs::read(path).unwrap())],
+    }
+}
+
+/// Opens `path`, a cache of a layout before the record log, and checks it
+/// is not read in place: the cache serves nothing, no byte changes, and
+/// one warning names `cache import`.
+fn assert_left_alone(path: &Path) {
+    let tracer = Tracer::in_memory();
+    let before = snapshot(path);
+    let cache = AutotuneCache::at_path_traced(path, 4, &tracer);
+    assert!(cache.is_empty(), "{}", path.display());
+    assert_eq!(snapshot(path), before, "{} left untouched", path.display());
+    let warned: Vec<_> = tracer
+        .drain_events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Warn)
+        .collect();
+    assert_eq!(warned.len(), 1, "{}: one warning", path.display());
+    let message = format!("{:?}", warned[0].fields[0].1);
+    assert!(message.contains("`cache import "), "{message}");
+}
+
+/// A single-file cache of the layout before shards is left alone where it
+/// lies; `cache import` turns it into one log per workflow.
 #[test]
 fn legacy_blob_migrates_into_shards() {
-    let dir = temp_dir("migrate");
-    // Write a legacy single-blob cache file where the directory will
-    // live, holding entries from two workflows.
+    let blob = temp_dir("migrate");
     let entries = vec![entry(1), entry(2), entry_for("GP", 9)];
-    std::fs::write(&dir, bundle_to_json(&entries).unwrap()).unwrap();
+    let text = bundle_to_json(&entries).unwrap();
+    std::fs::write(&blob, &text).unwrap();
+    assert_left_alone(&blob);
+
+    let dir = temp_dir("migrate-imported");
     let cache = AutotuneCache::at_path(&dir);
-    assert!(dir.is_dir(), "blob path must become the cache directory");
-    assert_eq!(cache.len(), 3);
-    assert_eq!(cache.shard_count(), 2);
+    assert_eq!(cache.import_bundle(&text).unwrap(), (3, 0));
+    assert_eq!((cache.len(), cache.shard_count()), (3, 2));
     assert_eq!(cache.get(&key(1)).unwrap(), entry(1));
     assert_eq!(cache.get(&key_for("GP", 9)).unwrap(), entry_for("GP", 9));
-    assert_eq!(sorted(cache.all_entries()), sorted(entries));
-    // Migration happens once; a reload sees plain logs.
+    assert_eq!(sorted(cache.all_entries()), sorted(entries.clone()));
+    // The import is done once; a reload sees plain logs.
     drop(cache);
     let files = file_names(&dir);
     let again = AutotuneCache::at_path(&dir);
-    assert_eq!(again.len(), 3);
+    assert_eq!(sorted(again.all_entries()), sorted(entries));
     assert_eq!(file_names(&dir), files);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&blob);
 }
 
 /// A directory written by the commit before the record log — one JSON
-/// file per workflow, here two good and one that fails its checksum —
-/// opens to exactly the campaigns it held; the good files become logs,
-/// the bad one is set aside, and a second open changes nothing.
+/// file per workflow, here two good and one that fails its checksum — is
+/// not read in place. Importing each of its files into a cache at that
+/// same directory yields exactly the campaigns the parent commit exported
+/// from it, in two logs beside the JSON files, which stay as they were;
+/// the corrupt one is refused.
 #[test]
 fn json_shard_directory_migrates_in_place() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let dir = temp_dir("migrate-json");
-    std::fs::create_dir_all(&dir).unwrap();
-    for file in std::fs::read_dir(fixtures.join("cache-json-shards")).unwrap() {
-        let file = file.unwrap();
-        std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
-    }
-    // The parent's export of that same directory is what it held.
+    let old = fixtures.join("cache-json-shards");
     let held = bundle_from_json(&std::fs::read_to_string(fixtures.join("bundle.json")).unwrap())
         .expect("parent bundle validates");
     assert_eq!(held.len(), 3);
 
-    let tracer = Tracer::in_memory();
-    let cache = AutotuneCache::at_path_traced(&dir, 1, &tracer);
-    assert_eq!(sorted(cache.all_entries()), sorted(held.clone()));
-    for e in &held {
-        assert_eq!(cache.get_with_tier(&e.key), (Some(e.clone()), "disk"));
+    let dir = temp_dir("migrate-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in file_names(&old) {
+        std::fs::copy(old.join(&name), dir.join(&name)).unwrap();
     }
+    assert_left_alone(&dir);
+    let originals = snapshot(&dir);
+
+    let cache = AutotuneCache::at_path(&dir);
+    for (name, bytes) in &originals {
+        let imported = cache.import_bundle(std::str::from_utf8(bytes).unwrap());
+        assert_eq!(imported.is_err(), name.starts_with("shard-gp-"), "{name}");
+    }
+    assert_eq!(sorted(cache.all_entries()), sorted(held.clone()));
     assert_eq!((cache.len(), cache.shard_count()), (3, 2));
-    let names = file_names(&dir);
+    drop(cache);
     assert_eq!(
-        names,
+        file_names(&dir),
         [
-            "shard-gp-0badc0de.json.invalid",
+            "shard-gp-0badc0de.json",
+            "shard-hs-b5bb9fec.json",
             "shard-hs-b5bb9fec.log",
+            "shard-lv-b5af78a7.json",
             "shard-lv-b5af78a7.log"
         ]
     );
-    let set_aside: Vec<_> = tracer
-        .drain_events()
-        .into_iter()
-        .filter(|e| e.name == "cache.shard-recovered")
-        .collect();
-    assert_eq!(set_aside.len(), 1, "the corrupt shard is reported once");
-    assert_eq!(set_aside[0].kind, EventKind::Warn);
+    let mut json = snapshot(&dir);
+    json.retain(|(name, _)| name.ends_with(".json"));
+    assert_eq!(json, originals, "the older files are never rewritten");
 
-    drop(cache);
-    let bytes = |name: &String| std::fs::read(dir.join(name)).unwrap();
-    let before: Vec<_> = names.iter().map(bytes).collect();
-    let again = AutotuneCache::at_path(&dir);
-    assert_eq!(sorted(again.all_entries()), sorted(held));
-    assert_eq!(file_names(&dir), names);
-    assert_eq!(names.iter().map(bytes).collect::<Vec<_>>(), before);
+    let again = AutotuneCache::at_path_with_capacity(&dir, 1);
+    for e in &held {
+        assert_eq!(again.get_with_tier(&e.key), (Some(e.clone()), "disk"));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -265,22 +298,26 @@ fn bundle_bytes_match_the_parent_commit() {
     assert_eq!(bundle_to_json(&entries).unwrap(), parent);
 }
 
+/// A file at the cache path that is not a cache is never trusted nor
+/// destroyed: opening leaves it where it lies, under its own name, and
+/// importing it is refused without caching anything.
 #[test]
 fn corrupt_legacy_blob_is_set_aside_not_trusted() {
-    let dir = temp_dir("migrate-bad");
-    std::fs::write(&dir, "not a cache at all").unwrap();
-    let cache = AutotuneCache::at_path(&dir);
-    assert!(cache.is_empty());
-    assert!(dir.is_dir());
-    let mut aside = dir.as_os_str().to_owned();
+    let blob = temp_dir("migrate-bad");
+    std::fs::write(&blob, "not a cache at all").unwrap();
+    assert_left_alone(&blob);
+    let mut aside = blob.as_os_str().to_owned();
     aside.push(".invalid");
-    let aside = PathBuf::from(aside);
-    assert!(
-        aside.exists(),
-        "invalid blob must be set aside, not deleted"
-    );
-    let _ = std::fs::remove_file(aside);
+    assert!(!PathBuf::from(aside).exists(), "nothing is renamed");
+
+    let dir = temp_dir("migrate-bad-imported");
+    let cache = AutotuneCache::at_path(&dir);
+    assert!(cache.import_bundle("not a cache at all").is_err());
+    assert!(cache.is_empty());
+    drop(cache);
+    assert!(AutotuneCache::at_path(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&blob);
 }
 
 /// Write amplification: however full the shard, a put grows its log by
@@ -398,6 +435,46 @@ fn first_touch_and_recovery_are_traced() {
     assert_eq!(field(&events[0], "entries_kept"), 2u64.into());
     assert_eq!(field(&events[1], "entries"), 2u64.into());
     assert_eq!(tracer.warnings(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache owns its persist breaker: three failed shard writes trip
+/// it, and an open breaker skips the doomed write while the campaign still
+/// serves from memory. An in-memory cache's breaker never trips.
+#[test]
+fn a_failing_disk_trips_the_cache_s_own_breaker() {
+    let dir = temp_dir("breaker");
+    AutotuneCache::at_path(&dir).put(entry(0)).unwrap();
+    // Every append to a log that became a directory fails.
+    let log = log_path(&dir, "lv");
+    std::fs::remove_file(&log).unwrap();
+    std::fs::create_dir(&log).unwrap();
+    let (tracer, metrics) = (Tracer::in_memory(), ServerMetrics::new());
+    let memory = AutotuneCache::in_memory();
+    let cache = AutotuneCache::at_path_traced(&dir, 16, &tracer);
+    for seed in 1..=4 {
+        for c in [&cache, &memory] {
+            c.publish(entry(seed), &metrics, &tracer, TraceContext::NONE, 7);
+        }
+        assert_eq!(
+            cache.get(&key(seed)),
+            Some(entry(seed)),
+            "served from memory"
+        );
+    }
+    assert_eq!(metrics.cache_persist_failures.load(Ordering::Relaxed), 3);
+    let (open, closed) = (cache.breaker.status(), memory.breaker.status());
+    assert_eq!((open.state.as_str(), open.opens), ("open", 1));
+    assert_eq!((closed.state.as_str(), closed.opens), ("closed", 0));
+    let events = tracer.drain_events();
+    let names: Vec<_> = events
+        .iter()
+        .map(|e| e.name)
+        .filter(|n| n.starts_with("breaker.") || n.starts_with("cache.persist"))
+        .collect();
+    let failed = "cache.persist-failed";
+    let tripped = ["breaker.open", failed, "cache.persist-skipped"];
+    assert_eq!(names, [[failed, failed].as_slice(), &tripped].concat());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -244,7 +244,7 @@ pub(crate) fn warm_start(
 
 /// The checked `{checksum, entries}` JSON layout of a portable bundle —
 /// also what the pre-log shard files and the legacy whole-cache blob
-/// were, which is why migration reads them through [`bundle_from_json`].
+/// were, which is why `cache import` converts them.
 /// The checksum is FNV-64 over the compact JSON of `entries`.
 #[derive(Serialize)]
 struct BundleView<'a> {

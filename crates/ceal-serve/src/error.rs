@@ -71,6 +71,13 @@ impl From<ceal_core::MeasureError> for ServeError {
     }
 }
 
+/// A journal that cannot be opened or written is the server's failure.
+impl From<ceal_core::JournalError> for ServeError {
+    fn from(e: ceal_core::JournalError) -> Self {
+        ServeError::Internal(e.to_string())
+    }
+}
+
 impl From<ceal_fleet::FleetError> for ServeError {
     fn from(e: ceal_fleet::FleetError) -> Self {
         match e {

@@ -14,7 +14,6 @@
 //! completion wakes the reactor, and [`Server::run`] returns only after
 //! every in-flight connection drains.
 
-use crate::breaker::CircuitBreaker;
 use crate::cache::{AutotuneCache, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD};
 use crate::error::ServeError;
 use crate::frame::MAX_MID_FRAME_STALL;
@@ -41,9 +40,10 @@ pub struct ServeConfig {
     /// Sessions idle longer than this are evicted.
     pub idle_timeout: Duration,
     /// Persistent cache directory (one append-only record log per
-    /// workflow); `None` keeps the cache in memory only. An older layout
-    /// at this path is migrated on bind. One process owns the directory
-    /// at a time.
+    /// workflow); `None` keeps the cache in memory only. A cache of an
+    /// older layout at this path is left untouched, with a warning:
+    /// `cache import` converts it. One process owns the directory at a
+    /// time.
     pub cache_path: Option<PathBuf>,
     /// Capacity of the cache's in-memory LRU front, in campaigns. With a
     /// `cache_path` an evicted campaign is still served from disk; without
@@ -245,8 +245,6 @@ pub(crate) struct ServerInner {
     pub(crate) tracer: Tracer,
     /// Admission control and load shedding.
     pub(crate) load: LoadControl,
-    /// Circuit breaker guarding cache persistence.
-    pub(crate) cache_breaker: Arc<CircuitBreaker>,
     /// Makes the next `dispatch` panic, for the test that checks a
     /// handler's panic stays contained to its request.
     #[cfg(test)]
@@ -274,7 +272,7 @@ impl ServerInner {
         OverloadStats {
             requests_shed: self.load.requests_shed.load(Ordering::Relaxed),
             connections_rejected: self.load.connections_rejected.load(Ordering::Relaxed),
-            cache_breaker_opens: self.cache_breaker.opens(),
+            cache_breaker_opens: self.cache.breaker.opens(),
         }
     }
 
@@ -342,12 +340,10 @@ impl Server {
                 ],
             );
         }
-        let cache_breaker = Arc::new(CircuitBreaker::cache_persist(&tracer));
         let mut sessions = SessionManager::new(config.idle_timeout)
             .with_platform(config.platform.clone())
             .with_transfer_threshold(config.transfer_threshold)
-            .with_tracer(tracer.clone())
-            .with_cache_breaker(Arc::clone(&cache_breaker));
+            .with_tracer(tracer.clone());
         if let Some(dir) = &config.journal_dir {
             sessions = sessions.with_journal_dir(dir.clone())?;
         }
@@ -393,7 +389,6 @@ impl Server {
                 platform: config.platform,
                 tracer,
                 load,
-                cache_breaker,
                 #[cfg(test)]
                 panic_next_dispatch: AtomicBool::new(false),
                 started: Instant::now(),
@@ -637,7 +632,7 @@ pub(crate) fn health_report(inner: &ServerInner) -> HealthReport {
         requests_shed: overload.requests_shed,
         connections_rejected: overload.connections_rejected,
         active_sessions: inner.sessions.len() as u64,
-        cache_breaker: inner.cache_breaker.status(),
+        cache_breaker: inner.cache.breaker.status(),
     }
 }
 

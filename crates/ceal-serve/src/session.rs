@@ -6,11 +6,12 @@
 //! around an ask/tell [`Stepper`] — the code
 //! [`Autotuner::try_run`](ceal_core::Autotuner::try_run) drives — chosen
 //! by `TuneParams.algo` through [`by_name`]. The shell measures what the
-//! stepper asks for (locally or across the fleet), bills each result,
-//! journals the measured batch write-ahead — one commit, before any of it
-//! is handed over and before the reply leaves, so what a client was told
-//! is durable and a crash loses at most the batch in flight — and hands
-//! it over. The states a client sees are read off that exchange:
+//! stepper asks for (locally or across the fleet), bills each result and
+//! turns the batch into journal records; [`Session::commit`] makes them
+//! durable — one write, before any of it is handed over and before the
+//! reply leaves, so what a client was told is durable and a crash loses at
+//! most the batch in flight — and then [`Session::fold`]s them into the
+//! campaign. The states a client sees are read off that exchange:
 //!
 //! ```text
 //! created → collecting-history → bootstrapping → refining → done
@@ -22,10 +23,11 @@
 //! *bootstrapping*, every later ask *refining*, its finished run *done* —
 //! published to the cache and served for batched prediction.
 //!
-//! Restart recovery folds the journal through the same transitions: the
-//! records rebuild the history, start the stepper and answer its asks in
-//! order, so a rebuilt session stands where the live one stood, and a
-//! journal the stepper would not have produced is rejected, not trusted.
+//! `fold` is the only code that changes campaign state from a record, so a
+//! restart is a loop of it over what the journal recovered: a rebuilt
+//! session stands where the live one stood, a journal the stepper would
+//! not have produced is rejected, not trusted, and a session rebuilt
+//! `done` publishes at its first `Advance`.
 //!
 //! A session seeded from a sibling platform's cached campaign
 //! (`warm_source = transfer`) differs in one thing: the sibling's samples
@@ -33,9 +35,10 @@
 //! fits until the session owns a fifth of its budget in measurements.
 //!
 //! One-shot `Tune` runs on the same shell. Its campaign omits what only a
-//! client-stepped one needs — the registry entry, the journal, the free
-//! history: the stepper asks for its solo runs and the budget pays — and
-//! is driven to `done` inside the request ([`SessionManager::one_shot`]).
+//! client-stepped one needs — the registry entry, the journal (its commits
+//! fold without writing), the free history: the stepper asks for its solo
+//! runs and the budget pays — and is driven to `done` inside the request
+//! ([`SessionManager::one_shot`]).
 //!
 //! Every simulator run this process makes, for either kind of campaign,
 //! goes through [`CountingOracle::run`]: one span, one bill.
@@ -48,7 +51,6 @@
 //!
 //! Sessions live in a [`SessionManager`] registry, evicted when idle.
 
-use crate::breaker::CircuitBreaker;
 use crate::cache::{
     platform_features, platform_fingerprint, AutotuneCache, CacheEntry, CacheKey,
     DEFAULT_TRANSFER_THRESHOLD,
@@ -220,6 +222,9 @@ pub struct Session {
     /// The solo samples the stepper's component models are fitted on:
     /// `D_hist`, or the answers to a one-shot campaign's solo asks.
     history: ComponentHistory,
+    /// Solo samples folded since the last marker; the batch joins
+    /// `history` only at the marker that closes it.
+    batch: ComponentHistory,
     /// Whether `history` holds client-pushed samples — data the cache key
     /// does not carry, so the result is not published as an exact answer.
     pushed_history: bool,
@@ -249,8 +254,6 @@ pub struct Session {
     /// Span of the current phase; its `End` carries the phase's duration.
     phase_span: Option<Span>,
     tracer: Tracer,
-    /// Cache-persist breaker shared with the server; `None` without one.
-    cache_breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl Session {
@@ -293,6 +296,7 @@ impl Session {
             prior: None,
             warm_source: "cold",
             history: ComponentHistory::empty(spec.components.len()),
+            batch: ComponentHistory::empty(spec.components.len()),
             pushed_history: false,
             measured: 0,
             samples: Vec::new(),
@@ -307,7 +311,6 @@ impl Session {
             root_span,
             phase_span: None,
             tracer,
-            cache_breaker: home.cache_breaker.clone(),
         };
         s.enter_phase(Phase::Created);
         s
@@ -381,66 +384,105 @@ impl Session {
         Ok(())
     }
 
-    /// Stages one record for the session journal's next commit (no-op
-    /// without a journal). Nothing staged may be acted on before
-    /// [`Session::journal_commit`] returns.
-    fn journal_stage(&mut self, record: &JournalRecord) -> Result<(), ServeError> {
-        match &mut self.journal {
-            Some(journal) => journal
-                .stage(record)
-                .map_err(|e| ServeError::Internal(format!("journal stage failed: {e}"))),
-            None => Ok(()),
-        }
-    }
-
-    /// Makes every staged record durable with one write and one fsync,
-    /// recorded as one `journal.commit` trace event carrying the cost and
-    /// the record count. With nothing staged: no I/O, no event.
-    fn journal_commit(&mut self) -> Result<(), ServeError> {
+    /// Makes `records` durable, then [folds](Session::fold) them: with a
+    /// journal, one write and one fsync of everything staged, recorded as
+    /// one `journal.commit` event carrying the cost and the record count
+    /// (nothing staged: no I/O, no event). A failed write folds nothing.
+    fn commit(&mut self, records: Vec<JournalRecord>) -> Result<(), ServeError> {
         let ctx = self.trace_ctx();
-        let Some(journal) = &mut self.journal else {
-            return Ok(());
-        };
-        let start = Instant::now();
-        let result = journal.commit();
-        if let Ok(0) = result {
-            return Ok(());
+        if let Some(journal) = &mut self.journal {
+            for record in &records {
+                journal.stage(record)?;
+            }
+            let start = Instant::now();
+            let result = journal.commit();
+            if !matches!(result, Ok(0)) {
+                let at = [
+                    ("session", self.id.into()),
+                    ("us", (start.elapsed().as_micros() as u64).into()),
+                    ("records", result.as_ref().map_or(0, |&n| n).into()),
+                    ("ok", u64::from(result.is_ok()).into()),
+                ];
+                self.tracer.instant("journal.commit", ctx, &at);
+            }
+            result?;
         }
-        let at = [
-            ("session", self.id.into()),
-            ("us", (start.elapsed().as_micros() as u64).into()),
-            ("records", result.as_ref().map_or(0, |&n| n).into()),
-            ("ok", u64::from(result.is_ok()).into()),
-        ];
-        self.tracer.instant("journal.commit", ctx, &at);
-        match result {
-            Ok(_) => Ok(()),
-            Err(e) => Err(ServeError::Internal(format!("journal commit failed: {e}"))),
-        }
+        records.into_iter().try_for_each(|record| self.fold(record))
     }
 
-    /// Journals a batch of solo samples, closed by `marker`, in one commit.
-    /// Replay applies the batch only once the marker is on disk, so a
-    /// commit torn by a crash replays as if the batch never started.
-    fn journal_history(
-        &mut self,
-        batch: &ComponentHistory,
-        marker: &str,
-    ) -> Result<(), ServeError> {
-        for (component, samples) in batch.samples.iter().enumerate() {
-            for (values, value) in samples {
-                self.journal_stage(&JournalRecord::Solo {
-                    component,
-                    values: values.clone(),
-                    value: *value,
-                    // `D_hist` keeps the objective value only.
-                    exec_time: 0.0,
-                    computer_time: 0.0,
-                })?;
+    /// Folds one journal record into the campaign: the only code that
+    /// changes campaign state from a record, live or on restart. It
+    /// measures, bills and writes nothing; a record the campaign would not
+    /// have produced (another build's, tampered, over budget) is an error.
+    fn fold(&mut self, record: JournalRecord) -> Result<(), ServeError> {
+        let bad = |m: String| ServeError::Internal(format!("record does not fold: {m}"));
+        match record {
+            JournalRecord::Start(_) => return Err(bad("a second campaign header".into())),
+            JournalRecord::Solo {
+                component,
+                values,
+                value,
+                ..
+            } => match self.batch.samples.get_mut(component) {
+                Some(samples) => samples.push((values, value)),
+                None => return Err(bad(format!("solo for component {component}"))),
+            },
+            JournalRecord::Marker(m) if m == HISTORY_MARKER || m == PUSHED_MARKER => {
+                if !matches!(self.phase, Phase::Created | Phase::CollectingHistory) {
+                    return Err(bad("history after the search started".into()));
+                }
+                let empty = ComponentHistory::empty(self.history.n_components());
+                let batch = std::mem::replace(&mut self.batch, empty);
+                self.check_history(&batch).map_err(bad)?;
+                self.history.merge(&batch).map_err(|e| bad(e.to_string()))?;
+                match m == HISTORY_MARKER {
+                    true => self.enter_phase(Phase::CollectingHistory),
+                    false => self.pushed_history = true,
+                }
+            }
+            JournalRecord::Marker(m) if m.starts_with(PRIOR_MARKER) => {
+                let (samples, source, distance): (_, String, _) =
+                    serde_json::from_str(&m[PRIOR_MARKER.len()..])
+                        .map_err(|e| bad(format!("transfer prior: {e}")))?;
+                self.prior = Some(TransferPrior::new(samples, source, distance));
+                self.warm_source = "transfer";
+            }
+            JournalRecord::Marker(_) => {}
+            JournalRecord::Coupled {
+                config,
+                value,
+                exec_time,
+                computer_time,
+                attempt,
+            } => {
+                if self.phase == Phase::CollectingHistory {
+                    self.start_search()?;
+                }
+                let Some(mut search) = self.search.take() else {
+                    return Err(bad(format!("coupled run in state {}", self.phase.name())));
+                };
+                let asked = &self.pool[search.ask[search.got.len()]];
+                if &config != asked {
+                    return Err(bad(format!("run of {config:?}, asked for {asked:?}")));
+                }
+                self.attempt = self.attempt.max(attempt);
+                self.measured += 1;
+                search.got.push(Measurement {
+                    config,
+                    value,
+                    exec_time,
+                    computer_time,
+                });
+                match search.got.len() < search.ask.len() {
+                    true => self.search = Some(search),
+                    false => {
+                        search.stepper.tell(Told::Coupled(search.got));
+                        self.ask_next(search.stepper);
+                    }
+                }
             }
         }
-        self.journal_stage(&JournalRecord::Marker(marker.into()))?;
-        self.journal_commit()
+        Ok(())
     }
 
     /// Drops the journal and deletes its file — called when the campaign
@@ -504,45 +546,37 @@ impl Session {
     /// same values (workers rebuild the same deterministic oracle), so the
     /// trajectory never depends on fleet membership or timing.
     ///
-    /// Wherever it ran, a measurement is billed once and its record staged;
-    /// the batch is then journaled write-ahead — one commit, durable before
-    /// the campaign state advances, so a crash after that point re-bills
+    /// Wherever it ran, a measurement is billed once and becomes a record;
+    /// the batch is then committed write-ahead — durable before the
+    /// campaign state advances, so a crash after that point re-bills
     /// nothing and one before it loses only runs no reply had reported —
-    /// and handed to the stepper. A failure commits and applies what was
-    /// measured before it and leaves the rest of the ask pending.
+    /// and folded into the search. A failure commits what was measured
+    /// before it and leaves the rest of the ask pending.
     fn measure_batch(
         &mut self,
         idxs: &[usize],
         mut remote: HashMap<u64, ceal_fleet::TaskOutcome>,
         metrics: &ServerMetrics,
     ) -> Result<(), ServeError> {
-        let mut measured = Vec::with_capacity(idxs.len());
-        let mut outcome = Ok(());
-        for &idx in idxs {
-            match self.measure_one(idx, remote.remove(&(idx as u64)), metrics) {
-                Ok(m) => measured.push(m),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        self.journal_commit()?;
-        for m in measured {
-            self.apply(m)?;
-        }
+        let mut records = Vec::with_capacity(idxs.len());
+        let outcome = idxs.iter().try_for_each(|&idx| {
+            let remote = remote.remove(&(idx as u64));
+            records.push(self.measure_one(idx, remote, metrics)?);
+            Ok(())
+        });
+        self.commit(records)?;
         outcome
     }
 
     /// Measures pool configuration `idx` — `remote` is what the fleet made
     /// of it, anything but a measurement meaning "run it here" — bills it
-    /// and stages its journal record.
+    /// and returns its journal record.
     fn measure_one(
         &mut self,
         idx: usize,
         remote: Option<ceal_fleet::TaskOutcome>,
         metrics: &ServerMetrics,
-    ) -> Result<Measurement, ServeError> {
+    ) -> Result<JournalRecord, ServeError> {
         self.attempt += 1;
         let config = &self.pool[idx];
         let worked = match remote {
@@ -572,8 +606,7 @@ impl Session {
                 false => oracle.try_measure(config),
             }
         })?;
-        self.journal_stage(&JournalRecord::coupled(&m, self.attempt))?;
-        Ok(m)
+        Ok(JournalRecord::coupled(&m, self.attempt))
     }
 
     /// Builds the stepper of `params.algo` and fetches its first ask. A
@@ -619,35 +652,6 @@ impl Session {
         }
     }
 
-    /// Takes the answer to the next configuration of the pending ask; a
-    /// completed batch is told to the stepper and the next ask fetched.
-    /// Live measurements and replayed journal records both come through
-    /// here, which is what makes replay a fold of the journal.
-    fn apply(&mut self, m: Measurement) -> Result<(), ServeError> {
-        let Some(mut search) = self.search.take() else {
-            return Err(ServeError::Internal(format!(
-                "coupled run outside the search (state {})",
-                self.phase.name()
-            )));
-        };
-        let asked = &self.pool[search.ask[search.got.len()]];
-        if &m.config != asked {
-            return Err(ServeError::Internal(format!(
-                "run of {:?} where the tuner asked for {asked:?}",
-                m.config
-            )));
-        }
-        search.got.push(m);
-        self.measured += 1;
-        if search.got.len() < search.ask.len() {
-            self.search = Some(search);
-            return Ok(());
-        }
-        search.stepper.tell(Told::Coupled(search.got));
-        self.ask_next(search.stepper);
-        Ok(())
-    }
-
     /// Advances the campaign, spending at most `runs` coupled
     /// measurements of the stepper's pending ask, in ask order, all
     /// measured here.
@@ -689,7 +693,9 @@ impl Session {
         }
         match self.phase {
             Phase::Created if !self.one_shot => self.collect_history(metrics)?,
-            Phase::Done => {}
+            // One rebuilt from a journal that held the whole budget still
+            // has the journal: it settles like a campaign that just ended.
+            Phase::Done if self.journal.is_none() => {}
             _ => {
                 if matches!(self.phase, Phase::Created | Phase::CollectingHistory) {
                     self.start_search()?;
@@ -774,12 +780,7 @@ impl Session {
         let metered = self.metered(metrics);
         let (collected, _) =
             ComponentHistory::try_collect(&metered, HISTORY_PER_COMPONENT, &mut rng)?;
-        self.journal_history(&collected, HISTORY_MARKER)?;
-        self.history
-            .merge(&collected)
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
-        self.enter_phase(Phase::CollectingHistory);
-        Ok(())
+        self.commit(history_records(collected, HISTORY_MARKER))
     }
 
     /// Publishes the completed campaign to the shared cache and retires
@@ -811,14 +812,7 @@ impl Session {
             samples: self.samples.clone(),
             platform_features: platform_features(platform),
         };
-        cache.publish(
-            entry,
-            self.cache_breaker.as_deref(),
-            metrics,
-            &self.tracer,
-            self.trace_ctx(),
-            self.id,
-        );
+        cache.publish(entry, metrics, &self.tracer, self.trace_ctx(), self.id);
         Ok(())
     }
 
@@ -859,10 +853,13 @@ impl Session {
         Ok(self.metered(metrics).try_measure(config)?)
     }
 
-    /// Adds `incoming` to `D_hist`, refusing samples the component models
-    /// could not be fitted on.
-    fn merge_history(&mut self, incoming: &ComponentHistory) -> Result<(), String> {
+    /// Refuses samples the component models could not be fitted on.
+    fn check_history(&self, incoming: &ComponentHistory) -> Result<(), String> {
         let components = &self.oracle.spec().components;
+        let (n, want) = (incoming.n_components(), components.len());
+        if n != want {
+            return Err(format!("samples for {n} components, not {want}"));
+        }
         for (comp, samples) in components.iter().zip(&incoming.samples) {
             let arity = comp.params().len();
             let misfit = |(v, y): &&(Vec<i64>, f64)| v.len() != arity || !y.is_finite();
@@ -873,12 +870,12 @@ impl Session {
                 ));
             }
         }
-        self.history.merge(incoming).map_err(|e| e.to_string())
+        Ok(())
     }
 
-    /// Merges client-supplied historical component samples into `D_hist`.
-    /// Once the search has started its component models are fitted and the
-    /// history is closed.
+    /// Merges client-supplied historical component samples into `D_hist`,
+    /// journaled like collected history. Once the search has started its
+    /// component models are fitted and the history is closed.
     pub fn push_history(
         &mut self,
         samples: Vec<Vec<(Vec<i64>, f64)>>,
@@ -890,77 +887,31 @@ impl Session {
             )));
         }
         let incoming = ComponentHistory { samples };
-        self.merge_history(&incoming)
+        self.check_history(&incoming)
             .map_err(ServeError::HistoryMismatch)?;
-        self.pushed_history = true;
-        self.journal_history(&incoming, PUSHED_MARKER)?;
+        self.commit(history_records(incoming, PUSHED_MARKER))?;
         Ok(self.status())
     }
+}
 
-    /// Restores campaign state by folding the journaled records
-    /// (everything after the `Start` header) through the transitions a
-    /// live campaign takes, spending zero oracle budget: solo batches
-    /// rebuild the history, the first coupled record starts the search,
-    /// every coupled record answers the stepper's pending ask. A record
-    /// the stepper did not ask for — another build's journal, a tampered
-    /// file, more runs than the budget — fails the rebuild.
-    fn replay(&mut self, records: Vec<JournalRecord>) -> Result<(), ServeError> {
-        let corrupt = |m: String| ServeError::Internal(format!("journal does not replay: {m}"));
-        let mut batch = ComponentHistory::empty(self.history.n_components());
-        for rec in records {
-            match rec {
-                JournalRecord::Start(_) => return Err(corrupt("duplicate header".into())),
-                JournalRecord::Solo {
-                    component,
-                    values,
-                    value,
-                    ..
-                } => match batch.samples.get_mut(component) {
-                    Some(samples) => samples.push((values, value)),
-                    None => return Err(corrupt(format!("solo for component {component}"))),
-                },
-                JournalRecord::Marker(m) if m == HISTORY_MARKER || m == PUSHED_MARKER => {
-                    if self.search.is_some() || self.phase == Phase::Done {
-                        return Err(corrupt("history after the search started".into()));
-                    }
-                    self.merge_history(&batch).map_err(corrupt)?;
-                    batch = ComponentHistory::empty(self.history.n_components());
-                    if m == HISTORY_MARKER {
-                        self.enter_phase(Phase::CollectingHistory);
-                    } else {
-                        self.pushed_history = true;
-                    }
-                }
-                JournalRecord::Marker(m) if m.starts_with(PRIOR_MARKER) => {
-                    let (samples, source, distance): (_, String, _) =
-                        serde_json::from_str(&m[PRIOR_MARKER.len()..])
-                            .map_err(|e| corrupt(format!("transfer prior: {e}")))?;
-                    self.prior = Some(TransferPrior::new(samples, source, distance));
-                    self.warm_source = "transfer";
-                }
-                JournalRecord::Marker(_) => {}
-                JournalRecord::Coupled {
-                    config,
-                    value,
-                    exec_time,
-                    computer_time,
-                    attempt,
-                } => {
-                    if self.phase == Phase::CollectingHistory {
-                        self.start_search()?;
-                    }
-                    self.attempt = self.attempt.max(attempt);
-                    self.apply(Measurement {
-                        config,
-                        value,
-                        exec_time,
-                        computer_time,
-                    })?;
-                }
-            }
-        }
-        Ok(())
-    }
+/// A batch of solo samples as journal records, closed by `marker`. The
+/// fold takes the batch only at its marker, so a commit torn by a crash
+/// replays as if the batch never started.
+fn history_records(batch: ComponentHistory, marker: &str) -> Vec<JournalRecord> {
+    let samples = batch.samples.into_iter().enumerate();
+    let solo = samples.flat_map(|(component, samples)| {
+        samples
+            .into_iter()
+            .map(move |(values, value)| JournalRecord::Solo {
+                component,
+                values,
+                value,
+                // `D_hist` keeps the objective value only.
+                exec_time: 0.0,
+                computer_time: 0.0,
+            })
+    });
+    solo.chain([JournalRecord::Marker(marker.into())]).collect()
 }
 
 #[cfg(test)]
@@ -1151,5 +1102,104 @@ mod tests {
         let p = params(0);
         assert!(mgr.create(p, 0.0, 0, &cache, &metrics).is_err());
         assert!(mgr.create(params(4), 1.5, 0, &cache, &metrics).is_err());
+    }
+
+    /// `fold` takes only what the campaign itself would have written: a
+    /// second header, a sample of a component the workflow lacks, a run
+    /// before the search or one the stepper did not ask for is an error,
+    /// and a solo batch counts only at its marker.
+    #[test]
+    fn fold_refuses_records_the_campaign_would_not_have_written() {
+        let (mgr, cache, metrics) = ctx();
+        let (st, _) = mgr.create(params(6), 0.0, 0, &cache, &metrics).unwrap();
+        let handle = mgr.get(st.session).unwrap();
+        let mut s = handle.lock();
+        let header = JournalRecord::Start(CampaignId::default());
+        assert!(s.fold(header).is_err(), "a second header");
+        let solo = |component| JournalRecord::Solo {
+            component,
+            values: vec![100, 20, 1],
+            value: 2.0,
+            exec_time: 0.0,
+            computer_time: 0.0,
+        };
+        assert!(s.fold(solo(9)).is_err(), "no component 9 in LV");
+        let run = |config: &Vec<i64>| JournalRecord::Coupled {
+            config: config.clone(),
+            value: 1.0,
+            exec_time: 1.0,
+            computer_time: 1.0,
+            attempt: 1,
+        };
+        let first = s.pool[0].clone();
+        assert!(s.fold(run(&first)).is_err(), "a run before the history");
+        s.fold(solo(0)).unwrap();
+        s.fold(solo(1)).unwrap();
+        assert_eq!(
+            s.status().history_samples,
+            0,
+            "an open batch is not history"
+        );
+        s.fold(JournalRecord::Marker(HISTORY_MARKER.into()))
+            .unwrap();
+        assert_eq!(s.status().state, "collecting-history");
+        assert_eq!(s.status().history_samples, 2);
+        s.start_search().unwrap();
+        let asked = s.pool[s.search.as_ref().unwrap().ask[0]].clone();
+        let unasked = s.pool.iter().find(|c| **c != asked).unwrap().clone();
+        assert!(s.fold(run(&unasked)).is_err(), "a run nobody asked for");
+        let pushed = JournalRecord::Marker(PUSHED_MARKER.into());
+        assert!(s.fold(pushed).is_err(), "history after the search started");
+    }
+
+    /// A session rebuilt from a journal that already holds its whole
+    /// budget publishes at its first `Advance` and retires the journal;
+    /// later `Advance`s publish nothing more.
+    #[test]
+    fn a_session_rebuilt_done_publishes_once_and_retires_its_journal() {
+        let dir = ceal_testutil::unique_temp_path("ceal-session-rebuilt-done", "");
+        let wal = dir.join("session-1.wal");
+        let kept = dir.join("kept.journal");
+        let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
+        let mgr = SessionManager::new(Duration::from_secs(3600))
+            .with_journal_dir(&dir)
+            .unwrap();
+        let (st, _) = mgr.create(params(6), 0.0, 0, &cache, &metrics).unwrap();
+        std::fs::hard_link(&wal, &kept).unwrap();
+        let live = mgr.get(st.session).unwrap();
+        while live.lock().advance(6, &cache, &metrics).unwrap().state != "done" {}
+        assert!(!wal.exists());
+        std::fs::rename(&kept, &wal).unwrap();
+
+        let mgr = SessionManager::new(Duration::from_secs(3600))
+            .with_journal_dir(&dir)
+            .unwrap();
+        assert_eq!(mgr.rebuild_from_disk(&metrics), 1);
+        let store = dir.join("cache");
+        let cache = AutotuneCache::at_path(&store);
+        let rebuilt = mgr.get(st.session).unwrap();
+        let mut s = rebuilt.lock();
+        assert_eq!((s.status().state.as_str(), cache.len()), ("done", 0));
+        let done = s.advance(1, &cache, &metrics).unwrap();
+        assert_eq!(
+            done,
+            live.lock().status(),
+            "rebuilt where the live one ended"
+        );
+        assert_eq!(cache.len(), 1, "published");
+        assert!(!wal.exists(), "journal retired");
+        let log = |()| {
+            std::fs::read_dir(&store)
+                .unwrap()
+                .flatten()
+                .next()
+                .unwrap()
+                .path()
+        };
+        let published = std::fs::read(log(())).unwrap();
+        assert_eq!(s.advance(1, &cache, &metrics).unwrap().state, "done");
+        assert_eq!(std::fs::read(log(())).unwrap(), published, "published once");
+        drop(s);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

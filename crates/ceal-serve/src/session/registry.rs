@@ -33,9 +33,6 @@ pub struct SessionManager {
     transfer_threshold: f64,
     /// Trace sink handed to every session this registry creates.
     pub(super) tracer: Tracer,
-    /// Cache-persist breaker handed to every session this registry
-    /// creates.
-    pub(super) cache_breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl SessionManager {
@@ -51,20 +48,12 @@ impl SessionManager {
             platform: Platform::default(),
             transfer_threshold: DEFAULT_TRANSFER_THRESHOLD,
             tracer: Tracer::disabled(),
-            cache_breaker: None,
         }
     }
 
     /// Sets the trace sink sessions record their campaign spans through.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Sets the circuit breaker sessions publish finished campaigns to
-    /// the cache through.
-    pub(crate) fn with_cache_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
-        self.cache_breaker = Some(breaker);
         self
     }
 
@@ -148,8 +137,7 @@ impl SessionManager {
     }
 
     fn rebuild_one(&self, path: &Path, id: u64) -> Result<Session, ServeError> {
-        let (journal, report) = Journal::open(path)
-            .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
+        let (journal, report) = Journal::open(path)?;
         let bad = |message: String| Err(ServeError::Internal(message));
         let mut records = report.records.into_iter();
         let Some(JournalRecord::Start(cid)) = records.next() else {
@@ -171,7 +159,9 @@ impl SessionManager {
         let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
         session.sample_pool();
         session.journal = Some(journal);
-        session.replay(records.collect())?;
+        records.try_for_each(|record| session.fold(record))?;
+        // A solo batch the crash tore off before its marker never happened.
+        session.batch = ComponentHistory::empty(session.history.n_components());
         Ok(session)
     }
 
@@ -219,11 +209,16 @@ impl SessionManager {
             &self.tracer,
             trace,
         );
-        session.warm_source = warm.source();
         let from_cache = matches!(warm, WarmStart::Exact(_));
+        let mut records = Vec::new();
         match warm {
             WarmStart::Exact(entry) => session.finish_from(&entry),
-            WarmStart::Transfer(prior) => session.prior = Some(prior),
+            WarmStart::Transfer(prior) => {
+                let prior = (&prior.samples, &prior.source, prior.distance);
+                let json = serde_json::to_string(&prior)
+                    .map_err(|e| ServeError::Internal(format!("prior does not serialize: {e}")))?;
+                records.push(JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")));
+            }
             WarmStart::Cold => {}
         }
         if !from_cache {
@@ -231,15 +226,13 @@ impl SessionManager {
         }
         // Warm-cache sessions spend nothing, so there is nothing worth
         // journaling; fresh campaigns get a write-ahead journal, whose
-        // header (and transfer prior) is one commit.
+        // header and transfer prior are one commit.
         if let (false, Some(dir)) = (from_cache, &self.journal_dir) {
             let path = Self::journal_path(dir, id);
             let _ = std::fs::remove_file(&path); // stale leftover, new campaign
-            let (journal, _) = Journal::open(&path)
-                .map_err(|e| ServeError::Internal(format!("journal open failed: {e}")))?;
-            session.journal = Some(journal);
+            let (mut journal, _) = Journal::open(&path)?;
             // The `session:` prefix tells session journals from the CLI's.
-            session.journal_stage(&JournalRecord::Start(CampaignId {
+            let header = JournalRecord::Start(CampaignId {
                 workflow: session.params.workflow.clone(),
                 objective: session.params.objective.clone(),
                 algo: format!("session:{}", session.params.algo),
@@ -248,23 +241,19 @@ impl SessionManager {
                 seed: session.params.seed,
                 failure_rate,
                 fault_seed,
-            }))?;
-            if let Some(prior) = &session.prior {
-                let prior = (&prior.samples, &prior.source, prior.distance);
-                let json = serde_json::to_string(&prior)
-                    .map_err(|e| ServeError::Internal(format!("prior does not serialize: {e}")))?;
-                session.journal_stage(&JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")))?;
-            }
-            session.journal_commit()?;
+            });
+            journal.stage(&header)?;
+            session.journal = Some(journal);
         }
+        session.commit(records)?;
         let status = session.status();
         self.insert(id, session);
         metrics.sessions_created.fetch_add(1, Ordering::Relaxed);
         Ok((status, from_cache))
     }
 
-    /// A one-shot `Tune` campaign on this registry's platform, tracer and
-    /// cache breaker, but not in it: the caller drives the returned shell to
+    /// A one-shot `Tune` campaign on this registry's platform and tracer,
+    /// but not in it: the caller drives the returned shell to
     /// `done` and drops it. Its events record under `ctx`, the request's
     /// `campaign.tune` span. `parsed` is [`parse_params`] of `params`.
     pub(crate) fn one_shot(

@@ -1,4 +1,4 @@
-//! End-to-end exercise of the tiered cache: legacy-blob migration under a
+//! End-to-end exercise of the tiered cache: a legacy blob imported by a
 //! real server, the three `warm_source` tiers over the wire, the
 //! export → import → warm-serve deployment round trip, and the
 //! acceptance property of transfer seeding — a near-miss platform reaches
@@ -29,13 +29,13 @@ fn near_miss_platform() -> Platform {
     p
 }
 
-/// A legacy single-blob cache file named by `--cache` must be split into
-/// per-workflow shards on startup, and its campaigns must keep serving
-/// warm.
+/// A legacy single-blob cache file is a bundle: imported at startup
+/// (`--cache-import`), it is split into per-workflow shards and its
+/// campaigns serve warm, and the file itself is left as it was.
 #[test]
-fn server_migrates_legacy_blob_and_serves_it_warm() {
+fn server_imports_legacy_blob_and_serves_it_warm() {
     let path = temp_path("migrate");
-    let _ = std::fs::remove_dir_all(&path);
+    let blob = temp_path("migrate-blob");
 
     // Produce two completed campaigns the old way: tune into a cache,
     // then flatten the whole thing into one legacy blob file.
@@ -58,15 +58,17 @@ fn server_migrates_legacy_blob_and_serves_it_warm() {
     handle.join().expect("drain");
     let entries = AutotuneCache::at_path(&staging).all_entries();
     assert_eq!(entries.len(), 2);
-    std::fs::write(&path, bundle_to_json(&entries).expect("blob")).expect("write legacy blob");
+    let text = bundle_to_json(&entries).expect("blob");
+    std::fs::write(&blob, &text).expect("write legacy blob");
     let _ = std::fs::remove_dir_all(&staging);
 
-    // A fresh server pointed at the blob migrates it and serves warm.
+    // A fresh server importing the blob serves warm.
     let handle = Server::bind(ServeConfig {
         cache_path: Some(path.clone()),
+        cache_import: Some(blob.clone()),
         ..ServeConfig::default()
     })
-    .expect("bind on legacy blob")
+    .expect("bind importing the legacy blob")
     .spawn();
     let mut client = Client::connect(handle.addr()).expect("connect");
     let warm = client.tune(params_lv).expect("warm LV");
@@ -78,16 +80,14 @@ fn server_migrates_legacy_blob_and_serves_it_warm() {
     client.shutdown().expect("shutdown");
     handle.join().expect("drain");
 
-    assert!(
-        path.is_dir(),
-        "blob path must have become a shard directory"
-    );
+    assert_eq!(std::fs::read_to_string(&blob).expect("blob"), text);
     assert_eq!(
         AutotuneCache::at_path(&path).shard_count(),
         2,
-        "one shard per workflow after migration"
+        "one shard per workflow after the import"
     );
     let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_file(&blob);
 }
 
 /// The three warm tiers, observed through `SessionStatus::warm_source`

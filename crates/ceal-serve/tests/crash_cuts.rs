@@ -14,17 +14,22 @@
 //! Each cut is rebuilt the way a restarted server rebuilds its journal
 //! directory, and the campaign is finished from there: the recovered
 //! records are exactly the crash-free ones up to the cut, rebuilding bills
-//! nothing, and the resumed campaign pays exactly the budget the cut lost
-//! to land on the crash-free recommendation — the stepper decides what is
-//! measured, the shell only measures, so a crash cannot move the search.
-//! Five commits are also finished through a fresh coordinator and two
-//! workers, cut from the journal of a fleet that lost a worker mid-batch.
+//! nothing, the resumed campaign pays exactly the budget the cut lost to
+//! land on the crash-free recommendation — the stepper decides what is
+//! measured, the shell only measures, so a crash cannot move the search —
+//! and the finished campaign is published and its journal retired, even
+//! when the cut already held all of it. The same campaign under each of
+//! the other servable algorithms is cut at every commit's end. Five
+//! commits are also finished through a fresh coordinator and two workers,
+//! cut from the journal of a fleet that lost a worker mid-batch.
 
 mod common;
 
 use ceal_core::journal::JOURNAL_MAGIC;
 use ceal_core::{frame, Journal, JournalRecord};
-use ceal_serve::{AutotuneCache, Client, ServeConfig, ServerHandle, ServerMetrics, SessionStatus};
+use ceal_serve::{
+    AutotuneCache, Client, ServeConfig, ServerHandle, ServerMetrics, SessionStatus, TuneParams,
+};
 use ceal_testutil::unique_temp_path;
 use ceal_trace::Tracer;
 use common::{
@@ -39,6 +44,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+/// Every servable algorithm. CEAL's campaign is the one pinned by
+/// [`COMMITS`] and cut four ways; the others' commits are read off their
+/// `journal.commit` events and cut at their ends.
+const ALGOS: [&str; 7] = ["ceal", "al", "rs", "geist", "alph", "bo", "rl"];
 /// [`byte_campaign`]'s budget.
 const BUDGET: u64 = 14;
 /// Records per commit of [`byte_campaign`] when each commit is one batch:
@@ -57,16 +66,25 @@ const LEASE: Duration = Duration::from_millis(200);
 
 /// A crash-free campaign and the journal it wrote.
 struct Reference {
+    algo: &'static str,
     bytes: Vec<u8>,
     records: Vec<JournalRecord>,
     /// The byte offset each record ends at.
     ends: Vec<usize>,
+    /// Records per commit, in commit order.
+    commits: Vec<usize>,
     done: SessionStatus,
 }
 
 impl Reference {
-    /// Reads `bytes` with the journal's own frame scan.
-    fn new(bytes: Vec<u8>, done: SessionStatus) -> Reference {
+    /// Reads `bytes`, written in `commits`, with the journal's own frame
+    /// scan.
+    fn new(
+        algo: &'static str,
+        bytes: Vec<u8>,
+        commits: Vec<usize>,
+        done: SessionStatus,
+    ) -> Reference {
         let (mut records, mut ends) = (Vec::new(), Vec::new());
         let end = frame::scan(&bytes, JOURNAL_MAGIC.len(), |at, payload| {
             records.push(serde_json::from_slice(payload).expect("a journal record"));
@@ -74,15 +92,21 @@ impl Reference {
             true
         });
         assert_eq!(end, bytes.len(), "a crash-free journal has no torn tail");
-        assert_eq!(records.len(), COMMITS.iter().sum::<usize>());
+        assert_eq!(records.len(), commits.iter().sum::<usize>(), "{algo}");
         let mut configs: Vec<_> = coupled_runs(&records).into_iter().map(|r| r.0).collect();
         configs.sort();
         configs.dedup();
-        assert_eq!(configs.len() as u64, BUDGET, "a configuration billed twice");
+        assert_eq!(
+            configs.len() as u64,
+            BUDGET,
+            "{algo}: a configuration billed twice"
+        );
         Reference {
+            algo,
             bytes,
             records,
             ends,
+            commits,
             done,
         }
     }
@@ -92,7 +116,7 @@ impl Reference {
         let mut rng = SmallRng::seed_from_u64(SEED);
         let mut cuts = Vec::new();
         let mut first = 0;
-        for (commit, &records) in COMMITS.iter().enumerate() {
+        for (commit, &records) in self.commits.iter().enumerate() {
             let start = match first {
                 0 => 0,
                 n => self.ends[n - 1],
@@ -106,38 +130,59 @@ impl Reference {
                 ("end - 1", end - 1),
                 ("end", end),
             ] {
-                cuts.push(Cut { commit, what, at });
+                cuts.push(Cut {
+                    algo: self.algo,
+                    commit,
+                    of: self.commits.len(),
+                    what,
+                    at,
+                });
             }
         }
         cuts
     }
 }
 
-/// The in-process campaign, each commit one batch (`Advance(u64::MAX)`),
-/// and the journal it wrote: linked under another name right after the
-/// create, the file outlives the campaign that retires it.
+/// [`byte_campaign`] tuned by `algo`.
+fn campaign(algo: &str) -> TuneParams {
+    TuneParams {
+        algo: algo.into(),
+        ..byte_campaign()
+    }
+}
+
+/// `algo`'s campaign in-process, each commit one batch
+/// (`Advance(u64::MAX)`), and the journal it wrote: linked under another
+/// name right after the create, the file outlives the campaign that
+/// retires it.
+fn run_reference(algo: &'static str) -> Reference {
+    let dir = unique_temp_path("ceal-crash-cuts-ref", "");
+    let tracer = Tracer::in_memory();
+    let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
+    let mgr = journaled_manager(&dir).with_tracer(tracer.clone());
+    let (st, _) = mgr
+        .create(campaign(algo), 0.0, 0, &cache, &metrics)
+        .unwrap();
+    let kept = keep(&dir);
+    let handle = mgr.get(st.session).unwrap();
+    let done = loop {
+        let status = handle.lock().advance(u64::MAX, &cache, &metrics).unwrap();
+        if status.state == "done" {
+            break status;
+        }
+    };
+    let bytes = std::fs::read(kept).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    Reference::new(algo, bytes, journal_commits(&tracer), done)
+}
+
+/// CEAL's reference campaign, written in exactly [`COMMITS`].
 fn reference() -> &'static Reference {
     static REFERENCE: OnceLock<Reference> = OnceLock::new();
     REFERENCE.get_or_init(|| {
-        let dir = unique_temp_path("ceal-crash-cuts-ref", "");
-        let tracer = Tracer::in_memory();
-        let (cache, metrics) = (AutotuneCache::in_memory(), ServerMetrics::new());
-        let mgr = journaled_manager(&dir).with_tracer(tracer.clone());
-        let (st, _) = mgr
-            .create(byte_campaign(), 0.0, 0, &cache, &metrics)
-            .unwrap();
-        let kept = keep(&dir);
-        let handle = mgr.get(st.session).unwrap();
-        let done = loop {
-            let status = handle.lock().advance(u64::MAX, &cache, &metrics).unwrap();
-            if status.state == "done" {
-                break status;
-            }
-        };
-        assert_eq!(journal_commits(&tracer), COMMITS);
-        let bytes = std::fs::read(kept).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        Reference::new(bytes, done)
+        let r = run_reference("ceal");
+        assert_eq!(r.commits, COMMITS);
+        r
     })
 }
 
@@ -148,20 +193,23 @@ fn keep(dir: &Path) -> PathBuf {
     kept
 }
 
-/// Where a crash is modelled: commit `commit` (0-based) cut at byte `at`.
+/// Where a crash is modelled: `algo`'s commit `commit` (0-based, of `of`)
+/// cut at byte `at`.
 struct Cut {
+    algo: &'static str,
     commit: usize,
+    of: usize,
     what: &'static str,
     at: usize,
 }
 
 impl std::fmt::Display for Cut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (commit, of) = (self.commit + 1, COMMITS.len());
+        let (algo, commit, of) = (self.algo, self.commit + 1, self.of);
         let (what, at) = (self.what, self.at);
         write!(
             f,
-            "commit {commit}/{of} cut at {what}, byte {at} (seed {SEED:#x})"
+            "{algo}: commit {commit}/{of} cut at {what}, byte {at} (seed {SEED:#x})"
         )
     }
 }
@@ -187,7 +235,7 @@ fn recover(r: &Reference, cut: &Cut) -> Recovered {
     let records = r.ends.iter().filter(|&&end| end <= cut.at).count();
     let recovered = Journal::open(wal(&dir)).unwrap().1.records;
     assert_eq!(recovered, r.records[..records], "{cut}");
-    let history = match records >= COMMITS[0] + COMMITS[1] {
+    let history = match records >= r.commits[0] + r.commits[1] {
         true => r.done.history_samples,
         false => 0,
     };
@@ -225,8 +273,19 @@ fn assert_resumed(r: &Reference, c: &Recovered, done: &SessionStatus, billed: u6
 
 #[test]
 fn every_commit_cut_four_ways_rebuilds_and_spends_only_the_lost_budget() {
-    let r = reference();
-    for cut in r.cuts() {
+    std::thread::scope(|s| {
+        for algo in ALGOS {
+            s.spawn(move || match algo {
+                "ceal" => finish_cuts(reference(), |_| true),
+                _ => finish_cuts(&run_reference(algo), |cut| cut.what == "end"),
+            });
+        }
+    });
+}
+
+/// Rebuilds and finishes each of `r`'s cuts that `wanted` picks.
+fn finish_cuts(r: &Reference, wanted: impl Fn(&Cut) -> bool) {
+    for cut in r.cuts().into_iter().filter(wanted) {
         let c = recover(r, &cut);
         let metrics = ServerMetrics::new();
         let mgr = journaled_manager(&c.dir);
@@ -246,6 +305,8 @@ fn every_commit_cut_four_ways_rebuilds_and_spends_only_the_lost_budget() {
             let cache = AutotuneCache::in_memory();
             let done = drive_session_to_done(&mgr, 1, &cache, &metrics);
             assert_resumed(r, &c, &done, billed(), &cut);
+            assert_eq!(cache.len(), 1, "{cut}: the finished campaign is published");
+            assert!(!wal(&c.dir).exists(), "{cut}: its journal is retired");
         }
         std::fs::remove_dir_all(&c.dir).ok();
     }
@@ -327,7 +388,7 @@ fn a_fleet_that_lost_a_worker_wrote_the_same_journal_and_a_fresh_fleet_finishes_
     fleet.shutdown();
     drop(silent);
     assert_eq!(journal_commits(&tracer), COMMITS);
-    let written = Reference::new(std::fs::read(&kept).unwrap(), done);
+    let written = Reference::new("ceal", std::fs::read(&kept).unwrap(), COMMITS.into(), done);
     std::fs::remove_dir_all(&dir).ok();
     assert!(
         written.bytes == r.bytes,

@@ -148,8 +148,7 @@ fn warm_cache_answers_without_oracle_measurements() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
-    // The cache path is a shard directory now (a legacy file would have
-    // been migrated into one).
+    // The cache path is a shard directory.
     let _ = std::fs::remove_dir_all(&cache);
 }
 
