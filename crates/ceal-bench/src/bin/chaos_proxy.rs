@@ -3,16 +3,15 @@
 //! Puts a [`ceal_chaos::ChaosProxy`] between any client and any server so
 //! network faults can be rehearsed against real processes: point workers
 //! at the proxy instead of the coordinator and the configured fault plan
-//! applies to every connection. All faults are a pure function of the
-//! seed and the byte offsets they act on, so a failing run replays
-//! exactly.
+//! applies to every connection. Every fault is a pure function of the
+//! plan — a fixed delay, a byte offset, a time window — so a failing run
+//! replays exactly.
 //!
 //! ```text
 //! cargo run --release -p ceal-bench --bin chaos-proxy -- \
-//!     --upstream HOST:PORT [--listen HOST:PORT] [--seed N] \
-//!     [--latency-ms N] [--bandwidth BYTES_PER_S] [--corrupt-one-in N] \
-//!     [--reset-at-bytes N] [--half-open-after N] \
-//!     [--partition START_MS:DURATION_MS]... [--duration SECS]
+//!     --upstream HOST:PORT [--listen HOST:PORT] [--latency-ms N] \
+//!     [--reset-at-bytes N] [--partition START_MS:DURATION_MS]... \
+//!     [--duration SECS]
 //! ```
 //!
 //! Prints `LISTEN <addr>` once bound. Without `--duration` it forwards
@@ -26,10 +25,8 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: chaos-proxy --upstream HOST:PORT [--listen HOST:PORT] [--seed N] \
-         [--latency-ms N] [--bandwidth BYTES_PER_S] [--corrupt-one-in N] \
-         [--reset-at-bytes N] [--half-open-after N] \
-         [--partition START_MS:DURATION_MS]... [--duration SECS]"
+        "usage: chaos-proxy --upstream HOST:PORT [--listen HOST:PORT] [--latency-ms N] \
+         [--reset-at-bytes N] [--partition START_MS:DURATION_MS]... [--duration SECS]"
     );
     std::process::exit(2);
 }
@@ -68,16 +65,10 @@ fn main() {
         match a.as_str() {
             "--upstream" => upstream = Some(parse("--upstream", it.next())),
             "--listen" => listen = parse("--listen", it.next()),
-            "--seed" => plan.seed = parse("--seed", it.next()),
             "--latency-ms" => {
                 plan.latency = Duration::from_millis(parse("--latency-ms", it.next()))
             }
-            "--bandwidth" => plan.bandwidth_bytes_per_sec = Some(parse("--bandwidth", it.next())),
-            "--corrupt-one-in" => plan.corrupt_one_in = parse("--corrupt-one-in", it.next()),
             "--reset-at-bytes" => plan.reset_at_bytes = Some(parse("--reset-at-bytes", it.next())),
-            "--half-open-after" => {
-                plan.half_open_after_bytes = Some(parse("--half-open-after", it.next()))
-            }
             "--partition" => plan
                 .partitions
                 .push(parse_partition(&parse::<String>("--partition", it.next()))),
@@ -110,13 +101,8 @@ fn main() {
             let stats = proxy.shutdown();
             println!(
                 "chaos-proxy done: {} conns ({} refused), {} resets, \
-                 {} bytes up, {} bytes down, {} corrupted",
-                stats.connections,
-                stats.refused,
-                stats.resets,
-                stats.bytes_up,
-                stats.bytes_down,
-                stats.bytes_corrupted,
+                 {} bytes up, {} bytes down",
+                stats.connections, stats.refused, stats.resets, stats.bytes_up, stats.bytes_down,
             );
         }
         None => loop {

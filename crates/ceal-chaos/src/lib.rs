@@ -1,26 +1,21 @@
 //! Deterministic network fault injection.
 //!
-//! A seeded TCP proxy that sits between a client and a server (or a fleet
-//! worker and its coordinator) and injects faults per a [`FaultPlan`]:
+//! A TCP proxy that sits between a client and a server (or a fleet worker
+//! and its coordinator) and injects faults per a [`FaultPlan`]:
 //!
 //! - **added latency** — every forwarded segment waits a fixed delay,
-//! - **bandwidth throttling** — slow-drip pacing to a byte budget per second,
-//! - **connection resets** — the connection carrying the plan's global byte
-//!   offset is torn down abruptly mid-frame,
-//! - **byte corruption** — individual bytes are flipped, chosen by a
-//!   `splitmix64` hash of `(seed, connection, direction, absolute offset)` so
-//!   the same plan corrupts the same bytes regardless of read chunking,
-//! - **half-open stalls** — after a byte budget, one direction silently
-//!   swallows data while the socket stays open,
-//! - **timed partitions** — full two-way blackouts that start at a plan
-//!   offset and heal after a duration; new connections are refused and live
-//!   ones are severed while a partition is active.
+//! - **a connection reset** — the connection carrying the plan's global
+//!   byte offset is torn down abruptly mid-frame, once per proxy lifetime,
+//! - **partitions** — full two-way blackouts, timed (they start at a plan
+//!   offset and heal after a duration) or set by hand; new connections are
+//!   refused and live ones are severed while a partition is active.
 //!
 //! Everything observable is a pure function of the plan (plus the OS's
 //! scheduling of wall-clock windows), matching the repo-wide rule that chaos
 //! must be reproducible. The proxy is a plain `std` implementation — two pump
 //! threads per connection, no external dependencies — sized for tests and
-//! benches, not production traffic.
+//! benches, not production traffic. Flipped bytes and stalled peers are
+//! checked in-process instead, against the decoders and the reactor.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -47,39 +42,15 @@ impl PartitionWindow {
 }
 
 /// The deterministic fault schedule applied to every proxied connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Seed for the per-byte corruption hash.
-    pub seed: u64,
     /// Added one-way latency per forwarded segment.
     pub latency: Duration,
-    /// Slow-drip pacing: forwarded bytes are throttled to this budget.
-    pub bandwidth_bytes_per_sec: Option<u64>,
-    /// Flip roughly one in N forwarded bytes (0 disables). Which bytes flip
-    /// is a pure function of `(seed, connection, direction, offset)`.
-    pub corrupt_one_in: u64,
     /// Tear down (abrupt shutdown) the connection that carries this global
     /// forwarded-byte offset. Fires at most once per proxy lifetime.
     pub reset_at_bytes: Option<u64>,
-    /// Per connection and direction: after this many forwarded bytes, swallow
-    /// everything silently while the socket stays open (half-open stall).
-    pub half_open_after_bytes: Option<u64>,
     /// Timed full partitions with healing.
     pub partitions: Vec<PartitionWindow>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            latency: Duration::ZERO,
-            bandwidth_bytes_per_sec: None,
-            corrupt_one_in: 0,
-            reset_at_bytes: None,
-            half_open_after_bytes: None,
-            partitions: Vec::new(),
-        }
-    }
 }
 
 /// Counters snapshot; see [`ChaosProxy::stats`].
@@ -95,30 +66,6 @@ pub struct ProxyStats {
     pub bytes_up: u64,
     /// Bytes forwarded upstream -> client.
     pub bytes_down: u64,
-    /// Bytes flipped by the corruption schedule.
-    pub bytes_corrupted: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// True when the plan says to flip the byte at `offset` of stream
-/// `(conn, dir)`. Pure, so tests can predict corrupted positions.
-pub fn corrupts(plan: &FaultPlan, conn: u64, dir: u8, offset: u64) -> bool {
-    if plan.corrupt_one_in == 0 {
-        return false;
-    }
-    let h = splitmix64(
-        plan.seed
-            ^ conn.wrapping_mul(0xA24B_AED4_963E_E407)
-            ^ ((dir as u64) << 56)
-            ^ offset.wrapping_mul(0x9FB2_1C65_1E98_DF25),
-    );
-    h.is_multiple_of(plan.corrupt_one_in)
 }
 
 struct Inner {
@@ -134,7 +81,6 @@ struct Inner {
     resets: AtomicU64,
     bytes_up: AtomicU64,
     bytes_down: AtomicU64,
-    bytes_corrupted: AtomicU64,
     /// Clones of live sockets so a partition can sever in-flight connections.
     live: Mutex<Vec<TcpStream>>,
 }
@@ -204,7 +150,6 @@ impl ChaosProxy {
             resets: AtomicU64::new(0),
             bytes_up: AtomicU64::new(0),
             bytes_down: AtomicU64::new(0),
-            bytes_corrupted: AtomicU64::new(0),
             live: Mutex::new(Vec::new()),
         });
         let accept_inner = Arc::clone(&inner);
@@ -242,7 +187,6 @@ impl ChaosProxy {
             resets: self.inner.resets.load(Ordering::Relaxed),
             bytes_up: self.inner.bytes_up.load(Ordering::Relaxed),
             bytes_down: self.inner.bytes_down.load(Ordering::Relaxed),
-            bytes_corrupted: self.inner.bytes_corrupted.load(Ordering::Relaxed),
         }
     }
 
@@ -315,17 +259,14 @@ fn spawn_pumps(inner: &Arc<Inner>, conn_id: u64, client: TcpStream, upstream: Tc
         let pump_inner = Arc::clone(inner);
         let _ = thread::Builder::new()
             .name(format!("chaos-pump-{conn_id}-{dir}"))
-            .spawn(move || pump(pump_inner, conn_id, dir, from, to));
+            .spawn(move || pump(pump_inner, dir, from, to));
     }
 }
 
 /// Forward one direction of a connection, applying the fault plan.
-fn pump(inner: Arc<Inner>, conn_id: u64, dir: u8, mut from: TcpStream, mut to: TcpStream) {
+fn pump(inner: Arc<Inner>, dir: u8, mut from: TcpStream, mut to: TcpStream) {
     let _ = from.set_read_timeout(Some(POLL_TICK));
     let mut buf = [0u8; 4096];
-    // Absolute byte offset of this (connection, direction) stream; corruption
-    // and half-open budgets key off it so chunking never changes the outcome.
-    let mut offset: u64 = 0;
     loop {
         if inner.stop.load(Ordering::Acquire) || inner.partitioned() {
             let _ = from.shutdown(Shutdown::Both);
@@ -364,47 +305,20 @@ fn pump(inner: Arc<Inner>, conn_id: u64, dir: u8, mut from: TcpStream, mut to: T
             }
         }
 
-        // Half-open stall: keep reading (so the peer sees an open socket)
-        // but never forward past the budget — split the chunk at the
-        // boundary so the cut lands on the exact byte regardless of chunking.
-        let mut fwd = n;
-        if let Some(budget) = inner.plan.half_open_after_bytes {
-            if offset >= budget {
-                offset += n as u64;
-                continue;
-            }
-            fwd = n.min((budget - offset) as usize);
-        }
-
         if !inner.plan.latency.is_zero() {
             thread::sleep(inner.plan.latency);
         }
 
-        if inner.plan.corrupt_one_in > 0 {
-            for (i, byte) in buf[..fwd].iter_mut().enumerate() {
-                if corrupts(&inner.plan, conn_id, dir, offset + i as u64) {
-                    *byte ^= 0x20;
-                    inner.bytes_corrupted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        if let Some(bps) = inner.plan.bandwidth_bytes_per_sec {
-            let nanos = (fwd as u64).saturating_mul(1_000_000_000) / bps.max(1);
-            thread::sleep(Duration::from_nanos(nanos));
-        }
-
-        if to.write_all(&buf[..fwd]).is_err() {
+        if to.write_all(&buf[..n]).is_err() {
             let _ = from.shutdown(Shutdown::Both);
             return;
         }
-        offset += n as u64;
         let counter = if dir == 0 {
             &inner.bytes_up
         } else {
             &inner.bytes_down
         };
-        counter.fetch_add(fwd as u64, Ordering::Relaxed);
+        counter.fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -457,7 +371,6 @@ mod tests {
         assert_eq!(stats.connections, 1);
         assert_eq!(stats.bytes_up, payload.len() as u64);
         assert_eq!(stats.bytes_down, payload.len() as u64);
-        assert_eq!(stats.bytes_corrupted, 0);
     }
 
     #[test]
@@ -477,46 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_deterministic_for_a_seed() {
-        let plan = FaultPlan {
-            seed: 7,
-            corrupt_one_in: 16,
-            ..FaultPlan::default()
-        };
-        let payload = vec![b'a'; 4096];
-        let expect_flips: Vec<u64> = (0..payload.len() as u64)
-            .filter(|&off| corrupts(&plan, 0, 0, off))
-            .collect();
-        assert!(!expect_flips.is_empty(), "plan should corrupt something");
-
-        for _round in 0..2 {
-            let upstream = echo_upstream();
-            let proxy = ChaosProxy::spawn(upstream, plan.clone()).expect("spawn");
-            let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .expect("timeout");
-            stream.write_all(&payload).expect("write");
-            let mut got = vec![0u8; payload.len()];
-            stream.read_exact(&mut got).expect("read");
-            drop(stream);
-            // The echo path traverses the proxy twice (dir 0 then dir 1);
-            // recover the client->upstream flips by replaying dir 1 on top.
-            let mut reference = payload.clone();
-            for &off in &expect_flips {
-                reference[off as usize] ^= 0x20;
-            }
-            for off in 0..payload.len() as u64 {
-                if corrupts(&plan, 0, 1, off) {
-                    reference[off as usize] ^= 0x20;
-                }
-            }
-            assert_eq!(got, reference, "same seed must corrupt the same bytes");
-            proxy.shutdown();
-        }
-    }
-
-    #[test]
     fn reset_tears_down_the_connection_once() {
         let upstream = echo_upstream();
         let plan = FaultPlan {
@@ -531,35 +404,6 @@ mod tests {
         assert_eq!(got, b"retry");
         let stats = proxy.shutdown();
         assert_eq!(stats.resets, 1);
-    }
-
-    #[test]
-    fn half_open_swallows_after_budget() {
-        let upstream = echo_upstream();
-        let plan = FaultPlan {
-            half_open_after_bytes: Some(4),
-            ..FaultPlan::default()
-        };
-        let proxy = ChaosProxy::spawn(upstream, plan).expect("spawn");
-        let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(400)))
-            .expect("timeout");
-        stream.write_all(b"abcdefgh").expect("write");
-        let mut got = [0u8; 8];
-        // Only the first 4 bytes make it through; the rest stalls silently.
-        stream.read_exact(&mut got[..4]).expect("first half");
-        assert_eq!(&got[..4], b"abcd");
-        let tail = stream.read(&mut got[4..]);
-        let stalled = match tail {
-            Ok(0) => false,
-            Ok(_) => false,
-            Err(ref e) => {
-                e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut
-            }
-        };
-        assert!(stalled, "half-open link must stall, not close: {tail:?}");
-        proxy.shutdown();
     }
 
     #[test]
@@ -581,22 +425,5 @@ mod tests {
         assert_eq!(got, b"after");
         let stats = proxy.shutdown();
         assert!(stats.refused >= 1);
-    }
-
-    #[test]
-    fn bandwidth_throttle_paces_transfer() {
-        let upstream = echo_upstream();
-        let plan = FaultPlan {
-            bandwidth_bytes_per_sec: Some(8192),
-            ..FaultPlan::default()
-        };
-        let proxy = ChaosProxy::spawn(upstream, plan).expect("spawn");
-        let payload = vec![b'x'; 4096];
-        let start = Instant::now();
-        let got = roundtrip(proxy.addr(), &payload).expect("roundtrip");
-        assert_eq!(got, payload);
-        // 4096 bytes each way at 8 KiB/s => about a second of pacing.
-        assert!(start.elapsed() >= Duration::from_millis(500));
-        proxy.shutdown();
     }
 }

@@ -822,7 +822,7 @@ mod tests {
     #[test]
     fn gather_deadline_returns_stragglers_for_local_fallback() {
         // The deadline itself is the host's timer (`parked_requests.rs`
-        // drives it from the reactor's wheel); what it calls is this: a
+        // drives it from the reactor's fleet tick); what it calls is this: a
         // gather that does not wait for the worker still holding a task.
         let c = Coordinator::new(cfg(60_000));
         let (a, _) = c.register("hoarder");

@@ -19,7 +19,7 @@
 //!   samples as a prior.
 //! * [`server`] + [`reactor`] + [`metrics`] — the TCP server (Linux): a
 //!   readiness-driven epoll event loop owns all connections (framed
-//!   per-connection state machines, a timer wheel), so tens of thousands
+//!   per-connection state machines, a deadline heap), so tens of thousands
 //!   of idle sessions cost one fd each. It answers what cannot wait
 //!   (`Ping`, `Status`, a small `Predict`, worker polls) where it arrives,
 //!   hands the rest to a `ceal-par` worker pool, and parks what must wait

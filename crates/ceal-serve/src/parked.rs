@@ -11,8 +11,8 @@
 //! parks here: its [`Parked`] continuation — ticket, shell, how to shape
 //! the answer — sits in `ServerInner::rounds` under the round's batch id,
 //! the session lock is released, and [`resume_round`] runs on the pool
-//! when the coordinator reports the batch resolved, the reactor's wheel
-//! finds its gather deadline passed, or the server drains. Whichever of
+//! when the coordinator reports the batch resolved, the reactor's fleet
+//! tick finds its gather deadline passed, or the server drains. Whichever of
 //! those comes first takes the round out of the shell under the session
 //! lock; the others find it gone and do nothing, so a round completes
 //! exactly once.

@@ -78,7 +78,7 @@ pub struct Conn {
     /// Close as soon as the pending write flushes (error frames, shutdown
     /// acknowledgements, drain).
     pub close_after_write: bool,
-    /// Whether a stall timer entry is outstanding in the wheel — at most
+    /// Whether a stall timer entry is outstanding in the heap — at most
     /// one per connection; firings re-arm against `stall_deadline`.
     pub timer_armed: bool,
     /// When the current mid-frame read or unfinished write must have made

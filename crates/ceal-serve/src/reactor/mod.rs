@@ -28,18 +28,19 @@
 //!   connection until the coordinator has tasks for it or half its lease
 //!   has passed, and a campaign step that scattered a fleet round waits
 //!   in [`parked`](crate::parked) until the coordinator resolves the
-//!   batch or the gather deadline fires from the wheel. Neither holds a
-//!   thread, and the second holds no session lock.
+//!   batch or the gather deadline fires from the deadline heap. Neither
+//!   holds a thread, and the second holds no session lock.
 //!
 //! Overload is decided here: over-cap connections get one `Busy` frame at
 //! accept, and past the dispatch watermark a request is shed unless
 //! [`Endpoint::peek`] classifies its raw payload as control traffic.
 //!
-//! A hashed [`TimerWheel`](timer::TimerWheel) gives the loop real
-//! deadlines: mid-frame and mid-write stalls and held polls are bounded
-//! per connection, and idle-session eviction and — while a round is
-//! parked — lease expiry and the rounds' gather deadlines are checked at a
-//! fixed cadence even when no request ever arrives.
+//! Connections live in a map under tokens that are never reused, so an
+//! epoll record or a reply for a connection that has since closed finds
+//! nothing. A heap of deadlines ([`timer`]) bounds mid-frame and
+//! mid-write stalls and held polls per connection, and checks idle-session
+//! eviction and — while a round is parked — lease expiry and the rounds'
+//! gather deadlines at a fixed cadence even when no request ever arrives.
 //!
 //! Shutdown: the `Shutdown` dispatch sets the flag, its completion wakes
 //! the loop, and the reactor closes the listener, drops idle connections
@@ -61,6 +62,8 @@ use crate::protocol::{Request, Response};
 use crate::server::{dispatch, endpoint_of, error_frame, ServerInner};
 use ceal_fleet::Wake;
 use conn::{Conn, ConnState, ReadOutcome, WriteOutcome, INLINE_MAX};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -69,31 +72,20 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use sys::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use timer::TimerWheel;
 
-/// Timer-wheel tick width; stall and eviction deadlines are coarse, so
-/// 25 ms of slack per firing is immaterial.
-const WHEEL_TICK: Duration = Duration::from_millis(25);
-/// Wheel slots; one rotation covers 6.4 s, longer deadlines wrap.
-const WHEEL_SLOTS: usize = 256;
+/// The shortest interval between fleet ticks, however short the lease.
+const FLEET_TICK_FLOOR: Duration = Duration::from_millis(25);
 /// Readiness records drained per `epoll_wait`.
 const EVENT_BATCH: usize = 1024;
 /// How long accepting pauses after an `accept` failure (fd exhaustion),
 /// so a persistent error cannot spin the loop.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
-/// Epoll cookie of the listener.
+/// Epoll cookie of the listener. Connection tokens count up from 0 and
+/// never reach it or [`TOKEN_NOTIFY`].
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Epoll cookie of the wakeup eventfd.
 const TOKEN_NOTIFY: u64 = u64::MAX - 1;
-
-fn token_of(index: usize, gen: u32) -> u64 {
-    ((gen as u64) << 32) | index as u64
-}
-
-fn slot_of(token: u64) -> (usize, u32) {
-    ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
-}
 
 /// Pool and coordinator → reactor channel; pushes wake the loop through
 /// the eventfd.
@@ -125,12 +117,13 @@ impl Completions {
     }
 }
 
-/// Wheel entries. Connection entries carry the slot generation so a
-/// firing for a since-recycled slot is recognized as stale and dropped.
+/// Deadline-heap entries. A connection's token is never reused, so a
+/// firing for a connection that has since closed finds nothing.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKey {
     /// Check one connection's deadline: a stalled frame or write, or a
     /// held poll that has waited long enough.
-    Conn { index: usize, gen: u32 },
+    Conn(u64),
     /// Run idle-session eviction and re-arm.
     Evict,
     /// Re-enable the listener after an accept failure.
@@ -138,66 +131,6 @@ enum TimerKey {
     /// While rounds are parked: expire worker leases, resume the rounds
     /// past their gather deadline, and re-arm.
     FleetTick,
-}
-
-/// Connection slots with generation counters; freed slots are recycled
-/// but keep bumping their generation so stale cookies never alias.
-struct Slab {
-    slots: Vec<(u32, Option<Conn>)>,
-    free: Vec<usize>,
-    live: usize,
-}
-
-impl Slab {
-    fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    fn insert(&mut self, conn: Conn) -> (usize, u32) {
-        self.live += 1;
-        match self.free.pop() {
-            Some(i) => {
-                let gen = self.slots[i].0;
-                self.slots[i].1 = Some(conn);
-                (i, gen)
-            }
-            None => {
-                self.slots.push((0, Some(conn)));
-                (self.slots.len() - 1, 0)
-            }
-        }
-    }
-
-    fn get(&mut self, index: usize, gen: u32) -> Option<&mut Conn> {
-        match self.slots.get_mut(index) {
-            Some((g, slot)) if *g == gen => slot.as_mut(),
-            _ => None,
-        }
-    }
-
-    /// Removes a live slot's connection; returns it with the token it had.
-    fn remove(&mut self, index: usize) -> Option<(u64, Conn)> {
-        let (gen, slot) = self.slots.get_mut(index)?;
-        let conn = slot.take()?;
-        let token = token_of(index, *gen);
-        *gen = gen.wrapping_add(1);
-        self.free.push(index);
-        self.live -= 1;
-        Some((token, conn))
-    }
-
-    /// `(index, generation)` of every live connection.
-    fn snapshot(&self) -> Vec<(usize, u32)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (gen, s))| s.as_ref().map(|_| (i, *gen)))
-            .collect()
-    }
 }
 
 /// The one answer a peer we have lost sync with gets before the close.
@@ -282,16 +215,19 @@ fn handle_request(
 struct Reactor {
     epoll: Epoll,
     listener: Option<TcpListener>,
-    conns: Slab,
-    timers: TimerWheel<TimerKey>,
+    /// Live connections by token.
+    conns: HashMap<u64, Conn>,
+    /// The token the next accepted connection gets.
+    next_token: u64,
+    timers: BinaryHeap<Reverse<(Instant, TimerKey)>>,
     completions: Arc<Completions>,
     inner: Arc<ServerInner>,
     pool: ceal_par::ThreadPool,
     wg: ceal_par::WaitGroup,
     draining: bool,
     /// Connections back in `Reading` whose buffer already holds input.
-    buffered: Vec<(usize, u32)>,
-    /// Whether a [`TimerKey::FleetTick`] is in the wheel.
+    buffered: Vec<u64>,
+    /// Whether a [`TimerKey::FleetTick`] is in the heap.
     fleet_tick_armed: bool,
 }
 
@@ -314,12 +250,17 @@ impl Reactor {
         inner
             .fleet
             .on_wake(move |wake| sink.push(Event::Wake(wake)));
-        let mut timers = TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS);
-        timers.schedule(Instant::now() + inner.evict_cadence, TimerKey::Evict);
+        let mut timers = BinaryHeap::new();
+        timer::schedule(
+            &mut timers,
+            Instant::now() + inner.evict_cadence,
+            TimerKey::Evict,
+        );
         Ok(Reactor {
             epoll,
             listener: Some(listener),
-            conns: Slab::new(),
+            conns: HashMap::new(),
+            next_token: 0,
             timers,
             completions,
             inner,
@@ -345,8 +286,8 @@ impl Reactor {
     /// Re-registers a connection's interest set from its current state,
     /// unless it is the set already registered (an inline reply ends where
     /// it began, in `Reading`; so does a write that never saw `EPOLLOUT`).
-    fn refresh_interest(&mut self, index: usize, gen: u32) {
-        let Some(conn) = self.conns.get(index, gen) else {
+    fn refresh_interest(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let interest = Self::interest_of(conn);
@@ -354,12 +295,11 @@ impl Reactor {
             return;
         }
         conn.registered = interest;
-        let fd = conn.stream.as_raw_fd();
-        let _ = self.epoll.modify(fd, interest, token_of(index, gen));
+        let _ = self.epoll.modify(conn.stream.as_raw_fd(), interest, token);
     }
 
-    fn close_conn(&mut self, index: usize) {
-        if let Some((token, conn)) = self.conns.remove(index) {
+    fn close_conn(&mut self, token: u64) {
+        if let Some(conn) = self.conns.remove(&token) {
             if conn.held.is_some() {
                 self.inner.fleet.release(token);
             }
@@ -368,28 +308,27 @@ impl Reactor {
         }
     }
 
-    /// Sets (or moves) a connection's deadline; its one wheel entry, if
+    /// Sets (or moves) a connection's deadline; its one heap entry, if
     /// not outstanding already, is armed for it.
-    fn arm_deadline(&mut self, index: usize, gen: u32, deadline: Instant) {
-        if let Some(conn) = self.conns.get(index, gen) {
+    fn arm_deadline(&mut self, token: u64, deadline: Instant) {
+        if let Some(conn) = self.conns.get_mut(&token) {
             conn.stall_deadline = Some(deadline);
             if !conn.timer_armed {
                 conn.timer_armed = true;
-                self.timers
-                    .schedule(deadline, TimerKey::Conn { index, gen });
+                timer::schedule(&mut self.timers, deadline, TimerKey::Conn(token));
             }
         }
     }
 
     /// Arms (or refreshes) a connection's stall deadline at `now + stall`.
-    fn arm_stall(&mut self, index: usize, gen: u32, now: Instant) {
-        self.arm_deadline(index, gen, now + self.inner.stall_deadline);
+    fn arm_stall(&mut self, token: u64, now: Instant) {
+        self.arm_deadline(token, now + self.inner.stall_deadline);
     }
 
-    /// Clears a connection's deadline; any wheel entry left behind fires
+    /// Clears a connection's deadline; any heap entry left behind fires
     /// into `None` and reads as "no longer stalled" (lazy cancel).
-    fn disarm_stall(&mut self, index: usize, gen: u32) {
-        if let Some(conn) = self.conns.get(index, gen) {
+    fn disarm_stall(&mut self, token: u64) {
+        if let Some(conn) = self.conns.get_mut(&token) {
             conn.stall_deadline = None;
         }
     }
@@ -431,8 +370,8 @@ impl Reactor {
                         let fd = listener.as_raw_fd();
                         let _ = self.epoll.modify(fd, 0, TOKEN_LISTENER);
                     }
-                    self.timers
-                        .schedule(now + ACCEPT_BACKOFF, TimerKey::ResumeAccept);
+                    let resume = now + ACCEPT_BACKOFF;
+                    timer::schedule(&mut self.timers, resume, TimerKey::ResumeAccept);
                     return;
                 }
             }
@@ -445,46 +384,42 @@ impl Reactor {
         if let Some(bytes) = self.inner.send_buffer {
             let _ = sys::set_send_buffer_fd(stream.as_raw_fd(), bytes);
         }
-        let fd = stream.as_raw_fd();
         let mut conn = Conn::new(stream);
         conn.registered = Self::interest_of(&conn);
-        let interest = conn.registered;
-        let (index, gen) = self.conns.insert(conn);
-        if let Err(e) = self.epoll.add(fd, interest, token_of(index, gen)) {
-            self.conns.remove(index);
-            return Err(e);
-        }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.epoll
+            .add(conn.stream.as_raw_fd(), conn.registered, token)?;
         if self.inner.tracer.enabled() {
-            if let Some(conn) = self.conns.get(index, gen) {
-                let mut span = self
-                    .inner
-                    .tracer
-                    .span("conn", ceal_trace::TraceContext::NONE);
-                if let Ok(peer) = conn.stream.peer_addr() {
-                    span.field("peer", peer.to_string());
-                }
-                conn.span = Some(span);
+            let mut span = self
+                .inner
+                .tracer
+                .span("conn", ceal_trace::TraceContext::NONE);
+            if let Ok(peer) = conn.stream.peer_addr() {
+                span.field("peer", peer.to_string());
             }
+            conn.span = Some(span);
         }
+        self.conns.insert(token, conn);
         Ok(())
     }
 
-    fn conn_event(&mut self, index: usize, gen: u32, flags: u32, now: Instant) {
-        let (state, held) = match self.conns.get(index, gen) {
+    fn conn_event(&mut self, token: u64, flags: u32, now: Instant) {
+        let (state, held) = match self.conns.get(&token) {
             Some(conn) => (conn.state, conn.held.is_some()),
-            None => return, // stale record for a recycled slot
+            None => return, // a record for a connection closed this turn
         };
         if flags & (EPOLLERR | EPOLLHUP) != 0 {
-            self.close_conn(index);
+            self.close_conn(token);
             return;
         }
         match state {
             ConnState::Reading if flags & (EPOLLIN | EPOLLRDHUP) != 0 => {
-                self.pump_reading(index, gen, now)
+                self.pump_reading(token, now)
             }
-            ConnState::Writing if flags & EPOLLOUT != 0 => self.pump_writing(index, gen, now),
+            ConnState::Writing if flags & EPOLLOUT != 0 => self.pump_writing(token, now),
             // The worker behind a held poll hung up.
-            ConnState::Dispatching if held && flags & EPOLLRDHUP != 0 => self.close_conn(index),
+            ConnState::Dispatching if held && flags & EPOLLRDHUP != 0 => self.close_conn(token),
             // Dispatching otherwise has interest 0; anything else is
             // spurious.
             _ => {}
@@ -493,17 +428,16 @@ impl Reactor {
 
     /// Queues `reply` on its connection and starts flushing it.
     fn write_reply(&mut self, reply: Completion, now: Instant) {
-        let (index, gen) = slot_of(reply.conn);
-        // A connection that died while its request was out, or a recycled
-        // slot: the response has no recipient.
-        let Some(conn) = self.conns.get(index, gen) else {
+        // A connection that died while its request was out: the response
+        // has no recipient.
+        let Some(conn) = self.conns.get_mut(&reply.conn) else {
             return;
         };
         conn.stall_deadline = None;
         conn.start_write(reply.framed);
         conn.close_after_write |= reply.close_after_write;
         conn.pending_metric = reply.metric;
-        self.pump_writing(index, gen, now);
+        self.pump_writing(reply.conn, now);
     }
 
     /// Tries a small frame of a can't-wait endpoint right here. `None`
@@ -511,8 +445,7 @@ impl Reactor {
     /// otherwise what the pool should run instead.
     fn try_inline(
         &mut self,
-        index: usize,
-        gen: u32,
+        token: u64,
         payload: Vec<u8>,
         arrived: Instant,
         now: Instant,
@@ -527,7 +460,7 @@ impl Reactor {
             return Some(Work::Frame(payload));
         };
         let to = ReplyTo {
-            conn: token_of(index, gen),
+            conn: token,
             arrived,
             endpoint: endpoint_of(&req),
         };
@@ -538,46 +471,41 @@ impl Reactor {
                 // Held for half a lease at most: the worker's next poll
                 // renews the lease with time to spare.
                 let until = now + self.inner.fleet.config().lease / 2;
-                if let Some(conn) = self.conns.get(index, gen) {
+                if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Dispatching;
                     conn.held = Some(ticket);
                 }
-                self.refresh_interest(index, gen);
-                self.arm_deadline(index, gen, until);
+                self.refresh_interest(token);
+                self.arm_deadline(token, until);
             }
             // No inline endpoint scatters; were one to, its continuation
             // answers the connection like any other parked request's.
             Outcome::Parked => {
-                if let Some(conn) = self.conns.get(index, gen) {
+                if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Dispatching;
                 }
-                self.refresh_interest(index, gen);
+                self.refresh_interest(token);
             }
         }
         None
     }
 
-    fn pump_reading(&mut self, index: usize, gen: u32, now: Instant) {
-        let outcome = match self.conns.get(index, gen) {
+    fn pump_reading(&mut self, token: u64, now: Instant) {
+        let outcome = match self.conns.get_mut(&token) {
             Some(conn) => conn.pump_read(),
             None => return,
         };
         match outcome {
             ReadOutcome::NeedMore => {
-                let mid = self
-                    .conns
-                    .get(index, gen)
-                    .map(|c| c.mid_frame())
-                    .unwrap_or(false);
-                if mid {
-                    self.arm_stall(index, gen, now);
+                if self.conns.get(&token).is_some_and(Conn::mid_frame) {
+                    self.arm_stall(token, now);
                 } else {
-                    self.disarm_stall(index, gen);
+                    self.disarm_stall(token);
                 }
             }
             ReadOutcome::Frame(payload) => {
                 let arrived = Instant::now();
-                self.disarm_stall(index, gen);
+                self.disarm_stall(token);
                 let (shedding, transition) = self.inner.load.shed_decision();
                 self.inner.note_shed_transition(transition);
                 if shedding && Endpoint::peek(&payload).is_none_or(Endpoint::sheddable) {
@@ -591,47 +519,46 @@ impl Reactor {
                     let busy = Response::Busy {
                         retry_after_ms: self.inner.load.retry_after_ms(),
                     };
-                    if let Some(conn) = self.conns.get(index, gen) {
+                    if let Some(conn) = self.conns.get_mut(&token) {
                         conn.start_write(encode_frame(&busy));
                     }
-                    self.pump_writing(index, gen, now);
+                    self.pump_writing(token, now);
                     return;
                 }
-                let Some(work) = self.try_inline(index, gen, payload, arrived, now) else {
+                let Some(work) = self.try_inline(token, payload, arrived, now) else {
                     return;
                 };
-                if let Some(conn) = self.conns.get(index, gen) {
+                if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Dispatching;
                 }
-                self.refresh_interest(index, gen);
+                self.refresh_interest(token);
                 self.inner.load.begin_dispatch();
                 let inner = Arc::clone(&self.inner);
                 let completions = Arc::clone(&self.completions);
-                let token = token_of(index, gen);
                 self.pool.execute_tracked(&self.wg, move || {
                     handle_request(work, token, arrived, &inner, &completions)
                 });
             }
-            ReadOutcome::Closed => self.close_conn(index),
+            ReadOutcome::Closed => self.close_conn(token),
             ReadOutcome::Broken(e) => {
-                if let Some(conn) = self.conns.get(index, gen) {
+                if let Some(conn) = self.conns.get_mut(&token) {
                     conn.start_write(encode_frame(&bad_request(&e)));
                     conn.close_after_write = true;
                 }
-                self.pump_writing(index, gen, now);
+                self.pump_writing(token, now);
             }
         }
     }
 
-    fn pump_writing(&mut self, index: usize, gen: u32, now: Instant) {
-        let outcome = match self.conns.get(index, gen) {
+    fn pump_writing(&mut self, token: u64, now: Instant) {
+        let outcome = match self.conns.get_mut(&token) {
             Some(conn) => conn.pump_write(),
             None => return,
         };
         match outcome {
             WriteOutcome::Done => {
                 let close = self.draining
-                    || match self.conns.get(index, gen) {
+                    || match self.conns.get_mut(&token) {
                         Some(conn) => {
                             conn.stall_deadline = None;
                             if let Some((endpoint, arrived, is_error)) = conn.pending_metric.take()
@@ -648,26 +575,26 @@ impl Reactor {
                         None => return,
                     };
                 if close {
-                    self.close_conn(index);
+                    self.close_conn(token);
                 } else {
-                    if let Some(conn) = self.conns.get(index, gen) {
+                    if let Some(conn) = self.conns.get_mut(&token) {
                         conn.state = ConnState::Reading;
                         // A pipelined next request still in the socket is
                         // reported by level-triggered EPOLLIN on the next
                         // wait; one already in the connection's buffer has
                         // no event coming and is queued for this turn.
                         if conn.mid_frame() {
-                            self.buffered.push((index, gen));
+                            self.buffered.push(token);
                         }
                     }
-                    self.refresh_interest(index, gen);
+                    self.refresh_interest(token);
                 }
             }
             WriteOutcome::NeedMore => {
-                self.refresh_interest(index, gen);
-                self.arm_stall(index, gen, now);
+                self.refresh_interest(token);
+                self.arm_stall(token, now);
             }
-            WriteOutcome::Broken(_) => self.close_conn(index),
+            WriteOutcome::Broken(_) => self.close_conn(token),
         }
     }
 
@@ -676,16 +603,15 @@ impl Reactor {
     /// inline answer, a shed, a bad frame) that flushes at once and queues
     /// the connection again, so this runs until the queue is dry.
     fn pump_buffered(&mut self, now: Instant) {
-        while let Some((index, gen)) = self.buffered.pop() {
-            self.pump_reading(index, gen, now);
+        while let Some(token) = self.buffered.pop() {
+            self.pump_reading(token, now);
         }
     }
 
     /// Ends the hold on a connection's poll, if it still has one, with
     /// `resp`.
     fn answer_held(&mut self, token: u64, resp: &Response, now: Instant) {
-        let (index, gen) = slot_of(token);
-        let held = self.conns.get(index, gen).and_then(|c| c.held.take());
+        let held = self.conns.get_mut(&token).and_then(|c| c.held.take());
         if let Some(ticket) = held {
             self.write_reply(ticket.finish(resp), now);
         }
@@ -711,22 +637,21 @@ impl Reactor {
         for event in self.completions.drain() {
             match event {
                 Event::Reply(reply) => {
-                    let (index, gen) = slot_of(reply.conn);
                     let owed = self
                         .conns
-                        .get(index, gen)
+                        .get(&reply.conn)
                         .is_some_and(|c| c.state == ConnState::Dispatching);
                     if owed {
                         self.write_reply(reply, now);
                     }
                 }
                 Event::RoundParked(batch) if self.draining => self.resume(batch),
-                // One tick watches every parked round — a wheel entry per
+                // One tick watches every parked round — a heap entry per
                 // round would outlive it by the whole gather deadline.
                 Event::RoundParked(_) if !self.fleet_tick_armed => {
                     self.fleet_tick_armed = true;
-                    self.timers
-                        .schedule(now + self.fleet_tick(), TimerKey::FleetTick);
+                    let tick = now + self.fleet_tick();
+                    timer::schedule(&mut self.timers, tick, TimerKey::FleetTick);
                 }
                 Event::RoundParked(_) => {}
                 Event::Wake(Wake::Batch(batch)) => self.resume(batch),
@@ -746,16 +671,16 @@ impl Reactor {
     /// no request reports.
     fn fleet_tick(&self) -> Duration {
         let lease = self.inner.fleet.config().lease;
-        lease.min(Duration::from_millis(50)).max(WHEEL_TICK)
+        lease.min(Duration::from_millis(50)).max(FLEET_TICK_FLOOR)
     }
 
     fn fire_timers(&mut self, now: Instant) {
-        for key in self.timers.expired(now) {
+        for key in timer::expired(&mut self.timers, now) {
             match key {
                 TimerKey::Evict => {
                     self.inner.sessions.evict_idle(&self.inner.metrics);
-                    let cadence = self.inner.evict_cadence;
-                    self.timers.schedule(now + cadence, TimerKey::Evict);
+                    let next = now + self.inner.evict_cadence;
+                    timer::schedule(&mut self.timers, next, TimerKey::Evict);
                 }
                 TimerKey::ResumeAccept => {
                     if !self.draining {
@@ -773,12 +698,12 @@ impl Reactor {
                     }
                     self.fleet_tick_armed = !self.inner.rounds.lock().is_empty();
                     if self.fleet_tick_armed {
-                        self.timers
-                            .schedule(now + self.fleet_tick(), TimerKey::FleetTick);
+                        let tick = now + self.fleet_tick();
+                        timer::schedule(&mut self.timers, tick, TimerKey::FleetTick);
                     }
                 }
-                TimerKey::Conn { index, gen } => {
-                    let (deadline, held) = match self.conns.get(index, gen) {
+                TimerKey::Conn(token) => {
+                    let (deadline, held) = match self.conns.get_mut(&token) {
                         None => continue,
                         Some(conn) => {
                             conn.timer_armed = false;
@@ -789,19 +714,13 @@ impl Reactor {
                         // Progress was made and the boundary reached; the
                         // entry is stale.
                         None => {}
-                        Some(d) if d > now => {
-                            if let Some(conn) = self.conns.get(index, gen) {
-                                conn.timer_armed = true;
-                            }
-                            self.timers.schedule(d, TimerKey::Conn { index, gen });
-                        }
+                        Some(d) if d > now => self.arm_deadline(token, d),
                         // Held long enough: an empty answer, and the
                         // worker's next poll renews its lease. A hold the
                         // coordinator no longer has is being answered —
                         // its wake is in the queue.
                         Some(_) if held => {
-                            let token = token_of(index, gen);
-                            self.disarm_stall(index, gen);
+                            self.disarm_stall(token);
                             if self.inner.fleet.release(token) {
                                 let idle = Response::TaskAssign { tasks: Vec::new() };
                                 self.answer_held(token, &idle, now);
@@ -809,7 +728,7 @@ impl Reactor {
                         }
                         // No progress within the stall budget: the peer is
                         // stalled or hostile either way.
-                        Some(_) => self.close_conn(index),
+                        Some(_) => self.close_conn(token),
                     }
                 }
             }
@@ -821,20 +740,22 @@ impl Reactor {
         if let Some(listener) = self.listener.take() {
             let _ = self.epoll.delete(listener.as_raw_fd());
         }
-        for (index, gen) in self.conns.snapshot() {
-            let Some(conn) = self.conns.get(index, gen) else {
+        // Oldest first: the map's order differs from run to run.
+        let mut tokens: Vec<u64> = self.conns.keys().copied().collect();
+        tokens.sort_unstable();
+        for token in tokens {
+            let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
             match conn.state {
                 // Nothing owed to this peer: drop it now.
-                ConnState::Reading => self.close_conn(index),
+                ConnState::Reading => self.close_conn(token),
                 // In-flight work drains: the response is computed and
                 // flushed, then the connection closes. A held poll's
                 // response is that the server is going away.
                 ConnState::Dispatching | ConnState::Writing => {
                     conn.close_after_write = true;
                     if conn.held.is_some() {
-                        let token = token_of(index, gen);
                         self.inner.fleet.release(token);
                         let going = error_frame(ServeError::ShuttingDown);
                         self.answer_held(token, &going, now);
@@ -852,9 +773,9 @@ impl Reactor {
     /// handle what came. `false` once a drain has emptied the server.
     fn turn(&mut self, events: &mut [sys::EpollEvent]) -> io::Result<bool> {
         let now = Instant::now();
-        // +1 ms so a just-under-due timer is not spun on; the wheel's
-        // 25 ms ticks dwarf the rounding either way.
-        let timeout_ms = match self.timers.next_timeout(now) {
+        // +1 ms so a just-under-due timer is not spun on: epoll counts in
+        // whole milliseconds, and a deadline fires no earlier than due.
+        let timeout_ms = match timer::next_timeout(&self.timers, now) {
             Some(t) => t.as_millis().min(60_000) as i32 + 1,
             None => 1_000,
         };
@@ -866,10 +787,7 @@ impl Reactor {
             match data {
                 TOKEN_LISTENER => self.accept_ready(now),
                 TOKEN_NOTIFY => notified = true,
-                _ => {
-                    let (index, gen) = slot_of(data);
-                    self.conn_event(index, gen, flags, now);
-                }
+                token => self.conn_event(token, flags, now),
             }
         }
         // Every push wakes the eventfd after it queues, and the eventfd is
@@ -882,7 +800,7 @@ impl Reactor {
         if self.inner.shutdown.load(Ordering::Acquire) && !self.draining {
             self.begin_drain(now);
         }
-        Ok(!(self.draining && self.conns.live == 0))
+        Ok(!(self.draining && self.conns.is_empty()))
     }
 }
 
@@ -949,7 +867,7 @@ mod tests {
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 16];
         let mut peer = TcpStream::connect(addr).unwrap();
         r.turn(&mut events).unwrap();
-        assert_eq!(r.conns.live, 1, "accepted");
+        assert_eq!(r.conns.len(), 1, "accepted");
 
         // Inline: read, run, written, back in `Reading` — the interest set
         // registered at accept never changed.
@@ -1079,7 +997,7 @@ mod tests {
 
     /// A worker that takes a round's tasks and keeps its lease alive
     /// without ever reporting: only the gather deadline, checked from the
-    /// wheel, ends the wait — with the stragglers measured here.
+    /// deadline heap, ends the wait — with the stragglers measured here.
     #[test]
     fn a_parked_round_is_resumed_by_its_gather_deadline() {
         use crate::client::Client;

@@ -1,184 +1,112 @@
-//! A single-level hashed timing wheel.
+//! The reactor's deadline queue: a binary heap of `(deadline, key)`,
+//! earliest on top.
 //!
-//! The reactor needs coarse deadlines — mid-frame/write stall limits and
-//! the idle-session eviction cadence — not microsecond precision, so a
-//! fixed-tick wheel is enough: scheduling and cancellation are O(1), and
-//! expiry processing touches only the slots the clock actually crossed.
-//! Entries whose deadline lies more than one rotation out stay hashed in
-//! their slot and are simply re-examined (and kept) each pass, which is
-//! fine at the entry counts the server sees: only connections that are
-//! mid-frame or mid-write carry a timer, plus one eviction heartbeat.
+//! The set of things actually waiting is small — connections mid-frame,
+//! mid-write or holding a poll, one eviction heartbeat, one fleet tick
+//! while rounds are parked — so a heap is all it takes: the next deadline
+//! is a peek, scheduling and each firing cost O(log n), and an entry fires
+//! at its instant, never before.
 //!
-//! Cancellation is lazy: callers tag entries with a generation and ignore
-//! stale firings instead of searching the wheel.
+//! Cancellation is lazy: callers re-check a firing against the state it
+//! guards and ignore stale ones instead of searching the heap.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::time::{Duration, Instant};
 
-/// A deadline wheel over caller-chosen keys.
-pub struct TimerWheel<K> {
-    slots: Vec<Vec<(u64, K)>>,
-    tick: Duration,
-    start: Instant,
-    /// Next tick index to sweep; everything below has been processed.
-    cursor: u64,
-    len: usize,
+/// Schedules `key` to fire at `deadline`.
+pub fn schedule<K: Ord>(heap: &mut BinaryHeap<Reverse<(Instant, K)>>, deadline: Instant, key: K) {
+    heap.push(Reverse((deadline, key)));
 }
 
-impl<K> TimerWheel<K> {
-    /// A wheel with `slots` buckets of `tick` width each. One rotation
-    /// spans `slots * tick`; longer deadlines wrap and cost one re-check
-    /// per rotation.
-    pub fn new(tick: Duration, slots: usize) -> Self {
-        assert!(!tick.is_zero() && slots > 0);
-        Self {
-            slots: (0..slots.max(1)).map(|_| Vec::new()).collect(),
-            tick,
-            start: Instant::now(),
-            cursor: 0,
-            len: 0,
+/// How long until the earliest entry is due, from `now`: zero once it is
+/// past due, `None` when nothing is scheduled.
+pub fn next_timeout<K: Ord>(
+    heap: &BinaryHeap<Reverse<(Instant, K)>>,
+    now: Instant,
+) -> Option<Duration> {
+    let Reverse((due, _)) = heap.peek()?;
+    Some(due.saturating_duration_since(now))
+}
+
+/// Removes and returns, earliest first, every key due at `now`.
+pub fn expired<K: Ord>(heap: &mut BinaryHeap<Reverse<(Instant, K)>>, now: Instant) -> Vec<K> {
+    let mut fired = Vec::new();
+    while let Some(top) = heap.peek_mut() {
+        if top.0 .0 > now {
+            break;
         }
+        let Reverse((_, key)) = PeekMut::pop(top);
+        fired.push(key);
     }
-
-    /// Ticks elapsed from wheel start to `at`, rounded up so an entry
-    /// never fires before its deadline.
-    fn tick_of(&self, at: Instant) -> u64 {
-        let since = at.saturating_duration_since(self.start);
-        since.as_nanos().div_ceil(self.tick.as_nanos()).max(1) as u64
-    }
-
-    /// Number of scheduled entries (including stale ones not yet swept).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entries are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `key` to fire at (or one tick after) `deadline`.
-    pub fn schedule(&mut self, deadline: Instant, key: K) {
-        let tick = self.tick_of(deadline).max(self.cursor);
-        let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push((tick, key));
-        self.len += 1;
-    }
-
-    /// How long until the earliest entry is due, from `now`; `None` when
-    /// the wheel is empty. Scans live entries, which is cheap at reactor
-    /// scale (see module docs).
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let earliest = self.slots.iter().flatten().map(|&(tick, _)| tick).min()?;
-        // Multiply in u64 nanoseconds: casting the tick index to u32 would
-        // wrap after ~3.4 years of 25 ms ticks and report past-due
-        // deadlines forever after.
-        let due = self.start
-            + Duration::from_nanos((self.tick.as_nanos() as u64).saturating_mul(earliest));
-        Some(due.saturating_duration_since(now))
-    }
-
-    /// Sweeps every slot the clock crossed since the last call and
-    /// returns the keys whose deadline has passed.
-    pub fn expired(&mut self, now: Instant) -> Vec<K> {
-        let now_tick = self.tick_of(now);
-        if now_tick < self.cursor {
-            return Vec::new();
-        }
-        let mut fired = Vec::new();
-        let n = self.slots.len() as u64;
-        // Crossing more than one rotation means every slot needs one
-        // sweep; further laps change nothing.
-        let first = if now_tick - self.cursor >= n {
-            now_tick - n + 1
-        } else {
-            self.cursor
-        };
-        for t in first..=now_tick {
-            let slot = (t % n) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].0 <= now_tick {
-                    fired.push(bucket.swap_remove(i).1);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.len -= fired.len();
-        self.cursor = now_tick + 1;
-        fired
-    }
+    fired
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const TICK: Duration = Duration::from_millis(10);
-
     #[test]
     fn fires_after_deadline_not_before() {
-        let mut wheel = TimerWheel::new(TICK, 8);
+        let mut heap = BinaryHeap::new();
         let now = Instant::now();
-        wheel.schedule(now + Duration::from_millis(50), "a");
-        assert!(wheel.expired(now).is_empty(), "not due yet");
-        assert!(wheel.expired(now + Duration::from_millis(20)).is_empty());
-        let fired = wheel.expired(now + Duration::from_millis(80));
-        assert_eq!(fired, vec!["a"]);
-        assert!(wheel.is_empty());
+        schedule(&mut heap, now + Duration::from_millis(50), "a");
+        assert!(expired(&mut heap, now).is_empty(), "not due yet");
+        assert!(expired(&mut heap, now + Duration::from_millis(49)).is_empty());
+        let fired = expired(&mut heap, now + Duration::from_millis(50));
+        assert_eq!(fired, vec!["a"], "due at its instant");
+        assert!(heap.is_empty());
     }
 
+    /// A far deadline stays queued, untouched, while nearer ones fire.
     #[test]
     fn entries_beyond_one_rotation_wait_their_lap() {
-        let mut wheel = TimerWheel::new(TICK, 4); // 40ms rotation
+        let mut heap = BinaryHeap::new();
         let now = Instant::now();
-        wheel.schedule(now + Duration::from_millis(100), "far");
-        wheel.schedule(now + Duration::from_millis(15), "near");
-        assert_eq!(wheel.expired(now + Duration::from_millis(30)), vec!["near"]);
-        assert!(wheel.expired(now + Duration::from_millis(60)).is_empty());
-        assert_eq!(wheel.expired(now + Duration::from_millis(120)), vec!["far"]);
+        schedule(&mut heap, now + Duration::from_millis(100), "far");
+        schedule(&mut heap, now + Duration::from_millis(15), "near");
+        let at = |ms| now + Duration::from_millis(ms);
+        assert_eq!(expired(&mut heap, at(30)), vec!["near"]);
+        assert!(expired(&mut heap, at(60)).is_empty());
+        assert_eq!(expired(&mut heap, at(120)), vec!["far"]);
     }
 
     #[test]
     fn next_timeout_tracks_earliest_entry() {
-        let mut wheel: TimerWheel<u32> = TimerWheel::new(TICK, 8);
+        let mut heap = BinaryHeap::new();
         let now = Instant::now();
-        assert!(wheel.next_timeout(now).is_none());
-        wheel.schedule(now + Duration::from_millis(200), 1);
-        wheel.schedule(now + Duration::from_millis(40), 2);
-        let t = wheel.next_timeout(now).unwrap();
-        assert!(t <= Duration::from_millis(60), "{t:?}");
+        assert!(next_timeout(&heap, now).is_none());
+        schedule(&mut heap, now + Duration::from_millis(200), 1);
+        schedule(&mut heap, now + Duration::from_millis(40), 2);
+        assert_eq!(next_timeout(&heap, now), Some(Duration::from_millis(40)));
         // Past-due deadlines report zero, not an underflow.
-        let late = wheel.next_timeout(now + Duration::from_secs(1)).unwrap();
+        let late = next_timeout(&heap, now + Duration::from_secs(1)).unwrap();
         assert_eq!(late, Duration::ZERO);
     }
 
+    /// A deadline ~497 days out is reported as that far, not wrapped into
+    /// the past.
     #[test]
     fn next_timeout_survives_tick_indices_beyond_u32() {
-        // A deadline whose tick index exceeds u32::MAX (~497 days of 10 ms
-        // ticks) must not wrap into the past via a u32 cast.
-        let mut wheel: TimerWheel<u32> = TimerWheel::new(TICK, 8);
+        let mut heap = BinaryHeap::new();
         let now = Instant::now();
-        let far = Duration::from_nanos(TICK.as_nanos() as u64 * (u64::from(u32::MAX) + 7));
-        wheel.schedule(now + far, 1);
-        let t = wheel.next_timeout(now).unwrap();
-        assert!(t > far - Duration::from_secs(1), "wrapped to {t:?}");
+        let far = Duration::from_millis(10 * (u64::from(u32::MAX) + 7));
+        schedule(&mut heap, now + far, 1);
+        assert_eq!(next_timeout(&heap, now), Some(far));
     }
 
     #[test]
     fn many_entries_across_laps_all_fire_once() {
-        let mut wheel = TimerWheel::new(TICK, 8);
+        let mut heap = BinaryHeap::new();
         let now = Instant::now();
         for i in 0..100u64 {
-            wheel.schedule(now + Duration::from_millis(5 * i), i);
+            schedule(&mut heap, now + Duration::from_millis(5 * i), i);
         }
         let mut fired = Vec::new();
         for step in 1..=60u64 {
-            fired.extend(wheel.expired(now + Duration::from_millis(10 * step)));
+            fired.extend(expired(&mut heap, now + Duration::from_millis(10 * step)));
         }
-        fired.sort_unstable();
-        assert_eq!(fired, (0..100).collect::<Vec<_>>());
-        assert!(wheel.is_empty());
+        assert_eq!(fired, (0..100).collect::<Vec<_>>(), "once each, in order");
+        assert!(heap.is_empty());
     }
 }

@@ -81,12 +81,10 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Dispatch-queue high watermark: once this many requests are queued
     /// or executing on the worker pool, sheddable requests get `Busy`.
-    /// `0` picks a default scaled to the worker count.
+    /// `0` picks a default scaled to the worker count. Shedding stops once
+    /// the in-flight count falls back to half of it (hysteresis, so the
+    /// server doesn't flap).
     pub dispatch_high_watermark: usize,
-    /// Dispatch-queue low watermark: shedding stops once the in-flight
-    /// count falls back here (hysteresis, so the server doesn't flap).
-    /// `0` picks half the high watermark.
-    pub dispatch_low_watermark: usize,
 }
 
 impl Default for ServeConfig {
@@ -107,7 +105,6 @@ impl Default for ServeConfig {
             tracer: Tracer::disabled(),
             max_connections: 16_384,
             dispatch_high_watermark: 0,
-            dispatch_low_watermark: 0,
         }
     }
 }
@@ -125,7 +122,8 @@ pub(crate) struct LoadControl {
     pub(crate) max_connections: usize,
     /// Shedding starts once in-flight dispatches reach this.
     pub(crate) high: usize,
-    /// Shedding stops once in-flight dispatches fall back to this.
+    /// Shedding stops once in-flight dispatches fall back to this, half
+    /// of `high`.
     pub(crate) low: usize,
     live_conns: AtomicUsize,
     in_flight: AtomicUsize,
@@ -137,12 +135,12 @@ pub(crate) struct LoadControl {
 }
 
 impl LoadControl {
-    pub(crate) fn new(max_connections: usize, high: usize, low: usize) -> LoadControl {
+    pub(crate) fn new(max_connections: usize, high: usize) -> LoadControl {
         let high = high.max(1);
         LoadControl {
             max_connections: max_connections.max(1),
             high,
-            low: low.min(high.saturating_sub(1)),
+            low: high / 2,
             live_conns: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             shedding: AtomicBool::new(false),
@@ -353,20 +351,15 @@ impl Server {
         sessions.rebuild_from_disk(&metrics);
         let evict_cadence =
             (config.idle_timeout / 4).clamp(Duration::from_millis(25), Duration::from_secs(1));
-        // Generous default watermarks: shedding is for sustained overload,
+        // A generous default watermark: shedding is for sustained overload,
         // not a couple of concurrent campaigns. Benches and tests override
-        // them to exercise the shed path deliberately.
+        // it to exercise the shed path deliberately.
         let high = if config.dispatch_high_watermark > 0 {
             config.dispatch_high_watermark
         } else {
             (config.workers.max(1) * 4).max(16)
         };
-        let low = if config.dispatch_low_watermark > 0 {
-            config.dispatch_low_watermark
-        } else {
-            high / 2
-        };
-        let load = LoadControl::new(config.max_connections, high, low);
+        let load = LoadControl::new(config.max_connections, high);
         Ok(Server {
             listener,
             workers: config.workers.max(1),
@@ -787,7 +780,7 @@ mod tests {
 
     #[test]
     fn load_control_sheds_with_hysteresis() {
-        let load = LoadControl::new(10, 4, 2);
+        let load = LoadControl::new(10, 4);
         for _ in 0..4 {
             load.begin_dispatch();
         }
@@ -809,7 +802,7 @@ mod tests {
 
     #[test]
     fn load_control_caps_connections() {
-        let load = LoadControl::new(2, 4, 2);
+        let load = LoadControl::new(2, 4);
         assert!(load.try_admit_conn());
         assert!(load.try_admit_conn());
         assert!(!load.try_admit_conn());
@@ -820,7 +813,7 @@ mod tests {
 
     #[test]
     fn retry_after_scales_with_queue_depth() {
-        let load = LoadControl::new(10, 4, 2);
+        let load = LoadControl::new(10, 4);
         for _ in 0..4 {
             load.begin_dispatch();
         }

@@ -436,7 +436,12 @@ impl Session {
                 self.check_history(&batch).map_err(bad)?;
                 self.history.merge(&batch).map_err(|e| bad(e.to_string()))?;
                 match m == HISTORY_MARKER {
-                    true => self.enter_phase(Phase::CollectingHistory),
+                    // Collection samples every component at least once; the
+                    // component models cannot be fitted on none.
+                    true => match self.history.samples.iter().position(Vec::is_empty) {
+                        Some(j) => return Err(bad(format!("no history for component {j}"))),
+                        None => self.enter_phase(Phase::CollectingHistory),
+                    },
                     false => self.pushed_history = true,
                 }
             }

@@ -57,7 +57,6 @@ fn partitioned_and_healed_fleet_campaign_is_bit_identical() {
     let proxy = ChaosProxy::spawn(
         srv.addr(),
         FaultPlan {
-            seed: 0xF1EE7,
             latency: Duration::from_millis(1),
             ..FaultPlan::default()
         },
@@ -186,7 +185,6 @@ fn dispatch_overload_sheds_but_retrying_clients_finish() {
     // must be shed; retrying clients absorb the Busy answers and finish.
     let srv = start_server(ServeConfig {
         dispatch_high_watermark: 1,
-        dispatch_low_watermark: 1,
         ..ServeConfig::default()
     });
     let addr = srv.addr().to_string();

@@ -37,7 +37,6 @@ fn storm() -> (u64, u64) {
     let srv = start_server(ServeConfig {
         workers: 2,
         dispatch_high_watermark: 1,
-        dispatch_low_watermark: 1,
         ..ServeConfig::default()
     });
     let addr = srv.addr();

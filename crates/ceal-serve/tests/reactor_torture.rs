@@ -81,7 +81,7 @@ fn mid_frame_staller_is_disconnected_by_the_timer() {
     let addr = handle.addr();
 
     // Open a frame (partial header) and go silent. No worker thread is
-    // watching this socket — the reactor's timer wheel must close it.
+    // watching this socket — the reactor's deadline heap must close it.
     let mut staller = TcpStream::connect(addr).expect("connect");
     staller.write_all(&[0x00, 0x00]).expect("partial header");
     staller.flush().unwrap();

@@ -136,8 +136,9 @@ fn write_journal(path: &std::path::Path, records: &[JournalRecord]) {
 
 /// Replay folds the journal through the stepper's asks, so a journal the
 /// stepper would not have produced — coupled records out of the asked
-/// order (what another build's search, or tampering, leaves behind), or
-/// more of them than the budget — is skipped with a warning: the server
+/// order (what another build's search, or tampering, leaves behind), more
+/// of them than the budget, or a history missing a component — is skipped
+/// with a warning, never a panic in `bind`: the server
 /// starts, bills nothing, and the journals that do replay come back.
 #[test]
 fn journals_that_disagree_with_the_stepper_are_skipped_at_startup() {
@@ -201,6 +202,12 @@ fn journals_that_disagree_with_the_stepper_are_skipped_at_startup() {
     // campaign: the fold accepts exactly what the stepper asks for.
     write_journal(&dir.join("session-903.wal"), &over[..over.len() - 1]);
 
+    // A history that leaves component 1 with no samples: the component
+    // models could never be fitted, so the fold refuses it at its marker.
+    let mut hollow = records.clone();
+    hollow.retain(|r| !matches!(r, JournalRecord::Solo { component: 1, .. }));
+    write_journal(&dir.join("session-904.wal"), &hollow);
+
     let tracer = Tracer::in_memory();
     let handle = Server::bind(ServeConfig {
         journal_dir: Some(dir.clone()),
@@ -218,13 +225,13 @@ fn journals_that_disagree_with_the_stepper_are_skipped_at_startup() {
     let whole = client.status(903).expect("fully journaled session");
     assert_eq!(whole.state, "done");
     assert_eq!(whole.best, Some(run.best_predicted));
-    for lost in [901, 902] {
+    for lost in [901, 902, 904] {
         let err = client.status(lost).expect_err("rejected journal");
         assert_eq!(err.code(), Some("unknown-session"));
     }
     let warned = tracer.drain_events();
     let warned = warned.iter().filter(|e| e.name == "session.rebuild-failed");
-    assert_eq!(warned.count(), 2);
+    assert_eq!(warned.count(), 3);
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();

@@ -19,6 +19,55 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting the bytes each thread asks it for.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: a thread being torn down still frees and allocates.
+    let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, so the
+// caller's guarantees are the ones `System` needs, and what it returns is
+// returned as is. Counting touches only a thread-local `Cell` and never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What `f` returns, and the bytes it allocated on this thread.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
 
 /// Draws field values that stress the codec: integer extremes, floats at
 /// the edges of their text form, strings that need escaping.
@@ -680,30 +729,72 @@ fn mutate(doc: &[u8], at: usize, rng: &mut SmallRng) -> Vec<u8> {
     out
 }
 
+/// What decoding one mutated document may allocate, `A · len + B` bytes:
+/// twice the worst seen across this test's seeds, which is 29 bytes per
+/// input byte over a 1 KiB fixed cost. The fixed cost is an error's text
+/// (1.4 KiB for a 21-byte document); the slope is the decoded tree, where
+/// a small object costs a whole map node.
+const DOC_ALLOC: (u64, u64) = (60, 2048);
+/// The same for `Journal::open`, against the file's length: it reads the
+/// file once and decodes its records, at most 2.97 bytes per file byte.
+const JOURNAL_ALLOC: (u64, u64) = (6, 1024);
+
 /// Every decoder on bytes a peer or a disk could hand it — the documents
 /// above and a journal of several commits, each with one byte flipped,
 /// inserted or deleted — answers `Ok` or `Err` and never panics: a
 /// mutated journal opens to a prefix of its records, or is refused when
 /// the magic was hit, and the frame scan never reaches past its input.
+/// Nothing allocates by what the input claims, only by what it holds.
 #[test]
 fn mutated_documents_and_journals_are_answered_never_panicked_on() {
+    type Decode = fn(&[u8]) -> bool;
+    let decoders: [(&str, Decode); 5] = [
+        ("Request", |b| serde_json::from_slice::<Request>(b).is_ok()),
+        ("Response", |b| {
+            serde_json::from_slice::<Response>(b).is_ok()
+        }),
+        ("JournalRecord", |b| {
+            serde_json::from_slice::<JournalRecord>(b).is_ok()
+        }),
+        ("CacheEntry", |b| {
+            serde_json::from_slice::<CacheEntry>(b).is_ok()
+        }),
+        ("Value", |b| {
+            serde_json::from_slice::<serde_json::Value>(b).is_ok()
+        }),
+    ];
     let mut rng = SmallRng::seed_from_u64(0xB17E);
     for seed in 0..1000u64 {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
         let docs = [
-            serde_json::to_vec(&g.request(seed as usize % 15)).unwrap(),
-            serde_json::to_vec(&g.response(seed as usize % 13)).unwrap(),
-            serde_json::to_vec(&g.journal_record(seed as usize % 4)).unwrap(),
-            serde_json::to_vec(&g.cache_entry()).unwrap(),
+            (
+                "request",
+                serde_json::to_vec(&g.request(seed as usize % 15)),
+            ),
+            (
+                "response",
+                serde_json::to_vec(&g.response(seed as usize % 13)),
+            ),
+            (
+                "journal record",
+                serde_json::to_vec(&g.journal_record(seed as usize % 4)),
+            ),
+            ("cache entry", serde_json::to_vec(&g.cache_entry())),
         ];
-        for doc in &docs {
+        for (kind, doc) in docs {
+            let doc = doc.unwrap();
             for _ in 0..4 {
-                let bytes = mutate(doc, rng.gen_range(0..=doc.len()), &mut rng);
-                let _ = serde_json::from_slice::<Request>(&bytes);
-                let _ = serde_json::from_slice::<Response>(&bytes);
-                let _ = serde_json::from_slice::<JournalRecord>(&bytes);
-                let _ = serde_json::from_slice::<CacheEntry>(&bytes);
-                let _ = serde_json::from_slice::<serde_json::Value>(&bytes);
+                let bytes = mutate(&doc, rng.gen_range(0..=doc.len()), &mut rng);
+                let bound = DOC_ALLOC.0 * bytes.len() as u64 + DOC_ALLOC.1;
+                for (ty, decode) in decoders {
+                    let (_, took) = allocated_by(|| decode(&bytes));
+                    assert!(
+                        took <= bound,
+                        "a mutated {kind} of seed {seed}, {} bytes, decoded as {ty} \
+                         allocated {took} bytes (bound {bound})",
+                        bytes.len()
+                    );
+                }
             }
         }
     }
@@ -740,7 +831,15 @@ fn mutated_documents_and_journals_are_answered_never_panicked_on() {
             assert!(end <= bytes.len().max(start));
         }
         std::fs::write(&path, &bytes).unwrap();
-        match Journal::open(&path) {
+        let (opened, took) = allocated_by(|| Journal::open(&path));
+        let bound = JOURNAL_ALLOC.0 * bytes.len() as u64 + JOURNAL_ALLOC.1;
+        assert!(
+            took <= bound,
+            "journal mutation {i} of seed 7, {} bytes, allocated {took} bytes to open \
+             (bound {bound})",
+            bytes.len()
+        );
+        match opened {
             Ok((_, report)) => {
                 assert_eq!(&bytes[..JOURNAL_MAGIC.len()], JOURNAL_MAGIC);
                 assert_eq!(report.records, records[..report.records.len()]);
