@@ -40,9 +40,11 @@
 //! caller that consumes measurements a batch at a time (a serve session)
 //! stages the batch and commits once, before it acts on any of it; what a
 //! crash can then lose is the batch in flight, never one it had acted on.
-//! A fresh journal's magic rides along with its first commit. Batching
-//! changes when bytes reach the disk, never which bytes: a journal is
-//! byte-identical however its records were grouped into commits.
+//! A fresh journal's magic rides along with its first commit, which also
+//! fsyncs the journal's directory so the new file's name is durable too.
+//! Batching changes when bytes reach the disk, never which bytes: a
+//! journal is byte-identical however its records were grouped into
+//! commits.
 //!
 //! ## Replay
 //!
@@ -346,11 +348,17 @@ impl Journal {
         Ok(records)
     }
 
-    /// Puts the staged bytes on disk.
+    /// Puts the staged bytes on disk. The first commit — the one carrying
+    /// the magic — also fsyncs the directory, so the file's entry in it
+    /// survives a crash as well as its bytes.
     fn write(&mut self) -> std::io::Result<()> {
         self.file.write_all(&self.staged)?;
         if self.sync_on_commit {
             self.file.sync_data()?;
+            if self.len == 0 {
+                let dir = self.path.parent().filter(|p| !p.as_os_str().is_empty());
+                File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+            }
         }
         Ok(())
     }

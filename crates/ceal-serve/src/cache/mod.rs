@@ -19,8 +19,9 @@
 //!   in-memory index of where each campaign's record sits — a `put`
 //!   appends one record and a disk-tier `get` reads and decodes one, so
 //!   neither depends on how many campaigns are cached. A cache of an older
-//!   layout is not migrated in place: `cache import` converts it. The
-//!   cache owns the circuit breaker in front of its disk writes;
+//!   layout is not migrated in place: `cache import` converts it. A
+//!   campaign whose write fails is counted, warned about and still served
+//!   from the front;
 //! * **portable bundles** ([`transfer`]): `export`/`import` move the
 //!   whole cache as one checksummed file, so a deployment can ship its
 //!   tuning results with the program and cold-start warm.
@@ -29,9 +30,8 @@ pub mod lru;
 pub mod shard;
 pub mod transfer;
 
-use crate::breaker::CircuitBreaker;
 use crate::metrics::ServerMetrics;
-use ceal_trace::{FieldValue, TraceContext, Tracer};
+use ceal_trace::{TraceContext, Tracer};
 use lru::LruFront;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -111,10 +111,6 @@ pub struct CacheStats {
 pub struct AutotuneCache {
     front: Mutex<LruFront>,
     store: Option<ShardStore>,
-    /// The cache-persist breaker in front of `store`, read by `Health` and
-    /// `Metrics`; an in-memory cache cannot fail to persist, so its
-    /// breaker never trips.
-    pub(crate) breaker: CircuitBreaker,
     lru_hits: AtomicU64,
     lru_misses: AtomicU64,
 }
@@ -131,7 +127,6 @@ impl AutotuneCache {
         Self {
             front: Mutex::new(LruFront::new(capacity)),
             store: None,
-            breaker: CircuitBreaker::cache_persist(&Tracer::disabled()),
             lru_hits: AtomicU64::new(0),
             lru_misses: AtomicU64::new(0),
         }
@@ -155,9 +150,8 @@ impl AutotuneCache {
     /// `tracer`: an unusable cache directory as a `cache.unusable`
     /// warning, every dropped tail or set-aside file as
     /// `cache.shard-recovered`, and each shard's first-touch scan as a
-    /// `cache.shard-indexed` instant, a cache of an older layout as a
-    /// `cache.older-layout` warning, and the persist breaker's transitions
-    /// as `breaker.*` warnings (warnings reach stderr either way).
+    /// `cache.shard-indexed` instant, and a cache of an older layout as a
+    /// `cache.older-layout` warning (warnings reach stderr either way).
     pub fn at_path_traced(path: impl AsRef<Path>, capacity: usize, tracer: &Tracer) -> Self {
         let store = match ShardStore::open(path.as_ref(), tracer) {
             Ok(store) => Some(store),
@@ -178,7 +172,6 @@ impl AutotuneCache {
         };
         Self {
             store,
-            breaker: CircuitBreaker::cache_persist(tracer),
             ..Self::in_memory_with_capacity(capacity)
         }
     }
@@ -262,11 +255,10 @@ impl AutotuneCache {
         persisted
     }
 
-    /// Publishes a finished campaign behind the cache-persist breaker.
-    /// While it is open the doomed disk write is skipped and the entry
-    /// serves from memory only: a dead disk degrades durability, not
-    /// correctness. A failed write is counted and warned about, naming the
-    /// publishing `session` (0 for a one-shot `Tune`).
+    /// Publishes a finished campaign. A failed disk write degrades
+    /// durability, not correctness: the entry still serves from memory,
+    /// and the failure is counted and warned about, naming the publishing
+    /// `session` (0 for a one-shot `Tune`).
     pub(crate) fn publish(
         &self,
         entry: CacheEntry,
@@ -275,22 +267,17 @@ impl AutotuneCache {
         ctx: TraceContext,
         session: u64,
     ) {
-        let origin: (&str, FieldValue) = ("session", session.into());
-        if !self.breaker.allow() {
-            self.front.lock().insert(entry);
-            tracer.instant("cache.persist-skipped", ctx, &[origin]);
-            return;
-        }
-        match self.put(entry) {
-            Ok(()) => self.breaker.record_success(),
-            Err(e) => {
-                self.breaker.record_failure();
-                metrics
-                    .cache_persist_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                let message = format!("cache persistence failed: {e}");
-                tracer.warn("cache.persist-failed", ctx, &message, &[origin]);
-            }
+        if let Err(e) = self.put(entry) {
+            metrics
+                .cache_persist_failures
+                .fetch_add(1, Ordering::Relaxed);
+            let message = format!("cache persistence failed: {e}");
+            tracer.warn(
+                "cache.persist-failed",
+                ctx,
+                &message,
+                &[("session", session.into())],
+            );
         }
     }
 

@@ -49,6 +49,16 @@ fn file_names(dir: &Path) -> Vec<String> {
     names
 }
 
+/// The value of `event`'s field `name`.
+fn field(event: &ceal_trace::TraceEvent, name: &str) -> ceal_trace::FieldValue {
+    let (_, value) = event
+        .fields
+        .iter()
+        .find(|(k, _)| *k == name)
+        .expect("field");
+    value.clone()
+}
+
 /// The record log of the workflow whose lowercase name is `workflow`.
 fn log_path(dir: &Path, workflow: &str) -> PathBuf {
     let prefix = format!("shard-{workflow}-");
@@ -400,10 +410,6 @@ fn reputting_a_key_compacts_at_the_next_open() {
 #[test]
 fn first_touch_and_recovery_are_traced() {
     let dir = temp_dir("traced");
-    let field = |e: &ceal_trace::TraceEvent, name: &str| {
-        let (_, value) = e.fields.iter().find(|(k, _)| *k == name).expect("field");
-        value.clone()
-    };
     let tracer = Tracer::in_memory();
     let cache = AutotuneCache::at_path_traced(&dir, 4, &tracer);
     cache.put(entry(1)).unwrap();
@@ -438,43 +444,42 @@ fn first_touch_and_recovery_are_traced() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The cache owns its persist breaker: three failed shard writes trip
-/// it, and an open breaker skips the doomed write while the campaign still
-/// serves from memory. An in-memory cache's breaker never trips.
+/// Every publish a failing disk cannot persist is counted and warned
+/// about, naming its session, and the campaign still serves from memory.
+/// An in-memory cache has nothing to fail.
 #[test]
-fn a_failing_disk_trips_the_cache_s_own_breaker() {
-    let dir = temp_dir("breaker");
+fn a_failing_disk_is_counted_and_warned_on_every_publish() {
+    let dir = temp_dir("persist-failed");
     AutotuneCache::at_path(&dir).put(entry(0)).unwrap();
     // Every append to a log that became a directory fails.
     let log = log_path(&dir, "lv");
     std::fs::remove_file(&log).unwrap();
     std::fs::create_dir(&log).unwrap();
-    let (tracer, metrics) = (Tracer::in_memory(), ServerMetrics::new());
-    let memory = AutotuneCache::in_memory();
+    let tracer = Tracer::in_memory();
     let cache = AutotuneCache::at_path_traced(&dir, 16, &tracer);
+    let memory = AutotuneCache::in_memory();
+    let (metrics, quiet) = (ServerMetrics::new(), ServerMetrics::new());
     for seed in 1..=4 {
-        for c in [&cache, &memory] {
-            c.publish(entry(seed), &metrics, &tracer, TraceContext::NONE, 7);
+        for (c, m) in [(&cache, &metrics), (&memory, &quiet)] {
+            c.publish(entry(seed), m, &tracer, TraceContext::NONE, 7);
+            assert_eq!(c.get(&key(seed)), Some(entry(seed)), "served from memory");
         }
-        assert_eq!(
-            cache.get(&key(seed)),
-            Some(entry(seed)),
-            "served from memory"
-        );
     }
-    assert_eq!(metrics.cache_persist_failures.load(Ordering::Relaxed), 3);
-    let (open, closed) = (cache.breaker.status(), memory.breaker.status());
-    assert_eq!((open.state.as_str(), open.opens), ("open", 1));
-    assert_eq!((closed.state.as_str(), closed.opens), ("closed", 0));
+    assert_eq!(metrics.cache_persist_failures.load(Ordering::Relaxed), 4);
+    assert_eq!(quiet.cache_persist_failures.load(Ordering::Relaxed), 0);
     let events = tracer.drain_events();
-    let names: Vec<_> = events
+    let failed: Vec<_> = events
         .iter()
-        .map(|e| e.name)
-        .filter(|n| n.starts_with("breaker.") || n.starts_with("cache.persist"))
+        .filter(|e| e.name.starts_with("cache.persist"))
         .collect();
-    let failed = "cache.persist-failed";
-    let tripped = ["breaker.open", failed, "cache.persist-skipped"];
-    assert_eq!(names, [[failed, failed].as_slice(), &tripped].concat());
+    assert_eq!(failed.len(), 4, "one warning per publish");
+    for event in failed {
+        assert_eq!(
+            (event.name, event.kind),
+            ("cache.persist-failed", EventKind::Warn)
+        );
+        assert_eq!(field(event, "session"), 7u64.into());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -18,7 +18,7 @@
 
 use crate::frame::{read_message, write_message, FrameError};
 use crate::protocol::{
-    HealthReport, MetricsReport, Request, Response, SessionStatus, TuneParams, PROTOCOL_VERSION,
+    MetricsReport, Request, Response, SessionStatus, TuneParams, PROTOCOL_VERSION,
 };
 use ceal_core::RetryPolicy;
 use std::io::BufReader;
@@ -389,17 +389,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's load and degradation snapshot. Health is
-    /// shed-exempt, so this answers even while the server is refusing
-    /// regular traffic.
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.request(&Request::Health)? {
-            Response::Health(report) => Ok(report),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Fetches the server's counters.
+    /// Fetches the server's snapshot: counters, latencies and load.
+    /// `Metrics` is shed-exempt, so this answers even while the server is
+    /// refusing regular traffic.
     pub fn metrics(&mut self) -> Result<MetricsReport, ClientError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics(report) => Ok(report),

@@ -52,7 +52,6 @@
 // returns an error instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod error;
@@ -68,7 +67,6 @@ pub mod worker;
 pub use wire::frame;
 pub use wire::protocol;
 
-pub use breaker::CircuitBreaker;
 pub use cache::{
     bundle_from_json, bundle_to_json, feature_distance, platform_features, platform_fingerprint,
     AutotuneCache, CacheEntry, CacheKey, CacheStats, TransferHit, DEFAULT_LRU_CAPACITY,
@@ -77,10 +75,9 @@ pub use cache::{
 pub use client::{Client, ClientError, TuneOutcome};
 pub use error::ServeError;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN, MAX_MID_FRAME_STALL};
-pub use metrics::{CountingOracle, Endpoint, OverloadStats, ServerMetrics};
+pub use metrics::{CountingOracle, Endpoint, ServerMetrics};
 pub use protocol::{
-    BreakerStatus, EndpointStats, HealthReport, MetricsReport, Request, Response, SessionStatus,
-    TuneParams, PROTOCOL_VERSION,
+    EndpointStats, MetricsReport, Request, Response, SessionStatus, TuneParams, PROTOCOL_VERSION,
 };
 #[cfg(target_os = "linux")]
 pub use reactor::sys::{raise_nofile_limit, set_recv_buffer_fd, set_send_buffer_fd};

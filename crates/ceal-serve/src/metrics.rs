@@ -1,18 +1,18 @@
 //! Service observability: per-endpoint counters and latency histograms.
 //!
 //! Everything is lock-free atomics so recording a sample never contends
-//! with request handling; the `metrics` endpoint snapshots whatever the
-//! counters hold at that instant. Latencies land in an HDR-style
-//! log2-bucketed histogram ([`ceal_trace::LogHistogram`], ≤3.2 % relative
-//! error) from which the report derives real server-side p50/p99/p999 per
-//! endpoint. [`Endpoint`] also carries the one table of per-request-class
-//! facts: metrics name, trace span name, whether overload may shed it,
-//! whether the reactor thread may run it where it arrives.
+//! with request handling; the `Metrics` endpoint snapshots whatever the
+//! counters hold at that instant, beside the cache, fleet and admission
+//! state it reads where they live (`ServerInner::metrics_report`).
+//! Latencies land in an HDR-style log2-bucketed histogram
+//! ([`ceal_trace::LogHistogram`], ≤3.2 % relative error) from which the
+//! report derives real server-side p50/p99/p999 per endpoint.
+//! [`Endpoint`] also carries the one table of per-request-class facts:
+//! metrics name, trace span name, whether overload may shed it, whether
+//! the reactor thread may run it where it arrives.
 
-use crate::cache::CacheStats;
-use crate::protocol::{EndpointStats, MetricsReport};
+use crate::protocol::EndpointStats;
 use ceal_core::{MeasureError, Measurement, Oracle, SoloMeasurement};
-use ceal_fleet::FleetReport;
 use ceal_trace::{LogHistogram, TraceContext, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -55,8 +55,7 @@ macro_rules! endpoints {
 }
 
 // Variant, request tags, name, sheddable, inline. Never shed: cheap control
-// traffic whose loss would blind operators (`Health`, `Metrics`), break
-// liveness (`Ping`, `Shutdown`), leak resources (`Status`, `CloseSession`),
+// traffic whose loss would blind operators (`Metrics`), break liveness (`Ping`, `Shutdown`), leak resources (`Status`, `CloseSession`),
 // or stall the fleet's exactly-once accounting (registration, heartbeats,
 // results — shedding a `TaskResult` would force a re-measure). Inline:
 // the requests whose work is microseconds and whose only wait — a session
@@ -76,7 +75,6 @@ endpoints! {
     RegisterWorker ["RegisterWorker"] "register-worker" false true,
     Heartbeat ["Heartbeat"] "heartbeat" false true,
     TaskResult ["TaskResult"] "task-result" false true,
-    Health ["Health"] "health" false false,
 }
 
 /// Leading JSON whitespace [`Endpoint::peek`] tolerates before giving up.
@@ -165,22 +163,6 @@ pub struct ServerMetrics {
     pub cache_transfer_seeded: AtomicU64,
 }
 
-/// Overload-protection counters for the metrics overlay, snapshotted by
-/// the serve core from its admission/breaker state. A required input to
-/// [`ServerMetrics::report`] for the same reason the cache and fleet
-/// sections are: callers cannot forget it and silently report zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OverloadStats {
-    /// Requests answered with `Busy` because the dispatch queue crossed
-    /// its high watermark.
-    pub requests_shed: u64,
-    /// Connections refused at accept because the live-connection cap was
-    /// reached.
-    pub connections_rejected: u64,
-    /// Times the cache-persist breaker opened.
-    pub cache_breaker_opens: u64,
-}
-
 impl ServerMetrics {
     /// Creates zeroed metrics.
     pub fn new() -> Self {
@@ -204,21 +186,11 @@ impl ServerMetrics {
         self.oracle_measurements.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Snapshots every counter into the wire representation. Endpoints
-    /// with no traffic are omitted; traffic-bearing endpoints carry HDR
-    /// p50/p99/p999. The cache and fleet sections are required inputs —
-    /// callers cannot forget to overlay them and silently report zeros
-    /// (pass `&CacheStats::default()` / `FleetReport::default()` when
-    /// there genuinely is no cache or fleet).
-    pub fn report(
-        &self,
-        active_sessions: u64,
-        cache: &CacheStats,
-        fleet: FleetReport,
-        overload: OverloadStats,
-    ) -> MetricsReport {
-        let endpoints = self
-            .endpoints
+    /// The per-endpoint part of the `Metrics` snapshot. Endpoints with no
+    /// traffic are omitted; traffic-bearing endpoints carry HDR
+    /// p50/p99/p999.
+    pub fn endpoint_stats(&self) -> Vec<EndpointStats> {
+        self.endpoints
             .iter()
             .zip(ENDPOINTS)
             .filter(|(c, _)| c.count.load(Ordering::Relaxed) > 0)
@@ -231,27 +203,7 @@ impl ServerMetrics {
                 p99_us: c.hist.quantile(0.99),
                 p999_us: c.hist.quantile(0.999),
             })
-            .collect();
-        MetricsReport {
-            endpoints,
-            oracle_measurements: self.oracle_measurements.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            sessions_created: self.sessions_created.load(Ordering::Relaxed),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            sessions_rebuilt: self.sessions_rebuilt.load(Ordering::Relaxed),
-            cache_persist_failures: self.cache_persist_failures.load(Ordering::Relaxed),
-            cache_transfer_seeded: self.cache_transfer_seeded.load(Ordering::Relaxed),
-            cache_lru_hits: cache.lru_hits,
-            cache_lru_misses: cache.lru_misses,
-            cache_lru_evictions: cache.lru_evictions,
-            cache_lru_len: cache.lru_len,
-            active_sessions,
-            fleet,
-            requests_shed: overload.requests_shed,
-            connections_rejected: overload.connections_rejected,
-            cache_breaker_opens: overload.cache_breaker_opens,
-        }
+            .collect()
     }
 }
 
@@ -337,24 +289,15 @@ impl Oracle for CountingOracle<'_> {
 mod tests {
     use super::*;
 
-    fn bare_report(m: &ServerMetrics, active: u64) -> MetricsReport {
-        m.report(
-            active,
-            &CacheStats::default(),
-            FleetReport::default(),
-            OverloadStats::default(),
-        )
-    }
-
     #[test]
     fn record_counts_requests_and_errors() {
         let m = ServerMetrics::new();
         m.record(Endpoint::Ping, Duration::from_micros(50), false);
         m.record(Endpoint::Ping, Duration::from_millis(5), true);
         m.record(Endpoint::Ping, Duration::from_secs(2), false);
-        let report = bare_report(&m, 0);
-        assert_eq!(report.endpoints.len(), 1);
-        let ep = &report.endpoints[0];
+        let endpoints = m.endpoint_stats();
+        assert_eq!(endpoints.len(), 1);
+        let ep = &endpoints[0];
         assert_eq!(ep.name, "ping");
         assert_eq!(ep.count, 3);
         assert_eq!(ep.errors, 1);
@@ -370,7 +313,7 @@ mod tests {
             m.record(Endpoint::Ping, Duration::from_micros(200), false);
         }
         m.record(Endpoint::Ping, Duration::from_millis(80), false);
-        let ep = &bare_report(&m, 0).endpoints[0];
+        let ep = &m.endpoint_stats()[0];
         assert!(
             (190..=210).contains(&ep.p50_us),
             "p50 should track the fast mode: {}",
@@ -411,6 +354,7 @@ mod tests {
             b"[\"Ping\"]",
             b"\"LaunchMissiles\"",
             b"{\"ping\":{}}",
+            b"\"Health\"",
             long_tag.as_bytes(),
             deep_pad.as_bytes(),
         ] {
@@ -422,44 +366,69 @@ mod tests {
     fn untouched_endpoints_are_omitted() {
         let m = ServerMetrics::new();
         m.record(Endpoint::Tune, Duration::from_micros(10), false);
-        let report = bare_report(&m, 3);
-        assert_eq!(report.endpoints.len(), 1);
-        assert_eq!(report.endpoints[0].name, "tune");
-        assert_eq!(report.active_sessions, 3);
+        let endpoints = m.endpoint_stats();
+        assert_eq!(endpoints.len(), 1);
+        assert_eq!(endpoints[0].name, "tune");
     }
 
     #[test]
     fn report_overlays_cache_and_fleet_inputs() {
-        // Regression: report() used to hard-zero the cache_lru_* fields
+        // Regression: the report used to hard-zero the cache_lru_* fields
         // and the fleet section, relying on every caller to remember the
-        // overlay. Now they are inputs, so the snapshot below can only
-        // come from the arguments.
-        let m = ServerMetrics::new();
-        let cache = CacheStats {
-            lru_hits: 7,
-            lru_misses: 3,
-            lru_evictions: 2,
-            lru_len: 5,
+        // overlay. Now one builder reads each where it lives, so the live
+        // values below must all show.
+        use crate::cache::{platform_fingerprint, CacheEntry, CacheKey};
+        use crate::server::{ServeConfig, Server};
+        let config = ServeConfig {
+            max_connections: 1,
+            dispatch_high_watermark: 2,
+            ..ServeConfig::default()
         };
-        let fleet = FleetReport {
-            live_workers: 2,
-            tasks_dispatched: 9,
-            ..FleetReport::default()
+        let inner = Server::bind(config).unwrap().inner;
+        let key = CacheKey {
+            workflow: "LV".into(),
+            platform: platform_fingerprint(&inner.platform),
+            objective: "comp".into(),
+            pool: 500,
+            seed: 1,
+            budget: 25,
+            algo: "tune:ceal".into(),
         };
-        let overload = OverloadStats {
-            requests_shed: 11,
-            connections_rejected: 4,
-            cache_breaker_opens: 2,
+        assert!(inner.cache.get(&key).is_none());
+        let entry = CacheEntry {
+            key: key.clone(),
+            best: vec![1; 6],
+            best_value: 1.0,
+            runs_used: 25,
+            component_runs: 0,
+            samples: Vec::new(),
+            platform_features: Vec::new(),
         };
-        let report = m.report(1, &cache, fleet, overload);
-        assert_eq!(report.cache_lru_hits, 7);
-        assert_eq!(report.cache_lru_misses, 3);
-        assert_eq!(report.cache_lru_evictions, 2);
-        assert_eq!(report.cache_lru_len, 5);
-        assert_eq!(report.fleet.live_workers, 2);
-        assert_eq!(report.fleet.tasks_dispatched, 9);
-        assert_eq!(report.requests_shed, 11);
-        assert_eq!(report.connections_rejected, 4);
-        assert_eq!(report.cache_breaker_opens, 2);
+        inner.cache.put(entry).unwrap();
+        assert!(inner.cache.get(&key).is_some());
+        inner.fleet.register("w1");
+        assert!(inner.load.try_admit_conn());
+        assert!(!inner.load.try_admit_conn(), "over the cap");
+        inner.load.begin_dispatch();
+        inner.load.begin_dispatch();
+        assert_eq!(inner.load.shed_decision(), (true, Some(true)));
+        inner.load.requests_shed.fetch_add(3, Ordering::Relaxed);
+
+        let report = inner.metrics_report();
+        assert_eq!((report.cache_lru_hits, report.cache_lru_misses), (1, 1));
+        assert_eq!(report.cache_lru_len, 1);
+        assert_eq!(report.fleet.live_workers, 1);
+        assert_eq!(report.fleet.workers[0].name, "w1");
+        assert_eq!((report.live_connections, report.max_connections), (1, 1));
+        assert_eq!(report.connections_rejected, 1);
+        assert_eq!(report.dispatch_in_flight, 2);
+        let watermarks = (
+            report.dispatch_high_watermark,
+            report.dispatch_low_watermark,
+        );
+        assert_eq!(watermarks, (2, 1));
+        assert!(report.shedding);
+        assert_eq!(report.requests_shed, 3);
+        assert_eq!(report.active_sessions, 0);
     }
 }

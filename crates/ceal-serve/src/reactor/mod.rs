@@ -844,14 +844,8 @@ mod tests {
     fn turn_until(r: &mut Reactor, events: &mut [sys::EpollEvent], endpoint: &str, count: u64) {
         for _ in 0..200 {
             r.turn(events).unwrap();
-            let inner = &r.inner;
-            let report = inner.metrics.report(
-                0,
-                &inner.cache.stats(),
-                inner.fleet.report(),
-                inner.overload_stats(),
-            );
-            let seen = report.endpoints.iter().find(|e| e.name == endpoint);
+            let endpoints = r.inner.metrics.endpoint_stats();
+            let seen = endpoints.iter().find(|e| e.name == endpoint);
             if seen.is_some_and(|e| e.count >= count) {
                 return;
             }
@@ -878,9 +872,9 @@ mod tests {
 
         // Pooled: reads off while the worker has it, on again once the
         // answer has flushed (without ever waiting for `EPOLLOUT`).
-        write_frame(&mut peer, br#""Health""#).unwrap();
-        turn_until(&mut r, &mut events, "health", 1);
-        assert!(read_frame(&mut peer).unwrap().starts_with(br#"{"Health""#));
+        write_frame(&mut peer, br#""Metrics""#).unwrap();
+        turn_until(&mut r, &mut events, "metrics", 1);
+        assert!(read_frame(&mut peer).unwrap().starts_with(br#"{"Metrics""#));
         assert_eq!(r.epoll.modifies.get(), 2, "a pooled request");
 
         write_frame(&mut peer, br#""Ping""#).unwrap();

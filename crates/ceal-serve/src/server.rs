@@ -17,9 +17,9 @@
 use crate::cache::{AutotuneCache, DEFAULT_LRU_CAPACITY, DEFAULT_TRANSFER_THRESHOLD};
 use crate::error::ServeError;
 use crate::frame::MAX_MID_FRAME_STALL;
-use crate::metrics::{Endpoint, OverloadStats, ServerMetrics};
+use crate::metrics::{Endpoint, ServerMetrics};
 use crate::parked::{self, Event, Outcome, Parked, Ticket};
-use crate::protocol::{HealthReport, Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{MetricsReport, Request, Response, PROTOCOL_VERSION};
 use crate::session::{Session, SessionManager};
 use ceal_fleet::TaskReport;
 use ceal_trace::{TraceContext, Tracer};
@@ -115,7 +115,7 @@ impl Default for ServeConfig {
 /// accept, so the fd table stays bounded) and a high/low watermark pair on
 /// the dispatch queue (enforced per request, with hysteresis so shedding
 /// doesn't flap around the threshold). Cheap control traffic like `Ping`,
-/// `Health`, and fleet heartbeats is never shed; see
+/// `Metrics`, and fleet heartbeats is never shed; see
 /// [`Endpoint::sheddable`].
 pub(crate) struct LoadControl {
     /// Hard cap on admitted connections.
@@ -247,7 +247,7 @@ pub(crate) struct ServerInner {
     /// handler's panic stays contained to its request.
     #[cfg(test)]
     pub(crate) panic_next_dispatch: AtomicBool,
-    /// Process start, for `Health`'s uptime.
+    /// Process start, for the `Metrics` uptime.
     pub(crate) started: Instant,
     /// Requests parked on a fleet round, by the round's batch id. An entry
     /// and its shell's round come and go together, under the session lock.
@@ -265,12 +265,36 @@ impl ServerInner {
         }
     }
 
-    /// Snapshot of the overload counters for the metrics overlay.
-    pub(crate) fn overload_stats(&self) -> OverloadStats {
-        OverloadStats {
-            requests_shed: self.load.requests_shed.load(Ordering::Relaxed),
-            connections_rejected: self.load.connections_rejected.load(Ordering::Relaxed),
-            cache_breaker_opens: self.cache.breaker.opens(),
+    /// The `Metrics` snapshot: every section read where it lives, so
+    /// none can be left out and silently reported as zero.
+    pub(crate) fn metrics_report(&self) -> MetricsReport {
+        let (m, load) = (&self.metrics, &self.load);
+        let cache = self.cache.stats();
+        MetricsReport {
+            endpoints: m.endpoint_stats(),
+            oracle_measurements: m.oracle_measurements.load(Ordering::Relaxed),
+            cache_hits: m.cache_hits.load(Ordering::Relaxed),
+            cache_misses: m.cache_misses.load(Ordering::Relaxed),
+            sessions_created: m.sessions_created.load(Ordering::Relaxed),
+            sessions_evicted: m.sessions_evicted.load(Ordering::Relaxed),
+            sessions_rebuilt: m.sessions_rebuilt.load(Ordering::Relaxed),
+            cache_persist_failures: m.cache_persist_failures.load(Ordering::Relaxed),
+            cache_transfer_seeded: m.cache_transfer_seeded.load(Ordering::Relaxed),
+            cache_lru_hits: cache.lru_hits,
+            cache_lru_misses: cache.lru_misses,
+            cache_lru_evictions: cache.lru_evictions,
+            cache_lru_len: cache.lru_len,
+            active_sessions: self.sessions.len() as u64,
+            fleet: self.fleet.report(),
+            requests_shed: load.requests_shed.load(Ordering::Relaxed),
+            connections_rejected: load.connections_rejected.load(Ordering::Relaxed),
+            uptime_ms: self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
+            live_connections: load.live_conns() as u64,
+            max_connections: load.max_connections as u64,
+            dispatch_in_flight: load.in_flight() as u64,
+            dispatch_high_watermark: load.high as u64,
+            dispatch_low_watermark: load.low as u64,
+            shedding: load.is_shedding(),
         }
     }
 
@@ -459,7 +483,6 @@ pub(crate) fn endpoint_of(req: &Request) -> Endpoint {
         Request::RegisterWorker { .. } => Endpoint::RegisterWorker,
         Request::Heartbeat { .. } => Endpoint::Heartbeat,
         Request::TaskResult { .. } => Endpoint::TaskResult,
-        Request::Health => Endpoint::Health,
     }
 }
 
@@ -564,13 +587,7 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline
             });
             ok_or_error(closed, |()| Response::Ok)
         }
-        Request::Metrics => Response::Metrics(inner.metrics.report(
-            inner.sessions.len() as u64,
-            &inner.cache.stats(),
-            inner.fleet.report(),
-            inner.overload_stats(),
-        )),
-        Request::Health => Response::Health(health_report(inner)),
+        Request::Metrics => Response::Metrics(inner.metrics_report()),
         Request::Shutdown => {
             inner.shutdown.store(true, Ordering::Release);
             // Land everything still buffered in the trace ring before the
@@ -608,24 +625,6 @@ fn poll(
         Ok(None) => Outcome::Held(ticket),
         Ok(Some(tasks)) => Outcome::Done(ticket.finish(&Response::TaskAssign { tasks })),
         Err(e) => Outcome::Done(ticket.finish(&error_frame(e.into()))),
-    }
-}
-
-/// Builds the `Health` payload from the shared overload state.
-pub(crate) fn health_report(inner: &ServerInner) -> HealthReport {
-    let overload = inner.overload_stats();
-    HealthReport {
-        uptime_ms: inner.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
-        live_connections: inner.load.live_conns() as u64,
-        max_connections: inner.load.max_connections as u64,
-        dispatch_in_flight: inner.load.in_flight() as u64,
-        dispatch_high_watermark: inner.load.high as u64,
-        dispatch_low_watermark: inner.load.low as u64,
-        shedding: inner.load.is_shedding(),
-        requests_shed: overload.requests_shed,
-        connections_rejected: overload.connections_rejected,
-        active_sessions: inner.sessions.len() as u64,
-        cache_breaker: inner.cache.breaker.status(),
     }
 }
 
@@ -690,11 +689,10 @@ mod tests {
             Request::PushHistory { .. } => 7,
             Request::CloseSession { .. } => 8,
             Request::Metrics => 9,
-            Request::Health => 10,
-            Request::Shutdown => 11,
-            Request::RegisterWorker { .. } => 12,
-            Request::Heartbeat { .. } => 13,
-            Request::TaskResult { .. } => 14,
+            Request::Shutdown => 10,
+            Request::RegisterWorker { .. } => 11,
+            Request::Heartbeat { .. } => 12,
+            Request::TaskResult { .. } => 13,
         }
     }
 
@@ -729,7 +727,6 @@ mod tests {
             },
             Request::CloseSession { session: 1 },
             Request::Metrics,
-            Request::Health,
             Request::Shutdown,
             Request::RegisterWorker { name: "w".into() },
             Request::Heartbeat { worker: 1 },
@@ -741,7 +738,7 @@ mod tests {
         let covered: Vec<usize> = samples.iter().map(variant_index).collect();
         assert_eq!(
             covered,
-            (0..15).collect::<Vec<_>>(),
+            (0..14).collect::<Vec<_>>(),
             "one sample per variant"
         );
         for req in samples {

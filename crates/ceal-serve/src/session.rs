@@ -303,7 +303,7 @@ impl Session {
             surrogate: None,
             best: None,
             oracle: SimOracle::new(sim, spec, objective, ORACLE_BASE_SEED),
-            failure_rate: failure_rate.clamp(0.0, 0.999),
+            failure_rate,
             fault_seed,
             attempt: 0,
             journal: None,

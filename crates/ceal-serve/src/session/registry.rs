@@ -19,6 +19,17 @@ struct Entry {
     last_touch: AtomicU64,
 }
 
+/// Refuses an injected-fault rate outside `[0, 1)`, whether a client asked
+/// for it or a journal's header recorded it.
+fn check_failure_rate(failure_rate: f64) -> Result<(), ServeError> {
+    match (0.0..1.0).contains(&failure_rate) {
+        true => Ok(()),
+        false => Err(ServeError::BadRequest(format!(
+            "failure rate {failure_rate} outside [0, 1)"
+        ))),
+    }
+}
+
 /// The registry of live sessions.
 pub struct SessionManager {
     sessions: RwLock<HashMap<u64, Entry>>,
@@ -156,6 +167,7 @@ impl SessionManager {
         };
         let parsed = parse_params(&params)?;
         let (failure_rate, fault_seed) = (cid.failure_rate, cid.fault_seed);
+        check_failure_rate(failure_rate)?;
         let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
         session.sample_pool();
         session.journal = Some(journal);
@@ -190,11 +202,7 @@ impl SessionManager {
         metrics: &ServerMetrics,
     ) -> Result<(SessionStatus, bool), ServeError> {
         let parsed = parse_params(&params)?;
-        if !(0.0..1.0).contains(&failure_rate) {
-            return Err(ServeError::BadRequest(format!(
-                "failure rate {failure_rate} outside [0, 1)"
-            )));
-        }
+        check_failure_rate(failure_rate)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let key = cache_key(&params, &self.platform, SESSION_MODE);
         let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);

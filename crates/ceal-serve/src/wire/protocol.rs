@@ -10,12 +10,14 @@ use ceal_fleet::{FleetReport, TaskReport, TaskSpec};
 use serde::{Deserialize, Serialize};
 
 /// Bumped on any change to [`Request`] or [`Response`], or to what a
-/// request means (9: `Metrics` and `Health` lose the oracle breaker's
-/// fields; 8: a session runs the algorithm `TuneParams.algo` names). There is no cross-version compatibility:
-/// [`Client::connect`](crate::Client::connect) pings first and refuses any
-/// server whose version is not *equal* to its own, so every field below is
-/// required on the wire.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// request means (10: `Health` is gone, folded into `Metrics`, which
+/// gains its load fields and loses the cache breaker's; 9: `Metrics` and
+/// `Health` lose the oracle breaker's fields; 8: a session runs the
+/// algorithm `TuneParams.algo` names). There is no cross-version
+/// compatibility: [`Client::connect`](crate::Client::connect) pings first
+/// and refuses any server whose version is not *equal* to its own, so
+/// every field below is required on the wire.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Parameters shared by one-shot tuning and session creation.
 ///
@@ -100,12 +102,11 @@ pub enum Request {
         /// Session ID.
         session: u64,
     },
-    /// Per-endpoint counters and latency histograms.
-    Metrics,
-    /// Liveness with substance: queue depths, shed/breaker counters, and
-    /// uptime. Exempt from load shedding so operators can always see why
+    /// The server's one snapshot: per-endpoint counters and latency
+    /// histograms, cache, fleet and session counters, and the admission
+    /// state. Exempt from load shedding so operators can always see why
     /// the server is saying [`Response::Busy`].
-    Health,
+    Metrics,
     /// Stop accepting connections, drain in-flight work, and exit the
     /// serve loop.
     Shutdown,
@@ -225,25 +226,6 @@ pub struct MetricsReport {
     /// Connections refused at accept because the live-connection cap was
     /// reached.
     pub connections_rejected: u64,
-    /// Times the cache-persist circuit breaker opened.
-    pub cache_breaker_opens: u64,
-}
-
-/// One circuit breaker's externally visible state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct BreakerStatus {
-    /// `closed`, `open`, or `half-open`.
-    pub state: String,
-    /// Consecutive failures recorded since the last success.
-    pub consecutive_failures: u64,
-    /// Times this breaker has opened since startup.
-    pub opens: u64,
-}
-
-/// The `health` endpoint's payload: enough to diagnose a shedding server
-/// from the outside.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct HealthReport {
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
     /// Connections currently admitted.
@@ -258,14 +240,6 @@ pub struct HealthReport {
     pub dispatch_low_watermark: u64,
     /// Whether the server is currently shedding sheddable requests.
     pub shedding: bool,
-    /// Requests answered with [`Response::Busy`] since startup.
-    pub requests_shed: u64,
-    /// Connections refused at accept since startup.
-    pub connections_rejected: u64,
-    /// Sessions currently live.
-    pub active_sessions: u64,
-    /// Cache-persist breaker state.
-    pub cache_breaker: BreakerStatus,
 }
 
 /// A server-to-client message.
@@ -317,8 +291,6 @@ pub enum Response {
     },
     /// Reply to [`Request::Metrics`].
     Metrics(MetricsReport),
-    /// Reply to [`Request::Health`].
-    Health(HealthReport),
     /// Typed load shedding: the server is over its dispatch watermark (or
     /// connection cap) and declined this request without doing work. The
     /// connection stays usable; retry after the suggested delay.
@@ -401,7 +373,7 @@ mod tests {
                 }],
             },
             Request::Shutdown,
-            Request::Health,
+            Request::Metrics,
         ];
         for req in reqs {
             let json = serde_json::to_string(&req).unwrap();
@@ -467,7 +439,32 @@ mod tests {
                 message: "nope".into(),
             },
             Response::Busy { retry_after_ms: 75 },
-            Response::Health(HealthReport {
+            Response::Metrics(MetricsReport {
+                endpoints: vec![EndpointStats {
+                    name: "tune".into(),
+                    count: 4,
+                    errors: 1,
+                    total_us: 9_000,
+                    p50_us: 2_000,
+                    p99_us: 4_000,
+                    p999_us: 4_000,
+                }],
+                oracle_measurements: 75,
+                cache_hits: 1,
+                cache_misses: 3,
+                sessions_created: 2,
+                sessions_evicted: 0,
+                sessions_rebuilt: 1,
+                cache_persist_failures: 0,
+                cache_transfer_seeded: 1,
+                cache_lru_hits: 5,
+                cache_lru_misses: 2,
+                cache_lru_evictions: 0,
+                cache_lru_len: 3,
+                active_sessions: 1,
+                fleet: FleetReport::default(),
+                requests_shed: 41,
+                connections_rejected: 2,
                 uptime_ms: 12_000,
                 live_connections: 3,
                 max_connections: 16_384,
@@ -475,14 +472,6 @@ mod tests {
                 dispatch_high_watermark: 16,
                 dispatch_low_watermark: 8,
                 shedding: true,
-                requests_shed: 41,
-                connections_rejected: 2,
-                active_sessions: 1,
-                cache_breaker: BreakerStatus {
-                    state: "open".into(),
-                    consecutive_failures: 3,
-                    opens: 1,
-                },
             }),
         ];
         for resp in resps {

@@ -39,8 +39,8 @@ fn idle_connections_cost_descriptors_not_threads() {
         .map(|i| Client::connect(srv.addr()).unwrap_or_else(|e| panic!("connection {i}: {e}")))
         .collect();
 
-    let health = c.health().expect("health");
-    assert_eq!(health.live_connections, n + 1);
+    let metrics = c.metrics().expect("metrics");
+    assert_eq!(metrics.live_connections, n + 1);
     assert_eq!(
         process_threads(),
         threads_before,
@@ -50,7 +50,7 @@ fn idle_connections_cost_descriptors_not_threads() {
 
     drop(idle);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while c.health().expect("health").live_connections != 1 {
+    while c.metrics().expect("metrics").live_connections != 1 {
         assert!(Instant::now() < deadline, "closed connections never reaped");
         std::thread::sleep(Duration::from_millis(20));
     }

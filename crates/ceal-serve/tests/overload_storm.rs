@@ -91,11 +91,11 @@ fn storm() -> (u64, u64) {
         })
         .collect();
 
-    // Mid-storm liveness: shed-exempt `Health` answers while regular
+    // Mid-storm liveness: shed-exempt `Metrics` answers while regular
     // traffic is being refused.
     std::thread::sleep(STORM / 2);
-    let health = setup.health().expect("health during the storm");
-    assert_eq!(health.dispatch_high_watermark, 1);
+    let metrics = setup.metrics().expect("metrics during the storm");
+    assert_eq!(metrics.dispatch_high_watermark, 1);
 
     let (mut accepted, mut shed) = (0u64, 0u64);
     for client in storm {
@@ -107,7 +107,7 @@ fn storm() -> (u64, u64) {
     // which the storm's requests dominate in an optimized build and share
     // about evenly with the 200 baseline probes in a debug one.
     let storm_p99 = server_predict_p99(&mut setup);
-    let requests_shed = setup.health().expect("health").requests_shed;
+    let requests_shed = setup.metrics().expect("metrics").requests_shed;
     setup.shutdown().expect("shutdown");
     srv.join().expect("drain");
 

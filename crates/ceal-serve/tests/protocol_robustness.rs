@@ -263,7 +263,7 @@ fn unclassifiable_frames_are_shed_with_one_typed_busy() {
             .ping()
             .expect("exempt traffic is served while shedding");
     }
-    assert!(control.health().expect("health").requests_shed >= 5);
+    assert!(control.metrics().expect("metrics").requests_shed >= 5);
 
     stop.store(true, Ordering::Release);
     hammer.join().expect("hammer thread");

@@ -208,6 +208,13 @@ fn journals_that_disagree_with_the_stepper_are_skipped_at_startup() {
     hollow.retain(|r| !matches!(r, JournalRecord::Solo { component: 1, .. }));
     write_journal(&dir.join("session-904.wal"), &hollow);
 
+    // A fault rate `create` would refuse: the rebuild refuses it too.
+    let mut faulty = records.clone();
+    if let JournalRecord::Start(cid) = &mut faulty[0] {
+        cid.failure_rate = 1.5;
+    }
+    write_journal(&dir.join("session-905.wal"), &faulty);
+
     let tracer = Tracer::in_memory();
     let handle = Server::bind(ServeConfig {
         journal_dir: Some(dir.clone()),
@@ -225,13 +232,13 @@ fn journals_that_disagree_with_the_stepper_are_skipped_at_startup() {
     let whole = client.status(903).expect("fully journaled session");
     assert_eq!(whole.state, "done");
     assert_eq!(whole.best, Some(run.best_predicted));
-    for lost in [901, 902, 904] {
+    for lost in [901, 902, 904, 905] {
         let err = client.status(lost).expect_err("rejected journal");
         assert_eq!(err.code(), Some("unknown-session"));
     }
     let warned = tracer.drain_events();
     let warned = warned.iter().filter(|e| e.name == "session.rebuild-failed");
-    assert_eq!(warned.count(), 3);
+    assert_eq!(warned.count(), 4);
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();

@@ -8,9 +8,7 @@
 use ceal_core::journal::JOURNAL_MAGIC;
 use ceal_core::{frame, CampaignId, Journal, JournalError, JournalRecord};
 use ceal_fleet::{FleetReport, TaskOutcome, TaskReport, TaskSpec, WorkerStats};
-use ceal_serve::protocol::{
-    BreakerStatus, EndpointStats, HealthReport, MetricsReport, Request, Response, SessionStatus,
-};
+use ceal_serve::protocol::{EndpointStats, MetricsReport, Request, Response, SessionStatus};
 use ceal_serve::{
     bundle_from_json, bundle_to_json, CacheEntry, CacheKey, TuneParams, PROTOCOL_VERSION,
 };
@@ -194,30 +192,6 @@ impl Gen {
         }
     }
 
-    fn breaker(&mut self) -> BreakerStatus {
-        BreakerStatus {
-            state: self.string(),
-            consecutive_failures: self.u64(),
-            opens: self.u64(),
-        }
-    }
-
-    fn health(&mut self) -> HealthReport {
-        HealthReport {
-            uptime_ms: self.u64(),
-            live_connections: self.u64(),
-            max_connections: self.u64(),
-            dispatch_in_flight: self.u64(),
-            dispatch_high_watermark: self.u64(),
-            dispatch_low_watermark: self.u64(),
-            shedding: self.0.gen(),
-            requests_shed: self.u64(),
-            connections_rejected: self.u64(),
-            active_sessions: self.u64(),
-            cache_breaker: self.breaker(),
-        }
-    }
-
     fn metrics(&mut self) -> MetricsReport {
         MetricsReport {
             endpoints: self.vec(3, |g| EndpointStats {
@@ -264,7 +238,13 @@ impl Gen {
             },
             requests_shed: self.u64(),
             connections_rejected: self.u64(),
-            cache_breaker_opens: self.u64(),
+            uptime_ms: self.u64(),
+            live_connections: self.u64(),
+            max_connections: self.u64(),
+            dispatch_in_flight: self.u64(),
+            dispatch_high_watermark: self.u64(),
+            dispatch_low_watermark: self.u64(),
+            shedding: self.0.gen(),
         }
     }
 
@@ -301,12 +281,11 @@ impl Gen {
                 session: self.u64(),
             },
             9 => Request::Metrics,
-            10 => Request::Health,
-            11 => Request::Shutdown,
-            12 => Request::RegisterWorker {
+            10 => Request::Shutdown,
+            11 => Request::RegisterWorker {
                 name: self.string(),
             },
-            13 => Request::Heartbeat { worker: self.u64() },
+            12 => Request::Heartbeat { worker: self.u64() },
             _ => Request::TaskResult {
                 worker: self.u64(),
                 results: self.vec(3, |g| TaskReport {
@@ -344,15 +323,14 @@ impl Gen {
                 computer_time: self.f64(),
             },
             6 => Response::Metrics(self.metrics()),
-            7 => Response::Health(self.health()),
-            8 => Response::Busy {
+            7 => Response::Busy {
                 retry_after_ms: self.u64(),
             },
-            9 => Response::WorkerRegistered {
+            8 => Response::WorkerRegistered {
                 worker: self.u64(),
                 lease_ms: self.u64(),
             },
-            10 => Response::TaskAssign {
+            9 => Response::TaskAssign {
                 tasks: self.vec(3, |g| TaskSpec {
                     task: g.u64(),
                     session: g.u64(),
@@ -365,7 +343,7 @@ impl Gen {
                     span: g.u64(),
                 }),
             },
-            11 => Response::Ok,
+            10 => Response::Ok,
             _ => Response::Error {
                 code: self.string(),
                 message: self.string(),
@@ -438,11 +416,10 @@ fn request_variant(req: &Request) -> usize {
         Request::PushHistory { .. } => 7,
         Request::CloseSession { .. } => 8,
         Request::Metrics => 9,
-        Request::Health => 10,
-        Request::Shutdown => 11,
-        Request::RegisterWorker { .. } => 12,
-        Request::Heartbeat { .. } => 13,
-        Request::TaskResult { .. } => 14,
+        Request::Shutdown => 10,
+        Request::RegisterWorker { .. } => 11,
+        Request::Heartbeat { .. } => 12,
+        Request::TaskResult { .. } => 13,
     }
 }
 
@@ -455,12 +432,11 @@ fn response_variant(resp: &Response) -> usize {
         Response::Predictions { .. } => 4,
         Response::Measured { .. } => 5,
         Response::Metrics(_) => 6,
-        Response::Health(_) => 7,
-        Response::Busy { .. } => 8,
-        Response::WorkerRegistered { .. } => 9,
-        Response::TaskAssign { .. } => 10,
-        Response::Ok => 11,
-        Response::Error { .. } => 12,
+        Response::Busy { .. } => 7,
+        Response::WorkerRegistered { .. } => 8,
+        Response::TaskAssign { .. } => 9,
+        Response::Ok => 10,
+        Response::Error { .. } => 11,
     }
 }
 
@@ -500,7 +476,7 @@ proptest! {
     #[test]
     fn every_request_round_trips(seed in 0u64..=u64::MAX) {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
-        for variant in 0..15 {
+        for variant in 0..14 {
             let req = g.request(variant);
             prop_assert_eq!(request_variant(&req), variant);
             round_trip(&req)?;
@@ -510,14 +486,13 @@ proptest! {
     #[test]
     fn every_response_round_trips(seed in 0u64..=u64::MAX) {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
-        for variant in 0..13 {
+        for variant in 0..12 {
             let resp = g.response(variant);
             prop_assert_eq!(response_variant(&resp), variant);
             round_trip(&resp)?;
         }
         round_trip(&g.session_status())?;
         round_trip(&g.metrics())?;
-        round_trip(&g.health())?;
     }
 
     #[test]
@@ -543,8 +518,8 @@ proptest! {
     fn every_proper_prefix_is_an_error(seed in 0u64..=u64::MAX) {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
         let docs = [
-            serde_json::to_vec(&g.request(seed as usize % 15)).unwrap(),
-            serde_json::to_vec(&g.response(seed as usize % 13)).unwrap(),
+            serde_json::to_vec(&g.request(seed as usize % 14)).unwrap(),
+            serde_json::to_vec(&g.response(seed as usize % 12)).unwrap(),
             serde_json::to_vec(&g.journal_record(seed as usize % 4)).unwrap(),
             serde_json::to_vec(&g.cache_entry()).unwrap(),
         ];
@@ -769,11 +744,11 @@ fn mutated_documents_and_journals_are_answered_never_panicked_on() {
         let docs = [
             (
                 "request",
-                serde_json::to_vec(&g.request(seed as usize % 15)),
+                serde_json::to_vec(&g.request(seed as usize % 14)),
             ),
             (
                 "response",
-                serde_json::to_vec(&g.response(seed as usize % 13)),
+                serde_json::to_vec(&g.response(seed as usize % 12)),
             ),
             (
                 "journal record",
