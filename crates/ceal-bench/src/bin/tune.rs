@@ -15,15 +15,16 @@
 //!
 //! With `--journal` every paid-for measurement is committed to a write-ahead
 //! journal before the tuner sees it; a killed campaign restarted with
-//! `--resume` replays the journaled measurements for free and only pays for
-//! what the crash lost. `--failure-rate` injects transient measurement
+//! `--resume` folds the journaled measurements back into the tuner for free
+//! — each must be the run it asks for next — and only pays for what the
+//! crash lost. `--failure-rate` injects transient measurement
 //! faults retried up to `--max-attempts` times; exhausted retries exit with
 //! a typed error instead of panicking.
 
-use ceal_core::algorithms::by_name;
+use ceal_core::algorithms::{by_name, Campaign};
 use ceal_core::{
-    prepare_campaign, sample_pool, CampaignId, ComponentHistory, FaultInjector, Journal,
-    JournalingOracle, Oracle, RetryingCollector, SimOracle,
+    prepare_campaign, sample_pool, CampaignId, ComponentHistory, FaultInjector, Fold, Journal,
+    MeasureError, Oracle, RetryingCollector, SimOracle,
 };
 use ceal_sim::{Objective, Simulator};
 use rand::SeedableRng;
@@ -153,8 +154,8 @@ fn main() {
 
     // Oracle stack, innermost out: the simulator oracle (each measurement
     // a live run — only what the tuner asks for is simulated), then an
-    // optional fault-injection + retry layer, then an optional write-ahead
-    // journal (outermost, so replayed measurements skip the layers below).
+    // optional fault-injection + retry layer. A journal sits outside it:
+    // replayed runs are folded in without measuring.
     let fault_seed = args.seed ^ 0xFA17;
     let injector;
     let retrying;
@@ -170,60 +171,63 @@ fn main() {
     } else {
         &oracle
     };
-    let journaling;
-    let mut replay_source: Option<&JournalingOracle> = None;
-    let tuning: &dyn Oracle = match &args.journal {
-        Some(path) => {
-            let (mut journal, report) = Journal::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open journal {path}: {e}");
+    let t0 = std::time::Instant::now();
+    let mut fold = Fold::new(
+        algo.as_ref(),
+        Campaign::of(&oracle, pool, args.budget, args.seed),
+    );
+    let mut journal = None;
+    if let Some(path) = &args.journal {
+        let (mut opened, report) = Journal::open(path).unwrap_or_else(|e| {
+            eprintln!("cannot open journal {path}: {e}");
+            std::process::exit(1);
+        });
+        if report.truncated_bytes > 0 {
+            println!(
+                "journal {path}: dropped {} torn tail bytes",
+                report.truncated_bytes
+            );
+        }
+        let cid = CampaignId {
+            workflow: spec.name.clone(),
+            objective: match args.objective {
+                Objective::ExecutionTime => "exec".into(),
+                Objective::ComputerTime => "comp".into(),
+            },
+            algo: args.algo.clone(),
+            budget: args.budget as u64,
+            pool: args.pool as u64,
+            seed: args.seed,
+            failure_rate: args.failure_rate,
+            fault_seed,
+        };
+        let replayed = prepare_campaign(&mut opened, report.records, &cid, args.resume)
+            .and_then(|records| fold.replay(records))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot resume from journal {path}: {e}");
                 std::process::exit(1);
             });
-            if report.truncated_bytes > 0 {
-                println!(
-                    "journal {path}: dropped {} torn tail bytes",
-                    report.truncated_bytes
-                );
-            }
-            let cid = CampaignId {
-                workflow: spec.name.clone(),
-                objective: match args.objective {
-                    Objective::ExecutionTime => "exec".into(),
-                    Objective::ComputerTime => "comp".into(),
-                },
-                algo: args.algo.clone(),
-                budget: args.budget as u64,
-                pool: args.pool as u64,
-                seed: args.seed,
-                failure_rate: args.failure_rate,
-                fault_seed,
-            };
-            let records = prepare_campaign(&mut journal, report.records, &cid, args.resume)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot resume from journal {path}: {e}");
-                    std::process::exit(1);
-                });
-            journaling = JournalingOracle::new(measuring, journal, &records);
-            replay_source = Some(&journaling);
-            &journaling
-        }
-        None => measuring,
-    };
+        journal = Some((opened, replayed));
+    }
 
-    let t0 = std::time::Instant::now();
-    let run = match algo.try_run(tuning, &pool, args.budget, args.seed) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("tuning run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    // Write-ahead: a fresh run is journaled before the tuner is told it.
+    let run = fold.drive(measuring, |record| match &mut journal {
+        Some((j, _)) => j
+            .append(record)
+            .map_err(|e| MeasureError::Failed(format!("journal append failed: {e}"))),
+        None => Ok(()),
+    });
+    let run = run.unwrap_or_else(|e| {
+        eprintln!("tuning run failed: {e}");
+        std::process::exit(1);
+    });
     let tuned = oracle.measure(&run.best_predicted);
 
-    if let Some(j) = replay_source {
-        let stats = j.stats();
+    if let Some((_, (solo, coupled))) = journal {
         println!(
-            "journal: replayed {} coupled + {} solo measurements, paid for {} coupled + {} solo",
-            stats.replayed_coupled, stats.replayed_solo, stats.fresh_coupled, stats.fresh_solo
+            "journal: replayed {coupled} coupled + {solo} solo measurements, paid for {} coupled + {} solo",
+            run.measured.len() as u64 - coupled,
+            run.component_runs.len() as u64 - solo
         );
     }
     println!(

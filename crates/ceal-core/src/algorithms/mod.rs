@@ -11,6 +11,7 @@ mod alph;
 mod bo;
 mod ceal_algo;
 mod ensembles;
+mod fold;
 mod geist;
 mod rl;
 mod rs;
@@ -21,10 +22,11 @@ pub use alph::Alph;
 pub use bo::{BayesOpt, BoBootstrap};
 pub use ceal_algo::{Ceal, CealParams, SwitchMode};
 pub use ensembles::{EnsembleKind, EnsembleTuner};
+pub use fold::{Fold, Pending};
 pub use geist::Geist;
 pub use rl::{BanditBootstrap, BanditTuner};
 pub use rs::RandomSampling;
-pub use stepper::{Ask, Campaign, Stepper, Told};
+pub use stepper::{Campaign, Stepper};
 
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
@@ -126,18 +128,17 @@ pub trait Autotuner: Sync {
     /// Algorithm name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
-    /// Starts `campaign` as a resumable [`Stepper`]. `campaign.seed`
-    /// controls every random choice; equal seeds reproduce the run exactly.
+    /// Starts `campaign` as a resumable [`Stepper`], which a [`Fold`]
+    /// drives. `campaign.seed` controls every random choice; equal seeds
+    /// reproduce the run exactly.
     fn stepper(&self, campaign: Campaign) -> Box<dyn Stepper>;
 
     /// Runs the tuner with `budget` workflow-run equivalents against
-    /// `oracle`, selecting measurements from `pool`: its stepper, driven to
-    /// completion in one sitting.
+    /// `oracle`, selecting measurements from `pool`: its [`Fold`], driven
+    /// to completion in one sitting with nothing journaled.
     ///
-    /// A measurement failure (infeasible configuration, exhausted retries,
-    /// journal I/O error) aborts the run and surfaces as the typed
-    /// [`MeasureError`] — the campaign's paid-for measurements survive in
-    /// whatever journal wraps the oracle.
+    /// A measurement failure (infeasible configuration, exhausted retries)
+    /// aborts the run and surfaces as the typed [`MeasureError`].
     fn try_run(
         &self,
         oracle: &dyn Oracle,
@@ -145,8 +146,7 @@ pub trait Autotuner: Sync {
         budget: usize,
         seed: u64,
     ) -> Result<TunerRun, MeasureError> {
-        let mut stepper = self.stepper(Campaign::of(oracle, pool, budget, seed));
-        stepper::drive(stepper.as_mut(), oracle, pool)
+        Fold::new(self, Campaign::of(oracle, pool, budget, seed)).drive(oracle, |_| Ok(()))
     }
 
     /// Convenience wrapper over [`Autotuner::try_run`] for callers that

@@ -2,11 +2,11 @@
 //!
 //! A stepper never measures anything. It says what it wants measured next
 //! ([`Ask`]), is told the results ([`Told`]) and moves on, so whoever owns
-//! the measuring decides where it happens and what survives a crash:
-//! [`Autotuner::try_run`](super::Autotuner::try_run) drives a stepper
-//! against an [`Oracle`] in one loop, the serve layer's sessions drive one
-//! a few runs per request through a journal and a worker fleet, and
-//! restart recovery feeds the journal back through [`Stepper::tell`]. A
+//! the measuring decides where it happens and what survives a crash. Only
+//! a [`Fold`](super::Fold) tells a stepper anything: every driver —
+//! [`Autotuner::try_run`](super::Autotuner::try_run), the `tune` CLI's
+//! journal, the serve layer's sessions and their restart — hands it the
+//! measurements as journal records, and it checks them against the ask. A
 //! stepper's random choices come from its own seeded stream and its
 //! results depend only on what it was told, in order — not on who measured
 //! or in how many sittings.
@@ -14,7 +14,7 @@
 use super::TunerRun;
 use crate::acm::ComponentModels;
 use crate::history::ComponentHistory;
-use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
+use crate::oracle::{Measurement, Oracle, SoloMeasurement};
 use crate::prior::TransferPrior;
 use ceal_ml::{Dataset, Regressor};
 use ceal_sim::{Objective, Platform, WorkflowSpec};
@@ -43,17 +43,16 @@ pub enum Told {
 ///
 /// The protocol is strict alternation: [`Stepper::next`], then
 /// [`Stepper::tell`] with results for exactly the batch asked, until
-/// `next` returns [`Ask::Done`].
+/// `next` returns `Ask::Done`. A [`Fold`](super::Fold) keeps it.
 pub trait Stepper: Send {
     /// The next batch to measure, or the finished run.
     fn next(&mut self) -> Ask;
 
     /// Hands over the results of the batch `next` last asked for.
     ///
-    /// # Panics
-    /// Panics if `results` is not an answer to that batch — a bug in the
-    /// driver, which must check anything it read from outside the process
-    /// against the ask before telling.
+    /// The [`Fold`](super::Fold) checks every run against the ask before
+    /// it tells, so a stepper takes `results` as the answer to its batch,
+    /// in ask order.
     fn tell(&mut self, results: Told);
 }
 
@@ -94,34 +93,6 @@ impl Campaign {
             seed,
             prior: None,
         }
-    }
-}
-
-/// Drives `stepper` to completion against `oracle`, measuring every batch
-/// in ask order. The first failed measurement aborts the run; whatever a
-/// journaling oracle recorded before it stays recorded.
-pub(crate) fn drive(
-    stepper: &mut dyn Stepper,
-    oracle: &dyn Oracle,
-    pool: &[Vec<i64>],
-) -> Result<TunerRun, MeasureError> {
-    loop {
-        let told = match stepper.next() {
-            Ask::Solo(batch) => Told::Solo(
-                batch
-                    .iter()
-                    .map(|(j, values)| oracle.try_measure_component(*j, values))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Ask::Coupled(batch) => Told::Coupled(
-                batch
-                    .iter()
-                    .map(|&i| oracle.try_measure(&pool[i]))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Ask::Done(run) => return Ok(run),
-        };
-        stepper.tell(told);
     }
 }
 
@@ -220,9 +191,7 @@ impl<F: FnMut(&Ledger) -> Step + Send> Stepper for PoolStepper<F> {
         let (Told::Coupled(results), Step::Measure(ask)) = (results, &self.pending) else {
             panic!("told results nobody asked for");
         };
-        assert_eq!(results.len(), ask.len(), "results do not fit the ask");
         for (&i, m) in ask.iter().zip(results) {
-            assert_eq!(m.config, self.ledger.pool[i], "result for another config");
             assert!(!self.ledger.taken[i], "pool index {i} measured twice");
             self.ledger.taken[i] = true;
             self.ledger.at.push(i);
@@ -334,14 +303,6 @@ impl Stepper for SoloThen {
         let (Told::Solo(solos), Some(then)) = (results, self.then.take()) else {
             panic!("told coupled results for a solo ask");
         };
-        assert!(
-            solos.len() == self.ask.len()
-                && solos
-                    .iter()
-                    .zip(&self.ask)
-                    .all(|(m, (j, v))| m.component == *j && &m.values == v),
-            "results do not fit the solo ask"
-        );
         self.inner = Some(then(solos));
     }
 }

@@ -36,7 +36,7 @@
 //! committed exactly when the commit returns — and a commit with nothing
 //! staged performs no I/O at all. [`Journal::append`] is `stage` +
 //! `commit`: per-record durability for a caller whose measurements are
-//! expensive enough to be worth an fsync each ([`JournalingOracle`]). A
+//! expensive enough to be worth an fsync each (the `tune` CLI). A
 //! caller that consumes measurements a batch at a time (a serve session)
 //! stages the batch and commits once, before it acts on any of it; what a
 //! crash can then lose is the batch in flight, never one it had acted on.
@@ -48,13 +48,15 @@
 //!
 //! ## Replay
 //!
-//! Tuners in this workspace are seed-deterministic: given the same oracle
-//! answers they re-issue the same measurement sequence. [`JournalingOracle`]
-//! exploits that — it replays journaled measurements by configuration from
-//! an in-memory map (zero oracle spend) and journals fresh ones, so
-//! `tune --journal x.wal --resume` walks the algorithm through its
-//! original decisions for free until it reaches the crash frontier, then
-//! continues measuring.
+//! Tuners in this workspace are seed-deterministic: given the same answers
+//! they ask for the same runs in the same order. A journal is those answers
+//! in that order, so replay is folding its records into the campaign's
+//! [`Fold`](crate::algorithms::Fold), which checks each against what the
+//! stepper asks for next: `tune --journal x.wal --resume` walks the
+//! algorithm through its original decisions for free until it reaches the
+//! crash frontier, then measures on and appends each run before folding
+//! it. A journal that is not the record of exactly those decisions is
+//! refused at the first record that does not fold.
 //!
 //! ## Crashes
 //!
@@ -66,14 +68,11 @@
 //! of its end and at its end, and resume from each cut.
 
 use crate::frame;
-use crate::oracle::{MeasureError, Measurement, Oracle, SoloMeasurement};
-use ceal_sim::{Objective, Platform, WorkflowSpec};
+use crate::oracle::{Measurement, SoloMeasurement};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Identifies the journal file format (and its version).
 pub const JOURNAL_MAGIC: &[u8; 8] = b"CEALWAL1";
@@ -180,6 +179,17 @@ impl JournalRecord {
             exec_time: m.exec_time,
             computer_time: m.computer_time,
             attempt,
+        }
+    }
+
+    /// The record of one paid-for solo run.
+    pub fn solo(m: &SoloMeasurement) -> Self {
+        Self::Solo {
+            component: m.component,
+            values: m.values.clone(),
+            value: m.value,
+            exec_time: m.exec_time,
+            computer_time: m.computer_time,
         }
     }
 }
@@ -371,7 +381,9 @@ impl Journal {
     }
 }
 
-/// Validates a freshly opened journal against the campaign about to run.
+/// Validates a freshly opened journal against the campaign about to run,
+/// and returns the records behind its `Start` header for the caller to
+/// replay.
 ///
 /// * Empty journal → writes the `Start` header and returns no records.
 /// * Matching header, no further records → fresh start, fine either way.
@@ -382,7 +394,7 @@ impl Journal {
 ///   [`JournalError::Corrupt`].
 pub fn prepare_campaign(
     journal: &mut Journal,
-    records: Vec<JournalRecord>,
+    mut records: Vec<JournalRecord>,
     id: &CampaignId,
     resume: bool,
 ) -> Result<Vec<JournalRecord>, JournalError> {
@@ -405,173 +417,13 @@ pub fn prepare_campaign(
                     records.len() - 1
                 )));
             }
+            records.remove(0);
             Ok(records)
         }
         Some(other) => Err(JournalError::Corrupt(format!(
             "journal {} does not begin with a Start record (found {other:?})",
             journal.path().display()
         ))),
-    }
-}
-
-/// Replay/spend counters for one journaled campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Coupled measurements answered from the journal (zero oracle spend).
-    pub replayed_coupled: u64,
-    /// Coupled measurements paid for and journaled this run.
-    pub fresh_coupled: u64,
-    /// Solo measurements answered from the journal.
-    pub replayed_solo: u64,
-    /// Solo measurements paid for and journaled this run.
-    pub fresh_solo: u64,
-}
-
-struct JournalState {
-    journal: Journal,
-    coupled: HashMap<Vec<i64>, Measurement>,
-    solo: HashMap<(usize, Vec<i64>), SoloMeasurement>,
-    stats: ReplayStats,
-}
-
-/// An [`Oracle`] middleware that makes the campaign crash-safe: journaled
-/// measurements replay from memory for free; fresh ones are journaled
-/// (write-ahead, fsync'd) *before* the algorithm sees them.
-///
-/// Relies on the workspace-wide determinism invariant: measurement values
-/// are a pure function of the configuration, so replay-by-configuration is
-/// exact regardless of the order the algorithm re-requests them in.
-pub struct JournalingOracle<'a> {
-    inner: &'a dyn Oracle,
-    state: Mutex<JournalState>,
-}
-
-impl<'a> JournalingOracle<'a> {
-    /// Wraps `inner`, replaying `records` (from [`Journal::open`] /
-    /// [`prepare_campaign`]) and journaling everything new to `journal`.
-    pub fn new(inner: &'a dyn Oracle, journal: Journal, records: &[JournalRecord]) -> Self {
-        let mut coupled = HashMap::new();
-        let mut solo = HashMap::new();
-        for rec in records {
-            match rec {
-                JournalRecord::Coupled {
-                    config,
-                    value,
-                    exec_time,
-                    computer_time,
-                    ..
-                } => {
-                    coupled.insert(
-                        config.clone(),
-                        Measurement {
-                            config: config.clone(),
-                            value: *value,
-                            exec_time: *exec_time,
-                            computer_time: *computer_time,
-                        },
-                    );
-                }
-                JournalRecord::Solo {
-                    component,
-                    values,
-                    value,
-                    exec_time,
-                    computer_time,
-                } => {
-                    solo.insert(
-                        (*component, values.clone()),
-                        SoloMeasurement {
-                            component: *component,
-                            values: values.clone(),
-                            value: *value,
-                            exec_time: *exec_time,
-                            computer_time: *computer_time,
-                        },
-                    );
-                }
-                JournalRecord::Start(_) | JournalRecord::Marker(_) => {}
-            }
-        }
-        Self {
-            inner,
-            state: Mutex::new(JournalState {
-                journal,
-                coupled,
-                solo,
-                stats: ReplayStats::default(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, JournalState> {
-        // A panic inside the wrapped oracle can unwind while the lock is
-        // held; the journal/maps are always mutated after the fallible
-        // step, so the state is consistent — recover instead of
-        // propagating the poison.
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Replay/spend counters so far.
-    pub fn stats(&self) -> ReplayStats {
-        self.lock().stats
-    }
-}
-
-impl Oracle for JournalingOracle<'_> {
-    fn spec(&self) -> &WorkflowSpec {
-        self.inner.spec()
-    }
-
-    fn platform(&self) -> &Platform {
-        self.inner.platform()
-    }
-
-    fn objective(&self) -> Objective {
-        self.inner.objective()
-    }
-
-    fn try_measure(&self, config: &[i64]) -> Result<Measurement, MeasureError> {
-        let mut st = self.lock();
-        if let Some(m) = st.coupled.get(config) {
-            let m = m.clone();
-            st.stats.replayed_coupled += 1;
-            return Ok(m);
-        }
-        let m = self.inner.try_measure(config)?;
-        // Write-ahead: the measurement is not reported until it is durable.
-        st.journal
-            .append(&JournalRecord::coupled(&m, 0))
-            .map_err(|e| MeasureError::Failed(format!("journal append failed: {e}")))?;
-        st.stats.fresh_coupled += 1;
-        st.coupled.insert(m.config.clone(), m.clone());
-        Ok(m)
-    }
-
-    fn try_measure_component(
-        &self,
-        component: usize,
-        values: &[i64],
-    ) -> Result<SoloMeasurement, MeasureError> {
-        let mut st = self.lock();
-        let key = (component, values.to_vec());
-        if let Some(m) = st.solo.get(&key) {
-            let m = m.clone();
-            st.stats.replayed_solo += 1;
-            return Ok(m);
-        }
-        let m = self.inner.try_measure_component(component, values)?;
-        st.journal
-            .append(&JournalRecord::Solo {
-                component: m.component,
-                values: m.values.clone(),
-                value: m.value,
-                exec_time: m.exec_time,
-                computer_time: m.computer_time,
-            })
-            .map_err(|e| MeasureError::Failed(format!("journal append failed: {e}")))?;
-        st.stats.fresh_solo += 1;
-        st.solo.insert(key, m.clone());
-        Ok(m)
     }
 }
 
@@ -665,7 +517,7 @@ mod tests {
         // With --resume: records come back.
         let (mut j, report) = Journal::open(&path).expect("reopen");
         let recs = prepare_campaign(&mut j, report.records, &id, true).expect("resume");
-        assert_eq!(recs.len(), 2);
+        assert_eq!(recs, [JournalRecord::Marker("m".into())]);
         // Foreign campaign: rejected even with --resume.
         let other = CampaignId {
             seed: 999,

@@ -22,7 +22,8 @@
 //! * [`fault`] — job-level fault tolerance for the collector (§7.1's
 //!   `MPI_Comm_launch` enhancement, as injection + retry wrappers).
 //! * [`journal`] — crash-safe campaigns: a checksummed write-ahead journal
-//!   of every measurement, with torn-tail recovery and free replay.
+//!   of every measurement, with torn-tail recovery; replay is the
+//!   [`Fold`] every campaign is driven through.
 //! * [`frame`] — the length-prefixed, CRC-checked record frame the journal
 //!   and the serve cache's record logs share.
 //! * [`prior`] — transfer priors: seeding a campaign's bootstrap phase
@@ -47,15 +48,12 @@ pub use acm::{CombineFn, ComponentModels, LowFidelityModel};
 pub use algorithms::{encode_pool, fit_surrogate_samples};
 pub use algorithms::{
     ActiveLearning, Alph, Autotuner, BanditTuner, BayesOpt, Ceal, CealParams, EnsembleKind,
-    EnsembleTuner, Geist, RandomSampling, SurrogateKind, SwitchMode, TunerRun,
+    EnsembleTuner, Fold, Geist, RandomSampling, SurrogateKind, SwitchMode, TunerRun,
 };
 pub use fault::{FaultInjector, RetryingCollector};
 pub use features::FeatureMap;
 pub use history::{ComponentHistory, HistoryError};
-pub use journal::{
-    prepare_campaign, CampaignId, Journal, JournalError, JournalRecord, JournalingOracle,
-    OpenReport, ReplayStats,
-};
+pub use journal::{prepare_campaign, CampaignId, Journal, JournalError, JournalRecord, OpenReport};
 pub use oracle::{MeasureError, Measurement, Oracle, PoolOracle, SimOracle, SoloMeasurement};
 pub use pool::sample_pool;
 pub use prior::{fit_surrogate_seeded, TransferPrior};

@@ -2,20 +2,24 @@
 //!
 //! The durability contract under test: whatever byte the process dies at,
 //! reopening the journal recovers exactly the longest valid prefix of
-//! records, the journal stays appendable, and a resumed campaign replays
-//! the recovered measurements for free while paying only for what the
-//! crash lost — finishing with the same result as a crash-free run.
+//! records, the journal stays appendable, and a resumed campaign folds the
+//! recovered measurements back into its tuner for free while paying only
+//! for what the crash lost — finishing with the same result as a
+//! crash-free run. A journal that is not the record of the campaign's own
+//! asks, in order, is refused.
 
+use ceal_core::algorithms::Campaign;
 use ceal_core::journal::JOURNAL_MAGIC;
 use ceal_core::{
-    frame, prepare_campaign, sample_pool, Autotuner, CampaignId, Ceal, CealParams, Journal,
-    JournalRecord, JournalingOracle, MeasureError, Measurement, Oracle, PoolOracle, RandomSampling,
-    SimOracle, SoloMeasurement,
+    frame, prepare_campaign, sample_pool, Autotuner, CampaignId, Ceal, CealParams, Fold, Journal,
+    JournalError, JournalRecord, MeasureError, Measurement, Oracle, PoolOracle, RandomSampling,
+    SimOracle, SoloMeasurement, TunerRun,
 };
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
 use ceal_testutil::unique_temp_path;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -74,6 +78,32 @@ impl Oracle for CountingOracle<'_> {
         self.solo.fetch_add(1, Ordering::Relaxed);
         self.inner.try_measure_component(component, values)
     }
+}
+
+/// One sitting of a journaled campaign on the fixture's pool, as `tune
+/// --journal [--resume]` runs it: the records behind the header are folded
+/// into the tuner for free, then every fresh run is appended before it is
+/// folded. Returns the run and the solo and coupled runs replayed, or why
+/// the journal did not resume.
+fn sitting(
+    algo: &dyn Autotuner,
+    oracle: &dyn Oracle,
+    path: &Path,
+    id: &CampaignId,
+    resume: bool,
+) -> Result<(TunerRun, (u64, u64)), JournalError> {
+    let (mut journal, report) = Journal::open(path)?;
+    let records = prepare_campaign(&mut journal, report.records, id, resume)?;
+    let (pool, budget) = (fixture().0.clone(), id.budget as usize);
+    let mut fold = Fold::new(algo, Campaign::of(oracle, pool, budget, id.seed));
+    let replayed = fold.replay(records)?;
+    let append = |r: &JournalRecord| {
+        journal
+            .append(r)
+            .map_err(|e| MeasureError::Failed(e.to_string()))
+    };
+    let run = fold.drive(oracle, append).expect("the fixture measures");
+    Ok((run, replayed))
 }
 
 fn campaign_id(algo: &str, budget: u64, seed: u64) -> CampaignId {
@@ -199,44 +229,25 @@ fn truncation_at_every_offset_recovers_longest_valid_prefix() {
 /// and reproduces the identical recommendation.
 #[test]
 fn completed_campaign_replays_for_free() {
-    let (pool, oracle) = fixture();
+    let (_, oracle) = fixture();
     let path = unique_temp_path("ceal-replay-free", "wal");
     let id = campaign_id("ceal", 8, 3);
     let algo = Ceal::new(CealParams::without_history());
 
-    let (first, first_paid_coupled, first_paid_solo) = {
-        let (mut journal, report) = Journal::open(&path).expect("open");
-        let records = prepare_campaign(&mut journal, report.records, &id, false).expect("fresh");
-        let counting = CountingOracle::new(oracle);
-        let journaling = JournalingOracle::new(&counting, journal, &records);
-        let run = algo
-            .try_run(&journaling, pool, 8, 3)
-            .expect("first run succeeds");
-        let stats = journaling.stats();
-        assert_eq!(stats.replayed_coupled + stats.replayed_solo, 0);
-        assert_eq!(
-            stats.fresh_coupled,
-            counting.coupled.load(Ordering::Relaxed)
-        );
-        assert_eq!(stats.fresh_solo, counting.solo.load(Ordering::Relaxed));
-        (run, stats.fresh_coupled, stats.fresh_solo)
-    };
-    assert!(first_paid_coupled > 0 && first_paid_solo > 0);
-
-    let (mut journal, report) = Journal::open(&path).expect("reopen");
-    let records = prepare_campaign(&mut journal, report.records, &id, true).expect("resume");
     let counting = CountingOracle::new(oracle);
-    let journaling = JournalingOracle::new(&counting, journal, &records);
-    let second = algo
-        .try_run(&journaling, pool, 8, 3)
-        .expect("replayed run succeeds");
+    let (first, replayed) = sitting(&algo, &counting, &path, &id, false).expect("first run");
+    assert_eq!(replayed, (0, 0));
+    let paid_coupled = counting.coupled.load(Ordering::Relaxed);
+    let paid_solo = counting.solo.load(Ordering::Relaxed);
+    assert_eq!(paid_coupled, first.runs_used() as u64);
+    assert_eq!(paid_solo, first.component_runs.len() as u64);
+    assert!(paid_coupled > 0 && paid_solo > 0);
 
+    let counting = CountingOracle::new(oracle);
+    let (second, replayed) = sitting(&algo, &counting, &path, &id, true).expect("replayed run");
     assert_eq!(counting.coupled.load(Ordering::Relaxed), 0, "no re-billing");
     assert_eq!(counting.solo.load(Ordering::Relaxed), 0, "no re-billing");
-    let stats = journaling.stats();
-    assert_eq!(stats.fresh_coupled + stats.fresh_solo, 0);
-    assert_eq!(stats.replayed_coupled, first_paid_coupled);
-    assert_eq!(stats.replayed_solo, first_paid_solo);
+    assert_eq!(replayed, (paid_solo, paid_coupled));
     assert_eq!(second.best_predicted, first.best_predicted);
     assert_eq!(second.runs_used(), first.runs_used());
     std::fs::remove_file(&path).ok();
@@ -260,15 +271,7 @@ fn torn_journal_resume_is_prefix_consistent_with_crash_free_run() {
     // Full journaled run to obtain the on-disk record sequence.
     let path = unique_temp_path("ceal-torn-resume", "wal");
     let id = campaign_id("rs", budget as u64, seed);
-    {
-        let (mut journal, report) = Journal::open(&path).expect("open");
-        let records = prepare_campaign(&mut journal, report.records, &id, false).expect("fresh");
-        let journaling = JournalingOracle::new(oracle, journal, &records);
-        RandomSampling
-            .try_run(&journaling, pool, budget, seed)
-            .expect("journaled run");
-        assert_eq!(journaling.stats().fresh_coupled, budget as u64);
-    }
+    sitting(&RandomSampling, oracle, &path, &id, false).expect("journaled run");
     let full = std::fs::read(&path).expect("read journal");
     let full_records = Journal::open(&path).expect("reopen full").1.records;
     assert_eq!(full_records.len(), 1 + budget);
@@ -285,47 +288,68 @@ fn torn_journal_resume_is_prefix_consistent_with_crash_free_run() {
 
     for cut in cuts.flatten() {
         std::fs::write(&path, &full[..cut]).expect("tear");
-        let (mut journal, report) = Journal::open(&path).expect("reopen torn");
+        let recovered = Journal::open(&path).expect("reopen torn").1.records;
         let survivors = ends[1..].iter().filter(|&&end| end <= cut).count();
         assert_eq!(
-            report.records,
+            recovered,
             full_records[..survivors],
             "cut at byte {cut}: recovery must be the crash-free prefix"
         );
-        let survived = report
-            .records
-            .iter()
-            .filter(|r| matches!(r, JournalRecord::Coupled { .. }))
-            .count() as u64;
+        let survived = survivors.saturating_sub(1) as u64;
 
-        let records = prepare_campaign(&mut journal, report.records, &id, true).expect("resume");
         let counting = CountingOracle::new(oracle);
-        let journaling = JournalingOracle::new(&counting, journal, &records);
-        let resumed = RandomSampling
-            .try_run(&journaling, pool, budget, seed)
-            .expect("resumed run");
-
-        let stats = journaling.stats();
+        let (resumed, replayed) =
+            sitting(&RandomSampling, &counting, &path, &id, true).expect("resumed run");
         assert_eq!(
-            stats.replayed_coupled, survived,
+            replayed,
+            (0, survived),
             "cut at byte {cut}: survivors replay for free"
         );
         assert_eq!(
-            stats.fresh_coupled,
+            counting.coupled.load(Ordering::Relaxed),
             budget as u64 - survived,
             "cut at byte {cut}: only the lost measurements are re-paid"
         );
-        assert_eq!(
-            counting.coupled.load(Ordering::Relaxed),
-            budget as u64 - survived
-        );
         assert_eq!(resumed.best_predicted, crash_free.best_predicted);
         assert_eq!(resumed.runs_used(), crash_free.runs_used());
-        drop(journaling);
 
         // After the resumed run the journal holds the full sequence again.
         let healed = Journal::open(&path).expect("reopen healed").1.records;
         assert_eq!(healed, full_records, "cut at byte {cut}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Replay is a fold of the journal through the tuner's asks, not a lookup
+/// by configuration: the campaign's own runs in another order, or one run
+/// past its end, are refused at resume — nothing billed, nothing appended —
+/// where the same records looked up by configuration would have replayed.
+#[test]
+fn a_journal_that_is_not_the_campaigns_own_asks_is_refused() {
+    let (pool, oracle) = fixture();
+    let path = unique_temp_path("ceal-replay-refused", "wal");
+    let id = campaign_id("rs", 6, 11);
+    sitting(&RandomSampling, oracle, &path, &id, false).expect("journaled run");
+    let records = Journal::open(&path).expect("reopen").1.records;
+    assert_eq!(records.len(), 7);
+
+    let mut swapped = records.clone();
+    swapped.swap(1, 2);
+    let mut over = records.clone();
+    over.push(JournalRecord::coupled(&oracle.measure(&pool[0]), 0));
+    for (what, journal) in [("swapped", swapped), ("over budget", over)] {
+        std::fs::remove_file(&path).ok();
+        let (mut j, _) = Journal::open(&path).expect("open");
+        journal.iter().for_each(|r| j.append(r).expect("append"));
+        drop(j);
+        let before = std::fs::read(&path).expect("read");
+        let counting = CountingOracle::new(oracle);
+        let Err(err) = sitting(&RandomSampling, &counting, &path, &id, true) else {
+            panic!("{what}: replayed");
+        };
+        assert!(matches!(err, JournalError::Mismatch(_)), "{what}: {err:?}");
+        assert_eq!(counting.coupled.load(Ordering::Relaxed), 0, "{what}");
+        assert_eq!(std::fs::read(&path).expect("read"), before, "{what}");
     }
     std::fs::remove_file(&path).ok();
 }

@@ -8,8 +8,8 @@
 //! * [`protocol`] + [`frame`] + [`client`] — request/response enums on a
 //!   length-prefixed JSON frame protocol, plus a blocking [`Client`].
 //! * [`session`] — incremental tuning campaigns: the I/O shell (journal,
-//!   fleet, cache) around `ceal-core`'s ask/tell steppers, in a registry
-//!   with idle eviction.
+//!   fleet, cache) around `ceal-core`'s checked record fold of an ask/tell
+//!   stepper, in a registry with idle eviction.
 //! * [`cache`] — a tiered store of completed campaigns keyed by
 //!   (workflow, platform fingerprint, objective, pool seed, budget,
 //!   algorithm): an in-memory LRU front over per-workflow append-only

@@ -3,15 +3,16 @@
 //! A session is one tuning campaign driven by explicit client steps, so
 //! budget is spent a few measurements at a time instead of in one blocking
 //! request. The search itself is not here: a session is the I/O shell
-//! around an ask/tell [`Stepper`] — the code
-//! [`Autotuner::try_run`](ceal_core::Autotuner::try_run) drives — chosen
-//! by `TuneParams.algo` through [`by_name`]. The shell measures what the
-//! stepper asks for (locally or across the fleet), bills each result and
-//! turns the batch into journal records; [`Session::commit`] makes them
-//! durable — one write, before any of it is handed over and before the
-//! reply leaves, so what a client was told is durable and a crash loses at
-//! most the batch in flight — and then [`Session::fold`]s them into the
-//! campaign. The states a client sees are read off that exchange:
+//! around a [`Fold`] — the checked record fold every stepper is told
+//! through, the one [`Autotuner::try_run`](ceal_core::Autotuner::try_run)
+//! drives — of the tuner `TuneParams.algo` names in [`by_name`]. The shell
+//! measures what the stepper asks for (locally or across the fleet), bills
+//! each result and turns the batch into journal records;
+//! [`Session::commit`] makes them durable — one write, before any of it is
+//! handed over and before the reply leaves, so what a client was told is
+//! durable and a crash loses at most the batch in flight — and then
+//! [`Session::fold`]s them into the campaign. The states a client sees are
+//! read off that exchange:
 //!
 //! ```text
 //! created → collecting-history → bootstrapping → refining → done
@@ -23,11 +24,12 @@
 //! *bootstrapping*, every later ask *refining*, its finished run *done* —
 //! published to the cache and served for batched prediction.
 //!
-//! `fold` is the only code that changes campaign state from a record, so a
-//! restart is a loop of it over what the journal recovered: a rebuilt
-//! session stands where the live one stood, a journal the stepper would
-//! not have produced is rejected, not trusted, and a session rebuilt
-//! `done` publishes at its first `Advance`.
+//! `fold` is the only code that changes campaign state from a record — the
+//! history and its markers here, every run the stepper asked for through
+//! the core's fold — so a restart is a loop of it over what the journal
+//! recovered: a rebuilt session stands where the live one stood, a journal
+//! the stepper would not have produced is rejected, not trusted, and a
+//! session rebuilt `done` publishes at its first `Advance`.
 //!
 //! A session seeded from a sibling platform's cached campaign
 //! (`warm_source = transfer`) differs in one thing: the sibling's samples
@@ -58,11 +60,10 @@ use crate::cache::{
 use crate::error::ServeError;
 use crate::metrics::{CountingOracle, ServerMetrics};
 use crate::protocol::{SessionStatus, TuneParams};
-use ceal_core::algorithms::{by_name, Ask, Campaign, Stepper, SurrogateKind, Told};
+use ceal_core::algorithms::{by_name, Campaign, Fold, Pending, SurrogateKind};
 use ceal_core::{
     encode_pool, fit_surrogate_samples, sample_pool, CampaignId, ComponentHistory, FaultInjector,
-    FeatureMap, Journal, JournalRecord, Measurement, Oracle, SimOracle, SoloMeasurement,
-    TransferPrior,
+    FeatureMap, Journal, JournalRecord, Measurement, Oracle, SimOracle, TransferPrior, TunerRun,
 };
 use ceal_ml::Regressor;
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
@@ -168,17 +169,6 @@ impl Phase {
     }
 }
 
-/// A solo ask, and the stepper waiting on its answer.
-struct SoloAsk(Box<dyn Stepper>, Vec<(usize, Vec<i64>)>);
-
-/// The search in progress: the stepper and the batch it waits for. `got`
-/// answers the head of `ask`; a complete batch is told at once.
-struct Search {
-    stepper: Box<dyn Stepper>,
-    ask: Vec<usize>,
-    got: Vec<Measurement>,
-}
-
 /// A scattered fleet round the shell waits on: the pool indices it asked
 /// the fleet to measure, in ask order, and the batch that answers them.
 struct Round {
@@ -208,11 +198,9 @@ pub struct Session {
     /// `C_pool`; empty in a session the cache answered, which never searches.
     pool: Arc<[Vec<i64>]>,
     phase: Phase,
-    /// `Some` while the stepper waits on a coupled ask.
-    search: Option<Search>,
-    /// A solo ask, waiting for an `Advance` to answer it whole (the replay
-    /// fold fetches asks too, and cannot measure).
-    solo: Option<SoloAsk>,
+    /// The search: the stepper's fold, from the start of the search until
+    /// the run is done.
+    search: Option<Fold>,
     /// The fleet round in flight, between the two halves of a step.
     round: Option<Round>,
     /// Sibling-platform samples the stepper gets when the search starts.
@@ -291,7 +279,6 @@ impl Session {
             pool: Vec::new().into(),
             phase: Phase::Created,
             search: None,
-            solo: None,
             round: None,
             prior: None,
             warm_source: "cold",
@@ -411,11 +398,15 @@ impl Session {
     }
 
     /// Folds one journal record into the campaign: the only code that
-    /// changes campaign state from a record, live or on restart. It
-    /// measures, bills and writes nothing; a record the campaign would not
-    /// have produced (another build's, tampered, over budget) is an error.
+    /// changes campaign state from a record, live or on restart. Before the
+    /// search, solo records and markers build the history; from its start
+    /// every run goes to the search's [`Fold`], which takes only the run
+    /// the stepper asks for next. It measures, bills and writes nothing; a
+    /// record the campaign would not have produced (another build's,
+    /// tampered, over budget) is an error.
     fn fold(&mut self, record: JournalRecord) -> Result<(), ServeError> {
         let bad = |m: String| ServeError::Internal(format!("record does not fold: {m}"));
+        let collecting = matches!(self.phase, Phase::Created | Phase::CollectingHistory);
         match record {
             JournalRecord::Start(_) => return Err(bad("a second campaign header".into())),
             JournalRecord::Solo {
@@ -423,12 +414,12 @@ impl Session {
                 values,
                 value,
                 ..
-            } => match self.batch.samples.get_mut(component) {
+            } if collecting => match self.batch.samples.get_mut(component) {
                 Some(samples) => samples.push((values, value)),
                 None => return Err(bad(format!("solo for component {component}"))),
             },
             JournalRecord::Marker(m) if m == HISTORY_MARKER || m == PUSHED_MARKER => {
-                if !matches!(self.phase, Phase::Created | Phase::CollectingHistory) {
+                if !collecting {
                     return Err(bad("history after the search started".into()));
                 }
                 let empty = ComponentHistory::empty(self.history.n_components());
@@ -453,37 +444,24 @@ impl Session {
                 self.warm_source = "transfer";
             }
             JournalRecord::Marker(_) => {}
-            JournalRecord::Coupled {
-                config,
-                value,
-                exec_time,
-                computer_time,
-                attempt,
-            } => {
+            run => {
                 if self.phase == Phase::CollectingHistory {
                     self.start_search()?;
                 }
-                let Some(mut search) = self.search.take() else {
-                    return Err(bad(format!("coupled run in state {}", self.phase.name())));
+                let Some(search) = &mut self.search else {
+                    return Err(bad(format!("a run in state {}", self.phase.name())));
                 };
-                let asked = &self.pool[search.ask[search.got.len()]];
-                if &config != asked {
-                    return Err(bad(format!("run of {config:?}, asked for {asked:?}")));
+                let attempt = match &run {
+                    JournalRecord::Coupled { attempt, .. } => Some(*attempt),
+                    _ => None,
+                };
+                let told = search.fold(run).map_err(|e| bad(e.to_string()))?;
+                if let Some(attempt) = attempt {
+                    self.attempt = self.attempt.max(attempt);
+                    self.measured += 1;
                 }
-                self.attempt = self.attempt.max(attempt);
-                self.measured += 1;
-                search.got.push(Measurement {
-                    config,
-                    value,
-                    exec_time,
-                    computer_time,
-                });
-                match search.got.len() < search.ask.len() {
-                    true => self.search = Some(search),
-                    false => {
-                        search.stepper.tell(Told::Coupled(search.got));
-                        self.ask_next(search.stepper);
-                    }
+                if told {
+                    self.read_ask();
                 }
             }
         }
@@ -614,7 +592,7 @@ impl Session {
         Ok(JournalRecord::coupled(&m, self.attempt))
     }
 
-    /// Builds the stepper of `params.algo` and fetches its first ask. A
+    /// Starts the search: the fold of `params.algo`'s stepper. A
     /// session's stepper gets the history collected so far; a one-shot's
     /// gets none and asks for its solo runs instead.
     fn start_search(&mut self) -> Result<(), ServeError> {
@@ -626,35 +604,45 @@ impl Session {
         let mut campaign = Campaign::of(&self.oracle, Arc::clone(&self.pool), budget, seed);
         campaign.prior = self.prior.take();
         self.enter_phase(Phase::Bootstrapping);
-        self.ask_next(tuner.stepper(campaign));
+        self.search = Some(Fold::new(tuner.as_ref(), campaign));
+        self.read_ask();
         Ok(())
     }
 
-    /// Fetches `stepper`'s next ask. The first coupled ask is
+    /// Reads the state off the stepper's new ask: the first coupled ask is
     /// `bootstrapping`, every later one `refining`, the finished run `done`.
-    fn ask_next(&mut self, mut stepper: Box<dyn Stepper>) {
-        match stepper.next() {
-            Ask::Solo(ask) => self.solo = Some(SoloAsk(stepper, ask)),
-            Ask::Coupled(ask) => {
-                if self.measured > 0 && self.phase == Phase::Bootstrapping {
-                    self.enter_phase(Phase::Refining);
+    fn read_ask(&mut self) {
+        match self.search.as_ref().map(Fold::pending) {
+            Some(Pending::Coupled(_))
+                if self.measured > 0 && self.phase == Phase::Bootstrapping =>
+            {
+                self.enter_phase(Phase::Refining)
+            }
+            Some(Pending::Done) => {
+                if let Some(run) = self.search.take().and_then(Fold::into_run) {
+                    self.finished(run);
                 }
-                let got = Vec::new();
-                self.search = Some(Search { stepper, ask, got });
             }
-            Ask::Done(run) => {
-                let best_value = run
-                    .pool_scores
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                self.best = Some((run.best_predicted, best_value));
-                self.surrogate = run.surrogate;
-                let measured = run.measured.into_iter();
-                self.samples = measured.map(|m| (m.config, m.value)).collect();
-                self.enter_phase(Phase::Done);
-            }
+            _ => {}
         }
+    }
+
+    /// Takes the stepper's finished run. A one-shot's solo runs become its
+    /// `history`, where a session keeps the `D_hist` it was started on.
+    fn finished(&mut self, run: TunerRun) {
+        let best_value = run
+            .pool_scores
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        self.best = Some((run.best_predicted, best_value));
+        self.surrogate = run.surrogate;
+        for m in run.component_runs {
+            self.history.push(m.component, m.values, m.value);
+        }
+        let measured = run.measured.into_iter();
+        self.samples = measured.map(|m| (m.config, m.value)).collect();
+        self.enter_phase(Phase::Done);
     }
 
     /// Advances the campaign, spending at most `runs` coupled
@@ -706,25 +694,21 @@ impl Session {
                     self.start_search()?;
                 }
                 // A campaign without free history pays for its component
-                // data; the runs join `history`.
-                while let Some(SoloAsk(_, ask)) = &self.solo {
+                // data, a whole solo ask at a time.
+                while let Some(Pending::Solo(ask)) = self.search.as_ref().map(Fold::pending) {
                     let metered = self.metered(metrics);
                     let runs = ask
                         .iter()
                         .map(|(j, v)| metered.try_measure_component(*j, v));
-                    let runs: Vec<SoloMeasurement> = runs.collect::<Result<_, _>>()?;
-                    for m in &runs {
-                        self.history.push(m.component, m.values.clone(), m.value);
-                    }
-                    if let Some(SoloAsk(mut stepper, _)) = self.solo.take() {
-                        stepper.tell(Told::Solo(runs));
-                        self.ask_next(stepper);
-                    }
+                    let records = runs.map(|run| run.map(|m| JournalRecord::solo(&m)));
+                    self.commit(records.collect::<Result<_, _>>()?)?;
                 }
                 let mut left = usize::try_from(runs).unwrap_or(usize::MAX);
                 for _ in 0..2 {
-                    let Some(search) = &self.search else { break };
-                    let pending = &search.ask[search.got.len()..];
+                    let Some(Pending::Coupled(pending)) = self.search.as_ref().map(Fold::pending)
+                    else {
+                        break;
+                    };
                     let todo = pending[..left.min(pending.len())].to_vec();
                     left -= todo.len();
                     if let Some(fleet) = self.fleet_for(&todo, fleet) {
@@ -1150,7 +1134,10 @@ mod tests {
         assert_eq!(s.status().state, "collecting-history");
         assert_eq!(s.status().history_samples, 2);
         s.start_search().unwrap();
-        let asked = s.pool[s.search.as_ref().unwrap().ask[0]].clone();
+        let Some(Pending::Coupled(ask)) = s.search.as_ref().map(Fold::pending) else {
+            panic!("the search starts on a coupled ask");
+        };
+        let asked = s.pool[ask[0]].clone();
         let unasked = s.pool.iter().find(|c| **c != asked).unwrap().clone();
         assert!(s.fold(run(&unasked)).is_err(), "a run nobody asked for");
         let pushed = JournalRecord::Marker(PUSHED_MARKER.into());
