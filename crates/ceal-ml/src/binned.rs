@@ -8,7 +8,7 @@
 //! costs O(rows + bins·features) rather than O(rows·log rows·features), and
 //! the binning itself is paid once per model fit instead of once per node.
 //!
-//! Growth runs on a [`TreeWorkspace`] — one row buffer partitioned in
+//! Growth runs on a `TreeWorkspace` — one row buffer partitioned in
 //! place and one histogram arena — that a boosted fit reuses for all its
 //! rounds, so growing a tree allocates nothing but the tree. After a
 //! split only the smaller child's histograms are accumulated from rows;
@@ -24,7 +24,7 @@
 //! (Chen & Guestrin, KDD '16).
 //!
 //! A split threshold is always one of its feature's cuts, so a fitted
-//! ensemble can also be *scored* in bin space: [`BinKernel`] quantizes a
+//! ensemble can also be *scored* in bin space: `BinKernel` quantizes a
 //! batch once against the fit's cuts and evaluates shallow trees as byte
 //! compares over column slices, bit-identical to walking them.
 

@@ -9,7 +9,7 @@
 //! the order never outgrows the map.
 //!
 //! A long-lived server pins up to its full capacity of campaigns here, so
-//! a resident is held once and packed ([`Resident`]): one shared copy of
+//! a resident is held once and packed (`Resident`): one shared copy of
 //! the key, and the samples' configurations in one flat buffer instead of
 //! a `Vec` each. `get` rebuilds the [`CacheEntry`] it hands out.
 

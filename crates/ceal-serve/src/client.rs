@@ -37,7 +37,7 @@ pub enum ClientError {
     /// The server answered with an error frame.
     Server {
         /// Stable machine-readable code (see
-        /// [`Response::Error`](crate::protocol::Response::Error)).
+        /// [`crate::protocol::Response::Error`]).
         code: String,
         /// Human-readable detail.
         message: String,

@@ -24,7 +24,7 @@ use crate::error::ServeError;
 use crate::metrics::Endpoint;
 use crate::protocol::{Request, Response, SessionStatus, TuneParams};
 use crate::server::{error_frame, ServerInner};
-use crate::session::{cache_key, parse_params, Advanced, Session, TUNE_MODE};
+use crate::session::{cache_key, parse_params, Session, TUNE_MODE};
 use ceal_trace::{Span, TraceContext};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -121,18 +121,11 @@ pub(crate) enum Outcome {
 
 /// Serializes `resp` as one ready-to-send frame (length prefix + JSON).
 pub(crate) fn encode_frame(resp: &Response) -> Vec<u8> {
-    let json = serde_json::to_vec(resp).unwrap_or_else(|_| {
-        // Fall back to a pre-baked error body rather than panicking the
-        // worker: even if serde somehow fails on the fallback too, the
-        // peer still gets a well-formed frame.
-        serde_json::to_vec(&Response::Error {
-            code: "internal".into(),
-            message: "response serialization failed".into(),
-        })
-        .unwrap_or_else(|_| {
-            br#"{"Error":{"code":"internal","message":"response serialization failed"}}"#.to_vec()
-        })
-    });
+    // Fall back to a pre-baked error body rather than panicking the
+    // worker: the peer still gets a well-formed frame.
+    const FAILED: &[u8] =
+        br#"{"Error":{"code":"internal","message":"response serialization failed"}}"#;
+    let json = serde_json::to_vec(resp).unwrap_or_else(|_| FAILED.to_vec());
     let mut framed = Vec::with_capacity(4 + json.len());
     framed.extend_from_slice(&(json.len() as u32).to_be_bytes());
     framed.extend_from_slice(&json);
@@ -158,8 +151,8 @@ type Shell = Arc<Mutex<Session>>;
 
 /// How a campaign request is answered once its shell has stepped.
 enum Kind {
-    /// `Advance`: one step, answered with the status.
-    Advance,
+    /// `Advance` of this many runs: one step, answered with the status.
+    Advance(u64),
     /// One-shot `Tune`: stepped until `done`, answered with the
     /// recommendation. Carries the `campaign.tune` span across the rounds.
     Tune(Span),
@@ -188,18 +181,6 @@ fn contain<T>(call: impl FnOnce() -> Result<T, ServeError>) -> Result<T, Box<Res
     }
 }
 
-/// Where a shell call left a campaign request: how far it advanced, or
-/// the error frame that answers it.
-type Step = Result<Advanced, Box<Response>>;
-
-fn begin(inner: &ServerInner, s: &mut Session, runs: u64) -> Step {
-    contain(|| s.advance_begin(runs, &inner.cache, &inner.metrics, Some(&inner.fleet)))
-}
-
-fn complete(inner: &ServerInner, s: &mut Session, batch: u64) -> Step {
-    contain(|| s.complete_round(inner.fleet.gather(batch), &inner.cache, &inner.metrics))
-}
-
 fn tune_result(done: SessionStatus, span: &mut Span) -> Response {
     let (Some(best), Some(best_value)) = (done.best, done.best_value) else {
         let e = "campaign finished without a recommendation";
@@ -215,36 +196,41 @@ fn tune_result(done: SessionStatus, span: &mut Span) -> Response {
     }
 }
 
-/// Takes the request of `ticket` from `step` — where its shell `s` (locked
-/// by the caller, `shell`'s guard) just got to — to its answer or to a
-/// round to wait on, whichever comes first. Parking moves `queued` into
-/// the continuation with it.
+/// Steps the shell `s` (locked by the caller, `shell`'s guard) for the
+/// request of `ticket`, then for each of the `queued` ones in turn, until
+/// one waits on a fleet round — parking it with the rest of the queue —
+/// or the last is answered. Earlier answers are posted; the last is the
+/// outcome. A resumed request's first step completes its round.
 fn drive(
     inner: &ServerInner,
     shell: &Shell,
     s: &mut Session,
     mut ticket: Ticket,
     mut kind: Kind,
-    mut step: Step,
-    queued: &mut VecDeque<(Ticket, u64)>,
+    mut queued: VecDeque<(Ticket, u64)>,
 ) -> Outcome {
     loop {
-        step = match step {
-            Err(resp) => return Outcome::Done(ticket.finish(&resp)),
-            Ok(Advanced::Status(status)) => match &mut kind {
-                Kind::Advance => return Outcome::Done(ticket.finish(&Response::Session(status))),
-                Kind::Tune(span) if status.state == "done" => {
-                    return Outcome::Done(ticket.finish(&tune_result(status, span)));
+        let runs = match kind {
+            Kind::Advance(runs) => runs,
+            Kind::Tune(_) => u64::MAX,
+        };
+        let fleet = Some(&inner.fleet);
+        let reply = match contain(|| s.step(runs, &inner.cache, &inner.metrics, fleet)) {
+            Err(resp) => ticket.finish(&resp),
+            Ok(None) => match (&mut kind, s.status()) {
+                (Kind::Advance(_), status) => ticket.finish(&Response::Session(status)),
+                (Kind::Tune(span), status) if status.state == "done" => {
+                    ticket.finish(&tune_result(status, span))
                 }
-                Kind::Tune(_) => begin(inner, s, u64::MAX),
+                (Kind::Tune(_), _) => continue,
             },
-            Ok(Advanced::Scattered(batch)) => {
+            Ok(Some(batch)) => {
                 let parked = Parked {
                     shell: Arc::clone(shell),
                     ticket,
                     kind,
                     deadline: Instant::now() + inner.fleet.config().gather_deadline,
-                    queued: std::mem::take(queued),
+                    queued,
                 };
                 inner.rounds.lock().insert(batch, parked);
                 // Asked only now that a wake can find the continuation: a
@@ -259,10 +245,15 @@ fn drive(
                 let Some(p) = inner.rounds.lock().remove(&batch) else {
                     return Outcome::Parked;
                 };
-                (ticket, kind, *queued) = (p.ticket, p.kind, p.queued);
-                complete(inner, s, batch)
+                (ticket, kind, queued) = (p.ticket, p.kind, p.queued);
+                continue;
             }
         };
+        let Some((next, runs)) = queued.pop_front() else {
+            return Outcome::Done(reply);
+        };
+        inner.post(Event::Reply(reply));
+        (ticket, kind) = (next, Kind::Advance(runs));
     }
 }
 
@@ -277,28 +268,13 @@ pub(crate) fn advance(inner: &ServerInner, id: u64, runs: u64, ticket: Ticket) -
     if let Some(batch) = s.round_in_flight() {
         // The shell's round and its continuation change together, under
         // the session lock this call holds.
-        return match inner.rounds.lock().get_mut(&batch) {
-            Some(parked) => {
-                parked.queued.push_back((ticket, runs));
-                Outcome::Parked
-            }
-            None => {
-                let e = ServeError::Internal(format!("round {batch} has no continuation"));
-                Outcome::Done(ticket.finish(&error_frame(e)))
-            }
-        };
+        if let Some(parked) = inner.rounds.lock().get_mut(&batch) {
+            parked.queued.push_back((ticket, runs));
+            return Outcome::Parked;
+        }
     }
-    let step = begin(inner, &mut s, runs);
-    let mut none = VecDeque::new();
-    drive(
-        inner,
-        &shell,
-        &mut s,
-        ticket,
-        Kind::Advance,
-        step,
-        &mut none,
-    )
+    let kind = Kind::Advance(runs);
+    drive(inner, &shell, &mut s, ticket, kind, VecDeque::new())
 }
 
 /// One-shot tuning: a cache lookup, then a campaign on the session shell —
@@ -312,20 +288,15 @@ pub(crate) fn tune(inner: &ServerInner, params: TuneParams, ticket: Ticket) -> O
         Ok(parsed) => parsed,
         Err(e) => return Outcome::Done(ticket.finish(&error_frame(e))),
     };
-    let mut span = inner.tracer.span(
-        "campaign.tune",
-        TraceContext::root(inner.tracer.new_trace()),
-    );
+    let root = TraceContext::root(inner.tracer.new_trace());
+    let mut span = inner.tracer.span("campaign.tune", root);
     span.field("workflow", params.workflow.as_str());
     span.field("algo", params.algo.as_str());
     span.field("budget", params.budget);
     let key = cache_key(&params, &inner.platform, TUNE_MODE);
     let (hit, tier) = inner.cache.get_with_tier(&key);
-    inner.tracer.instant(
-        "cache.lookup",
-        span.ctx(),
-        &[("tier", tier.into()), ("endpoint", "tune".into())],
-    );
+    let at = [("tier", tier.into()), ("endpoint", "tune".into())];
+    inner.tracer.instant("cache.lookup", span.ctx(), &at);
     if let Some(entry) = hit {
         inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
         span.field("from_cache", 1u64);
@@ -340,21 +311,11 @@ pub(crate) fn tune(inner: &ServerInner, params: TuneParams, ticket: Ticket) -> O
     }
     inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    // The shell samples the pool, so it is built only past the lookup.
     let shell = inner.sessions.one_shot(params, parsed, span.ctx());
     let shell = Arc::new(Mutex::new(shell));
     let mut s = shell.lock();
-    let step = begin(inner, &mut s, u64::MAX);
-    let mut none = VecDeque::new();
-    drive(
-        inner,
-        &shell,
-        &mut s,
-        ticket,
-        Kind::Tune(span),
-        step,
-        &mut none,
-    )
+    let kind = Kind::Tune(span);
+    drive(inner, &shell, &mut s, ticket, kind, VecDeque::new())
 }
 
 /// The batches whose rounds have waited past their gather deadline, or —
@@ -369,32 +330,17 @@ pub(crate) fn overdue(inner: &ServerInner, now: Instant, all: bool) -> Vec<u64> 
 /// deadline and the drain may all get here — answers its request, and
 /// gives the `Advance`s queued behind it their turn.
 pub(crate) fn resume_round(inner: &ServerInner, batch: u64) {
-    let shell = inner
-        .rounds
-        .lock()
-        .get(&batch)
-        .map(|p| Arc::clone(&p.shell));
+    let shell = inner.rounds.lock().get(&batch).map(|p| p.shell.clone());
     let Some(shell) = shell else { return };
     let mut s = shell.lock();
-    if s.round_in_flight() != Some(batch) {
-        return;
-    }
-    let Some(parked) = inner.rounds.lock().remove(&batch) else {
-        return;
+    let parked = match s.round_in_flight() == Some(batch) {
+        true => inner.rounds.lock().remove(&batch),
+        false => None,
     };
-    let (mut ticket, mut kind, mut queued) = (parked.ticket, parked.kind, parked.queued);
-    let mut step = complete(inner, &mut s, batch);
-    loop {
-        match drive(inner, &shell, &mut s, ticket, kind, step, &mut queued) {
-            Outcome::Done(reply) => inner.post(Event::Reply(reply)),
-            // Parked again, and the rest of the queue with it.
-            _ => return,
-        }
-        let Some((next, runs)) = queued.pop_front() else {
-            return;
-        };
-        (ticket, kind) = (next, Kind::Advance);
-        step = begin(inner, &mut s, runs);
+    let Some(parked) = parked else { return };
+    let (ticket, kind, queued) = (parked.ticket, parked.kind, parked.queued);
+    if let Outcome::Done(reply) = drive(inner, &shell, &mut s, ticket, kind, queued) {
+        inner.post(Event::Reply(reply));
     }
 }
 
@@ -403,11 +349,10 @@ pub(crate) fn resume_round(inner: &ServerInner, batch: u64) {
 /// it learn the session is gone.
 pub(crate) fn abandon_round(inner: &ServerInner, shell: &Shell, id: u64) {
     let mut s = shell.lock();
-    let Some(batch) = s.abandon_round() else {
-        return;
-    };
-    inner.fleet.gather(batch);
-    let parked = inner.rounds.lock().remove(&batch);
+    let parked = s.abandon_round().and_then(|batch| {
+        inner.fleet.gather(batch);
+        inner.rounds.lock().remove(&batch)
+    });
     drop(s);
     let Some(parked) = parked else { return };
     let gone = error_frame(ServeError::UnknownSession(id));

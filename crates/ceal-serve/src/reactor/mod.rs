@@ -27,7 +27,7 @@
 //! * **parked** — a worker poll with nothing to hand out is held on its
 //!   connection until the coordinator has tasks for it or half its lease
 //!   has passed, and a campaign step that scattered a fleet round waits
-//!   in [`parked`](crate::parked) until the coordinator resolves the
+//!   in `parked` until the coordinator resolves the
 //!   batch or the gather deadline fires from the deadline heap. Neither
 //!   holds a thread, and the second holds no session lock.
 //!

@@ -5,7 +5,7 @@
 //! [`reactor`](crate::reactor): one event-loop thread does all socket
 //! I/O and runs `dispatch` — the one handler table, here — itself for the
 //! requests that cannot wait, and on the worker pool for the rest; a
-//! request that must wait parks ([`parked`](crate::parked)) and holds no
+//! request that must wait parks (in `parked`) and holds no
 //! thread. The reactor is epoll-based, so the *server* is Linux-only
 //! ([`Server::run`] reports `Unsupported` elsewhere); the client, worker
 //! runtime, cache, sessions and wire format are portable.

@@ -1,17 +1,22 @@
 //! The registry of live sessions: creation (in the tier the cache puts
 //! the campaign in), lookup without the session's lock, close, idle
 //! eviction, and rebuilding from the journal directory after a restart.
-//! A child of [`session`](super) because it builds and recovers shells
-//! through their private parts.
+//! It builds every session the same way: a campaign core — fresh, answered
+//! by the cache, or recovered from a journal — handed to a new shell.
 
+use super::state::prior_marker;
 use super::*;
 use crate::cache::transfer::{warm_start, WarmStart};
-use parking_lot::RwLock;
+use crate::cache::DEFAULT_TRANSFER_THRESHOLD;
+use ceal_core::CampaignId;
+use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// A registry entry: the session, and when a request last asked for it —
+/// A registry entry: the session, and when it was last in use — a request
+/// asked for it, or an eviction sweep found a request parked on it —
 /// milliseconds on the registry's clock, beside the lock rather than
 /// under it, so looking a session up never waits for whoever holds it.
 struct Entry {
@@ -22,12 +27,11 @@ struct Entry {
 /// Refuses an injected-fault rate outside `[0, 1)`, whether a client asked
 /// for it or a journal's header recorded it.
 fn check_failure_rate(failure_rate: f64) -> Result<(), ServeError> {
-    match (0.0..1.0).contains(&failure_rate) {
-        true => Ok(()),
-        false => Err(ServeError::BadRequest(format!(
-            "failure rate {failure_rate} outside [0, 1)"
-        ))),
+    if !(0.0..1.0).contains(&failure_rate) {
+        let e = format!("failure rate {failure_rate} outside [0, 1)");
+        return Err(ServeError::BadRequest(e));
     }
+    Ok(())
 }
 
 /// The registry of live sessions.
@@ -39,11 +43,11 @@ pub struct SessionManager {
     idle_timeout: Duration,
     journal_dir: Option<PathBuf>,
     /// Platform every session on this server measures on.
-    pub(super) platform: Platform,
+    platform: Platform,
     /// Feature-distance bound for transfer-seeding near-miss lookups.
     transfer_threshold: f64,
     /// Trace sink handed to every session this registry creates.
-    pub(super) tracer: Tracer,
+    tracer: Tracer,
 }
 
 impl SessionManager {
@@ -113,10 +117,7 @@ impl SessionManager {
     /// Unreadable or foreign journals are skipped with a warning — a bad
     /// file must not stop the server from starting.
     pub fn rebuild_from_disk(&self, metrics: &ServerMetrics) -> usize {
-        let Some(dir) = self.journal_dir.clone() else {
-            return 0;
-        };
-        let Ok(entries) = std::fs::read_dir(&dir) else {
+        let Some(Ok(entries)) = self.journal_dir.as_ref().map(std::fs::read_dir) else {
             return 0;
         };
         let mut rebuilt = 0;
@@ -149,32 +150,23 @@ impl SessionManager {
 
     fn rebuild_one(&self, path: &Path, id: u64) -> Result<Session, ServeError> {
         let (journal, report) = Journal::open(path)?;
-        let bad = |message: String| Err(ServeError::Internal(message));
         let mut records = report.records.into_iter();
-        let Some(JournalRecord::Start(cid)) = records.next() else {
-            return bad("journal has no campaign header".into());
+        let Some(JournalRecord::Start(header)) = records.next() else {
+            let e = "journal has no campaign header";
+            return Err(ServeError::Internal(e.into()));
         };
-        let Some(algo) = cid.algo.strip_prefix("session:") else {
-            return bad(format!("not a session journal (algo '{}')", cid.algo));
-        };
-        let params = TuneParams {
-            workflow: cid.workflow.clone(),
-            objective: cid.objective.clone(),
-            budget: cid.budget,
-            pool: cid.pool,
-            seed: cid.seed,
-            algo: algo.to_string(),
-        };
+        let (params, failure_rate, fault_seed) = campaign_params(header)?;
         let parsed = parse_params(&params)?;
-        let (failure_rate, fault_seed) = (cid.failure_rate, cid.fault_seed);
         check_failure_rate(failure_rate)?;
-        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
-        session.sample_pool();
-        session.journal = Some(journal);
-        records.try_for_each(|record| session.fold(record))?;
-        // A solo batch the crash tore off before its marker never happened.
-        session.batch = ComponentHistory::empty(session.history.n_components());
-        Ok(session)
+        let core =
+            Core::new(params, parsed, &self.platform, SESSION_MODE).recover(records.collect())?;
+        let (faults, ctx, tracer) = ((failure_rate, fault_seed), self.new_trace(), &self.tracer);
+        Ok(Session::new(id, core, Some(journal), faults, tracer, ctx))
+    }
+
+    /// The root of a fresh campaign trace (0 when the server is untraced).
+    fn new_trace(&self) -> TraceContext {
+        TraceContext::root(self.tracer.new_trace())
     }
 
     /// Live session count.
@@ -187,12 +179,11 @@ impl SessionManager {
         self.len() == 0
     }
 
-    /// Opens a session in the tier the cache puts it in
-    /// ([`warm_start`]): an **exact** hit starts it in `done` with zero
-    /// oracle spend, a **transfer** campaign gets the nearest sibling
-    /// platform's samples as the stepper's prior, otherwise it starts
-    /// **cold**. Returns the status (whose `warm_source` names the tier)
-    /// and whether an exact hit supplied it.
+    /// Opens a session in the tier the cache puts it in: an **exact** hit
+    /// starts it in `done` with zero oracle spend, a **transfer** campaign
+    /// gets the nearest sibling platform's samples as the stepper's prior,
+    /// otherwise it starts **cold**. Returns the status (whose
+    /// `warm_source` names the tier) and whether an exact hit supplied it.
     pub fn create(
         &self,
         params: TuneParams,
@@ -205,55 +196,33 @@ impl SessionManager {
         check_failure_rate(failure_rate)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let key = cache_key(&params, &self.platform, SESSION_MODE);
-        let mut session = Session::new(id, params, parsed, failure_rate, fault_seed, self, None);
-        let (threshold, trace) = (self.transfer_threshold, session.ctx.trace);
-        let platform = &self.platform;
-        let warm = warm_start(
-            cache,
-            &key,
-            platform,
-            threshold,
-            metrics,
-            &self.tracer,
-            trace,
-        );
-        let from_cache = matches!(warm, WarmStart::Exact(_));
-        let mut records = Vec::new();
-        match warm {
-            WarmStart::Exact(entry) => session.finish_from(&entry),
-            WarmStart::Transfer(prior) => {
-                let prior = (&prior.samples, &prior.source, prior.distance);
-                let json = serde_json::to_string(&prior)
-                    .map_err(|e| ServeError::Internal(format!("prior does not serialize: {e}")))?;
-                records.push(JournalRecord::Marker(format!("{PRIOR_MARKER}{json}")));
-            }
-            WarmStart::Cold => {}
-        }
-        if !from_cache {
-            session.sample_pool();
-        }
+        let (platform, threshold, tracer) = (&self.platform, self.transfer_threshold, &self.tracer);
+        let ctx = self.new_trace();
+        let warm = warm_start(cache, &key, platform, threshold, metrics, tracer, ctx.trace);
+        let header = JournalRecord::Start(campaign_id(&params, failure_rate, fault_seed));
+        let core = Core::new(params, parsed, platform, SESSION_MODE);
+        let (core, records) = match warm {
+            WarmStart::Exact(entry) => (core.answered(&entry), None),
+            WarmStart::Transfer(prior) => (core, Some(vec![prior_marker(&prior)?])),
+            WarmStart::Cold => (core, Some(Vec::new())),
+        };
         // Warm-cache sessions spend nothing, so there is nothing worth
         // journaling; fresh campaigns get a write-ahead journal, whose
         // header and transfer prior are one commit.
-        if let (false, Some(dir)) = (from_cache, &self.journal_dir) {
-            let path = Self::journal_path(dir, id);
-            let _ = std::fs::remove_file(&path); // stale leftover, new campaign
-            let (mut journal, _) = Journal::open(&path)?;
-            // The `session:` prefix tells session journals from the CLI's.
-            let header = JournalRecord::Start(CampaignId {
-                workflow: session.params.workflow.clone(),
-                objective: session.params.objective.clone(),
-                algo: format!("session:{}", session.params.algo),
-                budget: session.params.budget,
-                pool: session.params.pool,
-                seed: session.params.seed,
-                failure_rate,
-                fault_seed,
-            });
-            journal.stage(&header)?;
-            session.journal = Some(journal);
-        }
-        session.commit(records)?;
+        let journal = match (&records, &self.journal_dir) {
+            (Some(_), Some(dir)) => {
+                let path = Self::journal_path(dir, id);
+                let _ = std::fs::remove_file(&path); // stale leftover, new campaign
+                let (mut journal, _) = Journal::open(&path)?;
+                journal.stage(&header)?;
+                Some(journal)
+            }
+            _ => None,
+        };
+        let faults = (failure_rate, fault_seed);
+        let mut session = Session::new(id, core, journal, faults, tracer, ctx);
+        let from_cache = records.is_none();
+        session.commit(records.unwrap_or_default())?;
         let status = session.status();
         self.insert(id, session);
         metrics.sessions_created.fetch_add(1, Ordering::Relaxed);
@@ -270,9 +239,8 @@ impl SessionManager {
         parsed: (WorkflowSpec, Objective),
         ctx: TraceContext,
     ) -> Session {
-        let mut shell = Session::new(0, params, parsed, 0.0, 0, self, Some(ctx));
-        shell.sample_pool();
-        shell
+        let core = Core::new(params, parsed, &self.platform, TUNE_MODE);
+        Session::new(0, core, None, (0.0, 0), &self.tracer, ctx)
     }
 
     /// Fetches a session, refreshing its idle clock. Takes no session
@@ -287,11 +255,8 @@ impl SessionManager {
     /// Closes a session, deleting its journal — an explicit close is the
     /// client saying the campaign no longer needs recovering.
     pub fn close(&self, id: u64) -> Result<(), ServeError> {
-        let entry = self
-            .sessions
-            .write()
-            .remove(&id)
-            .ok_or(ServeError::UnknownSession(id))?;
+        let entry = self.sessions.write().remove(&id);
+        let entry = entry.ok_or(ServeError::UnknownSession(id))?;
         entry.session.lock().delete_journal();
         Ok(())
     }
@@ -305,23 +270,57 @@ impl SessionManager {
         let now = self.now_ms();
         let timeout = self.idle_timeout.as_millis() as u64;
         sessions.retain(|_, e| match e.session.try_lock() {
-            // A locked session is in use, and one with a fleet round in
-            // flight has a request parked on it — by definition not idle.
+            // A locked session is in use.
             None => true,
-            Some(s) if s.round.is_some() => true,
+            // One with a fleet round in flight has a request parked on it:
+            // its idle clock starts when the round ends.
+            Some(s) if s.round_in_flight().is_some() => {
+                e.last_touch.store(now, Ordering::Relaxed);
+                true
+            }
             Some(_) => now.saturating_sub(e.last_touch.load(Ordering::Relaxed)) <= timeout,
         });
         let evicted = before - sessions.len();
-        metrics
-            .sessions_evicted
-            .fetch_add(evicted as u64, Ordering::Relaxed);
+        let count = &metrics.sessions_evicted;
+        count.fetch_add(evicted as u64, Ordering::Relaxed);
         if evicted > 0 {
-            self.tracer.instant(
-                "session.evicted",
-                TraceContext::NONE,
-                &[("count", (evicted as u64).into())],
-            );
+            let at = [("count", (evicted as u64).into())];
+            self.tracer
+                .instant("session.evicted", TraceContext::NONE, &at);
         }
         evicted
     }
+}
+
+/// The journal header of a session campaign. The `session:` prefix tells
+/// session journals from the CLI's.
+fn campaign_id(p: &TuneParams, failure_rate: f64, fault_seed: u64) -> CampaignId {
+    CampaignId {
+        workflow: p.workflow.clone(),
+        objective: p.objective.clone(),
+        algo: format!("session:{}", p.algo),
+        budget: p.budget,
+        pool: p.pool,
+        seed: p.seed,
+        failure_rate,
+        fault_seed,
+    }
+}
+
+/// [`campaign_id`] read back: the parameters, failure rate and fault seed
+/// a session journal's header names.
+fn campaign_params(header: CampaignId) -> Result<(TuneParams, f64, u64), ServeError> {
+    let Some(algo) = header.algo.strip_prefix("session:") else {
+        let e = format!("not a session journal (algo '{}')", header.algo);
+        return Err(ServeError::Internal(e));
+    };
+    let params = TuneParams {
+        algo: algo.to_string(),
+        workflow: header.workflow,
+        objective: header.objective,
+        budget: header.budget,
+        pool: header.pool,
+        seed: header.seed,
+    };
+    Ok((params, header.failure_rate, header.fault_seed))
 }

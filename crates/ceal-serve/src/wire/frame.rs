@@ -68,7 +68,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
 
 /// `write_all` with a stall deadline: a peer that accepts no bytes for
 /// `stall_limit` (its receive window stays closed) is treated as gone.
-/// Mirrors [`read_full_limited`]: any progress resets the clock.
+/// Mirrors `read_full_limited`: any progress resets the clock.
 pub fn write_all_limited(
     w: &mut impl Write,
     buf: &[u8],

@@ -13,6 +13,9 @@
 //! 4. `evict_idle` only ran on accept, so with no fresh connections
 //!    arriving, expired sessions were never evicted and `active_sessions`
 //!    lied.
+//! 5. A session whose fleet round outlasts the idle timeout has a request
+//!    parked on it the whole time; eviction must not take it away, nor
+//!    the moment the round completes.
 
 mod common;
 
@@ -20,7 +23,7 @@ use ceal_serve::{
     AutotuneCache, CacheEntry, CacheKey, Client, ServeConfig, Server, ServerMetrics,
     SessionManager, TuneParams,
 };
-use common::drive_session_to_done;
+use common::{byte_campaign, drive_session_to_done, RawWorker};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -315,6 +318,44 @@ fn idle_sessions_evicted_with_zero_incoming_connections() {
     );
     assert!(m.sessions_evicted >= 1);
 
+    client.shutdown().expect("shutdown");
+    handle.join().expect("drain");
+}
+
+/// Regression 5: a worker takes the bootstrap batch and never reports, so
+/// the round waits out the worker's lease — five idle timeouts, twenty
+/// eviction sweeps — with its `Advance` parked. The session stays
+/// registered, and its idle clock starts when the round ends: a client
+/// that takes a moment, well inside the idle timeout, before its next
+/// `Advance` is served.
+#[test]
+fn a_session_parked_on_a_fleet_round_is_not_evicted() {
+    let handle = Server::bind(ServeConfig {
+        idle_timeout: Duration::from_millis(200),
+        worker_lease: Duration::from_millis(1000),
+        ..ServeConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    let mut stuck = RawWorker::register(handle.addr(), "stuck");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let (st, _) = client.create_session(byte_campaign(), 0.0, 0).unwrap();
+    let history = client.advance(st.session, 5).expect("history");
+    assert_eq!(history.state, "collecting-history");
+    let advancing = std::thread::spawn(move || {
+        let advanced = client.advance(st.session, 5);
+        (client, advanced)
+    });
+    assert_eq!(stuck.take_tasks().len(), 3, "the bootstrap batch went out");
+    let (mut client, advanced) = advancing.join().unwrap();
+    let advanced = advanced.expect("the round fell back to local measurement");
+    assert_eq!(advanced.measured, 3);
+    std::thread::sleep(Duration::from_millis(80));
+    let next = client
+        .advance(st.session, 5)
+        .expect("the session is still live");
+    assert!(next.measured > 3, "{next:?}");
+    assert_eq!(client.metrics().unwrap().sessions_evicted, 0);
     client.shutdown().expect("shutdown");
     handle.join().expect("drain");
 }
