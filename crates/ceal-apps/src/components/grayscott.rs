@@ -8,7 +8,7 @@
 use crate::scaling::ScalingModel;
 use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
-/// Gray-Scott cost model (see `kernels::grayscott` for the real kernel).
+/// Gray-Scott cost model.
 #[derive(Debug, Clone)]
 pub struct GrayScott {
     /// Grid points per side (cubic grid).

@@ -16,7 +16,7 @@
 use crate::scaling::ScalingModel;
 use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
-/// Heat Transfer cost model (see `kernels::stencil` for the real kernel).
+/// Heat Transfer cost model.
 #[derive(Debug, Clone)]
 pub struct Heat {
     /// Grid points per side (square grid of f64).

@@ -8,7 +8,7 @@
 use crate::scaling::ScalingModel;
 use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
-/// LAMMPS cost model (see `kernels::md` for the real miniature kernel).
+/// LAMMPS cost model.
 #[derive(Debug, Clone)]
 pub struct Lammps {
     /// Atoms simulated.

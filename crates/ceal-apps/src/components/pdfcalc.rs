@@ -7,8 +7,7 @@
 use crate::scaling::ScalingModel;
 use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
-/// PDF calculator cost model (see `kernels::histogram` for the real
-/// kernel).
+/// PDF calculator cost model.
 #[derive(Debug, Clone)]
 pub struct PdfCalc {
     /// Histogram bins per slice.

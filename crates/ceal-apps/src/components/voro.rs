@@ -7,8 +7,7 @@
 use crate::scaling::ScalingModel;
 use ceal_sim::{ComponentModel, ParamDef, Placement, Platform, Resolved, Role};
 
-/// Voro++ cost model (see `kernels::voronoi` for the real miniature
-/// kernel).
+/// Voro++ cost model.
 #[derive(Debug, Clone)]
 pub struct Voro {
     /// Snapshots a nominal standalone run analyzes.

@@ -12,16 +12,10 @@
 //! Each component implements [`ceal_sim::ComponentModel`]: its tunable
 //! parameters follow the paper's Table 1 exactly, and its cost model (built
 //! on [`scaling::ScalingModel`]) resolves a parameter choice to concrete
-//! runtime behaviour for the simulator.
-//!
-//! The [`kernels`] module contains *real* miniature computational kernels
-//! (cell-list MD, Voronoi volume estimation, heat stencil, Gray-Scott,
-//! histogramming) exercised by the runnable in-process workflows in
-//! `ceal-staging` and the examples; they document what each component
-//! actually computes and ground the cost-model constants.
+//! runtime behaviour for the simulator. No component runs a real kernel:
+//! the simulator is the only coupling model the tuner reads.
 
 pub mod components;
-pub mod kernels;
 pub mod scaling;
 pub mod workflows;
 

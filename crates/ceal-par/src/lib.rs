@@ -7,9 +7,8 @@
 //!
 //! * [`ThreadPool`] — a fixed-size work-sharing pool built on crossbeam
 //!   channels, for long-lived background execution.
-//! * [`parallel_map`] / [`parallel_map_indexed`] — scoped fork-join over
-//!   slices (no `'static` bound on the closure or data), chunked to amortize
-//!   spawn cost.
+//! * [`parallel_map`] — scoped fork-join over a slice (no `'static` bound
+//!   on the closure or data), chunked to amortize spawn cost.
 //!
 //! Everything here is deterministic in *results*: `parallel_map` returns
 //! outputs in input order regardless of scheduling.
@@ -18,4 +17,4 @@ mod pool;
 mod scope;
 
 pub use pool::{ThreadPool, WaitGroup};
-pub use scope::{available_threads, chunk_count, parallel_map, parallel_map_indexed};
+pub use scope::{available_threads, parallel_map};

@@ -26,7 +26,7 @@ pub fn available_threads() -> usize {
 }
 
 /// Splits `len` items into at most `threads` contiguous chunks.
-pub fn chunk_count(len: usize, threads: usize) -> usize {
+fn chunk_count(len: usize, threads: usize) -> usize {
     len.min(threads.max(1)).max(1)
 }
 
@@ -34,21 +34,13 @@ pub fn chunk_count(len: usize, threads: usize) -> usize {
 /// input order. Falls back to a sequential loop for small inputs or a single
 /// available thread.
 pub fn parallel_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(items: &[T], f: F) -> Vec<R> {
-    parallel_map_indexed(items, |_, item| f(item))
-}
-
-/// Like [`parallel_map`] but the closure also receives the element index.
-pub fn parallel_map_indexed<T: Sync, R: Send, F: Fn(usize, &T) -> R + Sync>(
-    items: &[T],
-    f: F,
-) -> Vec<R> {
     let threads = available_threads();
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
     if threads == 1 || n == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items.iter().map(f).collect();
     }
 
     let chunks = chunk_count(n, threads);
@@ -67,10 +59,9 @@ pub fn parallel_map_indexed<T: Sync, R: Send, F: Fn(usize, &T) -> R + Sync>(
             let (head, tail) = rest.split_at_mut(take);
             rest = tail;
             let input = &items[offset..offset + take];
-            let base = offset;
             s.spawn(move || {
-                for (k, (slot, item)) in head.iter_mut().zip(input).enumerate() {
-                    *slot = Some(f(base + k, item));
+                for (slot, item) in head.iter_mut().zip(input) {
+                    *slot = Some(f(item));
                 }
             });
             offset += take;
@@ -101,10 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_map_sees_correct_indices() {
-        let input = vec!["a"; 257];
-        let out = parallel_map_indexed(&input, |i, _| i);
-        assert_eq!(out, (0..257).collect::<Vec<_>>());
+    fn uneven_chunks_keep_input_order() {
+        // 257 is prime: every thread count below it leaves a short last chunk.
+        let input: Vec<usize> = (0..257).collect();
+        let out = parallel_map(&input, |&i| i);
+        assert_eq!(out, input);
     }
 
     #[test]

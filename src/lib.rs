@@ -11,9 +11,7 @@
 //! * [`sim`] (`ceal-sim`) — the cluster + in-situ workflow simulator that
 //!   stands in for the paper's 600-node testbed.
 //! * [`apps`] (`ceal-apps`) — the LV / HS / GP workflows and their component
-//!   applications (cost models + real mini kernels).
-//! * [`staging`] (`ceal-staging`) — the in-process streaming coupling
-//!   library (ADIOS stand-in) used by the runnable examples.
+//!   applications (the cost models the simulator resolves).
 //! * [`par`] (`ceal-par`) — the parallel-execution substrate.
 //! * [`serve`] (`ceal-serve`) — the tuner as a concurrent TCP service:
 //!   sessions, a persistent result cache, and batched prediction.
@@ -26,4 +24,3 @@ pub use ceal_ml as ml;
 pub use ceal_par as par;
 pub use ceal_serve as serve;
 pub use ceal_sim as sim;
-pub use ceal_staging as staging;

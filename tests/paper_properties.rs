@@ -1,6 +1,6 @@
 //! Cross-crate invariants drawn from the paper's observations.
 
-use ceal::sim::{bounds, Objective, Platform, Simulator};
+use ceal::sim::{bounds, ComponentStats, Objective, Platform, RunResult, Simulator};
 use ceal::tuner::metrics::{recall_curve, recall_score};
 use ceal::tuner::{
     CombineFn, ComponentHistory, ComponentModels, LowFidelityModel, Oracle, SimOracle,
@@ -124,4 +124,104 @@ fn solo_optimism_gap_exists() {
         solo_producer.exec_time
     );
     assert!(coupled.components[0].blocked_on_space > 0.0);
+}
+
+/// The component `name`'s accounting in `run`.
+fn component<'a>(run: &'a RunResult, name: &str) -> &'a ComponentStats {
+    run.components
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("no component {name}"))
+}
+
+/// HS coupling completeness: Heat Transfer emits once per configured
+/// output, and Stage Write does the work of every one of them before it
+/// ends (a noiseless run's busy time is exactly its ideal busy time, which
+/// counts each emission the sink consumes). Most sampled buffers are
+/// smaller than one 32 MiB emission, which must still be admitted whole.
+#[test]
+fn every_heat_emission_reaches_stage_write() {
+    let spec = ceal::apps::hs();
+    let platform = Platform::default();
+    let sim = Simulator::noiseless();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    for cfg in ceal::tuner::sample_pool(&spec, &platform, 20, &mut rng) {
+        let run = sim.run(&spec, &cfg, 0).unwrap();
+        let ideal = bounds::busy_times(&platform, &spec, &cfg);
+        let (heat, sink) = (component(&run, "heat"), component(&run, "stage-write"));
+        assert_eq!(heat.emissions, cfg[3] as u64, "{cfg:?}: heat.outputs");
+        assert!(sink.end_time >= heat.end_time, "{cfg:?}: sink ended first");
+        assert!(
+            (sink.busy - ideal[1]).abs() <= 1e-9 * ideal[1],
+            "{cfg:?}: stage-write busy {} is not {} emissions' work {}",
+            sink.busy,
+            cfg[3],
+            ideal[1]
+        );
+    }
+}
+
+/// GP fan-out: both readers of Gray-Scott's stream (the PDF calculator and
+/// G-Plot) outlast it, and the PDF calculator forwards one step to P-Plot
+/// per step it receives.
+#[test]
+fn gray_scott_fans_out_to_both_consumers() {
+    let spec = ceal::apps::gp();
+    let platform = Platform::default();
+    let sim = Simulator::noiseless();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    for cfg in ceal::tuner::sample_pool(&spec, &platform, 20, &mut rng) {
+        let run = sim.run(&spec, &cfg, 0).unwrap();
+        let gs = component(&run, "gray-scott");
+        assert!(gs.emissions > 0, "{cfg:?}: gray-scott emitted nothing");
+        for consumer in ["pdf-calc", "g-plot"] {
+            assert!(
+                component(&run, consumer).end_time >= gs.end_time,
+                "{cfg:?}: {consumer} ended before gray-scott"
+            );
+        }
+        assert_eq!(
+            component(&run, "pdf-calc").emissions,
+            gs.emissions,
+            "{cfg:?}"
+        );
+    }
+}
+
+/// Back-pressure: when G-Plot is the bottleneck, Gray-Scott fills the
+/// bounded staging buffer and blocks on space, so it cannot finish far
+/// ahead of its slowest reader.
+#[test]
+fn slow_consumer_back_pressures_its_producer() {
+    let spec = ceal::apps::gp();
+    let platform = Platform::default();
+    let sim = Simulator::noiseless();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut checked = 0;
+    for cfg in ceal::tuner::sample_pool(&spec, &platform, 20, &mut rng) {
+        let ideal = bounds::busy_times(&platform, &spec, &cfg);
+        let (gs_busy, gplot_busy) = (ideal[0], ideal[2]);
+        let bottleneck = ideal.iter().cloned().fold(0.0, f64::max);
+        // The margin keeps out near-ties, where the two-emission buffer
+        // alone can absorb the consumer's lag.
+        if gplot_busy < bottleneck || gplot_busy < 1.5 * gs_busy {
+            continue;
+        }
+        let run = sim.run(&spec, &cfg, 0).unwrap();
+        let gs = component(&run, "gray-scott");
+        assert!(
+            gs.blocked_on_space > 0.0,
+            "{cfg:?}: gray-scott never blocked behind g-plot"
+        );
+        assert!(
+            gs.end_time >= 0.9 * gplot_busy,
+            "{cfg:?}: gray-scott ended at {} though g-plot needs {gplot_busy}",
+            gs.end_time
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 3,
+        "only {checked} configurations bottlenecked on g-plot"
+    );
 }
