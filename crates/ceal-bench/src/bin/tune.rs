@@ -17,18 +17,20 @@
 //! journal before the tuner sees it; a killed campaign restarted with
 //! `--resume` folds the journaled measurements back into the tuner for free
 //! — each must be the run it asks for next — and only pays for what the
-//! crash lost. `--failure-rate` injects transient measurement
-//! faults retried up to `--max-attempts` times; exhausted retries exit with
-//! a typed error instead of panicking.
+//! crash lost. Resumed or not, a campaign runs each configuration once: a
+//! repeated solo ask is answered with its own record. `--failure-rate`
+//! injects transient measurement faults retried up to `--max-attempts`
+//! times; exhausted retries exit with a typed error instead of panicking.
 
 use ceal_core::algorithms::{by_name, Campaign};
 use ceal_core::{
     prepare_campaign, sample_pool, CampaignId, ComponentHistory, FaultInjector, Fold, Journal,
-    MeasureError, Oracle, RetryingCollector, SimOracle,
+    MeasureError, Oracle, RetryingCollector, SimOracle, SoloMeasurement,
 };
 use ceal_sim::{Objective, Simulator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 struct Args {
@@ -224,10 +226,17 @@ fn main() {
     let tuned = oracle.measure(&run.best_predicted);
 
     if let Some((_, (solo, coupled))) = journal {
+        // A repeated solo ask is answered with the campaign's record, so
+        // the solo runs paid for are the configurations the journal lacked.
+        let distinct = |runs: &[SoloMeasurement]| {
+            let configs: HashSet<_> = runs.iter().map(|m| (m.component, &m.values)).collect();
+            configs.len() as u64
+        };
+        let runs = &run.component_runs;
         println!(
             "journal: replayed {coupled} coupled + {solo} solo measurements, paid for {} coupled + {} solo",
             run.measured.len() as u64 - coupled,
-            run.component_runs.len() as u64 - solo
+            distinct(runs) - distinct(&runs[..solo as usize])
         );
     }
     println!(

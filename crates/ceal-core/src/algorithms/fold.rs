@@ -145,21 +145,32 @@ impl Fold {
     /// ask order: each measurement becomes a record, goes to `commit` — a
     /// journal's write-ahead append, or nothing — and is then folded. The
     /// first failure, of a measurement or of `commit`, ends the run.
+    ///
+    /// A solo run the ask already holds a record of — a single-configuration
+    /// component asked m_R times, live or replayed — is answered with that
+    /// record, not measured again: a configuration measures the same every
+    /// time (the oracle contract), so the oracle runs each one once.
     pub fn drive(
         mut self,
         oracle: &dyn Oracle,
         mut commit: impl FnMut(&JournalRecord) -> Result<(), MeasureError>,
     ) -> Result<TunerRun, MeasureError> {
         loop {
-            let record = match self.pending() {
-                Pending::Solo(ask) => {
-                    let (j, values) = &ask[0];
-                    JournalRecord::solo(&oracle.try_measure_component(*j, values)?)
+            let record = match &self.wait {
+                Wait::Solo(ask, got) => {
+                    let (j, values) = &ask[got.len()];
+                    let held = got
+                        .iter()
+                        .find(|m| (m.component, &m.values) == (*j, values));
+                    JournalRecord::solo(&match held {
+                        Some(m) => m.clone(),
+                        None => oracle.try_measure_component(*j, values)?,
+                    })
                 }
-                Pending::Coupled(ask) => {
-                    JournalRecord::coupled(&oracle.try_measure(&self.pool[ask[0]])?, 0)
+                Wait::Coupled(ask, got) => {
+                    JournalRecord::coupled(&oracle.try_measure(&self.pool[ask[got.len()]])?, 0)
                 }
-                Pending::Done => break,
+                Wait::Done(_) => break,
             };
             commit(&record)?;
             self.fold(record).map_err(|e| {

@@ -105,7 +105,7 @@ pub(crate) struct Ledger {
     pub measured: Vec<Measurement>,
     /// Pool index of every entry of `measured`.
     pub at: Vec<usize>,
-    /// Phase-1 solo runs the campaign paid for.
+    /// Phase-1 solo runs, one per solo ask, repeats included.
     pub component_runs: Vec<SoloMeasurement>,
 }
 
@@ -207,7 +207,7 @@ pub(crate) struct Phase1 {
     pub m_r: usize,
     /// Solo training data: `D_hist`, or what the solo runs measured.
     pub data: Arc<ComponentHistory>,
-    /// The solo runs the campaign paid for.
+    /// The solo runs, one per solo ask, repeats included.
     pub component_runs: Vec<SoloMeasurement>,
 }
 
@@ -259,6 +259,7 @@ pub(crate) fn after_phase1(
             c.spec.sample_component_feasible(&c.platform, j, &mut rng),
         )
     };
+    // m_R asks even of a smaller space (a cap would move the rng); repeats are answered from records.
     let rounds = (0..n).flat_map(|j| std::iter::repeat_n(j, m_r));
     let ask = rounds.map(&mut sample).collect();
     Box::new(SoloThen {

@@ -9,8 +9,15 @@
 //! from its values, so repeated measurements of the same configuration
 //! return the same (noisy) value — exactly like reusing the paper's
 //! recorded dataset. The two oracles therefore return bit-identical
-//! values (`tests/lazy_oracle_equivalence.rs`), and the choice between
-//! them is purely one of cost:
+//! values (`tests/lazy_oracle_equivalence.rs`).
+//!
+//! The same contract lets a campaign run each configuration once. A
+//! repeated ask — a single-configuration component's m_R solo runs, a
+//! one-shot's closing measurement of a recommendation the campaign
+//! measured — is answered with the campaign's own record, the very bits a
+//! second run would return.
+//!
+//! The choice between the two oracles is purely one of cost:
 //!
 //! * **Precompute** ([`PoolOracle`]) when the caller needs ground truth
 //!   for the whole pool anyway — experiments, recall/gap metrics, many

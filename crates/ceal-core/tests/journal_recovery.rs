@@ -5,8 +5,9 @@
 //! records, the journal stays appendable, and a resumed campaign folds the
 //! recovered measurements back into its tuner for free while paying only
 //! for what the crash lost — finishing with the same result as a
-//! crash-free run. A journal that is not the record of the campaign's own
-//! asks, in order, is refused.
+//! crash-free run; a configuration the journal holds is never run again.
+//! A journal that is not the record of the campaign's own asks, in order,
+//! is refused.
 
 use ceal_core::algorithms::Campaign;
 use ceal_core::journal::JOURNAL_MAGIC;
@@ -19,16 +20,29 @@ use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
 use ceal_testutil::unique_temp_path;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-fn fixture() -> &'static (Vec<Vec<i64>>, PoolOracle) {
-    static FIX: OnceLock<(Vec<Vec<i64>>, PoolOracle)> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let spec = ceal_apps::hs();
+type Fixture = (Vec<Vec<i64>>, PoolOracle);
+
+fn fixture() -> &'static Fixture {
+    fixture_of("HS")
+}
+
+/// A 100-configuration pool of `workflow` (HS or GP) and its oracle.
+fn fixture_of(workflow: &str) -> &'static Fixture {
+    static HS: OnceLock<Fixture> = OnceLock::new();
+    static GP: OnceLock<Fixture> = OnceLock::new();
+    let (fix, seed) = match workflow {
+        "GP" => (&GP, 41),
+        _ => (&HS, 40),
+    };
+    fix.get_or_init(|| {
+        let spec = ceal_apps::workflow_by_name(workflow).expect("a bundled workflow");
         let sim = Simulator::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(40);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let pool = sample_pool(&spec, &sim.platform, 100, &mut rng);
         let oracle = PoolOracle::precompute(
             SimOracle::new(sim, spec, Objective::ExecutionTime, 2021),
@@ -94,7 +108,7 @@ fn sitting(
 ) -> Result<(TunerRun, (u64, u64)), JournalError> {
     let (mut journal, report) = Journal::open(path)?;
     let records = prepare_campaign(&mut journal, report.records, id, resume)?;
-    let (pool, budget) = (fixture().0.clone(), id.budget as usize);
+    let (pool, budget) = (fixture_of(&id.workflow).0.clone(), id.budget as usize);
     let mut fold = Fold::new(algo, Campaign::of(oracle, pool, budget, id.seed));
     let replayed = fold.replay(records)?;
     let append = |r: &JournalRecord| {
@@ -350,6 +364,82 @@ fn a_journal_that_is_not_the_campaigns_own_asks_is_refused() {
         assert!(matches!(err, JournalError::Mismatch(_)), "{what}: {err:?}");
         assert_eq!(counting.coupled.load(Ordering::Relaxed), 0, "{what}");
         assert_eq!(std::fs::read(&path).expect("read"), before, "{what}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A GP campaign asks each of its single-configuration plotters for m_R
+/// solo runs in one batch. Cut its journal at every commit inside that
+/// batch and resume through a counting oracle: the oracle runs only the
+/// configurations the journal holds no record of — each once, a plotter
+/// the journal holds never again — and the resumed run is the
+/// uninterrupted one.
+#[test]
+fn a_gp_journal_cut_inside_its_solo_batch_runs_only_what_it_lacks() {
+    let (pool, oracle) = fixture_of("GP");
+    let (budget, seed) = (10, 5);
+    let id = CampaignId {
+        workflow: "GP".into(),
+        ..campaign_id("ceal", budget, seed)
+    };
+    let algo = Ceal::new(CealParams::without_history());
+    let whole = algo
+        .try_run(oracle, pool, budget as usize, seed)
+        .expect("uninterrupted run");
+    let solo_key = |m: &SoloMeasurement| (m.component, m.values.clone());
+    let distinct: HashSet<_> = whole.component_runs.iter().map(solo_key).collect();
+    assert!(
+        distinct.len() < whole.component_runs.len(),
+        "GP repeats solo asks"
+    );
+    let coupled: HashSet<_> = whole.measured.iter().map(|m| &m.config).collect();
+
+    let path = unique_temp_path("ceal-gp-solo-cut", "wal");
+    sitting(&algo, oracle, &path, &id, false).expect("journaled run");
+    let full = std::fs::read(&path).expect("read journal");
+    let records = Journal::open(&path).expect("reopen full").1.records;
+    let mut ends = vec![0];
+    frame::scan(&full, JOURNAL_MAGIC.len(), |at, payload| {
+        ends.push(at + frame::HEADER_LEN + payload.len());
+        true
+    });
+
+    // `ends[k + 1]` closes the header and `k` solo records.
+    for k in 1..whole.component_runs.len() {
+        std::fs::write(&path, &full[..ends[k + 1]]).expect("cut");
+        let held: HashSet<_> = records[1..=k]
+            .iter()
+            .map(|r| match r {
+                JournalRecord::Solo {
+                    component, values, ..
+                } => (*component, values.clone()),
+                other => panic!("record {k} of the solo batch is {other:?}"),
+            })
+            .collect();
+
+        let counting = CountingOracle::new(oracle);
+        let (resumed, replayed) = sitting(&algo, &counting, &path, &id, true).expect("resumed run");
+        assert_eq!(replayed, (k as u64, 0), "cut after solo record {k}");
+        assert_eq!(
+            counting.solo.load(Ordering::Relaxed),
+            distinct.difference(&held).count() as u64,
+            "cut after solo record {k}: solo configurations the journal lacks"
+        );
+        assert_eq!(
+            counting.coupled.load(Ordering::Relaxed),
+            coupled.len() as u64,
+            "cut after solo record {k}: every coupled configuration, once"
+        );
+        assert_eq!(resumed.component_runs, whole.component_runs, "cut {k}");
+        assert_eq!(resumed.measured, whole.measured, "cut {k}");
+        assert_eq!(resumed.best_predicted, whole.best_predicted, "cut {k}");
+        let bits = |run: &TunerRun| {
+            run.pool_scores
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&resumed), bits(&whole), "cut {k}");
     }
     std::fs::remove_file(&path).ok();
 }

@@ -209,8 +209,11 @@ impl ServerMetrics {
 
 /// Measurements as the server pays for them — the one way it does, whether
 /// for a stepper's coupled or solo ask, a session's free history, an
-/// ad-hoc `Measure` or a one-shot's re-measure. As an [`Oracle`] it
-/// measures on `inner`, billing [`ServerMetrics::oracle_measurements`].
+/// ad-hoc `Measure` or a one-shot's measurement of a recommendation it
+/// never ran. A campaign answers a repeated solo ask, and a recommendation
+/// it measured, with its own record, so it is billed once per
+/// configuration. As an [`Oracle`] it measures on `inner`, billing
+/// [`ServerMetrics::oracle_measurements`].
 pub struct CountingOracle<'a> {
     inner: &'a dyn Oracle,
     metrics: &'a ServerMetrics,

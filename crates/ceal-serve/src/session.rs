@@ -45,7 +45,10 @@
 //!
 //! Every simulator run this process makes, for either kind of campaign,
 //! goes through one measure function, [`CountingOracle`]'s: one span, one
-//! bill.
+//! bill. A campaign runs each configuration once: a repeated solo ask is
+//! answered from the records of its own batch, and a one-shot's closing
+//! measurement from the campaign's coupled samples when it ran its
+//! recommendation.
 //!
 //! A batch worth a fleet round cuts a step in two: the step scatters it
 //! and returns with the round stored in the shell — nothing measured,
@@ -62,6 +65,7 @@ use crate::protocol::{SessionStatus, TuneParams};
 use ceal_core::algorithms::by_name;
 use ceal_core::{
     ComponentHistory, FaultInjector, Journal, JournalRecord, Measurement, Oracle, SimOracle,
+    SoloMeasurement,
 };
 use ceal_fleet::{Coordinator, TaskOutcome};
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
@@ -139,8 +143,9 @@ pub struct Session {
     /// The fleet round in flight, between the two halves of a step: the
     /// batch that answers it, and the pool indices it measures in ask order.
     round: Option<(u64, Vec<usize>)>,
-    /// A one-shot's measurement of its recommendation, which it reports
-    /// where a session reports the surrogate's score.
+    /// A one-shot's measured value of its recommendation — the campaign's
+    /// record when it has one — which it reports where a session reports
+    /// the surrogate's score.
     remeasured: Option<f64>,
     /// Injected faults of coupled runs: `(failure rate, seed)`.
     faults: (f64, u64),
@@ -459,12 +464,18 @@ impl Session {
                 }
                 Next::Solo(ask) => {
                     let metered = self.metered(metrics);
-                    let mut records = Vec::with_capacity(ask.len());
+                    let mut got: Vec<SoloMeasurement> = Vec::with_capacity(ask.len());
                     for (j, values) in &ask {
-                        let m = metered.try_measure_component(*j, values)?;
-                        records.push(JournalRecord::solo(&m));
+                        let held = got
+                            .iter()
+                            .find(|m| (m.component, &m.values) == (*j, values));
+                        let m = match held {
+                            Some(m) => m.clone(),
+                            None => metered.try_measure_component(*j, values)?,
+                        };
+                        got.push(m);
                     }
-                    self.commit(records)?;
+                    self.commit(got.iter().map(JournalRecord::solo).collect())?;
                 }
                 Next::Coupled(mut todo) if batches < 2 && left > 0 => {
                     todo.truncate(left);
@@ -480,10 +491,14 @@ impl Session {
                     self.delete_journal();
                     if self.core.one_shot() {
                         // `Tune` answers with a measurement of its
-                        // recommendation.
-                        let best = self.metered(metrics).try_measure(&entry.best)?;
-                        entry.best_value = best.value;
-                        self.remeasured = Some(best.value);
+                        // recommendation: the campaign's own, when it ran it.
+                        let held = entry.samples.iter().find(|(c, _)| *c == entry.best);
+                        let best = match held {
+                            Some(&(_, value)) => value,
+                            None => self.metered(metrics).try_measure(&entry.best)?.value,
+                        };
+                        entry.best_value = best;
+                        self.remeasured = Some(best);
                     }
                     cache.publish(entry, metrics, &self.tracer, self.trace_ctx(), self.id);
                     return Ok(None);
