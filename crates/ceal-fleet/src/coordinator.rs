@@ -1,4 +1,4 @@
-//! The coordinator: worker registry, heartbeat leases, and the
+//! The coordinator: worker registry, poll leases, and the
 //! scatter/gather measurement scheduler.
 //!
 //! One [`Coordinator`] lives inside the serve process. Request handlers
@@ -247,7 +247,7 @@ impl Coordinator {
         }
     }
 
-    /// Registers a worker; returns its id and the heartbeat lease in
+    /// Registers a worker; returns its id and its lease in
     /// milliseconds (the worker must poll well within it).
     pub fn register(&self, name: &str) -> (WorkerId, u64) {
         let mut s = self.state.lock();

@@ -6,27 +6,28 @@
 //! supplies the coordinator-side machinery to farm measurement batches out
 //! to a fleet of workers instead, in the spirit of Collective Knowledge's
 //! crowd-tuning (experiments scattered across volunteer machines) and the
-//! shape of workflow engines built around worker registration, heartbeats,
+//! shape of workflow engines built around worker registration, leases,
 //! and crash-recoverable task scheduling.
 //!
 //! The crate is deliberately **transport-free**: it knows nothing about
 //! sockets or frames. `ceal-serve` embeds a [`Coordinator`] and translates
-//! fleet wire frames (`RegisterWorker`, `Heartbeat`, `TaskResult` →
-//! `TaskAssign`) into calls on it, which keeps every scheduling decision
-//! unit-testable without a single connection.
+//! fleet wire frames (`RegisterWorker` → `WorkerRegistered`, and the one
+//! poll, `TaskResult` → `TaskAssign`) into calls on it, which keeps every
+//! scheduling decision unit-testable without a single connection.
 //!
 //! ## Model
 //!
 //! * **Workers pull.** A worker registers, then polls; each poll delivers
-//!   finished results and picks up new tasks, and one that finds no work
-//!   is held by the coordinator's host until a scatter has some (a long
-//!   poll — [`Coordinator::poll_or_hold`]). Pulling keeps the wire
+//!   its finished results (none, when it is idle) and picks up new tasks,
+//!   and one that finds no work is held by the coordinator's host until a
+//!   scatter has some (a long poll — [`Coordinator::poll_or_hold`]). Pulling keeps the wire
 //!   protocol strictly request/response (the serve core never pushes
 //!   unsolicited frames) and makes a slow worker self-limiting — it
 //!   simply fetches less.
-//! * **Leases, not connections, define liveness.** A worker that misses
-//!   its heartbeat lease is marked dead and its in-flight tasks go back on
-//!   the queue (a *re-scatter*), bounded per task by the unified
+//! * **Leases, not connections, define liveness.** Every poll renews a
+//!   worker's lease; one that lets it lapse is marked dead and its
+//!   in-flight tasks go back on the queue (a *re-scatter*), bounded per
+//!   task by the unified
 //!   [`RetryPolicy`][ceal_core::RetryPolicy]'s attempt budget.
 //! * **Gather is deduplicating.** Results are keyed by the batch's config
 //!   index; a re-scattered task finished by both the presumed-dead worker

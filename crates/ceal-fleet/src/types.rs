@@ -96,7 +96,7 @@ pub struct WorkerStats {
     pub failed: u64,
     /// In-flight tasks taken back because this worker's lease expired.
     pub rescattered: u64,
-    /// Milliseconds since the worker's last heartbeat.
+    /// Milliseconds since the worker's last poll.
     pub heartbeat_lag_ms: u64,
 }
 

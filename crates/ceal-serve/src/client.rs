@@ -364,23 +364,6 @@ impl Client {
         }
     }
 
-    /// Measures one ad-hoc configuration with a session's oracle; returns
-    /// `(value, exec_time, computer_time)`.
-    pub fn measure(
-        &mut self,
-        session: u64,
-        config: Vec<i64>,
-    ) -> Result<(f64, f64, f64), ClientError> {
-        match self.request(&Request::Measure { session, config })? {
-            Response::Measured {
-                value,
-                exec_time,
-                computer_time,
-            } => Ok((value, exec_time, computer_time)),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
     /// Closes a session.
     pub fn close_session(&mut self, session: u64) -> Result<(), ClientError> {
         match self.request(&Request::CloseSession { session })? {
@@ -411,16 +394,9 @@ impl Client {
         }
     }
 
-    /// Renews the worker's lease and fetches newly assigned tasks.
-    pub fn heartbeat(&mut self, worker: u64) -> Result<Vec<ceal_fleet::TaskSpec>, ClientError> {
-        match self.request(&Request::Heartbeat { worker })? {
-            Response::TaskAssign { tasks } => Ok(tasks),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Delivers completed task results; like [`Client::heartbeat`], the
-    /// answer carries the worker's next tasks.
+    /// A fleet worker's poll: delivers completed task `results` (none
+    /// when idle), renews the worker's lease and returns its newly
+    /// assigned tasks.
     pub fn task_result(
         &mut self,
         worker: u64,

@@ -55,12 +55,14 @@ macro_rules! endpoints {
 }
 
 // Variant, request tags, name, sheddable, inline. Never shed: cheap control
-// traffic whose loss would blind operators (`Metrics`), break liveness (`Ping`, `Shutdown`), leak resources (`Status`, `CloseSession`),
-// or stall the fleet's exactly-once accounting (registration, heartbeats,
-// results — shedding a `TaskResult` would force a re-measure). Inline:
-// the requests whose work is microseconds and whose only wait — a session
-// lock, a surrogate fit — can be seen coming and handed to the pool
-// instead; the fleet's polls among them so that one can be held.
+// traffic whose loss would blind operators (`Metrics`), break liveness
+// (`Ping`, `Shutdown`), leak resources (`Status`, `CloseSession`), or stall
+// the fleet's exactly-once accounting (registration, and the one poll,
+// `TaskResult` — shedding one that carries results would force a
+// re-measure). Inline: the requests whose work is microseconds and whose
+// only wait — a session lock, a surrogate fit — can be seen coming and
+// handed to the pool instead; the fleet's poll among them so that an idle
+// one can be held.
 endpoints! {
     Ping ["Ping"] "ping" false true,
     Tune ["Tune"] "tune" true false,
@@ -68,12 +70,10 @@ endpoints! {
     Advance ["Advance"] "advance" true false,
     Status ["Status"] "status" false true,
     Predict ["Predict"] "predict" true true,
-    Measure ["Measure"] "measure" true false,
     PushHistory ["PushHistory"] "push-history" true false,
     CloseSession ["CloseSession"] "close-session" false false,
     Metrics ["Metrics", "Shutdown"] "metrics" false false,
     RegisterWorker ["RegisterWorker"] "register-worker" false true,
-    Heartbeat ["Heartbeat"] "heartbeat" false true,
     TaskResult ["TaskResult"] "task-result" false true,
 }
 
@@ -208,9 +208,8 @@ impl ServerMetrics {
 }
 
 /// Measurements as the server pays for them — the one way it does, whether
-/// for a stepper's coupled or solo ask, a session's free history, an
-/// ad-hoc `Measure` or a one-shot's measurement of a recommendation it
-/// never ran. A campaign answers a repeated solo ask, and a recommendation
+/// for a stepper's coupled or solo ask, a session's free history or a
+/// one-shot's measurement of a recommendation it never ran. A campaign answers a repeated solo ask, and a recommendation
 /// it measured, with its own record, so it is billed once per
 /// configuration. As an [`Oracle`] it measures on `inner`, billing
 /// [`ServerMetrics::oracle_measurements`].
@@ -235,7 +234,8 @@ impl<'a> CountingOracle<'a> {
     /// One measurement: the answer a fleet worker `worked` out (it traced
     /// the run itself), else `run` against `inner` — the only place the
     /// server runs its simulator — inside an `oracle.measure` span. Billed
-    /// once, when it succeeded.
+    /// once, when it succeeded: a failed attempt (an injected fault) is
+    /// traced, not billed.
     pub(crate) fn run<T>(
         &self,
         mode: &'static str,
@@ -336,8 +336,8 @@ mod tests {
         for padded in [
             &b" \"Ping\""[..],
             b"\r\n\t \"Ping\" ",
-            b"{ \"Heartbeat\": {\"worker\":1}}",
-            b"  {\n  \"Heartbeat\" : {\"worker\": 1}\n}",
+            b"{ \"TaskResult\": {\"worker\":1,\"results\":[]}}",
+            b"  {\n  \"TaskResult\" : {\"worker\": 1, \"results\": []}\n}",
         ] {
             let endpoint = Endpoint::peek(padded).expect("padded control request");
             assert!(!endpoint.sheddable(), "{padded:?} must stay exempt");
@@ -351,13 +351,14 @@ mod tests {
             b" ",
             b"{",
             b"\"Pin",
-            b"{\"Heartbeat",
+            b"{\"TaskResult",
             b"\x00\xFF\x13\x37",
             b"Ping",
             b"[\"Ping\"]",
             b"\"LaunchMissiles\"",
             b"{\"ping\":{}}",
             b"\"Health\"",
+            b"{\"Heartbeat\":{\"worker\":1}}",
             long_tag.as_bytes(),
             deep_pad.as_bytes(),
         ] {

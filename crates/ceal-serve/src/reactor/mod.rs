@@ -1017,12 +1017,12 @@ mod tests {
         });
         let mut taken = Vec::new();
         while taken.is_empty() {
-            taken = hoarder.heartbeat(worker).unwrap();
+            taken = hoarder.task_result(worker, vec![]).unwrap();
         }
         assert_eq!(taken.len(), 3);
         // Its next poll is held — alive, silent about the tasks — until
         // the drain below tells it to stop.
-        let holding = std::thread::spawn(move || hoarder.heartbeat(worker));
+        let holding = std::thread::spawn(move || hoarder.task_result(worker, vec![]));
         let (mut c, advanced, took) = advancing.join().unwrap();
         assert_eq!(advanced.measured, 3);
         assert!(

@@ -115,7 +115,7 @@ impl Default for ServeConfig {
 /// accept, so the fd table stays bounded) and a high/low watermark pair on
 /// the dispatch queue (enforced per request, with hysteresis so shedding
 /// doesn't flap around the threshold). Cheap control traffic like `Ping`,
-/// `Metrics`, and fleet heartbeats is never shed; see
+/// `Metrics`, and fleet polls is never shed; see
 /// [`Endpoint::sheddable`].
 pub(crate) struct LoadControl {
     /// Hard cap on admitted connections.
@@ -476,12 +476,10 @@ pub(crate) fn endpoint_of(req: &Request) -> Endpoint {
         Request::Advance { .. } => Endpoint::Advance,
         Request::Status { .. } => Endpoint::Status,
         Request::Predict { .. } => Endpoint::Predict,
-        Request::Measure { .. } => Endpoint::Measure,
         Request::PushHistory { .. } => Endpoint::PushHistory,
         Request::CloseSession { .. } => Endpoint::CloseSession,
         Request::Metrics | Request::Shutdown => Endpoint::Metrics,
         Request::RegisterWorker { .. } => Endpoint::RegisterWorker,
-        Request::Heartbeat { .. } => Endpoint::Heartbeat,
         Request::TaskResult { .. } => Endpoint::TaskResult,
     }
 }
@@ -516,7 +514,6 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline
             Request::Tune(_)
                 | Request::CreateSession { .. }
                 | Request::RegisterWorker { .. }
-                | Request::Heartbeat { .. }
                 | Request::TaskResult { .. }
         )
     {
@@ -567,14 +564,6 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline
                 }
             }
         }
-        Request::Measure { session, config } => ok_or_error(
-            with_session(inner, session, |s| s.measure(&config, &inner.metrics)),
-            |m| Response::Measured {
-                value: m.value,
-                exec_time: m.exec_time,
-                computer_time: m.computer_time,
-            },
-        ),
         Request::PushHistory { session, samples } => ok_or_error(
             with_session(inner, session, |s| s.push_history(samples)),
             Response::Session,
@@ -599,7 +588,6 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline
             let (worker, lease_ms) = inner.fleet.register(&name);
             Response::WorkerRegistered { worker, lease_ms }
         }
-        Request::Heartbeat { worker } => return poll(inner, worker, Vec::new(), ticket, inline),
         Request::TaskResult { worker, results } => {
             return poll(inner, worker, results, ticket, inline)
         }
@@ -685,14 +673,12 @@ mod tests {
             Request::Advance { .. } => 3,
             Request::Status { .. } => 4,
             Request::Predict { .. } => 5,
-            Request::Measure { .. } => 6,
-            Request::PushHistory { .. } => 7,
-            Request::CloseSession { .. } => 8,
-            Request::Metrics => 9,
-            Request::Shutdown => 10,
-            Request::RegisterWorker { .. } => 11,
-            Request::Heartbeat { .. } => 12,
-            Request::TaskResult { .. } => 13,
+            Request::PushHistory { .. } => 6,
+            Request::CloseSession { .. } => 7,
+            Request::Metrics => 8,
+            Request::Shutdown => 9,
+            Request::RegisterWorker { .. } => 10,
+            Request::TaskResult { .. } => 11,
         }
     }
 
@@ -717,10 +703,6 @@ mod tests {
                 session: 1,
                 configs: vec![],
             },
-            Request::Measure {
-                session: 1,
-                config: vec![],
-            },
             Request::PushHistory {
                 session: 1,
                 samples: vec![],
@@ -729,7 +711,6 @@ mod tests {
             Request::Metrics,
             Request::Shutdown,
             Request::RegisterWorker { name: "w".into() },
-            Request::Heartbeat { worker: 1 },
             Request::TaskResult {
                 worker: 1,
                 results: vec![],
@@ -738,7 +719,7 @@ mod tests {
         let covered: Vec<usize> = samples.iter().map(variant_index).collect();
         assert_eq!(
             covered,
-            (0..14).collect::<Vec<_>>(),
+            (0..12).collect::<Vec<_>>(),
             "one sample per variant"
         );
         for req in samples {
@@ -756,7 +737,6 @@ mod tests {
                     | Request::CreateSession { .. }
                     | Request::Advance { .. }
                     | Request::Predict { .. }
-                    | Request::Measure { .. }
                     | Request::PushHistory { .. }
             );
             assert_eq!(endpoint_of(&req).sheddable(), campaign_work, "{req:?}");
@@ -768,7 +748,6 @@ mod tests {
                     | Request::Status { .. }
                     | Request::Predict { .. }
                     | Request::RegisterWorker { .. }
-                    | Request::Heartbeat { .. }
                     | Request::TaskResult { .. }
             );
             assert_eq!(endpoint_of(&req).runs_inline(), cannot_wait, "{req:?}");

@@ -534,17 +534,6 @@ impl Session {
         self.core.predict(configs)
     }
 
-    /// Measures one ad-hoc configuration. Infeasible configurations come
-    /// back as [`ServeError::Infeasible`], not a panic.
-    pub fn measure(
-        &mut self,
-        config: &[i64],
-        metrics: &ServerMetrics,
-    ) -> Result<Measurement, ServeError> {
-        self.core.check_arity(config)?;
-        Ok(self.metered(metrics).try_measure(config)?)
-    }
-
     /// Merges client-supplied historical component samples into `D_hist`,
     /// journaled like collected history. Once the search has started its
     /// component models are fitted and the history is closed.
@@ -676,17 +665,22 @@ mod tests {
     }
 
     #[test]
-    fn measure_rejects_infeasible_and_wrong_arity() {
+    fn predict_rejects_wrong_arity() {
         let (mgr, cache, metrics) = ctx();
         let (st, _) = mgr.create(params(4), 0.0, 0, &cache, &metrics).unwrap();
         let handle = mgr.get(st.session).unwrap();
         let mut s = handle.lock();
-        let err = s.measure(&[1085, 1, 1, 1085, 1, 1], &metrics).unwrap_err();
-        assert_eq!(err.code(), "infeasible");
-        let err = s.measure(&[1, 2, 3], &metrics).unwrap_err();
+        let mut state = String::new();
+        for _ in 0..50 {
+            state = s.advance(4, &cache, &metrics).unwrap().state;
+            if state == "done" {
+                break;
+            }
+        }
+        assert_eq!(state, "done");
+        let err = s.predict(&[vec![1, 2, 3]]).unwrap_err();
         assert_eq!(err.code(), "bad-request");
-        assert!(s.measure(&[100, 20, 1, 50, 10, 1], &metrics).is_ok());
-        let _ = cache;
+        assert_eq!(s.predict(&[vec![100, 20, 1, 50, 10, 1]]).unwrap().len(), 1);
     }
 
     #[test]

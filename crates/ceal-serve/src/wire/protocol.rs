@@ -10,14 +10,16 @@ use ceal_fleet::{FleetReport, TaskReport, TaskSpec};
 use serde::{Deserialize, Serialize};
 
 /// Bumped on any change to [`Request`] or [`Response`], or to what a
-/// request means (10: `Health` is gone, folded into `Metrics`, which
-/// gains its load fields and loses the cache breaker's; 9: `Metrics` and
+/// request means (11: `Measure` and its `Measured` reply are gone, and
+/// `Heartbeat` is folded into a `TaskResult` with no results; 10: `Health`
+/// is gone, folded into `Metrics`, which gains its load fields and loses
+/// the cache breaker's; 9: `Metrics` and
 /// `Health` lose the oracle breaker's fields; 8: a session runs the
 /// algorithm `TuneParams.algo` names). There is no cross-version
 /// compatibility: [`Client::connect`](crate::Client::connect) pings first
 /// and refuses any server whose version is not *equal* to its own, so
 /// every field below is required on the wire.
-pub const PROTOCOL_VERSION: u32 = 10;
+pub const PROTOCOL_VERSION: u32 = 11;
 
 /// Parameters shared by one-shot tuning and session creation.
 ///
@@ -80,14 +82,6 @@ pub enum Request {
         /// Full parameter vectors to score.
         configs: Vec<Vec<i64>>,
     },
-    /// Measure one ad-hoc configuration with a session's oracle. Infeasible
-    /// configurations produce an error frame, never a dead worker.
-    Measure {
-        /// Session ID.
-        session: u64,
-        /// Full parameter vector.
-        config: Vec<i64>,
-    },
     /// Contribute historical component samples to a session (`D_hist`,
     /// paper §7.5). Shape mismatches produce an error frame.
     PushHistory {
@@ -117,20 +111,16 @@ pub enum Request {
         /// per-worker metrics.
         name: String,
     },
-    /// Renew the worker's lease and fetch work. Answered with
-    /// [`Response::TaskAssign`] (possibly empty). The fleet is strictly
-    /// pull-based: the coordinator never pushes frames, so the heartbeat
-    /// doubles as the task fetch.
-    Heartbeat {
-        /// Worker id from [`Response::WorkerRegistered`].
-        worker: u64,
-    },
-    /// Deliver completed measurements; also renews the lease and fetches
-    /// more work, so a busy worker never sends a separate heartbeat.
+    /// A worker's one poll: deliver completed measurements (none, when it
+    /// has nothing to report), renew the lease and fetch work. Answered
+    /// with [`Response::TaskAssign`] (possibly empty). The fleet is
+    /// strictly pull-based: the coordinator never pushes frames, so the
+    /// report doubles as the task fetch.
     TaskResult {
         /// Worker id from [`Response::WorkerRegistered`].
         worker: u64,
-        /// Outcomes for previously assigned tasks, any order.
+        /// Outcomes for previously assigned tasks, any order; empty when
+        /// the worker is idle.
         results: Vec<TaskReport>,
     },
 }
@@ -280,15 +270,6 @@ pub enum Response {
         /// Predicted objective values.
         values: Vec<f64>,
     },
-    /// Reply to [`Request::Measure`].
-    Measured {
-        /// Objective value.
-        value: f64,
-        /// Wall-clock execution time, seconds.
-        exec_time: f64,
-        /// Computer time, core-hours.
-        computer_time: f64,
-    },
     /// Reply to [`Request::Metrics`].
     Metrics(MetricsReport),
     /// Typed load shedding: the server is over its dispatch watermark (or
@@ -308,8 +289,8 @@ pub enum Response {
         /// is marked dead and its in-flight tasks are re-scattered.
         lease_ms: u64,
     },
-    /// Reply to [`Request::Heartbeat`] / [`Request::TaskResult`]: newly
-    /// assigned work (often empty).
+    /// Reply to [`Request::TaskResult`]: newly assigned work (often
+    /// empty).
     TaskAssign {
         /// Tasks for this worker to execute, any order.
         tasks: Vec<TaskSpec>,
@@ -360,7 +341,10 @@ mod tests {
             Request::RegisterWorker {
                 name: "worker-a".into(),
             },
-            Request::Heartbeat { worker: 2 },
+            Request::TaskResult {
+                worker: 2,
+                results: vec![],
+            },
             Request::TaskResult {
                 worker: 2,
                 results: vec![TaskReport {

@@ -1,9 +1,9 @@
 //! Fleet measurement worker: the process that executes scattered tasks.
 //!
 //! A worker is a loop around one [`Client`] connection. It registers with
-//! the coordinator, then polls: a [`heartbeat`](Client::heartbeat) when it
-//! has nothing to report, a [`task_result`](Client::task_result) carrying
-//! finished measurements otherwise — both renew the lease and both come
+//! the coordinator, then polls with one request,
+//! [`task_result`](Client::task_result): it carries the finished
+//! measurements (none when the worker is idle), renews the lease and comes
 //! back with newly assigned tasks. A poll that finds no work is a long
 //! poll: the coordinator holds it until a scatter has tasks for it (or
 //! half the lease has passed), so the worker learns of a task when there
@@ -146,12 +146,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<WorkerSummary, ClientError> {
             return Ok(summary);
         }
         let asked = Instant::now();
-        let polled = if pending.is_empty() {
-            client.heartbeat(worker)
-        } else {
-            client.task_result(worker, pending.clone())
-        };
-        let tasks = match polled {
+        let tasks = match client.task_result(worker, pending.clone()) {
             Ok(tasks) => {
                 pending.clear();
                 tasks

@@ -209,9 +209,12 @@ impl RawWorker {
         serde_json::from_slice(&frame).expect("a response")
     }
 
-    /// Sends a heartbeat and leaves its answer unread.
+    /// Sends an empty poll and leaves its answer unread.
     pub fn poll(&mut self) {
-        self.send(&Request::Heartbeat { worker: self.id });
+        self.send(&Request::TaskResult {
+            worker: self.id,
+            results: vec![],
+        });
     }
 
     pub fn assigned(&mut self) -> Vec<TaskSpec> {

@@ -109,7 +109,7 @@ pub fn corpus() -> Vec<HostileCase> {
 pub fn unclassifiable_payloads() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("empty", Vec::new()),
-        ("truncated-tag", b"{\"Heartbeat".to_vec()),
+        ("truncated-tag", b"{\"TaskResult".to_vec()),
         ("non-json", vec![0x00, 0xFF, 0x13, 0x37, 0x80, 0x81]),
         (
             "over-long-tag",

@@ -119,24 +119,28 @@ fn session_campaign_traces_every_run_it_bills_history_included() {
 }
 
 #[test]
-fn infeasible_measure_is_traced_but_not_billed() {
+fn injected_faults_are_traced_but_not_billed() {
     let tracer = Tracer::in_memory();
     let (srv, mut c) = traced_server(&tracer);
 
-    let (st, _) = c.create_session(params("exec", 4, 60, 3), 0.0, 0).unwrap();
-    let err = c
-        .measure(st.session, vec![1085, 1, 1, 1085, 1, 1])
-        .unwrap_err();
-    assert_eq!(err.code(), Some("infeasible"));
-    assert_eq!(
-        c.metrics().unwrap().oracle_measurements,
-        0,
-        "nothing ran, nothing billed"
-    );
-    c.measure(st.session, vec![100, 20, 1, 50, 10, 1]).unwrap();
-    assert_eq!(c.metrics().unwrap().oracle_measurements, 1);
-    // Both attempts reached the simulator; only one produced a run.
-    assert_eq!(measure_spans(&tracer, srv, c), 2);
+    let (st, _) = c.create_session(params("exec", 12, 60, 3), 0.4, 5).unwrap();
+    let mut failures = 0u64;
+    let done = loop {
+        assert!(failures < 200, "session never reached done");
+        match c.advance(st.session, 3) {
+            Ok(status) if status.state == "done" => break status,
+            Ok(_) => {}
+            Err(e) if e.code() == Some("measurement-failed") => failures += 1,
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    };
+    let billed = c.metrics().unwrap().oracle_measurements;
+
+    assert!(failures > 0, "a 40% failure rate must fail some attempt");
+    assert_eq!(billed, done.history_samples + done.measured);
+    // A failed `Advance` stops its batch at the first failure: each one
+    // reached the simulator once and produced no run.
+    assert_eq!(measure_spans(&tracer, srv, c), billed + failures);
 }
 
 #[test]

@@ -269,23 +269,18 @@ impl Gen {
                 session: self.u64(),
                 configs: self.vec(5, Self::config),
             },
-            6 => Request::Measure {
-                session: self.u64(),
-                config: self.config(),
-            },
-            7 => Request::PushHistory {
+            6 => Request::PushHistory {
                 session: self.u64(),
                 samples: self.vec(3, |g| g.vec(4, |g| (g.config(), g.f64()))),
             },
-            8 => Request::CloseSession {
+            7 => Request::CloseSession {
                 session: self.u64(),
             },
-            9 => Request::Metrics,
-            10 => Request::Shutdown,
-            11 => Request::RegisterWorker {
+            8 => Request::Metrics,
+            9 => Request::Shutdown,
+            10 => Request::RegisterWorker {
                 name: self.string(),
             },
-            12 => Request::Heartbeat { worker: self.u64() },
             _ => Request::TaskResult {
                 worker: self.u64(),
                 results: self.vec(3, |g| TaskReport {
@@ -317,20 +312,15 @@ impl Gen {
             4 => Response::Predictions {
                 values: self.vec(8, Self::f64),
             },
-            5 => Response::Measured {
-                value: self.f64(),
-                exec_time: self.f64(),
-                computer_time: self.f64(),
-            },
-            6 => Response::Metrics(self.metrics()),
-            7 => Response::Busy {
+            5 => Response::Metrics(self.metrics()),
+            6 => Response::Busy {
                 retry_after_ms: self.u64(),
             },
-            8 => Response::WorkerRegistered {
+            7 => Response::WorkerRegistered {
                 worker: self.u64(),
                 lease_ms: self.u64(),
             },
-            9 => Response::TaskAssign {
+            8 => Response::TaskAssign {
                 tasks: self.vec(3, |g| TaskSpec {
                     task: g.u64(),
                     session: g.u64(),
@@ -343,7 +333,7 @@ impl Gen {
                     span: g.u64(),
                 }),
             },
-            10 => Response::Ok,
+            9 => Response::Ok,
             _ => Response::Error {
                 code: self.string(),
                 message: self.string(),
@@ -402,6 +392,10 @@ impl Gen {
     }
 }
 
+/// How many variants [`Request`] and [`Response`] have.
+const REQUEST_VARIANTS: usize = 12;
+const RESPONSE_VARIANTS: usize = 11;
+
 /// Position of a request in the enum, by an exhaustive match: a variant
 /// added to the protocol fails this file's build until it has a generator.
 fn request_variant(req: &Request) -> usize {
@@ -412,14 +406,12 @@ fn request_variant(req: &Request) -> usize {
         Request::Advance { .. } => 3,
         Request::Status { .. } => 4,
         Request::Predict { .. } => 5,
-        Request::Measure { .. } => 6,
-        Request::PushHistory { .. } => 7,
-        Request::CloseSession { .. } => 8,
-        Request::Metrics => 9,
-        Request::Shutdown => 10,
-        Request::RegisterWorker { .. } => 11,
-        Request::Heartbeat { .. } => 12,
-        Request::TaskResult { .. } => 13,
+        Request::PushHistory { .. } => 6,
+        Request::CloseSession { .. } => 7,
+        Request::Metrics => 8,
+        Request::Shutdown => 9,
+        Request::RegisterWorker { .. } => 10,
+        Request::TaskResult { .. } => 11,
     }
 }
 
@@ -430,13 +422,12 @@ fn response_variant(resp: &Response) -> usize {
         Response::SessionCreated { .. } => 2,
         Response::Session(_) => 3,
         Response::Predictions { .. } => 4,
-        Response::Measured { .. } => 5,
-        Response::Metrics(_) => 6,
-        Response::Busy { .. } => 7,
-        Response::WorkerRegistered { .. } => 8,
-        Response::TaskAssign { .. } => 9,
-        Response::Ok => 10,
-        Response::Error { .. } => 11,
+        Response::Metrics(_) => 5,
+        Response::Busy { .. } => 6,
+        Response::WorkerRegistered { .. } => 7,
+        Response::TaskAssign { .. } => 8,
+        Response::Ok => 9,
+        Response::Error { .. } => 10,
     }
 }
 
@@ -476,7 +467,7 @@ proptest! {
     #[test]
     fn every_request_round_trips(seed in 0u64..=u64::MAX) {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
-        for variant in 0..14 {
+        for variant in 0..REQUEST_VARIANTS {
             let req = g.request(variant);
             prop_assert_eq!(request_variant(&req), variant);
             round_trip(&req)?;
@@ -486,7 +477,7 @@ proptest! {
     #[test]
     fn every_response_round_trips(seed in 0u64..=u64::MAX) {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
-        for variant in 0..12 {
+        for variant in 0..RESPONSE_VARIANTS {
             let resp = g.response(variant);
             prop_assert_eq!(response_variant(&resp), variant);
             round_trip(&resp)?;
@@ -518,8 +509,8 @@ proptest! {
     fn every_proper_prefix_is_an_error(seed in 0u64..=u64::MAX) {
         let mut g = Gen(SmallRng::seed_from_u64(seed));
         let docs = [
-            serde_json::to_vec(&g.request(seed as usize % 14)).unwrap(),
-            serde_json::to_vec(&g.response(seed as usize % 12)).unwrap(),
+            serde_json::to_vec(&g.request(seed as usize % REQUEST_VARIANTS)).unwrap(),
+            serde_json::to_vec(&g.response(seed as usize % RESPONSE_VARIANTS)).unwrap(),
             serde_json::to_vec(&g.journal_record(seed as usize % 4)).unwrap(),
             serde_json::to_vec(&g.cache_entry()).unwrap(),
         ];
@@ -585,18 +576,18 @@ fn decode_semantics_on_service_documents() {
 
     // A non-finite float is written `null`; a float field reads `null`
     // back as NaN, an optional one as `None`.
-    let resp = Response::Measured {
+    let outcome = TaskOutcome::Measured {
         value: f64::NAN,
         exec_time: f64::INFINITY,
         computer_time: 1.0,
     };
-    let json = serde_json::to_string(&resp).unwrap();
+    let json = serde_json::to_string(&outcome).unwrap();
     assert_eq!(
         json,
         r#"{"Measured":{"value":null,"exec_time":null,"computer_time":1.0}}"#
     );
     match serde_json::from_str(&json).unwrap() {
-        Response::Measured {
+        TaskOutcome::Measured {
             value,
             exec_time,
             computer_time,
@@ -744,11 +735,11 @@ fn mutated_documents_and_journals_are_answered_never_panicked_on() {
         let docs = [
             (
                 "request",
-                serde_json::to_vec(&g.request(seed as usize % 14)),
+                serde_json::to_vec(&g.request(seed as usize % REQUEST_VARIANTS)),
             ),
             (
                 "response",
-                serde_json::to_vec(&g.response(seed as usize % 12)),
+                serde_json::to_vec(&g.response(seed as usize % RESPONSE_VARIANTS)),
             ),
             (
                 "journal record",

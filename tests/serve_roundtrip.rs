@@ -184,13 +184,10 @@ fn concurrent_sessions_with_fault_injection() {
                 let done = client.status(status.session).expect("status");
                 let best = done.best.expect("best config");
                 let values = client
-                    .predict(status.session, vec![best.clone(), best.clone()])
+                    .predict(status.session, vec![best.clone(), best])
                     .expect("predict");
                 assert_eq!(values.len(), 2);
                 assert_eq!(values[0], values[1]);
-
-                let (value, exec, comp) = client.measure(status.session, best).expect("measure");
-                assert!(value > 0.0 && exec > 0.0 && comp > 0.0);
                 client.close_session(status.session).expect("close");
             })
         })
