@@ -235,6 +235,35 @@ impl AutotuneCache {
         }
     }
 
+    /// [`AutotuneCache::get_with_tier`] for a caller that must not wait —
+    /// the reactor thread. A front hit, or a disk hit the shard answers
+    /// without waiting (an indexed shard whose lock is free, a frame the
+    /// page cache holds), is counted and promoted exactly as there; a
+    /// taken front lock, a miss and every disk read that could wait are
+    /// `None`, with nothing counted, for `get_with_tier` to answer where it
+    /// may wait.
+    pub(crate) fn get_nowait(&self, key: &CacheKey) -> Option<(CacheEntry, &'static str)> {
+        if let Some(hit) = self.front.try_lock()?.get(key) {
+            self.lru_hits.fetch_add(1, Ordering::Relaxed);
+            return Some((hit, "front"));
+        }
+        let found = self.store.as_ref()?.get_nowait(key)?;
+        self.front.try_lock()?.insert(found.clone());
+        self.lru_misses.fetch_add(1, Ordering::Relaxed);
+        Some((found, "disk"))
+    }
+
+    /// Runs `f` while holding `workflow`'s shard lock, as a `put` holds it
+    /// across its write and `sync_data` (in memory only: `f` just runs).
+    /// A seam for tests of what waits on that lock.
+    #[doc(hidden)]
+    pub fn with_shard_locked<R>(&self, workflow: &str, f: impl FnOnce() -> R) -> R {
+        match &self.store {
+            Some(store) => store.with_shard_locked(workflow, f),
+            None => f(),
+        }
+    }
+
     /// Inserts (or replaces) a campaign in the front and persists it to
     /// its workflow's shard when a cache directory is configured.
     /// Persistence failures are returned but don't fail the insert — the

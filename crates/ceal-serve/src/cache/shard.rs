@@ -23,6 +23,12 @@
 //! lets reads happen outside the shard lock. The lock is in-process: one
 //! process owns a cache directory at a time.
 //!
+//! Two lookups read the same frames: `get`, which may wait for the lock
+//! and the disk, and `get_nowait` for the reactor thread, which takes the
+//! lock only if it is free, never indexes, and reads only a frame the page
+//! cache holds whole (`preadv2` with `RWF_NOWAIT`); whatever it cannot
+//! answer that way it leaves to `get`.
+//!
 //! A log whose magic is wrong is set aside as `*.invalid`, never trusted
 //! and never destroyed. Caches of the layouts before the log (a directory
 //! of `shard-*.json` files in the bundle layout, or a single file) are not
@@ -30,6 +36,8 @@
 
 use super::transfer::{self, TransferHit};
 use super::{CacheEntry, CacheKey};
+#[cfg(target_os = "linux")]
+use crate::reactor::sys::read_if_cached;
 use ceal_core::frame;
 use ceal_trace::{TraceContext, Tracer};
 use parking_lot::Mutex;
@@ -448,12 +456,9 @@ impl ShardStore {
         let read = || {
             let mut buf = vec![0u8; span.frame_len() as usize];
             file.read_exact_at(&mut buf, span.offset)?;
-            let payload = frame::first(&buf)
-                .filter(|p| p.len() == span.len as usize)
-                .ok_or_else(|| std::io::Error::other("frame fails its checksum"))?;
-            serde_json::from_slice(payload).map_err(std::io::Error::other)
+            decode(&buf, span)
         };
-        read().unwrap_or_else(|e| self.unreadable(shard, &e))
+        read().map_or_else(|e| self.unreadable(shard, &e), Some)
     }
 
     /// An unreadable shard or frame is a warned miss — serving goes on.
@@ -472,6 +477,34 @@ impl ShardStore {
         let shard = self.shard(&key.workflow);
         let (file, span) = self.pick(&shard, |log| log.rows.get(key).map(|row| row.span))?;
         self.fetch(&shard, &file, span)
+    }
+
+    /// [`ShardStore::get`] for a caller that must not wait: the entry if
+    /// the shard is already indexed, its lock is free (a `put` holds it
+    /// across `sync_data`, the first-touch scan across a whole-file read),
+    /// `key` is in it, and its frame is read whole from the page cache and
+    /// checks. Anything else is `None` and is left to `get`, which waits —
+    /// a frame that fails its checksum included, so it is warned about
+    /// once, there.
+    pub(crate) fn get_nowait(&self, key: &CacheKey) -> Option<CacheEntry> {
+        let shard = self.shard(&key.workflow);
+        let (file, span) = {
+            let log = shard.log.try_lock()?;
+            let log = log.as_ref()?;
+            (Arc::clone(log.file.as_ref()?), log.rows.get(key)?.span)
+        };
+        let mut buf = vec![0u8; span.frame_len() as usize];
+        if !read_if_cached(&file, span.offset, &mut buf) {
+            return None;
+        }
+        decode(&buf, span).ok()
+    }
+
+    /// Runs `f` holding `workflow`'s shard lock, as a `put` holds it.
+    pub(crate) fn with_shard_locked<R>(&self, workflow: &str, f: impl FnOnce() -> R) -> R {
+        let shard = self.shard(workflow);
+        let _held = shard.log.lock();
+        f()
     }
 
     /// [`transfer::nearest`] over the workflow's index rows in append
@@ -545,6 +578,20 @@ impl ShardStore {
     pub(crate) fn shard_count(&self) -> usize {
         self.log_paths().len()
     }
+}
+
+/// Checks a frame read at `span` and decodes its entry.
+fn decode(buf: &[u8], span: Span) -> std::io::Result<CacheEntry> {
+    let payload = frame::first(buf)
+        .filter(|p| p.len() == span.len as usize)
+        .ok_or_else(|| std::io::Error::other("frame fails its checksum"))?;
+    serde_json::from_slice(payload).map_err(std::io::Error::other)
+}
+
+/// Off Linux there is no read that refuses to wait: every disk hit waits.
+#[cfg(not(target_os = "linux"))]
+fn read_if_cached(_: &File, _: u64, _: &mut [u8]) -> bool {
+    false
 }
 
 fn file_name(path: &Path) -> String {

@@ -504,6 +504,55 @@ fn lru_front_bounds_memory_and_falls_back_to_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The lookup that must not wait answers what `get_with_tier` answers —
+/// from either tier, promoting a disk hit — and leaves everything else to
+/// it uncounted: a miss, a shard not indexed yet, a taken shard lock, a
+/// frame that fails its checksum (which `get_with_tier` then warns about,
+/// once, as the miss it always was).
+#[test]
+fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
+    let dir = temp_dir("nowait");
+    let seeded = AutotuneCache::at_path(&dir);
+    for seed in 0..3 {
+        seeded.put(entry(seed)).unwrap();
+    }
+    drop(seeded);
+    let tracer = Tracer::in_memory();
+    let cache = AutotuneCache::at_path_traced(&dir, 1, &tracer);
+    let counted = |cache: &AutotuneCache| {
+        let stats = cache.stats();
+        (stats.lru_hits, stats.lru_misses)
+    };
+    assert_eq!(cache.get_nowait(&key(0)), None, "not indexed yet");
+    assert_eq!(cache.len(), 3);
+    assert_eq!(cache.get_nowait(&key(9)), None, "a miss");
+    let locked = cache.with_shard_locked("LV", || cache.get_nowait(&key(0)));
+    assert_eq!(locked, None, "a shard lock a put holds");
+    assert_eq!(counted(&cache), (0, 0));
+
+    assert_eq!(cache.get_nowait(&key(0)), Some((entry(0), "disk")));
+    assert_eq!(cache.get_nowait(&key(0)), Some((entry(0), "front")));
+    assert_eq!(counted(&cache), (1, 1), "counted as get_with_tier counts");
+    assert_eq!(cache.stats().lru_len, 1, "the disk hit was promoted");
+
+    // A record that went bad after the scan: seed 1's payload, flipped.
+    let log = log_path(&dir, "lv");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let bounds = frame_bounds(&bytes);
+    bytes[bounds[1] + frame::HEADER_LEN + 2] ^= 0x20;
+    std::fs::write(&log, &bytes).unwrap();
+    tracer.drain_events();
+    assert_eq!(cache.get_nowait(&key(1)), None);
+    assert_eq!(counted(&cache), (1, 1));
+    assert!(tracer.drain_events().is_empty(), "nothing warned inline");
+    assert_eq!(cache.get_with_tier(&key(1)), (None, "miss"));
+    let events = tracer.drain_events();
+    let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
+    assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
+    assert_eq!(counted(&cache), (1, 2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn export_import_round_trip() {
     let dir = temp_dir("export");

@@ -21,7 +21,8 @@
 //!   readiness-driven epoll event loop owns all connections (framed
 //!   per-connection state machines, a deadline heap), so tens of thousands
 //!   of idle sessions cost one fd each. It answers what cannot wait
-//!   (`Ping`, `Status`, a small `Predict`, worker polls) where it arrives,
+//!   (`Ping`, `Status`, a small `Predict`, a `Tune` the cache answers
+//!   without waiting, worker polls) where it arrives,
 //!   hands the rest to a `ceal-par` worker pool, and parks what must wait
 //!   — a worker poll with no work, a campaign step across its fleet round
 //!   — without a thread; batched surrogate prediction, per-endpoint

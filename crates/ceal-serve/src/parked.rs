@@ -109,7 +109,8 @@ pub(crate) enum Outcome {
     /// With its answer.
     Done(Completion),
     /// Tried on the reactor thread, it would have had to wait (a taken
-    /// session lock, a surrogate to fit): run it on the pool.
+    /// session or shard lock, a surrogate to fit, a cache read from the
+    /// disk, a campaign to run): run it on the pool.
     Defer(Request, Ticket),
     /// A worker poll with nothing to hand out, accepted by the coordinator
     /// under the ticket's connection token: the reactor holds it.
@@ -277,24 +278,54 @@ pub(crate) fn advance(inner: &ServerInner, id: u64, runs: u64, ticket: Ticket) -
     drive(inner, &shell, &mut s, ticket, kind, VecDeque::new())
 }
 
+/// The largest budget whose cache hit a `Tune` takes on the reactor thread.
+/// An entry holds at most `budget` coupled samples, and reading, checking
+/// and decoding them is an inline hit's work: at 64 the frame is ≈ 2.6 KiB,
+/// about `INLINE_MAX` of JSON, and a page-cached disk hit ≈ 33 µs (a
+/// 10 000-sample one would be ≈ 7 ms). A larger campaign's hit is the
+/// pool's, as a larger `Predict` is.
+const INLINE_TUNE_BUDGET: u64 = 64;
+
 /// One-shot tuning: a cache lookup, then a campaign on the session shell —
 /// unregistered, unjournaled, paying for its own component runs — driven
 /// to `done` inside the request, parking across its fleet rounds. The
 /// shell builds what the `tune` CLI builds, so a remote campaign returns
 /// the same recommendation as a local one with the same seed, with or
 /// without fleet workers.
-pub(crate) fn tune(inner: &ServerInner, params: TuneParams, ticket: Ticket) -> Outcome {
+///
+/// On the reactor thread (`inline`) only a lookup the cache answers
+/// without waiting, of a campaign within `INLINE_TUNE_BUDGET`, is served;
+/// anything else — a miss, a taken shard lock, a disk read that could
+/// wait, a larger entry — is handed to the pool having counted and traced
+/// nothing, so the one lookup that answers is the one recorded.
+pub(crate) fn tune(
+    inner: &ServerInner,
+    params: TuneParams,
+    ticket: Ticket,
+    inline: bool,
+) -> Outcome {
     let parsed = match parse_params(&params) {
         Ok(parsed) => parsed,
         Err(e) => return Outcome::Done(ticket.finish(&error_frame(e))),
     };
+    let started = Instant::now();
+    let key = cache_key(&params, &inner.platform, TUNE_MODE);
+    let looked_up = match inline {
+        false => Some(inner.cache.get_with_tier(&key)),
+        true if params.budget > INLINE_TUNE_BUDGET => None,
+        true => inner
+            .cache
+            .get_nowait(&key)
+            .map(|(entry, tier)| (Some(entry), tier)),
+    };
+    let Some((hit, tier)) = looked_up else {
+        return Outcome::Defer(Request::Tune(params), ticket);
+    };
     let root = TraceContext::root(inner.tracer.new_trace());
-    let mut span = inner.tracer.span("campaign.tune", root);
+    let mut span = inner.tracer.span_since("campaign.tune", root, started);
     span.field("workflow", params.workflow.as_str());
     span.field("algo", params.algo.as_str());
     span.field("budget", params.budget);
-    let key = cache_key(&params, &inner.platform, TUNE_MODE);
-    let (hit, tier) = inner.cache.get_with_tier(&key);
     let at = [("tier", tier.into()), ("endpoint", "tune".into())];
     inner.tracer.instant("cache.lookup", span.ctx(), &at);
     if let Some(entry) = hit {

@@ -14,12 +14,15 @@
 //! killing a thread) and all answered from the one completion queue:
 //!
 //! * **inline** — a frame of at most [`conn::INLINE_MAX`] bytes that
-//!   [`Endpoint::peek`] classifies as unable to wait (`Ping`, `Status`,
-//!   `Predict`, the fleet's registration and polls) is decoded and run
-//!   right here, and its answer written before the next readiness event
-//!   is looked at: no pool hop, no eventfd, no `epoll_ctl`. Whenever it
-//!   *could* wait — the session's lock is taken, a surrogate is not
-//!   fitted yet, the frame does not decode — it goes to the pool instead;
+//!   [`Endpoint::peek`] classifies as able to see its wait coming (`Ping`,
+//!   `Tune`, `Status`, `Predict`, the fleet's registration and polls) is
+//!   decoded and run right here, and its answer written before the next
+//!   readiness event is looked at: no pool hop, no eventfd, no
+//!   `epoll_ctl`. Whenever it *could* wait — the session's lock is taken,
+//!   a surrogate is not fitted yet, the cache cannot answer a `Tune` from
+//!   its front or from a free, indexed shard whose frame the page cache
+//!   holds (or the campaign is too large to decode here), the frame does
+//!   not decode — it goes to the pool instead;
 //! * **pooled** — everything else is run by a worker thread, which never
 //!   touches a socket: it pushes the framed response onto the completion
 //!   queue, waking the loop through an eventfd, and the reactor flushes
@@ -478,8 +481,9 @@ impl Reactor {
                 self.refresh_interest(token);
                 self.arm_deadline(token, until);
             }
-            // No inline endpoint scatters; were one to, its continuation
-            // answers the connection like any other parked request's.
+            // Nothing run inline scatters (a `Tune` the cache cannot
+            // answer is deferred); were it to, its continuation answers
+            // the connection like any other parked request's.
             Outcome::Parked => {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Dispatching;
@@ -881,6 +885,55 @@ mod tests {
         turn_until(&mut r, &mut events, "ping", 2);
         assert_eq!(r.epoll.modifies.get(), 2, "inline again");
         r.wg.wait();
+    }
+
+    /// A `Tune` the cache answers — from the front, or from a free,
+    /// indexed shard whose frame is page-cached — is an inline request; a
+    /// cold one runs on the pool.
+    #[test]
+    fn a_cached_tune_costs_no_epoll_ctl_and_a_cold_one_two() {
+        let dir = ceal_testutil::unique_temp_path("ceal-reactor-tune", "");
+        let server = Server::bind(ServeConfig {
+            cache_path: Some(dir.clone()),
+            cache_lru_capacity: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let mut r = Reactor::new(server.listener, server.inner, 1).unwrap();
+        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 16];
+        let mut peer = TcpStream::connect(addr).unwrap();
+        r.turn(&mut events).unwrap();
+
+        // The `nth` Tune: its answer, and the `epoll_ctl`s it cost.
+        let mut tune = |r: &mut Reactor, seed: u64, nth: u64| {
+            let before = r.epoll.modifies.get();
+            let req = Request::Tune(lv(6, 60, seed));
+            write_frame(&mut peer, &serde_json::to_vec(&req).unwrap()).unwrap();
+            turn_until(r, &mut events, "tune", nth);
+            let answer = read_frame(&mut peer).unwrap();
+            let answer = serde_json::from_slice::<Response>(&answer).unwrap();
+            (answer, r.epoll.modifies.get() - before)
+        };
+        let (cold, ctls) = tune(&mut r, 1, 1);
+        assert_eq!(ctls, 2, "a cold Tune is pooled");
+        let (_, ctls) = tune(&mut r, 2, 2);
+        assert_eq!(ctls, 2, "so is the second");
+        // The front holds one campaign, seed 2's: seed 1 is on disk.
+        let Response::TuneResult { best, .. } = cold else {
+            panic!("the cold Tune answered {cold:?}");
+        };
+        for (nth, tier) in [(3, "disk"), (4, "front")] {
+            let (warm, ctls) = tune(&mut r, 1, nth);
+            assert_eq!(ctls, 0, "a {tier} hit is inline");
+            assert!(
+                matches!(&warm, Response::TuneResult { best: b, from_cache: true, .. } if *b == best),
+                "{warm:?}"
+            );
+        }
+        assert_eq!(r.inner.cache.stats().lru_hits, 1, "one front hit");
+        r.wg.wait();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A handler that panics on the reactor thread costs its request an

@@ -2,15 +2,17 @@
 //!
 //! The workspace is vendored-only and the `libc` crate is not among the
 //! sanctioned dependencies, so the handful of calls the reactor needs —
-//! `epoll`, `eventfd`, `setsockopt`, `setrlimit` — are declared here
+//! `epoll`, `eventfd`, `setsockopt`, `setrlimit`, and `preadv2` for the
+//! cache reads it makes without waiting — are declared here
 //! directly. `std` already links the platform C library, so these
 //! `extern "C"` declarations resolve against the same symbols `libc`
 //! would re-export; `std::io::Error::last_os_error()` picks up `errno`.
 
 #![allow(non_camel_case_types)]
 
+use std::fs::File;
 use std::io;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 
 type c_int = i32;
 type c_uint = u32;
@@ -36,6 +38,9 @@ const SO_RCVBUF: c_int = 8;
 
 const RLIMIT_NOFILE: c_int = 7;
 
+/// `preadv2` flag: fail with `EAGAIN` rather than wait for the disk.
+const RWF_NOWAIT: c_int = 0x8;
+
 /// One epoll readiness record. The kernel packs `struct epoll_event`
 /// only on x86-64 (12 bytes); every other architecture uses natural
 /// alignment (16 bytes), so the Rust mirror's layout must match
@@ -57,6 +62,12 @@ const _: () = assert!(
 );
 
 #[repr(C)]
+struct IoVec {
+    base: *mut c_void,
+    len: usize,
+}
+
+#[repr(C)]
 struct RLimit {
     rlim_cur: u64,
     rlim_max: u64,
@@ -70,6 +81,7 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn preadv2(fd: c_int, iov: *const IoVec, iovcnt: c_int, offset: i64, flags: c_int) -> isize;
     fn setsockopt(
         fd: c_int,
         level: c_int,
@@ -217,6 +229,28 @@ pub fn set_recv_buffer_fd(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_buf_opt(fd, SO_RCVBUF, bytes)
 }
 
+/// Fills `buf` from `file` at `offset` if the page cache holds every byte
+/// of it — `preadv2(…, RWF_NOWAIT)` — and says whether it did. `false`
+/// means the read would have had to wait, or failed: not cached
+/// (`EAGAIN`), a file system without `RWF_NOWAIT` (`EOPNOTSUPP`, or
+/// `EINVAL` on an older kernel), or only part of the range cached (a short
+/// read). `buf` then holds nothing a caller may use; it reads again where
+/// it may wait.
+pub(crate) fn read_if_cached(file: &File, offset: u64, buf: &mut [u8]) -> bool {
+    let Ok(offset) = i64::try_from(offset) else {
+        return false;
+    };
+    let iov = IoVec {
+        base: buf.as_mut_ptr().cast(),
+        len: buf.len(),
+    };
+    // SAFETY: `iov` describes `buf`, which is valid for writes of its
+    // whole length and outlives the call; the descriptor is `file`'s, open
+    // for the call's duration.
+    let read = unsafe { preadv2(file.as_raw_fd(), &iov, 1, offset, RWF_NOWAIT) };
+    usize::try_from(read) == Ok(buf.len())
+}
+
 /// Raises `RLIMIT_NOFILE` so at least `want` descriptors are available;
 /// returns the resulting soft limit. Raising the hard limit needs
 /// privilege, so an unprivileged process gets `min(want, hard)`.
@@ -251,7 +285,72 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::os::unix::io::AsRawFd;
+    use std::os::unix::fs::FileExt as _;
+
+    const EAGAIN: i32 = 11;
+    const EINVAL: i32 = 22;
+    const EOPNOTSUPP: i32 = 95;
+    const POSIX_FADV_DONTNEED: c_int = 4;
+
+    extern "C" {
+        fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
+    }
+
+    /// A synced file of `len` patterned bytes, and those bytes.
+    fn synced_file(tag: &str, len: usize) -> (File, Vec<u8>) {
+        let path = ceal_testutil::unique_temp_path(&format!("ceal-sys-{tag}"), "bin");
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let file = File::open(&path).unwrap();
+        file.sync_all().unwrap();
+        let _ = std::fs::remove_file(&path);
+        (file, bytes)
+    }
+
+    #[test]
+    fn a_page_cached_region_reads_whole() {
+        let (file, bytes) = synced_file("cached", 3 * 4096 + 17);
+        // Just written, so every page is in the cache; the range spans
+        // three of them.
+        let mut buf = vec![0u8; 5000];
+        assert!(read_if_cached(&file, 4000, &mut buf));
+        assert_eq!(buf, bytes[4000..9000]);
+        let mut tail = vec![0u8; 17];
+        assert!(read_if_cached(&file, 3 * 4096, &mut tail));
+        assert_eq!(tail, bytes[3 * 4096..]);
+    }
+
+    #[test]
+    fn a_read_that_would_wait_reads_nothing_usable() {
+        let errno = || io::Error::last_os_error().raw_os_error();
+        let (file, bytes) = synced_file("waits", 8192);
+
+        // A short read — here a range running past the end — is not a
+        // whole frame, whatever it did put in the buffer.
+        let mut buf = vec![0u8; 100];
+        assert!(!read_if_cached(&file, 8192 - 50, &mut buf));
+
+        // A file system that cannot promise not to wait refuses the flag.
+        let proc = File::open("/proc/self/stat").unwrap();
+        assert!(!read_if_cached(&proc, 0, &mut [0u8; 8]));
+        assert!(
+            matches!(errno(), Some(EOPNOTSUPP | EINVAL)),
+            "{:?}",
+            errno()
+        );
+
+        // Pages not in the cache: `EAGAIN`, not a wait for the disk.
+        // SAFETY: advice on an open descriptor; no memory is passed.
+        let dropped = unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) };
+        assert_eq!(dropped, 0);
+        assert!(!read_if_cached(&file, 0, &mut buf));
+        assert_eq!(errno(), Some(EAGAIN));
+        // Once a read that may wait has brought them back, it is whole.
+        file.read_exact_at(&mut buf, 0).unwrap();
+        buf.fill(0);
+        assert!(read_if_cached(&file, 0, &mut buf));
+        assert_eq!(buf, bytes[..100]);
+    }
 
     #[test]
     fn eventfd_wakes_epoll_and_drains() {

@@ -223,7 +223,7 @@ impl LoadControl {
 /// Shared server state.
 pub(crate) struct ServerInner {
     pub(crate) sessions: SessionManager,
-    pub(crate) cache: AutotuneCache,
+    pub(crate) cache: Arc<AutotuneCache>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
@@ -389,7 +389,7 @@ impl Server {
             workers: config.workers.max(1),
             inner: Arc::new(ServerInner {
                 sessions,
-                cache,
+                cache: Arc::new(cache),
                 metrics,
                 shutdown: AtomicBool::new(false),
                 addr,
@@ -418,6 +418,11 @@ impl Server {
     /// The bound address (with the OS-assigned port when binding to 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.addr
+    }
+
+    /// The cache the server answers from, shared with it.
+    pub fn cache(&self) -> Arc<AutotuneCache> {
+        Arc::clone(&self.inner.cache)
     }
 
     /// Serves until a `Shutdown` request arrives, then drains in-flight
@@ -527,7 +532,7 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
         },
-        Request::Tune(params) => return parked::tune(inner, params, ticket),
+        Request::Tune(params) => return parked::tune(inner, params, ticket, inline),
         Request::CreateSession {
             params,
             failure_rate,
@@ -740,11 +745,12 @@ mod tests {
                     | Request::PushHistory { .. }
             );
             assert_eq!(endpoint_of(&req).sheddable(), campaign_work, "{req:?}");
-            // And its inline column: only what never measures, fits a
-            // journal or touches a disk may run on the reactor thread.
+            // And its inline column: only what can see its wait coming and
+            // hand itself to the pool may run on the reactor thread.
             let cannot_wait = matches!(
                 req,
                 Request::Ping
+                    | Request::Tune(_)
                     | Request::Status { .. }
                     | Request::Predict { .. }
                     | Request::RegisterWorker { .. }
@@ -752,6 +758,124 @@ mod tests {
             );
             assert_eq!(endpoint_of(&req).runs_inline(), cannot_wait, "{req:?}");
         }
+    }
+
+    /// A `Tune` tried on the reactor thread that the cache cannot answer
+    /// without waiting, or whose entry is too large to decode there, goes
+    /// to the pool as it came, having billed, counted and traced nothing:
+    /// the pool's lookup is the one recorded.
+    #[test]
+    fn an_inline_tune_that_would_wait_is_deferred_having_recorded_nothing() {
+        use crate::cache::CacheEntry;
+        use crate::parked::ReplyTo;
+        use crate::session::{cache_key, TUNE_MODE};
+
+        let dir = ceal_testutil::unique_temp_path("ceal-inline-tune", "");
+        let params = lv_params();
+        let entry = CacheEntry {
+            key: cache_key(&params, &ceal_sim::Platform::default(), TUNE_MODE),
+            best: vec![100, 20, 1, 50, 10, 1],
+            best_value: 1.25,
+            runs_used: 25,
+            component_runs: 6,
+            samples: vec![(vec![100, 20, 1, 50, 10, 1], 1.25)],
+            platform_features: vec![1.0; 4],
+        };
+        // And a campaign too large to decode on the reactor thread.
+        let large = TuneParams {
+            budget: 65,
+            ..params.clone()
+        };
+        let large_entry = CacheEntry {
+            key: cache_key(&large, &ceal_sim::Platform::default(), TUNE_MODE),
+            runs_used: 65,
+            ..entry.clone()
+        };
+        let seeded = AutotuneCache::at_path(&dir);
+        seeded.put(entry.clone()).unwrap();
+        seeded.put(large_entry).unwrap();
+        drop(seeded);
+        let tracer = Tracer::in_memory();
+        let server = Server::bind(ServeConfig {
+            cache_path: Some(dir.clone()),
+            tracer: tracer.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let inner = &server.inner;
+        let try_inline = |params: &TuneParams| {
+            let to = ReplyTo {
+                conn: 0,
+                arrived: Instant::now(),
+                endpoint: Endpoint::Tune,
+            };
+            let req = Request::Tune(params.clone());
+            dispatch(req, inner, Ticket::open(inner, to), true)
+        };
+        let deferred = |outcome: Outcome, asked: &TuneParams, what: &str| match outcome {
+            Outcome::Defer(Request::Tune(p), _) => assert_eq!(&p, asked, "{what}"),
+            _ => panic!("{what}: answered on the reactor thread"),
+        };
+        // Besides the request's own span, which the pool ends with its answer.
+        let recorded = || {
+            let m = &inner.metrics;
+            let counted = [
+                m.oracle_measurements.load(Ordering::Relaxed),
+                m.cache_hits.load(Ordering::Relaxed),
+                m.cache_misses.load(Ordering::Relaxed),
+                inner.cache.stats().lru_hits,
+                inner.cache.stats().lru_misses,
+            ];
+            let events = tracer.drain_events();
+            let traced = events
+                .iter()
+                .map(|e| e.name)
+                .filter(|n| *n != "request.tune");
+            (counted, traced.collect::<Vec<_>>())
+        };
+        let nothing = ([0; 5], vec![]);
+        tracer.drain_events();
+
+        // Not indexed yet: the first touch would read the whole file.
+        deferred(try_inline(&params), &params, "an unindexed shard");
+        assert_eq!(recorded(), nothing, "unindexed");
+        // Indexed (counting nothing), then locked as a `put` locks it.
+        assert_eq!(inner.cache.len(), 2);
+        tracer.drain_events();
+        let locked = inner.cache.with_shard_locked("LV", || try_inline(&params));
+        deferred(locked, &params, "a locked shard");
+        assert_eq!(recorded(), nothing, "locked");
+        // Not cached at all: the campaign is the pool's.
+        let cold = TuneParams {
+            seed: 8,
+            ..params.clone()
+        };
+        deferred(try_inline(&cold), &cold, "a cold Tune");
+        assert_eq!(recorded(), nothing, "cold");
+        deferred(
+            try_inline(&large),
+            &large,
+            "a budget past INLINE_TUNE_BUDGET",
+        );
+        assert_eq!(recorded(), nothing, "large");
+
+        // Indexed, free and page-cached: answered here, recorded once.
+        let Outcome::Done(reply) = try_inline(&params) else {
+            panic!("a page-cached disk hit was not answered inline");
+        };
+        let answer: Response = serde_json::from_slice(&reply.framed[4..]).unwrap();
+        let expected = Response::TuneResult {
+            best: entry.best.clone(),
+            best_value: entry.best_value,
+            runs_used: entry.runs_used,
+            component_runs: entry.component_runs,
+            from_cache: true,
+        };
+        assert_eq!(answer, expected);
+        let (counted, traced) = recorded();
+        assert_eq!(counted, [0, 1, 0, 0, 1], "one disk hit");
+        assert_eq!(traced, ["campaign.tune", "cache.lookup", "campaign.tune"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

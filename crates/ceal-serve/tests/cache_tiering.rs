@@ -7,13 +7,17 @@
 mod common;
 
 use ceal_serve::{
-    bundle_to_json, platform_fingerprint, AutotuneCache, Client, ServeConfig, Server,
-    ServerMetrics, SessionManager, TuneParams, DEFAULT_TRANSFER_THRESHOLD,
+    bundle_to_json, platform_fingerprint, read_frame, write_frame, AutotuneCache, Client, Request,
+    Response, ServeConfig, Server, ServerMetrics, SessionManager, TuneParams,
+    DEFAULT_TRANSFER_THRESHOLD,
 };
 use ceal_sim::Platform;
+use ceal_trace::{EventKind, FieldValue, Tracer};
 use common::{drive_session_to_done, drive_to_done, params};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn temp_path(tag: &str) -> PathBuf {
     ceal_testutil::unique_temp_path(&format!("ceal-tiering-{tag}"), "d")
@@ -88,6 +92,124 @@ fn server_imports_legacy_blob_and_serves_it_warm() {
     );
     let _ = std::fs::remove_dir_all(&path);
     let _ = std::fs::remove_file(&blob);
+}
+
+/// A `Tune` the cache answers is counted, traced and answered once,
+/// whichever path answers it: the reactor thread for a front hit and a
+/// page-cached disk hit, the pool for a disk hit whose shard lock a `put`
+/// holds. The answers' bytes are the same on every path, and while the
+/// lock is held the reactor serves other connections.
+#[test]
+fn a_cache_answer_is_recorded_once_on_either_path_and_the_reactor_never_waits() {
+    let dir = temp_path("inline");
+    let tracer = Tracer::in_memory();
+    let server = Server::bind(ServeConfig {
+        cache_path: Some(dir.clone()),
+        cache_lru_capacity: 1,
+        tracer: tracer.clone(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let cache = server.cache();
+    let handle = server.spawn();
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    let mut control = Client::connect(handle.addr()).expect("connect control");
+
+    let tune = |seed| serde_json::to_vec(&Request::Tune(params("comp", 8, 200, seed))).unwrap();
+    let ask = |conn: &mut TcpStream, seed| {
+        write_frame(conn, &tune(seed)).expect("send");
+        read_frame(conn).expect("answer")
+    };
+    // (cache_hits, cache_misses, cache_lru_hits, cache_lru_misses).
+    let lookups = |control: &mut Client| {
+        let m = control.metrics().expect("metrics");
+        (
+            m.cache_hits,
+            m.cache_misses,
+            m.cache_lru_hits,
+            m.cache_lru_misses,
+        )
+    };
+    // The bytes a warm answer must have: the cold one's, from the cache.
+    let warm = |cold: &[u8]| {
+        let mut answer: Response = serde_json::from_slice(cold).expect("decode");
+        let Response::TuneResult { from_cache, .. } = &mut answer else {
+            panic!("cold Tune answered {answer:?}");
+        };
+        *from_cache = true;
+        serde_json::to_vec(&answer).expect("encode")
+    };
+
+    let cold_1 = ask(&mut conn, 1);
+    assert_eq!(lookups(&mut control), (0, 1, 0, 1));
+    let cold_2 = ask(&mut conn, 2);
+    assert_eq!(lookups(&mut control), (0, 2, 0, 2));
+    // The front holds one campaign: seed 2's. Seed 1 is a disk hit,
+    // promoted, then a front hit; seed 2 a disk hit again.
+    assert_eq!(ask(&mut conn, 1), warm(&cold_1), "inline disk hit");
+    assert_eq!(lookups(&mut control), (1, 2, 0, 3));
+    assert_eq!(ask(&mut conn, 1), warm(&cold_1), "front hit");
+    assert_eq!(lookups(&mut control), (2, 2, 1, 3));
+    assert_eq!(ask(&mut conn, 2), warm(&cold_2), "inline disk hit");
+    assert_eq!(lookups(&mut control), (3, 2, 1, 4));
+
+    // Seed 1 is on disk again, behind a shard lock held as a `put` holds
+    // it across its `sync_data`: the reactor hands the `Tune` to the pool,
+    // where it waits for the lock, and answers a `Ping` meanwhile.
+    let (locked_tx, locked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = std::thread::spawn(move || {
+        cache.with_shard_locked("LV", || {
+            locked_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        })
+    });
+    locked_rx.recv().expect("lock held");
+    write_frame(&mut conn, &tune(1)).expect("send");
+    // A reactor stuck on the lock would never answer: time out instead.
+    control.set_timeout(Some(Duration::from_secs(5))).unwrap();
+    let pinged = Instant::now();
+    control.ping().expect("ping while the shard is locked");
+    assert!(
+        pinged.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        pinged.elapsed()
+    );
+    conn.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    assert!(read_frame(&mut conn).is_err(), "answered past the lock");
+    drop(release_tx);
+    holder.join().expect("holder");
+    conn.set_read_timeout(None).unwrap();
+    assert_eq!(
+        read_frame(&mut conn).expect("answer"),
+        warm(&cold_1),
+        "pooled disk hit"
+    );
+    assert_eq!(lookups(&mut control), (4, 2, 1, 5));
+    control.shutdown().expect("shutdown");
+    handle.join().expect("drain");
+
+    // One `campaign.tune` span and one `cache.lookup` per `Tune`, in order.
+    let events = tracer.drain_events();
+    let spans: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "campaign.tune" && e.kind == EventKind::End)
+        .collect();
+    let tiers: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "cache.lookup")
+        .map(|e| {
+            let count = spans.iter().filter(|s| s.trace == e.trace).count();
+            assert_eq!(count, 1, "one campaign.tune span per lookup");
+            let (_, tier) = e.fields.iter().find(|(k, _)| *k == "tier").expect("tier");
+            tier.clone()
+        })
+        .collect();
+    let expected = ["miss", "miss", "disk", "front", "disk", "disk"];
+    assert_eq!(tiers, expected.map(FieldValue::from));
+    assert_eq!(spans.len(), expected.len());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The three warm tiers, observed through `SessionStatus::warm_source`

@@ -213,10 +213,18 @@ impl Tracer {
     /// Opens a span under `ctx`; the span ends (emitting its duration)
     /// when the returned guard drops.
     pub fn span(&self, name: &'static str, ctx: TraceContext) -> Span {
+        self.span_since(name, ctx, Instant::now())
+    }
+
+    /// [`Tracer::span`] for work that began at `start`, before the caller
+    /// knew it would be recorded: the span's begin and duration count from
+    /// `start`.
+    pub fn span_since(&self, name: &'static str, ctx: TraceContext, start: Instant) -> Span {
         let id = self.next_span_id();
         if let Some(inner) = &self.inner {
+            let ago = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             inner.ring.push(TraceEvent {
-                ts_us: inner.now_us(),
+                ts_us: inner.now_us().saturating_sub(ago),
                 kind: EventKind::Begin,
                 name,
                 trace: ctx.trace,
@@ -232,7 +240,7 @@ impl Tracer {
             trace: ctx.trace,
             id,
             parent: ctx.span,
-            start: Instant::now(),
+            start,
             fields: Vec::new(),
         }
     }
@@ -435,6 +443,17 @@ mod tests {
         assert_eq!(child_end.fields, vec![("n", FieldValue::U64(4))]);
         let root_end = &events[3];
         assert_eq!(root_end.parent, 0);
+    }
+
+    #[test]
+    fn a_span_since_counts_from_its_start() {
+        let t = Tracer::in_memory();
+        let start = Instant::now() - std::time::Duration::from_millis(20);
+        drop(t.span_since("lookup", TraceContext::NONE, start));
+        let events = t.drain_events();
+        let (begin, end) = (&events[0], &events[1]);
+        assert!(end.dur_us >= 20_000, "{}", end.dur_us);
+        assert!(end.ts_us - begin.ts_us >= 20_000, "begins at its start");
     }
 
     #[test]
