@@ -11,10 +11,11 @@
 //! A long-lived server pins up to its full capacity of campaigns here, so
 //! a resident is held once and packed (`Resident`): one shared copy of
 //! the key, and the samples' configurations in one flat buffer instead of
-//! a `Vec` each. `get` rebuilds the [`CacheEntry`] it hands out.
+//! a `Vec` each. `get` rebuilds the [`CacheEntry`] it hands out; `answer`
+//! copies only what a `Tune` replies with.
 
 use super::transfer::{self, Candidate, TransferHit};
-use super::{CacheEntry, CacheKey};
+use super::{CacheEntry, CacheKey, TuneAnswer};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -31,10 +32,7 @@ pub(crate) struct LruFront {
 
 /// A [`CacheEntry`] without its key, samples packed.
 struct Resident {
-    best: Vec<i64>,
-    best_value: f64,
-    runs_used: u64,
-    component_runs: u64,
+    answer: TuneAnswer,
     /// Every sample's configuration, back to back.
     configs: Vec<i64>,
     /// Per sample: how many of `configs` are its configuration (entries
@@ -53,10 +51,12 @@ impl Resident {
             samples.push((config.len(), value));
         }
         let resident = Self {
-            best: entry.best,
-            best_value: entry.best_value,
-            runs_used: entry.runs_used,
-            component_runs: entry.component_runs,
+            answer: TuneAnswer {
+                best: entry.best,
+                best_value: entry.best_value,
+                runs_used: entry.runs_used,
+                component_runs: entry.component_runs,
+            },
             configs,
             samples,
             platform_features: entry.platform_features,
@@ -73,12 +73,13 @@ impl Resident {
             samples.push((config.to_vec(), value));
             configs = rest;
         }
+        let answer = self.answer.clone();
         CacheEntry {
             key: key.clone(),
-            best: self.best.clone(),
-            best_value: self.best_value,
-            runs_used: self.runs_used,
-            component_runs: self.component_runs,
+            best: answer.best,
+            best_value: answer.best_value,
+            runs_used: answer.runs_used,
+            component_runs: answer.component_runs,
             samples,
             platform_features: self.platform_features.clone(),
         }
@@ -102,13 +103,27 @@ impl LruFront {
 
     /// Fetches and freshens an entry.
     pub(crate) fn get(&mut self, key: &CacheKey) -> Option<CacheEntry> {
+        self.touch(key, |shared, resident| resident.unpack(shared))
+    }
+
+    /// [`LruFront::get`], reading only a `Tune`'s answer off the resident.
+    pub(crate) fn answer(&mut self, key: &CacheKey) -> Option<TuneAnswer> {
+        self.touch(key, |_, resident| resident.answer.clone())
+    }
+
+    /// Freshens the resident under `key` and reads it with `read`.
+    fn touch<T>(
+        &mut self,
+        key: &CacheKey,
+        read: impl FnOnce(&CacheKey, &Resident) -> T,
+    ) -> Option<T> {
         let resident = self.entries.get_mut(key)?;
         // Every resident has its order record; one without would read as
         // a miss here and be replaced by the caller's next insert.
         let shared = self.order.remove(&resident.last_touch)?;
         self.tick += 1;
         resident.last_touch = self.tick;
-        let hit = resident.unpack(&shared);
+        let hit = read(&shared, resident);
         self.order.insert(self.tick, shared);
         Some(hit)
     }
@@ -254,6 +269,7 @@ mod tests {
         lru.insert(empty.clone());
         assert_eq!(lru.get(&key(1)), Some(full.clone()));
         assert_eq!(lru.get(&key(2)), Some(empty.clone()));
+        assert_eq!(lru.answer(&key(1)), Some(TuneAnswer::of(&full)));
         let mut all = lru.entries();
         all.sort_by_key(|e| e.key.seed);
         assert_eq!(all, vec![full, empty]);

@@ -92,6 +92,28 @@ pub struct CacheEntry {
     pub platform_features: Vec<f64>,
 }
 
+/// What a `Tune` answers from a cached campaign: the four fields of its
+/// reply, without the key, samples and features the entry also carries.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TuneAnswer {
+    pub(crate) best: Vec<i64>,
+    pub(crate) best_value: f64,
+    pub(crate) runs_used: u64,
+    pub(crate) component_runs: u64,
+}
+
+impl TuneAnswer {
+    /// The answer `entry` gives, copying only `best`.
+    pub(crate) fn of(entry: &CacheEntry) -> TuneAnswer {
+        TuneAnswer {
+            best: entry.best.clone(),
+            best_value: entry.best_value,
+            runs_used: entry.runs_used,
+            component_runs: entry.component_runs,
+        }
+    }
+}
+
 /// Counters describing the tiered cache's behavior, snapshot into the
 /// Metrics endpoint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -235,22 +257,24 @@ impl AutotuneCache {
         }
     }
 
-    /// [`AutotuneCache::get_with_tier`] for a caller that must not wait —
-    /// the reactor thread. A front hit, or a disk hit the shard answers
-    /// without waiting (an indexed shard whose lock is free, a frame the
-    /// page cache holds), is counted and promoted exactly as there; a
-    /// taken front lock, a miss and every disk read that could wait are
-    /// `None`, with nothing counted, for `get_with_tier` to answer where it
-    /// may wait.
-    pub(crate) fn get_nowait(&self, key: &CacheKey) -> Option<(CacheEntry, &'static str)> {
-        if let Some(hit) = self.front.try_lock()?.get(key) {
+    /// A `Tune`'s lookup for a caller that must not wait — the reactor
+    /// thread: [`AutotuneCache::get_with_tier`]'s tiers and counters, but
+    /// only the [`TuneAnswer`]. A front hit, or a disk hit the shard
+    /// answers without waiting (its shard known and indexed, both locks
+    /// free, a frame the page cache holds), is counted and promoted exactly
+    /// as there, the decoded entry moving into the front; a taken lock, a
+    /// miss and every disk read that could wait are `None`, with nothing
+    /// counted, for `get_with_tier` to answer where it may wait.
+    pub(crate) fn answer_nowait(&self, key: &CacheKey) -> Option<(TuneAnswer, &'static str)> {
+        if let Some(hit) = self.front.try_lock()?.answer(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
             return Some((hit, "front"));
         }
         let found = self.store.as_ref()?.get_nowait(key)?;
-        self.front.try_lock()?.insert(found.clone());
+        let answer = TuneAnswer::of(&found);
+        self.front.try_lock()?.insert(found);
         self.lru_misses.fetch_add(1, Ordering::Relaxed);
-        Some((found, "disk"))
+        Some((answer, "disk"))
     }
 
     /// Runs `f` while holding `workflow`'s shard lock, as a `put` holds it
@@ -260,6 +284,18 @@ impl AutotuneCache {
     pub fn with_shard_locked<R>(&self, workflow: &str, f: impl FnOnce() -> R) -> R {
         match &self.store {
             Some(store) => store.with_shard_locked(workflow, f),
+            None => f(),
+        }
+    }
+
+    /// Runs `f` while holding the map every shard is found through, as a
+    /// blocking lookup or a `put` holds it to find or add its shard (in
+    /// memory only: `f` just runs). A seam for tests of what waits on that
+    /// lock.
+    #[doc(hidden)]
+    pub fn with_shard_map_locked<R>(&self, f: impl FnOnce() -> R) -> R {
+        match &self.store {
+            Some(store) => store.with_shard_map_locked(f),
             None => f(),
         }
     }

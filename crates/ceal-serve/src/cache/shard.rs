@@ -23,11 +23,11 @@
 //! lets reads happen outside the shard lock. The lock is in-process: one
 //! process owns a cache directory at a time.
 //!
-//! Two lookups read the same frames: `get`, which may wait for the lock
+//! Two lookups read the same frames: `get`, which may wait for the locks
 //! and the disk, and `get_nowait` for the reactor thread, which takes the
-//! lock only if it is free, never indexes, and reads only a frame the page
-//! cache holds whole (`preadv2` with `RWF_NOWAIT`); whatever it cannot
-//! answer that way it leaves to `get`.
+//! shard map and the shard lock only if they are free, never indexes, and
+//! reads only a frame the page cache holds whole (`preadv2` with
+//! `RWF_NOWAIT`); whatever it cannot answer that way it leaves to `get`.
 //!
 //! A log whose magic is wrong is set aside as `*.invalid`, never trusted
 //! and never destroyed. Caches of the layouts before the log (a directory
@@ -186,10 +186,15 @@ impl ShardStore {
         self.files_named(|n| n.starts_with("shard-") && n.ends_with(".log"))
     }
 
-    /// The log holding `workflow`'s entries. The sanitized name keeps
-    /// files readable; the hash suffix keeps distinct workflows that
-    /// sanitize identically from colliding.
+    /// The log holding `workflow`'s entries.
     fn shard(&self, workflow: &str) -> Arc<Shard> {
+        self.shard_at(self.shard_path(workflow))
+    }
+
+    /// Where `workflow`'s log lives. The sanitized name keeps files
+    /// readable; the hash suffix keeps distinct workflows that sanitize
+    /// identically from colliding.
+    fn shard_path(&self, workflow: &str) -> PathBuf {
         let sanitized: String = workflow
             .chars()
             .map(|c| match c.is_ascii_alphanumeric() {
@@ -199,7 +204,7 @@ impl ShardStore {
             .take(32)
             .collect();
         let hash = transfer::fnv64(workflow.as_bytes()) as u32;
-        self.shard_at(self.dir.join(format!("shard-{sanitized}-{hash:08x}.log")))
+        self.dir.join(format!("shard-{sanitized}-{hash:08x}.log"))
     }
 
     fn shard_at(&self, path: PathBuf) -> Arc<Shard> {
@@ -480,14 +485,16 @@ impl ShardStore {
     }
 
     /// [`ShardStore::get`] for a caller that must not wait: the entry if
-    /// the shard is already indexed, its lock is free (a `put` holds it
-    /// across `sync_data`, the first-touch scan across a whole-file read),
-    /// `key` is in it, and its frame is read whole from the page cache and
-    /// checks. Anything else is `None` and is left to `get`, which waits —
-    /// a frame that fails its checksum included, so it is warned about
-    /// once, there.
+    /// the shard map is free and knows the shard (one it does not know has
+    /// not been indexed either), the shard is already indexed, its lock is
+    /// free (a `put` holds it across `sync_data`, the first-touch scan
+    /// across a whole-file read), `key` is in it, and its frame is read
+    /// whole from the page cache and checks. Anything else is `None` and is
+    /// left to `get`, which waits — a frame that fails its checksum
+    /// included, so it is warned about once, there.
     pub(crate) fn get_nowait(&self, key: &CacheKey) -> Option<CacheEntry> {
-        let shard = self.shard(&key.workflow);
+        let path = self.shard_path(&key.workflow);
+        let shard = Arc::clone(self.shards.try_lock()?.get(&path)?);
         let (file, span) = {
             let log = shard.log.try_lock()?;
             let log = log.as_ref()?;
@@ -504,6 +511,12 @@ impl ShardStore {
     pub(crate) fn with_shard_locked<R>(&self, workflow: &str, f: impl FnOnce() -> R) -> R {
         let shard = self.shard(workflow);
         let _held = shard.log.lock();
+        f()
+    }
+
+    /// Runs `f` holding the shard map, as finding or adding a shard holds it.
+    pub(crate) fn with_shard_map_locked<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _held = self.shards.lock();
         f()
     }
 

@@ -2,6 +2,7 @@ use super::*;
 use ceal_core::frame;
 use ceal_trace::EventKind;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn key_for(workflow: &str, seed: u64) -> CacheKey {
     CacheKey {
@@ -523,15 +524,31 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
         let stats = cache.stats();
         (stats.lru_hits, stats.lru_misses)
     };
-    assert_eq!(cache.get_nowait(&key(0)), None, "not indexed yet");
+    assert_eq!(cache.answer_nowait(&key(0)), None, "not indexed yet");
     assert_eq!(cache.len(), 3);
-    assert_eq!(cache.get_nowait(&key(9)), None, "a miss");
-    let locked = cache.with_shard_locked("LV", || cache.get_nowait(&key(0)));
+    assert_eq!(cache.answer_nowait(&key(9)), None, "a miss");
+    let locked = cache.with_shard_locked("LV", || cache.answer_nowait(&key(0)));
     assert_eq!(locked, None, "a shard lock a put holds");
+    // The map every shard is found through, held as adding a shard holds
+    // it. The lookup runs on its own thread, so one that waited for the
+    // map fails here instead of hanging.
+    let mapped = std::thread::scope(|s| {
+        cache.with_shard_map_locked(|| {
+            let lookup = s.spawn(|| cache.answer_nowait(&key(0)));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !lookup.is_finished() {
+                assert!(Instant::now() < deadline, "the lookup waited for the map");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            lookup.join().unwrap()
+        })
+    });
+    assert_eq!(mapped, None, "a shard map lock another lookup holds");
     assert_eq!(counted(&cache), (0, 0));
 
-    assert_eq!(cache.get_nowait(&key(0)), Some((entry(0), "disk")));
-    assert_eq!(cache.get_nowait(&key(0)), Some((entry(0), "front")));
+    let answer = TuneAnswer::of(&entry(0));
+    assert_eq!(cache.answer_nowait(&key(0)), Some((answer.clone(), "disk")));
+    assert_eq!(cache.answer_nowait(&key(0)), Some((answer, "front")));
     assert_eq!(counted(&cache), (1, 1), "counted as get_with_tier counts");
     assert_eq!(cache.stats().lru_len, 1, "the disk hit was promoted");
 
@@ -542,7 +559,7 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
     bytes[bounds[1] + frame::HEADER_LEN + 2] ^= 0x20;
     std::fs::write(&log, &bytes).unwrap();
     tracer.drain_events();
-    assert_eq!(cache.get_nowait(&key(1)), None);
+    assert_eq!(cache.answer_nowait(&key(1)), None);
     assert_eq!(counted(&cache), (1, 1));
     assert!(tracer.drain_events().is_empty(), "nothing warned inline");
     assert_eq!(cache.get_with_tier(&key(1)), (None, "miss"));
@@ -550,6 +567,8 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
     let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
     assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
     assert_eq!(counted(&cache), (1, 2));
+    // What the disk hit promoted is the whole entry.
+    assert_eq!(cache.get(&key(0)), Some(entry(0)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -191,16 +191,17 @@ impl WarmStart {
     }
 }
 
-/// Consults `cache` tier by tier for a session campaign keyed `key` on
-/// `platform`: **exact**, failing that the nearest sibling within
-/// `threshold` (`0.0` disables transfer), otherwise **cold**. Counts the
-/// hit, miss and transfer-seeded metrics and records one `cache.lookup`
-/// event in `trace`, naming both the store tier that answered
-/// (`front`/`disk`/`miss`) and the campaign tier the session starts in.
+/// Consults `cache` tier by tier for a session campaign keyed `key` on the
+/// platform whose [`platform_features`] are `features`: **exact**, failing
+/// that the nearest sibling within `threshold` (`0.0` disables transfer),
+/// otherwise **cold**. Counts the hit, miss and transfer-seeded metrics
+/// and records one `cache.lookup` event in `trace`, naming both the store
+/// tier that answered (`front`/`disk`/`miss`) and the campaign tier the
+/// session starts in.
 pub(crate) fn warm_start(
     cache: &AutotuneCache,
     key: &CacheKey,
-    platform: &Platform,
+    features: &[f64],
     threshold: f64,
     metrics: &ServerMetrics,
     tracer: &Tracer,
@@ -215,8 +216,7 @@ pub(crate) fn warm_start(
         }
         None => {
             metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let near = (threshold > 0.0)
-                .then(|| cache.nearest_transfer(key, &platform_features(platform), threshold));
+            let near = (threshold > 0.0).then(|| cache.nearest_transfer(key, features, threshold));
             match near.flatten() {
                 Some(near) => {
                     metrics
@@ -229,16 +229,15 @@ pub(crate) fn warm_start(
             }
         }
     };
-    tracer.instant(
-        "cache.lookup",
-        TraceContext::root(trace),
-        &[
+    if tracer.enabled() {
+        let at = [
             ("endpoint", "create-session".into()),
             ("tier", tier.into()),
             ("warm", warm.source().into()),
             ("us", (start.elapsed().as_micros() as u64).into()),
-        ],
-    );
+        ];
+        tracer.instant("cache.lookup", TraceContext::root(trace), &at);
+    }
     warm
 }
 

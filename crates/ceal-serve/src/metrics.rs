@@ -392,7 +392,7 @@ mod tests {
         let inner = Server::bind(config).unwrap().inner;
         let key = CacheKey {
             workflow: "LV".into(),
-            platform: platform_fingerprint(&inner.platform),
+            platform: platform_fingerprint(&ceal_sim::Platform::default()),
             objective: "comp".into(),
             pool: 500,
             seed: 1,

@@ -20,6 +20,7 @@
 //! Everything that leaves here for a connection goes through
 //! [`ServerInner::post`] onto the reactor's one completion queue.
 
+use crate::cache::TuneAnswer;
 use crate::error::ServeError;
 use crate::metrics::Endpoint;
 use crate::protocol::{Request, Response, SessionStatus, TuneParams};
@@ -280,10 +281,11 @@ pub(crate) fn advance(inner: &ServerInner, id: u64, runs: u64, ticket: Ticket) -
 
 /// The largest budget whose cache hit a `Tune` takes on the reactor thread.
 /// An entry holds at most `budget` coupled samples, and reading, checking
-/// and decoding them is an inline hit's work: at 64 the frame is ≈ 2.6 KiB,
-/// about `INLINE_MAX` of JSON, and a page-cached disk hit ≈ 33 µs (a
-/// 10 000-sample one would be ≈ 7 ms). A larger campaign's hit is the
-/// pool's, as a larger `Predict` is.
+/// and decoding them is an inline hit's work: at 64 the frame is ≈ 2.5 KiB,
+/// about `INLINE_MAX` of JSON, and a page-cached disk hit ≈ 25 µs, nearly
+/// all of it the decode (a 10 000-sample one would be ≈ 3.2 ms; a front
+/// hit is ≈ 0.15 µs at any size). A larger campaign's hit is the pool's,
+/// as a larger `Predict` is.
 const INLINE_TUNE_BUDGET: u64 = 64;
 
 /// One-shot tuning: a cache lookup, then a campaign on the session shell —
@@ -309,14 +311,17 @@ pub(crate) fn tune(
         Err(e) => return Outcome::Done(ticket.finish(&error_frame(e))),
     };
     let started = Instant::now();
-    let key = cache_key(&params, &inner.platform, TUNE_MODE);
+    let key = cache_key(&params, inner.sessions.fingerprint(), TUNE_MODE);
     let looked_up = match inline {
-        false => Some(inner.cache.get_with_tier(&key)),
+        false => {
+            let (entry, tier) = inner.cache.get_with_tier(&key);
+            Some((entry.as_ref().map(TuneAnswer::of), tier))
+        }
         true if params.budget > INLINE_TUNE_BUDGET => None,
         true => inner
             .cache
-            .get_nowait(&key)
-            .map(|(entry, tier)| (Some(entry), tier)),
+            .answer_nowait(&key)
+            .map(|(answer, tier)| (Some(answer), tier)),
     };
     let Some((hit, tier)) = looked_up else {
         return Outcome::Defer(Request::Tune(params), ticket);
@@ -326,17 +331,19 @@ pub(crate) fn tune(
     span.field("workflow", params.workflow.as_str());
     span.field("algo", params.algo.as_str());
     span.field("budget", params.budget);
-    let at = [("tier", tier.into()), ("endpoint", "tune".into())];
-    inner.tracer.instant("cache.lookup", span.ctx(), &at);
-    if let Some(entry) = hit {
+    if inner.tracer.enabled() {
+        let at = [("tier", tier.into()), ("endpoint", "tune".into())];
+        inner.tracer.instant("cache.lookup", span.ctx(), &at);
+    }
+    if let Some(answer) = hit {
         inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
         span.field("from_cache", 1u64);
         drop(span);
         return Outcome::Done(ticket.finish(&Response::TuneResult {
-            best: entry.best,
-            best_value: entry.best_value,
-            runs_used: entry.runs_used,
-            component_runs: entry.component_runs,
+            best: answer.best,
+            best_value: answer.best_value,
+            runs_used: answer.runs_used,
+            component_runs: answer.component_runs,
             from_cache: true,
         }));
     }

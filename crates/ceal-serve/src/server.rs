@@ -236,9 +236,6 @@ pub(crate) struct ServerInner {
     /// Measurement-fleet coordinator: worker registry plus the
     /// scatter/gather scheduler every campaign's batches go through.
     pub(crate) fleet: ceal_fleet::Coordinator,
-    /// Platform of the `Tune` cache key (campaigns get theirs to measure
-    /// on through the [`SessionManager`]).
-    pub(crate) platform: ceal_sim::Platform,
     /// Structured trace sink shared by every layer of the server.
     pub(crate) tracer: Tracer,
     /// Admission control and load shedding.
@@ -363,7 +360,7 @@ impl Server {
             );
         }
         let mut sessions = SessionManager::new(config.idle_timeout)
-            .with_platform(config.platform.clone())
+            .with_platform(config.platform)
             .with_transfer_threshold(config.transfer_threshold)
             .with_tracer(tracer.clone());
         if let Some(dir) = &config.journal_dir {
@@ -403,7 +400,6 @@ impl Server {
                     },
                     tracer.clone(),
                 ),
-                platform: config.platform,
                 tracer,
                 load,
                 #[cfg(test)]
@@ -766,14 +762,16 @@ mod tests {
     /// the pool's lookup is the one recorded.
     #[test]
     fn an_inline_tune_that_would_wait_is_deferred_having_recorded_nothing() {
+        use crate::cache::platform_fingerprint;
         use crate::cache::CacheEntry;
         use crate::parked::ReplyTo;
         use crate::session::{cache_key, TUNE_MODE};
 
+        let fingerprint = platform_fingerprint(&ceal_sim::Platform::default());
         let dir = ceal_testutil::unique_temp_path("ceal-inline-tune", "");
         let params = lv_params();
         let entry = CacheEntry {
-            key: cache_key(&params, &ceal_sim::Platform::default(), TUNE_MODE),
+            key: cache_key(&params, &fingerprint, TUNE_MODE),
             best: vec![100, 20, 1, 50, 10, 1],
             best_value: 1.25,
             runs_used: 25,
@@ -787,7 +785,7 @@ mod tests {
             ..params.clone()
         };
         let large_entry = CacheEntry {
-            key: cache_key(&large, &ceal_sim::Platform::default(), TUNE_MODE),
+            key: cache_key(&large, &fingerprint, TUNE_MODE),
             runs_used: 65,
             ..entry.clone()
         };

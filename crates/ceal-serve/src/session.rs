@@ -58,7 +58,7 @@
 //!
 //! Sessions live in a [`SessionManager`] registry, evicted when idle.
 
-use crate::cache::{platform_fingerprint, AutotuneCache, CacheKey};
+use crate::cache::{platform_features, platform_fingerprint, AutotuneCache, CacheKey};
 use crate::error::ServeError;
 use crate::metrics::{CountingOracle, ServerMetrics};
 use crate::protocol::{SessionStatus, TuneParams};
@@ -117,15 +117,37 @@ pub(crate) fn parse_params(p: &TuneParams) -> Result<(WorkflowSpec, Objective), 
     Ok((spec, objective))
 }
 
-/// Cache key for a campaign. `mode` names where the campaign's component
-/// data comes from, which the other fields do not carry: one-shot `Tune`
-/// (`tune`) pays for its solo runs out of the budget, a session brings
-/// free historical samples per component (`session-h4`). Same algorithm,
-/// different campaigns, different answers — so different keys.
-pub(crate) fn cache_key(params: &TuneParams, platform: &Platform, mode: &str) -> CacheKey {
+/// The platform a server's campaigns measure on, with the two names the
+/// cache knows it by, computed once when the server binds.
+pub(crate) struct Testbed {
+    pub(crate) platform: Platform,
+    /// [`platform_fingerprint`] of `platform`: every cache key's.
+    pub(crate) fingerprint: String,
+    /// [`platform_features`] of `platform`: every published entry's, and
+    /// what transfer ranks cached siblings against.
+    pub(crate) features: Vec<f64>,
+}
+
+impl Testbed {
+    pub(crate) fn new(platform: Platform) -> Testbed {
+        Testbed {
+            fingerprint: platform_fingerprint(&platform),
+            features: platform_features(&platform),
+            platform,
+        }
+    }
+}
+
+/// Cache key for a campaign on the platform `fingerprint` names. `mode`
+/// names where the campaign's component data comes from, which the other
+/// fields do not carry: one-shot `Tune` (`tune`) pays for its solo runs
+/// out of the budget, a session brings free historical samples per
+/// component (`session-h4`). Same algorithm, different campaigns,
+/// different answers — so different keys.
+pub(crate) fn cache_key(params: &TuneParams, fingerprint: &str, mode: &str) -> CacheKey {
     CacheKey {
         workflow: params.workflow.to_ascii_uppercase(),
-        platform: platform_fingerprint(platform),
+        platform: fingerprint.to_string(),
         objective: params.objective.clone(),
         pool: params.pool,
         seed: params.seed,
@@ -833,7 +855,8 @@ mod tests {
             std::fs::hard_link(wal, &kept).unwrap();
             let live = mgr.get(st.session).unwrap();
             let parsed = parse_params(&p).unwrap();
-            let mut core = Core::new(p, parsed, &Platform::default(), SESSION_MODE);
+            let testbed = Testbed::new(Platform::default());
+            let mut core = Core::new(p, parsed, &testbed, SESSION_MODE);
             let mut folded = 1; // the campaign header
             loop {
                 let records = committed(&kept);

@@ -42,8 +42,9 @@ pub struct SessionManager {
     epoch: Instant,
     idle_timeout: Duration,
     journal_dir: Option<PathBuf>,
-    /// Platform every session on this server measures on.
-    platform: Platform,
+    /// Platform every session on this server measures on, fingerprinted
+    /// once.
+    testbed: Testbed,
     /// Feature-distance bound for transfer-seeding near-miss lookups.
     transfer_threshold: f64,
     /// Trace sink handed to every session this registry creates.
@@ -60,7 +61,7 @@ impl SessionManager {
             epoch: Instant::now(),
             idle_timeout,
             journal_dir: None,
-            platform: Platform::default(),
+            testbed: Testbed::new(Platform::default()),
             transfer_threshold: DEFAULT_TRANSFER_THRESHOLD,
             tracer: Tracer::disabled(),
         }
@@ -75,8 +76,14 @@ impl SessionManager {
     /// Sets the platform sessions measure on (fingerprinted into their
     /// cache keys and matched against cached siblings for transfer).
     pub fn with_platform(mut self, platform: Platform) -> Self {
-        self.platform = platform;
+        self.testbed = Testbed::new(platform);
         self
+    }
+
+    /// [`platform_fingerprint`](crate::cache::platform_fingerprint) of
+    /// the platform sessions measure on, computed when it was set.
+    pub(crate) fn fingerprint(&self) -> &str {
+        &self.testbed.fingerprint
     }
 
     /// Sets the feature-distance threshold for transfer seeding; `0.0`
@@ -159,7 +166,7 @@ impl SessionManager {
         let parsed = parse_params(&params)?;
         check_failure_rate(failure_rate)?;
         let core =
-            Core::new(params, parsed, &self.platform, SESSION_MODE).recover(records.collect())?;
+            Core::new(params, parsed, &self.testbed, SESSION_MODE).recover(records.collect())?;
         let (faults, ctx, tracer) = ((failure_rate, fault_seed), self.new_trace(), &self.tracer);
         Ok(Session::new(id, core, Some(journal), faults, tracer, ctx))
     }
@@ -195,12 +202,12 @@ impl SessionManager {
         let parsed = parse_params(&params)?;
         check_failure_rate(failure_rate)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let key = cache_key(&params, &self.platform, SESSION_MODE);
-        let (platform, threshold, tracer) = (&self.platform, self.transfer_threshold, &self.tracer);
-        let ctx = self.new_trace();
-        let warm = warm_start(cache, &key, platform, threshold, metrics, tracer, ctx.trace);
         let header = JournalRecord::Start(campaign_id(&params, failure_rate, fault_seed));
-        let core = Core::new(params, parsed, platform, SESSION_MODE);
+        let core = Core::new(params, parsed, &self.testbed, SESSION_MODE);
+        let (key, features, threshold) =
+            (core.key(), &self.testbed.features, self.transfer_threshold);
+        let (tracer, ctx) = (&self.tracer, self.new_trace());
+        let warm = warm_start(cache, key, features, threshold, metrics, tracer, ctx.trace);
         let (core, records) = match warm {
             WarmStart::Exact(entry) => (core.answered(&entry), None),
             WarmStart::Transfer(prior) => (core, Some(vec![prior_marker(&prior)?])),
@@ -239,7 +246,7 @@ impl SessionManager {
         parsed: (WorkflowSpec, Objective),
         ctx: TraceContext,
     ) -> Session {
-        let core = Core::new(params, parsed, &self.platform, TUNE_MODE);
+        let core = Core::new(params, parsed, &self.testbed, TUNE_MODE);
         Session::new(0, core, None, (0.0, 0), &self.tracer, ctx)
     }
 

@@ -13,8 +13,8 @@
 //! ([`Session`](super::Session)) does all of that, so a campaign can be
 //! driven — or a journal replayed — with no server at all.
 
-use super::{cache_key, TUNE_MODE};
-use crate::cache::{platform_features, CacheEntry};
+use super::{cache_key, Testbed, TUNE_MODE};
+use crate::cache::{CacheEntry, CacheKey};
 use crate::error::ServeError;
 use crate::protocol::{SessionStatus, TuneParams};
 use ceal_core::algorithms::{by_name, Campaign, Fold, Pending, SurrogateKind};
@@ -23,7 +23,7 @@ use ceal_core::{
     TransferPrior, TunerRun,
 };
 use ceal_ml::Regressor;
-use ceal_sim::{Objective, Platform, WorkflowSpec};
+use ceal_sim::{Objective, WorkflowSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -87,6 +87,11 @@ pub(crate) struct Core {
     /// from: a session's free history (`SESSION_MODE`), or a one-shot
     /// `Tune`'s own solo asks, paid out of the budget (`TUNE_MODE`).
     mode: &'static str,
+    /// The campaign's cache key, built once: what it is looked up and
+    /// published under.
+    key: CacheKey,
+    /// The platform's feature vector, published with the campaign.
+    platform_features: Vec<f64>,
     /// What the stepper starts on: workflow, platform, objective, budget,
     /// seed, the transfer prior, and `C_pool` — sampled when the search
     /// starts, so a campaign the cache answered never pays for it.
@@ -118,20 +123,22 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// A fresh campaign under cache-key `mode`; `parsed` is
+    /// A fresh campaign on `testbed` under cache-key `mode`; `parsed` is
     /// [`parse_params`](super::parse_params) of `params`.
     pub(crate) fn new(
         params: TuneParams,
         parsed: (WorkflowSpec, Objective),
-        platform: &Platform,
+        testbed: &Testbed,
         mode: &'static str,
     ) -> Core {
         let (spec, objective) = parsed;
         let empty = ComponentHistory::empty(spec.components.len());
         Core {
+            key: cache_key(&params, &testbed.fingerprint, mode),
+            platform_features: testbed.features.clone(),
             campaign: Campaign {
                 spec,
-                platform: platform.clone(),
+                platform: testbed.platform.clone(),
                 objective,
                 pool: Vec::new().into(),
                 budget: params.budget as usize,
@@ -180,6 +187,10 @@ impl Core {
 
     pub(crate) fn params(&self) -> &TuneParams {
         &self.params
+    }
+
+    pub(crate) fn key(&self) -> &CacheKey {
+        &self.key
     }
 
     /// A one-shot `Tune` campaign: no free history, no registry entry.
@@ -235,18 +246,15 @@ impl Core {
             (Some(Pending::Solo(ask)), _) => Next::Solo(ask.to_vec()),
             (Some(Pending::Coupled(ask)), _) => Next::Coupled(ask.to_vec()),
             // A finished search is taken at once: the campaign is done.
-            (_, Some((best, best_value))) if publish => {
-                let platform = &self.campaign.platform;
-                Next::Publish(CacheEntry {
-                    key: cache_key(&self.params, platform, self.mode),
-                    best: best.clone(),
-                    best_value: *best_value,
-                    runs_used: self.measured,
-                    component_runs: self.history.total_samples() as u64,
-                    samples: self.samples.clone(),
-                    platform_features: platform_features(platform),
-                })
-            }
+            (_, Some((best, best_value))) if publish => Next::Publish(CacheEntry {
+                key: self.key.clone(),
+                best: best.clone(),
+                best_value: *best_value,
+                runs_used: self.measured,
+                component_runs: self.history.total_samples() as u64,
+                samples: self.samples.clone(),
+                platform_features: self.platform_features.clone(),
+            }),
             _ => Next::Nothing,
         };
         Ok(next)
@@ -482,12 +490,8 @@ mod tests {
             algo: "ceal".into(),
         };
         let parsed = parse_params(&params).unwrap();
-        Core::new(
-            params,
-            parsed,
-            &Platform::default(),
-            super::super::SESSION_MODE,
-        )
+        let testbed = Testbed::new(ceal_sim::Platform::default());
+        Core::new(params, parsed, &testbed, super::super::SESSION_MODE)
     }
 
     fn solo(component: usize) -> JournalRecord {

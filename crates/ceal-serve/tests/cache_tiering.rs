@@ -7,9 +7,9 @@
 mod common;
 
 use ceal_serve::{
-    bundle_to_json, platform_fingerprint, read_frame, write_frame, AutotuneCache, Client, Request,
-    Response, ServeConfig, Server, ServerMetrics, SessionManager, TuneParams,
-    DEFAULT_TRANSFER_THRESHOLD,
+    bundle_to_json, platform_features, platform_fingerprint, read_frame, write_frame,
+    AutotuneCache, CacheEntry, CacheKey, Client, Request, Response, ServeConfig, Server,
+    ServerMetrics, SessionManager, TuneParams, DEFAULT_TRANSFER_THRESHOLD,
 };
 use ceal_sim::Platform;
 use ceal_trace::{EventKind, FieldValue, Tracer};
@@ -319,8 +319,71 @@ fn export_import_round_trip_serves_warm() {
     let _ = std::fs::remove_file(&bundle);
 }
 
+/// The key of `params`' campaign on `platform` in cache-key `mode`, built
+/// field by field from [`platform_fingerprint`] rather than by the server.
+fn key_on(platform: &Platform, params: &TuneParams, mode: &str) -> CacheKey {
+    CacheKey {
+        workflow: params.workflow.clone(),
+        platform: platform_fingerprint(platform),
+        objective: params.objective.clone(),
+        pool: params.pool,
+        seed: params.seed,
+        budget: params.budget,
+        algo: format!("{mode}:{}", params.algo),
+    }
+}
+
+/// A server bound on a platform other than the default answers warm from
+/// a cache seeded with keys built directly from that platform's
+/// fingerprint — a one-shot `Tune` (`tune:`) and a session
+/// (`session-h4:`) alike — so the fingerprint it computes once at bind is
+/// the one every key carries.
+#[test]
+fn a_server_on_another_platform_answers_keys_built_from_its_fingerprint() {
+    let platform = near_miss_platform();
+    let dir = temp_path("fingerprint");
+    let p = params("comp", 8, 200, 5);
+    let best = vec![100, 20, 1, 50, 10, 1];
+    let entry = |mode: &str, best_value: f64| CacheEntry {
+        key: key_on(&platform, &p, mode),
+        best: best.clone(),
+        best_value,
+        runs_used: 8,
+        component_runs: 6,
+        samples: vec![(best.clone(), best_value)],
+        platform_features: platform_features(&platform),
+    };
+    let seeded = AutotuneCache::at_path(&dir);
+    seeded.put(entry("tune", 1.25)).unwrap();
+    seeded.put(entry("session-h4", 2.5)).unwrap();
+    drop(seeded);
+
+    let handle = Server::bind(ServeConfig {
+        cache_path: Some(dir.clone()),
+        platform,
+        ..ServeConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let tuned = client.tune(p.clone()).expect("tune");
+    assert!(tuned.from_cache, "the tune: key answers");
+    assert_eq!((tuned.best, tuned.best_value), (best.clone(), 1.25));
+    let (status, from_cache) = client.create_session(p, 0.0, 0).expect("create");
+    assert!(from_cache, "the session-h4: key answers");
+    assert_eq!(status.warm_source, "exact");
+    assert_eq!((status.best, status.best_value), (Some(best), Some(2.5)));
+    let m = client.metrics().expect("metrics");
+    assert_eq!((m.cache_hits, m.cache_misses), (2, 0));
+    assert_eq!(m.oracle_measurements, 0);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs one campaign to completion and returns its cached samples in
-/// measurement order.
+/// measurement order, finding them under the key built directly from the
+/// platform's fingerprint.
 fn run_campaign(
     platform: Platform,
     transfer_threshold: f64,
@@ -332,16 +395,15 @@ fn run_campaign(
         .with_platform(platform.clone())
         .with_transfer_threshold(transfer_threshold);
     let metrics = ServerMetrics::new();
-    let (st, _) = mgr
-        .create(params("comp", budget, 200, 7), 0.0, 0, cache, &metrics)
-        .expect("create");
+    let p = params("comp", budget, 200, 7);
+    let key = key_on(&platform, &p, "session-h4");
+    let (st, _) = mgr.create(p, 0.0, 0, cache, &metrics).expect("create");
     assert_eq!(st.warm_source, expect_source);
     drive_session_to_done(&mgr, st.session, cache, &metrics);
-    let fingerprint = platform_fingerprint(&platform);
     cache
         .all_entries()
         .into_iter()
-        .find(|e| e.key.platform == fingerprint)
+        .find(|e| e.key == key)
         .expect("finished campaign published")
         .samples
 }
