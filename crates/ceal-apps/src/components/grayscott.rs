@@ -46,7 +46,7 @@ impl Default for GrayScott {
 
 impl GrayScott {
     /// Bytes per streamed frame: the `u` field as f64.
-    pub fn frame_bytes(&self) -> u64 {
+    pub(crate) fn frame_bytes(&self) -> u64 {
         self.grid * self.grid * self.grid * 8
     }
 }

@@ -59,7 +59,7 @@ impl Default for Heat {
 
 impl Heat {
     /// Bytes of one state emission (full f64 grid).
-    pub fn state_bytes(&self) -> u64 {
+    fn state_bytes(&self) -> u64 {
         self.grid * self.grid * 8
     }
 }

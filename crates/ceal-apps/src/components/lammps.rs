@@ -47,7 +47,7 @@ impl Default for Lammps {
 
 impl Lammps {
     /// Bytes per streamed snapshot: positions + velocities, 3 doubles each.
-    pub fn snapshot_bytes(&self) -> u64 {
+    fn snapshot_bytes(&self) -> u64 {
         self.atoms * 6 * 8
     }
 }

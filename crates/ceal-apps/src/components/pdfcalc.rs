@@ -45,7 +45,7 @@ impl Default for PdfCalc {
 
 impl PdfCalc {
     /// Bytes per streamed PDF result: `slices × bins` doubles.
-    pub fn pdf_bytes(&self) -> u64 {
+    fn pdf_bytes(&self) -> u64 {
         self.slices * self.bins * 8
     }
 }

@@ -41,7 +41,7 @@ impl Default for StageWrite {
 
 impl StageWrite {
     /// Seconds to persist one emission with `procs` writers.
-    pub fn write_time(&self, platform: &Platform, procs: u64) -> f64 {
+    fn write_time(&self, platform: &Platform, procs: u64) -> f64 {
         let rate = platform
             .fs_bandwidth
             .min(procs as f64 * platform.fs_per_proc_bandwidth);

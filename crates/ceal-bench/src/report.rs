@@ -35,7 +35,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Directory JSON results are written to (`results/` under the workspace,
 /// overridable with `CEAL_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("CEAL_RESULTS_DIR") {
         return PathBuf::from(dir);
     }

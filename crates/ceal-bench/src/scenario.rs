@@ -7,8 +7,8 @@
 //! sharing a workflow don't rebuild them.
 
 use ceal_core::{ComponentHistory, Oracle, PoolOracle, SimOracle};
+use ceal_par::sync::Mutex;
 use ceal_sim::{Objective, Simulator};
-use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -24,7 +24,7 @@ pub fn pool_size() -> usize {
 
 /// Historical component samples per configurable component (paper §7.1:
 /// 500).
-pub fn history_size() -> usize {
+fn history_size() -> usize {
     std::env::var("CEAL_HISTORY")
         .ok()
         .and_then(|v| v.parse().ok())

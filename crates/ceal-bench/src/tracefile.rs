@@ -41,12 +41,12 @@ pub struct ParsedEvent {
 
 impl ParsedEvent {
     /// String field accessor (`None` when absent or not a string).
-    pub fn str_field(&self, key: &str) -> Option<&str> {
+    fn str_field(&self, key: &str) -> Option<&str> {
         self.fields.get(key).and_then(Value::as_str)
     }
 
     /// Unsigned field accessor.
-    pub fn u64_field(&self, key: &str) -> Option<u64> {
+    fn u64_field(&self, key: &str) -> Option<u64> {
         self.fields.get(key).and_then(Value::as_u64)
     }
 }
@@ -56,7 +56,7 @@ impl ParsedEvent {
 /// Rejects lines that parse as JSON but miss the fixed keys — a
 /// half-written line at the flusher's crash point must fail loudly, not
 /// read as zeros.
-pub fn parse_line(line: &str) -> Result<ParsedEvent, String> {
+fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("bad json: {e:?}"))?;
     let obj = value.as_object().ok_or("not an object")?;
     let ts_us = obj

@@ -169,7 +169,8 @@ impl ChaosProxy {
     }
 
     /// Manually partition (or heal) the link. Partitioning severs every live
-    /// connection and refuses new ones until healed.
+    /// connection and refuses new ones until healed. The chaos-proxy binary
+    /// never partitions; `ceal-serve/tests/netchaos_fleet.rs` does.
     pub fn set_partitioned(&self, partitioned: bool) {
         self.inner
             .manual_partition

@@ -104,14 +104,10 @@ impl<'a> FaultInjector<'a> {
     }
 }
 
-/// A fault-tolerant collector: retries failed attempts and bills the
-/// wasted runs.
+/// A fault-tolerant collector: retries failed attempts.
 ///
 /// Implements [`Oracle`] so any tuner runs unchanged on an unreliable
-/// testbed; the crashed attempts' cost shows up in
-/// [`RetryingCollector::wasted_cost`] (a crashed run still consumed its
-/// allocation until the crash — modelled as one full run cost, the
-/// worst case). When every attempt the [`RetryPolicy`] allows has failed,
+/// testbed. When every attempt the [`RetryPolicy`] allows has failed,
 /// [`Oracle::try_measure`] returns
 /// [`MeasureError::RetriesExhausted`] — never a panic, so a tuning
 /// service or resumable campaign stays alive across a truly dead
@@ -122,53 +118,21 @@ pub struct RetryingCollector<'a> {
     /// a no-delay policy (simulated measurements have no transport to wait
     /// out).
     pub policy: RetryPolicy,
-    wasted_exec: AtomicU64,
-    wasted_comp: AtomicU64,
 }
 
 impl<'a> RetryingCollector<'a> {
     /// Creates a collector retrying up to `max_attempts` times with no
     /// backoff delay.
     pub fn new(injector: &'a FaultInjector<'a>, max_attempts: u64) -> Self {
-        Self::with_policy(
-            injector,
-            RetryPolicy::no_delay(max_attempts.min(u32::MAX as u64) as u32),
-        )
-    }
-
-    /// Creates a collector with an explicit retry policy.
-    pub fn with_policy(injector: &'a FaultInjector<'a>, policy: RetryPolicy) -> Self {
         Self {
             injector,
-            policy,
-            wasted_exec: AtomicU64::new(0),
-            wasted_comp: AtomicU64::new(0),
+            policy: RetryPolicy::no_delay(max_attempts.min(u32::MAX as u64) as u32),
         }
     }
 
     /// Maximum attempts per configuration (≥ 1).
     pub fn max_attempts(&self) -> u64 {
         self.policy.max_attempts.max(1) as u64
-    }
-
-    /// Cost of crashed attempts in the given objective's units
-    /// (milli-units internally, rounded).
-    pub fn wasted_cost(&self, objective: Objective) -> f64 {
-        let milli = match objective {
-            Objective::ExecutionTime => self.wasted_exec.load(Ordering::Relaxed),
-            Objective::ComputerTime => self.wasted_comp.load(Ordering::Relaxed),
-        };
-        milli as f64 / 1000.0
-    }
-
-    /// Bills one crashed attempt as one full run of `config`.
-    fn bill_waste(&self, config: &[i64]) -> Result<(), MeasureError> {
-        let truth = self.injector.inner.try_measure(config)?;
-        self.wasted_exec
-            .fetch_add((truth.exec_time * 1000.0) as u64, Ordering::Relaxed);
-        self.wasted_comp
-            .fetch_add((truth.computer_time * 1000.0) as u64, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -200,11 +164,8 @@ impl Oracle for RetryingCollector<'_> {
             match self.injector.try_measure(config, attempt) {
                 Ok(m) => return Ok(m),
                 // Transient backend failures (injected crashes) are the
-                // retryable kind; bill the wasted run and go again.
-                Err(MeasureError::Failed(msg)) => {
-                    self.bill_waste(config)?;
-                    last = Some(msg);
-                }
+                // retryable kind; go again.
+                Err(MeasureError::Failed(msg)) => last = Some(msg),
                 // Deterministic failures (infeasible configuration) cannot
                 // be retried away.
                 Err(other) => return Err(other),
@@ -278,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn collector_retries_and_bills_waste() {
+    fn collector_retries_through_injected_failures() {
         let (pool, oracle) = base();
         let inj = FaultInjector::new(&oracle, 0.4, 11);
         let col = RetryingCollector::new(&inj, 10);
@@ -287,8 +248,7 @@ mod tests {
             assert!(m.value > 0.0);
         }
         assert!(inj.failures() > 0, "fixture should have injected failures");
-        assert!(col.wasted_cost(Objective::ExecutionTime) > 0.0);
-        assert!(col.wasted_cost(Objective::ComputerTime) > 0.0);
+        assert_eq!(inj.attempts(), pool.len() as u64 + inj.failures());
     }
 
     #[test]

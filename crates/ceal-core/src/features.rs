@@ -63,11 +63,6 @@ impl FeatureMap {
             .collect()
     }
 
-    /// Encodes many configurations.
-    pub fn encode_all(&self, configs: &[Vec<i64>]) -> Vec<Vec<f64>> {
-        configs.iter().map(|c| self.encode(c)).collect()
-    }
-
     /// Normalized Euclidean distance between two configurations.
     pub fn distance(&self, a: &[i64], b: &[i64]) -> f64 {
         let ea = self.encode(a);
@@ -107,13 +102,5 @@ mod tests {
         let d_procs = fm.distance(&[2, 1, 1, 2, 1, 1], &[1085, 1, 1, 2, 1, 1]);
         let d_threads = fm.distance(&[2, 1, 1, 2, 1, 1], &[2, 1, 4, 2, 1, 1]);
         assert!((d_procs - d_threads).abs() < 1e-12);
-    }
-
-    #[test]
-    fn encode_all_matches_encode() {
-        let fm = FeatureMap::for_workflow(&lv());
-        let configs = vec![vec![2, 1, 1, 2, 1, 1], vec![500, 20, 2, 300, 10, 3]];
-        let rows = fm.encode_all(&configs);
-        assert_eq!(rows[1], fm.encode(&configs[1]));
     }
 }

@@ -64,7 +64,7 @@ const CRC32_SLICES: [[u32; 256]; 8] = {
 /// CRC32 (IEEE) of `bytes` — the per-record checksum. Eight bytes per
 /// step (slice-by-8), the tail a byte at a time; the value is the
 /// bytewise table walk's.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_SLICES;
     let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);

@@ -9,13 +9,6 @@
 use ceal_sim::{Platform, WorkflowSpec};
 use rand::Rng;
 
-/// Pool size needed so a top-`1/n` configuration lands in the pool with
-/// probability `p_target` (paper §5).
-pub fn pool_size_for(n: f64, p_target: f64) -> usize {
-    assert!(n > 1.0 && (0.0..1.0).contains(&p_target));
-    (-n * (1.0 - p_target).ln()).ceil() as usize
-}
-
 /// Rejection-samples `size` *feasible* configurations (allocation fits the
 /// node cap) uniformly from the workflow's parameter grids.
 ///
@@ -58,13 +51,6 @@ mod tests {
     use ceal_apps::{all_workflows, lv};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn paper_pool_size_example() {
-        // 1/n = 0.2 %, P = 98.2 % → ≈ 2000 (paper §5).
-        let p = pool_size_for(500.0, 0.982);
-        assert!((1990..=2020).contains(&p), "got {p}");
-    }
 
     #[test]
     fn sampled_pool_is_feasible_and_sized() {

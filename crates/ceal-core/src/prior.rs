@@ -59,7 +59,7 @@ impl TransferPrior {
     /// A configuration measured locally always wins over its prior copy:
     /// prior samples whose config already appears in `measured` are
     /// dropped.
-    pub fn blend(&self, measured: &[(Vec<i64>, f64)]) -> Vec<(Vec<i64>, f64)> {
+    fn blend(&self, measured: &[(Vec<i64>, f64)]) -> Vec<(Vec<i64>, f64)> {
         let mut out: Vec<(Vec<i64>, f64)> = measured.to_vec();
         if self.samples.is_empty() {
             return out;
@@ -110,7 +110,7 @@ fn affine_rescale(from: &[f64], to: &[f64]) -> impl Fn(f64) -> f64 {
 }
 
 /// Fits the workflow surrogate on `measured` blended with `prior` (see
-/// [`TransferPrior::blend`]) — the seed-with-prior-samples entry point the
+/// `TransferPrior::blend`) — the seed-with-prior-samples entry point the
 /// serving layer's bootstrap path uses while a transfer-seeded campaign
 /// has too few of its own measurements to stand alone.
 pub fn fit_surrogate_seeded(

@@ -61,12 +61,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Returns the policy with its jitter seed replaced.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Deterministic jitter factor in `[1 − jitter, 1 + jitter]` for
     /// `attempt` (splitmix64 over the seed/attempt pair).
     fn jitter_factor(&self, attempt: u32) -> f64 {
@@ -236,7 +230,10 @@ mod tests {
         assert!(d4 >= Duration::from_millis(320) && d4 <= Duration::from_millis(480));
         // Same seed → same schedule; different seed → (almost surely) not.
         assert_eq!(policy.clone().delay_before(2), d2);
-        let other = policy.clone().with_seed(8);
+        let other = RetryPolicy {
+            seed: 8,
+            ..policy.clone()
+        };
         assert!(other.delay_before(2) != d2 || other.delay_before(3) != d3);
     }
 }

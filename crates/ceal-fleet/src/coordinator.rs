@@ -20,10 +20,10 @@
 
 use crate::types::{FleetReport, TaskId, TaskOutcome, TaskReport, TaskSpec, WorkerId, WorkerStats};
 use ceal_core::RetryPolicy;
+use ceal_par::sync::Mutex;
 use ceal_trace::{Span, TraceContext, Tracer};
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
+use std::sync::{MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the fleet.

@@ -145,7 +145,8 @@ impl BinnedDataset {
         self.n_features
     }
 
-    /// Number of bins of feature `f` (at least 1).
+    /// Number of bins of feature `f` (at least 1). Public for
+    /// `tests/binned_equivalence.rs`, which checks the bin budget.
     pub fn n_bins(&self, f: usize) -> usize {
         self.cuts[f].len() + 1
     }
@@ -531,7 +532,12 @@ impl CompleteTree {
     #[inline(never)]
     fn leaves(&self, cols: [&[u8]; KERNEL_TESTS], leaf: &mut [u8]) {
         let len = leaf.len();
-        let [c0, c1, c2, c3, c4, c5, c6] = cols.map(|c| &c[..len]);
+        // Sliced one by one, not with `cols.map`: where that generic call
+        // is not inlined the lengths are unknown, the loop keeps its bounds
+        // checks and is not vectorised (≈ 3× slower).
+        let [c0, c1, c2, c3, c4, c5, c6] = cols;
+        let (c0, c1, c2, c3) = (&c0[..len], &c1[..len], &c2[..len], &c3[..len]);
+        let (c4, c5, c6) = (&c4[..len], &c5[..len], &c6[..len]);
         let [b0, b1, b2, b3, b4, b5, b6] = self.bin;
         for i in 0..len {
             let t0 = (c0[i] > b0) as u8;
@@ -642,6 +648,8 @@ impl BinKernel {
 
     /// Per-row sums of the trees' leaf weights, accumulated in tree order:
     /// bit-identical to [`crate::FlatTrees::predict_row_sum`] per row.
+    // Inline: out of line it measured ≈ 1.5× slower on a 32-row batch.
+    #[inline]
     pub(crate) fn predict_batch_sum(&self, data: &Dataset) -> Vec<f64> {
         let n = data.n_rows();
         // Padded tests read column 0, so there is always one.

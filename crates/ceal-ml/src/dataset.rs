@@ -4,7 +4,6 @@
 //! handful of numeric features (configuration parameters, optionally
 //! augmented with component-model predictions for the ALpH combiner).
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Dense row-major feature matrix with a scalar target per row.
@@ -99,20 +98,6 @@ impl Dataset {
         }
     }
 
-    /// Appends every row of `other`.
-    ///
-    /// # Panics
-    /// Panics on feature-width mismatch (unless `self` is empty with zero
-    /// width, in which case it adopts `other`'s width).
-    pub fn extend_from(&mut self, other: &Dataset) {
-        if self.n_features == 0 && self.targets.is_empty() {
-            self.n_features = other.n_features;
-        }
-        assert_eq!(self.n_features, other.n_features, "dataset width mismatch");
-        self.features.extend_from_slice(&other.features);
-        self.targets.extend_from_slice(&other.targets);
-    }
-
     /// Returns the sub-dataset at the given row indices.
     pub fn select(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::new(self.n_features);
@@ -120,17 +105,6 @@ impl Dataset {
             out.push_row(self.row(i), self.targets[i]);
         }
         out
-    }
-
-    /// Splits rows into `(train, test)` with `test_fraction` of rows in the
-    /// test set, shuffled by `rng`.
-    pub fn train_test_split<R: Rng>(&self, test_fraction: f64, rng: &mut R) -> (Dataset, Dataset) {
-        let mut idx: Vec<usize> = (0..self.n_rows()).collect();
-        idx.shuffle(rng);
-        let n_test = ((self.n_rows() as f64) * test_fraction).round() as usize;
-        let n_test = n_test.min(self.n_rows());
-        let (test_idx, train_idx) = idx.split_at(n_test);
-        (self.select(train_idx), self.select(test_idx))
     }
 
     /// Draws a bootstrap sample (with replacement) of `n` rows.
@@ -209,14 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn split_partitions_rows() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let (train, test) = sample().train_test_split(0.5, &mut rng);
-        assert_eq!(train.n_rows() + test.n_rows(), 4);
-        assert_eq!(test.n_rows(), 2);
-    }
-
-    #[test]
     fn bootstrap_has_requested_size() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let b = sample().bootstrap(10, &mut rng);
@@ -224,14 +190,6 @@ mod tests {
         for i in 0..b.n_rows() {
             assert!(b.target(i) >= 10.0 && b.target(i) <= 40.0);
         }
-    }
-
-    #[test]
-    fn extend_adopts_width_when_empty() {
-        let mut ds = Dataset::new(0);
-        ds.extend_from(&sample());
-        assert_eq!(ds.n_features(), 2);
-        assert_eq!(ds.n_rows(), 4);
     }
 
     #[test]

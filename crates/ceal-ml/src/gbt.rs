@@ -108,12 +108,6 @@ impl GradientBoosting {
         &self.trees
     }
 
-    /// Training RMSE trajectory is monotone under full-batch fitting; this
-    /// returns the final training predictions for diagnostics.
-    pub fn training_predictions(&self, data: &Dataset) -> Vec<f64> {
-        self.predict_batch(data)
-    }
-
     /// Gain-based feature importance over `n_features` features, normalized
     /// to sum to 1 (all zeros for an unfitted or split-free model).
     pub fn feature_importance(&self, n_features: usize) -> Vec<f64> {

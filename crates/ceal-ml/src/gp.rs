@@ -98,11 +98,6 @@ impl GaussianProcess {
             var_std * self.y_std * self.y_std,
         )
     }
-
-    /// Number of training samples.
-    pub fn n_train(&self) -> usize {
-        self.train_x.len()
-    }
 }
 
 impl Regressor for GaussianProcess {

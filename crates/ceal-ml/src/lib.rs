@@ -10,14 +10,12 @@
 //! * [`RandomForest`] — bagged trees, fit in parallel via `ceal-par`.
 //! * [`KnnRegressor`] and [`Ridge`] — used by the Didona-style ensemble
 //!   ablations (§8.2 of the paper).
-//! * [`metrics`] — MdAPE, RMSE, R², Spearman rank correlation.
-//! * [`cv`] — k-fold cross-validation over any [`Regressor`].
+//! * [`metrics`] — MdAPE, MSE, RMSE, R².
 //!
 //! All randomized fitting is seeded explicitly so experiments are exactly
 //! reproducible.
 
 pub mod binned;
-pub mod cv;
 pub mod dataset;
 pub mod flat;
 pub mod forest;

@@ -1,11 +1,11 @@
 //! Regression quality metrics used throughout the evaluation.
 //!
 //! The paper reports MdAPE (median absolute percentage error, §7.4.2) for
-//! model accuracy; RMSE/R² are used internally for validation and tests;
-//! Spearman rank correlation is a useful diagnostic for ranking-oriented
-//! surrogates (the auto-tuner only needs correct *ordering* of configs).
+//! model accuracy; MSE, RMSE and R² are the oracles the ML tests judge fits
+//! by.
 
-/// Mean squared error. Returns 0 for empty inputs.
+/// Mean squared error. Returns 0 for empty inputs. Kept public for
+/// `tests/proptests.rs`, whose boosting property compares fits by it.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -31,29 +31,11 @@ pub fn rmse(actual: &[f64], predicted: &[f64]) -> f64 {
     mse(actual, predicted).sqrt()
 }
 
-/// Mean absolute error. Returns 0 for empty inputs.
-pub fn mae(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(
-        actual.len(),
-        predicted.len(),
-        "metric input length mismatch"
-    );
-    if actual.is_empty() {
-        return 0.0;
-    }
-    actual
-        .iter()
-        .zip(predicted)
-        .map(|(y, p)| (y - p).abs())
-        .sum::<f64>()
-        / actual.len() as f64
-}
-
 /// Absolute percentage error of one sample: `|(y - y')/y|` (paper §7.4.2).
 ///
 /// Samples with `y == 0` are undefined; callers should filter them (the
 /// workloads here have strictly positive times).
-pub fn ape(actual: f64, predicted: f64) -> f64 {
+fn ape(actual: f64, predicted: f64) -> f64 {
     ((actual - predicted) / actual).abs()
 }
 
@@ -109,52 +91,6 @@ pub fn r2(actual: &[f64], predicted: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Ranks of the values (average rank for ties), 1-based.
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        // Average 1-based rank across the tie group [i, j].
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Spearman rank correlation coefficient in [-1, 1].
-///
-/// Returns 0 for fewer than two samples or constant inputs.
-pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "metric input length mismatch");
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let ra = ranks(a);
-    let rb = ranks(b);
-    let mean = (a.len() as f64 + 1.0) / 2.0;
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (x, y) in ra.iter().zip(&rb) {
-        num += (x - mean) * (y - mean);
-        da += (x - mean) * (x - mean);
-        db += (y - mean) * (y - mean);
-    }
-    if da == 0.0 || db == 0.0 {
-        return 0.0;
-    }
-    num / (da.sqrt() * db.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +109,6 @@ mod tests {
         assert_eq!(mse(&y, &y), 0.0);
         assert_eq!(mdape(&y, &y), 0.0);
         assert!((r2(&y, &y) - 1.0).abs() < 1e-12);
-        assert!((spearman(&y, &y) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -202,25 +137,5 @@ mod tests {
     #[test]
     fn r2_constant_targets_zero() {
         assert_eq!(r2(&[2.0, 2.0], &[1.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn spearman_detects_reversed_order() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [8.0, 6.0, 4.0, 2.0];
-        assert!((spearman(&a, &b) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let a = [1.0, 1.0, 2.0];
-        let b = [3.0, 3.0, 4.0];
-        let s = spearman(&a, &b);
-        assert!(s > 0.99, "tied ranks should still correlate, got {s}");
-    }
-
-    #[test]
-    fn ranks_average_over_ties() {
-        assert_eq!(ranks(&[5.0, 1.0, 5.0]), vec![2.5, 1.0, 2.5]);
     }
 }

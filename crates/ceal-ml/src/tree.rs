@@ -198,7 +198,9 @@ impl RegressionTree {
     /// Quantizes the dataset and grows via histogram split finding
     /// ([`RegressionTree::fit_binned`]). Callers fitting many trees on one
     /// dataset should build the [`BinnedDataset`] themselves and call
-    /// `fit_binned` directly so the quantization is paid once.
+    /// `fit_binned` directly so the quantization is paid once. Public for
+    /// `tests/binned_equivalence.rs`, which checks it against
+    /// [`RegressionTree::fit_gradients_exact`].
     ///
     /// # Panics
     /// Panics if `grad`/`hess` are shorter than the dataset, or `rows` is

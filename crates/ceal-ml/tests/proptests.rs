@@ -1,8 +1,8 @@
 //! Property-based tests of the ML substrate.
 
 use ceal_ml::{
-    cv, metrics, Dataset, GbtParams, GradientBoosting, KnnRegressor, RandomForest,
-    RandomForestParams, RegressionTree, Regressor, Ridge, TreeParams,
+    metrics, Dataset, GbtParams, GradientBoosting, KnnRegressor, RandomForest, RandomForestParams,
+    RegressionTree, Regressor, Ridge, TreeParams,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -72,29 +72,6 @@ proptest! {
             let p = m.predict_row(&[a, b]);
             prop_assert!(p.is_finite(), "non-finite prediction {p}");
         }
-    }
-
-    /// k-fold indices partition the rows for any k.
-    #[test]
-    fn kfold_partitions(n in 1usize..200, k in 1usize..12, seed in 0u64..100) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let folds = cv::kfold_indices(n, k, &mut rng);
-        let mut all: Vec<usize> = folds.concat();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-        // Fold sizes differ by at most one.
-        let sizes: Vec<usize> = folds.iter().map(Vec::len).collect();
-        let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(hi - lo <= 1);
-    }
-
-    /// Spearman correlation is bounded and symmetric.
-    #[test]
-    fn spearman_bounded_symmetric(pairs in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 2..50)) {
-        let (a, b): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-        let s = metrics::spearman(&a, &b);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&s));
-        prop_assert!((s - metrics::spearman(&b, &a)).abs() < 1e-12);
     }
 
     /// Bootstrap samples only contain existing rows.

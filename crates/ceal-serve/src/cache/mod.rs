@@ -31,9 +31,9 @@ pub mod shard;
 pub mod transfer;
 
 use crate::metrics::ServerMetrics;
+use ceal_par::sync::Mutex;
 use ceal_trace::{TraceContext, Tracer};
 use lru::LruFront;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use shard::ShardStore;
 use std::collections::BTreeMap;

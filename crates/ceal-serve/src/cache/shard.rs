@@ -39,8 +39,8 @@ use super::{CacheEntry, CacheKey};
 #[cfg(target_os = "linux")]
 use crate::reactor::sys::read_if_cached;
 use ceal_core::frame;
+use ceal_par::sync::Mutex;
 use ceal_trace::{TraceContext, Tracer};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::Read as _;

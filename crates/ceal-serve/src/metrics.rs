@@ -183,7 +183,7 @@ impl ServerMetrics {
     }
 
     /// Adds `n` oracle measurements to the global spend counter.
-    pub fn add_oracle_measurements(&self, n: u64) {
+    fn add_oracle_measurements(&self, n: u64) {
         self.oracle_measurements.fetch_add(n, Ordering::Relaxed);
     }
 

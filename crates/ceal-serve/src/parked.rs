@@ -26,8 +26,8 @@ use crate::metrics::Endpoint;
 use crate::protocol::{Request, Response, SessionStatus, TuneParams};
 use crate::server::{error_frame, ServerInner};
 use crate::session::{cache_key, parse_params, Session, TUNE_MODE};
+use ceal_par::sync::Mutex;
 use ceal_trace::{Span, TraceContext};
-use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -64,6 +64,7 @@ use crate::parked::{
 use crate::protocol::{Request, Response};
 use crate::server::{dispatch, endpoint_of, error_frame, ServerInner};
 use ceal_fleet::Wake;
+use ceal_par::sync::Mutex;
 use conn::{Conn, ConnState, ReadOutcome, WriteOutcome, INLINE_MAX};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -72,7 +73,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sys::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -99,24 +100,16 @@ struct Completions {
 
 impl Completions {
     fn push(&self, event: Event) {
-        // A poisoned queue means some worker panicked while holding the
-        // lock; the Vec inside is still structurally sound, and dropping
-        // this event would wedge its connection forever — recover.
-        self.queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(event);
+        // The lock hands back a poisoned guard: a worker that panicked
+        // while holding it left the Vec structurally sound, and dropping
+        // this event would wedge its connection forever.
+        self.queue.lock().push(event);
         self.notify.wake();
     }
 
     fn drain(&self) -> Vec<Event> {
         self.notify.drain();
-        std::mem::take(
-            &mut *self
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
+        std::mem::take(&mut *self.queue.lock())
     }
 }
 

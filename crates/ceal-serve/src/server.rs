@@ -22,8 +22,8 @@ use crate::parked::{self, Event, Outcome, Parked, Ticket};
 use crate::protocol::{MetricsReport, Request, Response, PROTOCOL_VERSION};
 use crate::session::{Session, SessionManager};
 use ceal_fleet::TaskReport;
+use ceal_par::sync::Mutex;
 use ceal_trace::{TraceContext, Tracer};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;

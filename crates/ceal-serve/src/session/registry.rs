@@ -9,7 +9,7 @@ use super::*;
 use crate::cache::transfer::{warm_start, WarmStart};
 use crate::cache::DEFAULT_TRANSFER_THRESHOLD;
 use ceal_core::CampaignId;
-use parking_lot::{Mutex, RwLock};
+use ceal_par::sync::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

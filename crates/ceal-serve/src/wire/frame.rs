@@ -5,7 +5,6 @@
 //! reader trivial (no streaming JSON parser needed) and lets the server
 //! reject oversized payloads before allocating for them.
 
-use bytes::{BufMut, Bytes};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
@@ -59,8 +58,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
         return Err(FrameError::TooLarge(payload.len()));
     }
     let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
+    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    buf.extend_from_slice(payload);
     write_all_limited(w, &buf, MAX_MID_FRAME_STALL)?;
     w.flush()?;
     Ok(())
@@ -69,11 +68,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
 /// `write_all` with a stall deadline: a peer that accepts no bytes for
 /// `stall_limit` (its receive window stays closed) is treated as gone.
 /// Mirrors `read_full_limited`: any progress resets the clock.
-pub fn write_all_limited(
-    w: &mut impl Write,
-    buf: &[u8],
-    stall_limit: Duration,
-) -> std::io::Result<()> {
+fn write_all_limited(w: &mut impl Write, buf: &[u8], stall_limit: Duration) -> std::io::Result<()> {
     let mut written = 0usize;
     let mut stall_start: Option<Instant> = None;
     while written < buf.len() {
@@ -159,7 +154,7 @@ fn read_full_limited(
 /// hung up cleanly); EOF mid-frame is an I/O error. A read timeout at a
 /// frame boundary surfaces as an I/O error (`WouldBlock`/`TimedOut`);
 /// timeouts mid-frame are waited out instead.
-pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; 4];
     match r.read(&mut header) {
         Ok(0) => return Err(FrameError::Closed),
@@ -173,7 +168,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
     }
     let mut payload = vec![0u8; len];
     read_full(r, &mut payload, 0)?;
-    Ok(Bytes::from(payload))
+    Ok(payload)
 }
 
 /// Serializes `msg` as JSON and writes it as one frame.
@@ -185,7 +180,7 @@ pub fn write_message<T: serde::Serialize>(w: &mut impl Write, msg: &T) -> Result
 /// Reads one frame and deserializes its JSON payload.
 pub fn read_message<T: serde::Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
     let payload = read_frame(r)?;
-    serde_json::from_slice(payload.as_ref()).map_err(|e| FrameError::Decode(e.to_string()))
+    serde_json::from_slice(&payload).map_err(|e| FrameError::Decode(e.to_string()))
 }
 
 #[cfg(test)]
@@ -200,7 +195,7 @@ mod tests {
         assert_eq!(&buf[..4], &[0, 0, 0, 5]);
         let mut cursor = std::io::Cursor::new(buf);
         let got = read_frame(&mut cursor).unwrap();
-        assert_eq!(got.as_ref(), b"hello");
+        assert_eq!(got, b"hello");
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
     }
 
@@ -215,8 +210,7 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
-        let mut buf = Vec::new();
-        bytes::BufMut::put_u32(&mut buf, (MAX_FRAME_LEN + 1) as u32);
+        let mut buf = ((MAX_FRAME_LEN + 1) as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(&[0; 8]);
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(

@@ -3,9 +3,10 @@
 //! These closed forms are *not* used by the tuner (the whole point of the
 //! paper is that no accurate analytic model of a coupled run exists); they
 //! bound the DES result from below and above and serve as engine
-//! correctness oracles in property tests.
+//! correctness oracles in property tests. Nothing in the product calls
+//! them: [`busy_times`] and [`within_bounds`] are public for
+//! `tests/paper_properties.rs` and `tests/property_based.rs`.
 
-use crate::engine::SimError;
 use crate::platform::Platform;
 use crate::spec::{Resolved, Role, WorkflowSpec};
 
@@ -58,7 +59,7 @@ fn consumer_expectations(spec: &WorkflowSpec, resolved: &[Resolved]) -> Vec<u64>
 /// Lower bound on coupled execution time: no component can finish earlier
 /// than its own busy time, nor can the run finish before all stream bytes
 /// have crossed the fabric.
-pub fn lower_bound(platform: &Platform, spec: &WorkflowSpec, config: &[i64]) -> f64 {
+fn lower_bound(platform: &Platform, spec: &WorkflowSpec, config: &[i64]) -> f64 {
     let busy = busy_times(platform, spec, config);
     let resolved = spec.resolve_all(platform, config);
     let mut total_bytes = 0u64;
@@ -77,7 +78,7 @@ pub fn lower_bound(platform: &Platform, spec: &WorkflowSpec, config: &[i64]) -> 
 /// Upper bound: a fully serialized schedule — every component's busy time
 /// plus every byte sent at the worst per-stream rate, executed one after
 /// another.
-pub fn upper_bound(platform: &Platform, spec: &WorkflowSpec, config: &[i64]) -> f64 {
+fn upper_bound(platform: &Platform, spec: &WorkflowSpec, config: &[i64]) -> f64 {
     let busy: f64 = busy_times(platform, spec, config).iter().sum();
     let resolved = spec.resolve_all(platform, config);
     let expected = consumer_expectations(spec, &resolved);
@@ -114,15 +115,6 @@ pub fn within_bounds(
         return Err(format!("exec {exec_time} above upper bound {hi}"));
     }
     Ok(())
-}
-
-/// Convenience: simulate noiselessly and assert bounds.
-pub fn check_run(spec: &WorkflowSpec, config: &[i64]) -> Result<f64, SimError> {
-    let platform = Platform::default();
-    let r = crate::engine::simulate(&platform, spec, config, 0, 0.0)?;
-    within_bounds(&platform, spec, config, r.exec_time, 1e-6)
-        .map_err(|_| SimError::Deadlock { time: r.exec_time })?;
-    Ok(r.exec_time)
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ impl ParamDef {
     ///
     /// # Panics
     /// Panics if `i >= n_options()`.
-    pub fn value_at(&self, i: u64) -> i64 {
+    fn value_at(&self, i: u64) -> i64 {
         assert!(
             i < self.n_options(),
             "option index {i} out of range for {}",

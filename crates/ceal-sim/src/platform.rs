@@ -62,11 +62,6 @@ impl Default for Platform {
 }
 
 impl Platform {
-    /// Nodes needed to place `procs` processes at `ppn` processes/node.
-    pub fn nodes_for(&self, procs: u64, ppn: u64) -> u64 {
-        procs.div_ceil(ppn.max(1))
-    }
-
     /// Core-hours consumed by an allocation of `nodes` nodes over
     /// `exec_seconds` of wall-clock time (the paper's "computer time").
     pub fn core_hours(&self, nodes: u64, exec_seconds: f64) -> f64 {
@@ -77,15 +72,6 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nodes_for_rounds_up() {
-        let p = Platform::default();
-        assert_eq!(p.nodes_for(36, 36), 1);
-        assert_eq!(p.nodes_for(37, 36), 2);
-        assert_eq!(p.nodes_for(561, 25), 23);
-        assert_eq!(p.nodes_for(5, 0), 5); // ppn clamped to 1
-    }
 
     #[test]
     fn core_hours_matches_paper_formula() {

@@ -13,7 +13,7 @@ use crate::event::{EventKind, FieldValue, TraceEvent};
 use crate::ring::Ring;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -47,7 +47,7 @@ impl TraceContext {
 
 enum Sink {
     Memory(Vec<TraceEvent>),
-    File { file: File, path: PathBuf },
+    File { file: File },
 }
 
 struct Inner {
@@ -168,7 +168,7 @@ impl Tracer {
         let nonce = FILE_NONCE.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("trace-{}-{}.jsonl", std::process::id(), nonce));
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let inner = Self::make_inner(Sink::File { file, path });
+        let inner = Self::make_inner(Sink::File { file });
         let weak: Weak<Inner> = Arc::downgrade(&inner);
         std::thread::Builder::new()
             .name("ceal-trace-flush".into())
@@ -180,15 +180,6 @@ impl Tracer {
                 }
             })?;
         Ok(Tracer { inner: Some(inner) })
-    }
-
-    /// The file this tracer appends to, if it has a directory sink.
-    pub fn file_path(&self) -> Option<PathBuf> {
-        let inner = self.inner.as_ref()?;
-        match &*inner.sink.lock().unwrap() {
-            Sink::File { path, .. } => Some(path.clone()),
-            Sink::Memory(_) => None,
-        }
     }
 
     /// Mints a fresh nonzero trace identifier (0 when disabled).
@@ -376,7 +367,7 @@ impl Span {
     }
 
     /// Microseconds since the span opened.
-    pub fn elapsed_us(&self) -> u64 {
+    fn elapsed_us(&self) -> u64 {
         self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 }
@@ -490,12 +481,14 @@ mod tests {
     fn dir_sink_writes_parseable_jsonl() {
         let dir = ceal_testutil::unique_temp_path("trace-dir", "");
         let t = Tracer::to_dir(&dir).unwrap();
-        let path = t.file_path().unwrap();
         {
             let mut s = t.root_span("request.ping");
             s.field("ok", 1u64);
         }
         t.flush();
+        let mut files = std::fs::read_dir(&dir).unwrap();
+        let path = files.next().expect("the tracer's file").unwrap().path();
+        assert!(files.next().is_none(), "one tracer, one file");
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 2, "Begin + End: {text}");
