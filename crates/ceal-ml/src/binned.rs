@@ -4,9 +4,9 @@
 //! [`BinnedDataset`] quantizes every feature column once per `fit` into at
 //! most `max_bins` ordered bins (one bin per distinct value when the column
 //! has few, quantile cuts otherwise). Trees are then grown from per-bin
-//! gradient/hessian histograms instead of per-node sorts, so one tree level
-//! costs O(rows + bins·features) rather than O(rows·log rows·features), and
-//! the binning itself is paid once per model fit instead of once per node.
+//! gradient-sum/row-count histograms instead of per-node sorts, so one tree
+//! level costs O(rows + bins·features) rather than O(rows·log rows·features),
+//! and the binning itself is paid once per model fit instead of once per node.
 //!
 //! Growth runs on a `TreeWorkspace` — one row buffer partitioned in
 //! place and one histogram arena — that a boosted fit reuses for all its
@@ -16,6 +16,10 @@
 //! subtraction**), and neither is built for children that cannot split
 //! again. Every sum runs serially in the caller's row order, so a fit is
 //! bit-identical whatever the workspace held before.
+//!
+//! The split search divides only at boundaries whose score, bounded through
+//! a table of `1/(n+λ)`, could beat the best so far: the same split, to the
+//! bit, as dividing at every boundary.
 //!
 //! With at least as many bins as distinct feature values the candidate
 //! split set matches exact greedy enumeration
@@ -69,9 +73,12 @@ fn bin_column(vals: &[f64], max_bins: usize) -> FeatureBins {
     } else {
         (1..max_bins).map(|k| k * d / max_bins).collect()
     };
+    // A row's code and the raw-value test `v <= cut` agree only if `lo <=
+    // cut < hi`; where the midpoint is not (it rounds or overflows), use `lo`.
     let cuts: Vec<f64> = bounds
         .iter()
-        .map(|&i| 0.5 * (sorted[i - 1] + sorted[i]))
+        .map(|&i| (sorted[i - 1], 0.5 * (sorted[i - 1] + sorted[i]), sorted[i]))
+        .map(|(lo, mid, hi)| if (lo..hi).contains(&mid) { mid } else { lo })
         .collect();
 
     // code(rank) = number of boundaries at or below the rank.
@@ -157,12 +164,19 @@ impl BinnedDataset {
     }
 }
 
-/// Per-bin first/second-order gradient statistics.
+/// Per-bin gradient sum and row count (the squared-error hessian sum).
 #[derive(Debug, Clone, Copy, Default)]
 struct HistBin {
     g: f64,
-    h: f64,
     n: u32,
+}
+
+/// An upper bound on `ql/(nl+λ) + qr/(nr+λ)` as `best_split` rounds it,
+/// given `recip[k] = 1/(k+λ)`; NaN never rules a boundary out. Against
+/// five roundings of `ε/2` it widens by `4ε`, plus a floor for underflow.
+fn sum_bound(recip: &[f64], ql: f64, nl: u32, qr: f64, nr: u32) -> f64 {
+    let sum = ql * recip[nl as usize] + qr * recip[nr as usize];
+    sum * (1.0 + 4.0 * f64::EPSILON) + f64::MIN_POSITIVE
 }
 
 /// The buffers one tree's growth needs, kept across trees so a boosted fit
@@ -177,12 +191,17 @@ struct HistBin {
 ///   feature position `k` at `offsets[k]..offsets[k + 1]`. A node's two
 ///   children are grown one after the other and only ever write deeper
 ///   slots, so two slots per depth are enough for the whole recursion.
+/// * `recip` — `1/(k + λ)` for every row count `k`, for `λ = recip_lambda`.
+/// * `leaves` — the last tree's leaves: a range of `rows`, and a weight.
 #[derive(Debug, Default)]
 pub(crate) struct TreeWorkspace {
     rows: Vec<u32>,
     spill: Vec<u32>,
     hists: Vec<HistBin>,
     offsets: Vec<usize>,
+    recip: Vec<f64>,
+    recip_lambda: f64,
+    leaves: Vec<(usize, usize, f64)>,
 }
 
 impl TreeWorkspace {
@@ -207,6 +226,12 @@ impl TreeWorkspace {
         let len = self.slot_len();
         &self.hists[slot * len..(slot + 1) * len]
     }
+
+    /// The last grown tree's leaves: the rows each holds, and its weight.
+    pub(crate) fn leaf_rows(&self) -> impl Iterator<Item = (&[u32], f64)> {
+        let rows = &self.rows;
+        self.leaves.iter().map(|&(lo, hi, w)| (&rows[lo..hi], w))
+    }
 }
 
 /// What a tree is fitted to: read-only for the whole growth.
@@ -214,7 +239,6 @@ impl TreeWorkspace {
 struct Target<'a> {
     binned: &'a BinnedDataset,
     grad: &'a [f64],
-    hess: &'a [f64],
     features: &'a [usize],
 }
 
@@ -230,7 +254,6 @@ impl Target<'_> {
                 let i = i as usize;
                 let b = &mut hist[codes[i] as usize];
                 b.g += self.grad[i];
-                b.h += self.hess[i];
                 b.n += 1;
             }
         }
@@ -253,8 +276,8 @@ struct HistGrower<'a> {
 }
 
 impl HistGrower<'_> {
-    fn score(&self, g: f64, h: f64) -> f64 {
-        g * g / (h + self.params.lambda)
+    fn score(&self, g: f64, n: u32) -> f64 {
+        g * g / (n as f64 + self.params.lambda)
     }
 
     /// Whether a node of `n` rows at `depth` searches for a split, and so
@@ -266,20 +289,27 @@ impl HistGrower<'_> {
     /// Scans the histograms in `slot` for the best boundary, mirroring the
     /// exact grower's candidate order (features in given order, thresholds
     /// ascending) and tie-breaking (strictly greater gain wins).
-    fn best_split(&self, slot: usize, g: f64, h: f64, n: u32) -> Option<HistSplit> {
-        let parent_score = self.score(g, h);
+    ///
+    /// The gain is monotone in `sum = score_l + score_r` (every rounding
+    /// is), so a boundary whose `sum` is at most the best's cannot win; only
+    /// those [`sum_bound`] cannot rule out pay for the two divisions.
+    fn best_split(&self, slot: usize, g: f64, n: u32) -> Option<HistSplit> {
+        let p = &self.params;
+        let parent_score = self.score(g, n);
         let hists = self.ws.slot(slot);
         let mut best: Option<HistSplit> = None;
+        let mut best_sum = f64::NEG_INFINITY;
         for (pos, &f) in self.target.features.iter().enumerate() {
             let hist = &hists[self.ws.offsets[pos]..self.ws.offsets[pos + 1]];
             let cuts = &self.target.binned.cuts[f];
             let mut gl = 0.0;
-            let mut hl = 0.0;
             let mut nl = 0u32;
             for (b, &cut) in cuts.iter().enumerate() {
                 let bin = hist[b];
+                // An empty bin is still added: in a histogram derived as
+                // `parent − child` it holds the rounding residue of its `g`,
+                // and skipping it would change `gl` in the last bit.
                 gl += bin.g;
-                hl += bin.h;
                 nl += bin.n;
                 if bin.n == 0 {
                     continue; // same partition as the previous boundary
@@ -288,19 +318,18 @@ impl HistGrower<'_> {
                 if nr == 0 {
                     break; // nothing remains on the right
                 }
-                if (nl as usize) < self.params.min_samples_leaf
-                    || (nr as usize) < self.params.min_samples_leaf
-                {
+                let small = nl.min(nr);
+                if (small as usize) < p.min_samples_leaf || (small as f64) < p.min_child_weight {
                     continue;
                 }
-                let gr = g - gl;
-                let hr = h - hl;
-                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                let (ql, qr) = (gl * gl, (g - gl) * (g - gl));
+                if sum_bound(&self.ws.recip, ql, nl, qr, nr) <= best_sum {
                     continue;
                 }
-                let gain = 0.5 * (self.score(gl, hl) + self.score(gr, hr) - parent_score)
-                    - self.params.gamma;
+                let sum = ql / (nl as f64 + p.lambda) + qr / (nr as f64 + p.lambda);
+                let gain = 0.5 * (sum - parent_score) - p.gamma;
                 if gain > 0.0 && best.as_ref().is_none_or(|s| gain > s.gain) {
+                    best_sum = sum;
                     best = Some(HistSplit {
                         feature: f,
                         bin: b as u16,
@@ -370,7 +399,6 @@ impl HistGrower<'_> {
         for ((l, p), s) in large.iter_mut().zip(parent).zip(small.iter()) {
             *l = HistBin {
                 g: p.g - s.g,
-                h: p.h - s.h,
                 n: p.n - s.n,
             };
         }
@@ -379,20 +407,18 @@ impl HistGrower<'_> {
     /// Grows the node over `rows[lo..hi]` whose histograms (if it searches
     /// for a split) are in `slot`; returns its node index.
     fn grow(&mut self, lo: usize, hi: usize, slot: usize, depth: usize) -> usize {
-        let Target { grad, hess, .. } = self.target;
-        let rows = &self.ws.rows[lo..hi];
-        let g: f64 = rows.iter().map(|&i| grad[i as usize]).sum();
-        let h: f64 = rows.iter().map(|&i| hess[i as usize]).sum();
+        let grad = self.target.grad;
+        let g: f64 = self.ws.rows[lo..hi].iter().map(|&i| grad[i as usize]).sum();
 
         let split = if self.searches(hi - lo, depth) {
-            self.best_split(slot, g, h, (hi - lo) as u32)
+            self.best_split(slot, g, (hi - lo) as u32)
         } else {
             None
         };
         let Some(s) = split else {
-            self.nodes.push(Node::Leaf {
-                weight: -g / (h + self.params.lambda),
-            });
+            let weight = -g / ((hi - lo) as f64 + self.params.lambda);
+            self.ws.leaves.push((lo, hi, weight));
+            self.nodes.push(Node::Leaf { weight });
             return self.nodes.len() - 1;
         };
         self.split_gains.push((s.feature, s.gain));
@@ -415,25 +441,24 @@ impl HistGrower<'_> {
 }
 
 impl RegressionTree {
-    /// Fits a tree to gradient statistics using histogram-based split
+    /// Fits a tree to the gradients `grad` using histogram-based split
     /// finding over a pre-quantized dataset. [`crate::GradientBoosting`]
     /// and [`crate::RandomForest`] build the [`BinnedDataset`] once per
     /// `fit` and share it across trees.
     ///
     /// # Panics
-    /// Panics if `grad`/`hess` are shorter than the binned dataset, or
-    /// `rows` is empty.
+    /// Panics if `grad` is shorter than the binned dataset, or `rows` is
+    /// empty.
     pub fn fit_binned(
         binned: &BinnedDataset,
         grad: &[f64],
-        hess: &[f64],
         rows: &[usize],
         features: &[usize],
         params: TreeParams,
     ) -> Self {
         let mut ws = TreeWorkspace::default();
         ws.rows.extend(rows.iter().map(|&i| i as u32));
-        Self::grow_binned(&mut ws, binned, grad, hess, features, params)
+        Self::grow_binned(&mut ws, binned, grad, features, params)
     }
 
     /// [`RegressionTree::fit_binned`] over the rows the caller put in
@@ -443,12 +468,21 @@ impl RegressionTree {
         ws: &mut TreeWorkspace,
         binned: &BinnedDataset,
         grad: &[f64],
-        hess: &[f64],
         features: &[usize],
         params: TreeParams,
     ) -> Self {
         assert!(!ws.rows.is_empty(), "cannot fit a tree to zero rows");
-        assert!(grad.len() >= binned.n_rows() && hess.len() >= binned.n_rows());
+        assert!(grad.len() >= binned.n_rows());
+        let (n, lambda) = (ws.rows.len(), params.lambda);
+        if ws.recip.len() != n + 1 || ws.recip_lambda.to_bits() != lambda.to_bits() {
+            // NaN (no bound) unless `-1 < λ <= 1e300`, where every `1/(k+λ)`,
+            // `k >= 1`, is a positive normal number.
+            let ok = lambda > -1.0 && lambda <= 1e300;
+            let r = |k: usize| 1.0 / (k as f64 + lambda);
+            ws.recip = (0..=n).map(|k| if ok { r(k) } else { f64::NAN }).collect();
+            ws.recip_lambda = lambda;
+        }
+        ws.leaves.clear();
         ws.offsets.clear();
         ws.offsets.push(0);
         let mut end = 0;
@@ -459,16 +493,16 @@ impl RegressionTree {
         let target = Target {
             binned,
             grad,
-            hess,
             features,
         };
-        let n = ws.rows.len();
+        // A tree has at most `min(n, 2^depth)` leaves.
+        let max_leaves = n.min(1 << params.max_depth.min(16));
         let mut grower = HistGrower {
             target,
             params,
             ws,
-            nodes: Vec::new(),
-            split_gains: Vec::new(),
+            nodes: Vec::with_capacity(2 * max_leaves - 1),
+            split_gains: Vec::with_capacity(max_leaves - 1),
         };
         if grower.searches(n, 0) {
             grower.ws.ensure_slots(1);
@@ -572,12 +606,10 @@ impl CompleteTree {
                 right,
             } => {
                 // The grower copies thresholds out of the cuts, so the bin
-                // is recovered exactly. (A NaN cut can only be a feature's
-                // single one, between -inf and +inf; `v > NaN` and
-                // `code > 0` are then both never true.)
+                // is recovered exactly.
                 let bin = cuts[feature].partition_point(|&c| c < threshold);
                 assert!(
-                    cuts[feature].get(bin) == Some(&threshold) || threshold.is_nan(),
+                    cuts[feature].get(bin) == Some(&threshold),
                     "split threshold {threshold} is not a cut of feature {feature}"
                 );
                 self.feature[k] = feature as u32;
@@ -684,6 +716,9 @@ impl BinKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn bin_column_one_bin_per_distinct_value_when_small() {
@@ -715,6 +750,42 @@ mod tests {
         assert_eq!(fb.codes[0], 0);
     }
 
+    /// One below 1.0 and 1.0, whose midpoint rounds up to 1.0; huge values
+    /// whose sum overflows either way; both infinities.
+    fn awkward_values() -> [f64; 8] {
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        [
+            f64::NEG_INFINITY,
+            -1.7e308,
+            -1.5e308,
+            below_one,
+            1.0,
+            1.5e308,
+            1.7e308,
+            f64::INFINITY,
+        ]
+    }
+
+    #[test]
+    fn bin_column_cuts_separate_values_whose_midpoint_does_not() {
+        let vals = awkward_values();
+        let fb = bin_column(&vals, 256);
+        assert_eq!(fb.codes, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        let want = [f64::NEG_INFINITY, -1.7e308, 0.5 * (-1.5e308 + vals[3])];
+        assert_eq!(fb.cuts[..3], want);
+        assert_eq!(
+            fb.cuts[3..],
+            [vals[3], 0.5 * (1.0 + 1.5e308), 1.5e308, 1.7e308]
+        );
+        for (v, &c) in vals.iter().zip(&fb.codes) {
+            for (b, &cut) in fb.cuts.iter().enumerate() {
+                assert_eq!(c as usize <= b, *v <= cut, "value {v} bin {c} cut {cut}");
+            }
+        }
+        let fb = bin_column(&[f64::INFINITY, f64::NEG_INFINITY], 8);
+        assert_eq!((fb.codes, fb.cuts), (vec![1, 0], vec![f64::NEG_INFINITY]));
+    }
+
     #[test]
     fn binned_dataset_shape() {
         let data = Dataset::from_rows(
@@ -735,14 +806,13 @@ mod tests {
         let ys: Vec<f64> = (0..10).map(|i| if i < 5 { 1.0 } else { 9.0 }).collect();
         let data = Dataset::from_rows(&rows_v, &ys);
         let grad: Vec<f64> = ys.iter().map(|y| -y).collect();
-        let hess = vec![1.0; 10];
         let binned = BinnedDataset::from_dataset(&data, DEFAULT_MAX_BINS);
         let rows: Vec<usize> = (0..10).collect();
         let params = TreeParams {
             lambda: 0.0,
             ..Default::default()
         };
-        let tree = RegressionTree::fit_binned(&binned, &grad, &hess, &rows, &[0], params);
+        let tree = RegressionTree::fit_binned(&binned, &grad, &rows, &[0], params);
         assert!((tree.predict_row(&[2.0]) - 1.0).abs() < 1e-9);
         assert!((tree.predict_row(&[8.0]) - 9.0).abs() < 1e-9);
     }
@@ -752,7 +822,6 @@ mod tests {
     struct Problem {
         binned: BinnedDataset,
         grad: Vec<f64>,
-        hess: Vec<f64>,
         rows: Vec<usize>,
     }
 
@@ -772,7 +841,6 @@ mod tests {
                     DEFAULT_MAX_BINS,
                 ),
                 grad: ys.iter().map(|y| 0.37 - y).collect(),
-                hess: vec![1.0; n],
                 rows,
             }
         }
@@ -783,16 +851,11 @@ mod tests {
                 max_depth,
                 ..Default::default()
             };
-            let Self {
-                binned,
-                grad,
-                hess,
-                rows,
-            } = self;
-            let fresh = RegressionTree::fit_binned(binned, grad, hess, rows, feats, params);
+            let Self { binned, grad, rows } = self;
+            let fresh = RegressionTree::fit_binned(binned, grad, rows, feats, params);
             ws.rows_mut().clear();
             ws.rows_mut().extend(rows.iter().map(|&i| i as u32));
-            let reused = RegressionTree::grow_binned(ws, binned, grad, hess, feats, params);
+            let reused = RegressionTree::grow_binned(ws, binned, grad, feats, params);
             assert_eq!(reused, fresh, "features {feats:?}, depth {max_depth}");
             assert!(fresh.n_leaves() > 2, "the fit must actually split");
             fresh
@@ -816,6 +879,285 @@ mod tests {
     }
 
     #[test]
+    fn every_leaf_holds_the_rows_its_walk_reaches() {
+        // The boosting loop adds a leaf's weight to the rows in its range
+        // instead of walking them down: that is the walk's answer only if
+        // a row's bin code and its raw value take every split the same way.
+        let vals = awkward_values();
+        let rows_v: Vec<Vec<f64>> = (0..32)
+            .map(|i| vec![vals[i % 8], vals[(i * 3 + i / 8) % 8]])
+            .collect();
+        let ys: Vec<f64> = (0..32).map(|i| ((i * 7) % 11) as f64).collect();
+        let data = Dataset::from_rows(&rows_v, &ys);
+        let binned = BinnedDataset::from_dataset(&data, DEFAULT_MAX_BINS);
+        let grad: Vec<f64> = ys.iter().map(|y| -y).collect();
+        let params = TreeParams {
+            max_depth: 8,
+            lambda: 0.0,
+            min_child_weight: 0.0,
+            ..Default::default()
+        };
+        let mut ws = TreeWorkspace::default();
+        ws.rows_mut().extend((0..32).rev());
+        let tree = RegressionTree::grow_binned(&mut ws, &binned, &grad, &[0, 1], params);
+        assert!(tree.n_leaves() > 8, "the fit must split on every value");
+        let mut seen = 0;
+        for (rows, w) in ws.leaf_rows() {
+            for &i in rows {
+                let walked = tree.predict_row(data.row(i as usize));
+                assert_eq!(walked.to_bits(), w.to_bits(), "row {i}");
+            }
+            seen += rows.len();
+        }
+        assert_eq!(seen, 32, "the leaves hold every row once");
+    }
+
+    /// The growth `HistGrower` performs — stable partitions, the smaller
+    /// child's histograms accumulated and the sibling's derived as
+    /// `parent − child` — with a split search that divides at every
+    /// candidate boundary.
+    struct Reference<'a> {
+        target: Target<'a>,
+        offsets: Vec<usize>,
+        params: TreeParams,
+        nodes: Vec<Node>,
+        split_gains: Vec<(usize, f64)>,
+    }
+
+    impl Reference<'_> {
+        fn fit(target: Target<'_>, rows: &[u32], params: TreeParams) -> RegressionTree {
+            let mut offsets = vec![0];
+            for &f in target.features {
+                offsets.push(offsets.last().unwrap() + target.binned.n_bins(f));
+            }
+            let mut hist = vec![HistBin::default(); *offsets.last().unwrap()];
+            target.accumulate(&offsets, rows, &mut hist);
+            let mut r = Reference {
+                target,
+                offsets,
+                params,
+                nodes: Vec::new(),
+                split_gains: Vec::new(),
+            };
+            r.grow(rows.to_vec(), hist, 0);
+            RegressionTree::from_parts(r.nodes, r.split_gains)
+        }
+
+        fn best_split(&self, hist: &[HistBin], g: f64, n: u32) -> Option<HistSplit> {
+            let p = self.params;
+            let score = |g: f64, n: u32| g * g / (n as f64 + p.lambda);
+            let mut best: Option<HistSplit> = None;
+            for (pos, &f) in self.target.features.iter().enumerate() {
+                let (mut gl, mut nl) = (0.0, 0u32);
+                for (b, &cut) in self.target.binned.cuts[f].iter().enumerate() {
+                    let bin = hist[self.offsets[pos] + b];
+                    gl += bin.g;
+                    nl += bin.n;
+                    let small = nl.min(n - nl);
+                    if bin.n == 0 || (small as usize) < p.min_samples_leaf {
+                        continue;
+                    }
+                    if small == 0 || (small as f64) < p.min_child_weight {
+                        continue;
+                    }
+                    let gain =
+                        0.5 * (score(gl, nl) + score(g - gl, n - nl) - score(g, n)) - p.gamma;
+                    if gain > 0.0 && best.as_ref().is_none_or(|s| gain > s.gain) {
+                        best = Some(HistSplit {
+                            feature: f,
+                            bin: b as u16,
+                            threshold: cut,
+                            gain,
+                        });
+                    }
+                }
+            }
+            best
+        }
+
+        fn grow(&mut self, rows: Vec<u32>, hist: Vec<HistBin>, depth: usize) -> usize {
+            let g: f64 = rows.iter().map(|&i| self.target.grad[i as usize]).sum();
+            let n = rows.len();
+            let split = (depth < self.params.max_depth && n >= 2)
+                .then(|| self.best_split(&hist, g, n as u32))
+                .flatten();
+            let Some(s) = split else {
+                let weight = -g / (n as f64 + self.params.lambda);
+                self.nodes.push(Node::Leaf { weight });
+                return self.nodes.len() - 1;
+            };
+            self.split_gains.push((s.feature, s.gain));
+            let codes = self.target.binned.feature_codes(s.feature);
+            let (left, right): (Vec<u32>, Vec<u32>) =
+                rows.iter().partition(|&&i| codes[i as usize] <= s.bin);
+            let left_is_small = left.len() <= right.len();
+            let mut small = vec![HistBin::default(); hist.len()];
+            let small_rows = if left_is_small { &left } else { &right };
+            self.target
+                .accumulate(&self.offsets, small_rows, &mut small);
+            let large = hist
+                .iter()
+                .zip(&small)
+                .map(|(p, s)| HistBin {
+                    g: p.g - s.g,
+                    n: p.n - s.n,
+                })
+                .collect();
+            let (lh, rh) = if left_is_small {
+                (small, large)
+            } else {
+                (large, small)
+            };
+            let me = self.nodes.len();
+            self.nodes.push(Node::Leaf { weight: 0.0 });
+            let left = self.grow(left, lh, depth + 1);
+            let right = self.grow(right, rh, depth + 1);
+            self.nodes[me] = Node::Split {
+                feature: s.feature,
+                threshold: s.threshold,
+                left,
+                right,
+            };
+            me
+        }
+    }
+
+    /// A node as bits, so `-0.0` and NaN compare by what they are.
+    fn node_bits(tree: &RegressionTree) -> Vec<(usize, u64, usize, usize)> {
+        let bits = |node: &Node| match *node {
+            Node::Leaf { weight } => (usize::MAX, weight.to_bits(), 0, 0),
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => (feature, threshold.to_bits(), left, right),
+        };
+        tree.nodes().iter().map(bits).collect()
+    }
+
+    /// Gradients made to stress the pre-screen's bound.
+    fn adversarial_gradients(rng: &mut ChaCha8Rng, n: usize) -> Vec<f64> {
+        let ulps = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+        let sign = |rng: &mut ChaCha8Rng| if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        let scale = 10f64.powi(rng.gen_range(-320..300));
+        // Where squares and scores are subnormal, a rounding step is a
+        // large relative error.
+        let tiny = 10f64.powi(rng.gen_range(-162..-154)) * rng.gen_range(1.0..10.0);
+        match rng.gen_range(0..5) {
+            // Near-ties: ±a and its neighbours a few ulps away, so many
+            // boundaries score within an ulp or two of each other.
+            0 => (0..n)
+                .map(|_| sign(rng) * ulps(scale, rng.gen_range(0..3)))
+                .collect(),
+            1 => (0..n)
+                .map(|_| sign(rng) * ulps(tiny, rng.gen_range(0..3)))
+                .collect(),
+            // Magnitudes from 1e-300 to 1e300 in one node, and subnormals.
+            2 => (0..n)
+                .map(|_| sign(rng) * 10f64.powi(rng.gen_range(-300..=300)))
+                .chain([5e-324, -2.2e-308])
+                .take(n)
+                .collect(),
+            // A step plus noise at one scale, from subnormal to 1e300.
+            3 => (0..n)
+                .map(|i| scale * ((i % 5) as f64 + rng.gen::<f64>()))
+                .collect(),
+            _ => (0..n).map(|_| scale * (rng.gen::<f64>() - 0.5)).collect(),
+        }
+    }
+
+    #[test]
+    fn prescreen_never_changes_the_chosen_split() {
+        // Features 1 and 2 group feature 0's values in twos and threes, and
+        // feature 3 reverses it: each of their boundaries splits the rows as
+        // one of feature 0's does, with the gradients summed in another
+        // order — the same gain up to the last bits. Feature 4 has few
+        // levels.
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut split = 0;
+        for case in 0..3000 {
+            let n = rng.gen_range(4..48);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let xs: Vec<Vec<f64>> = order
+                .iter()
+                .map(|&k| {
+                    let k = k as f64;
+                    vec![k, (k / 2.0).floor(), (k / 3.0).floor(), -k, k % 3.0]
+                })
+                .collect();
+            let data = Dataset::from_rows(&xs, &vec![0.0; n]);
+            let binned = BinnedDataset::from_dataset(&data, DEFAULT_MAX_BINS);
+            let grad = adversarial_gradients(&mut rng, n);
+            let params = TreeParams {
+                max_depth: rng.gen_range(1..5),
+                lambda: [0.0, 1.0][rng.gen_range(0..2usize)],
+                min_child_weight: [0.0, 1.0, 2.5][rng.gen_range(0..3usize)],
+                min_samples_leaf: rng.gen_range(1..4),
+                gamma: 0.0,
+            };
+            let mut rows: Vec<usize> = (0..n).collect();
+            rows.shuffle(&mut rng);
+            rows.truncate(rng.gen_range(n / 2..=n).max(1));
+            let mut feats = vec![0, 1, 2, 3, 4];
+            feats.shuffle(&mut rng);
+            let target = Target {
+                binned: &binned,
+                grad: &grad,
+                features: &feats,
+            };
+            let rows32: Vec<u32> = rows.iter().map(|&i| i as u32).collect();
+            let want = Reference::fit(target, &rows32, params);
+            let got = RegressionTree::fit_binned(&binned, &grad, &rows, &feats, params);
+            let what = format!("case {case}: {params:?}, features {feats:?}, grad {grad:?}");
+            assert_eq!(node_bits(&got), node_bits(&want), "{what}");
+            // Gains are positive, where `==` is bitwise.
+            assert_eq!(got, want, "{what}");
+            split += (got.n_leaves() > 1) as usize;
+        }
+        assert!(split > 1000, "only {split} of the trees split");
+    }
+
+    #[test]
+    fn sum_bound_is_never_below_the_divided_sum() {
+        // The table as a fit of `n` rows builds it.
+        let recip = |n: usize, lambda: f64| {
+            let data = Dataset::from_rows(&vec![vec![0.0]; n], &vec![0.0; n]);
+            let binned = BinnedDataset::from_dataset(&data, DEFAULT_MAX_BINS);
+            let mut ws = TreeWorkspace::default();
+            ws.rows_mut().extend(0..n as u32);
+            let params = TreeParams {
+                lambda,
+                ..Default::default()
+            };
+            RegressionTree::grow_binned(&mut ws, &binned, &vec![0.0; n], &[0], params);
+            ws.recip
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for lambda in [0.0, 1.0, 0.3, 1e300, 1e308, -0.5, -3.0, f64::NAN] {
+            let recip = recip(64, lambda);
+            for _ in 0..100_000 {
+                // Squares from subnormal to overflowing, dense just below
+                // the normal range, where one rounding step is a large
+                // relative error.
+                let e = [rng.gen_range(-1080..1030), rng.gen_range(-1040..-1015)]
+                    [rng.gen_range(0..2usize)];
+                let mut q = || 2f64.powi(e + rng.gen_range(-3..3)) * rng.gen_range(1.0..2.0);
+                let (ql, qr) = (q(), q());
+                let (nl, nr) = (rng.gen_range(1..64u32), rng.gen_range(1..64u32));
+                let sum = ql / (nl as f64 + lambda) + qr / (nr as f64 + lambda);
+                let bound = sum_bound(&recip, ql, nl, qr, nr);
+                // A NaN bound rules nothing out, so it passes too.
+                assert!(
+                    bound >= sum || bound.is_nan(),
+                    "λ {lambda}: {ql:e}/{nl} + {qr:e}/{nr} = {sum:e} > {bound:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn kernel_pads_shallow_leaves_to_their_leftmost_descendant() {
         // x0 <= 0.5 is a leaf; x0 > 0.5 splits again on x1.
         let rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]];
@@ -828,8 +1170,7 @@ mod tests {
             min_child_weight: 0.0,
             ..Default::default()
         };
-        let tree =
-            RegressionTree::fit_binned(&binned, &grad, &[1.0; 4], &[0, 1, 2, 3], &[0, 1], params);
+        let tree = RegressionTree::fit_binned(&binned, &grad, &[0, 1, 2, 3], &[0, 1], params);
         assert_eq!((tree.depth(), tree.n_leaves()), (2, 3));
         let kernel = BinKernel::new(std::slice::from_ref(&tree), binned).expect("two levels");
         let t = &kernel.trees[0];

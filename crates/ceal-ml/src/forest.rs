@@ -83,11 +83,10 @@ impl Regressor for RandomForest {
         let p = data.n_features();
         let p_sub = ((p as f64 * self.params.colsample).round() as usize).clamp(1, p.max(1));
 
-        // Bin features and derive mean-leaf gradients (`g = -y`, `h = 1`,
+        // Bin features and derive mean-leaf gradients (`g = -y`,
         // `lambda = 0`) once; every tree shares them.
         let binned = BinnedDataset::from_dataset(data, DEFAULT_MAX_BINS);
         let grad: Vec<f64> = data.targets().iter().map(|y| -y).collect();
-        let hess = vec![1.0; n];
         let tree_params = TreeParams {
             lambda: 0.0,
             ..self.params.tree
@@ -104,7 +103,7 @@ impl Regressor for RandomForest {
             let mut feats: Vec<usize> = (0..p).collect();
             feats.shuffle(&mut rng);
             feats.truncate(p_sub);
-            RegressionTree::fit_binned(&binned, &grad, &hess, &rows, &feats, tree_params)
+            RegressionTree::fit_binned(&binned, &grad, &rows, &feats, tree_params)
         });
         self.flat = FlatTrees::from_trees(&self.trees);
     }

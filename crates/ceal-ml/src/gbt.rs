@@ -1,7 +1,7 @@
 //! Gradient-boosted regression trees (XGBoost-style).
 //!
-//! Squared-error objective: per round, gradients are `g_i = ŷ_i − y_i`,
-//! hessians `h_i = 1`; a [`RegressionTree`] is fit to them and its
+//! Squared-error objective: per round, gradients are `g_i = ŷ_i − y_i`
+//! (hessians are all 1); a [`RegressionTree`] is fit to them and its
 //! predictions are added with shrinkage `learning_rate`. Row subsampling and
 //! per-tree column subsampling provide stochastic regularization, matching
 //! the `xgboost.XGBRegressor` defaults the paper tunes with.
@@ -139,13 +139,13 @@ impl Regressor for GradientBoosting {
         let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed);
         let mut pred = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
-        let hess = vec![1.0; n];
         let n_sub = ((n as f64 * self.params.subsample).round() as usize).clamp(1, n);
         let p_sub = ((p as f64 * self.params.colsample).round() as usize).clamp(1, p.max(1));
-        // One workspace and one feature buffer for every round: refilled,
-        // never reallocated.
+        // One workspace and one feature and one out-of-sample buffer for
+        // every round: refilled, never reallocated.
         let mut ws = TreeWorkspace::default();
         let mut feats: Vec<usize> = Vec::with_capacity(p);
+        let mut dropped: Vec<u32> = Vec::with_capacity(n - n_sub);
 
         for _ in 0..self.params.n_rounds {
             for ((g, p), y) in grad.iter_mut().zip(&pred).zip(data.targets()) {
@@ -154,9 +154,10 @@ impl Regressor for GradientBoosting {
             let rows = ws.rows_mut();
             rows.clear();
             rows.extend(0..n as u32);
+            dropped.clear();
             if n_sub < n {
                 rows.shuffle(&mut rng);
-                rows.truncate(n_sub);
+                dropped.extend(rows.drain(n_sub..));
             }
             feats.clear();
             feats.extend(0..p);
@@ -164,16 +165,18 @@ impl Regressor for GradientBoosting {
                 feats.shuffle(&mut rng);
                 feats.truncate(p_sub);
             }
-            let tree = RegressionTree::grow_binned(
-                &mut ws,
-                &binned,
-                &grad,
-                &hess,
-                &feats,
-                self.params.tree,
-            );
-            for (i, p) in pred.iter_mut().enumerate() {
-                *p += self.params.learning_rate * tree.predict_row(data.row(i));
+            let tree =
+                RegressionTree::grow_binned(&mut ws, &binned, &grad, &feats, self.params.tree);
+            // The grower left each sampled row in its leaf's range of rows,
+            // so only the rows the subsample dropped walk the tree.
+            let lr = self.params.learning_rate;
+            for (rows, w) in ws.leaf_rows() {
+                for &i in rows {
+                    pred[i as usize] += lr * w;
+                }
+            }
+            for &i in &dropped {
+                pred[i as usize] += lr * tree.predict_row(data.row(i as usize));
             }
             self.trees.push(tree);
         }

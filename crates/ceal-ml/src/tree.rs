@@ -1,25 +1,25 @@
 //! A regression tree grown with the XGBoost split criterion.
 //!
-//! The tree is fit to per-row first/second-order gradient statistics
-//! `(g_i, h_i)` rather than raw targets, which lets one implementation serve
-//! both gradient boosting (where `g = prediction - target`, `h = 1` for
-//! squared loss) and plain target fitting (`g = -target`, `h = 1`, giving
-//! mean-value leaves), as used by the random forest.
+//! The tree is fit to per-row gradients `g_i` of the squared-error loss,
+//! whose hessians are all 1, so a node's hessian sum is its row count `n`.
+//! That lets one implementation serve both gradient boosting (where
+//! `g = prediction - target`) and plain target fitting (`g = -target`,
+//! `λ = 0`, giving mean-value leaves), as used by the random forest.
 //!
 //! Split scoring follows Chen & Guestrin (KDD '16), the model the paper's
 //! tuner uses:
 //!
 //! ```text
-//! gain = 1/2 * ( GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ) ) − γ
+//! gain = 1/2 * ( GL²/(nL+λ) + GR²/(nR+λ) − G²/(n+λ) ) − γ
 //! ```
 //!
-//! with leaf weight `−G/(H+λ)`. Two split-search strategies share that
+//! with leaf weight `−G/(n+λ)`. Two split-search strategies share that
 //! criterion: [`RegressionTree::fit_gradients`] quantizes features and
 //! scans per-bin histograms (the fast default, see [`crate::binned`]),
 //! while [`RegressionTree::fit_gradients_exact`] keeps the original exact
 //! greedy enumeration — each node sorts its rows by each candidate feature
-//! and scans prefix sums of `G`/`H` — as the reference the binned path is
-//! tested and benchmarked against.
+//! and scans prefix sums of `G` — as the reference the binned path is
+//! tested against.
 
 use crate::binned::{BinnedDataset, DEFAULT_MAX_BINS};
 use crate::dataset::Dataset;
@@ -29,7 +29,8 @@ use crate::dataset::Dataset;
 pub struct TreeParams {
     /// Maximum tree depth (root = depth 0). Depth 0 yields a single leaf.
     pub max_depth: usize,
-    /// Minimum sum of hessians required in each child.
+    /// Minimum number of rows in each child, as a float: the squared-error
+    /// hessian sum, which XGBoost calls the child weight.
     pub min_child_weight: f64,
     /// L2 regularization on leaf weights (XGBoost `lambda`).
     pub lambda: f64,
@@ -75,7 +76,6 @@ pub struct RegressionTree {
 struct Grower<'a> {
     data: &'a Dataset,
     grad: &'a [f64],
-    hess: &'a [f64],
     features: &'a [usize],
     params: TreeParams,
     nodes: Vec<Node>,
@@ -89,20 +89,15 @@ struct BestSplit {
 }
 
 impl<'a> Grower<'a> {
-    fn leaf_weight(&self, g: f64, h: f64) -> f64 {
-        -g / (h + self.params.lambda)
-    }
-
-    fn score(&self, g: f64, h: f64) -> f64 {
-        g * g / (h + self.params.lambda)
+    fn score(&self, g: f64, n: usize) -> f64 {
+        g * g / (n as f64 + self.params.lambda)
     }
 
     /// Finds the best split for the rows in `rows`, or `None` when no split
     /// satisfies the constraints with positive gain.
     fn best_split(&self, rows: &[usize], scratch: &mut Vec<(f64, usize)>) -> Option<BestSplit> {
         let total_g: f64 = rows.iter().map(|&i| self.grad[i]).sum();
-        let total_h: f64 = rows.iter().map(|&i| self.hess[i]).sum();
-        let parent_score = self.score(total_g, total_h);
+        let parent_score = self.score(total_g, rows.len());
         let mut best: Option<BestSplit> = None;
 
         for &f in self.features {
@@ -110,11 +105,9 @@ impl<'a> Grower<'a> {
             scratch.extend(rows.iter().map(|&i| (self.data.value(i, f), i)));
             scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mut gl = 0.0;
-            let mut hl = 0.0;
             for k in 0..scratch.len() - 1 {
                 let (v, i) = scratch[k];
                 gl += self.grad[i];
-                hl += self.hess[i];
                 let v_next = scratch[k + 1].0;
                 if v_next == v {
                     continue; // no split point between equal values
@@ -124,12 +117,12 @@ impl<'a> Grower<'a> {
                 if n_left < self.params.min_samples_leaf || n_right < self.params.min_samples_leaf {
                     continue;
                 }
-                let gr = total_g - gl;
-                let hr = total_h - hl;
-                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                let mcw = self.params.min_child_weight;
+                if (n_left as f64) < mcw || (n_right as f64) < mcw {
                     continue;
                 }
-                let gain = 0.5 * (self.score(gl, hl) + self.score(gr, hr) - parent_score)
+                let gr = total_g - gl;
+                let gain = 0.5 * (self.score(gl, n_left) + self.score(gr, n_right) - parent_score)
                     - self.params.gamma;
                 if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
                     best = Some(BestSplit {
@@ -145,7 +138,6 @@ impl<'a> Grower<'a> {
 
     fn grow(&mut self, rows: Vec<usize>, depth: usize, scratch: &mut Vec<(f64, usize)>) -> usize {
         let g: f64 = rows.iter().map(|&i| self.grad[i]).sum();
-        let h: f64 = rows.iter().map(|&i| self.hess[i]).sum();
 
         let split = if depth >= self.params.max_depth || rows.len() < 2 {
             None
@@ -156,7 +148,7 @@ impl<'a> Grower<'a> {
         match split {
             None => {
                 self.nodes.push(Node::Leaf {
-                    weight: self.leaf_weight(g, h),
+                    weight: -g / (rows.len() as f64 + self.params.lambda),
                 });
                 self.nodes.len() - 1
             }
@@ -192,8 +184,8 @@ impl RegressionTree {
         &self.nodes
     }
 
-    /// Fits a tree to gradient statistics over `rows` of `data`, considering
-    /// only the features in `features`.
+    /// Fits a tree to the gradients `grad` over `rows` of `data`,
+    /// considering only the features in `features`.
     ///
     /// Quantizes the dataset and grows via histogram split finding
     /// ([`RegressionTree::fit_binned`]). Callers fitting many trees on one
@@ -203,43 +195,37 @@ impl RegressionTree {
     /// [`RegressionTree::fit_gradients_exact`].
     ///
     /// # Panics
-    /// Panics if `grad`/`hess` are shorter than the dataset, or `rows` is
-    /// empty.
+    /// Panics if `grad` is shorter than the dataset, or `rows` is empty.
     pub fn fit_gradients(
         data: &Dataset,
         grad: &[f64],
-        hess: &[f64],
         rows: &[usize],
         features: &[usize],
         params: TreeParams,
     ) -> Self {
         let binned = BinnedDataset::from_dataset(data, DEFAULT_MAX_BINS);
-        Self::fit_binned(&binned, grad, hess, rows, features, params)
+        Self::fit_binned(&binned, grad, rows, features, params)
     }
 
     /// Fits a tree by exact greedy split enumeration (per-node sorts).
     ///
-    /// This is the reference implementation the histogram path is validated
-    /// against in tests and benchmarked against in `ceal-bench`; production
-    /// callers use [`RegressionTree::fit_gradients`].
+    /// A test oracle: `tests/binned_equivalence.rs` checks the histogram
+    /// path against it. Product code calls [`RegressionTree::fit_binned`].
     ///
     /// # Panics
-    /// Panics if `grad`/`hess` are shorter than the dataset, or `rows` is
-    /// empty.
+    /// Panics if `grad` is shorter than the dataset, or `rows` is empty.
     pub fn fit_gradients_exact(
         data: &Dataset,
         grad: &[f64],
-        hess: &[f64],
         rows: &[usize],
         features: &[usize],
         params: TreeParams,
     ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree to zero rows");
-        assert!(grad.len() >= data.n_rows() && hess.len() >= data.n_rows());
+        assert!(grad.len() >= data.n_rows());
         let mut grower = Grower {
             data,
             grad,
-            hess,
             features,
             params,
             nodes: Vec::new(),
@@ -253,8 +239,9 @@ impl RegressionTree {
         }
     }
 
-    /// Fits a plain mean-leaf regression tree directly to the targets
-    /// (used by the random forest): `g = -y`, `h = 1`, `lambda = 0`.
+    /// Fits a plain mean-leaf regression tree directly to the targets:
+    /// `g = -y`, `lambda = 0`. A test oracle; the random forest derives the
+    /// same gradients once per fit and calls [`RegressionTree::fit_binned`].
     pub fn fit_targets(
         data: &Dataset,
         rows: &[usize],
@@ -262,12 +249,11 @@ impl RegressionTree {
         params: TreeParams,
     ) -> Self {
         let grad: Vec<f64> = data.targets().iter().map(|y| -y).collect();
-        let hess = vec![1.0; data.n_rows()];
         let params = TreeParams {
             lambda: 0.0,
             ..params
         };
-        Self::fit_gradients(data, &grad, &hess, rows, features, params)
+        Self::fit_gradients(data, &grad, rows, features, params)
     }
 
     /// Predicts the leaf weight for a feature row.
@@ -409,13 +395,12 @@ mod tests {
     fn lambda_shrinks_leaf_weights() {
         let data = Dataset::from_rows(&[vec![0.0], vec![1.0]], &[10.0, 10.0]);
         let grad: Vec<f64> = data.targets().iter().map(|y| -y).collect();
-        let hess = vec![1.0; 2];
         let params = TreeParams {
             max_depth: 0,
             lambda: 2.0,
             ..Default::default()
         };
-        let tree = RegressionTree::fit_gradients(&data, &grad, &hess, &[0, 1], &[0], params);
+        let tree = RegressionTree::fit_gradients(&data, &grad, &[0, 1], &[0], params);
         // weight = -G/(H+lambda) = 20/(2+2) = 5.
         assert!((tree.predict_row(&[0.0]) - 5.0).abs() < 1e-9);
     }

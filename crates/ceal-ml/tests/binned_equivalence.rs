@@ -2,7 +2,7 @@
 //!
 //! **Growth.** With at least as many bins as distinct feature values, the
 //! binned candidate-split set equals the exact one, so on integer-valued
-//! data (where gradient/hessian sums are exact in f64) training-row
+//! data (where gradient sums are exact in f64) training-row
 //! predictions are bit-identical to the exact-greedy grower's. With fewer
 //! bins the splits are quantile-approximate and only accuracy is
 //! guaranteed.
@@ -16,8 +16,8 @@ use ceal_ml::{BinnedDataset, Dataset, GbtParams, GradientBoosting, Regressor};
 use ceal_ml::{RegressionTree, TreeParams, DEFAULT_MAX_BINS};
 use proptest::prelude::*;
 
-/// Deterministic integer-valued dataset: sums of `g = -y`, `h = 1` are
-/// exact in f64, so binned and exact trees agree bit-for-bit.
+/// Deterministic integer-valued dataset: sums of `g = -y` are exact in
+/// f64, so binned and exact trees agree bit-for-bit.
 fn integer_dataset(n: usize, p: usize) -> Dataset {
     let mut rows = Vec::with_capacity(n);
     let mut ys = Vec::with_capacity(n);
@@ -57,7 +57,6 @@ fn continuous_dataset(n: usize, p: usize) -> Dataset {
 fn single_tree_bit_identical_on_integer_data() {
     let data = integer_dataset(120, 4);
     let grad: Vec<f64> = data.targets().iter().map(|y| -y).collect();
-    let hess = vec![1.0; data.n_rows()];
     let rows: Vec<usize> = (0..data.n_rows()).collect();
     let feats: Vec<usize> = (0..data.n_features()).collect();
     for max_depth in [1, 3, 6] {
@@ -65,8 +64,8 @@ fn single_tree_bit_identical_on_integer_data() {
             max_depth,
             ..Default::default()
         };
-        let exact = RegressionTree::fit_gradients_exact(&data, &grad, &hess, &rows, &feats, params);
-        let binned = RegressionTree::fit_gradients(&data, &grad, &hess, &rows, &feats, params);
+        let exact = RegressionTree::fit_gradients_exact(&data, &grad, &rows, &feats, params);
+        let binned = RegressionTree::fit_gradients(&data, &grad, &rows, &feats, params);
         assert_eq!(exact.n_leaves(), binned.n_leaves(), "depth {max_depth}");
         assert_eq!(exact.depth(), binned.depth(), "depth {max_depth}");
         for i in 0..data.n_rows() {
@@ -85,7 +84,6 @@ fn single_tree_bit_identical_on_row_subsets() {
     // Node-level sums run over subsets; exercise the partition paths too.
     let data = integer_dataset(90, 3);
     let grad: Vec<f64> = data.targets().iter().map(|y| -y).collect();
-    let hess = vec![1.0; data.n_rows()];
     let rows: Vec<usize> = (0..data.n_rows()).filter(|i| i % 3 != 0).collect();
     let feats = [0usize, 2];
     let params = TreeParams {
@@ -93,8 +91,8 @@ fn single_tree_bit_identical_on_row_subsets() {
         min_samples_leaf: 2,
         ..Default::default()
     };
-    let exact = RegressionTree::fit_gradients_exact(&data, &grad, &hess, &rows, &feats, params);
-    let binned = RegressionTree::fit_gradients(&data, &grad, &hess, &rows, &feats, params);
+    let exact = RegressionTree::fit_gradients_exact(&data, &grad, &rows, &feats, params);
+    let binned = RegressionTree::fit_gradients(&data, &grad, &rows, &feats, params);
     for &i in &rows {
         assert_eq!(
             exact.predict_row(data.row(i)),
@@ -122,7 +120,6 @@ fn boosting_matches_exact_reference_within_tolerance() {
     let base = data.target_mean();
     let mut pred = vec![base; n];
     let mut grad = vec![0.0; n];
-    let hess = vec![1.0; n];
     let rows: Vec<usize> = (0..n).collect();
     let feats: Vec<usize> = (0..data.n_features()).collect();
     let mut exact_trees = Vec::new();
@@ -130,8 +127,7 @@ fn boosting_matches_exact_reference_within_tolerance() {
         for ((g, p), y) in grad.iter_mut().zip(&pred).zip(data.targets()) {
             *g = p - y;
         }
-        let tree =
-            RegressionTree::fit_gradients_exact(&data, &grad, &hess, &rows, &feats, params.tree);
+        let tree = RegressionTree::fit_gradients_exact(&data, &grad, &rows, &feats, params.tree);
         for (i, p) in pred.iter_mut().enumerate() {
             *p += params.learning_rate * tree.predict_row(data.row(i));
         }
@@ -163,7 +159,6 @@ fn coarse_bins_stay_accurate() {
     // does.
     let data = continuous_dataset(300, 4);
     let grad: Vec<f64> = data.targets().iter().map(|y| -y).collect();
-    let hess = vec![1.0; data.n_rows()];
     let rows: Vec<usize> = (0..data.n_rows()).collect();
     let feats: Vec<usize> = (0..data.n_features()).collect();
     let params = TreeParams {
@@ -180,10 +175,10 @@ fn coarse_bins_stay_accurate() {
             })
             .sum()
     };
-    let exact = RegressionTree::fit_gradients_exact(&data, &grad, &hess, &rows, &feats, params);
+    let exact = RegressionTree::fit_gradients_exact(&data, &grad, &rows, &feats, params);
     let coarse = BinnedDataset::from_dataset(&data, 16);
     assert!(coarse.n_bins(0) <= 16);
-    let binned = RegressionTree::fit_binned(&coarse, &grad, &hess, &rows, &feats, params);
+    let binned = RegressionTree::fit_binned(&coarse, &grad, &rows, &feats, params);
     let (e_exact, e_binned) = (sse(&exact), sse(&binned));
     assert!(
         e_binned <= e_exact * 1.5 + 1e-9,
