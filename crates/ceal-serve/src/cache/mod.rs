@@ -16,9 +16,10 @@
 //!   hot lookups never touch disk;
 //! * **sharded persistence** ([`shard`]): one append-only, per-record
 //!   checksummed log per workflow under a cache directory, with a small
-//!   in-memory index of where each campaign's record sits — a `put`
-//!   appends one record and a disk-tier `get` reads and decodes one, so
-//!   neither depends on how many campaigns are cached. A cache of an older
+//!   in-memory index of where each campaign's record sits and what a
+//!   `Tune` answers from it — a `put` appends one record, a disk-tier `get`
+//!   reads and decodes one and a `Tune`'s lookup reads and checks one, so
+//!   none depends on how many campaigns are cached. A cache of an older
 //!   layout is not migrated in place: `cache import` converts it. A
 //!   campaign whose write fails is counted, warned about and still served
 //!   from the front;
@@ -241,7 +242,9 @@ impl AutotuneCache {
 
     /// [`AutotuneCache::get`], also naming the tier that answered —
     /// `"front"` (LRU hit), `"disk"` (shard hit, promoted), or `"miss"` —
-    /// so callers can attribute the lookup in trace events.
+    /// so callers can attribute the lookup in trace events. A resident a
+    /// `Tune` promoted holds only its answer: here it is a miss, and the
+    /// disk hit replaces it with the whole entry.
     pub fn get_with_tier(&self, key: &CacheKey) -> (Option<CacheEntry>, &'static str) {
         if let Some(hit) = self.front.lock().get(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
@@ -257,22 +260,40 @@ impl AutotuneCache {
         }
     }
 
-    /// A `Tune`'s lookup for a caller that must not wait — the reactor
-    /// thread: [`AutotuneCache::get_with_tier`]'s tiers and counters, but
-    /// only the [`TuneAnswer`]. A front hit, or a disk hit the shard
-    /// answers without waiting (its shard known and indexed, both locks
-    /// free, a frame the page cache holds), is counted and promoted exactly
-    /// as there, the decoded entry moving into the front; a taken lock, a
-    /// miss and every disk read that could wait are `None`, with nothing
-    /// counted, for `get_with_tier` to answer where it may wait.
+    /// A `Tune`'s lookup: [`AutotuneCache::get_with_tier`]'s tiers and
+    /// counters, but only the [`TuneAnswer`]. A disk hit is answered from
+    /// the shard's index once its frame checks — nothing is decoded — and
+    /// promoted into the front as its answer alone, which a later `get`
+    /// counts as a miss and replaces with the whole entry.
+    pub(crate) fn answer(&self, key: &CacheKey) -> (Option<TuneAnswer>, &'static str) {
+        if let Some(hit) = self.front.lock().answer(key) {
+            self.lru_hits.fetch_add(1, Ordering::Relaxed);
+            return (Some(hit), "front");
+        }
+        self.lru_misses.fetch_add(1, Ordering::Relaxed);
+        match self.store.as_ref().and_then(|store| store.answer(key)) {
+            Some(answer) => {
+                self.front.lock().insert_answer(key, answer.clone());
+                (Some(answer), "disk")
+            }
+            None => (None, "miss"),
+        }
+    }
+
+    /// [`AutotuneCache::answer`] for a caller that must not wait — the
+    /// reactor thread. A front hit, or a disk hit the shard answers
+    /// without waiting (its shard known and indexed, both locks free, a
+    /// frame the page cache holds), is counted and promoted exactly as
+    /// there; a taken lock, a miss and every disk read that could wait are
+    /// `None`, with nothing counted, for `answer` to answer where it may
+    /// wait.
     pub(crate) fn answer_nowait(&self, key: &CacheKey) -> Option<(TuneAnswer, &'static str)> {
         if let Some(hit) = self.front.try_lock()?.answer(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
             return Some((hit, "front"));
         }
-        let found = self.store.as_ref()?.get_nowait(key)?;
-        let answer = TuneAnswer::of(&found);
-        self.front.try_lock()?.insert(found);
+        let answer = self.store.as_ref()?.answer_nowait(key)?;
+        self.front.try_lock()?.insert_answer(key, answer.clone());
         self.lru_misses.fetch_add(1, Ordering::Relaxed);
         Some((answer, "disk"))
     }

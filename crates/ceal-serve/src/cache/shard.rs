@@ -10,10 +10,14 @@
 //! The framing is [`ceal_core::frame`], the journal's. A `put` appends one
 //! frame and `sync_data`s; a replaced key is simply a newer record that
 //! shadows the older one. In memory each shard keeps only an index — per
-//! live key its platform features, whether it has samples, and where its
-//! frame sits — built by one scan the first time the shard is touched, so
-//! a lookup reads and decodes exactly one entry and a nearest-sibling
-//! search decodes only its winner.
+//! live key its platform features, whether it has samples, the four
+//! fields a `Tune` replies with, and where its frame sits — built by one
+//! scan the first time the shard is touched and kept by every `put`,
+//! both of which hold the decoded entry already. So a `get` reads and
+//! decodes exactly one entry, a nearest-sibling search decodes only its
+//! winner, and a `Tune`'s lookup decodes nothing: it reads and checks the
+//! frame — a record gone bad since the scan is still a miss — and
+//! answers from the row.
 //!
 //! That first-touch scan is also the only place a log is ever rewritten:
 //! a torn or corrupt tail is truncated (everything before it still
@@ -23,11 +27,12 @@
 //! lets reads happen outside the shard lock. The lock is in-process: one
 //! process owns a cache directory at a time.
 //!
-//! Two lookups read the same frames: `get`, which may wait for the locks
-//! and the disk, and `get_nowait` for the reactor thread, which takes the
-//! shard map and the shard lock only if they are free, never indexes, and
-//! reads only a frame the page cache holds whole (`preadv2` with
-//! `RWF_NOWAIT`); whatever it cannot answer that way it leaves to `get`.
+//! A `Tune` looks up in one of two ways: `answer`, which may wait for the
+//! locks and the disk, and `answer_nowait` for the reactor thread, which
+//! takes the shard map and the shard lock only if they are free, never
+//! indexes, and reads only a frame the page cache holds whole (`preadv2`
+//! with `RWF_NOWAIT`); whatever it cannot answer that way it leaves to
+//! `answer`.
 //!
 //! A log whose magic is wrong is set aside as `*.invalid`, never trusted
 //! and never destroyed. Caches of the layouts before the log (a directory
@@ -35,7 +40,7 @@
 //! read here at all: `cache import` converts them.
 
 use super::transfer::{self, TransferHit};
-use super::{CacheEntry, CacheKey};
+use super::{CacheEntry, CacheKey, TuneAnswer};
 #[cfg(target_os = "linux")]
 use crate::reactor::sys::read_if_cached;
 use ceal_core::frame;
@@ -53,12 +58,24 @@ use std::time::Instant;
 pub(crate) const LOG_MAGIC: &[u8; 8] = b"CEALCSH1";
 
 /// What the index remembers about one live entry — enough to answer
-/// "is it cached?" and to rank transfer candidates without touching the
-/// file. Never the samples.
+/// "is it cached?", to rank transfer candidates and to answer a `Tune`
+/// without decoding the frame. Never the samples.
 struct Row {
     platform_features: Vec<f64>,
     has_samples: bool,
+    answer: TuneAnswer,
     span: Span,
+}
+
+impl Row {
+    fn of(entry: &CacheEntry, span: Span) -> Row {
+        Row {
+            platform_features: entry.platform_features.clone(),
+            has_samples: !entry.samples.is_empty(),
+            answer: TuneAnswer::of(entry),
+            span,
+        }
+    }
 }
 
 /// Where one entry's frame sits in the log. Live rows ordered by
@@ -266,14 +283,11 @@ impl ShardStore {
                 let Ok(entry) = serde_json::from_slice::<CacheEntry>(payload) else {
                     return false;
                 };
-                let row = Row {
-                    platform_features: entry.platform_features,
-                    has_samples: !entry.samples.is_empty(),
-                    span: Span {
-                        offset: offset as u64,
-                        len: payload.len() as u32,
-                    },
+                let span = Span {
+                    offset: offset as u64,
+                    len: payload.len() as u32,
                 };
+                let row = Row::of(&entry, span);
                 if let Some(shadowed) = rows.insert(entry.key, row) {
                     dead_bytes += shadowed.span.frame_len();
                 }
@@ -420,14 +434,7 @@ impl ShardStore {
             log.end = base + frames.len() as u64;
             for (entry, mut span) in entries.iter().zip(spans) {
                 span.offset += base;
-                log.rows.insert(
-                    entry.key.clone(),
-                    Row {
-                        platform_features: entry.platform_features.clone(),
-                        has_samples: !entry.samples.is_empty(),
-                        span,
-                    },
-                );
+                log.rows.insert(entry.key.clone(), Row::of(entry, span));
             }
             Ok(())
         })
@@ -456,12 +463,19 @@ impl ShardStore {
         self.indexed(shard, |log| log.file.clone().zip(choose(log)))?
     }
 
-    /// Reads the frame at `span`, checks it, and decodes its entry.
-    fn fetch(&self, shard: &Shard, file: &File, span: Span) -> Option<CacheEntry> {
+    /// Reads the frame at `span`, checks it, and opens its payload with
+    /// `open`.
+    fn fetch<T>(
+        &self,
+        shard: &Shard,
+        file: &File,
+        span: Span,
+        open: impl FnOnce(&[u8]) -> std::io::Result<T>,
+    ) -> Option<T> {
         let read = || {
             let mut buf = vec![0u8; span.frame_len() as usize];
             file.read_exact_at(&mut buf, span.offset)?;
-            decode(&buf, span)
+            open(checked(&buf, span)?)
         };
         read().map_or_else(|e| self.unreadable(shard, &e), Some)
     }
@@ -481,30 +495,63 @@ impl ShardStore {
     pub(crate) fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
         let shard = self.shard(&key.workflow);
         let (file, span) = self.pick(&shard, |log| log.rows.get(key).map(|row| row.span))?;
-        self.fetch(&shard, &file, span)
+        self.fetch(&shard, &file, span, decode)
     }
 
-    /// [`ShardStore::get`] for a caller that must not wait: the entry if
-    /// the shard map is free and knows the shard (one it does not know has
-    /// not been indexed either), the shard is already indexed, its lock is
-    /// free (a `put` holds it across `sync_data`, the first-touch scan
+    /// [`ShardStore::get`] for a `Tune`: the answer its index row holds,
+    /// once the entry's frame is read and checks — nothing is decoded.
+    pub(crate) fn answer(&self, key: &CacheKey) -> Option<TuneAnswer> {
+        let shard = self.shard(&key.workflow);
+        let (file, (span, answer)) = self.pick(&shard, |log| {
+            let row = log.rows.get(key)?;
+            Some((row.span, row.answer.clone()))
+        })?;
+        self.fetch(&shard, &file, span, |_| Ok(answer))
+    }
+
+    /// [`ShardStore::answer`] for a caller that must not wait: the answer
+    /// if the shard map is free and knows the shard (one it does not know
+    /// has not been indexed either), the shard is already indexed, its lock
+    /// is free (a `put` holds it across `sync_data`, the first-touch scan
     /// across a whole-file read), `key` is in it, and its frame is read
     /// whole from the page cache and checks. Anything else is `None` and is
-    /// left to `get`, which waits — a frame that fails its checksum
+    /// left to `answer`, which waits — a frame that fails its checksum
     /// included, so it is warned about once, there.
-    pub(crate) fn get_nowait(&self, key: &CacheKey) -> Option<CacheEntry> {
+    pub(crate) fn answer_nowait(&self, key: &CacheKey) -> Option<TuneAnswer> {
         let path = self.shard_path(&key.workflow);
         let shard = Arc::clone(self.shards.try_lock()?.get(&path)?);
-        let (file, span) = {
+        let (file, span, answer) = {
             let log = shard.log.try_lock()?;
             let log = log.as_ref()?;
-            (Arc::clone(log.file.as_ref()?), log.rows.get(key)?.span)
+            let row = log.rows.get(key)?;
+            (Arc::clone(log.file.as_ref()?), row.span, row.answer.clone())
         };
         let mut buf = vec![0u8; span.frame_len() as usize];
         if !read_if_cached(&file, span.offset, &mut buf) {
             return None;
         }
-        decode(&buf, span).ok()
+        checked(&buf, span).ok()?;
+        Some(answer)
+    }
+
+    /// Each live row of `workflow`'s shard: its answer, and the entry its
+    /// frame decodes to.
+    #[cfg(test)]
+    pub(super) fn rows(&self, workflow: &str) -> Vec<(TuneAnswer, CacheEntry)> {
+        let shard = self.shard(workflow);
+        let (file, rows) = self
+            .pick(&shard, |log| {
+                let rows = log.rows.values().map(|row| (row.answer.clone(), row.span));
+                Some(rows.collect::<Vec<_>>())
+            })
+            .expect("an indexed shard with a file");
+        let decoded = rows.into_iter().map(|(answer, span)| {
+            let entry = self
+                .fetch(&shard, &file, span, decode)
+                .expect("a frame that decodes");
+            (answer, entry)
+        });
+        decoded.collect()
     }
 
     /// Runs `f` holding `workflow`'s shard lock, as a `put` holds it.
@@ -541,7 +588,7 @@ impl ShardStore {
             });
             candidates.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         })?;
-        let entry = self.fetch(&shard, &file, span)?;
+        let entry = self.fetch(&shard, &file, span, decode)?;
         Some(TransferHit { entry, distance })
     }
 
@@ -562,7 +609,7 @@ impl ShardStore {
             out.extend(
                 spans
                     .into_iter()
-                    .filter_map(|span| self.fetch(&shard, &file, span)),
+                    .filter_map(|span| self.fetch(&shard, &file, span, decode)),
             );
         }
         out
@@ -593,11 +640,14 @@ impl ShardStore {
     }
 }
 
-/// Checks a frame read at `span` and decodes its entry.
-fn decode(buf: &[u8], span: Span) -> std::io::Result<CacheEntry> {
-    let payload = frame::first(buf)
+/// The payload of a frame read at `span`, if the frame checks.
+fn checked(buf: &[u8], span: Span) -> std::io::Result<&[u8]> {
+    frame::first(buf)
         .filter(|p| p.len() == span.len as usize)
-        .ok_or_else(|| std::io::Error::other("frame fails its checksum"))?;
+        .ok_or_else(|| std::io::Error::other("frame fails its checksum"))
+}
+
+fn decode(payload: &[u8]) -> std::io::Result<CacheEntry> {
     serde_json::from_slice(payload).map_err(std::io::Error::other)
 }
 

@@ -567,8 +567,119 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
     let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
     assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
     assert_eq!(counted(&cache), (1, 2));
-    // What the disk hit promoted is the whole entry.
+    // The disk hit promoted only its answer; `get` reads the whole entry
+    // from the disk.
     assert_eq!(cache.get(&key(0)), Some(entry(0)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every index row carries the answer of the entry its frame holds,
+/// however the row was made: by a `put` onto a new shard, by the
+/// first-touch scan, by a `put` replacing a key, by a compaction.
+#[test]
+fn every_index_row_holds_the_answer_of_its_frame() {
+    let dir = temp_dir("row-answers");
+    let version = |i: u64| CacheEntry {
+        best: vec![i as i64, 2, 3],
+        best_value: i as f64 / 4.0,
+        runs_used: 25 + i,
+        component_runs: i,
+        ..entry(1)
+    };
+    let check = |cache: &AutotuneCache, live: &[CacheEntry]| {
+        let store = cache.store.as_ref().expect("a cache directory");
+        let rows = store.rows("LV");
+        for (answer, decoded) in &rows {
+            assert_eq!(*answer, TuneAnswer::of(decoded), "{:?}", decoded.key);
+        }
+        let decoded = rows.into_iter().map(|(_, entry)| entry).collect();
+        assert_eq!(sorted(decoded), sorted(live.to_vec()));
+    };
+    let cache = AutotuneCache::at_path_with_capacity(&dir, 1);
+    cache.put(entry(2)).unwrap();
+    cache.put(version(0)).unwrap();
+    check(&cache, &[entry(2), version(0)]);
+    drop(cache);
+
+    let cache = AutotuneCache::at_path_with_capacity(&dir, 1);
+    check(&cache, &[entry(2), version(0)]);
+    for i in 1..=40 {
+        cache.put(version(i)).unwrap();
+    }
+    check(&cache, &[entry(2), version(40)]);
+    drop(cache);
+
+    let log = log_path(&dir, "lv");
+    assert_eq!(frame_bounds(&std::fs::read(&log).unwrap()).len() - 1, 42);
+    let cache = AutotuneCache::at_path_with_capacity(&dir, 1);
+    check(&cache, &[entry(2), version(40)]);
+    assert_eq!(
+        frame_bounds(&std::fs::read(&log).unwrap()).len() - 1,
+        2,
+        "compacted"
+    );
+    cache.put(version(41)).unwrap();
+    check(&cache, &[entry(2), version(41)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `Tune`'s disk hit is answered from the index row, not from the
+/// decoded frame, once the frame checks — on the pool and on the reactor
+/// thread alike — and is promoted as its answer alone: a `Tune` then hits
+/// the front, while `get_with_tier` counts a miss, reads the disk and
+/// replaces the resident with the whole entry. A frame that fails its
+/// checksum after the scan is a warned miss.
+#[test]
+fn a_tune_disk_hit_answers_from_the_index_and_promotes_only_its_answer() {
+    let dir = temp_dir("answer");
+    let seeded = AutotuneCache::at_path(&dir);
+    for seed in 0..4 {
+        seeded.put(entry(seed)).unwrap();
+    }
+    drop(seeded);
+    let tracer = Tracer::in_memory();
+    let cache = AutotuneCache::at_path_traced(&dir, 4, &tracer);
+    let counted = |cache: &AutotuneCache| {
+        let stats = cache.stats();
+        (stats.lru_hits, stats.lru_misses, stats.lru_len)
+    };
+    assert_eq!(cache.answer(&key(9)), (None, "miss"));
+    assert_eq!(counted(&cache), (0, 1, 0));
+
+    let answer = TuneAnswer::of(&entry(1));
+    assert_eq!(cache.answer(&key(1)), (Some(answer.clone()), "disk"));
+    assert_eq!(counted(&cache), (0, 2, 1), "promoted");
+    assert_eq!(cache.answer(&key(1)), (Some(answer), "front"));
+    assert_eq!(counted(&cache), (1, 2, 1));
+    assert_eq!(cache.get_with_tier(&key(1)), (Some(entry(1)), "disk"));
+    assert_eq!(counted(&cache), (1, 3, 1), "replaced, not added");
+    assert_eq!(cache.get_with_tier(&key(1)), (Some(entry(1)), "front"));
+    assert_eq!(counted(&cache), (2, 3, 1));
+
+    // Seeds 0 and 2 rewritten after the scan: frames that check and do
+    // not decode. Seed 3 flipped: a frame that fails its checksum.
+    let log = log_path(&dir, "lv");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let bounds = frame_bounds(&bytes);
+    for seed in [0, 2] {
+        let (start, end) = (bounds[seed], bounds[seed + 1]);
+        let payload = vec![b'x'; end - start - frame::HEADER_LEN];
+        let header = frame::header(&payload).unwrap();
+        bytes[start..end].copy_from_slice(&[&header[..], &payload].concat());
+    }
+    bytes[bounds[3] + frame::HEADER_LEN + 2] ^= 0x20;
+    std::fs::write(&log, &bytes).unwrap();
+    tracer.drain_events();
+
+    let answer = TuneAnswer::of(&entry(0));
+    assert_eq!(cache.answer(&key(0)), (Some(answer), "disk"));
+    let answer = TuneAnswer::of(&entry(2));
+    assert_eq!(cache.answer_nowait(&key(2)), Some((answer, "disk")));
+    assert!(tracer.drain_events().is_empty());
+    assert_eq!(cache.answer(&key(3)), (None, "miss"));
+    let events = tracer.drain_events();
+    let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
+    assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

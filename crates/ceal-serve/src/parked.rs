@@ -20,7 +20,6 @@
 //! Everything that leaves here for a connection goes through
 //! [`ServerInner::post`] onto the reactor's one completion queue.
 
-use crate::cache::TuneAnswer;
 use crate::error::ServeError;
 use crate::metrics::Endpoint;
 use crate::protocol::{Request, Response, SessionStatus, TuneParams};
@@ -280,12 +279,14 @@ pub(crate) fn advance(inner: &ServerInner, id: u64, runs: u64, ticket: Ticket) -
 }
 
 /// The largest budget whose cache hit a `Tune` takes on the reactor thread.
-/// An entry holds at most `budget` coupled samples, and reading, checking
-/// and decoding them is an inline hit's work: at 64 the frame is ≈ 2.5 KiB,
-/// about `INLINE_MAX` of JSON, and a page-cached disk hit ≈ 25 µs, nearly
-/// all of it the decode (a 10 000-sample one would be ≈ 3.2 ms; a front
-/// hit is ≈ 0.15 µs at any size). A larger campaign's hit is the pool's,
-/// as a larger `Predict` is.
+/// An entry holds at most `budget` coupled samples, and reading and
+/// checking its frame is an inline disk hit's work (the answer itself is
+/// copied off the shard index): at 64 the frame is ≈ 2.5 KiB, about
+/// `INLINE_MAX`, and a page-cached disk hit ≈ 4.5–4.9 µs, against
+/// ≈ 2.9 µs at 12 (a 10 000-sample one would be ≈ 0.31–0.33 ms, nearly all
+/// of it the CRC and the copy; a front hit is ≈ 0.2 µs at any size;
+/// release build, 2-vCPU VM). A larger campaign's hit is the pool's, as a
+/// larger `Predict` is.
 const INLINE_TUNE_BUDGET: u64 = 64;
 
 /// One-shot tuning: a cache lookup, then a campaign on the session shell —
@@ -313,10 +314,7 @@ pub(crate) fn tune(
     let started = Instant::now();
     let key = cache_key(&params, inner.sessions.fingerprint(), TUNE_MODE);
     let looked_up = match inline {
-        false => {
-            let (entry, tier) = inner.cache.get_with_tier(&key);
-            Some((entry.as_ref().map(TuneAnswer::of), tier))
-        }
+        false => Some(inner.cache.answer(&key)),
         true if params.budget > INLINE_TUNE_BUDGET => None,
         true => inner
             .cache
