@@ -15,6 +15,8 @@
 //! runtime behaviour for the simulator. No component runs a real kernel:
 //! the simulator is the only coupling model the tuner reads.
 
+#![forbid(unsafe_code)]
+
 pub mod components;
 pub mod scaling;
 pub mod workflows;

@@ -129,7 +129,8 @@ impl ComponentModels {
 
     /// Predicts component `j` for its slice `range` of every configuration
     /// in one batch — bit-identical to [`Self::predict`] per configuration
-    /// (`predict_batch` is the same flattened-tree kernel as `predict_row`).
+    /// (`predict_batch` sums the same leaf weights in the same tree order as
+    /// `predict_row`).
     fn predict_all(&self, j: usize, configs: &[Vec<i64>], range: Range<usize>) -> Vec<f64> {
         match &self.models[j] {
             CompModel::Constant(c) => vec![*c; configs.len()],

@@ -12,7 +12,7 @@
 //! coupled runs.
 
 use super::stepper::{after_phase1, pool_stepper, Step};
-use super::{random_unmeasured, Autotuner, Campaign, Stepper};
+use super::{random_unmeasured, select_top_unmeasured, Autotuner, Campaign, Stepper};
 use crate::acm::ComponentModels;
 use crate::features::FeatureMap;
 use crate::history::ComponentHistory;
@@ -71,10 +71,20 @@ impl Alph {
         row
     }
 
-    fn fit_combiner(rows: &[Vec<f64>], measured: &[Measurement], seed: u64) -> GradientBoosting {
-        let ys: Vec<f64> = measured.iter().map(|m| m.value).collect();
+    /// Fits `M'_0` to the augmented rows of the pool entries `at`, each
+    /// labelled with its measured workflow value.
+    fn fit_combiner(
+        pool_rows: &Dataset,
+        at: &[usize],
+        measured: &[Measurement],
+        seed: u64,
+    ) -> GradientBoosting {
+        let mut train = Dataset::new(pool_rows.n_features());
+        for (&i, m) in at.iter().zip(measured) {
+            train.push_row(pool_rows.row(i), m.value);
+        }
         let mut gbt = GradientBoosting::new(GbtParams::small_sample(seed));
-        gbt.fit(&Dataset::from_rows(rows, &ys));
+        gbt.fit(&train);
         gbt
     }
 }
@@ -104,34 +114,32 @@ impl Autotuner for Alph {
             let ranges = c.spec.param_ranges();
             let models = p1.models(&c.spec, hist_models, c.seed);
             // Pre-compute augmented rows for the whole pool.
-            let augment = |cfg: &Vec<i64>| Self::augmented_row(&fm, &models, &ranges, cfg);
-            let pool_rows: Vec<Vec<f64>> = c.pool.iter().map(augment).collect();
+            let mut pool_rows = Dataset::new(fm.n_features() + ranges.len());
+            for cfg in c.pool.iter() {
+                pool_rows.push_row(&Self::augmented_row(&fm, &models, &ranges, cfg), 0.0);
+            }
 
             let coupled_budget = p1.coupled_budget(c.budget);
             let iters = iterations.clamp(1, coupled_budget);
             let batch = (coupled_budget / iters).max(1);
             let free = vec![false; c.pool.len()];
             let first = random_unmeasured(&free, batch.min(coupled_budget), &mut rng);
-            // Augmented rows of the measured configurations, in order.
-            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(coupled_budget);
             let mut refit = false;
             pool_stepper(c.pool, p1.component_runs, first, move |ledger| {
                 let n = ledger.measured.len();
                 // The first combiner is seeded plainly, every refit by the count.
                 let seed = c.seed ^ if refit { n as u64 } else { 0 };
                 refit = true;
-                for &i in &ledger.at[rows.len()..] {
-                    rows.push(pool_rows[i].clone());
-                }
-                let model = Self::fit_combiner(&rows, &ledger.measured, seed);
-                let score = |i: usize| model.predict_row(&pool_rows[i]);
-                let mut cand = Vec::new();
-                if n < coupled_budget {
-                    cand.extend((0..ledger.pool.len()).filter(|&i| !ledger.taken[i]));
-                    cand.sort_by(|&a, &b| score(a).total_cmp(&score(b)).then(a.cmp(&b)));
-                    cand.truncate(batch.min(coupled_budget - n));
-                }
-                Step::pick(cand, || (0..pool_rows.len()).map(score).collect::<Vec<_>>())
+                let model = Self::fit_combiner(&pool_rows, &ledger.at, &ledger.measured, seed);
+                // One batch prediction per refit scores the pool for both
+                // the picks and the finish.
+                let scores = model.predict_batch(&pool_rows);
+                let picks = if n < coupled_budget {
+                    select_top_unmeasured(&scores, &ledger.taken, batch.min(coupled_budget - n))
+                } else {
+                    Vec::new()
+                };
+                Step::pick(picks, || scores)
             })
         })
     }

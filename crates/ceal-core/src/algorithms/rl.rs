@@ -235,14 +235,16 @@ impl BanditTuner {
                 .collect();
             let pick = if measured.len() >= 5 {
                 let critic = fit_surrogate(&fm, measured, c.seed ^ measured.len() as u64);
+                let scores: Vec<f64> = members
+                    .iter()
+                    .map(|&i| critic.predict_row(&encoded[i]))
+                    .collect();
                 *members
                     .iter()
-                    .min_by(|&&a, &&b| {
-                        critic
-                            .predict_row(&encoded[a])
-                            .total_cmp(&critic.predict_row(&encoded[b]))
-                    })
+                    .zip(&scores)
+                    .min_by(|a, b| a.1.total_cmp(b.1))
                     .expect("nonempty arm")
+                    .0
             } else if let Some(scores) = &ml_scores {
                 *members
                     .iter()

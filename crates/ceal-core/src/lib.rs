@@ -31,6 +31,8 @@
 //! * [`retry`] — the shared retry/backoff policy (seeded jitter,
 //!   deadline) used by the collector and the serve client.
 
+#![forbid(unsafe_code)]
+
 pub mod acm;
 pub mod algorithms;
 pub mod fault;

@@ -7,8 +7,7 @@
 
 use crate::binned::{BinnedDataset, DEFAULT_MAX_BINS};
 use crate::dataset::Dataset;
-use crate::flat::FlatTrees;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{predict_sum, RegressionTree, TreeParams};
 use crate::Regressor;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -50,9 +49,6 @@ impl Default for RandomForestParams {
 pub struct RandomForest {
     params: RandomForestParams,
     trees: Vec<RegressionTree>,
-    /// SoA mirror of `trees`, rebuilt at the end of `fit`; prediction
-    /// walks this, never the enum nodes.
-    flat: FlatTrees,
 }
 
 impl RandomForest {
@@ -61,7 +57,6 @@ impl RandomForest {
         Self {
             params,
             trees: Vec::new(),
-            flat: FlatTrees::default(),
         }
     }
 
@@ -105,26 +100,13 @@ impl Regressor for RandomForest {
             feats.truncate(p_sub);
             RegressionTree::fit_binned(&binned, &grad, &rows, &feats, tree_params)
         });
-        self.flat = FlatTrees::from_trees(&self.trees);
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         if self.trees.is_empty() {
             return 0.0;
         }
-        self.flat.predict_row_sum(row) / self.trees.len() as f64
-    }
-
-    fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
-        if self.trees.is_empty() {
-            return vec![0.0; data.n_rows()];
-        }
-        let scale = self.trees.len() as f64;
-        let mut out = self.flat.predict_batch_sum(data);
-        for y in &mut out {
-            *y /= scale;
-        }
-        out
+        predict_sum(&self.trees, row) / self.trees.len() as f64
     }
 
     fn is_fitted(&self) -> bool {

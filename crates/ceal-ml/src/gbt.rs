@@ -8,8 +8,7 @@
 
 use crate::binned::{BinKernel, BinnedDataset, TreeWorkspace, DEFAULT_MAX_BINS};
 use crate::dataset::Dataset;
-use crate::flat::FlatTrees;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{predict_sum, RegressionTree, TreeParams};
 use crate::Regressor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,11 +72,8 @@ pub struct GradientBoosting {
     params: GbtParams,
     base_score: f64,
     trees: Vec<RegressionTree>,
-    /// SoA mirror of `trees`, rebuilt at the end of `fit`; row-at-a-time
-    /// prediction walks this, never the enum nodes.
-    flat: FlatTrees,
     /// Bin-space layout of `trees` for batch prediction, when they are
-    /// all shallow enough for it; deeper ensembles batch over `flat`.
+    /// all shallow enough for it; deeper ensembles walk `trees` row by row.
     kernel: Option<BinKernel>,
 }
 
@@ -88,7 +84,6 @@ impl GradientBoosting {
             params,
             base_score: 0.0,
             trees: Vec::new(),
-            flat: FlatTrees::default(),
             kernel: None,
         }
     }
@@ -180,18 +175,19 @@ impl Regressor for GradientBoosting {
             }
             self.trees.push(tree);
         }
-        self.flat = FlatTrees::from_trees(&self.trees);
         self.kernel = BinKernel::new(&self.trees, binned);
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
-        self.base_score + self.params.learning_rate * self.flat.predict_row_sum(row)
+        self.base_score + self.params.learning_rate * predict_sum(&self.trees, row)
     }
 
     fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
         let mut out = match &self.kernel {
             Some(kernel) => kernel.predict_batch_sum(data),
-            None => self.flat.predict_batch_sum(data),
+            None => (0..data.n_rows())
+                .map(|i| predict_sum(&self.trees, data.row(i)))
+                .collect(),
         };
         for y in &mut out {
             *y = self.base_score + self.params.learning_rate * *y;

@@ -15,9 +15,10 @@
 //! All randomized fitting is seeded explicitly so experiments are exactly
 //! reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod binned;
 pub mod dataset;
-pub mod flat;
 pub mod forest;
 pub mod gbt;
 pub mod gp;
@@ -28,7 +29,6 @@ pub mod tree;
 
 pub use binned::{BinnedDataset, DEFAULT_MAX_BINS};
 pub use dataset::Dataset;
-pub use flat::FlatTrees;
 pub use forest::{RandomForest, RandomForestParams};
 pub use gbt::{GbtParams, GradientBoosting};
 pub use gp::{expected_improvement, GaussianProcess, GpParams};

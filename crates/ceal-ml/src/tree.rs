@@ -280,11 +280,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes (splits + leaves).
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
         self.nodes
@@ -316,6 +311,13 @@ impl RegressionTree {
         }
         walk(&self.nodes, 0, 0)
     }
+}
+
+/// Sum of `trees`' leaf weights for one feature row, folded in tree order
+/// from `0.0`: the per-row sum every ensemble prediction and the bin-space
+/// kernel accumulate, so their results agree bit for bit.
+pub(crate) fn predict_sum(trees: &[RegressionTree], row: &[f64]) -> f64 {
+    trees.iter().fold(0.0, |acc, t| acc + t.predict_row(row))
 }
 
 #[cfg(test)]
@@ -417,9 +419,8 @@ mod tests {
         assert_eq!(tree.n_leaves(), 1);
     }
 
-    #[test]
-    fn two_feature_interaction() {
-        // y = 10*(x0 > 0.5) + (x1 > 0.5)
+    /// y = 10*(x0 > 0.5) + (x1 > 0.5) on the four corners, five rows each.
+    fn interaction_data() -> Dataset {
         let mut rows_v = Vec::new();
         let mut ys = Vec::new();
         for a in 0..2 {
@@ -430,7 +431,12 @@ mod tests {
                 }
             }
         }
-        let data = Dataset::from_rows(&rows_v, &ys);
+        Dataset::from_rows(&rows_v, &ys)
+    }
+
+    #[test]
+    fn two_feature_interaction() {
+        let data = interaction_data();
         let rows: Vec<usize> = (0..data.n_rows()).collect();
         let tree = RegressionTree::fit_targets(&data, &rows, &[0, 1], TreeParams::default());
         for (row, want) in [
@@ -441,5 +447,27 @@ mod tests {
         ] {
             assert!((tree.predict_row(&row) - want).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn nan_routes_to_the_left_child() {
+        // One split per feature; the left child of each holds the 0s.
+        let data = interaction_data();
+        let rows: Vec<usize> = (0..data.n_rows()).collect();
+        let tree = RegressionTree::fit_targets(&data, &rows, &[0, 1], TreeParams::default());
+        let nan = f64::NAN;
+        for (row, left_of) in [
+            ([nan, 1.0], [0.0, 1.0]),
+            ([1.0, nan], [1.0, 0.0]),
+            ([nan, nan], [0.0, 0.0]),
+        ] {
+            assert_eq!(
+                tree.predict_row(&row),
+                tree.predict_row(&left_of),
+                "{row:?}"
+            );
+        }
+        assert!((tree.predict_row(&[nan, 1.0]) - 1.0).abs() < 1e-9);
+        assert!((tree.predict_row(&[1.0, nan]) - 10.0).abs() < 1e-9);
     }
 }

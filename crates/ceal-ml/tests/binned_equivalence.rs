@@ -9,8 +9,9 @@
 //!
 //! **Scoring.** `GradientBoosting::predict_batch` scores shallow ensembles
 //! (every tree at most 3 levels) with the bin-space kernel and deeper ones
-//! by walking the flattened trees; `predict_row` always walks. The two
-//! must agree bit for bit on any input, whichever path the batch takes.
+//! one `predict_row` per row; `predict_row` always walks the trees
+//! (`RegressionTree::predict_row`, summed in tree order). The two must
+//! agree bit for bit on any input, whichever path the batch takes.
 
 use ceal_ml::{BinnedDataset, Dataset, GbtParams, GradientBoosting, Regressor};
 use ceal_ml::{RegressionTree, TreeParams, DEFAULT_MAX_BINS};

@@ -20,6 +20,8 @@
 //! Entry points: [`Simulator::run`] for a coupled workflow run and
 //! [`Simulator::run_solo`] for a standalone component run.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod config;
 pub mod engine;
