@@ -13,6 +13,8 @@
 //! randomized algorithm (paper: 100) is controlled with `--reps` or the
 //! `CEAL_REPS` environment variable.
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod experiments;
 pub mod report;

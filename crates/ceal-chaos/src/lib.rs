@@ -17,6 +17,8 @@
 //! benches, not production traffic. Flipped bytes and stalled peers are
 //! checked in-process instead, against the decoders and the reactor.
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -43,6 +43,7 @@
 //!   *unmeasured* so the session can measure them locally; the oracle is
 //!   deterministic, so the fallback is bit-identical.
 
+#![forbid(unsafe_code)]
 // No peer input may panic the coordinator: outside tests a fallible step
 // returns an error instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

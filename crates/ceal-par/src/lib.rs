@@ -15,6 +15,8 @@
 //! Everything here is deterministic in *results*: `parallel_map` returns
 //! outputs in input order regardless of scheduling.
 
+#![forbid(unsafe_code)]
+
 mod pool;
 mod scope;
 pub mod sync;

@@ -14,11 +14,9 @@
 //! a `Vec` each. `get` rebuilds the [`CacheEntry`] it hands out; `answer`
 //! copies only what a `Tune` replies with.
 //!
-//! A disk hit a `Tune` promotes is resident as its answer alone — the
-//! shard index answered it, and nothing decoded its samples or features.
-//! `answer` serves it like any resident; `get`, `entries` and `nearest`
-//! see no such resident, so a session's `get` counts a miss, reads the
-//! disk and replaces it with the whole entry.
+//! Every resident is a whole campaign: one a `put` inserted, or a disk hit
+//! a session's `get` promoted. A `Tune`'s disk hit promotes nothing — the
+//! shard index answers it.
 
 use super::transfer::{self, Candidate, TransferHit};
 use super::{CacheEntry, CacheKey, TuneAnswer};
@@ -36,11 +34,9 @@ pub(crate) struct LruFront {
     pub(crate) evictions: u64,
 }
 
-/// A [`CacheEntry`] without its key, samples packed — or, unless `whole`,
-/// only its answer, with no samples and no features.
+/// A [`CacheEntry`] without its key, samples packed.
 struct Resident {
     answer: TuneAnswer,
-    whole: bool,
     /// Every sample's configuration, back to back.
     configs: Vec<i64>,
     /// Per sample: how many of `configs` are its configuration (entries
@@ -65,24 +61,12 @@ impl Resident {
                 runs_used: entry.runs_used,
                 component_runs: entry.component_runs,
             },
-            whole: true,
             configs,
             samples,
             platform_features: entry.platform_features,
             last_touch: 0,
         };
         (entry.key, resident)
-    }
-
-    fn answer_only(answer: TuneAnswer) -> Self {
-        Self {
-            answer,
-            whole: false,
-            configs: Vec::new(),
-            samples: Vec::new(),
-            platform_features: Vec::new(),
-            last_touch: 0,
-        }
     }
 
     fn unpack(&self, key: &CacheKey) -> CacheEntry {
@@ -121,49 +105,32 @@ impl LruFront {
         self.entries.len()
     }
 
-    /// Fetches and freshens a whole entry. An answer-only resident is a
-    /// miss here, left unfreshened for the caller to replace.
+    /// Fetches and freshens an entry.
     pub(crate) fn get(&mut self, key: &CacheKey) -> Option<CacheEntry> {
-        self.touch(key, |resident| resident.whole.then(|| resident.unpack(key)))
+        self.touch(key).map(|resident| resident.unpack(key))
     }
 
-    /// [`LruFront::get`], reading only a `Tune`'s answer off the resident,
-    /// answer-only ones included.
+    /// [`LruFront::get`], reading only a `Tune`'s answer off the resident.
     pub(crate) fn answer(&mut self, key: &CacheKey) -> Option<TuneAnswer> {
-        self.touch(key, |resident| Some(resident.answer.clone()))
+        self.touch(key).map(|resident| resident.answer.clone())
     }
 
-    /// Reads the resident under `key` with `read` and, if that answers,
-    /// freshens it.
-    fn touch<T>(&mut self, key: &CacheKey, read: impl FnOnce(&Resident) -> Option<T>) -> Option<T> {
+    /// Freshens the resident under `key` and returns it.
+    fn touch(&mut self, key: &CacheKey) -> Option<&Resident> {
         let resident = self.entries.get_mut(key)?;
-        let hit = read(resident)?;
         // Every resident has its order record; one without would read as
         // a miss here and be replaced by the caller's next insert.
         let shared = self.order.remove(&resident.last_touch)?;
         self.tick += 1;
         resident.last_touch = self.tick;
         self.order.insert(self.tick, shared);
-        Some(hit)
+        Some(resident)
     }
 
     /// Inserts (or replaces) an entry, evicting the least recently used
     /// residents while over capacity.
     pub(crate) fn insert(&mut self, entry: CacheEntry) {
-        let (key, resident) = Resident::pack(entry);
-        self.place(key, resident);
-    }
-
-    /// Makes `answer` the answer-only resident under `key`, unless `key`
-    /// is resident already: what is there is the same campaign, and may
-    /// be whole.
-    pub(crate) fn insert_answer(&mut self, key: &CacheKey, answer: TuneAnswer) {
-        if !self.entries.contains_key(key) {
-            self.place(key.clone(), Resident::answer_only(answer));
-        }
-    }
-
-    fn place(&mut self, key: CacheKey, mut resident: Resident) {
+        let (key, mut resident) = Resident::pack(entry);
         self.tick += 1;
         resident.last_touch = self.tick;
         let shared = match self.entries.remove_entry(&key) {
@@ -189,15 +156,13 @@ impl LruFront {
         self.entries.keys().map(|k| &**k)
     }
 
-    /// Every whole resident campaign, unpacked (no freshening).
+    /// Every resident campaign, unpacked (no freshening).
     pub(crate) fn entries(&self) -> Vec<CacheEntry> {
-        let whole = self.entries.iter().filter(|(_, r)| r.whole);
-        whole.map(|(k, r)| r.unpack(k)).collect()
+        self.entries.iter().map(|(k, r)| r.unpack(k)).collect()
     }
 
     /// [`transfer::nearest`] over the residents; only the winner is
-    /// unpacked. An answer-only resident has no samples, so it is never
-    /// a candidate.
+    /// unpacked.
     pub(crate) fn nearest(
         &self,
         key: &CacheKey,
@@ -308,50 +273,6 @@ mod tests {
         let mut all = lru.entries();
         all.sort_by_key(|e| e.key.seed);
         assert_eq!(all, vec![full, empty]);
-    }
-
-    /// A resident holding only a `Tune`'s answer serves `answer` alone:
-    /// `get` misses without freshening it, `entries` and `nearest` never
-    /// see it, and only a whole entry replaces it.
-    #[test]
-    fn an_answer_only_resident_serves_only_answers() {
-        let on = |platform: &str, seed: u64| CacheEntry {
-            key: CacheKey {
-                platform: platform.into(),
-                ..key(seed)
-            },
-            samples: vec![(vec![seed as i64], 1.0)],
-            platform_features: vec![1.0],
-            ..entry(seed)
-        };
-        let mut lru = LruFront::new(2);
-        let near = on("near", 1);
-        lru.insert_answer(&near.key, TuneAnswer::of(&near));
-        assert_eq!(lru.len(), 1);
-        assert_eq!(lru.answer(&near.key), Some(TuneAnswer::of(&near)));
-        assert_eq!(lru.get(&near.key), None);
-        assert_eq!(lru.entries(), []);
-        assert!(lru.nearest(&key(9), &[1.0], 10.0).is_none());
-
-        // `get` left it the least recent, so the next insert evicts it.
-        lru.insert(entry(2));
-        assert_eq!(lru.get(&near.key), None);
-        lru.insert(entry(3));
-        assert_eq!((lru.answer(&near.key), lru.evictions), (None, 1));
-
-        // Only a whole entry replaces a resident.
-        lru.insert(near.clone());
-        lru.insert_answer(&near.key, TuneAnswer::of(&entry(1)));
-        assert_eq!(lru.get(&near.key), Some(near.clone()));
-        let hit = lru
-            .nearest(&key(9), &[1.0], 10.0)
-            .expect("the whole sibling");
-        assert_eq!(hit.entry, near);
-        let answer_only = on("answer-only", 4);
-        lru.insert_answer(&answer_only.key, TuneAnswer::of(&answer_only));
-        lru.insert(answer_only.clone());
-        assert_eq!(lru.get(&answer_only.key), Some(answer_only));
-        assert_eq!(lru.len(), 2);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   checksummed log per workflow under a cache directory, with a small
 //!   in-memory index of where each campaign's record sits and what a
 //!   `Tune` answers from it — a `put` appends one record, a disk-tier `get`
-//!   reads and decodes one and a `Tune`'s lookup reads and checks one, so
-//!   none depends on how many campaigns are cached. A cache of an older
+//!   reads and decodes one and a `Tune`'s lookup reads none, so none
+//!   depends on how many campaigns are cached. A cache of an older
 //!   layout is not migrated in place: `cache import` converts it. A
 //!   campaign whose write fails is counted, warned about and still served
 //!   from the front;
@@ -242,9 +242,7 @@ impl AutotuneCache {
 
     /// [`AutotuneCache::get`], also naming the tier that answered —
     /// `"front"` (LRU hit), `"disk"` (shard hit, promoted), or `"miss"` —
-    /// so callers can attribute the lookup in trace events. A resident a
-    /// `Tune` promoted holds only its answer: here it is a miss, and the
-    /// disk hit replaces it with the whole entry.
+    /// so callers can attribute the lookup in trace events.
     pub fn get_with_tier(&self, key: &CacheKey) -> (Option<CacheEntry>, &'static str) {
         if let Some(hit) = self.front.lock().get(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
@@ -261,10 +259,8 @@ impl AutotuneCache {
     }
 
     /// A `Tune`'s lookup: [`AutotuneCache::get_with_tier`]'s tiers and
-    /// counters, but only the [`TuneAnswer`]. A disk hit is answered from
-    /// the shard's index once its frame checks — nothing is decoded — and
-    /// promoted into the front as its answer alone, which a later `get`
-    /// counts as a miss and replaces with the whole entry.
+    /// counters, but only the [`TuneAnswer`]. A disk hit is the answer the
+    /// shard's index row holds — no frame is read — and promotes nothing.
     pub(crate) fn answer(&self, key: &CacheKey) -> (Option<TuneAnswer>, &'static str) {
         if let Some(hit) = self.front.lock().answer(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
@@ -272,28 +268,22 @@ impl AutotuneCache {
         }
         self.lru_misses.fetch_add(1, Ordering::Relaxed);
         match self.store.as_ref().and_then(|store| store.answer(key)) {
-            Some(answer) => {
-                self.front.lock().insert_answer(key, answer.clone());
-                (Some(answer), "disk")
-            }
+            Some(answer) => (Some(answer), "disk"),
             None => (None, "miss"),
         }
     }
 
     /// [`AutotuneCache::answer`] for a caller that must not wait — the
     /// reactor thread. A front hit, or a disk hit the shard answers
-    /// without waiting (its shard known and indexed, both locks free, a
-    /// frame the page cache holds), is counted and promoted exactly as
-    /// there; a taken lock, a miss and every disk read that could wait are
-    /// `None`, with nothing counted, for `answer` to answer where it may
-    /// wait.
+    /// without waiting (its shard known and indexed, both locks free), is
+    /// counted exactly as there; a taken lock and a miss are `None`, with
+    /// nothing counted, for `answer` to answer where it may wait.
     pub(crate) fn answer_nowait(&self, key: &CacheKey) -> Option<(TuneAnswer, &'static str)> {
         if let Some(hit) = self.front.try_lock()?.answer(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
             return Some((hit, "front"));
         }
         let answer = self.store.as_ref()?.answer_nowait(key)?;
-        self.front.try_lock()?.insert_answer(key, answer.clone());
         self.lru_misses.fetch_add(1, Ordering::Relaxed);
         Some((answer, "disk"))
     }

@@ -13,11 +13,12 @@
 //! live key its platform features, whether it has samples, the four
 //! fields a `Tune` replies with, and where its frame sits — built by one
 //! scan the first time the shard is touched and kept by every `put`,
-//! both of which hold the decoded entry already. So a `get` reads and
-//! decodes exactly one entry, a nearest-sibling search decodes only its
-//! winner, and a `Tune`'s lookup decodes nothing: it reads and checks the
-//! frame — a record gone bad since the scan is still a miss — and
-//! answers from the row.
+//! both of which hold the decoded entry already. So a `get` reads, checks
+//! and decodes exactly one frame, a nearest-sibling search decodes only
+//! its winner, and a `Tune`'s lookup reads nothing: it answers from the
+//! row, whose answer was checked when the row was built. A frame that goes
+//! bad after the scan is thus still a `Tune`'s answer, a `get`'s warned
+//! miss, and where the next process's scan truncates the log.
 //!
 //! That first-touch scan is also the only place a log is ever rewritten:
 //! a torn or corrupt tail is truncated (everything before it still
@@ -28,10 +29,9 @@
 //! process owns a cache directory at a time.
 //!
 //! A `Tune` looks up in one of two ways: `answer`, which may wait for the
-//! locks and the disk, and `answer_nowait` for the reactor thread, which
-//! takes the shard map and the shard lock only if they are free, never
-//! indexes, and reads only a frame the page cache holds whole (`preadv2`
-//! with `RWF_NOWAIT`); whatever it cannot answer that way it leaves to
+//! locks and index the shard, and `answer_nowait` for the reactor thread,
+//! which takes the shard map and the shard lock only if they are free and
+//! never indexes; whatever it cannot answer that way it leaves to
 //! `answer`.
 //!
 //! A log whose magic is wrong is set aside as `*.invalid`, never trusted
@@ -41,8 +41,6 @@
 
 use super::transfer::{self, TransferHit};
 use super::{CacheEntry, CacheKey, TuneAnswer};
-#[cfg(target_os = "linux")]
-use crate::reactor::sys::read_if_cached;
 use ceal_core::frame;
 use ceal_par::sync::Mutex;
 use ceal_trace::{TraceContext, Tracer};
@@ -463,19 +461,15 @@ impl ShardStore {
         self.indexed(shard, |log| log.file.clone().zip(choose(log)))?
     }
 
-    /// Reads the frame at `span`, checks it, and opens its payload with
-    /// `open`.
-    fn fetch<T>(
-        &self,
-        shard: &Shard,
-        file: &File,
-        span: Span,
-        open: impl FnOnce(&[u8]) -> std::io::Result<T>,
-    ) -> Option<T> {
+    /// Reads the frame at `span`, checks it, and decodes its entry.
+    fn fetch(&self, shard: &Shard, file: &File, span: Span) -> Option<CacheEntry> {
         let read = || {
             let mut buf = vec![0u8; span.frame_len() as usize];
             file.read_exact_at(&mut buf, span.offset)?;
-            open(checked(&buf, span)?)
+            let payload = frame::first(&buf)
+                .filter(|p| p.len() == span.len as usize)
+                .ok_or_else(|| std::io::Error::other("frame fails its checksum"))?;
+            serde_json::from_slice(payload).map_err(std::io::Error::other)
         };
         read().map_or_else(|e| self.unreadable(shard, &e), Some)
     }
@@ -495,43 +489,29 @@ impl ShardStore {
     pub(crate) fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
         let shard = self.shard(&key.workflow);
         let (file, span) = self.pick(&shard, |log| log.rows.get(key).map(|row| row.span))?;
-        self.fetch(&shard, &file, span, decode)
+        self.fetch(&shard, &file, span)
     }
 
-    /// [`ShardStore::get`] for a `Tune`: the answer its index row holds,
-    /// once the entry's frame is read and checks — nothing is decoded.
+    /// [`ShardStore::get`] for a `Tune`: the answer `key`'s index row
+    /// holds. No frame is read.
     pub(crate) fn answer(&self, key: &CacheKey) -> Option<TuneAnswer> {
         let shard = self.shard(&key.workflow);
-        let (file, (span, answer)) = self.pick(&shard, |log| {
-            let row = log.rows.get(key)?;
-            Some((row.span, row.answer.clone()))
-        })?;
-        self.fetch(&shard, &file, span, |_| Ok(answer))
+        self.indexed(&shard, |log| {
+            log.rows.get(key).map(|row| row.answer.clone())
+        })?
     }
 
     /// [`ShardStore::answer`] for a caller that must not wait: the answer
     /// if the shard map is free and knows the shard (one it does not know
     /// has not been indexed either), the shard is already indexed, its lock
     /// is free (a `put` holds it across `sync_data`, the first-touch scan
-    /// across a whole-file read), `key` is in it, and its frame is read
-    /// whole from the page cache and checks. Anything else is `None` and is
-    /// left to `answer`, which waits — a frame that fails its checksum
-    /// included, so it is warned about once, there.
+    /// across a whole-file read), and `key` is in it. Anything else is
+    /// `None` and is left to `answer`, which waits.
     pub(crate) fn answer_nowait(&self, key: &CacheKey) -> Option<TuneAnswer> {
         let path = self.shard_path(&key.workflow);
         let shard = Arc::clone(self.shards.try_lock()?.get(&path)?);
-        let (file, span, answer) = {
-            let log = shard.log.try_lock()?;
-            let log = log.as_ref()?;
-            let row = log.rows.get(key)?;
-            (Arc::clone(log.file.as_ref()?), row.span, row.answer.clone())
-        };
-        let mut buf = vec![0u8; span.frame_len() as usize];
-        if !read_if_cached(&file, span.offset, &mut buf) {
-            return None;
-        }
-        checked(&buf, span).ok()?;
-        Some(answer)
+        let log = shard.log.try_lock()?;
+        Some(log.as_ref()?.rows.get(key)?.answer.clone())
     }
 
     /// Each live row of `workflow`'s shard: its answer, and the entry its
@@ -547,7 +527,7 @@ impl ShardStore {
             .expect("an indexed shard with a file");
         let decoded = rows.into_iter().map(|(answer, span)| {
             let entry = self
-                .fetch(&shard, &file, span, decode)
+                .fetch(&shard, &file, span)
                 .expect("a frame that decodes");
             (answer, entry)
         });
@@ -588,7 +568,7 @@ impl ShardStore {
             });
             candidates.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         })?;
-        let entry = self.fetch(&shard, &file, span, decode)?;
+        let entry = self.fetch(&shard, &file, span)?;
         Some(TransferHit { entry, distance })
     }
 
@@ -609,7 +589,7 @@ impl ShardStore {
             out.extend(
                 spans
                     .into_iter()
-                    .filter_map(|span| self.fetch(&shard, &file, span, decode)),
+                    .filter_map(|span| self.fetch(&shard, &file, span)),
             );
         }
         out
@@ -638,23 +618,6 @@ impl ShardStore {
     pub(crate) fn shard_count(&self) -> usize {
         self.log_paths().len()
     }
-}
-
-/// The payload of a frame read at `span`, if the frame checks.
-fn checked(buf: &[u8], span: Span) -> std::io::Result<&[u8]> {
-    frame::first(buf)
-        .filter(|p| p.len() == span.len as usize)
-        .ok_or_else(|| std::io::Error::other("frame fails its checksum"))
-}
-
-fn decode(payload: &[u8]) -> std::io::Result<CacheEntry> {
-    serde_json::from_slice(payload).map_err(std::io::Error::other)
-}
-
-/// Off Linux there is no read that refuses to wait: every disk hit waits.
-#[cfg(not(target_os = "linux"))]
-fn read_if_cached(_: &File, _: u64, _: &mut [u8]) -> bool {
-    false
 }
 
 fn file_name(path: &Path) -> String {

@@ -505,11 +505,13 @@ fn lru_front_bounds_memory_and_falls_back_to_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The lookup that must not wait answers what `get_with_tier` answers —
-/// from either tier, promoting a disk hit — and leaves everything else to
-/// it uncounted: a miss, a shard not indexed yet, a taken shard lock, a
-/// frame that fails its checksum (which `get_with_tier` then warns about,
-/// once, as the miss it always was).
+/// The lookup that must not wait answers what `answer` answers — from
+/// either tier, a disk hit from the index row, promoting nothing — and
+/// leaves everything else to it uncounted: a miss, a shard not indexed
+/// yet, a taken shard lock, the taken shard map. A frame that went bad
+/// after the scan is still answered from its row, unwarned; a session's
+/// `get` of it warns once and misses, and the next open truncates the log
+/// there.
 #[test]
 fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
     let dir = temp_dir("nowait");
@@ -522,7 +524,7 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
     let cache = AutotuneCache::at_path_traced(&dir, 1, &tracer);
     let counted = |cache: &AutotuneCache| {
         let stats = cache.stats();
-        (stats.lru_hits, stats.lru_misses)
+        (stats.lru_hits, stats.lru_misses, stats.lru_len)
     };
     assert_eq!(cache.answer_nowait(&key(0)), None, "not indexed yet");
     assert_eq!(cache.len(), 3);
@@ -544,13 +546,15 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
         })
     });
     assert_eq!(mapped, None, "a shard map lock another lookup holds");
-    assert_eq!(counted(&cache), (0, 0));
+    assert_eq!(counted(&cache), (0, 0, 0));
 
     let answer = TuneAnswer::of(&entry(0));
     assert_eq!(cache.answer_nowait(&key(0)), Some((answer.clone(), "disk")));
+    assert_eq!(cache.answer_nowait(&key(0)), Some((answer.clone(), "disk")));
+    assert_eq!(counted(&cache), (0, 2, 0), "counted, nothing promoted");
+    assert_eq!(cache.get(&key(0)), Some(entry(0)));
     assert_eq!(cache.answer_nowait(&key(0)), Some((answer, "front")));
-    assert_eq!(counted(&cache), (1, 1), "counted as get_with_tier counts");
-    assert_eq!(cache.stats().lru_len, 1, "the disk hit was promoted");
+    assert_eq!(counted(&cache), (1, 3, 1), "what a session promoted");
 
     // A record that went bad after the scan: seed 1's payload, flipped.
     let log = log_path(&dir, "lv");
@@ -559,17 +563,26 @@ fn a_lookup_that_must_not_wait_answers_or_counts_nothing() {
     bytes[bounds[1] + frame::HEADER_LEN + 2] ^= 0x20;
     std::fs::write(&log, &bytes).unwrap();
     tracer.drain_events();
-    assert_eq!(cache.answer_nowait(&key(1)), None);
-    assert_eq!(counted(&cache), (1, 1));
-    assert!(tracer.drain_events().is_empty(), "nothing warned inline");
+    let answer = TuneAnswer::of(&entry(1));
+    assert_eq!(cache.answer_nowait(&key(1)), Some((answer, "disk")));
+    assert_eq!(counted(&cache), (1, 4, 1));
+    assert!(tracer.drain_events().is_empty(), "nothing warned");
     assert_eq!(cache.get_with_tier(&key(1)), (None, "miss"));
     let events = tracer.drain_events();
     let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
     assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
-    assert_eq!(counted(&cache), (1, 2));
-    // The disk hit promoted only its answer; `get` reads the whole entry
-    // from the disk.
-    assert_eq!(cache.get(&key(0)), Some(entry(0)));
+    assert_eq!(counted(&cache), (1, 5, 1));
+    drop(cache);
+
+    // The next open's scan cuts the log at the bad frame.
+    let cache = AutotuneCache::at_path_traced(&dir, 1, &tracer);
+    assert_eq!(cache.len(), 1);
+    let events = tracer.drain_events();
+    assert!(
+        events.iter().any(|e| e.name == "cache.shard-recovered"),
+        "{events:?}"
+    );
+    assert_eq!(std::fs::read(&log).unwrap(), bytes[..bounds[1]]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -623,14 +636,15 @@ fn every_index_row_holds_the_answer_of_its_frame() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `Tune`'s disk hit is answered from the index row, not from the
-/// decoded frame, once the frame checks — on the pool and on the reactor
-/// thread alike — and is promoted as its answer alone: a `Tune` then hits
-/// the front, while `get_with_tier` counts a miss, reads the disk and
-/// replaces the resident with the whole entry. A frame that fails its
-/// checksum after the scan is a warned miss.
+/// A `Tune`'s disk hit is answered from the index row, and no frame is
+/// read for it, on the pool and on the reactor thread alike. It promotes
+/// nothing: the front's residents, their number and its evictions stay as
+/// they were, and a repeat is a disk hit again. Only a session's
+/// `get_with_tier` promotes. Frames that went bad after the scan, whether
+/// they fail their checksum or check and do not decode, are still answered
+/// from their rows, unwarned; a `get` of each warns once and misses.
 #[test]
-fn a_tune_disk_hit_answers_from_the_index_and_promotes_only_its_answer() {
+fn a_tune_disk_hit_answers_from_the_index_and_promotes_nothing() {
     let dir = temp_dir("answer");
     let seeded = AutotuneCache::at_path(&dir);
     for seed in 0..4 {
@@ -638,48 +652,58 @@ fn a_tune_disk_hit_answers_from_the_index_and_promotes_only_its_answer() {
     }
     drop(seeded);
     let tracer = Tracer::in_memory();
-    let cache = AutotuneCache::at_path_traced(&dir, 4, &tracer);
+    let cache = AutotuneCache::at_path_traced(&dir, 2, &tracer);
     let counted = |cache: &AutotuneCache| {
         let stats = cache.stats();
         (stats.lru_hits, stats.lru_misses, stats.lru_len)
     };
+    let residents = |cache: &AutotuneCache| {
+        let front = cache.front.lock();
+        let mut seeds: Vec<u64> = front.keys().map(|k| k.seed).collect();
+        seeds.sort_unstable();
+        (seeds, front.evictions)
+    };
     assert_eq!(cache.answer(&key(9)), (None, "miss"));
     assert_eq!(counted(&cache), (0, 1, 0));
+    assert_eq!(cache.get(&key(0)), Some(entry(0)));
+    assert_eq!(counted(&cache), (0, 2, 1), "a session's get promotes");
 
     let answer = TuneAnswer::of(&entry(1));
-    assert_eq!(cache.answer(&key(1)), (Some(answer.clone()), "disk"));
-    assert_eq!(counted(&cache), (0, 2, 1), "promoted");
-    assert_eq!(cache.answer(&key(1)), (Some(answer), "front"));
-    assert_eq!(counted(&cache), (1, 2, 1));
+    for misses in [3, 4] {
+        assert_eq!(cache.answer(&key(1)), (Some(answer.clone()), "disk"));
+        assert_eq!(counted(&cache), (0, misses, 1));
+        assert_eq!(residents(&cache), (vec![0], 0), "nothing promoted");
+    }
     assert_eq!(cache.get_with_tier(&key(1)), (Some(entry(1)), "disk"));
-    assert_eq!(counted(&cache), (1, 3, 1), "replaced, not added");
-    assert_eq!(cache.get_with_tier(&key(1)), (Some(entry(1)), "front"));
-    assert_eq!(counted(&cache), (2, 3, 1));
+    assert_eq!(cache.answer(&key(1)), (Some(answer), "front"));
+    assert_eq!(counted(&cache), (1, 5, 2));
+    assert_eq!(residents(&cache), (vec![0, 1], 0));
 
-    // Seeds 0 and 2 rewritten after the scan: frames that check and do
-    // not decode. Seed 3 flipped: a frame that fails its checksum.
+    // Seed 2 rewritten after the scan: a frame that checks and does not
+    // decode. Seed 3 flipped: a frame that fails its checksum.
     let log = log_path(&dir, "lv");
     let mut bytes = std::fs::read(&log).unwrap();
     let bounds = frame_bounds(&bytes);
-    for seed in [0, 2] {
-        let (start, end) = (bounds[seed], bounds[seed + 1]);
-        let payload = vec![b'x'; end - start - frame::HEADER_LEN];
-        let header = frame::header(&payload).unwrap();
-        bytes[start..end].copy_from_slice(&[&header[..], &payload].concat());
-    }
+    let (start, end) = (bounds[2], bounds[3]);
+    let payload = vec![b'x'; end - start - frame::HEADER_LEN];
+    let header = frame::header(&payload).unwrap();
+    bytes[start..end].copy_from_slice(&[&header[..], &payload].concat());
     bytes[bounds[3] + frame::HEADER_LEN + 2] ^= 0x20;
     std::fs::write(&log, &bytes).unwrap();
     tracer.drain_events();
 
-    let answer = TuneAnswer::of(&entry(0));
-    assert_eq!(cache.answer(&key(0)), (Some(answer), "disk"));
     let answer = TuneAnswer::of(&entry(2));
-    assert_eq!(cache.answer_nowait(&key(2)), Some((answer, "disk")));
-    assert!(tracer.drain_events().is_empty());
-    assert_eq!(cache.answer(&key(3)), (None, "miss"));
-    let events = tracer.drain_events();
-    let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
-    assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
+    assert_eq!(cache.answer(&key(2)), (Some(answer), "disk"));
+    let answer = TuneAnswer::of(&entry(3));
+    assert_eq!(cache.answer_nowait(&key(3)), Some((answer, "disk")));
+    assert!(tracer.drain_events().is_empty(), "nothing warned");
+    for seed in [2, 3] {
+        assert_eq!(cache.get_with_tier(&key(seed)), (None, "miss"));
+        let events = tracer.drain_events();
+        let warned: Vec<_> = events.iter().map(|e| (e.name, e.kind)).collect();
+        assert_eq!(warned, [("cache.shard-unreadable", EventKind::Warn)]);
+    }
+    assert_eq!(residents(&cache), (vec![0, 1], 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -52,6 +52,9 @@
 // No peer input may panic the process: outside tests a fallible step
 // returns an error instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The raw syscalls the reactor needs are the crate's only `unsafe`, and
+// `reactor::sys` is the one module allowed it.
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod client;

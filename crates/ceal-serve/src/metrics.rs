@@ -60,10 +60,10 @@ macro_rules! endpoints {
 // the fleet's exactly-once accounting (registration, and the one poll,
 // `TaskResult` — shedding one that carries results would force a
 // re-measure). Inline: the requests whose work is microseconds and whose
-// every wait — a session or shard lock, a surrogate fit, a cache read the
-// page cache cannot answer, a campaign — and every large decode can be seen
-// coming and handed to the pool instead; the fleet's poll among them so
-// that an idle one can be held.
+// every wait — a session or shard lock, a surrogate fit, a shard not
+// indexed yet, a campaign — and every large decode can be seen coming and
+// handed to the pool instead; the fleet's poll among them so that an idle
+// one can be held.
 endpoints! {
     Ping ["Ping"] "ping" false true,
     Tune ["Tune"] "tune" true true,

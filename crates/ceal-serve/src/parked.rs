@@ -278,17 +278,6 @@ pub(crate) fn advance(inner: &ServerInner, id: u64, runs: u64, ticket: Ticket) -
     drive(inner, &shell, &mut s, ticket, kind, VecDeque::new())
 }
 
-/// The largest budget whose cache hit a `Tune` takes on the reactor thread.
-/// An entry holds at most `budget` coupled samples, and reading and
-/// checking its frame is an inline disk hit's work (the answer itself is
-/// copied off the shard index): at 64 the frame is ≈ 2.5 KiB, about
-/// `INLINE_MAX`, and a page-cached disk hit ≈ 4.5–4.9 µs, against
-/// ≈ 2.9 µs at 12 (a 10 000-sample one would be ≈ 0.31–0.33 ms, nearly all
-/// of it the CRC and the copy; a front hit is ≈ 0.2 µs at any size;
-/// release build, 2-vCPU VM). A larger campaign's hit is the pool's, as a
-/// larger `Predict` is.
-const INLINE_TUNE_BUDGET: u64 = 64;
-
 /// One-shot tuning: a cache lookup, then a campaign on the session shell —
 /// unregistered, unjournaled, paying for its own component runs — driven
 /// to `done` inside the request, parking across its fleet rounds. The
@@ -297,9 +286,8 @@ const INLINE_TUNE_BUDGET: u64 = 64;
 /// without fleet workers.
 ///
 /// On the reactor thread (`inline`) only a lookup the cache answers
-/// without waiting, of a campaign within `INLINE_TUNE_BUDGET`, is served;
-/// anything else — a miss, a taken shard lock, a disk read that could
-/// wait, a larger entry — is handed to the pool having counted and traced
+/// without waiting is served; anything else — a miss, a taken lock, a
+/// shard not indexed yet — is handed to the pool having counted and traced
 /// nothing, so the one lookup that answers is the one recorded.
 pub(crate) fn tune(
     inner: &ServerInner,
@@ -315,7 +303,6 @@ pub(crate) fn tune(
     let key = cache_key(&params, inner.sessions.fingerprint(), TUNE_MODE);
     let looked_up = match inline {
         false => Some(inner.cache.answer(&key)),
-        true if params.budget > INLINE_TUNE_BUDGET => None,
         true => inner
             .cache
             .answer_nowait(&key)

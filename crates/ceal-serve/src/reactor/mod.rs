@@ -20,9 +20,8 @@
 //!   readiness event is looked at: no pool hop, no eventfd, no
 //!   `epoll_ctl`. Whenever it *could* wait — the session's lock is taken,
 //!   a surrogate is not fitted yet, the cache cannot answer a `Tune` from
-//!   its front or from a free, indexed shard whose frame the page cache
-//!   holds (or the campaign is too large to decode here), the frame does
-//!   not decode — it goes to the pool instead;
+//!   its front or from a free, indexed shard's index, the frame does not
+//!   decode — it goes to the pool instead;
 //! * **pooled** — everything else is run by a worker thread, which never
 //!   touches a socket: it pushes the framed response onto the completion
 //!   queue, waking the loop through an eventfd, and the reactor flushes
@@ -52,6 +51,7 @@
 //! flush before returning.
 
 pub mod conn;
+#[allow(unsafe_code)]
 pub mod sys;
 pub mod timer;
 
@@ -881,8 +881,8 @@ mod tests {
     }
 
     /// A `Tune` the cache answers — from the front, or from a free,
-    /// indexed shard whose frame is page-cached — is an inline request; a
-    /// cold one runs on the pool.
+    /// indexed shard's index — is an inline request; a cold one runs on
+    /// the pool.
     #[test]
     fn a_cached_tune_costs_no_epoll_ctl_and_a_cold_one_two() {
         let dir = ceal_testutil::unique_temp_path("ceal-reactor-tune", "");
@@ -908,19 +908,22 @@ mod tests {
             let answer = serde_json::from_slice::<Response>(&answer).unwrap();
             (answer, r.epoll.modifies.get() - before)
         };
-        let (cold, ctls) = tune(&mut r, 1, 1);
-        assert_eq!(ctls, 2, "a cold Tune is pooled");
-        let (_, ctls) = tune(&mut r, 2, 2);
-        assert_eq!(ctls, 2, "so is the second");
+        let mut colds = Vec::new();
+        for seed in [1, 2] {
+            let (cold, ctls) = tune(&mut r, seed, seed);
+            assert_eq!(ctls, 2, "a cold Tune is pooled");
+            let Response::TuneResult { best, .. } = cold else {
+                panic!("the cold Tune answered {cold:?}");
+            };
+            colds.push(best);
+        }
         // The front holds one campaign, seed 2's: seed 1 is on disk.
-        let Response::TuneResult { best, .. } = cold else {
-            panic!("the cold Tune answered {cold:?}");
-        };
-        for (nth, tier) in [(3, "disk"), (4, "front")] {
-            let (warm, ctls) = tune(&mut r, 1, nth);
+        for (seed, nth, tier) in [(1, 3, "disk"), (2, 4, "front")] {
+            let (warm, ctls) = tune(&mut r, seed, nth);
             assert_eq!(ctls, 0, "a {tier} hit is inline");
+            let best = &colds[seed as usize - 1];
             assert!(
-                matches!(&warm, Response::TuneResult { best: b, from_cache: true, .. } if *b == best),
+                matches!(&warm, Response::TuneResult { best: b, from_cache: true, .. } if b == best),
                 "{warm:?}"
             );
         }

@@ -2,17 +2,15 @@
 //!
 //! The workspace is vendored-only and the `libc` crate is not among the
 //! sanctioned dependencies, so the handful of calls the reactor needs —
-//! `epoll`, `eventfd`, `setsockopt`, `setrlimit`, and `preadv2` for the
-//! cache reads it makes without waiting — are declared here
+//! `epoll`, `eventfd`, `setsockopt` and `setrlimit` — are declared here
 //! directly. `std` already links the platform C library, so these
 //! `extern "C"` declarations resolve against the same symbols `libc`
 //! would re-export; `std::io::Error::last_os_error()` picks up `errno`.
 
 #![allow(non_camel_case_types)]
 
-use std::fs::File;
 use std::io;
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::RawFd;
 
 type c_int = i32;
 type c_uint = u32;
@@ -38,9 +36,6 @@ const SO_RCVBUF: c_int = 8;
 
 const RLIMIT_NOFILE: c_int = 7;
 
-/// `preadv2` flag: fail with `EAGAIN` rather than wait for the disk.
-const RWF_NOWAIT: c_int = 0x8;
-
 /// One epoll readiness record. The kernel packs `struct epoll_event`
 /// only on x86-64 (12 bytes); every other architecture uses natural
 /// alignment (16 bytes), so the Rust mirror's layout must match
@@ -62,12 +57,6 @@ const _: () = assert!(
 );
 
 #[repr(C)]
-struct IoVec {
-    base: *mut c_void,
-    len: usize,
-}
-
-#[repr(C)]
 struct RLimit {
     rlim_cur: u64,
     rlim_max: u64,
@@ -81,7 +70,6 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn preadv2(fd: c_int, iov: *const IoVec, iovcnt: c_int, offset: i64, flags: c_int) -> isize;
     fn setsockopt(
         fd: c_int,
         level: c_int,
@@ -229,28 +217,6 @@ pub fn set_recv_buffer_fd(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_buf_opt(fd, SO_RCVBUF, bytes)
 }
 
-/// Fills `buf` from `file` at `offset` if the page cache holds every byte
-/// of it — `preadv2(…, RWF_NOWAIT)` — and says whether it did. `false`
-/// means the read would have had to wait, or failed: not cached
-/// (`EAGAIN`), a file system without `RWF_NOWAIT` (`EOPNOTSUPP`, or
-/// `EINVAL` on an older kernel), or only part of the range cached (a short
-/// read). `buf` then holds nothing a caller may use; it reads again where
-/// it may wait.
-pub(crate) fn read_if_cached(file: &File, offset: u64, buf: &mut [u8]) -> bool {
-    let Ok(offset) = i64::try_from(offset) else {
-        return false;
-    };
-    let iov = IoVec {
-        base: buf.as_mut_ptr().cast(),
-        len: buf.len(),
-    };
-    // SAFETY: `iov` describes `buf`, which is valid for writes of its
-    // whole length and outlives the call; the descriptor is `file`'s, open
-    // for the call's duration.
-    let read = unsafe { preadv2(file.as_raw_fd(), &iov, 1, offset, RWF_NOWAIT) };
-    usize::try_from(read) == Ok(buf.len())
-}
-
 /// Raises `RLIMIT_NOFILE` so at least `want` descriptors are available;
 /// returns the resulting soft limit. Raising the hard limit needs
 /// privilege, so an unprivileged process gets `min(want, hard)`.
@@ -285,162 +251,7 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::os::unix::fs::FileExt as _;
-
-    const EAGAIN: i32 = 11;
-    const EINVAL: i32 = 22;
-    const EOPNOTSUPP: i32 = 95;
-    const POSIX_FADV_DONTNEED: c_int = 4;
-    const PROT_READ: c_int = 1;
-    const MAP_SHARED: c_int = 1;
-
-    extern "C" {
-        fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
-    }
-
-    /// A one-page read-only mapping of a file's start, only ever looked at
-    /// with `mincore(2)` and never touched, so it faults nothing in.
-    struct FirstPage(*mut c_void);
-
-    impl FirstPage {
-        fn of(file: &File) -> FirstPage {
-            // One byte: the mapping, and what `mincore` reports, is a page.
-            // SAFETY: a new read-only shared mapping of an open descriptor
-            // at an address the kernel picks; nothing else uses it.
-            let map = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    1,
-                    PROT_READ,
-                    MAP_SHARED,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            assert_ne!(map as isize, -1, "mmap: {}", io::Error::last_os_error());
-            FirstPage(map)
-        }
-
-        /// Advises the kernel to drop `file`'s cached pages until this page
-        /// is gone, at most 200 times, and says whether it went. The kernel
-        /// honours `POSIX_FADV_DONTNEED` only on a best-effort basis: a
-        /// page whose read is still in flight stays.
-        fn evict(&self, file: &File) -> bool {
-            let mut resident = [1u8];
-            for _ in 0..200 {
-                // SAFETY: advice on an open descriptor; no memory is passed.
-                let advised = unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) };
-                assert_eq!(advised, 0);
-                // SAFETY: `self.0` is the page-aligned start of a live
-                // one-page mapping, and `resident` has room for its byte.
-                let probed = unsafe { mincore(self.0, 1, resident.as_mut_ptr()) };
-                assert_eq!(probed, 0, "mincore: {}", io::Error::last_os_error());
-                if resident[0] & 1 == 0 {
-                    return true;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            false
-        }
-    }
-
-    impl Drop for FirstPage {
-        fn drop(&mut self) {
-            // SAFETY: unmaps exactly the mapping `of` made, once.
-            unsafe { munmap(self.0, 1) };
-        }
-    }
-
-    /// A synced file of `len` patterned bytes, and those bytes.
-    fn synced_file(tag: &str, len: usize) -> (File, Vec<u8>) {
-        let path = ceal_testutil::unique_temp_path(&format!("ceal-sys-{tag}"), "bin");
-        let bytes: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
-        std::fs::write(&path, &bytes).unwrap();
-        let file = File::open(&path).unwrap();
-        file.sync_all().unwrap();
-        let _ = std::fs::remove_file(&path);
-        (file, bytes)
-    }
-
-    #[test]
-    fn a_page_cached_region_reads_whole() {
-        let (file, bytes) = synced_file("cached", 3 * 4096 + 17);
-        // Just written, so every page is in the cache; the range spans
-        // three of them.
-        let mut buf = vec![0u8; 5000];
-        assert!(read_if_cached(&file, 4000, &mut buf));
-        assert_eq!(buf, bytes[4000..9000]);
-        let mut tail = vec![0u8; 17];
-        assert!(read_if_cached(&file, 3 * 4096, &mut tail));
-        assert_eq!(tail, bytes[3 * 4096..]);
-    }
-
-    #[test]
-    fn a_read_that_would_wait_reads_nothing_usable() {
-        let errno = || io::Error::last_os_error().raw_os_error();
-        let (file, bytes) = synced_file("waits", 8192);
-
-        // A short read — here a range running past the end — is not a
-        // whole frame, whatever it did put in the buffer.
-        let mut buf = vec![0u8; 100];
-        assert!(!read_if_cached(&file, 8192 - 50, &mut buf));
-
-        // A file system that cannot promise not to wait refuses the flag.
-        let proc = File::open("/proc/self/stat").unwrap();
-        assert!(!read_if_cached(&proc, 0, &mut [0u8; 8]));
-        assert!(
-            matches!(errno(), Some(EOPNOTSUPP | EINVAL)),
-            "{:?}",
-            errno()
-        );
-
-        // Pages not in the cache: `EAGAIN`, not a wait for the disk. A
-        // read of an evicted page still starts the kernel's readahead, and
-        // when that I/O completes before the read looks at the page again
-        // the read is served whole without waiting — on a 2-vCPU VM most
-        // often on the vCPU that takes the disk's interrupt, in 26 of 100
-        // runs of this crate's tests when this was one read. So each read
-        // gets a freshly evicted page, one served whole must be the file's
-        // bytes, and one of at most 1 000 must be refused. The page stays
-        // mapped from before the first advice until after the last read:
-        // mapping and unmapping between advice and read made whole reads
-        // several times likelier.
-        let first = FirstPage::of(&file);
-        let mut refused = false;
-        for _ in 0..1000 {
-            assert!(
-                first.evict(&file),
-                "the kernel kept the page through 200 rounds of POSIX_FADV_DONTNEED"
-            );
-            buf.fill(0);
-            if !read_if_cached(&file, 0, &mut buf) {
-                refused = true;
-                break;
-            }
-            assert_eq!(buf, bytes[..100], "a read served whole");
-        }
-        assert!(
-            refused,
-            "readahead served all 1 000 reads of the evicted page"
-        );
-        assert_eq!(errno(), Some(EAGAIN));
-        drop(first);
-        // Once a read that may wait has brought them back, it is whole.
-        file.read_exact_at(&mut buf, 0).unwrap();
-        buf.fill(0);
-        assert!(read_if_cached(&file, 0, &mut buf));
-        assert_eq!(buf, bytes[..100]);
-    }
+    use std::os::unix::io::AsRawFd as _;
 
     #[test]
     fn eventfd_wakes_epoll_and_drains() {

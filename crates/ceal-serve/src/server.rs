@@ -757,9 +757,10 @@ mod tests {
     }
 
     /// A `Tune` tried on the reactor thread that the cache cannot answer
-    /// without waiting, or whose entry is too large to decode there, goes
-    /// to the pool as it came, having billed, counted and traced nothing:
-    /// the pool's lookup is the one recorded.
+    /// without waiting goes to the pool as it came, having billed, counted
+    /// and traced nothing: the pool's lookup is the one recorded. One it
+    /// can answer is answered there, however large the cached campaign:
+    /// the shard index holds the answer, and no frame is read.
     #[test]
     fn an_inline_tune_that_would_wait_is_deferred_having_recorded_nothing() {
         use crate::cache::platform_fingerprint;
@@ -779,19 +780,22 @@ mod tests {
             samples: vec![(vec![100, 20, 1, 50, 10, 1], 1.25)],
             platform_features: vec![1.0; 4],
         };
-        // And a campaign too large to decode on the reactor thread.
+        // And the largest campaign a `Tune` may ask for, every sample kept.
         let large = TuneParams {
-            budget: 65,
+            budget: 10_000,
             ..params.clone()
         };
         let large_entry = CacheEntry {
             key: cache_key(&large, &fingerprint, TUNE_MODE),
-            runs_used: 65,
+            runs_used: 10_000,
+            samples: (0..10_000)
+                .map(|i| (vec![100, 20, 1, 50, 10, i], 1.25 + i as f64))
+                .collect(),
             ..entry.clone()
         };
         let seeded = AutotuneCache::at_path(&dir);
         seeded.put(entry.clone()).unwrap();
-        seeded.put(large_entry).unwrap();
+        seeded.put(large_entry.clone()).unwrap();
         drop(seeded);
         let tracer = Tracer::in_memory();
         let server = Server::bind(ServeConfig {
@@ -850,29 +854,30 @@ mod tests {
         };
         deferred(try_inline(&cold), &cold, "a cold Tune");
         assert_eq!(recorded(), nothing, "cold");
-        deferred(
-            try_inline(&large),
-            &large,
-            "a budget past INLINE_TUNE_BUDGET",
-        );
-        assert_eq!(recorded(), nothing, "large");
 
-        // Indexed, free and page-cached: answered here, recorded once.
-        let Outcome::Done(reply) = try_inline(&params) else {
-            panic!("a page-cached disk hit was not answered inline");
-        };
-        let answer: Response = serde_json::from_slice(&reply.framed[4..]).unwrap();
-        let expected = Response::TuneResult {
-            best: entry.best.clone(),
-            best_value: entry.best_value,
-            runs_used: entry.runs_used,
-            component_runs: entry.component_runs,
-            from_cache: true,
-        };
-        assert_eq!(answer, expected);
-        let (counted, traced) = recorded();
-        assert_eq!(counted, [0, 1, 0, 0, 1], "one disk hit");
-        assert_eq!(traced, ["campaign.tune", "cache.lookup", "campaign.tune"]);
+        // Indexed and free: answered here from the index row, recorded
+        // once, in the bytes the pool would have framed.
+        for (hits, asked, cached) in [(1, &params, &entry), (2, &large, &large_entry)] {
+            let Outcome::Done(reply) = try_inline(asked) else {
+                panic!("budget {}: an indexed disk hit was deferred", asked.budget);
+            };
+            let expected = Response::TuneResult {
+                best: cached.best.clone(),
+                best_value: cached.best_value,
+                runs_used: cached.runs_used,
+                component_runs: cached.component_runs,
+                from_cache: true,
+            };
+            assert_eq!(
+                reply.framed,
+                parked::encode_frame(&expected),
+                "{}",
+                asked.budget
+            );
+            let (counted, traced) = recorded();
+            assert_eq!(counted, [0, hits, 0, 0, hits], "one disk hit more");
+            assert_eq!(traced, ["campaign.tune", "cache.lookup", "campaign.tune"]);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

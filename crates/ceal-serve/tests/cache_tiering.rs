@@ -96,8 +96,9 @@ fn server_imports_legacy_blob_and_serves_it_warm() {
 
 /// A `Tune` the cache answers is counted, traced and answered once,
 /// whichever path answers it: the reactor thread for a front hit and a
-/// page-cached disk hit, the pool for a disk hit whose shard lock a `put`
-/// holds. The answers' bytes are the same on every path, and while the
+/// disk hit of an indexed shard, the pool for a disk hit whose shard lock
+/// a `put` holds. A disk hit promotes nothing, so its repeat is a disk hit
+/// again. The answers' bytes are the same on every path, and while the
 /// lock is held the reactor serves other connections.
 #[test]
 fn a_cache_answer_is_recorded_once_on_either_path_and_the_reactor_never_waits() {
@@ -144,16 +145,16 @@ fn a_cache_answer_is_recorded_once_on_either_path_and_the_reactor_never_waits() 
     assert_eq!(lookups(&mut control), (0, 1, 0, 1));
     let cold_2 = ask(&mut conn, 2);
     assert_eq!(lookups(&mut control), (0, 2, 0, 2));
-    // The front holds one campaign: seed 2's. Seed 1 is a disk hit,
-    // promoted, then a front hit; seed 2 a disk hit again.
+    // The front holds one campaign: seed 2's. Seed 1 is a disk hit, and
+    // a disk hit again; seed 2 a front hit.
     assert_eq!(ask(&mut conn, 1), warm(&cold_1), "inline disk hit");
     assert_eq!(lookups(&mut control), (1, 2, 0, 3));
-    assert_eq!(ask(&mut conn, 1), warm(&cold_1), "front hit");
-    assert_eq!(lookups(&mut control), (2, 2, 1, 3));
-    assert_eq!(ask(&mut conn, 2), warm(&cold_2), "inline disk hit");
+    assert_eq!(ask(&mut conn, 1), warm(&cold_1), "inline disk hit again");
+    assert_eq!(lookups(&mut control), (2, 2, 0, 4));
+    assert_eq!(ask(&mut conn, 2), warm(&cold_2), "front hit");
     assert_eq!(lookups(&mut control), (3, 2, 1, 4));
 
-    // Seed 1 is on disk again, behind a shard lock held as a `put` holds
+    // Seed 1 is still on disk, behind a shard lock held as a `put` holds
     // it across its `sync_data`: the reactor hands the `Tune` to the pool,
     // where it waits for the lock, and answers a `Ping` meanwhile.
     let (locked_tx, locked_rx) = mpsc::channel();
@@ -206,7 +207,7 @@ fn a_cache_answer_is_recorded_once_on_either_path_and_the_reactor_never_waits() 
             tier.clone()
         })
         .collect();
-    let expected = ["miss", "miss", "disk", "front", "disk", "disk"];
+    let expected = ["miss", "miss", "disk", "disk", "front", "disk"];
     assert_eq!(tiers, expected.map(FieldValue::from));
     assert_eq!(spans.len(), expected.len());
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,6 +8,8 @@
 //! [`unique_temp_path`] embed the process id *and* a process-global
 //! counter, so every call yields a distinct path.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 

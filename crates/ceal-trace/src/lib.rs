@@ -22,8 +22,12 @@
 //! event, stable keys), flushed by a background thread when a directory
 //! sink is attached. The `trace` CLI in `ceal-bench` reads them back.
 
+// The ring's slots are the crate's only `unsafe`.
+#![deny(unsafe_code)]
+
 pub mod event;
 pub mod hist;
+#[allow(unsafe_code)]
 pub mod ring;
 pub mod tracer;
 
