@@ -119,19 +119,16 @@ impl ComponentModels {
         }
     }
 
-    /// Predicts component `j`'s solo objective value for `values`.
-    pub fn predict(&self, j: usize, values: &[i64]) -> f64 {
-        match &self.models[j] {
-            CompModel::Constant(c) => *c,
-            CompModel::Learned(gbt) => gbt.predict_row(&self.feature_maps[j].encode(values)),
-        }
-    }
-
-    /// Predicts component `j` for its slice `range` of every configuration
-    /// in one batch — bit-identical to [`Self::predict`] per configuration
-    /// (`predict_batch` sums the same leaf weights in the same tree order as
-    /// `predict_row`).
-    fn predict_all(&self, j: usize, configs: &[Vec<i64>], range: Range<usize>) -> Vec<f64> {
+    /// Predicts component `j`'s solo objective value for its slice `range`
+    /// of every configuration, in one batch — bit-identical to one
+    /// `predict_row` per configuration (`predict_batch` sums the same leaf
+    /// weights in the same tree order), which the tests check.
+    pub(crate) fn predict_all(
+        &self,
+        j: usize,
+        configs: &[Vec<i64>],
+        range: Range<usize>,
+    ) -> Vec<f64> {
         match &self.models[j] {
             CompModel::Constant(c) => vec![*c; configs.len()],
             CompModel::Learned(gbt) => {
@@ -180,20 +177,9 @@ impl LowFidelityModel {
         }
     }
 
-    /// Scores one full workflow configuration (lower is better).
-    pub fn score(&self, config: &[i64]) -> f64 {
-        let preds: Vec<f64> = self
-            .ranges
-            .iter()
-            .enumerate()
-            .map(|(j, r)| self.components.predict(j, &config[r.clone()]))
-            .collect();
-        self.combine.apply(&preds)
-    }
-
-    /// Scores many configurations — bit-identical to [`Self::score`] per
-    /// configuration, but each component model predicts its slice of the
-    /// whole batch at once.
+    /// Scores workflow configurations (lower is better): each component
+    /// model predicts its slice of the whole batch at once, and the
+    /// combination folds each configuration's predictions.
     pub fn score_all(&self, configs: &[Vec<i64>]) -> Vec<f64> {
         let columns: Vec<Vec<f64>> = self
             .ranges
@@ -222,6 +208,30 @@ mod tests {
     use ceal_sim::Simulator;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The per-configuration path the batch scorers must equal bit for bit.
+    impl ComponentModels {
+        /// Predicts component `j`'s solo objective value for `values`.
+        fn predict(&self, j: usize, values: &[i64]) -> f64 {
+            match &self.models[j] {
+                CompModel::Constant(c) => *c,
+                CompModel::Learned(gbt) => gbt.predict_row(&self.feature_maps[j].encode(values)),
+            }
+        }
+    }
+
+    impl LowFidelityModel {
+        /// Scores one full workflow configuration.
+        fn score(&self, config: &[i64]) -> f64 {
+            let preds: Vec<f64> = self
+                .ranges
+                .iter()
+                .enumerate()
+                .map(|(j, r)| self.components.predict(j, &config[r.clone()]))
+                .collect();
+            self.combine.apply(&preds)
+        }
+    }
 
     #[test]
     fn combine_fns() {

@@ -57,20 +57,6 @@ impl Alph {
         }
     }
 
-    /// Builds the augmented feature row for one configuration.
-    fn augmented_row(
-        fm: &FeatureMap,
-        models: &ComponentModels,
-        ranges: &[std::ops::Range<usize>],
-        config: &[i64],
-    ) -> Vec<f64> {
-        let mut row = fm.encode(config);
-        for (j, r) in ranges.iter().enumerate() {
-            row.push(models.predict(j, &config[r.clone()]));
-        }
-        row
-    }
-
     /// Fits `M'_0` to the augmented rows of the pool entries `at`, each
     /// labelled with its measured workflow value.
     fn fit_combiner(
@@ -113,10 +99,18 @@ impl Autotuner for Alph {
             let fm = FeatureMap::for_workflow(&c.spec);
             let ranges = c.spec.param_ranges();
             let models = p1.models(&c.spec, hist_models, c.seed);
-            // Pre-compute augmented rows for the whole pool.
+            // Pre-compute augmented rows for the whole pool: the
+            // configuration, then one batch-predicted column per component.
+            let columns: Vec<Vec<f64>> = ranges
+                .iter()
+                .enumerate()
+                .map(|(j, r)| models.predict_all(j, &c.pool, r.clone()))
+                .collect();
             let mut pool_rows = Dataset::new(fm.n_features() + ranges.len());
-            for cfg in c.pool.iter() {
-                pool_rows.push_row(&Self::augmented_row(&fm, &models, &ranges, cfg), 0.0);
+            for (i, cfg) in c.pool.iter().enumerate() {
+                let mut row = fm.encode(cfg);
+                row.extend(columns.iter().map(|column| column[i]));
+                pool_rows.push_row(&row, 0.0);
             }
 
             let coupled_budget = p1.coupled_budget(c.budget);

@@ -1,19 +1,33 @@
-//! The checked record frame shared by every append-only log in the
-//! workspace: the measurement journal ([`crate::journal`]) and the serve
-//! cache's per-workflow record logs.
+//! The workspace's append-only record log: the measurement journal
+//! ([`crate::journal`]) and the serve cache's per-workflow shard logs are
+//! both a [`Log`], and differ only in their magic and what a payload means.
 //!
 //! ```text
-//! +-----------+-----------+----------------+
-//! | len (u32) | crc (u32) | payload        |
-//! +-----------+-----------+----------------+
-//!   big-endian  CRC32 of    `len` bytes
-//!               payload
+//! +-------+  +-----------+-----------+----------------+  +----- ...
+//! | magic |  | len (u32) | crc (u32) | payload        |  | len ...
+//! +-------+  +-----------+-----------+----------------+  +----- ...
+//!              big-endian  CRC32 of    `len` bytes
+//!                          payload
 //! ```
 //!
-//! A log is a file magic followed by frames. [`header`] is the write
-//! half; [`first`] checks one frame and [`scan`] walks a log to the end of
-//! its longest valid prefix, which is where a reader truncates a torn
-//! tail. What a payload *means* stays with the caller.
+//! The frame: [`header`] is the write half; [`first`] checks one frame and
+//! [`scan`] walks a log to the end of its longest valid prefix.
+//!
+//! The durable write: [`Log::open`] reads the file once, hands each valid
+//! frame to the caller, and cuts a torn or corrupt tail (`set_len` +
+//! `sync_data`) — a crash mid-write loses at most the commit in flight.
+//! [`Log::append`] writes at the committed end and `sync_data`s; the file
+//! appears with its first commit, which carries the magic and also fsyncs
+//! the directory so the new name is as durable as the bytes. A failed
+//! append is cut back off, so the next one never lands behind a torn
+//! frame. [`Log::replace`] swaps in new contents whole (temp file →
+//! `sync_all` → rename → directory fsync). What a payload *means*, and
+//! what to do with a file of another magic, stays with the caller.
+
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Bytes of length prefix plus checksum in front of every payload.
 pub const HEADER_LEN: usize = 8;
@@ -126,6 +140,184 @@ pub fn scan(bytes: &[u8], from: usize, mut accept: impl FnMut(usize, &[u8]) -> b
         good += HEADER_LEN + payload.len();
     }
     good
+}
+
+/// An append-only log file: a magic, then frames. Its committed length is
+/// where the next frame goes, and the file's write position stays there.
+#[derive(Debug)]
+pub struct Log {
+    path: PathBuf,
+    magic: &'static [u8],
+    /// `None` until the first commit creates the file.
+    file: Option<Arc<File>>,
+    /// Committed bytes (0: not even the magic).
+    len: u64,
+    /// Whether a commit syncs before it returns.
+    sync: bool,
+}
+
+/// What [`Log::open`] found at a path.
+#[derive(Debug)]
+pub enum Opened {
+    /// The log, committed up to the end of its valid prefix, and the
+    /// file's bytes as they were read: `bytes.len() - log.committed()` of them
+    /// were a torn or corrupt tail, now cut. No file is an empty log.
+    Log(Log, Vec<u8>),
+    /// The file starts with another magic; it is left as it is.
+    Foreign,
+}
+
+impl Log {
+    /// Opens the log at `path`: reads the file once, hands every valid
+    /// frame's offset and payload to `accept` (see [`scan`]; a refused
+    /// frame ends the log like a torn one) and cuts what follows the valid
+    /// prefix. A file shorter than the magic is a crash during the first
+    /// commit: nothing in it was committed, and it is cut to empty. A
+    /// missing file is an empty log and is not created.
+    pub fn open(
+        path: &Path,
+        magic: &'static [u8],
+        accept: impl FnMut(usize, &[u8]) -> bool,
+    ) -> io::Result<Opened> {
+        let mut log = Log {
+            path: path.to_path_buf(),
+            magic,
+            file: None,
+            len: 0,
+            sync: true,
+        };
+        let mut file = match OpenOptions::new().read(true).write(true).open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Ok(Opened::Log(log, Vec::new()))
+            }
+            Err(e) => return Err(e),
+        };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let good = match bytes.len() < magic.len() {
+            true => 0,
+            false if !bytes.starts_with(magic) => return Ok(Opened::Foreign),
+            false => scan(&bytes, magic.len(), accept),
+        };
+        if good < bytes.len() {
+            file.set_len(good as u64)?;
+            file.sync_data()?;
+            file.seek(SeekFrom::Start(good as u64))?;
+        }
+        log.file = Some(Arc::new(file));
+        log.len = good as u64;
+        Ok(Opened::Log(log, bytes))
+    }
+
+    /// The log's file path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Committed bytes, magic included (0 before the first commit).
+    pub fn committed(&self) -> u64 {
+        self.len
+    }
+
+    /// The open file, for positioned reads of committed frames outside
+    /// whatever lock guards the log; `None` while the file does not exist.
+    /// Committed offsets never move until [`Log::replace`].
+    pub fn file(&self) -> Option<&Arc<File>> {
+        self.file.as_ref()
+    }
+
+    /// Enables or disables the syncs of every commit (on by default).
+    /// Leave on outside tests: without them a commit is not crash-durable
+    /// when it returns.
+    pub fn set_sync(&mut self, on: bool) {
+        self.sync = on;
+    }
+
+    /// Commits `frames` with one write at the committed end — behind the
+    /// magic when the log has none yet — and one `sync_data`; the commit
+    /// that writes the magic also fsyncs the directory. Returns the offset
+    /// `frames` start at. On error the file is cut back to its committed
+    /// length, or removed if this commit created it.
+    pub fn append(&mut self, frames: &[u8]) -> io::Result<u64> {
+        let created = self.file.is_none();
+        let file = match &self.file {
+            Some(file) => Arc::clone(file),
+            None => Arc::new(
+                OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(&self.path)?,
+            ),
+        };
+        let fresh = self.len == 0;
+        let written = (|| {
+            if fresh {
+                (&*file).write_all(self.magic)?;
+            }
+            (&*file).write_all(frames)?;
+            if self.sync {
+                file.sync_data()?;
+                if fresh {
+                    sync_dir(&self.path)?;
+                }
+            }
+            Ok(())
+        })();
+        if let Err(e) = written {
+            let _ = match created {
+                true => std::fs::remove_file(&self.path),
+                false => file
+                    .set_len(self.len)
+                    .and_then(|()| (&*file).seek(SeekFrom::Start(self.len)).map(drop)),
+            };
+            return Err(e);
+        }
+        let at = self.len.max(self.magic.len() as u64);
+        self.file = Some(file);
+        self.len = at + frames.len() as u64;
+        Ok(at)
+    }
+
+    /// Replaces the whole log with the magic and `frames`: written to
+    /// `<stem>.tmp.compact` beside it, made durable, renamed over the log,
+    /// and the rename made durable. A crash leaves the old log or the new
+    /// one, and at worst a stale temp file. The offsets of the new frames
+    /// start at the magic's length.
+    pub fn replace(&mut self, frames: &[u8]) -> io::Result<()> {
+        let tmp = self.path.with_extension("tmp.compact");
+        let written = (|| {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
+            file.write_all(self.magic)?;
+            file.write_all(frames)?;
+            // Durable before visible: rename must never expose a file
+            // whose bytes could still be lost by a crash.
+            file.sync_all()?;
+            std::fs::rename(&tmp, &self.path)?;
+            Ok(file)
+        })();
+        let file = written.inspect_err(|_: &io::Error| {
+            let _ = std::fs::remove_file(&tmp);
+        })?;
+        sync_dir(&self.path)?;
+        self.file = Some(Arc::new(file));
+        self.len = (self.magic.len() + frames.len()) as u64;
+        Ok(())
+    }
+}
+
+/// A file's creation or rename lives in its directory; fsync that so a
+/// crash cannot roll the directory back past it.
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 #[cfg(test)]

@@ -19,28 +19,32 @@
 //!                               payload
 //! ```
 //!
-//! The record framing (length prefix, checksum, torn-tail scan) is
-//! [`crate::frame`], shared with the serve cache's record logs.
+//! The journal is a [`crate::frame::Log`] with its own magic: the record
+//! framing (length prefix, checksum, torn-tail scan) and the durable write
+//! (open, recover, append, roll back) are the serve cache's record logs'
+//! too. This module adds only what a record means and when it commits.
 //!
 //! [`Journal::open`] scans the file, verifies every record's CRC, and
 //! truncates the first torn/corrupt record and everything after it — a
 //! crash mid-write loses at most the commit being written, never an
-//! earlier one.
+//! earlier one. A missing file is an empty journal: like a cache log, the
+//! file appears with its first commit, never at open.
 //!
 //! ## Commits
 //!
 //! The unit that becomes durable is the *commit*, not the record.
 //! [`Journal::stage`] frames a record into an in-memory buffer and touches
-//! no file; [`Journal::commit`] puts the whole buffer on disk with one
-//! `write_all` and one `fsync` (`sync_data`), so every staged record is
-//! committed exactly when the commit returns — and a commit with nothing
-//! staged performs no I/O at all. [`Journal::append`] is `stage` +
-//! `commit`: per-record durability for a caller whose measurements are
-//! expensive enough to be worth an fsync each (the `tune` CLI). A
-//! caller that consumes measurements a batch at a time (a serve session)
-//! stages the batch and commits once, before it acts on any of it; what a
-//! crash can then lose is the batch in flight, never one it had acted on.
-//! A fresh journal's magic rides along with its first commit, which also
+//! no file; [`Journal::commit`] hands the whole buffer to
+//! [`Log::append`](crate::frame::Log::append): one write at the committed
+//! end and one data fsync, so every staged record is committed
+//! exactly when the commit returns — and a commit with nothing staged
+//! performs no I/O at all. [`Journal::append`] is `stage` + `commit`:
+//! per-record durability for a caller whose measurements are expensive
+//! enough to be worth an fsync each (the `tune` CLI). A caller that
+//! consumes measurements a batch at a time (a serve session) stages the
+//! batch and commits once, before it acts on any of it; what a crash can
+//! then lose is the batch in flight, never one it had acted on. The first
+//! commit creates the file, writes the magic ahead of its records, and
 //! fsyncs the journal's directory so the new file's name is durable too.
 //! Batching changes when bytes reach the disk, never which bytes: a
 //! journal is byte-identical however its records were grouped into
@@ -70,9 +74,7 @@
 use crate::frame;
 use crate::oracle::{Measurement, SoloMeasurement};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Identifies the journal file format (and its version).
 pub const JOURNAL_MAGIC: &[u8; 8] = b"CEALWAL1";
@@ -204,110 +206,60 @@ pub struct OpenReport {
     pub truncated_bytes: u64,
 }
 
-/// An append-only, checksummed, fsync-on-commit write-ahead journal.
+/// An append-only, checksummed, fsync-on-commit write-ahead journal: the
+/// records staged for the next commit, over a [`frame::Log`].
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    path: PathBuf,
-    /// Whether `commit` fsyncs before returning (on by default; tests that
-    /// hammer thousands of appends may turn it off).
-    sync_on_commit: bool,
-    /// Bytes of the file that are committed (0: not even the magic); a
-    /// failed commit rolls the file back to here.
-    len: u64,
+    log: frame::Log,
     /// What the next commit writes: the framed records staged since the
-    /// last one, behind the magic when the file has none yet.
+    /// last one.
     staged: Vec<u8>,
     /// Records in `staged`.
     staged_records: usize,
 }
 
 impl Journal {
-    /// Opens (creating if needed) the journal at `path`, verifying every
-    /// record and truncating a torn tail. Returns the journal positioned
-    /// for appending plus everything it recovered.
+    /// Opens the journal at `path`, verifying every record and truncating
+    /// a torn tail. Returns the journal positioned for appending plus
+    /// everything it recovered. A missing file is an empty journal; the
+    /// file appears with the first commit.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, OpenReport), JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-
-        // A file shorter than the magic is new, or a crash during its
-        // first commit: reset it to a fresh journal, whose magic goes to
-        // disk with that commit.
-        if bytes.len() < JOURNAL_MAGIC.len() {
-            let torn = bytes.len() as u64;
-            if torn > 0 {
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-            }
-            return Ok((
-                Self::at(file, path, 0),
-                OpenReport {
-                    records: Vec::new(),
-                    truncated_bytes: torn,
-                },
-            ));
-        }
-        if &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return Err(JournalError::Corrupt(format!(
-                "{} does not start with the CEALWAL1 magic",
-                path.display()
-            )));
-        }
-
+        let path = path.as_ref();
         let mut records = Vec::new();
-        let good = frame::scan(&bytes, JOURNAL_MAGIC.len(), |_, payload| {
+        let opened = frame::Log::open(path, JOURNAL_MAGIC, |_, payload| {
             // Checksummed but unintelligible: treat as torn.
             serde_json::from_slice::<JournalRecord>(payload)
                 .map(|record| records.push(record))
                 .is_ok()
-        });
-
-        let truncated = (bytes.len() - good) as u64;
-        if truncated > 0 {
-            file.set_len(good as u64)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::Start(good as u64))?;
-        Ok((
-            Self::at(file, path, good as u64),
-            OpenReport {
-                records,
-                truncated_bytes: truncated,
-            },
-        ))
-    }
-
-    /// A journal whose `file` holds `len` committed bytes and is positioned
-    /// behind them.
-    fn at(file: File, path: PathBuf, len: u64) -> Self {
-        Self {
-            file,
-            path,
-            sync_on_commit: true,
-            len,
+        })?;
+        let frame::Opened::Log(log, bytes) = opened else {
+            return Err(JournalError::Corrupt(format!(
+                "{} does not start with the CEALWAL1 magic",
+                path.display()
+            )));
+        };
+        let report = OpenReport {
+            records,
+            truncated_bytes: bytes.len() as u64 - log.committed(),
+        };
+        let journal = Self {
+            log,
             staged: Vec::new(),
             staged_records: 0,
-        }
+        };
+        Ok((journal, report))
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Enables or disables the fsync on every commit. Leave on outside
     /// tests: without it a record is not crash-durable when `commit`
     /// returns.
     pub fn set_sync_on_commit(&mut self, on: bool) {
-        self.sync_on_commit = on;
+        self.log.set_sync(on);
     }
 
     /// Frames `record` behind whatever is already staged for the next
@@ -323,9 +275,6 @@ impl Journal {
                 frame::MAX_PAYLOAD_LEN
             ))
         })?;
-        if self.len == 0 && self.staged.is_empty() {
-            self.staged.extend_from_slice(JOURNAL_MAGIC);
-        }
         self.staged.extend_from_slice(&header);
         self.staged.extend_from_slice(&payload);
         self.staged_records += 1;
@@ -337,40 +286,17 @@ impl Journal {
     /// commit carried — with none staged, 0 and no I/O.
     ///
     /// A failed commit drops what was staged, so the caller must treat
-    /// those records as never journaled, and takes back whatever part of
-    /// them reached the file, so a later commit does not land behind a torn
-    /// frame.
+    /// those records as never journaled; [`frame::Log::append`] takes back
+    /// whatever part of them reached the file.
     pub fn commit(&mut self) -> Result<usize, JournalError> {
         let records = std::mem::take(&mut self.staged_records);
         if records == 0 {
             return Ok(0);
         }
-        let written = self.write();
-        match written {
-            Ok(()) => self.len += self.staged.len() as u64,
-            Err(_) => {
-                let _ = self.file.set_len(self.len);
-                let _ = self.file.seek(SeekFrom::Start(self.len));
-            }
-        }
+        let written = self.log.append(&self.staged);
         self.staged.clear();
         written?;
         Ok(records)
-    }
-
-    /// Puts the staged bytes on disk. The first commit — the one carrying
-    /// the magic — also fsyncs the directory, so the file's entry in it
-    /// survives a crash as well as its bytes.
-    fn write(&mut self) -> std::io::Result<()> {
-        self.file.write_all(&self.staged)?;
-        if self.sync_on_commit {
-            self.file.sync_data()?;
-            if self.len == 0 {
-                let dir = self.path.parent().filter(|p| !p.as_os_str().is_empty());
-                File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-            }
-        }
-        Ok(())
     }
 
     /// Stages and commits one record; when this returns `Ok`, the record
@@ -471,11 +397,12 @@ mod tests {
         let path = ceal_testutil::unique_temp_path("ceal-journal-empty", "wal");
         let on_disk = || std::fs::metadata(&path).expect("stat").len();
         let (mut j, _) = Journal::open(&path).expect("open fresh");
+        assert!(!path.exists(), "no file until the first commit");
         assert_eq!(j.commit().expect("empty commit"), 0);
-        assert_eq!(on_disk(), 0, "not even the magic");
+        assert!(!path.exists(), "not even the magic");
         j.stage(&JournalRecord::Marker("a".into())).expect("stage");
         j.stage(&JournalRecord::Marker("b".into())).expect("stage");
-        assert_eq!(on_disk(), 0, "staging is not I/O");
+        assert!(!path.exists(), "staging is not I/O");
         assert_eq!(j.commit().expect("commit"), 2);
         let len = on_disk();
         assert!(len > JOURNAL_MAGIC.len() as u64);

@@ -7,23 +7,27 @@
 //! +----------+  +-----------+-----------+--------------------+  +----- ...
 //! ```
 //!
-//! The framing is [`ceal_core::frame`], the journal's. A `put` appends one
-//! frame and `sync_data`s; a replaced key is simply a newer record that
-//! shadows the older one. In memory each shard keeps only an index — per
-//! live key its platform features, whether it has samples, the four
-//! fields a `Tune` replies with, and where its frame sits — built by one
-//! scan the first time the shard is touched and kept by every `put`,
-//! both of which hold the decoded entry already. So a `get` reads, checks
-//! and decodes exactly one frame, a nearest-sibling search decodes only
-//! its winner, and a `Tune`'s lookup reads nothing: it answers from the
-//! row, whose answer was checked when the row was built. A frame that goes
-//! bad after the scan is thus still a `Tune`'s answer, a `get`'s warned
-//! miss, and where the next process's scan truncates the log.
+//! A shard log is a [`ceal_core::frame::Log`], the journal's record log
+//! under its own magic: opening, torn-tail recovery, the durable append
+//! and compaction's whole-file replace are that one routine, and what is
+//! left here is what an entry means, the index, and the positioned reads.
+//! A `put` appends one frame and syncs it; a replaced key is simply a
+//! newer record that shadows the older one. In memory each shard keeps
+//! only an index — per live key its platform features, whether it has
+//! samples, the four fields a `Tune` replies with, and where its frame
+//! sits — built by one scan the first time the shard is touched and kept
+//! by every `put`, both of which hold the decoded entry already. So a
+//! `get` reads, checks and decodes exactly one frame, a nearest-sibling
+//! search decodes only its winner, and a `Tune`'s lookup reads nothing:
+//! it answers from the row, whose answer was checked when the row was
+//! built. A frame that goes bad after the scan is thus still a `Tune`'s
+//! answer, a `get`'s warned miss, and where the next process's scan
+//! truncates the log.
 //!
 //! That first-touch scan is also the only place a log is ever rewritten:
 //! a torn or corrupt tail is truncated (everything before it still
 //! serves), and when shadowed records outweigh live ones the live frames
-//! are compacted into a fresh file (tmp → fsync → rename → dir fsync).
+//! are compacted into a fresh file ([`ceal_core::frame::Log::replace`]).
 //! Offsets therefore never move while a process serves, which is what
 //! lets reads happen outside the shard lock. The lock is in-process: one
 //! process owns a cache directory at a time.
@@ -45,8 +49,7 @@ use ceal_core::frame;
 use ceal_par::sync::Mutex;
 use ceal_trace::{TraceContext, Tracer};
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::Read as _;
+use std::fs::File;
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -92,12 +95,8 @@ impl Span {
 }
 
 /// One shard's open log and index, guarded by the shard lock.
-#[derive(Default)]
 struct ShardLog {
-    /// `None` until the first `put` creates the file.
-    file: Option<Arc<File>>,
-    /// Where the next frame goes (0: the magic is still to be written).
-    end: u64,
+    log: frame::Log,
     rows: HashMap<CacheKey, Row>,
 }
 
@@ -258,189 +257,75 @@ impl ShardStore {
     /// shadowed records outweigh the live ones.
     fn index(&self, path: &Path) -> std::io::Result<ShardLog> {
         let started = Instant::now();
-        let file = match OpenOptions::new().read(true).write(true).open(path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ShardLog::default()),
-            Err(e) => return Err(e),
-        };
-        let mut bytes = Vec::new();
-        (&file).read_to_end(&mut bytes)?;
-        if bytes.len() >= LOG_MAGIC.len() && !bytes.starts_with(LOG_MAGIC) {
-            self.set_aside(path)?;
-            return Ok(ShardLog::default());
-        }
-
         let mut rows: HashMap<CacheKey, Row> = HashMap::new();
         let mut dead_bytes = 0;
-        // Shorter than the magic is a crash during creation: nothing in
-        // it was ever committed, and the next put writes the magic anew.
-        let good = match bytes.len() < LOG_MAGIC.len() {
-            true => 0,
-            false => frame::scan(&bytes, LOG_MAGIC.len(), |offset, payload| {
-                // Checksummed but unintelligible: treat as torn.
-                let Ok(entry) = serde_json::from_slice::<CacheEntry>(payload) else {
-                    return false;
-                };
-                let span = Span {
-                    offset: offset as u64,
-                    len: payload.len() as u32,
-                };
-                let row = Row::of(&entry, span);
-                if let Some(shadowed) = rows.insert(entry.key, row) {
-                    dead_bytes += shadowed.span.frame_len();
-                }
-                true
-            }),
+        let opened = frame::Log::open(path, LOG_MAGIC, |offset, payload| {
+            // Checksummed but unintelligible: treat as torn.
+            let Ok(entry) = serde_json::from_slice::<CacheEntry>(payload) else {
+                return false;
+            };
+            let span = Span {
+                offset: offset as u64,
+                len: payload.len() as u32,
+            };
+            let row = Row::of(&entry, span);
+            if let Some(shadowed) = rows.insert(entry.key, row) {
+                dead_bytes += shadowed.span.frame_len();
+            }
+            true
+        })?;
+        let frame::Opened::Log(log, bytes) = opened else {
+            self.set_aside(path)?;
+            // The path is free now: what opens there is an empty log.
+            return self.index(path);
         };
-        let workflow = match rows.keys().next() {
+        let mut shard_log = ShardLog { log, rows };
+        if shard_log.log.file().is_none() {
+            return Ok(shard_log);
+        }
+        let workflow = match shard_log.rows.keys().next() {
             Some(key) => key.workflow.clone(),
             None => file_name(path),
         };
-        if good < bytes.len() {
-            file.set_len(good as u64)?;
-            file.sync_data()?;
-            let torn = (bytes.len() - good) as u64;
-            self.recovered(
-                &workflow,
-                path,
-                torn,
-                rows.len(),
-                "torn or corrupt tail cut",
-            );
+        let torn = bytes.len() as u64 - shard_log.log.committed();
+        if torn > 0 {
+            let kept = shard_log.rows.len();
+            self.recovered(&workflow, path, torn, kept, "torn or corrupt tail cut");
         }
-        let mut log = ShardLog {
-            file: Some(Arc::new(file)),
-            end: good as u64,
-            rows,
-        };
-        let live_bytes: u64 = log.rows.values().map(|r| r.span.frame_len()).sum();
+        let live_bytes: u64 = shard_log.rows.values().map(|r| r.span.frame_len()).sum();
         if dead_bytes > live_bytes {
-            self.compact(path, &bytes, &mut log)?;
+            compact(&bytes, &mut shard_log)?;
         }
         self.tracer.instant(
             "cache.shard-indexed",
             TraceContext::NONE,
             &[
                 ("workflow", workflow.into()),
-                ("entries", log.rows.len().into()),
+                ("entries", shard_log.rows.len().into()),
                 ("dead_bytes", dead_bytes.into()),
                 ("scan_us", (started.elapsed().as_micros() as u64).into()),
             ],
         );
-        Ok(log)
-    }
-
-    /// Rewrites the log as its live frames only, in append order, and
-    /// points `log` at the new file. `bytes` is the scanned old file. On
-    /// error `log` is half-updated and must be dropped.
-    fn compact(&self, path: &Path, bytes: &[u8], log: &mut ShardLog) -> std::io::Result<()> {
-        let mut live: Vec<&mut Span> = log.rows.values_mut().map(|r| &mut r.span).collect();
-        live.sort_unstable();
-        let mut packed = LOG_MAGIC.to_vec();
-        for span in live {
-            let frame = &bytes[span.offset as usize..][..span.frame_len() as usize];
-            span.offset = packed.len() as u64;
-            packed.extend_from_slice(frame);
-        }
-        let tmp = path.with_extension("tmp.compact");
-        let written = (|| {
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            file.write_all_at(&packed, 0)?;
-            // Durable before visible: rename must never expose a file
-            // whose bytes could still be lost by a crash.
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(file)
-        })();
-        let file = written.inspect_err(|_: &std::io::Error| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
-        self.sync_dir()?;
-        log.file = Some(Arc::new(file));
-        log.end = packed.len() as u64;
-        Ok(())
-    }
-
-    /// A file's creation or rename lives in the directory; fsync it so a
-    /// crash cannot roll the directory back past it.
-    fn sync_dir(&self) -> std::io::Result<()> {
-        File::open(&self.dir)?.sync_all()
-    }
-
-    /// Appends `entries` (all of `shard`'s workflow) with one write and
-    /// one `sync_data`; when this returns `Ok` they survive a crash. The
-    /// index is updated only after the bytes are durable, and a failed
-    /// write is cut back off the file so the next append starts clean.
-    fn append(&self, shard: &Shard, entries: &[&CacheEntry]) -> std::io::Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // Encode before taking the lock: same-shard writers then queue
-        // only for the write itself.
-        let mut frames = Vec::new();
-        let mut spans = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let payload = serde_json::to_vec(entry).map_err(std::io::Error::other)?;
-            let header = frame::header(&payload).ok_or_else(|| {
-                std::io::Error::other(format!("cache entry of {} bytes", payload.len()))
-            })?;
-            spans.push(Span {
-                offset: frames.len() as u64,
-                len: payload.len() as u32,
-            });
-            frames.extend_from_slice(&header);
-            frames.extend_from_slice(&payload);
-        }
-        self.with_log(shard, |log| {
-            let created = log.file.is_none();
-            let file = match &log.file {
-                Some(file) => Arc::clone(file),
-                None => Arc::new(
-                    OpenOptions::new()
-                        .read(true)
-                        .write(true)
-                        .create(true)
-                        .truncate(false)
-                        .open(&shard.path)?,
-                ),
-            };
-            let base = log.end.max(LOG_MAGIC.len() as u64);
-            let written = (|| {
-                if log.end == 0 {
-                    file.write_all_at(LOG_MAGIC, 0)?;
-                }
-                file.write_all_at(&frames, base)?;
-                file.sync_data()?;
-                match created {
-                    true => self.sync_dir(),
-                    false => Ok(()),
-                }
-            })();
-            if let Err(e) = written {
-                let _ = match created {
-                    true => std::fs::remove_file(&shard.path),
-                    false => file.set_len(log.end),
-                };
-                return Err(e);
-            }
-            log.file = Some(file);
-            log.end = base + frames.len() as u64;
-            for (entry, mut span) in entries.iter().zip(spans) {
-                span.offset += base;
-                log.rows.insert(entry.key.clone(), Row::of(entry, span));
-            }
-            Ok(())
-        })
+        Ok(shard_log)
     }
 
     /// Persists one campaign: one frame appended to its workflow's log.
+    /// The index row is added only after the bytes are durable.
     pub(crate) fn put(&self, entry: &CacheEntry) -> std::io::Result<()> {
-        self.append(&self.shard(&entry.key.workflow), &[entry])
+        // Encode before taking the lock: same-shard writers then queue
+        // only for the write itself.
+        let payload = serde_json::to_vec(entry).map_err(std::io::Error::other)?;
+        let header = frame::header(&payload).ok_or_else(|| {
+            std::io::Error::other(format!("cache entry of {} bytes", payload.len()))
+        })?;
+        let frame = [&header[..], &payload].concat();
+        let len = payload.len() as u32;
+        self.with_log(&self.shard(&entry.key.workflow), |shard_log| {
+            let offset = shard_log.log.append(&frame)?;
+            let row = Row::of(entry, Span { offset, len });
+            shard_log.rows.insert(entry.key.clone(), row);
+            Ok(())
+        })
     }
 
     /// Runs `f` on the shard's index under its lock; an unreadable shard
@@ -458,7 +343,7 @@ impl ShardStore {
         shard: &Shard,
         choose: impl FnOnce(&ShardLog) -> Option<T>,
     ) -> Option<(Arc<File>, T)> {
-        self.indexed(shard, |log| log.file.clone().zip(choose(log)))?
+        self.indexed(shard, |s| s.log.file().cloned().zip(choose(s)))?
     }
 
     /// Reads the frame at `span`, checks it, and decodes its entry.
@@ -504,7 +389,7 @@ impl ShardStore {
     /// [`ShardStore::answer`] for a caller that must not wait: the answer
     /// if the shard map is free and knows the shard (one it does not know
     /// has not been indexed either), the shard is already indexed, its lock
-    /// is free (a `put` holds it across `sync_data`, the first-touch scan
+    /// is free (a `put` holds it across its fsync, the first-touch scan
     /// across a whole-file read), and `key` is in it. Anything else is
     /// `None` and is left to `answer`, which waits.
     pub(crate) fn answer_nowait(&self, key: &CacheKey) -> Option<TuneAnswer> {
@@ -618,6 +503,22 @@ impl ShardStore {
     pub(crate) fn shard_count(&self) -> usize {
         self.log_paths().len()
     }
+}
+
+/// Rewrites `shard_log`'s log as its live frames only, in append order,
+/// and moves each row to its frame's new offset. `bytes` is the scanned
+/// old file. On error the rows are half-moved and `shard_log` must be
+/// dropped.
+fn compact(bytes: &[u8], shard_log: &mut ShardLog) -> std::io::Result<()> {
+    let mut live: Vec<&mut Span> = shard_log.rows.values_mut().map(|r| &mut r.span).collect();
+    live.sort_unstable();
+    let mut packed = Vec::new();
+    for span in live {
+        let frame = &bytes[span.offset as usize..][..span.frame_len() as usize];
+        span.offset = (LOG_MAGIC.len() + packed.len()) as u64;
+        packed.extend_from_slice(frame);
+    }
+    shard_log.log.replace(&packed)
 }
 
 fn file_name(path: &Path) -> String {

@@ -580,7 +580,7 @@ pub(crate) fn dispatch(req: Request, inner: &ServerInner, ticket: Ticket, inline
         Request::Metrics => Response::Metrics(inner.metrics_report()),
         Request::Shutdown => {
             inner.shutdown.store(true, Ordering::Release);
-            // Land everything still buffered in the trace ring before the
+            // Land everything still buffered in the trace channel before the
             // process starts draining connections.
             inner.tracer.flush();
             Response::Ok

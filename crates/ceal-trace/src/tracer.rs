@@ -3,24 +3,27 @@
 //! A `Tracer` is a cheap `Arc` clone threaded through every layer. The
 //! default (disabled) tracer records nothing and reduces each call to an
 //! `Option` check, which is what keeps `--trace-dir`-less serving at full
-//! speed. Enabled tracers push typed events into the lock-free ring; a
-//! background thread (directory sink) or an explicit drain (in-memory
-//! sink, for tests) moves them out. Warnings are special: they are always
-//! mirrored to stderr — structured capture never silences an operator
-//! signal — and additionally recorded as `W` events when tracing is on.
+//! speed. Enabled tracers `try_send` typed events into a bounded std
+//! channel (`sync_channel`) and never block: a full channel drops the
+//! event and counts it. A background thread (directory sink) or an
+//! explicit drain (in-memory sink, for tests) moves them out, holding the
+//! channel's receiving end under the sink's mutex. Warnings are special:
+//! they are always mirrored to stderr — structured capture never silences
+//! an operator signal — and additionally recorded as `W` events when
+//! tracing is on.
 
 use crate::event::{EventKind, FieldValue, TraceEvent};
-use crate::ring::Ring;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Default ring capacity (events) for enabled tracers.
+/// Events an enabled tracer holds between drains; more are dropped.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-/// How often the background flusher drains the ring to disk.
+/// How often the background flusher drains the channel to disk.
 pub const FLUSH_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Distinguishes per-process trace files written into one `--trace-dir`.
@@ -53,12 +56,15 @@ enum Sink {
 struct Inner {
     epoch: Instant,
     base_unix_us: u64,
-    ring: Ring<TraceEvent>,
+    events: SyncSender<TraceEvent>,
+    /// Events refused because the channel was full.
+    dropped: AtomicU64,
     next_span: AtomicU64,
     next_trace: AtomicU64,
     salt: u64,
     warnings: AtomicU64,
-    sink: Mutex<Sink>,
+    /// The channel's receiving end and where its events go.
+    sink: Mutex<(Receiver<TraceEvent>, Sink)>,
 }
 
 impl Inner {
@@ -67,11 +73,18 @@ impl Inner {
             .saturating_add(self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64)
     }
 
+    /// Sends `event` without blocking; a full channel drops and counts it.
+    fn record(&self, event: TraceEvent) {
+        if self.events.try_send(event).is_err() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     fn drain(&self) {
-        let mut sink = self.sink.lock().unwrap();
+        let (events, sink) = &mut *self.sink.lock().unwrap();
         let mut wrote = false;
-        while let Some(ev) = self.ring.pop() {
-            match &mut *sink {
+        while let Ok(ev) = events.try_recv() {
+            match sink {
                 Sink::Memory(store) => store.push(ev),
                 Sink::File { file, .. } => {
                     let mut line = ev.to_json();
@@ -82,7 +95,7 @@ impl Inner {
             }
         }
         if wrote {
-            if let Sink::File { file, .. } = &mut *sink {
+            if let Sink::File { file, .. } = sink {
                 let _ = file.flush();
             }
         }
@@ -91,8 +104,8 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        // Land whatever is still in the ring; the flusher thread holds only
-        // a Weak and may already be gone.
+        // Land whatever is still in the channel; the flusher thread holds
+        // only a Weak and may already be gone.
         self.drain();
     }
 }
@@ -139,15 +152,17 @@ impl Tracer {
                 ^ (std::process::id() as u64) << 32
                 ^ FILE_NONCE.fetch_add(1, Ordering::Relaxed),
         );
+        let (events, receiver) = sync_channel(DEFAULT_RING_CAPACITY);
         Arc::new(Inner {
             epoch: Instant::now(),
             base_unix_us,
-            ring: Ring::with_capacity(DEFAULT_RING_CAPACITY),
+            events,
+            dropped: AtomicU64::new(0),
             next_span: AtomicU64::new(1),
             next_trace: AtomicU64::new(1),
             salt,
             warnings: AtomicU64::new(0),
-            sink: Mutex::new(sink),
+            sink: Mutex::new((receiver, sink)),
         })
     }
 
@@ -214,7 +229,7 @@ impl Tracer {
         let id = self.next_span_id();
         if let Some(inner) = &self.inner {
             let ago = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            inner.ring.push(TraceEvent {
+            inner.record(TraceEvent {
                 ts_us: inner.now_us().saturating_sub(ago),
                 kind: EventKind::Begin,
                 name,
@@ -249,7 +264,7 @@ impl Tracer {
         fields: &[(&'static str, FieldValue)],
     ) {
         if let Some(inner) = &self.inner {
-            inner.ring.push(TraceEvent {
+            inner.record(TraceEvent {
                 ts_us: inner.now_us(),
                 kind: EventKind::Instant,
                 name,
@@ -279,7 +294,7 @@ impl Tracer {
             let mut all = Vec::with_capacity(fields.len() + 1);
             all.push(("msg", FieldValue::Str(message.to_string())));
             all.extend_from_slice(fields);
-            inner.ring.push(TraceEvent {
+            inner.record(TraceEvent {
                 ts_us: inner.now_us(),
                 kind: EventKind::Warn,
                 name,
@@ -300,12 +315,14 @@ impl Tracer {
             .unwrap_or(0)
     }
 
-    /// Events dropped because the ring was full.
+    /// Events dropped because the channel was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map(|i| i.ring.dropped()).unwrap_or(0)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
     }
 
-    /// Drains the ring into the sink now (file sinks also fsync-flush the
+    /// Drains the channel into the sink now (file sinks also fsync-flush the
     /// stream buffer). Called by servers on shutdown.
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
@@ -320,8 +337,8 @@ impl Tracer {
             return Vec::new();
         };
         inner.drain();
-        let mut sink = inner.sink.lock().unwrap();
-        match &mut *sink {
+        let (_, sink) = &mut *inner.sink.lock().unwrap();
+        match sink {
             Sink::Memory(store) => std::mem::take(store),
             Sink::File { .. } => Vec::new(),
         }
@@ -375,7 +392,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(inner) = &self.tracer.inner {
-            inner.ring.push(TraceEvent {
+            inner.record(TraceEvent {
                 ts_us: inner.now_us(),
                 kind: EventKind::End,
                 name: self.name,
@@ -464,6 +481,26 @@ mod tests {
             events[0].fields[0],
             ("msg", FieldValue::Str("disk on fire".into()))
         );
+    }
+
+    /// A full channel drops what does not fit and counts it; what fits
+    /// drains in order, and recording goes on once there is room again.
+    #[test]
+    fn overflow_is_counted_and_recording_recovers() {
+        let t = Tracer::in_memory();
+        let extra = 3;
+        for i in 0..DEFAULT_RING_CAPACITY + extra {
+            t.instant("tick", TraceContext::root(i as u64 + 1), &[]);
+        }
+        assert_eq!(t.dropped(), extra as u64);
+        let traces: Vec<u64> = t.drain_events().iter().map(|e| e.trace).collect();
+        let kept: Vec<u64> = (1..=DEFAULT_RING_CAPACITY as u64).collect();
+        assert_eq!(traces, kept, "the first events, in order");
+        t.instant("after", TraceContext::NONE, &[]);
+        let events = t.drain_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "after");
+        assert_eq!(t.dropped(), extra as u64);
     }
 
     #[test]
